@@ -1,10 +1,10 @@
 """Pipeline orchestration: grouping, column generation, integer solve.
 
 The flow is seed -> iterate (relax, price, extend) -> integer selection ->
-decode -> independent validation. The hosting budget row never binds the
-relaxation (the hosting flags can sit at their linking minimum, which totals
-well under 1), so one converged model serves every k of a sweep; only the
-integer stage re-reads the budget.
+decode -> independent validation. The relaxation carries no hosting budget,
+so one converged model serves every k of a sweep and only the integer
+selection reads k. The price is a k-blind `lp_bound`: the same at every k,
+and the reported `gap` is measured against it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .master import (
 from .netmodel import ProblemInstance
 from .pathcore import PathError, PathTable, all_pairs_hops, path_nodes
 from .pricer import price_chain_instance, segment_cost_table
+from .simplexkit import highs
 from .sptg import ChainPartition, partition_all
 
 log = logging.getLogger(__name__)
@@ -189,7 +190,6 @@ def run_column_generation(
     *,
     max_iters: int = 200,
     time_limit: Optional[float] = None,
-    backend=None,
     paths: Optional[PathTable] = None,
 ) -> tuple[RmpModel, CgTrace]:
     """Iterate relax/price/extend until a full pricing round adds nothing."""
@@ -197,7 +197,7 @@ def run_column_generation(
         paths = all_pairs_hops(instance.topology)
     partitions = list(partitions)
     seeds = seed_pool(instance, partitions, paths)
-    model = build_rmp(instance, partitions, seeds, paths=paths, backend=backend)
+    model = build_rmp(instance, partitions, seeds, paths=paths)
     # fallback columns: a co-located configuration at every NFV node keeps the
     # integer stage feasible at any hosting budget the capacities allow
     for ci in model.chain_instances:
@@ -380,11 +380,10 @@ def _decode(
 def _extract(
     instance: ProblemInstance, model: RmpModel, mode: str, time_limit: Optional[float]
 ) -> MappingPlan:
-    final = build_final_ilp(model, mode)
-    # the budget may differ from the one the model was relaxed with; the
-    # relaxation bound is budget-independent so only this row needs the update
-    final.lp.rows[final.kbudget_row].rhs = float(instance.k)
-    mip = model.backend.solve_mip(final.lp, time_limit=time_limit)
+    # k may differ from the budget the model was built with; the relaxation
+    # does not depend on it
+    final = build_final_ilp(model, mode, instance.k)
+    mip = highs.solve_mip(final.lp, time_limit=time_limit)
     if mip.status == "infeasible":
         raise Infeasible(
             f"final selection infeasible at k={instance.k}: no pooled assignment "
@@ -412,9 +411,10 @@ def extract_plan(
 
     mode "auto" tries the fast reduction (end segments folded into the z
     objective) and falls back to the full binary program when the reduction
-    is refused or its plan fails validation.
+    is refused or its plan fails validation. The relaxation is re-solved when
+    it is missing or predates columns added since.
     """
-    if model.last_relaxation is None:
+    if model.last_relaxation is None or len(model.last_relaxation.x) != model.lp.n_vars:
         solve_relaxation(model)
     if mode == "auto":
         try:
@@ -435,7 +435,6 @@ def solve(
     max_iters: int = 200,
     time_limit: Optional[float] = None,
     mode: str = "auto",
-    backend=None,
     paths: Optional[PathTable] = None,
     partitions=None,
 ) -> SolveResult:
@@ -449,7 +448,6 @@ def solve(
         partitions,
         max_iters=max_iters,
         time_limit=time_limit,
-        backend=backend,
         paths=paths,
     )
     plan = extract_plan(instance, model, mode=mode, time_limit=time_limit)

@@ -1,21 +1,23 @@
 """Restricted master problem over a growing configuration pool.
 
-The relaxation selects one configuration per chain instance, routes the two
-end segments (demand source to first VNF location, last VNF location to
-demand destination) per demand pair, and ties placements to the budget of
-hosting nodes. Columns arrive from the pricer; rows never change shape after
-`build_rmp`, so duals keep stable meaning across iterations.
+The relaxation selects one configuration per chain instance and routes the
+two end segments (demand source to first VNF location, last VNF location to
+demand destination) per demand pair. The hosting budget k is not part of it,
+so its bound is the same at every k; hosting flags and the budget row enter
+only the integer selection built by `build_final_ilp`. Columns arrive from
+the pricer; rows never change shape after `build_rmp`, so duals keep stable
+meaning across iterations.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional
+from typing import Iterable, Optional
 
 from .netmodel import ProblemInstance
 from .pathcore import PathTable, all_pairs_hops, path_nodes
-from .simplexkit import EQ, GE, LE, LinearProgram, LpSolution, default_backend, write_lp_text
+from .simplexkit import EQ, GE, LE, LinearProgram, LpSolution, highs
 from .sptg import ChainPartition
 
 log = logging.getLogger(__name__)
@@ -24,7 +26,7 @@ Arc = tuple[str, str]
 Pair = tuple[str, str]
 
 # a >= row's dual in our minimization convention is >= 0, a <= row's <= 0;
-# anything past this much on the wrong side means a backend defect
+# anything past this much on the wrong side means a solver defect
 DUAL_SIGN_TOL = 1e-5
 
 MODE_FULL = "full"
@@ -105,7 +107,6 @@ class FinalIlp:
     lp: LinearProgram
     mode: str
     zmap: dict  # variable index -> pool position
-    kbudget_row: int  # row bounding the number of hosting nodes
 
 
 @dataclass
@@ -113,23 +114,18 @@ class RmpModel:
     instance: ProblemInstance
     chain_instances: tuple[ChainInstance, ...]
     paths: PathTable
-    backend: object
     lp: LinearProgram
-    bigm: float
     pool: list = field(default_factory=list)
     zvar: list = field(default_factory=list)  # pool position -> LP variable
     pool_by_instance: dict = field(default_factory=dict)  # key -> pool positions
     config_index: dict = field(default_factory=dict)  # Configuration.key -> LP variable
     xvar: dict = field(default_factory=dict)  # (key, position, node) -> var
-    xfvar: dict = field(default_factory=dict)  # (node, vnf) -> var
-    hvar: dict = field(default_factory=dict)  # node -> var
     yfvar: dict = field(default_factory=dict)  # (key, pair, arc) -> var
     ylvar: dict = field(default_factory=dict)
     conv_row: dict = field(default_factory=dict)  # key -> row
     core_row: dict = field(default_factory=dict)  # node -> row
     cap_row: dict = field(default_factory=dict)  # arc -> row
     cons_row: dict = field(default_factory=dict)  # (key, position, node) -> row
-    kbudget_row: int = -1
     last_relaxation: Optional[LpSolution] = None
     last_duals: Optional[DualPrices] = None
 
@@ -242,29 +238,17 @@ def build_rmp(
     seed_pool: Iterable[Configuration],
     *,
     paths: Optional[PathTable] = None,
-    backend=None,
 ) -> RmpModel:
     """Assemble rows and static columns, then seed the configuration pool."""
     topo = instance.topology
     if paths is None:
         paths = all_pairs_hops(topo)
-    if backend is None:
-        backend = default_backend()
     cis = chain_instances(instance, partitions)
     nfv = topo.nfv_nodes
     arcs = [(a.src, a.dst) for a in topo.arcs]
-    vnf_ids = sorted({f for ci in cis for f in ci.vnfs})
-    bigm = float(sum(len(ci.vnfs) for ci in cis))
 
     lp = LinearProgram("rmp")
-    model = RmpModel(
-        instance=instance,
-        chain_instances=cis,
-        paths=paths,
-        backend=backend,
-        lp=lp,
-        bigm=bigm,
-    )
+    model = RmpModel(instance=instance, chain_instances=cis, paths=paths, lp=lp)
 
     for ci in cis:
         for pos in range(len(ci.vnfs)):
@@ -272,11 +256,6 @@ def build_rmp(
                 model.xvar[(ci.key, pos, v)] = lp.add_variable(
                     f"x[{ci.label}/{pos}/{v}]", 0.0, 1.0
                 )
-    for v in nfv:
-        for f in vnf_ids:
-            model.xfvar[(v, f)] = lp.add_variable(f"xf[{v}/{f}]", 0.0, 1.0)
-    for v in nfv:
-        model.hvar[v] = lp.add_variable(f"h[{v}]", 0.0, 1.0)
     for ci in cis:
         for pair in ci.pairs:
             gbps = ci.demand[pair]
@@ -320,40 +299,6 @@ def build_rmp(
                     0.0,
                     name=f"cons[{ci.label}/{pos}/{v}]",
                 )
-
-    # replica tracking: placements at v switch xf on, xf forces a placement
-    for v in nfv:
-        for f in vnf_ids:
-            terms = [
-                (model.xvar[(ci.key, pos, v)], 1.0)
-                for ci in cis
-                for pos in range(len(ci.vnfs))
-                if ci.vnfs[pos] == f
-            ]
-            lp.add_constraint(
-                terms + [(model.xfvar[(v, f)], -bigm)], LE, 0.0, name=f"vnfcap[{v}/{f}]"
-            )
-            lp.add_constraint(
-                [(model.xfvar[(v, f)], 1.0)] + [(j, -a) for j, a in terms],
-                LE,
-                0.0,
-                name=f"vnfuse[{v}/{f}]",
-            )
-    # hosting flags and the budget on hosting nodes
-    for v in nfv:
-        fterms = [(model.xfvar[(v, f)], 1.0) for f in vnf_ids]
-        lp.add_constraint(
-            fterms + [(model.hvar[v], -bigm)], LE, 0.0, name=f"hostcap[{v}]"
-        )
-        lp.add_constraint(
-            [(model.hvar[v], 1.0)] + [(j, -a) for j, a in fterms],
-            LE,
-            0.0,
-            name=f"hostuse[{v}]",
-        )
-    model.kbudget_row = lp.add_constraint(
-        [(model.hvar[v], 1.0) for v in nfv], LE, float(instance.k), name="kbudget"
-    )
 
     nfv_set = set(nfv)
     for ci in cis:
@@ -479,7 +424,7 @@ def add_column(model: RmpModel, config: Configuration) -> int:
 
 
 def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
-    sol = model.backend.solve_lp(model.lp)
+    sol = highs.solve_lp(model.lp)
     if sol.status == "infeasible":
         raise MasterInfeasible(f"relaxation infeasible ({sol.message})")
     if not sol.optimal:
@@ -527,13 +472,37 @@ def _end_cost(model: RmpModel, ci: ChainInstance, config: Configuration) -> floa
     return total
 
 
-def build_final_ilp(model: RmpModel, mode: str = MODE_FULL) -> FinalIlp:
-    """Integer selection over the pooled columns.
+def _add_hosting_block(lp: LinearProgram, model: RmpModel, zvars: list, k: int) -> None:
+    """Binary hosting flags h[v], switched on by any selected column placing
+    at v, with at most k of them set.
+
+    One row per (chain instance, node) suffices: the convexity row lets at
+    most one column of an instance be selected, so the sum of that
+    instance's columns using v is 0 or 1.
+    """
+    nfv = model.instance.topology.nfv_nodes
+    hvar = {v: lp.add_variable(f"h[{v}]", 0.0, 1.0, integer=True) for v in nfv}
+    for ci in model.chain_instances:
+        users: dict = {}
+        for p in model.pool_by_instance[ci.key]:
+            for v in set(model.pool[p].locations):
+                users.setdefault(v, []).append((zvars[p], 1.0))
+        for v in nfv:
+            if v in users:
+                lp.add_constraint(
+                    users[v] + [(hvar[v], -1.0)], LE, 0.0, name=f"host[{ci.label}/{v}]"
+                )
+    lp.add_constraint([(hvar[v], 1.0) for v in nfv], LE, float(k), name="kbudget")
+
+
+def build_final_ilp(model: RmpModel, mode: str, k: int) -> FinalIlp:
+    """Integer selection over the pooled columns with at most k hosting nodes.
 
     full: every variable of the relaxation turns binary. uncapacitated_fast:
     end-segment routing is folded into the z objective at hop-shortest
     distances, valid only while core and capacity rows are all slack at the
-    last relaxation optimum; the builder refuses otherwise.
+    last relaxation optimum; the builder refuses otherwise. Both programs
+    get the same hosting block on top (`_add_hosting_block`).
     """
     if mode == "fast":
         mode = MODE_FAST
@@ -541,8 +510,9 @@ def build_final_ilp(model: RmpModel, mode: str = MODE_FULL) -> FinalIlp:
         raise MasterError(f"unknown final ILP mode {mode!r}")
     if mode == MODE_FULL:
         lp = model.lp.clone(integer_all=True)
+        _add_hosting_block(lp, model, model.zvar, k)
         zmap = {model.zvar[i]: i for i in range(len(model.pool))}
-        return FinalIlp(lp=lp, mode=mode, zmap=zmap, kbudget_row=model.kbudget_row)
+        return FinalIlp(lp=lp, mode=mode, zmap=zmap)
 
     if model.last_relaxation is None:
         raise MasterError("uncapacitated_fast needs a solved relaxation first")
@@ -559,7 +529,6 @@ def build_final_ilp(model: RmpModel, mode: str = MODE_FULL) -> FinalIlp:
 
     topo = model.instance.topology
     nfv = topo.nfv_nodes
-    vnf_ids = sorted({f for ci in model.chain_instances for f in ci.vnfs})
     lp = LinearProgram("final-fast")
     zmap = {}
     zvars = []
@@ -574,46 +543,11 @@ def build_final_ilp(model: RmpModel, mode: str = MODE_FULL) -> FinalIlp:
         )
         zmap[var] = pos
         zvars.append(var)
-    xfvar = {
-        (v, f): lp.add_variable(f"xf[{v}/{f}]", 0.0, 1.0, integer=True)
-        for v in nfv
-        for f in vnf_ids
-    }
-    hvar = {v: lp.add_variable(f"h[{v}]", 0.0, 1.0, integer=True) for v in nfv}
 
     for ci in model.chain_instances:
         members = model.pool_by_instance[ci.key]
         lp.add_constraint([(zvars[p], 1.0) for p in members], EQ, 1.0, name=f"conv[{ci.label}]")
-    for v in nfv:
-        for f in vnf_ids:
-            terms = []
-            for p, config in enumerate(model.pool):
-                ci = model.instance_of((config.chain, config.group_index))
-                count = sum(
-                    1
-                    for pos, loc in enumerate(config.locations)
-                    if loc == v and ci.vnfs[pos] == f
-                )
-                if count:
-                    terms.append((zvars[p], float(count)))
-            lp.add_constraint(
-                terms + [(xfvar[(v, f)], -model.bigm)], LE, 0.0, name=f"vnfcap[{v}/{f}]"
-            )
-            lp.add_constraint(
-                [(xfvar[(v, f)], 1.0)] + [(j, -a) for j, a in terms],
-                LE,
-                0.0,
-                name=f"vnfuse[{v}/{f}]",
-            )
-    for v in nfv:
-        fterms = [(xfvar[(v, f)], 1.0) for f in vnf_ids]
-        lp.add_constraint(fterms + [(hvar[v], -model.bigm)], LE, 0.0, name=f"hostcap[{v}]")
-        lp.add_constraint(
-            [(hvar[v], 1.0)] + [(j, -a) for j, a in fterms], LE, 0.0, name=f"hostuse[{v}]"
-        )
-    krow = lp.add_constraint(
-        [(hvar[v], 1.0) for v in nfv], LE, float(model.instance.k), name="kbudget"
-    )
+    _add_hosting_block(lp, model, zvars, k)
 
     # resource safety on the z part alone; end segments are covered by the
     # slackness check above
@@ -640,9 +574,4 @@ def build_final_ilp(model: RmpModel, mode: str = MODE_FULL) -> FinalIlp:
             lp.add_constraint(
                 terms, LE, topo.capacity(arc), name=f"cap[{arc[0]}>{arc[1]}]"
             )
-    return FinalIlp(lp=lp, mode=mode, zmap=zmap, kbudget_row=krow)
-
-
-def dump_rmp(model: RmpModel, fh: IO[str]) -> None:
-    """Write the current relaxation in LP text format for inspection."""
-    write_lp_text(model.lp, fh)
+    return FinalIlp(lp=lp, mode=mode, zmap=zmap)

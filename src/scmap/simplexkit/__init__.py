@@ -1,25 +1,18 @@
-"""LP/MILP kernel with interchangeable backends.
+"""LP/MILP program container and its one solver, HiGHS via scipy.optimize.
 
-`builtin_backend()` is the self-contained reference implementation (bounded
-primal simplex plus best-first branch and bound). `highs_backend()` wraps
-scipy's HiGHS interface and is the default where available, since the
-full-mesh master problems are far beyond dense-simplex territory. Callers
-depend only on the Backend protocol.
+Inside the package the solver is called as `highs.solve_lp(lp)` and
+`highs.solve_mip(lp, time_limit)`, looked up on the module at call time, so
+a wrapper set on those attributes (perfbench's traced run) sees every solve.
 """
 
 from __future__ import annotations
 
-from . import branch_bound as _bnb
-from . import highs as _highs
-from . import simplex as _simplex
-from .lptext import write_lp_text
+from . import highs
+from .highs import solve_lp, solve_mip
 from .model import (
     EQ,
-    FEAS_TOL,
     GE,
-    INT_TOL,
     LE,
-    OPT_TOL,
     LinearProgram,
     LpError,
     LpSolution,
@@ -28,70 +21,3 @@ from .model import (
     Variable,
     dual_objective,
 )
-
-
-class Backend:
-    """Solver facade: solve_lp(lp) and solve_mip(lp, time_limit)."""
-
-    name = "abstract"
-
-    def solve_lp(self, lp: LinearProgram) -> LpSolution:
-        raise NotImplementedError
-
-    def solve_mip(self, lp: LinearProgram, time_limit: float | None = None) -> MipSolution:
-        raise NotImplementedError
-
-
-class BuiltinBackend(Backend):
-    name = "builtin"
-
-    def solve_lp(self, lp: LinearProgram) -> LpSolution:
-        return _simplex.solve_lp(lp)
-
-    def solve_mip(self, lp: LinearProgram, time_limit: float | None = None) -> MipSolution:
-        return _bnb.solve_mip(lp, _simplex.solve_lp, time_limit=time_limit)
-
-
-class HighsBackend(Backend):
-    name = "highs"
-
-    def solve_lp(self, lp: LinearProgram) -> LpSolution:
-        return _highs.solve_lp(lp)
-
-    def solve_mip(self, lp: LinearProgram, time_limit: float | None = None) -> MipSolution:
-        return _highs.solve_mip(lp, time_limit=time_limit)
-
-
-def builtin_backend() -> Backend:
-    return BuiltinBackend()
-
-
-def highs_backend() -> Backend:
-    return HighsBackend()
-
-
-def default_backend() -> Backend:
-    """HiGHS when scipy provides it, otherwise the builtin kernel."""
-    try:
-        import scipy.optimize  # noqa: F401
-    except ImportError:  # pragma: no cover - scipy is a hard dep today
-        return BuiltinBackend()
-    return HighsBackend()
-
-
-def backend_by_name(name: str) -> Backend:
-    if name == "builtin":
-        return builtin_backend()
-    if name == "highs":
-        return highs_backend()
-    raise LpError(f"unknown backend {name!r}")
-
-
-def solve_lp(lp: LinearProgram, backend: Backend | None = None) -> LpSolution:
-    return (backend or default_backend()).solve_lp(lp)
-
-
-def solve_mip(
-    lp: LinearProgram, time_limit: float | None = None, backend: Backend | None = None
-) -> MipSolution:
-    return (backend or default_backend()).solve_mip(lp, time_limit=time_limit)

@@ -1,9 +1,9 @@
-"""HiGHS-backed solver via scipy.optimize. Same contract as the builtin kernel.
+"""HiGHS-backed solver via scipy.optimize.
 
 Duals follow the minimization convention used throughout: <= rows carry
 nonpositive multipliers, >= rows nonnegative, equalities free. Reduced costs
 are recomputed as c - A'y from the returned row duals so the duality-gap
-identity can be asserted uniformly across backends.
+identity (`model.dual_objective`) can be asserted on every solve.
 """
 
 from __future__ import annotations
@@ -145,5 +145,6 @@ def solve_mip(lp: LinearProgram, time_limit: float | None = None) -> MipSolution
         objective=objective,
         bound=bound,
         gap=max(gap, 0.0),
+        nodes=int(res.mip_node_count or 0),
         message=str(res.message),
     )

@@ -1,4 +1,4 @@
-"""Linear/mixed-binary program container shared by all solver backends."""
+"""Linear/mixed-binary program container the solver reads."""
 
 from __future__ import annotations
 
@@ -8,10 +8,6 @@ from dataclasses import dataclass, field
 LE = "<="
 EQ = "="
 GE = ">="
-
-FEAS_TOL = 1e-7
-OPT_TOL = 1e-6
-INT_TOL = 1e-6
 
 
 class LpError(ValueError):

@@ -1,8 +1,8 @@
 """Acceptance battery: one test per criterion, each printing a PASS line
 with the measured numbers once its assertions hold.
 
-NSFNET column generation is budget-independent (the hosting row never binds
-the relaxation), so each nc value is generated once and every k reuses the
+NSFNET column generation is budget-independent (the relaxation carries no
+hosting budget), so each nc value is generated once and every k reuses the
 converged model; per-cell wall time charged below includes that shared
 generation cost.
 """
@@ -16,7 +16,6 @@ from conftest import random_connected_instance
 from test_engine import separable_optimum, solved_square
 from test_pricer import brute_force_total, random_duals
 from test_simplexkit import (
-    BACKENDS,
     assert_duality_gap,
     binary_enumeration_optimum,
     lp_from_arrays,
@@ -25,7 +24,7 @@ from test_simplexkit import (
 )
 
 from scmap import baselines, cli, engine
-from scmap.simplexkit import GE, LE
+from scmap.simplexkit import GE, LE, highs
 from scmap.fixturedata import cost239_files, nsfnet_files
 from scmap.master import chain_instances
 from scmap.netmodel import ProblemInstance, load_instance, save_instance
@@ -212,14 +211,13 @@ def test_criterion_8_lp_kernel():
         c, rows, lb, ub = random_lp(rng)
         lp = lp_from_arrays(c, rows, lb=lb, ub=ub)
         oracle = vertex_enumeration_optimum(c, rows, lb, ub)
-        for backend in BACKENDS:
-            sol = backend.solve_lp(lp)
-            if oracle is None:
-                assert sol.status == "infeasible", (case, backend.name, sol.status)
-            else:
-                assert sol.optimal, (case, backend.name, sol.status)
-                assert sol.objective == pytest.approx(oracle, abs=1e-6), case
-                assert_duality_gap(lp, sol)
+        sol = highs.solve_lp(lp)
+        if oracle is None:
+            assert sol.status == "infeasible", (case, sol.status)
+        else:
+            assert sol.optimal, (case, sol.status)
+            assert sol.objective == pytest.approx(oracle, abs=1e-6), case
+            assert_duality_gap(lp, sol)
         if oracle is not None:
             lp_feasible += 1
     assert lp_feasible >= 25
@@ -233,17 +231,15 @@ def test_criterion_8_lp_kernel():
             rows.append((coeffs, rel, float(rng.randint(-2, max(2, n // 2 + 2)))))
         prog = lp_from_arrays(c, rows, ub=[1.0] * n, integer=[True] * n)
         oracle = binary_enumeration_optimum(c, rows, n)
-        for backend in BACKENDS:
-            got = backend.solve_mip(prog)
-            if oracle is None:
-                assert got.status == "infeasible", (case, backend.name)
-            else:
-                assert got.status == "optimal", (case, backend.name)
-                assert got.objective == pytest.approx(oracle, abs=1e-6), case
+        got = highs.solve_mip(prog)
+        if oracle is None:
+            assert got.status == "infeasible", case
+        else:
+            assert got.status == "optimal", case
+            assert got.objective == pytest.approx(oracle, abs=1e-6), case
     print(
         f"\ncriterion 8 PASS: 50 LPs ({lp_feasible} feasible) vs vertex "
-        f"enumeration and 30 binary programs vs 2^n, both backends, "
-        f"zero mismatches"
+        f"enumeration and 30 binary programs vs 2^n, HiGHS, zero mismatches"
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import build_instance, random_connected_instance
 
 from scmap import baselines, engine
-from scmap.master import chain_instances
+from scmap.master import add_column, build_rmp, chain_instances, make_configuration, solve_relaxation
 from scmap.netmodel import ProblemInstance
 from scmap.pathcore import all_pairs_hops
 from scmap.pricer import enumerate_all_configs, price_chain_instance
@@ -163,6 +163,22 @@ class TestExtractPlan:
         )
         assert len(patched.hosting) <= 1
         assert not engine.validate_plan(inst_k1, patched)
+
+    @pytest.mark.parametrize("mode", ["auto", "fast", "full"])
+    def test_column_added_after_last_solve(self, mode):
+        # path a-b-c, demand a->b: the seed at c costs 3, the column at a 1;
+        # the relaxation solved before the column was added is stale
+        inst = build_instance(
+            ["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "b")], chain_vnfs=("fw", "nat")
+        )
+        parts = partition_all(inst)
+        (ci,) = chain_instances(inst, parts)
+        model = build_rmp(inst, parts, [make_configuration(ci, ("c", "c"), ((),))])
+        assert solve_relaxation(model)[0].objective == pytest.approx(3.0)
+        add_column(model, make_configuration(ci, ("a", "a"), ((),)))
+        plan = engine.extract_plan(inst, model, mode=mode)
+        assert plan.objective_gbps_hops == pytest.approx(1.0)
+        assert plan.lp_bound == pytest.approx(1.0)
 
     def test_tight_capacity_reports_the_cut(self):
         inst = build_instance(

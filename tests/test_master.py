@@ -3,7 +3,7 @@ import math
 import pytest
 from conftest import build_instance
 
-from scmap import engine
+from scmap import baselines, engine
 from scmap.master import (
     MODE_FAST,
     MODE_FULL,
@@ -13,15 +13,15 @@ from scmap.master import (
     build_rmp,
     chain_instances,
     column_coefficients,
-    dump_rmp,
     make_configuration,
     reduced_cost_of,
     solve_relaxation,
 )
-from scmap.netmodel import load_instance
+from scmap.netmodel import ProblemInstance, load_instance
 from scmap.pathcore import all_pairs_hops
 from scmap.pricer import best_configuration, enumerate_all_configs
 from scmap.fixturedata import triangle_files
+from scmap.simplexkit import highs
 from scmap.sptg import partition_all
 
 
@@ -46,6 +46,26 @@ def row_names(model, prefix):
     return [r.name for r in model.lp.rows if r.name.startswith(prefix + "[")]
 
 
+def with_k(instance, k):
+    return ProblemInstance(
+        instance.topology, instance.vnfs, instance.chains, instance.demands,
+        k=k, nc=dict(instance.nc),
+    )
+
+
+def two_ended_path():
+    """Path a-b-c-d-e with demands a->b and e->d in two groups. Two hosts
+    serve each group at its own end for 2 Gbps.hops; k=1 forces a detour."""
+    nodes = ["a", "b", "c", "d", "e"]
+    return build_instance(
+        nodes,
+        list(zip(nodes, nodes[1:])),
+        [("a", "b"), ("e", "d")],
+        nc=2,
+        chain_vnfs=("fw", "nat"),
+    )
+
+
 class TestBuildRmp:
     def test_triangle_row_counts(self, triangle):
         model = seeded_model(triangle)
@@ -57,12 +77,15 @@ class TestBuildRmp:
         with pytest.raises(MasterError):
             build_rmp(triangle, partition_all(triangle), [])
 
-    def test_budget_row_never_binds_at_full_k(self, triangle):
-        model = seeded_model(triangle)
-        sol, _ = solve_relaxation(model)
-        row = model.lp.rows[model.kbudget_row]
-        assert model.lp.row_activity(model.kbudget_row, sol.x) <= row.rhs + 1e-9
-        assert abs(sol.duals[model.kbudget_row]) <= 1e-7
+    def test_relaxation_ignores_hosting_budget(self):
+        inst = two_ended_path()
+        bounds = []
+        for k in (1, len(inst.topology.nfv_nodes)):
+            model, _ = engine.run_column_generation(with_k(inst, k), partition_all(inst))
+            names = [r.name for r in model.lp.rows] + [v.name for v in model.lp.variables]
+            assert not [n for n in names if n.startswith(("h[", "xf[", "host", "kbudget"))]
+            bounds.append(model.last_relaxation.objective)
+        assert bounds[0] == bounds[1] == 2.0
 
     def test_seed_at_source_kills_first_segment_flow(self):
         inst = build_instance(
@@ -182,24 +205,39 @@ class TestFinalIlp:
 
     def test_fast_binary_count_on_triangle(self, triangle):
         model = self.converged(triangle)
-        final = build_final_ilp(model, MODE_FAST)
+        final = build_final_ilp(model, MODE_FAST, triangle.k)
         nbin = sum(1 for v in final.lp.variables if v.integer)
-        used_vnfs = {f for ci in model.chain_instances for f in ci.vnfs}
-        assert nbin == len(model.pool) + 3 * len(used_vnfs) + 3
+        assert nbin == len(model.pool) + len(triangle.topology.nfv_nodes)
 
     def test_full_matches_fast_uncapacitated(self, triangle):
         model = self.converged(triangle)
-        full = build_final_ilp(model, MODE_FULL)
-        fast = build_final_ilp(model, MODE_FAST)
-        a = model.backend.solve_mip(full.lp)
-        b = model.backend.solve_mip(fast.lp)
+        full = build_final_ilp(model, MODE_FULL, triangle.k)
+        fast = build_final_ilp(model, MODE_FAST, triangle.k)
+        a = highs.solve_mip(full.lp)
+        b = highs.solve_mip(fast.lp)
         assert a.status == b.status == "optimal"
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
 
+    def test_modes_agree_at_every_k_when_k1_binds(self):
+        inst = two_ended_path()
+        model = self.converged(inst)
+        got = {}
+        for k in range(1, len(inst.topology.nfv_nodes) + 1):
+            objs = [
+                highs.solve_mip(build_final_ilp(model, mode, k).lp).objective
+                for mode in (MODE_FULL, MODE_FAST)
+            ]
+            assert objs[0] == pytest.approx(objs[1], abs=1e-6), k
+            got[k] = objs[0]
+        # oracle: at k=1 the best single host, beyond it each group at its end
+        _, single = baselines.single_node_oracle(with_k(inst, 1))
+        assert got[1] == pytest.approx(single) and single > 2.0
+        assert all(got[k] == pytest.approx(2.0) for k in got if k > 1)
+
     def test_final_objective_at_least_relaxation(self, triangle):
         model = self.converged(triangle)
-        final = build_final_ilp(model, MODE_FULL)
-        mip = model.backend.solve_mip(final.lp)
+        final = build_final_ilp(model, MODE_FULL, triangle.k)
+        mip = highs.solve_mip(final.lp)
         assert mip.objective >= model.last_relaxation.objective - 1e-6
 
     def test_fast_refused_when_capacity_tight(self):
@@ -211,7 +249,7 @@ class TestFinalIlp:
         model = build_rmp(inst, parts, [colocated(ci, "b")])
         solve_relaxation(model)
         with pytest.raises(MasterError):
-            build_final_ilp(model, MODE_FAST)
+            build_final_ilp(model, MODE_FAST, inst.k)
 
     def test_infeasible_when_k_below_pool_spread(self):
         # two chain instances whose only pooled placements sit on different
@@ -229,17 +267,8 @@ class TestFinalIlp:
         seeds = [colocated(cis[0], "a"), colocated(cis[1], "b")]
         model = build_rmp(inst, parts, seeds)
         solve_relaxation(model)
-        final = build_final_ilp(model, MODE_FULL)
-        mip = model.backend.solve_mip(final.lp)
-        assert mip.status == "infeasible"
-
-
-def test_dump_rmp_writes_lp_text(tmp_path, triangle):
-    model = seeded_model(triangle)
-    out = tmp_path / "rmp.lptext"
-    with open(out, "w") as fh:
-        dump_rmp(model, fh)
-    text = out.read_text()
-    assert "Minimize" in text
-    assert "kbudget" in text
-    assert "End" in text
+        for mode in (MODE_FULL, MODE_FAST):
+            mip = highs.solve_mip(build_final_ilp(model, mode, 1).lp)
+            assert mip.status == "infeasible", mode
+            mip = highs.solve_mip(build_final_ilp(model, mode, 2).lp)
+            assert mip.status == "optimal", mode

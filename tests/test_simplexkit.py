@@ -9,21 +9,16 @@ from scmap.simplexkit import (
     EQ,
     GE,
     LE,
-    BuiltinBackend,
-    HighsBackend,
     LinearProgram,
     LpError,
-    backend_by_name,
-    builtin_backend,
-    default_backend,
     dual_objective,
-    highs_backend,
+    highs,
     solve_lp,
     solve_mip,
-    write_lp_text,
 )
 
-BACKENDS = [builtin_backend(), highs_backend()]
+# the solver module under test; the cases keep their [highs] ids
+over_solvers = pytest.mark.parametrize("solver", [highs], ids=["highs"])
 
 
 def lp_from_arrays(c, rows, lb=None, ub=None, integer=None):
@@ -122,10 +117,10 @@ def assert_complementary_slackness(lp, sol):
 # -- targeted cases -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
-def test_single_var_ge(backend):
+@over_solvers
+def test_single_var_ge(solver):
     lp = lp_from_arrays([1.0], [([1.0], GE, 3.0)])
-    sol = backend.solve_lp(lp)
+    sol = solver.solve_lp(lp)
     assert sol.optimal
     assert sol.objective == pytest.approx(3.0)
     assert sol.x[0] == pytest.approx(3.0)
@@ -133,42 +128,42 @@ def test_single_var_ge(backend):
     assert_duality_gap(lp, sol)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
-def test_infeasible(backend):
+@over_solvers
+def test_infeasible(solver):
     lp = lp_from_arrays([1.0], [([1.0], LE, -1.0)])
-    sol = backend.solve_lp(lp)
+    sol = solver.solve_lp(lp)
     assert sol.status == "infeasible"
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
-def test_unbounded(backend):
+@over_solvers
+def test_unbounded(solver):
     lp = lp_from_arrays([-1.0], [([0.0], LE, 1.0)])
-    sol = backend.solve_lp(lp)
+    sol = solver.solve_lp(lp)
     assert sol.status == "unbounded"
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
-def test_variable_at_upper_bound(backend):
+@over_solvers
+def test_variable_at_upper_bound(solver):
     # min -x with x <= 4 via bound: optimum at the upper bound
     lp = lp_from_arrays([-1.0, 0.0], [([1.0, 1.0], LE, 10.0)], ub=[4.0, math.inf])
-    sol = backend.solve_lp(lp)
+    sol = solver.solve_lp(lp)
     assert sol.optimal and sol.x[0] == pytest.approx(4.0)
     assert sol.reduced_costs[0] == pytest.approx(-1.0)
     assert_duality_gap(lp, sol)
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
-def test_equality_mix(backend):
+@over_solvers
+def test_equality_mix(solver):
     # min x+y st x+y = 2, x-y >= -1
     lp = lp_from_arrays([1.0, 1.0], [([1.0, 1.0], EQ, 2.0), ([1.0, -1.0], GE, -1.0)])
-    sol = backend.solve_lp(lp)
+    sol = solver.solve_lp(lp)
     assert sol.optimal and sol.objective == pytest.approx(2.0)
     assert_duality_gap(lp, sol)
 
 
 def test_no_rows_lp():
     lp = lp_from_arrays([2.0, -3.0], [], ub=[5.0, 5.0])
-    sol = builtin_backend().solve_lp(lp)
+    sol = highs.solve_lp(lp)
     assert sol.optimal
     assert sol.x == pytest.approx([0.0, 5.0])
 
@@ -216,14 +211,14 @@ def random_lp(rng, n_max=6, m_max=8):
 
 
 def test_lp_oracle_battery():
-    """Criterion: builtin simplex vs vertex enumeration on 50 random LPs."""
+    """Criterion: HiGHS vs vertex enumeration on 50 random LPs, with strong
+    duality and complementary slackness checked on every optimum."""
     rng = random.Random(123)
-    backend = builtin_backend()
     solved = 0
     for case in range(50):
         c, rows, lb, ub = random_lp(rng)
         lp = lp_from_arrays(c, rows, lb=lb, ub=ub)
-        sol = backend.solve_lp(lp)
+        sol = highs.solve_lp(lp)
         expect = vertex_enumeration_optimum(c, rows, lb, ub)
         if expect is None:
             assert sol.status == "infeasible", f"case {case}"
@@ -232,16 +227,12 @@ def test_lp_oracle_battery():
         assert sol.objective == pytest.approx(expect, abs=1e-6), f"case {case}"
         assert_duality_gap(lp, sol)
         assert_complementary_slackness(lp, sol)
-        # HiGHS agrees on the value
-        hsol = highs_backend().solve_lp(lp)
-        assert hsol.objective == pytest.approx(expect, abs=1e-6)
-        assert_duality_gap(lp, hsol)
         solved += 1
     assert solved >= 25  # most random cases should be feasible
 
 
 def test_mip_oracle_battery():
-    """Criterion: branch and bound vs 2^n enumeration on 30 binary programs."""
+    """Criterion: HiGHS MIP vs 2^n enumeration on 30 binary programs."""
     rng = random.Random(456)
     for case in range(30):
         n = rng.randint(2, 12)
@@ -255,27 +246,23 @@ def test_mip_oracle_battery():
             rows.append((coeffs, rel, float(rhs)))
         lp = lp_from_arrays(c, rows, ub=[1.0] * n, integer=[True] * n)
         expect = binary_enumeration_optimum(c, rows, n)
-        for backend in BACKENDS:
-            got = backend.solve_mip(lp)
-            if expect is None:
-                assert got.status == "infeasible", f"case {case} ({backend.name})"
-            else:
-                assert got.status == "optimal", f"case {case} ({backend.name})"
-                assert got.objective == pytest.approx(expect, abs=1e-6), (
-                    f"case {case} ({backend.name})"
-                )
-                assert got.bound <= got.objective + 1e-9
+        got = highs.solve_mip(lp)
+        if expect is None:
+            assert got.status == "infeasible", f"case {case}"
+        else:
+            assert got.status == "optimal", f"case {case}"
+            assert got.objective == pytest.approx(expect, abs=1e-6), f"case {case}"
+            assert got.bound <= got.objective + 1e-9
 
 
 def test_knapsack_example():
     lp = lp_from_arrays(
         [-3.0, -2.0], [([1.0, 1.0], LE, 1.0)], ub=[1.0, 1.0], integer=[True, True]
     )
-    for backend in BACKENDS:
-        got = backend.solve_mip(lp)
-        assert got.status == "optimal"
-        assert got.objective == pytest.approx(-3.0)
-        assert got.x == pytest.approx([1.0, 0.0])
+    got = highs.solve_mip(lp)
+    assert got.status == "optimal"
+    assert got.objective == pytest.approx(-3.0)
+    assert got.x == pytest.approx([1.0, 0.0])
 
 
 def test_integral_relaxation_needs_no_branching():
@@ -286,7 +273,7 @@ def test_integral_relaxation_needs_no_branching():
         ub=[1.0, 1.0],
         integer=[True, True],
     )
-    got = builtin_backend().solve_mip(lp)
+    got = highs.solve_mip(lp)
     assert got.status == "optimal"
     assert got.nodes == 0
     assert got.objective == pytest.approx(1.0)
@@ -299,7 +286,7 @@ def test_mip_gap_zero_when_proved():
         ub=[1.0] * 3,
         integer=[True] * 3,
     )
-    got = builtin_backend().solve_mip(lp)
+    got = highs.solve_mip(lp)
     assert got.status == "optimal"
     assert got.gap <= 1e-9
 
@@ -308,32 +295,13 @@ def test_determinism():
     rng = random.Random(9)
     c, rows, lb, ub = random_lp(rng)
     lp = lp_from_arrays(c, rows, lb=lb, ub=ub)
-    a = builtin_backend().solve_lp(lp)
-    b = builtin_backend().solve_lp(lp)
+    a = highs.solve_lp(lp)
+    b = highs.solve_lp(lp)
     assert a.status == b.status
     assert a.x == b.x and a.duals == b.duals
-
-
-def test_backend_selection():
-    assert default_backend().name == "highs"
-    assert backend_by_name("builtin").name == "builtin"
-    with pytest.raises(LpError):
-        backend_by_name("cplex")
 
 
 def test_module_level_helpers():
     lp = lp_from_arrays([1.0], [([1.0], GE, 2.0)])
     assert solve_lp(lp).objective == pytest.approx(2.0)
     assert solve_mip(lp).objective == pytest.approx(2.0)
-
-
-def test_lp_text_dump(tmp_path):
-    lp = lp_from_arrays(
-        [1.0, -2.0], [([1.0, 1.0], LE, 3.0)], ub=[1.0, 1.0], integer=[False, True]
-    )
-    out = tmp_path / "dump.lp"
-    with open(out, "w") as fh:
-        write_lp_text(lp, fh)
-    text = out.read_text()
-    for section in ("Minimize", "Subject To", "Bounds", "Generals", "End"):
-        assert section in text
