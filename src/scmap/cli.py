@@ -293,7 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance, write the plan JSON")
     _add_instance_flags(p, need_k=True)
     p.add_argument("--mode", choices=["auto", "full", "fast"], default="auto")
-    p.add_argument("--time-limit", type=float, default=None, help="seconds")
+    p.add_argument(
+        "--time-limit",
+        type=float,
+        default=None,
+        help="seconds for the whole solve: grouping, column generation and "
+        "final selection share one budget",
+    )
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--out", required=True, help="plan JSON output path")
     p.add_argument("--trace", default=None, help="iteration trace CSV path")
@@ -306,7 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nc-list", required=True, help="comma-separated counts")
     p.add_argument("--k-list", required=True, help="comma-separated budgets")
     p.add_argument("--mode", choices=["auto", "full", "fast"], default="auto")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument(
+        "--time-limit",
+        type=float,
+        default=None,
+        help="seconds for each nc's column generation and again for each k's selection",
+    )
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--out", required=True, help="report CSV path")
     p.set_defaults(func=cmd_sweep)

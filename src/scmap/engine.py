@@ -192,7 +192,11 @@ def run_column_generation(
     time_limit: Optional[float] = None,
     paths: Optional[PathTable] = None,
 ) -> tuple[RmpModel, CgTrace]:
-    """Iterate relax/price/extend until a full pricing round adds nothing."""
+    """Iterate relax/price/extend until a full pricing round adds nothing.
+
+    `time_limit` (seconds) counts from the call, so it covers the RMP build.
+    """
+    started = time.perf_counter()
     if paths is None:
         paths = all_pairs_hops(instance.topology)
     partitions = list(partitions)
@@ -205,7 +209,6 @@ def run_column_generation(
             add_column(model, _colocated(ci, v))
 
     trace = CgTrace()
-    started = time.perf_counter()
     pool_dirty = True
     for it in range(1, max_iters + 1):
         if time_limit is not None and time.perf_counter() - started > time_limit:
@@ -401,6 +404,21 @@ def _extract(
     return plan
 
 
+def _deadline(time_limit: Optional[float]) -> Optional[float]:
+    return None if time_limit is None else time.perf_counter() + time_limit
+
+
+def _remaining(deadline: Optional[float], stage: str) -> Optional[float]:
+    """Seconds left before `deadline`; a spent budget is an error, never a
+    zero or negative limit handed on."""
+    if deadline is None:
+        return None
+    left = deadline - time.perf_counter()
+    if left <= 0:
+        raise EngineError(f"time limit reached before {stage}")
+    return left
+
+
 def extract_plan(
     instance: ProblemInstance,
     model: RmpModel,
@@ -411,22 +429,29 @@ def extract_plan(
 
     mode "auto" tries the fast reduction (end segments folded into the z
     objective) and falls back to the full binary program when the reduction
-    is refused or its plan fails validation. The relaxation is re-solved when
-    it is missing or predates columns added since.
+    is refused or its plan fails validation. `time_limit` (seconds) covers
+    both attempts: the fallback gets only what the fast one left. The
+    relaxation is re-solved when it is missing or predates columns added
+    since.
     """
+    deadline = _deadline(time_limit)
     if model.last_relaxation is None or len(model.last_relaxation.x) != model.lp.n_vars:
         solve_relaxation(model)
     if mode == "auto":
         try:
-            return _extract(instance, model, MODE_FAST, time_limit)
+            return _extract(
+                instance, model, MODE_FAST, _remaining(deadline, "the final selection")
+            )
         except (MasterError, EngineError) as exc:
             log.info("fast selection unavailable (%s); solving the full program", exc)
-            return _extract(instance, model, MODE_FULL, time_limit)
+            return _extract(
+                instance, model, MODE_FULL, _remaining(deadline, "the full selection")
+            )
     if mode == "fast":
         mode = MODE_FAST
     if mode not in (MODE_FULL, MODE_FAST):
         raise EngineError(f"unknown mode {mode!r}")
-    return _extract(instance, model, mode, time_limit)
+    return _extract(instance, model, mode, _remaining(deadline, "the final selection"))
 
 
 def solve(
@@ -438,7 +463,12 @@ def solve(
     paths: Optional[PathTable] = None,
     partitions=None,
 ) -> SolveResult:
-    """Full pipeline on one instance: partition, generate columns, select."""
+    """Full pipeline on one instance: partition, generate columns, select.
+
+    `time_limit` (seconds) is one budget for the whole solve: column
+    generation and the final selection get only what is left of it.
+    """
+    deadline = _deadline(time_limit)
     if paths is None:
         paths = all_pairs_hops(instance.topology)
     if partitions is None:
@@ -447,10 +477,12 @@ def solve(
         instance,
         partitions,
         max_iters=max_iters,
-        time_limit=time_limit,
+        time_limit=_remaining(deadline, "column generation"),
         paths=paths,
     )
-    plan = extract_plan(instance, model, mode=mode, time_limit=time_limit)
+    plan = extract_plan(
+        instance, model, mode=mode, time_limit=_remaining(deadline, "the final selection")
+    )
     return SolveResult(plan=plan, trace=trace, model=model, partitions=partitions)
 
 
@@ -589,10 +621,7 @@ def validate_plan(instance: ProblemInstance, plan: MappingPlan) -> list:
         if asg.chain in instance.chains
         and len(asg.locations) == len(instance.chains[asg.chain].vnfs)
         and all(v in topo.node_by_id for v in asg.locations)
-        and all(
-            (r.src, r.dst) in {(q.src, q.dst) for q in instance.demands.records if q.chain == asg.chain}
-            for r in asg.routes
-        )
+        and all((asg.chain, r.src, r.dst) in instance.demands.gbps for r in asg.routes)
     ]
     loads, cores, hosting = _aggregate(instance, safe)
     for arc, load in sorted(loads.items()):

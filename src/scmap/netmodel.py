@@ -142,18 +142,20 @@ class Topology:
 @dataclass
 class DemandSet:
     records: list[DemandRecord]
+    # (chain, src, dst) -> gbps, derived from records
+    gbps: dict[tuple[str, str, str], float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[tuple[str, str, str]] = set()
+        self.gbps = {}
         for r in self.records:
             if r.src == r.dst:
                 raise ValidationError(f"self-demand {r.src!r} -> {r.dst!r} not allowed")
             if not r.gbps > 0:
                 raise ValidationError(f"demand {r.src!r}->{r.dst!r} gbps must be positive")
-            key = (r.src, r.dst, r.chain)
-            if key in seen:
-                raise ValidationError(f"duplicate demand record {key!r}")
-            seen.add(key)
+            key = (r.chain, r.src, r.dst)
+            if key in self.gbps:
+                raise ValidationError(f"duplicate demand record {(r.src, r.dst, r.chain)!r}")
+            self.gbps[key] = r.gbps
 
     @property
     def chains(self) -> list[str]:
@@ -210,10 +212,8 @@ class ProblemInstance:
         return sorted((r.src, r.dst) for r in self.demands.records if r.chain == chain)
 
     def demand_gbps(self, chain: str, src: str, dst: str) -> float:
-        for r in self.demands.records:
-            if r.chain == chain and r.src == src and r.dst == dst:
-                return r.gbps
-        raise KeyError((chain, src, dst))
+        """Gbps of the (src, dst) demand on `chain`; KeyError if there is none."""
+        return self.demands.gbps[(chain, src, dst)]
 
     def chains_with_demand(self) -> list[str]:
         return self.demands.chains

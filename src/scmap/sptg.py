@@ -5,11 +5,16 @@ are grouped together, so one placed chain instance can serve them with little
 detour. Greedy largest-cluster selection runs first; leftovers attach to the
 nearest anchor; oversized partitions are refined by splitting until the group
 count hits min(requested instances, pair count).
+
+Each chain's pair paths are walked once into a cover index, which maps every
+(head, tail) corridor to the pairs that traverse it, so a candidate cluster
+is one set intersection.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .netmodel import ProblemInstance
@@ -39,17 +44,22 @@ class ChainPartition:
         return sum(len(g.members) for g in self.groups)
 
 
+def _cover_index(pairs: Iterable[Pair], paths: PathTable) -> dict[Pair, set[Pair]]:
+    """Map each ordered node pair (head, tail) to the pairs whose canonical
+    path visits head no later than tail. Each path is walked once."""
+    index: dict[Pair, set[Pair]] = {}
+    for pair in pairs:
+        seq = paths.path_node_seq(*pair)
+        for i, head in enumerate(seq):
+            for tail in seq[i:]:
+                index.setdefault((head, tail), set()).add(pair)
+    return index
+
+
 def cluster_of(anchor: Pair, remaining: set[Pair] | frozenset[Pair], paths: PathTable) -> set[Pair]:
     """Pairs in `remaining` whose canonical path visits anchor's head no later
     than its tail. The anchor pair itself always qualifies."""
-    head, tail = anchor
-    out = set()
-    for (s, d) in remaining:
-        seq = paths.path_node_seq(s, d)
-        pos = {v: i for i, v in enumerate(seq)}
-        if head in pos and tail in pos and pos[head] <= pos[tail]:
-            out.add((s, d))
-    return out
+    return set(_cover_index(remaining, paths).get(anchor, ()))
 
 
 def _detour(member: Pair, anchor: Pair, paths: PathTable) -> int:
@@ -78,6 +88,7 @@ def partition_chain(
     if nc is None:
         nc = instance.nc.get(chain, 1)
     target = min(nc, len(pairs))
+    index = _cover_index(pairs, paths)
 
     groups: list[Group] = []
     left = set(pairs)
@@ -85,7 +96,7 @@ def partition_chain(
         best_anchor = None
         best_cluster: set[Pair] = set()
         for anchor in sorted(left):
-            cluster = cluster_of(anchor, left, paths)
+            cluster = index[anchor] & left
             if len(cluster) > len(best_cluster):
                 best_anchor, best_cluster = anchor, cluster
         groups.append(Group(anchor=best_anchor, members=tuple(best_cluster)))
@@ -110,19 +121,20 @@ def partition_chain(
             key=lambda i: (-len(groups[i].members), groups[i].anchor),
         )
         old = groups[gi]
-        groups[gi : gi + 1] = _split(old, paths)
+        groups[gi : gi + 1] = _split(old, paths, index)
 
     return ChainPartition(chain=chain, groups=groups)
 
 
-def _split(group: Group, paths: PathTable) -> list[Group]:
+def _split(group: Group, paths: PathTable, index: dict[Pair, set[Pair]]) -> list[Group]:
     """Split one group in two: the largest proper internal cluster leaves, or
-    failing that the member with the largest detour via the anchor."""
+    failing that the member with the largest detour via the anchor. `index`
+    is the chain's cover index."""
     members = set(group.members)
     best_anchor = None
     best_cluster: set[Pair] = set()
     for m in sorted(members):
-        cluster = cluster_of(m, members, paths)
+        cluster = index[m] & members
         if len(cluster) < len(members) and len(cluster) > len(best_cluster):
             best_anchor, best_cluster = m, cluster
     if best_anchor is None:

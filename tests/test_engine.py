@@ -10,6 +10,7 @@ from scmap.master import add_column, build_rmp, chain_instances, make_configurat
 from scmap.netmodel import ProblemInstance
 from scmap.pathcore import all_pairs_hops
 from scmap.pricer import enumerate_all_configs, price_chain_instance
+from scmap.simplexkit import MipSolution, highs
 from scmap.sptg import partition_all
 
 
@@ -247,6 +248,114 @@ def solved_square():
     return inst, plan
 
 
+def tight_square(cores):
+    """solved_square's instance with `cores` per node: 4 or 5 cores leave
+    room for fw of both groups on one node and nat of both on another."""
+    return build_instance(
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
+        [("a", "c"), ("b", "d"), ("c", "a", 2.0)],
+        k=2,
+        nc=2,
+        chain_vnfs=("fw", "nat"),
+        cores=cores,
+    )
+
+
+@pytest.mark.parametrize("cores", [4, 5])
+def test_tight_square_has_a_split_plan(cores):
+    # oracle for the xfail below: with fw@a, nat@b pooled for both groups
+    # the same instance yields a validated plan
+    inst = tight_square(cores)
+    model, _ = engine.run_column_generation(inst, partition_all(inst))
+    for ci in model.chain_instances:
+        add_column(model, make_configuration(ci, ("a", "b"), ((("a", "b"),),)))
+    plan = engine.extract_plan(inst, model)
+    assert engine.validate_plan(inst, plan) == []
+    assert plan.hosting == ("a", "b")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=engine.Infeasible,
+    reason="ROADMAP item 2: the final selection over a restricted column pool "
+    "reports a false 'infeasible'",
+)
+@pytest.mark.parametrize("cores", [4, 5])
+def test_tight_square_solves(cores):
+    inst = tight_square(cores)
+    plan = engine.solve(inst).plan
+    assert engine.validate_plan(inst, plan) == []
+
+
+class FakeClock:
+    """Stands in for the engine's `time` module; time moves only when a
+    wrapped LP or MIP solve says it does."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+
+class TestTimeBudget:
+    BUDGET = 100.0
+    LP_SECONDS = 10.0
+    MIP_SECONDS = 30.0
+
+    def instrument(self, monkeypatch, stall_first_mip):
+        """Fake clock plus solve wrappers; returns the (clock at call,
+        time_limit) of every MIP solve."""
+        clock = FakeClock()
+        calls = []
+        real_relax = engine.solve_relaxation
+        real_mip = highs.solve_mip
+
+        def relax(model):
+            clock.now += self.LP_SECONDS
+            return real_relax(model)
+
+        def mip(lp, time_limit=None):
+            calls.append((clock.now, time_limit))
+            clock.now += self.MIP_SECONDS
+            if stall_first_mip and len(calls) == 1:
+                return MipSolution(status="stalled", message="stalled")
+            return real_mip(lp, time_limit=time_limit)
+
+        monkeypatch.setattr(engine, "time", clock)
+        monkeypatch.setattr(engine, "solve_relaxation", relax)
+        monkeypatch.setattr(highs, "solve_mip", mip)
+        return calls
+
+    def test_limits_stay_within_one_budget(self, monkeypatch, triangle_instance):
+        # the fast attempt stalls, so auto falls back to the full program:
+        # column generation and both MIPs draw on the same budget
+        calls = self.instrument(monkeypatch, stall_first_mip=True)
+        plan = engine.solve(triangle_instance, time_limit=self.BUDGET).plan
+        assert engine.validate_plan(triangle_instance, plan) == []
+        assert len(calls) == 2
+        assert calls[0][0] > 0  # column generation spent part of the budget
+        for spent, limit in calls:
+            assert limit > 0
+            assert spent + limit <= self.BUDGET
+        assert calls[1][1] == calls[0][1] - self.MIP_SECONDS
+
+    def test_spent_budget_is_an_error_not_a_zero_limit(self, monkeypatch, triangle_instance):
+        calls = self.instrument(monkeypatch, stall_first_mip=False)
+        with pytest.raises(engine.EngineError, match="time limit"):
+            engine.solve(triangle_instance, time_limit=self.LP_SECONDS / 2)
+        assert calls == []
+
+    def test_fallback_gets_what_the_fast_attempt_left(self, monkeypatch, triangle_instance):
+        model, _ = engine.run_column_generation(
+            triangle_instance, partition_all(triangle_instance)
+        )
+        calls = self.instrument(monkeypatch, stall_first_mip=True)
+        engine.extract_plan(triangle_instance, model, time_limit=self.BUDGET)
+        assert calls == [(0.0, self.BUDGET), (self.MIP_SECONDS, self.BUDGET - self.MIP_SECONDS)]
+
+
 class TestValidatePlan:
     def test_emitted_plan_is_clean(self):
         inst, plan = solved_square()
@@ -307,6 +416,16 @@ class TestValidatePlan:
         broken = engine.plan_from_json(json.dumps(doc), inst)
         kinds = {v.kind for v in engine.validate_plan(inst, broken)}
         assert "coverage" in kinds
+
+    def test_route_without_demand_record_flagged(self):
+        inst, plan = solved_square()
+        doc = json.loads(engine.plan_to_json(plan))
+        doc["instances"][0]["pairs"].append(
+            {"src": "d", "dst": "b", "first_route": [], "last_route": []}
+        )
+        broken = engine.plan_from_json(json.dumps(doc), inst)
+        found = [v for v in engine.validate_plan(inst, broken) if v.kind == "coverage"]
+        assert any("d->b: no such demand record" in v.detail for v in found)
 
     def test_non_nfv_location_flagged(self):
         inst = build_instance(

@@ -78,6 +78,21 @@ def test_duplicate_demand_rejected():
         DemandSet(recs)
 
 
+def test_demand_lookup():
+    recs = [DemandRecord("a", "b", "c", 1.5), DemandRecord("b", "a", "c", 2.0),
+            DemandRecord("a", "b", "d", 3.0)]
+    demands = DemandSet(recs)
+    assert demands.gbps == {("c", "a", "b"): 1.5, ("c", "b", "a"): 2.0, ("d", "a", "b"): 3.0}
+
+
+def test_demand_gbps_unknown_pair_raises(triangle_instance):
+    assert triangle_instance.demand_gbps("c1", "a", "b") == 1.0
+    for key in (("c1", "a", "a"), ("c2", "a", "b"), ("c1", "a", "z")):
+        with pytest.raises(KeyError) as err:
+            triangle_instance.demand_gbps(*key)
+        assert err.value.args == (key,)
+
+
 def test_unknown_ids_rejected():
     with pytest.raises(ValidationError, match="unknown node"):
         build_instance(["a", "b"], [("a", "b")], [("a", "zz")])

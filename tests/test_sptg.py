@@ -1,8 +1,12 @@
+import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
+from scmap.fixturedata import nsfnet_files
+from scmap.netmodel import load_instance
 from scmap.pathcore import all_pairs_hops
 from scmap.sptg import cluster_of, partition_all, partition_chain, partitions_to_json
 
@@ -13,6 +17,30 @@ PATH5 = (list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
 
 def path5_instance(demands, nc=1):
     return build_instance(PATH5[0], PATH5[1], demands, nc=nc)
+
+
+def scan_cluster(anchor, remaining, paths):
+    """Brute-force oracle for cluster_of: walk every remaining pair's path."""
+    head, tail = anchor
+    out = set()
+    for (s, d) in remaining:
+        pos = {v: i for i, v in enumerate(paths.path_node_seq(s, d))}
+        if head in pos and tail in pos and pos[head] <= pos[tail]:
+            out.add((s, d))
+    return out
+
+
+def assert_clusters_match_scan(nodes, pairs, paths, rng, draws):
+    """cluster_of equals the scan for every ordered node pair as anchor
+    (demand pairs and head == tail included) on random subsets of `pairs`."""
+    anchors = list(itertools.product(nodes, repeat=2))
+    for _ in range(draws):
+        subset = set(rng.sample(pairs, rng.randint(1, len(pairs))))
+        for anchor in anchors:
+            assert cluster_of(anchor, subset, paths) == scan_cluster(anchor, subset, paths), (
+                anchor,
+                sorted(subset),
+            )
 
 
 def test_cluster_on_path_graph():
@@ -120,3 +148,39 @@ def test_anchor_is_member_at_creation():
         part = partition_chain(inst, "c", nc=1)
         g = part.groups[0]
         assert g.anchor in g.members
+
+
+@pytest.mark.parametrize("fixture", ["nsfnet_instance", "cost239_instance"])
+def test_cluster_of_matches_scan_on_reference_topologies(fixture, request):
+    inst = request.getfixturevalue(fixture)
+    paths = all_pairs_hops(inst.topology)
+    pairs = inst.pairs_for_chain(inst.chains_with_demand()[0])
+    assert_clusters_match_scan(inst.topology.node_ids, pairs, paths, random.Random(17), draws=6)
+
+
+def test_cluster_of_matches_scan_on_random_instances():
+    rng = random.Random(2024)
+    for _ in range(100):
+        inst = random_connected_instance(rng, max_pairs=12)
+        paths = all_pairs_hops(inst.topology)
+        pairs = inst.pairs_for_chain("c")
+        assert_clusters_match_scan(inst.topology.node_ids, pairs, paths, rng, draws=3)
+
+
+# sha256 of partitions_to_json for the bundled NSFNET instance, as written by
+# the per-pair scan that cluster_of replaced; the grouping must not drift
+NSFNET_PARTITION_SHA256 = {
+    1: "2a3d9826e8e663f7c86ec32fbffdac0eb7ca9be6088489b65a51054fd916df1e",
+    4: "d64d1c63d0e7505b828ca828c16ed23615988896dcd6d3bebd354af16d66f271",
+    8: "463042208a336b7628457edbfa056c9ea04de2d8de9097d90ac42b62f8fe0904",
+    16: "90180809ea9017c7921e8e5e1a0477b5cc0f446f64a47ec77e5a8da2584f3ef5",
+    34: "7dab969df1e0c96eb21691fb084b7fcd58ece224f103543c585e043ff2c6243c",
+    182: "579e49985710d794e7027a55c5570625d0e59cd429d12297651b607a8ab88b9d",
+}
+
+
+@pytest.mark.parametrize("nc", sorted(NSFNET_PARTITION_SHA256))
+def test_nsfnet_partitions_golden(nc, nsfnet_paths):
+    inst = load_instance(*nsfnet_files(), k=14, nc=nc)
+    dump = partitions_to_json(partition_all(inst, nsfnet_paths))
+    assert hashlib.sha256(dump.encode()).hexdigest() == NSFNET_PARTITION_SHA256[nc]
