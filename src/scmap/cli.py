@@ -298,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="seconds for the whole solve: grouping, column generation and "
-        "final selection share one budget",
+        "final selection share one budget; column generation stops with a "
+        "quarter of it left for the selection",
     )
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--out", required=True, help="plan JSON output path")
@@ -316,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--time-limit",
         type=float,
         default=None,
-        help="seconds for each nc's column generation and again for each k's selection",
+        help="seconds for each nc's column generation, its RMP build included, "
+        "and again for each k's selection",
     )
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--out", required=True, help="report CSV path")

@@ -195,6 +195,8 @@ def run_column_generation(
     """Iterate relax/price/extend until a full pricing round adds nothing.
 
     `time_limit` (seconds) counts from the call, so it covers the RMP build.
+    An iteration starts only if it and the closing relaxation refresh, each
+    taken to last as long as the previous iteration, end within the limit.
     """
     started = time.perf_counter()
     if paths is None:
@@ -210,11 +212,12 @@ def run_column_generation(
 
     trace = CgTrace()
     pool_dirty = True
+    last = 0.0  # duration of the previous iteration
     for it in range(1, max_iters + 1):
-        if time_limit is not None and time.perf_counter() - started > time_limit:
+        tick = time.perf_counter()
+        if time_limit is not None and tick - started + 2 * last > time_limit:
             log.warning("column generation stopped by time limit after %d iterations", it - 1)
             break
-        tick = time.perf_counter()
         try:
             sol, duals = solve_relaxation(model)
         except MasterInfeasible as exc:
@@ -236,9 +239,8 @@ def run_column_generation(
             if len(model.pool) > before:
                 added += 1
                 pool_dirty = True
-        trace.iterations.append(
-            CgIteration(it, sol.objective, added, best_rc, (time.perf_counter() - tick) * 1e3)
-        )
+        last = time.perf_counter() - tick
+        trace.iterations.append(CgIteration(it, sol.objective, added, best_rc, last * 1e3))
         if added == 0:
             trace.converged = True
             break
@@ -404,17 +406,24 @@ def _extract(
     return plan
 
 
+# share of `solve`'s time limit that column generation leaves to the final
+# selection, so a run cut short by time still has time to pick a plan
+SELECTION_SHARE = 0.25
+
+
 def _deadline(time_limit: Optional[float]) -> Optional[float]:
     return None if time_limit is None else time.perf_counter() + time_limit
 
 
-def _remaining(deadline: Optional[float], stage: str) -> Optional[float]:
+def _left(deadline: Optional[float]) -> Optional[float]:
+    return None if deadline is None else deadline - time.perf_counter()
+
+
+def _limit(deadline: Optional[float], stage: str) -> Optional[float]:
     """Seconds left before `deadline`; a spent budget is an error, never a
     zero or negative limit handed on."""
-    if deadline is None:
-        return None
-    left = deadline - time.perf_counter()
-    if left <= 0:
+    left = _left(deadline)
+    if left is not None and left <= 0:
         raise EngineError(f"time limit reached before {stage}")
     return left
 
@@ -437,21 +446,18 @@ def extract_plan(
     deadline = _deadline(time_limit)
     if model.last_relaxation is None or len(model.last_relaxation.x) != model.lp.n_vars:
         solve_relaxation(model)
-    if mode == "auto":
-        try:
-            return _extract(
-                instance, model, MODE_FAST, _remaining(deadline, "the final selection")
-            )
-        except (MasterError, EngineError) as exc:
-            log.info("fast selection unavailable (%s); solving the full program", exc)
-            return _extract(
-                instance, model, MODE_FULL, _remaining(deadline, "the full selection")
-            )
     if mode == "fast":
         mode = MODE_FAST
-    if mode not in (MODE_FULL, MODE_FAST):
+    if mode not in ("auto", MODE_FULL, MODE_FAST):
         raise EngineError(f"unknown mode {mode!r}")
-    return _extract(instance, model, mode, _remaining(deadline, "the final selection"))
+    limit = _limit(deadline, "the final selection")
+    if mode != "auto":
+        return _extract(instance, model, mode, limit)
+    try:
+        return _extract(instance, model, MODE_FAST, limit)
+    except (MasterError, EngineError) as exc:
+        log.info("fast selection unavailable (%s); solving the full program", exc)
+        return _extract(instance, model, MODE_FULL, _limit(deadline, "the full selection"))
 
 
 def solve(
@@ -465,10 +471,14 @@ def solve(
 ) -> SolveResult:
     """Full pipeline on one instance: partition, generate columns, select.
 
-    `time_limit` (seconds) is one budget for the whole solve: column
-    generation and the final selection get only what is left of it.
+    `time_limit` (seconds) is one budget for the whole solve. Column
+    generation stops with `SELECTION_SHARE` of it still left, and the final
+    selection gets whatever is left. If the budget is spent all the same (a
+    round or the relaxation refresh ran long), the selection still runs over
+    the columns found so far, without a limit, and the overrun is logged.
     """
     deadline = _deadline(time_limit)
+    reserve = 0.0 if time_limit is None else SELECTION_SHARE * time_limit
     if paths is None:
         paths = all_pairs_hops(instance.topology)
     if partitions is None:
@@ -477,12 +487,19 @@ def solve(
         instance,
         partitions,
         max_iters=max_iters,
-        time_limit=_remaining(deadline, "column generation"),
+        time_limit=None if deadline is None else max(0.0, _left(deadline) - reserve),
         paths=paths,
     )
-    plan = extract_plan(
-        instance, model, mode=mode, time_limit=_remaining(deadline, "the final selection")
-    )
+    left = _left(deadline)
+    if left is not None and left <= 0:
+        log.warning(
+            "time limit overrun by %.3g s before the final selection; selecting "
+            "from the %d pooled columns without a limit",
+            -left,
+            len(model.pool),
+        )
+        left = None
+    plan = extract_plan(instance, model, mode=mode, time_limit=left)
     return SolveResult(plan=plan, trace=trace, model=model, partitions=partitions)
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import random
 
 import pytest
@@ -299,18 +300,41 @@ class FakeClock:
         return self.now
 
 
-class TestTimeBudget:
-    BUDGET = 100.0
-    LP_SECONDS = 10.0
-    MIP_SECONDS = 30.0
+def several_round_instance():
+    """Eight core-bound nodes whose column generation needs several pricing
+    rounds (four at the time of writing) before it converges."""
+    return build_instance(
+        [f"n{i}" for i in range(8)],
+        [
+            ("n0", "n1"), ("n0", "n7"), ("n1", "n2"), ("n2", "n3"),
+            ("n2", "n7"), ("n3", "n4"), ("n3", "n5"), ("n3", "n7"),
+            ("n4", "n5"), ("n4", "n6"), ("n5", "n6"), ("n6", "n7"),
+        ],
+        [
+            ("n3", "n4", 2.0), ("n0", "n3", 2.0), ("n4", "n1", 0.5),
+            ("n1", "n5", 2.0), ("n0", "n7", 0.5), ("n5", "n0", 1.0),
+            ("n5", "n1", 2.0), ("n6", "n7", 2.0),
+        ],
+        nc=4,
+        chain_vnfs=("fw", "nat"),
+        cores=4,
+    )
 
-    def instrument(self, monkeypatch, stall_first_mip):
-        """Fake clock plus solve wrappers; returns the (clock at call,
+
+class TestTimeBudget:
+    LP_SECONDS = 10.0
+    MIP_SECONDS = 5.0
+
+    def instrument(self, monkeypatch, stall_first_mip=False, build_seconds=0.0):
+        """Fake clock plus wrappers that advance it: each LP solve takes
+        LP_SECONDS, each MIP solve MIP_SECONDS, the RMP build
+        `build_seconds`. Returns the clock and the (clock at call,
         time_limit) of every MIP solve."""
         clock = FakeClock()
         calls = []
         real_relax = engine.solve_relaxation
         real_mip = highs.solve_mip
+        real_build = engine.build_rmp
 
         def relax(model):
             clock.now += self.LP_SECONDS
@@ -323,37 +347,102 @@ class TestTimeBudget:
                 return MipSolution(status="stalled", message="stalled")
             return real_mip(lp, time_limit=time_limit)
 
+        def build(*args, **kwargs):
+            clock.now += build_seconds
+            return real_build(*args, **kwargs)
+
         monkeypatch.setattr(engine, "time", clock)
         monkeypatch.setattr(engine, "solve_relaxation", relax)
+        monkeypatch.setattr(engine, "build_rmp", build)
         monkeypatch.setattr(highs, "solve_mip", mip)
-        return calls
+        return clock, calls
 
     def test_limits_stay_within_one_budget(self, monkeypatch, triangle_instance):
+        clock, calls = self.instrument(monkeypatch, stall_first_mip=True)
+        _, trace = engine.run_column_generation(
+            triangle_instance, partition_all(triangle_instance)
+        )
+        assert trace.converged
+        cg_seconds = clock.now
+        clock.now = 0.0
+        # ample for column generation to converge inside its share and for
+        # both MIPs after it, however many rounds the triangle takes
+        budget = 2 * (cg_seconds + self.LP_SECONDS + 2 * self.MIP_SECONDS)
         # the fast attempt stalls, so auto falls back to the full program:
         # column generation and both MIPs draw on the same budget
-        calls = self.instrument(monkeypatch, stall_first_mip=True)
-        plan = engine.solve(triangle_instance, time_limit=self.BUDGET).plan
-        assert engine.validate_plan(triangle_instance, plan) == []
+        result = engine.solve(triangle_instance, time_limit=budget)
+        assert engine.validate_plan(triangle_instance, result.plan) == []
+        assert result.trace.converged
         assert len(calls) == 2
-        assert calls[0][0] > 0  # column generation spent part of the budget
+        assert calls[0][0] == cg_seconds  # column generation spent part of the budget
         for spent, limit in calls:
             assert limit > 0
-            assert spent + limit <= self.BUDGET
+            assert spent + limit <= budget
         assert calls[1][1] == calls[0][1] - self.MIP_SECONDS
 
-    def test_spent_budget_is_an_error_not_a_zero_limit(self, monkeypatch, triangle_instance):
-        calls = self.instrument(monkeypatch, stall_first_mip=False)
-        with pytest.raises(engine.EngineError, match="time limit"):
-            engine.solve(triangle_instance, time_limit=self.LP_SECONDS / 2)
-        assert calls == []
+    def test_cut_short_column_generation_still_selects(self, monkeypatch, triangle_instance):
+        # the RMP build runs past column generation's share (75 of 100 s):
+        # no pricing round starts, the refreshed relaxation ends at 90 s, and
+        # the selection gets the 10 s left
+        budget = 100.0
+        assert budget * (1 - engine.SELECTION_SHARE) == 75.0
+        clock, calls = self.instrument(monkeypatch, build_seconds=80.0)
+        result = engine.solve(triangle_instance, time_limit=budget)
+        assert not result.trace.converged
+        assert result.trace.iterations == []
+        assert engine.validate_plan(triangle_instance, result.plan) == []
+        assert calls == [(90.0, 10.0)]
+
+    def test_spent_budget_still_selects_without_a_limit(
+        self, monkeypatch, caplog, triangle_instance
+    ):
+        # the refreshed relaxation ends at 90 s, past the 85 s budget: the
+        # selection runs from the pool so far with no limit, never a
+        # non-positive one, and the overrun is logged
+        clock, calls = self.instrument(monkeypatch, build_seconds=80.0)
+        with caplog.at_level(logging.WARNING, logger=engine.log.name):
+            result = engine.solve(triangle_instance, time_limit=85.0)
+        assert engine.validate_plan(triangle_instance, result.plan) == []
+        assert calls == [(90.0, None)]
+        assert "time limit overrun by 5 s" in caplog.text
+
+    def test_round_that_would_overrun_is_not_started(self, monkeypatch):
+        inst = several_round_instance()
+        parts = partition_all(inst)
+        clock, _ = self.instrument(monkeypatch)
+        _, trace = engine.run_column_generation(inst, parts)
+        rounds = len(trace.iterations)
+        assert trace.converged and rounds >= 3, "the instance must need several rounds"
+        # one round short of convergence: a round starts only if it and the
+        # closing refresh fit, so rounds - 2 run and the refresh ends on the limit
+        limit = (rounds - 1) * self.LP_SECONDS
+        clock.now = 0.0
+        _, trace = engine.run_column_generation(inst, parts, time_limit=limit)
+        assert not trace.converged
+        assert len(trace.iterations) == rounds - 2
+        assert clock.now <= limit
 
     def test_fallback_gets_what_the_fast_attempt_left(self, monkeypatch, triangle_instance):
         model, _ = engine.run_column_generation(
             triangle_instance, partition_all(triangle_instance)
         )
-        calls = self.instrument(monkeypatch, stall_first_mip=True)
-        engine.extract_plan(triangle_instance, model, time_limit=self.BUDGET)
-        assert calls == [(0.0, self.BUDGET), (self.MIP_SECONDS, self.BUDGET - self.MIP_SECONDS)]
+        _, calls = self.instrument(monkeypatch, stall_first_mip=True)
+        engine.extract_plan(triangle_instance, model, time_limit=100.0)
+        assert calls == [(0.0, 100.0), (self.MIP_SECONDS, 100.0 - self.MIP_SECONDS)]
+
+    def test_budget_spent_before_the_selection_raises_once(
+        self, monkeypatch, caplog, triangle_instance
+    ):
+        model, _ = engine.run_column_generation(
+            triangle_instance, partition_all(triangle_instance)
+        )
+        model.last_relaxation = None  # the re-solve spends the whole budget
+        _, calls = self.instrument(monkeypatch)
+        with caplog.at_level(logging.INFO, logger=engine.log.name):
+            with pytest.raises(engine.EngineError, match="before the final selection"):
+                engine.extract_plan(triangle_instance, model, time_limit=self.LP_SECONDS / 2)
+        assert calls == []
+        assert "fast selection unavailable" not in caplog.text
 
 
 class TestValidatePlan:
