@@ -265,30 +265,39 @@ def write_trace_csv(trace: CgTrace, fh: IO[str]) -> None:
         )
 
 
-def _ordered_route(arcs: list, start: str, end: str, label: str) -> list:
-    """Order a set of unit-flow arcs into the start->end walk.
+def _peel_walks(flow: dict, start: str, end: str, n: int, label: str) -> list:
+    """Split an integer start->end flow of n units into n unit walks.
 
-    Cost-free cycles cannot survive the objective, but a truncated incumbent
-    may carry one; arcs not on the walk are dropped.
+    Each walk follows the smallest arc with flow left, so the split is
+    deterministic. A loop a walk closes is cut out of it (it carries cost,
+    so only a truncated incumbent has one); flow on no walk is dropped.
     """
     if start == end:
-        return []
+        return [[] for _ in range(n)]
+    left = {arc: units for arc, units in flow.items() if units > 0}
     by_src: dict = {}
-    for arc in arcs:
+    for arc in sorted(left):
         by_src.setdefault(arc[0], []).append(arc)
-    route = []
-    cur = start
-    while cur != end:
-        options = sorted(by_src.get(cur, []))
-        if not options:
-            raise EngineError(f"{label}: route from {start} to {end} breaks at {cur}")
-        arc = options[0]
-        by_src[cur].remove(arc)
-        route.append(arc)
-        cur = arc[1]
-        if len(route) > len(arcs):
-            raise EngineError(f"{label}: route from {start} to {end} loops")
-    return route
+    walks = []
+    for _ in range(n):
+        walk: list = []
+        seen = {start: 0}
+        cur = start
+        while cur != end:
+            arc = next((a for a in by_src.get(cur, ()) if left[a] > 0), None)
+            if arc is None:
+                raise EngineError(f"{label}: route from {start} to {end} breaks at {cur}")
+            left[arc] -= 1
+            cur = arc[1]
+            if cur in seen:  # a loop closes: cut it out
+                cut = seen[cur]
+                del walk[cut:]
+                seen = {v: i for v, i in seen.items() if i <= cut}
+            else:
+                walk.append(arc)
+                seen[cur] = len(walk)
+        walks.append(walk)
+    return walks
 
 
 def _aggregate(instance: ProblemInstance, assignments) -> tuple[dict, dict, tuple]:
@@ -302,14 +311,18 @@ def _aggregate(instance: ProblemInstance, assignments) -> tuple[dict, dict, tupl
 
     for asg in assignments:
         per_gbps = instance.chain_cores_per_gbps(asg.chain)
-        dgroup = sum(
-            instance.demand_gbps(asg.chain, r.src, r.dst) for r in asg.routes
-        )
+        routed = []
+        for route in asg.routes:
+            gbps = instance.demands.gbps.get((asg.chain, route.src, route.dst))
+            # a route with no demand record carries nothing; validate_plan
+            # reports it as a coverage fault of its own
+            if gbps is not None:
+                routed.append((route, gbps))
+        dgroup = sum(gbps for _, gbps in routed)
         for seg in asg.segment_paths:
             for arc in seg:
                 put(arc, dgroup)
-        for route in asg.routes:
-            gbps = instance.demand_gbps(asg.chain, route.src, route.dst)
+        for route, gbps in routed:
             for arc in route.first_arcs:
                 put(arc, gbps)
             for arc in route.last_arcs:
@@ -318,6 +331,26 @@ def _aggregate(instance: ProblemInstance, assignments) -> tuple[dict, dict, tupl
             cores[v] = cores.get(v, 0.0) + dgroup * per_gbps[pos]
             hosting.add(v)
     return loads, cores, tuple(sorted(hosting))
+
+
+def _end_routes(model: RmpModel, x: list, ci: ChainInstance, location: str, lead_in: bool):
+    """Member pair -> arcs of its lead-in (or lead-out), peeled off the
+    rounded integer flow of each end commodity of `ci` and handed to the
+    member pairs in sorted order."""
+    members, yvar = (
+        (model.lead_in, model.yfvar) if lead_in else (model.lead_out, model.ylvar)
+    )
+    arcs = model.instance.topology.arc_index
+    out = {}
+    for (key, com), pairs in members.items():
+        if key != ci.key:
+            continue
+        point, gbps = com
+        flow = {arc: round(x[yvar[(key, com, arc)]]) for arc in arcs}
+        start, end = (point, location) if lead_in else (location, point)
+        label = f"{ci.label} {'lead-in' if lead_in else 'lead-out'} {point}@{gbps:g}"
+        out.update(zip(pairs, _peel_walks(flow, start, end, len(pairs), label)))
+    return out
 
 
 def _decode(
@@ -335,29 +368,16 @@ def _decode(
                 f"instance {ci.label}: {len(chosen)} configurations selected"
             )
         config = model.pool[chosen[0]]
-        routes = []
-        for s, d in ci.pairs:
-            if final.mode == MODE_FAST:
-                first = model.paths.path_arcs(s, config.locations[0])
-                last = model.paths.path_arcs(config.locations[-1], d)
-            else:
-                farcs = [
-                    arc
-                    for arc in instance.topology.arc_index
-                    if x[model.yfvar[(ci.key, (s, d), arc)]] > 0.5
-                ]
-                larcs = [
-                    arc
-                    for arc in instance.topology.arc_index
-                    if x[model.ylvar[(ci.key, (s, d), arc)]] > 0.5
-                ]
-                first = _ordered_route(
-                    farcs, s, config.locations[0], f"{ci.label} {s}->{d} lead-in"
-                )
-                last = _ordered_route(
-                    larcs, config.locations[-1], d, f"{ci.label} {s}->{d} lead-out"
-                )
-            routes.append(PairRoute(s, d, tuple(first), tuple(last)))
+        head, tail = config.locations[0], config.locations[-1]
+        if final.mode == MODE_FAST:
+            first = {(s, d): model.paths.path_arcs(s, head) for s, d in ci.pairs}
+            last = {(s, d): model.paths.path_arcs(tail, d) for s, d in ci.pairs}
+        else:
+            first = _end_routes(model, x, ci, head, lead_in=True)
+            last = _end_routes(model, x, ci, tail, lead_in=False)
+        routes = [
+            PairRoute(s, d, tuple(first[s, d]), tuple(last[s, d])) for s, d in ci.pairs
+        ]
         assignments.append(
             InstanceAssignment(
                 chain=ci.chain,
@@ -638,7 +658,6 @@ def validate_plan(instance: ProblemInstance, plan: MappingPlan) -> list:
         if asg.chain in instance.chains
         and len(asg.locations) == len(instance.chains[asg.chain].vnfs)
         and all(v in topo.node_by_id for v in asg.locations)
-        and all((asg.chain, r.src, r.dst) in instance.demands.gbps for r in asg.routes)
     ]
     loads, cores, hosting = _aggregate(instance, safe)
     for arc, load in sorted(loads.items()):

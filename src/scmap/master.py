@@ -2,10 +2,15 @@
 
 The relaxation selects one configuration per chain instance and routes the
 two end segments (demand source to first VNF location, last VNF location to
-demand destination) per demand pair. The hosting budget k is not part of it,
-so its bound is the same at every k; hosting flags and the budget row enter
-only the integer selection built by `build_final_ilp`. Columns arrive from
-the pricer; rows never change shape after `build_rmp`, so duals keep stable
+demand destination) as arc flows. Pairs of one chain instance that share a
+source and a rate share one lead-in commodity of one unit per pair, and
+pairs that share a destination and a rate share one lead-out commodity: their
+per-pair flow rows would be identical, and an integer flow of n units splits
+into n unit paths, so the merge is exact for the relaxation and the integer
+selection alike. The hosting budget k is not part of the relaxation, so its
+bound is the same at every k; hosting flags and the budget row enter only
+the integer selection built by `build_final_ilp`. Columns arrive from the
+pricer; rows never change shape after `build_rmp`, so duals keep stable
 meaning across iterations.
 """
 
@@ -120,8 +125,13 @@ class RmpModel:
     pool_by_instance: dict = field(default_factory=dict)  # key -> pool positions
     config_index: dict = field(default_factory=dict)  # Configuration.key -> LP variable
     xvar: dict = field(default_factory=dict)  # (key, position, node) -> var
-    yfvar: dict = field(default_factory=dict)  # (key, pair, arc) -> var
-    ylvar: dict = field(default_factory=dict)
+    # end commodities: one per (chain instance, source, gbps) for lead-ins and
+    # one per (chain instance, destination, gbps) for lead-outs, carrying one
+    # unit of flow per member pair
+    lead_in: dict = field(default_factory=dict)  # (key, (src, gbps)) -> member pairs
+    lead_out: dict = field(default_factory=dict)  # (key, (dst, gbps)) -> member pairs
+    yfvar: dict = field(default_factory=dict)  # (key, (src, gbps), arc) -> var
+    ylvar: dict = field(default_factory=dict)  # (key, (dst, gbps), arc) -> var
     conv_row: dict = field(default_factory=dict)  # key -> row
     core_row: dict = field(default_factory=dict)  # node -> row
     cap_row: dict = field(default_factory=dict)  # arc -> row
@@ -232,6 +242,56 @@ def validate_configuration(
         )
 
 
+def _end_commodities(ci: ChainInstance, lead_in: bool) -> list:
+    """((endpoint, gbps), sorted member pairs) for the pairs of `ci` that
+    share a source (lead-in) or a destination (lead-out) and a rate."""
+    end = 0 if lead_in else 1
+    groups: dict = {}
+    for pair in sorted(ci.pairs):
+        groups.setdefault((pair[end], ci.demand[pair]), []).append(pair)
+    return sorted((com, tuple(pairs)) for com, pairs in groups.items())
+
+
+def _add_end_rows(
+    model: RmpModel, key: tuple, point: str, gbps: float, n: float, *, lead_in: bool
+) -> None:
+    """Flow rows of one end commodity of n unit flows.
+
+    A lead-in leaves its source `point` and is absorbed where the first
+    position sits; a lead-out leaves where the last position sits and is
+    absorbed at its destination `point`. Both use the same rows with arc
+    directions swapped: "away" arcs lead away from `point`'s side.
+    """
+    topo = model.instance.topology
+    lp = model.lp
+    nfv = set(topo.nfv_nodes)
+    ci = model.instance_of(key)
+    if lead_in:
+        yvar, pos, away, toward = model.yfvar, 0, topo.out_arcs, topo.in_arcs
+        names, sign = ("fsrc", "freach", "fbal"), 1.0
+    else:
+        yvar, pos, away, toward = model.ylvar, len(ci.vnfs) - 1, topo.in_arcs, topo.out_arcs
+        names, sign = ("ldst", "lreach", "lbal"), -1.0
+    label = f"{ci.label}/{point}@{gbps:g}"
+    y = {arc: yvar[(key, (point, gbps), arc)] for arc in topo.arc_index}
+    # `point` sends (or takes) n units, less n per unit of the end position
+    # placed on it
+    coeffs = [(y[arc], 1.0) for arc in away[point]]
+    if point in nfv:
+        coeffs.append((model.xvar[(key, pos, point)], n))
+    lp.add_constraint(coeffs, EQ, n, name=f"{names[0]}[{label}]")
+    for v in topo.node_ids:
+        if v == point:
+            continue
+        into = [(y[arc], 1.0) for arc in toward[v]]
+        balance = [(y[arc], sign) for arc in away[v]] + [(j, -sign) for j, _ in into]
+        if v in nfv:
+            xj = model.xvar[(key, pos, v)]
+            lp.add_constraint(into + [(xj, -n)], GE, 0.0, name=f"{names[1]}[{label}/{v}]")
+            balance.append((xj, sign * n))
+        lp.add_constraint(balance, EQ, 0.0, name=f"{names[2]}[{label}/{v}]")
+
+
 def build_rmp(
     instance: ProblemInstance,
     partitions: Iterable[ChainPartition],
@@ -257,21 +317,19 @@ def build_rmp(
                     f"x[{ci.label}/{pos}/{v}]", 0.0, 1.0
                 )
     for ci in cis:
-        for pair in ci.pairs:
-            gbps = ci.demand[pair]
-            for arc in arcs:
-                model.yfvar[(ci.key, pair, arc)] = lp.add_variable(
-                    f"yf[{ci.label}/{pair[0]}-{pair[1]}/{arc[0]}>{arc[1]}]",
-                    0.0,
-                    1.0,
-                    obj=gbps,
-                )
-                model.ylvar[(ci.key, pair, arc)] = lp.add_variable(
-                    f"yl[{ci.label}/{pair[0]}-{pair[1]}/{arc[0]}>{arc[1]}]",
-                    0.0,
-                    1.0,
-                    obj=gbps,
-                )
+        for lead_in, members, yvar, tag in (
+            (True, model.lead_in, model.yfvar, "yf"),
+            (False, model.lead_out, model.ylvar, "yl"),
+        ):
+            for (point, gbps), pairs in _end_commodities(ci, lead_in):
+                members[(ci.key, (point, gbps))] = pairs
+                for arc in arcs:
+                    yvar[(ci.key, (point, gbps), arc)] = lp.add_variable(
+                        f"{tag}[{ci.label}/{point}@{gbps:g}/{arc[0]}>{arc[1]}]",
+                        0.0,
+                        float(len(pairs)),
+                        obj=gbps,
+                    )
 
     # configuration choice and resource rows; z columns arrive via add_column
     for ci in cis:
@@ -281,12 +339,11 @@ def build_rmp(
             [], LE, float(topo.node_by_id[v].cores), name=f"core[{v}]"
         )
     for arc in arcs:
-        coeffs = []
-        for ci in cis:
-            for pair in ci.pairs:
-                gbps = ci.demand[pair]
-                coeffs.append((model.yfvar[(ci.key, pair, arc)], gbps))
-                coeffs.append((model.ylvar[(ci.key, pair, arc)], gbps))
+        coeffs = [
+            (yvar[(key, com, arc)], com[1])
+            for members, yvar in ((model.lead_in, model.yfvar), (model.lead_out, model.ylvar))
+            for key, com in members
+        ]
         model.cap_row[arc] = lp.add_constraint(
             coeffs, LE, topo.capacity(arc), name=f"cap[{arc[0]}>{arc[1]}]"
         )
@@ -300,76 +357,9 @@ def build_rmp(
                     name=f"cons[{ci.label}/{pos}/{v}]",
                 )
 
-    nfv_set = set(nfv)
-    for ci in cis:
-        first, last = 0, len(ci.vnfs) - 1
-        for s, d in ci.pairs:
-            pk = (ci.key, (s, d))
-            tag = f"{ci.label}/{s}-{d}"
-            # source emits one unit unless position 1 sits on the source
-            coeffs = [(model.yfvar[(ci.key, (s, d), arc)], 1.0) for arc in topo.out_arcs[s]]
-            if s in nfv_set:
-                coeffs.append((model.xvar[(ci.key, first, s)], 1.0))
-            lp.add_constraint(coeffs, EQ, 1.0, name=f"fsrc[{tag}]")
-            for v in topo.node_ids:
-                if v == s:
-                    continue
-                inflow = [
-                    (model.yfvar[(ci.key, (s, d), arc)], 1.0) for arc in topo.in_arcs[v]
-                ]
-                outflow = [
-                    (model.yfvar[(ci.key, (s, d), arc)], 1.0) for arc in topo.out_arcs[v]
-                ]
-                if v in nfv_set:
-                    xj = model.xvar[(ci.key, first, v)]
-                    lp.add_constraint(
-                        inflow + [(xj, -1.0)], GE, 0.0, name=f"freach[{tag}/{v}]"
-                    )
-                    lp.add_constraint(
-                        outflow + [(j, -a) for j, a in inflow] + [(xj, 1.0)],
-                        EQ,
-                        0.0,
-                        name=f"fbal[{tag}/{v}]",
-                    )
-                else:
-                    lp.add_constraint(
-                        outflow + [(j, -a) for j, a in inflow],
-                        EQ,
-                        0.0,
-                        name=f"fbal[{tag}/{v}]",
-                    )
-            # destination absorbs one unit unless the last position sits on it
-            coeffs = [(model.ylvar[(ci.key, (s, d), arc)], 1.0) for arc in topo.in_arcs[d]]
-            if d in nfv_set:
-                coeffs.append((model.xvar[(ci.key, last, d)], 1.0))
-            lp.add_constraint(coeffs, EQ, 1.0, name=f"ldst[{tag}]")
-            for v in topo.node_ids:
-                if v == d:
-                    continue
-                inflow = [
-                    (model.ylvar[(ci.key, (s, d), arc)], 1.0) for arc in topo.in_arcs[v]
-                ]
-                outflow = [
-                    (model.ylvar[(ci.key, (s, d), arc)], 1.0) for arc in topo.out_arcs[v]
-                ]
-                if v in nfv_set:
-                    xj = model.xvar[(ci.key, last, v)]
-                    lp.add_constraint(
-                        outflow + [(xj, -1.0)], GE, 0.0, name=f"lreach[{tag}/{v}]"
-                    )
-                    lp.add_constraint(
-                        outflow + [(j, -a) for j, a in inflow] + [(xj, -1.0)],
-                        EQ,
-                        0.0,
-                        name=f"lbal[{tag}/{v}]",
-                    )
-                else:
-                    lp.add_constraint(
-                        outflow + [(j, -a) for j, a in inflow],
-                        EQ,
-                        0.0,
-                        name=f"lbal[{tag}/{v}]",
-                    )
+    for lead_in, members in ((True, model.lead_in), (False, model.lead_out)):
+        for (key, (point, gbps)), pairs in members.items():
+            _add_end_rows(model, key, point, gbps, float(len(pairs)), lead_in=lead_in)
 
     for config in seed_pool:
         add_column(model, config)
@@ -498,7 +488,8 @@ def _add_hosting_block(lp: LinearProgram, model: RmpModel, zvars: list, k: int) 
 def build_final_ilp(model: RmpModel, mode: str, k: int) -> FinalIlp:
     """Integer selection over the pooled columns with at most k hosting nodes.
 
-    full: every variable of the relaxation turns binary. uncapacitated_fast:
+    full: every variable of the relaxation turns integer, so z and x become
+    binary and the end flows integer counts. uncapacitated_fast:
     end-segment routing is folded into the z objective at hop-shortest
     distances, valid only while core and capacity rows are all slack at the
     last relaxation optimum; the builder refuses otherwise. Both programs

@@ -19,51 +19,36 @@ from .model import EQ, GE, LE, LinearProgram, LpError, LpSolution, MipSolution
 _LP_STATUS = {0: "optimal", 1: "stalled", 2: "infeasible", 3: "unbounded", 4: "stalled"}
 
 
+def _csr(lp: LinearProgram) -> sp.csr_matrix:
+    """The constraint matrix, one row per program row."""
+    counts = [len(r.coeffs) for r in lp.rows]
+    indptr = np.zeros(lp.n_rows + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(counts)
+    nnz = int(indptr[-1])
+    cols = np.fromiter((j for r in lp.rows for j, _ in r.coeffs), dtype=np.int64, count=nnz)
+    vals = np.fromiter((a for r in lp.rows for _, a in r.coeffs), dtype=float, count=nnz)
+    mat = sp.csr_matrix((vals, cols, indptr), shape=(lp.n_rows, lp.n_vars))
+    mat.sum_duplicates()
+    return mat
+
+
 def _matrices(lp: LinearProgram):
-    """Split rows into A_ub (>= rows negated) and A_eq, remembering origins."""
-    ub_rows: list[int] = []
-    eq_rows: list[int] = []
-    ub_sign: list[float] = []
-    for i, r in enumerate(lp.rows):
-        if r.relation == EQ:
-            eq_rows.append(i)
-        else:
-            ub_rows.append(i)
-            ub_sign.append(1.0 if r.relation == LE else -1.0)
-
-    def build(indices, signs=None):
-        data, ri, ci = [], [], []
-        rhs = []
-        for pos, i in enumerate(indices):
-            row = lp.rows[i]
-            s = 1.0 if signs is None else signs[pos]
-            rhs.append(s * row.rhs)
-            for j, a in row.coeffs:
-                ri.append(pos)
-                ci.append(j)
-                data.append(s * a)
-        mat = sp.coo_matrix((data, (ri, ci)), shape=(len(indices), lp.n_vars)).tocsr()
-        return mat, np.array(rhs)
-
-    A_ub, b_ub = build(ub_rows, ub_sign)
-    A_eq, b_eq = build(eq_rows)
-    return (ub_rows, ub_sign, A_ub, b_ub), (eq_rows, A_eq, b_eq)
-
-
-def _reduced_costs(lp: LinearProgram, duals: list[float]) -> list[float]:
-    rc = np.array([v.obj for v in lp.variables], dtype=float)
-    for i, row in enumerate(lp.rows):
-        y = duals[i]
-        if y == 0.0:
-            continue
-        for j, a in row.coeffs:
-            rc[j] -= y * a
-    return rc.tolist()
+    """Split rows into A_ub (>= rows negated) and A_eq, remembering the
+    program row and sign behind each."""
+    mat = _csr(lp)
+    rhs = np.array([r.rhs for r in lp.rows], dtype=float)
+    eq = np.array([r.relation == EQ for r in lp.rows], dtype=bool)
+    sign = np.array([-1.0 if r.relation == GE else 1.0 for r in lp.rows])
+    ub_rows, eq_rows = np.flatnonzero(~eq), np.flatnonzero(eq)
+    ub_sign = sign[ub_rows]
+    A_ub = sp.diags(ub_sign) @ mat[ub_rows]
+    b_ub = ub_sign * rhs[ub_rows]
+    return (ub_rows, ub_sign, A_ub, b_ub), (eq_rows, mat[eq_rows], rhs[eq_rows])
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     c = np.array([v.obj for v in lp.variables], dtype=float)
-    bounds = [(v.lb, None if math.isinf(v.ub) else v.ub) for v in lp.variables]
+    bounds = np.array([(v.lb, v.ub) for v in lp.variables], dtype=float).reshape(-1, 2)
     (ub_rows, ub_sign, A_ub, b_ub), (eq_rows, A_eq, b_eq) = _matrices(lp)
     res = linprog(
         c,
@@ -77,20 +62,24 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     status = _LP_STATUS.get(res.status, "stalled")
     if status != "optimal":
         return LpSolution(status=status, message=str(res.message))
-    duals = [0.0] * lp.n_rows
+    # reduced costs c - A'y, taken from the signed matrices HiGHS was given
+    duals = np.zeros(lp.n_rows)
+    rc = c.copy()
     if len(ub_rows):
-        for pos, i in enumerate(ub_rows):
-            # marginal is d obj / d rhs of the *signed* row; undo the sign
-            duals[i] = float(res.ineqlin.marginals[pos]) * ub_sign[pos]
+        marginals = res.ineqlin.marginals
+        # marginal is d obj / d rhs of the *signed* row; undo the sign
+        duals[ub_rows] = marginals * ub_sign
+        rc -= A_ub.T @ marginals
     if len(eq_rows):
-        for pos, i in enumerate(eq_rows):
-            duals[i] = float(res.eqlin.marginals[pos])
+        marginals = res.eqlin.marginals
+        duals[eq_rows] = marginals
+        rc -= A_eq.T @ marginals
     return LpSolution(
         status="optimal",
-        x=list(map(float, res.x)),
+        x=res.x.tolist(),
         objective=float(res.fun),
-        duals=duals,
-        reduced_costs=_reduced_costs(lp, duals),
+        duals=duals.tolist(),
+        reduced_costs=rc.tolist(),
     )
 
 
@@ -106,17 +95,9 @@ def solve_mip(lp: LinearProgram, time_limit: float | None = None) -> MipSolution
             message=sol.message,
         )
     c = np.array([v.obj for v in lp.variables], dtype=float)
-    data, ri, ci = [], [], []
-    lo = np.empty(lp.n_rows)
-    hi = np.empty(lp.n_rows)
-    for i, row in enumerate(lp.rows):
-        lo[i] = row.rhs if row.relation in (EQ, GE) else -np.inf
-        hi[i] = row.rhs if row.relation in (EQ, LE) else np.inf
-        for j, a in row.coeffs:
-            ri.append(i)
-            ci.append(j)
-            data.append(a)
-    A = sp.coo_matrix((data, (ri, ci)), shape=(lp.n_rows, lp.n_vars)).tocsr()
+    lo = np.array([-np.inf if r.relation == LE else r.rhs for r in lp.rows], dtype=float)
+    hi = np.array([np.inf if r.relation == GE else r.rhs for r in lp.rows], dtype=float)
+    A = _csr(lp)
     integrality = np.array([1 if v.integer else 0 for v in lp.variables])
     options = {"disp": False}
     if time_limit is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import logging
@@ -515,6 +516,25 @@ class TestValidatePlan:
         broken = engine.plan_from_json(json.dumps(doc), inst)
         found = [v for v in engine.validate_plan(inst, broken) if v.kind == "coverage"]
         assert any("d->b: no such demand record" in v.detail for v in found)
+
+    def test_stray_route_is_one_coverage_fault(self):
+        # a routed d->b pair with no demand record loads nothing, so it is
+        # the only fault: no load or objective mismatch follows from it
+        inst, plan = solved_square()
+        asg = plan.assignments[0]
+        paths = all_pairs_hops(inst.topology)
+        stray = engine.PairRoute(
+            "d",
+            "b",
+            tuple(paths.path_arcs("d", asg.locations[0])),
+            tuple(paths.path_arcs(asg.locations[-1], "b")),
+        )
+        assert stray.first_arcs or stray.last_arcs
+        broken = dataclasses.replace(asg, routes=asg.routes + (stray,))
+        plan.assignments = (broken,) + plan.assignments[1:]
+        violations = engine.validate_plan(inst, plan)
+        assert [v.kind for v in violations] == ["coverage"]
+        assert "d->b: no such demand record" in violations[0].detail
 
     def test_non_nfv_location_flagged(self):
         inst = build_instance(

@@ -114,6 +114,15 @@ def assert_complementary_slackness(lp, sol):
         assert abs(sol.duals[i] * slack) <= 1e-5 * (1 + abs(row.rhs)), row.name
 
 
+def assert_reduced_costs(lp, sol):
+    # reference: c_j - sum_i y_i a_ij, one coefficient at a time
+    rc = [v.obj for v in lp.variables]
+    for y, row in zip(sol.duals, lp.rows):
+        for j, a in row.coeffs:
+            rc[j] -= y * a
+    assert sol.reduced_costs == pytest.approx(rc, rel=1e-9, abs=1e-9)
+
+
 # -- targeted cases -----------------------------------------------------------
 
 
@@ -227,6 +236,7 @@ def test_lp_oracle_battery():
         assert sol.objective == pytest.approx(expect, abs=1e-6), f"case {case}"
         assert_duality_gap(lp, sol)
         assert_complementary_slackness(lp, sol)
+        assert_reduced_costs(lp, sol)
         solved += 1
     assert solved >= 25  # most random cases should be feasible
 
