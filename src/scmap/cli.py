@@ -1,7 +1,9 @@
 """Command-line front end: solve one instance, sweep (nc, k) grids, validate
 plans, print reference bounds.
 
-Exit codes: 0 ok, 1 input error, 2 infeasible, 3 validation failure.
+Exit codes: 0 ok, 1 input error, 2 infeasible, 3 validation failure. An
+"infeasible" verdict is relative to the demand grouping (`scmap.sptg`): no
+plan exists that keeps each group on one chain instance.
 """
 
 from __future__ import annotations
@@ -36,6 +38,19 @@ EXIT_INVALID = 3
 SWEEP_HEADER = (
     "nc,k,status,objective,lp_bound,gap,nfv_nodes_used,"
     "iterations,columns_generated,wall_ms,lb,single_node"
+)
+
+
+EXIT_HELP = (
+    "exit codes: 0 ok, 1 input error, 2 infeasible relative to the demand "
+    "grouping (sptg partition), 3 plan validation failed"
+)
+MODE_HELP = (
+    "final integer program when some link is below the worst-case load "
+    "(otherwise all modes run the one compact program): fast folds the end "
+    "segments in at shortest-path cost, full routes them as integer flows, "
+    "auto runs fast and falls back to full only if fast's plan fails "
+    "validation"
 )
 
 
@@ -287,12 +302,18 @@ def cmd_lowerbound(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="scmap", description=__doc__.splitlines()[0])
+    parser = _Parser(
+        prog="scmap",
+        description=__doc__.splitlines()[0],
+        epilog=EXIT_HELP,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve one instance, write the plan JSON")
+    p = sub.add_parser(
+        "solve", help="solve one instance, write the plan JSON", epilog=EXIT_HELP
+    )
     _add_instance_flags(p, need_k=True)
-    p.add_argument("--mode", choices=["auto", "full", "fast"], default="auto")
+    p.add_argument("--mode", choices=["auto", "full", "fast"], default="auto", help=MODE_HELP)
     p.add_argument(
         "--time-limit",
         type=float,
@@ -312,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demands", required=True)
     p.add_argument("--nc-list", required=True, help="comma-separated counts")
     p.add_argument("--k-list", required=True, help="comma-separated budgets")
-    p.add_argument("--mode", choices=["auto", "full", "fast"], default="auto")
+    p.add_argument("--mode", choices=["auto", "full", "fast"], default="auto", help=MODE_HELP)
     p.add_argument(
         "--time-limit",
         type=float,

@@ -5,6 +5,13 @@ decode -> independent validation. The relaxation carries no hosting budget,
 so one converged model serves every k of a sweep and only the integer
 selection reads k. The price is a k-blind `lp_bound`: the same at every k,
 and the reported `gap` is measured against it.
+
+On a compact master (see `scmap.master`) the selection is one program,
+whatever the mode. On an arc-flow master `auto` first solves the fast
+program, a relaxation of the full one: its validated plan is optimal, its
+infeasibility is the full program's, and only a plan that fails validation
+or a stalled solve falls back to the full program. Every verdict, plan or
+"infeasible", is relative to the `sptg` demand grouping.
 """
 
 from __future__ import annotations
@@ -20,19 +27,25 @@ from .master import (
     MODE_FULL,
     ChainInstance,
     Configuration,
-    MasterError,
+    DualPrices,
     MasterInfeasible,
     RmpModel,
     add_column,
     build_final_ilp,
     build_rmp,
     chain_instances,
+    fits,
     make_configuration,
     solve_relaxation,
 )
 from .netmodel import ProblemInstance
 from .pathcore import PathError, PathTable, all_pairs_hops, path_nodes
-from .pricer import price_chain_instance, segment_cost_table
+from .pricer import (
+    PricerError,
+    best_configuration,
+    price_chain_instance,
+    segment_cost_table,
+)
 from .simplexkit import highs
 from .sptg import ChainPartition, partition_all
 
@@ -116,18 +129,37 @@ def _colocated(ci: ChainInstance, node: str) -> Configuration:
     return make_configuration(ci, (node,) * n, ((),) * (n - 1))
 
 
+def _no_placement(instance: ProblemInstance, ci: ChainInstance) -> Infeasible:
+    """Certificate that no location tuple of `ci` fits the nodes' cores."""
+    node = instance.topology.node_by_id
+    big = max(instance.topology.nfv_nodes, key=lambda v: node[v].cores)
+    needs = [ci.total_gbps * r for r in instance.chain_cores_per_gbps(ci.chain)]
+    return Infeasible(
+        f"chain instance {ci.label} fits on no placement: its {len(needs)} "
+        f"positions need {[round(c, 6) for c in needs]} cores, and the node with "
+        f"the most cores, {big}, has {node[big].cores} (relative to the demand "
+        f"grouping)"
+    )
+
+
 def seed_pool(
     instance: ProblemInstance,
     partitions: Iterable[ChainPartition],
     paths: Optional[PathTable] = None,
 ) -> list[Configuration]:
-    """One co-located configuration per chain instance at the group 1-median.
+    """One self-feasible configuration per chain instance.
 
-    The 1-median minimizes the unweighted sum of dist(s, v) + dist(v, d) over
-    the group's pairs; ties go to the lexicographically smallest node.
+    The seed is co-located at the group 1-median when that fits the nodes'
+    cores: the 1-median minimizes the unweighted sum of dist(s, v) +
+    dist(v, d) over the group's pairs, ties to the lexicographically
+    smallest node. Otherwise it is the pricer's self-feasible choice under
+    zero duals. An instance with no self-feasible placement at all raises
+    `Infeasible`.
     """
     if paths is None:
         paths = all_pairs_hops(instance.topology)
+    zero = DualPrices(convexity={}, core={}, capacity={}, consistency={})
+    seg = None
     out = []
     for ci in chain_instances(instance, partitions):
         best = None
@@ -137,7 +169,15 @@ def seed_pool(
             if best is None or score < best:
                 best = score
                 pick = v
-        out.append(_colocated(ci, pick))
+        seed = _colocated(ci, pick)
+        if not fits(instance, ci, seed.locations):
+            if seg is None:
+                seg = segment_cost_table(instance, zero, paths)
+            try:
+                seed, _ = best_configuration(instance, ci, zero, seg)
+            except PricerError as exc:
+                raise _no_placement(instance, ci) from exc
+        out.append(seed)
     return out
 
 
@@ -204,11 +244,13 @@ def run_column_generation(
     partitions = list(partitions)
     seeds = seed_pool(instance, partitions, paths)
     model = build_rmp(instance, partitions, seeds, paths=paths)
-    # fallback columns: a co-located configuration at every NFV node keeps the
-    # integer stage feasible at any hosting budget the capacities allow
+    # fallback columns: a co-located configuration at every NFV node where it
+    # fits, so the integer stage has every one-host choice that exists
     for ci in model.chain_instances:
         for v in instance.topology.nfv_nodes:
-            add_column(model, _colocated(ci, v))
+            config = _colocated(ci, v)
+            if fits(instance, ci, config.locations):
+                add_column(model, config)
 
     trace = CgTrace()
     pool_dirty = True
@@ -225,7 +267,7 @@ def run_column_generation(
             detail = "; ".join(hints) if hints else "no single-cut certificate found"
             raise Infeasible(f"{exc} [{detail}]") from exc
         pool_dirty = False
-        seg = segment_cost_table(instance, duals)
+        seg = segment_cost_table(instance, duals, model.paths)
         added = 0
         best_rc = 0.0
         for ci in model.chain_instances:
@@ -412,7 +454,8 @@ def _extract(
     if mip.status == "infeasible":
         raise Infeasible(
             f"final selection infeasible at k={instance.k}: no pooled assignment "
-            f"fits the hosting budget and resource rows"
+            f"fits the hosting budget and resource rows (relative to the demand "
+            f"grouping)"
         )
     if mip.status not in ("optimal", "feasible"):
         raise EngineError(f"final selection failed: {mip.status} ({mip.message})")
@@ -456,12 +499,15 @@ def extract_plan(
 ) -> MappingPlan:
     """Integer selection over the pooled columns, decoded and validated.
 
-    mode "auto" tries the fast reduction (end segments folded into the z
-    objective) and falls back to the full binary program when the reduction
-    is refused or its plan fails validation. `time_limit` (seconds) covers
-    both attempts: the fallback gets only what the fast one left. The
-    relaxation is re-solved when it is missing or predates columns added
-    since.
+    On a compact master every mode runs its one program. On an arc-flow
+    master mode "auto" solves the fast program (end segments folded into
+    the z objective at hop-shortest cost), a relaxation of the full one: a
+    fast plan that validates is optimal, and a fast program proven
+    infeasible makes the full one infeasible too. Only a fast plan that
+    fails validation or a fast solve that ends without a plan falls back to
+    the full binary program. `time_limit` (seconds) covers both attempts:
+    the fallback gets only what the fast one left. The relaxation is
+    re-solved when it is missing or predates columns added since.
     """
     deadline = _deadline(time_limit)
     if model.last_relaxation is None or len(model.last_relaxation.x) != model.lp.n_vars:
@@ -471,11 +517,13 @@ def extract_plan(
     if mode not in ("auto", MODE_FULL, MODE_FAST):
         raise EngineError(f"unknown mode {mode!r}")
     limit = _limit(deadline, "the final selection")
-    if mode != "auto":
-        return _extract(instance, model, mode, limit)
+    if mode != "auto" or model.compact:
+        return _extract(instance, model, MODE_FAST if mode == "auto" else mode, limit)
     try:
         return _extract(instance, model, MODE_FAST, limit)
-    except (MasterError, EngineError) as exc:
+    except Infeasible:
+        raise
+    except EngineError as exc:
         log.info("fast selection unavailable (%s); solving the full program", exc)
         return _extract(instance, model, MODE_FULL, _limit(deadline, "the full selection"))
 

@@ -1,13 +1,31 @@
 """Restricted master problem over a growing configuration pool.
 
-The relaxation selects one configuration per chain instance and routes the
-two end segments (demand source to first VNF location, last VNF location to
-demand destination) as arc flows. Pairs of one chain instance that share a
-source and a rate share one lead-in commodity of one unit per pair, and
-pairs that share a destination and a rate share one lead-out commodity: their
-per-pair flow rows would be identical, and an integer flow of n units splits
-into n unit paths, so the merge is exact for the relaxation and the integer
-selection alike. The hosting budget k is not part of the relaxation, so its
+The master selects one configuration per chain instance. It takes one of
+two shapes, fixed by `build_rmp` from the worst-case arc load W = sum over
+demands of gbps * (chain length + 1), which bounds what any plan of simple
+paths can put on one arc:
+
+- compact, when every arc's capacity is at least W: no capacity row can
+  bind, so each end segment (demand source to first VNF location, last VNF
+  location to demand destination) is a hop-shortest path and its cost
+  folds into the configuration column. The master has convexity and core
+  rows only.
+- arc-flow, otherwise: the two end segments are routed as arc flows under
+  capacity rows. Pairs of one chain instance that share a source and a rate
+  share one lead-in commodity of one unit per pair, and pairs that share a
+  destination and a rate share one lead-out commodity: their per-pair flow
+  rows would be identical, and an integer flow of n units splits into n
+  unit paths, so the merge is exact for the relaxation and the integer
+  selection alike.
+
+Either way only self-feasible columns are pooled: a configuration whose own
+core use exceeds some node's cores can never be part of an integer plan, so
+`add_column` refuses it (Dantzig-Wolfe convexifies only the subproblem's
+feasible set). One penalised artificial column per chain instance keeps the
+restricted LP feasible while the pool holds too few columns that fit side
+by side; it never enters the integer selection, and since every plan is
+feasible with it at zero, the LP value still bounds every plan from below.
+The hosting budget k is not part of the relaxation, so its
 bound is the same at every k; hosting flags and the budget row enter only
 the integer selection built by `build_final_ilp`. Columns arrive from the
 pricer; rows never change shape after `build_rmp`, so duals keep stable
@@ -22,13 +40,16 @@ from typing import Iterable, Optional
 
 from .netmodel import ProblemInstance
 from .pathcore import PathTable, all_pairs_hops, path_nodes
-from .simplexkit import EQ, GE, LE, LinearProgram, LpSolution, highs
+from .simplexkit import EQ, LE, LinearProgram, LpSolution, highs
 from .sptg import ChainPartition
 
 log = logging.getLogger(__name__)
 
 Arc = tuple[str, str]
 Pair = tuple[str, str]
+
+# slack allowed when checking a column's own core use against a node's cores
+FIT_TOL = 1e-9
 
 # a >= row's dual in our minimization convention is >= 0, a <= row's <= 0;
 # anything past this much on the wrong side means a solver defect
@@ -96,7 +117,11 @@ class DualPrices:
 
     Convexity rows are equalities (free sign); core and capacity rows are
     <=-rows of a minimization, so their duals are <= 0 and tiny positive
-    noise is clamped to zero before pricing.
+    noise is clamped to zero before pricing. A compact master has no
+    capacity or consistency rows: `capacity` is empty, and `consistency`
+    holds minus the end cost of placing the first (or last) position at a
+    node, so the pricer charges that cost where the arc-flow master's
+    consistency dual would stand.
     """
 
     convexity: dict  # (chain, group_index) -> float
@@ -120,6 +145,11 @@ class RmpModel:
     chain_instances: tuple[ChainInstance, ...]
     paths: PathTable
     lp: LinearProgram
+    compact: bool = False  # the master's shape; see the module docstring
+    # (key, position, node) -> Gbps-hops of the end segments a column pays
+    # for placing its first (position 0) or last position at node
+    end_cost: dict = field(default_factory=dict)
+    artificial: dict = field(default_factory=dict)  # key -> LP variable
     pool: list = field(default_factory=list)
     zvar: list = field(default_factory=list)  # pool position -> LP variable
     pool_by_instance: dict = field(default_factory=dict)  # key -> pool positions
@@ -242,6 +272,29 @@ def validate_configuration(
         )
 
 
+def worst_case_load(instance: ProblemInstance) -> float:
+    """Most Gbps any plan of simple paths can put on one arc: each demand
+    crosses an arc at most once per segment of its chain, and it has
+    chain length + 1 segments."""
+    return sum(
+        r.gbps * (len(instance.chains[r.chain].vnfs) + 1) for r in instance.demands.records
+    )
+
+
+def position_cores(instance: ProblemInstance, ci: ChainInstance) -> list:
+    """Cores each position of `ci` takes wherever it is placed."""
+    return [ci.total_gbps * rate for rate in instance.chain_cores_per_gbps(ci.chain)]
+
+
+def fits(instance: ProblemInstance, ci: ChainInstance, locations: tuple) -> bool:
+    """Whether `ci` placed at `locations` fits every node's cores on its own."""
+    use: dict = {}
+    for v, need in zip(locations, position_cores(instance, ci)):
+        use[v] = use.get(v, 0.0) + need
+    node = instance.topology.node_by_id
+    return all(u <= node[v].cores + FIT_TOL for v, u in use.items())
+
+
 def _end_commodities(ci: ChainInstance, lead_in: bool) -> list:
     """((endpoint, gbps), sorted member pairs) for the pairs of `ci` that
     share a source (lead-in) or a destination (lead-out) and a rate."""
@@ -268,14 +321,16 @@ def _add_end_rows(
     ci = model.instance_of(key)
     if lead_in:
         yvar, pos, away, toward = model.yfvar, 0, topo.out_arcs, topo.in_arcs
-        names, sign = ("fsrc", "freach", "fbal"), 1.0
+        names, sign = ("fsrc", "fbal"), 1.0
     else:
         yvar, pos, away, toward = model.ylvar, len(ci.vnfs) - 1, topo.in_arcs, topo.out_arcs
-        names, sign = ("ldst", "lreach", "lbal"), -1.0
+        names, sign = ("ldst", "lbal"), -1.0
     label = f"{ci.label}/{point}@{gbps:g}"
     y = {arc: yvar[(key, (point, gbps), arc)] for arc in topo.arc_index}
     # `point` sends (or takes) n units, less n per unit of the end position
-    # placed on it
+    # placed on it; every other node passes flow on and absorbs (or emits)
+    # n per unit of the end position placed on it. With y >= 0 the balance
+    # already makes a node's inflow at least what it absorbs.
     coeffs = [(y[arc], 1.0) for arc in away[point]]
     if point in nfv:
         coeffs.append((model.xvar[(key, pos, point)], n))
@@ -286,10 +341,8 @@ def _add_end_rows(
         into = [(y[arc], 1.0) for arc in toward[v]]
         balance = [(y[arc], sign) for arc in away[v]] + [(j, -sign) for j, _ in into]
         if v in nfv:
-            xj = model.xvar[(key, pos, v)]
-            lp.add_constraint(into + [(xj, -n)], GE, 0.0, name=f"{names[1]}[{label}/{v}]")
-            balance.append((xj, sign * n))
-        lp.add_constraint(balance, EQ, 0.0, name=f"{names[2]}[{label}/{v}]")
+            balance.append((model.xvar[(key, pos, v)], sign * n))
+        lp.add_constraint(balance, EQ, 0.0, name=f"{names[1]}[{label}/{v}]")
 
 
 def build_rmp(
@@ -299,17 +352,91 @@ def build_rmp(
     *,
     paths: Optional[PathTable] = None,
 ) -> RmpModel:
-    """Assemble rows and static columns, then seed the configuration pool."""
+    """Pick the master's shape, assemble its rows and static columns, then
+    seed the configuration pool."""
     topo = instance.topology
     if paths is None:
         paths = all_pairs_hops(topo)
     cis = chain_instances(instance, partitions)
     nfv = topo.nfv_nodes
-    arcs = [(a.src, a.dst) for a in topo.arcs]
-
+    worst = worst_case_load(instance)
     lp = LinearProgram("rmp")
-    model = RmpModel(instance=instance, chain_instances=cis, paths=paths, lp=lp)
+    model = RmpModel(
+        instance=instance,
+        chain_instances=cis,
+        paths=paths,
+        lp=lp,
+        compact=all(a.capacity_gbps >= worst for a in topo.arcs),
+    )
+    cost = model.end_cost
+    for ci in cis:
+        pairs = sorted(ci.demand.items())
+        last = len(ci.vnfs) - 1
+        for v in nfv:
+            # lead-ins end at position 0 and lead-outs start at the last one,
+            # which is position 0 too on a one-VNF chain
+            cost[(ci.key, 0, v)] = sum(g * paths.distance(s, v) for (s, _), g in pairs)
+            cost[(ci.key, last, v)] = cost.get((ci.key, last, v), 0.0) + sum(
+                g * paths.distance(v, d) for (_, d), g in pairs
+            )
 
+    if model.compact:
+        _build_compact_rows(model)
+    else:
+        _build_arc_flow_rows(model)
+
+    for config in seed_pool:
+        add_column(model, config)
+    missing = [ci.label for ci in cis if not model.pool_by_instance.get(ci.key)]
+    if missing:
+        raise MasterError(f"missing seed configuration for chain instance(s) {missing}")
+    for ci in cis:
+        _add_artificial(model, ci, model.pool[model.pool_by_instance[ci.key][0]])
+    return model
+
+
+def _add_artificial(model: RmpModel, ci: ChainInstance, seed: Configuration) -> None:
+    """Phase-I column of `ci`: its seed's placement without the seed's core
+    use or inter-VNF capacity use, at a cost above any configuration's.
+
+    Seeds chosen one instance at a time may together overfill a node; the
+    artificial keeps the restricted LP feasible while pricing finds columns
+    that fit side by side. On an arc-flow master it feeds the consistency
+    rows at the seed's locations, so the end flows still reach them. Every
+    plan is feasible with the artificial at zero, so the LP value stays a
+    lower bound; it never enters the integer selection.
+    """
+    # n + 1 segments of at most |V| - 1 hops each carry the group's rate
+    n_nodes = len(model.instance.topology.nodes)
+    penalty = ci.total_gbps * (len(ci.vnfs) + 1) * (n_nodes - 1) + 1.0
+    var = model.lp.add_variable(f"art[{ci.label}]", 0.0, 1.0, obj=penalty)
+    model.lp.add_coefficient(model.conv_row[ci.key], var, 1.0)
+    for pos, v in enumerate(seed.locations):
+        if (ci.key, pos, v) in model.cons_row:
+            model.lp.add_coefficient(model.cons_row[(ci.key, pos, v)], var, 1.0)
+    model.artificial[ci.key] = var
+
+
+def _build_compact_rows(model: RmpModel) -> None:
+    """Convexity and core rows."""
+    lp = model.lp
+    topo = model.instance.topology
+    for ci in model.chain_instances:
+        model.conv_row[ci.key] = lp.add_constraint([], EQ, 1.0, name=f"conv[{ci.label}]")
+    for v in topo.nfv_nodes:
+        model.core_row[v] = lp.add_constraint(
+            [], LE, float(topo.node_by_id[v].cores), name=f"core[{v}]"
+        )
+
+
+def _build_arc_flow_rows(model: RmpModel) -> None:
+    """Position variables x, end-commodity flows, and the convexity, core,
+    capacity, consistency and end-flow rows."""
+    lp = model.lp
+    topo = model.instance.topology
+    cis = model.chain_instances
+    nfv = topo.nfv_nodes
+    arcs = [(a.src, a.dst) for a in topo.arcs]
     for ci in cis:
         for pos in range(len(ci.vnfs)):
             for v in nfv:
@@ -361,13 +488,6 @@ def build_rmp(
         for (key, (point, gbps)), pairs in members.items():
             _add_end_rows(model, key, point, gbps, float(len(pairs)), lead_in=lead_in)
 
-    for config in seed_pool:
-        add_column(model, config)
-    missing = [ci.label for ci in cis if not model.pool_by_instance.get(ci.key)]
-    if missing:
-        raise MasterError(f"missing seed configuration for chain instance(s) {missing}")
-    return model
-
 
 def column_coefficients(model: RmpModel, config: Configuration) -> dict:
     """Row index -> coefficient a z column for `config` must carry."""
@@ -380,6 +500,8 @@ def column_coefficients(model: RmpModel, config: Configuration) -> dict:
     for v, use in sorted(core_use.items()):
         if use:
             coeffs[model.core_row[v]] = ci.total_gbps * use
+    if model.compact:
+        return coeffs
     arc_mult: dict[Arc, int] = {}
     for seg in config.segment_paths:
         for arc in seg:
@@ -391,8 +513,25 @@ def column_coefficients(model: RmpModel, config: Configuration) -> dict:
     return coeffs
 
 
+def _end_cost(model: RmpModel, key: tuple, locations: tuple) -> float:
+    """Hop-shortest cost of the end segments of a column at `locations`."""
+    return sum(model.end_cost.get((key, pos, v), 0.0) for pos, v in enumerate(locations))
+
+
+def column_cost(model: RmpModel, config: Configuration) -> float:
+    """A z column's objective: the segment cost, plus the end segments'
+    hop-shortest cost on a compact master."""
+    if not model.compact:
+        return config.cost
+    return config.cost + _end_cost(model, (config.chain, config.group_index), config.locations)
+
+
 def add_column(model: RmpModel, config: Configuration) -> int:
-    """Append one z column; exact duplicates return the existing variable."""
+    """Append one z column; exact duplicates return the existing variable.
+
+    A configuration that does not fit the nodes' cores on its own is
+    refused: no integer plan can select it.
+    """
     key = (config.chain, config.group_index)
     try:
         ci = model.instance_of(key)
@@ -402,8 +541,15 @@ def add_column(model: RmpModel, config: Configuration) -> int:
     existing = model.config_index.get(config.key)
     if existing is not None:
         return existing
+    if not fits(model.instance, ci, config.locations):
+        raise MasterError(
+            f"{ci.label}: configuration at {config.locations} does not fit the "
+            f"nodes' cores on its own"
+        )
     pos = len(model.pool)
-    var = model.lp.add_variable(f"z[{ci.label}/{pos}]", 0.0, 1.0, obj=config.cost)
+    var = model.lp.add_variable(
+        f"z[{ci.label}/{pos}]", 0.0, 1.0, obj=column_cost(model, config)
+    )
     for row, coef in column_coefficients(model, config).items():
         model.lp.add_coefficient(row, var, coef)
     model.pool.append(config)
@@ -431,7 +577,11 @@ def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
         convexity={ci.key: duals[model.conv_row[ci.key]] for ci in model.chain_instances},
         core={v: clamped(r, f"core[{v}]") for v, r in model.core_row.items()},
         capacity={a: clamped(r, f"cap[{a}]") for a, r in model.cap_row.items()},
-        consistency={k: duals[r] for k, r in model.cons_row.items()},
+        consistency=(
+            {k: -cost for k, cost in model.end_cost.items()}
+            if model.compact
+            else {k: duals[r] for k, r in model.cons_row.items()}
+        ),
     )
     model.last_relaxation = sol
     model.last_duals = prices
@@ -439,27 +589,18 @@ def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
 
 
 def reduced_cost_of(model: RmpModel, duals: DualPrices, config: Configuration) -> float:
-    """Recompute a column's reduced cost from its row coefficients."""
+    """Recompute a column's reduced cost from its row coefficients (on a
+    compact master the end cost enters through `duals.consistency`)."""
     ci = model.instance_of((config.chain, config.group_index))
     rc = config.cost - duals.convexity[ci.key]
     per_gbps = model.instance.chain_cores_per_gbps(ci.chain)
     for pos, v in enumerate(config.locations):
         rc -= duals.core[v] * ci.total_gbps * per_gbps[pos]
-        rc -= duals.consistency[(ci.key, pos, v)]
+        rc -= duals.consistency.get((ci.key, pos, v), 0.0)
     for seg in config.segment_paths:
         for arc in seg:
-            rc -= duals.capacity[arc] * ci.total_gbps
+            rc -= duals.capacity.get(arc, 0.0) * ci.total_gbps
     return rc
-
-
-def _end_cost(model: RmpModel, ci: ChainInstance, config: Configuration) -> float:
-    total = 0.0
-    for (s, d), gbps in sorted(ci.demand.items()):
-        total += gbps * (
-            model.paths.distance(s, config.locations[0])
-            + model.paths.distance(config.locations[-1], d)
-        )
-    return total
 
 
 def _add_hosting_block(lp: LinearProgram, model: RmpModel, zvars: list, k: int) -> None:
@@ -488,48 +629,39 @@ def _add_hosting_block(lp: LinearProgram, model: RmpModel, zvars: list, k: int) 
 def build_final_ilp(model: RmpModel, mode: str, k: int) -> FinalIlp:
     """Integer selection over the pooled columns with at most k hosting nodes.
 
-    full: every variable of the relaxation turns integer, so z and x become
-    binary and the end flows integer counts. uncapacitated_fast:
-    end-segment routing is folded into the z objective at hop-shortest
-    distances, valid only while core and capacity rows are all slack at the
-    last relaxation optimum; the builder refuses otherwise. Both programs
-    get the same hosting block on top (`_add_hosting_block`).
+    uncapacitated_fast: one binary z per pooled column, costed with its end
+    segments at hop-shortest distance, under the convexity, core and (on an
+    arc-flow master) capacity rows of the z part, plus the hosting block
+    (`_add_hosting_block`). On a compact master this is the master's own
+    integer program without its artificial columns, and every mode builds
+    it. full (arc-flow master only): every variable of the relaxation turns
+    integer, so z and x become binary and the end flows integer counts,
+    plus the same hosting block. The fast program relaxes the full one: it
+    drops the end segments' capacity use and prices them at their shortest.
     """
     if mode == "fast":
         mode = MODE_FAST
     if mode not in (MODE_FULL, MODE_FAST):
         raise MasterError(f"unknown final ILP mode {mode!r}")
-    if mode == MODE_FULL:
+    if mode == MODE_FULL and not model.compact:
         lp = model.lp.clone(integer_all=True)
+        for var in model.artificial.values():
+            lp.variables[var].ub = 0.0
         _add_hosting_block(lp, model, model.zvar, k)
         zmap = {model.zvar[i]: i for i in range(len(model.pool))}
         return FinalIlp(lp=lp, mode=mode, zmap=zmap)
 
-    if model.last_relaxation is None:
-        raise MasterError("uncapacitated_fast needs a solved relaxation first")
-    x = model.last_relaxation.x
-    for label, rows in (("core", model.core_row), ("cap", model.cap_row)):
-        for key, row in rows.items():
-            rhs = model.lp.rows[row].rhs
-            slack = rhs - model.lp.row_activity(row, x)
-            if slack < 1e-6 * max(1.0, abs(rhs)):
-                raise MasterError(
-                    f"uncapacitated_fast refused: {label}[{key}] is tight at the "
-                    f"relaxation optimum (slack {slack:.3g})"
-                )
-
     topo = model.instance.topology
-    nfv = topo.nfv_nodes
     lp = LinearProgram("final-fast")
     zmap = {}
     zvars = []
     for pos, config in enumerate(model.pool):
-        ci = model.instance_of((config.chain, config.group_index))
+        key = (config.chain, config.group_index)
         var = lp.add_variable(
-            f"z[{ci.label}/{pos}]",
+            f"z[{model.instance_of(key).label}/{pos}]",
             0.0,
             1.0,
-            obj=config.cost + _end_cost(model, ci, config),
+            obj=config.cost + _end_cost(model, key, config.locations),
             integer=True,
         )
         zmap[var] = pos
@@ -540,9 +672,9 @@ def build_final_ilp(model: RmpModel, mode: str, k: int) -> FinalIlp:
         lp.add_constraint([(zvars[p], 1.0) for p in members], EQ, 1.0, name=f"conv[{ci.label}]")
     _add_hosting_block(lp, model, zvars, k)
 
-    # resource safety on the z part alone; end segments are covered by the
-    # slackness check above
-    for v in nfv:
+    # resource rows on the z part alone; the end segments' capacity use is
+    # left out, which is what makes this a relaxation of the full program
+    for v in model.core_row:
         terms = []
         for p, config in enumerate(model.pool):
             ci = model.instance_of((config.chain, config.group_index))
@@ -554,7 +686,7 @@ def build_final_ilp(model: RmpModel, mode: str, k: int) -> FinalIlp:
             lp.add_constraint(
                 terms, LE, float(topo.node_by_id[v].cores), name=f"core[{v}]"
             )
-    for arc in ((a.src, a.dst) for a in topo.arcs):
+    for arc in model.cap_row:
         terms = []
         for p, config in enumerate(model.pool):
             ci = model.instance_of((config.chain, config.group_index))
@@ -565,4 +697,4 @@ def build_final_ilp(model: RmpModel, mode: str, k: int) -> FinalIlp:
             lp.add_constraint(
                 terms, LE, topo.capacity(arc), name=f"cap[{arc[0]}>{arc[1]}]"
             )
-    return FinalIlp(lp=lp, mode=mode, zmap=zmap)
+    return FinalIlp(lp=lp, mode=MODE_FAST, zmap=zmap)

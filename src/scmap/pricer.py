@@ -1,20 +1,35 @@
-"""Exact pricing: the minimum-reduced-cost configuration per chain instance.
+"""Exact pricing: the minimum-reduced-cost self-feasible configuration per
+chain instance.
 
 The reduced cost decomposes additively: each position i at node v pays
 -(core_dual_v * D * cores_per_gbps(f_i)) - consistency_dual, and each segment
-pays a shortest path under arc weight D * (1 - capacity_dual). A layered
-sweep over positions is therefore exact, which the brute-force enumeration
-tests confirm rather than assume.
+pays a shortest path under arc weight D * (1 - capacity_dual). On a compact
+master the consistency term is minus the end cost of placing the first or
+last position at v (see `master.DualPrices`), so both master shapes price
+through the same code. A layered sweep over positions minimises over every
+location tuple; when its answer fits the nodes' cores on its own it is also
+the self-feasible optimum, and otherwise a depth-first search over the
+fitting tuples, cut by the sweep's cost-to-go, finds it. The brute-force
+enumeration tests confirm this rather than assume it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .master import ChainInstance, Configuration, DualPrices, make_configuration
+from .master import (
+    FIT_TOL,
+    ChainInstance,
+    Configuration,
+    DualPrices,
+    fits,
+    make_configuration,
+    position_cores,
+)
 from .netmodel import ProblemInstance
-from .pathcore import shortest_path_weighted
+from .pathcore import PathTable, all_pairs_hops, shortest_path_weighted
 
 EPS = 1e-6
 
@@ -49,7 +64,14 @@ class SegmentCostTable:
     path: dict
 
 
-def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentCostTable:
+def segment_cost_table(
+    instance: ProblemInstance, duals: DualPrices, paths: Optional[PathTable] = None
+) -> SegmentCostTable:
+    """With no negative capacity dual every arc weighs 1, and the table is
+    read off the hop table (`paths`, or one built here): it breaks ties
+    toward the lexicographically smallest node sequence, as the Dijkstra
+    does. Otherwise each segment is a Dijkstra under the dual-scaled
+    weights."""
     topo = instance.topology
     weights = {}
     for arc in topo.arc_index:
@@ -57,6 +79,9 @@ def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentC
         if mu > EPS:
             raise PricerError(f"capacity dual for {arc} is positive ({mu})")
         weights[arc] = 1.0 - min(mu, 0.0)
+    unit = all(w == 1.0 for w in weights.values())
+    if unit and paths is None:
+        paths = all_pairs_hops(topo)
     cost: dict = {}
     path: dict = {}
     for u in topo.nfv_nodes:
@@ -64,11 +89,58 @@ def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentC
             if u == w:
                 cost[(u, w)] = 0.0
                 path[(u, w)] = ()
+            elif unit:
+                cost[(u, w)] = float(paths.distance(u, w))
+                path[(u, w)] = tuple(paths.path_arcs(u, w))
             else:
                 c, arcs = shortest_path_weighted(topo, weights, u, w)
                 cost[(u, w)] = c
                 path[(u, w)] = tuple(arcs)
     return SegmentCostTable(cost=cost, path=path)
+
+
+def _fitting_argmin(
+    node_cost: list, seg: list, need: list, cores: list
+) -> Optional[tuple[int, ...]]:
+    """Cheapest location tuple (node indices) whose core use fits every
+    node, or None if none does.
+
+    `node_cost[pos][v]` is position pos's cost at node v and `seg[v][w]`
+    the segment cost from v to w. Depth-first over positions, nodes in
+    order, cut by the cost-to-go of the unrestricted layered sweep, which
+    never overestimates; a tuple replaces the best one found only when it
+    is strictly cheaper, so ties go to the lexicographically smallest.
+    """
+    n, m = len(need), len(cores)
+    if sum(need) > sum(cores) + FIT_TOL:
+        return None
+    # togo[pos][v]: cheapest completion of positions after pos, v at pos
+    togo = [[0.0] * m for _ in range(n)]
+    for pos in range(n - 2, -1, -1):
+        after = [node_cost[pos + 1][w] + togo[pos + 1][w] for w in range(m)]
+        togo[pos] = [min(seg[v][w] + after[w] for w in range(m)) for v in range(m)]
+    left = list(cores)
+    picked: list = []
+    best: list = [math.inf, None]
+
+    def dive(pos: int, prev: int, cost: float) -> None:
+        for v in range(m):
+            if left[v] + FIT_TOL < need[pos]:
+                continue
+            here = cost + node_cost[pos][v] + (seg[prev][v] if pos else 0.0)
+            if here + togo[pos][v] >= best[0] - 1e-12:
+                continue
+            if pos == n - 1:
+                best[:] = [here, tuple(picked) + (v,)]
+                continue
+            left[v] -= need[pos]
+            picked.append(v)
+            dive(pos + 1, v, here)
+            picked.pop()
+            left[v] += need[pos]
+
+    dive(0, 0, 0.0)
+    return best[1]
 
 
 def best_configuration(
@@ -77,10 +149,12 @@ def best_configuration(
     duals: DualPrices,
     seg_table: Optional[SegmentCostTable] = None,
 ) -> tuple[Configuration, ReducedCostBreakdown]:
-    """Exact reduced-cost minimizer for one chain instance.
+    """Exact reduced-cost minimizer over the self-feasible configurations of
+    one chain instance.
 
     Ties break toward the lexicographically smallest node at every layer, so
-    repeated calls under equal duals return the same configuration.
+    repeated calls under equal duals return the same configuration. Raises
+    PricerError when no location tuple fits the nodes' cores.
     """
     if seg_table is None:
         seg_table = segment_cost_table(instance, duals)
@@ -122,11 +196,23 @@ def best_configuration(
     locations = [end]
     for par in reversed(parents):
         locations.append(par[locations[-1]])
-    locations.reverse()
+    locations = tuple(reversed(locations))
+    if not fits(instance, ci, locations):
+        # the unrestricted optimum does not fit: search the self-feasible tuples
+        node = instance.topology.node_by_id
+        picked = _fitting_argmin(
+            [[node_cost(pos, v) for v in nfv] for pos in range(n)],
+            [[dgroup * seg_table.cost[(v, w)] for w in nfv] for v in nfv],
+            position_cores(instance, ci),
+            [float(node[v].cores) for v in nfv],
+        )
+        if picked is None:
+            raise PricerError(f"{ci.label}: no placement fits the nodes' cores")
+        locations = tuple(nfv[i] for i in picked)
     segments = tuple(
         seg_table.path[(locations[i], locations[i + 1])] for i in range(n - 1)
     )
-    config = make_configuration(ci, tuple(locations), segments)
+    config = make_configuration(ci, locations, segments)
 
     node_terms = sum(
         duals.core.get(v, 0.0) * dgroup * per_gbps[pos]

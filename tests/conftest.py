@@ -50,6 +50,20 @@ def build_instance(
     return ProblemInstance(topo, vnfs, chains, DemandSet(records), k=k, nc={"c": nc})
 
 
+def with_capacity(instance, gbps):
+    """The same instance with every arc rated at `gbps`."""
+    topo = instance.topology
+    arcs = [ArcSpec(a.src, a.dst, gbps) for a in topo.arcs]
+    return ProblemInstance(
+        Topology(topo.name, list(topo.nodes), arcs),
+        instance.vnfs,
+        instance.chains,
+        instance.demands,
+        k=instance.k,
+        nc=dict(instance.nc),
+    )
+
+
 def random_connected_instance(rng: random.Random, max_nodes=6, **kwargs):
     """Random connected topology with a random demand subset."""
     n = rng.randint(3, max_nodes)
@@ -69,6 +83,13 @@ def random_connected_instance(rng: random.Random, max_nodes=6, **kwargs):
 @pytest.fixture(scope="session")
 def triangle_instance():
     return load_instance(*triangle_files(), k=3, nc=1)
+
+
+@pytest.fixture(scope="session")
+def capacitated_triangle(triangle_instance):
+    """The triangle with 6 Gbps links: below its worst-case arc load of 12
+    Gbps, so it gets an arc-flow master, yet no plan needs more."""
+    return with_capacity(triangle_instance, 6.0)
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,17 @@ import math
 import random
 
 import pytest
-from conftest import build_instance, random_connected_instance
+from conftest import build_instance, random_connected_instance, with_capacity
 
 from scmap import engine
-from scmap.master import MasterInfeasible, build_rmp, chain_instances, solve_relaxation
+from scmap.master import (
+    MasterInfeasible,
+    build_rmp,
+    chain_instances,
+    fits,
+    solve_relaxation,
+    worst_case_load,
+)
 from scmap.netmodel import ProblemInstance
 from scmap.pricer import enumerate_all_configs
 from scmap.sptg import partition_all
@@ -153,11 +160,17 @@ def oracle(instance, chain_instances):
 
 def full_pool_verdicts(instance, ks):
     """{k: full-selection objective, or None for an infeasible verdict}
-    with every configuration of every chain instance in the pool."""
+    with every self-feasible configuration of every chain instance in the
+    pool, and the model (None when some chain instance has no such
+    configuration: no plan exists then)."""
     parts = partition_all(instance)
+    cis = chain_instances(instance, parts)
     pool = [
-        c for ci in chain_instances(instance, parts) for c in enumerate_all_configs(instance, ci)
+        c for ci in cis for c in enumerate_all_configs(instance, ci)
+        if fits(instance, ci, c.locations)
     ]
+    if {(c.chain, c.group_index) for c in pool} != {ci.key for ci in cis}:
+        return None, {k: None for k in ks}
     model = build_rmp(instance, parts, pool)
     try:
         solve_relaxation(model)
@@ -175,16 +188,20 @@ def full_pool_verdicts(instance, ks):
     return model, out
 
 
-def draw(rng):
+def draw(rng, bind=None):
     """A tiny instance with capacitated links, scarce cores or both, and one
-    or two NFV nodes, so that most pairs need a lead-in or a lead-out."""
+    or two NFV nodes, so that most pairs need a lead-in or a lead-out.
+    Core-bound draws keep 1000 Gbps links, at or above the worst-case arc
+    load, so they get a compact master; "cores-at-w" puts every link at
+    exactly that load."""
     capacity, cores = 1000.0, 100000
-    bind = rng.choice(["capacity", "capacity", "both", "cores"])
-    if bind != "cores":
+    if bind is None:
+        bind = rng.choice(["capacity", "capacity", "both", "cores"])
+    if bind in ("capacity", "both"):
         capacity = rng.choice([1.0, 1.5, 2.0, 3.0])
     if bind != "capacity":
         cores = rng.choice([1, 2, 3, 4, 6])
-    return random_connected_instance(
+    inst = random_connected_instance(
         rng,
         max_nodes=5,
         max_pairs=5,
@@ -194,20 +211,31 @@ def draw(rng):
         cores=cores,
         nfv=rng.sample(["n0", "n1", "n2"], rng.randint(1, 2)),
     )
+    return with_capacity(inst, worst_case_load(inst)) if bind == "cores-at-w" else inst
+
+
+def draws():
+    """The battery: 300 mixed draws, then 80 core-bound draws with every
+    link at exactly the worst-case arc load."""
+    rng = random.Random(2017)
+    for case in range(380):
+        yield case, draw(rng, None if case < 300 else "cores-at-w")
+
+
+def budgets(instance):
+    n_nfv = len(instance.topology.nfv_nodes)
+    return sorted({1, min(2, n_nfv), n_nfv})
 
 
 def test_full_selection_matches_exhaustive_oracle():
     # with every configuration pooled, the full selection is exact over the
     # partition; a commodity routed as one path (all members together)
     # would lose the plans that split a shared source over several paths
-    rng = random.Random(2017)
-    merged = feasible = infeasible = 0
-    for case in range(300):
-        inst = draw(rng)
-        n_nfv = len(inst.topology.nfv_nodes)
-        ks = sorted({1, min(2, n_nfv), n_nfv})
+    merged = feasible = infeasible = compact = 0
+    for case, inst in draws():
+        ks = budgets(inst)
         model, got = full_pool_verdicts(inst, ks)
-        want = oracle(inst, model.chain_instances)
+        want = oracle(inst, chain_instances(inst, partition_all(inst)))
         for k in ks:
             if want[k] is None:
                 assert got[k] is None, f"case {case} k={k}: plan {got[k]}, oracle infeasible"
@@ -215,6 +243,76 @@ def test_full_selection_matches_exhaustive_oracle():
             else:
                 assert got[k] == pytest.approx(want[k], abs=1e-6), f"case {case} k={k}"
                 feasible += 1
-        merged += any(len(p) > 1 for p in {**model.lead_in, **model.lead_out}.values())
-    # the battery must exercise shared commodities, plans and verdicts
+        if model is not None:
+            compact += model.compact
+            merged += any(len(p) > 1 for p in {**model.lead_in, **model.lead_out}.values())
+    # the battery must exercise shared commodities, plans, verdicts and
+    # both master shapes
     assert merged >= 50 and feasible >= 100 and infeasible >= 100, (merged, feasible, infeasible)
+    assert compact >= 100, compact
+
+
+def test_auto_matches_full_on_capacitated_draws():
+    # on an arc-flow master the fast program relaxes the full one, so auto
+    # (fast, then full only for a plan that fails validation) must reach
+    # full's objective or full's "infeasible" over the same column pool
+    compared = fallbacks = 0
+    for case, inst in draws():
+        if worst_case_load(inst) <= min(a.capacity_gbps for a in inst.topology.arcs):
+            continue
+        try:
+            model, _ = engine.run_column_generation(inst, partition_all(inst))
+        except engine.Infeasible:
+            continue
+        assert not model.compact
+        for k in budgets(inst):
+            verdicts = []
+            for mode in ("auto", "full"):
+                try:
+                    plan = engine.extract_plan(with_k(inst, k), model, mode=mode)
+                except engine.Infeasible:
+                    verdicts.append(None)
+                    continue
+                assert engine.validate_plan(with_k(inst, k), plan) == []
+                verdicts.append(plan.objective_gbps_hops)
+            if verdicts[0] is None:
+                assert verdicts[1] is None, f"case {case} k={k}: full gave {verdicts[1]}"
+            else:
+                assert verdicts[0] == pytest.approx(verdicts[1], abs=1e-6), f"case {case} k={k}"
+            compared += 1
+    assert compared >= 100, compared
+
+
+@pytest.mark.parametrize("capacity", [10.0, 1000.0])
+def test_split_only_instances_share_seed_nodes_yet_solve(capacity):
+    # two 2 Gbps fw->nat instances on 3-core nodes: neither fits on one
+    # node, and both seeds take the same node pair, which together they
+    # overfill; the restricted LP stays feasible on its artificial columns
+    # until pricing finds pairs that fit side by side (10 Gbps links are
+    # below the worst-case arc load of 12, so that case is arc-flow)
+    inst = build_instance(
+        ["a", "b", "c", "d", "e"],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
+        [("a", "c"), ("a", "d"), ("c", "e"), ("d", "b")],
+        nc=2,
+        chain_vnfs=("fw", "nat"),
+        cores=3,
+        capacity=capacity,
+    )
+    parts = partition_all(inst)
+    cis = chain_instances(inst, parts)
+    assert [ci.total_gbps for ci in cis] == [2.0, 2.0]
+    assert not any(fits(inst, ci, (v, v)) for ci in cis for v in inst.topology.nfv_nodes)
+    seeds = engine.seed_pool(inst, parts)
+    assert seeds[0].locations == seeds[1].locations
+    want = oracle(inst, cis)
+    assert want[3] is None and want[4] is not None
+    for k in (3, 4, 5):
+        if want[k] is None:
+            with pytest.raises(engine.Infeasible):
+                engine.solve(with_k(inst, k))
+            continue
+        result = engine.solve(with_k(inst, k))
+        assert result.model.compact == (capacity >= worst_case_load(inst))
+        assert engine.validate_plan(with_k(inst, k), result.plan) == []
+        assert result.plan.objective_gbps_hops == pytest.approx(want[k])

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import json
 import logging
 import random
@@ -8,8 +9,15 @@ import pytest
 from conftest import build_instance, random_connected_instance
 
 from scmap import baselines, engine
-from scmap.master import add_column, build_rmp, chain_instances, make_configuration, solve_relaxation
-from scmap.netmodel import ProblemInstance
+from scmap.master import (
+    add_column,
+    build_rmp,
+    chain_instances,
+    fits,
+    make_configuration,
+    solve_relaxation,
+)
+from scmap.netmodel import ChainSpec, NodeSpec, ProblemInstance, Topology, VnfSpec
 from scmap.pathcore import all_pairs_hops
 from scmap.pricer import enumerate_all_configs, price_chain_instance
 from scmap.simplexkit import MipSolution, highs
@@ -277,17 +285,145 @@ def test_tight_square_has_a_split_plan(cores):
     assert plan.hosting == ("a", "b")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=engine.Infeasible,
-    reason="ROADMAP item 2: the final selection over a restricted column pool "
-    "reports a false 'infeasible'",
+@pytest.mark.parametrize(
+    "cores",
+    [
+        pytest.param(
+            4,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=engine.Infeasible,
+                reason="ROADMAP item 2: the final selection over a restricted column "
+                "pool reports a false 'infeasible'",
+            ),
+        ),
+        5,
+    ],
 )
-@pytest.mark.parametrize("cores", [4, 5])
 def test_tight_square_solves(cores):
     inst = tight_square(cores)
     plan = engine.solve(inst).plan
     assert engine.validate_plan(inst, plan) == []
+
+
+@pytest.mark.parametrize("capacity", [4.0, 1000.0])
+def test_long_chain_under_tight_cores_matches_every_tuple(capacity):
+    # a six-VNF chain on a six-node ring whose nodes hold two positions
+    # each: the plan must equal the cheapest of all 6^6 location tuples
+    # that fit, with hop-shortest segments (4 Gbps links are below the
+    # worst-case arc load of 7, so that case is arc-flow)
+    nodes = [f"n{i}" for i in range(6)]
+    inst = build_instance(
+        nodes,
+        [(nodes[i], nodes[(i + 1) % 6]) for i in range(6)],
+        [("n0", "n2")],
+        chain_vnfs=tuple(f"f{i}" for i in range(6)),
+        cores=2,
+        capacity=capacity,
+    )
+    hops = all_pairs_hops(inst.topology)
+    best = min(
+        hops.distance("n0", tup[0])
+        + sum(hops.distance(tup[i], tup[i + 1]) for i in range(5))
+        + hops.distance(tup[-1], "n2")
+        for tup in itertools.product(nodes, repeat=6)
+        if max(tup.count(v) for v in nodes) <= 2
+    )
+    result = engine.solve(inst)
+    assert result.model.compact == (capacity == 1000.0)
+    assert engine.validate_plan(inst, result.plan) == []
+    assert result.plan.objective_gbps_hops == pytest.approx(best)
+
+
+def test_long_chain_on_nsfnet_solves(nsfnet_instance):
+    # 14^6 location tuples, and no node holds more than one of the six
+    # positions of the single 182 Gbps chain instance
+    topo = nsfnet_instance.topology
+    vnfs = tuple(f"f{i}" for i in range(6))
+    inst = ProblemInstance(
+        Topology(topo.name, [NodeSpec(v.id, v.nfv, 200) for v in topo.nodes], list(topo.arcs)),
+        {f: VnfSpec(f, 1.0) for f in vnfs},
+        {c: ChainSpec(c, vnfs) for c in nsfnet_instance.chains},
+        nsfnet_instance.demands,
+        k=14,
+        nc=dict(nsfnet_instance.nc),
+    )
+    result = engine.solve(inst)
+    assert engine.validate_plan(inst, result.plan) == []
+    assert len(result.plan.hosting) == 6
+    assert result.plan.objective_gbps_hops >= result.plan.lp_bound - 1e-6
+
+
+def test_group_too_large_for_any_node_is_a_named_certificate():
+    # one 3 Gbps group of a one-VNF chain needs 3 cores on one node; the
+    # largest node has 2
+    inst = build_instance(
+        ["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "c", 2.0), ("b", "c", 1.0)],
+        cores=2,
+    )
+    with pytest.raises(engine.Infeasible) as err:
+        engine.solve(inst)
+    msg = str(err.value)
+    assert "c/0 fits on no placement" in msg
+    assert "need [3.0] cores" in msg and "the most cores, a, has 2" in msg
+
+
+def test_pool_holds_only_columns_that_fit():
+    # core-bound instances of both master shapes: no pooled configuration
+    # may use more cores on a node than it has, whatever the LP mixes
+    rng = random.Random(31)
+    checked = 0
+    for case in range(80):
+        inst = random_connected_instance(
+            rng,
+            max_nodes=5,
+            max_pairs=6,
+            chain_vnfs=("fw", "nat"),
+            nc=rng.randint(1, 2),
+            cores=rng.choice([3, 4, 6]),
+            capacity=rng.choice([3.0, 1000.0]),
+        )
+        try:
+            model, _ = engine.run_column_generation(inst, partition_all(inst))
+        except engine.Infeasible:
+            continue
+        for config in model.pool:
+            ci = model.instance_of((config.chain, config.group_index))
+            assert fits(inst, ci, config.locations), (case, config.locations)
+        checked += 1
+    assert checked >= 40, checked
+
+
+def test_fast_infeasible_is_final_without_the_full_program(monkeypatch):
+    # arc-flow master whose two chain instances are pooled only on different
+    # nodes: at k=1 the fast program is infeasible, and so must be the full
+    # one it relaxes, so auto reports it after one MIP
+    inst = build_instance(
+        ["a", "b", "c"],
+        [("a", "b"), ("b", "c"), ("a", "c")],
+        [("a", "b"), ("b", "c"), ("a", "c"), ("c", "a")],
+        k=1,
+        nc=2,
+        capacity=5.0,
+    )
+    parts = partition_all(inst)
+    cis = chain_instances(inst, parts)
+    seeds = [make_configuration(cis[0], ("a",), ()), make_configuration(cis[1], ("b",), ())]
+    model = build_rmp(inst, parts, seeds)
+    assert not model.compact
+    calls = []
+    real_mip = highs.solve_mip
+
+    def mip(lp, time_limit=None):
+        calls.append(lp.name)
+        return real_mip(lp, time_limit=time_limit)
+
+    monkeypatch.setattr(highs, "solve_mip", mip)
+    with pytest.raises(engine.Infeasible):
+        engine.extract_plan(inst, model)
+    assert calls == ["final-fast"]
+    with pytest.raises(engine.Infeasible):
+        engine.extract_plan(inst, model, mode="full")
 
 
 class FakeClock:
@@ -302,23 +438,22 @@ class FakeClock:
 
 
 def several_round_instance():
-    """Eight core-bound nodes whose column generation needs several pricing
+    """Six core-bound nodes whose column generation needs several pricing
     rounds (four at the time of writing) before it converges."""
     return build_instance(
-        [f"n{i}" for i in range(8)],
+        [f"n{i}" for i in range(6)],
         [
-            ("n0", "n1"), ("n0", "n7"), ("n1", "n2"), ("n2", "n3"),
-            ("n2", "n7"), ("n3", "n4"), ("n3", "n5"), ("n3", "n7"),
-            ("n4", "n5"), ("n4", "n6"), ("n5", "n6"), ("n6", "n7"),
+            ("n0", "n1"), ("n0", "n5"), ("n1", "n2"), ("n1", "n3"), ("n1", "n4"),
+            ("n2", "n3"), ("n3", "n4"), ("n3", "n5"), ("n4", "n5"),
         ],
         [
-            ("n3", "n4", 2.0), ("n0", "n3", 2.0), ("n4", "n1", 0.5),
-            ("n1", "n5", 2.0), ("n0", "n7", 0.5), ("n5", "n0", 1.0),
-            ("n5", "n1", 2.0), ("n6", "n7", 2.0),
+            ("n0", "n2", 0.5), ("n4", "n2", 2.0), ("n3", "n0", 1.0),
+            ("n3", "n4", 1.0), ("n4", "n0", 2.0), ("n5", "n1", 0.5),
+            ("n0", "n3", 1.0), ("n0", "n5", 2.0),
         ],
         nc=4,
         chain_vnfs=("fw", "nat"),
-        cores=4,
+        cores=3,
     )
 
 
@@ -358,7 +493,9 @@ class TestTimeBudget:
         monkeypatch.setattr(highs, "solve_mip", mip)
         return clock, calls
 
-    def test_limits_stay_within_one_budget(self, monkeypatch, triangle_instance):
+    def test_limits_stay_within_one_budget(self, monkeypatch, capacitated_triangle):
+        # the fast-then-full fallback exists only on an arc-flow master
+        triangle_instance = capacitated_triangle
         clock, calls = self.instrument(monkeypatch, stall_first_mip=True)
         _, trace = engine.run_column_generation(
             triangle_instance, partition_all(triangle_instance)
@@ -423,17 +560,21 @@ class TestTimeBudget:
         assert len(trace.iterations) == rounds - 2
         assert clock.now <= limit
 
-    def test_fallback_gets_what_the_fast_attempt_left(self, monkeypatch, triangle_instance):
+    def test_fallback_gets_what_the_fast_attempt_left(self, monkeypatch, capacitated_triangle):
         model, _ = engine.run_column_generation(
-            triangle_instance, partition_all(triangle_instance)
+            capacitated_triangle, partition_all(capacitated_triangle)
         )
+        assert not model.compact
+        triangle_instance = capacitated_triangle
         _, calls = self.instrument(monkeypatch, stall_first_mip=True)
         engine.extract_plan(triangle_instance, model, time_limit=100.0)
         assert calls == [(0.0, 100.0), (self.MIP_SECONDS, 100.0 - self.MIP_SECONDS)]
 
     def test_budget_spent_before_the_selection_raises_once(
-        self, monkeypatch, caplog, triangle_instance
+        self, monkeypatch, caplog, capacitated_triangle
     ):
+        # on an arc-flow master, where a failed fast attempt could fall back
+        triangle_instance = capacitated_triangle
         model, _ = engine.run_column_generation(
             triangle_instance, partition_all(triangle_instance)
         )

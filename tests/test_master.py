@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from conftest import build_instance
+from conftest import build_instance, with_capacity
 
 from scmap import baselines, engine
 from scmap.master import (
@@ -13,14 +13,16 @@ from scmap.master import (
     build_rmp,
     chain_instances,
     column_coefficients,
+    column_cost,
     make_configuration,
     reduced_cost_of,
     solve_relaxation,
+    worst_case_load,
 )
 from scmap.netmodel import ProblemInstance, load_instance
 from scmap.pathcore import all_pairs_hops
 from scmap.pricer import best_configuration, enumerate_all_configs
-from scmap.fixturedata import triangle_files
+from scmap.fixturedata import nsfnet_files, triangle_files
 from scmap.simplexkit import highs
 from scmap.sptg import partition_all
 
@@ -67,11 +69,36 @@ def two_ended_path():
 
 
 class TestBuildRmp:
-    def test_triangle_row_counts(self, triangle):
-        model = seeded_model(triangle)
+    def test_triangle_row_counts(self, capacitated_triangle):
+        model = seeded_model(capacitated_triangle)
+        assert not model.compact
         assert len(row_names(model, "conv")) == 1
         assert len(row_names(model, "core")) == 3
         assert len(row_names(model, "cap")) == 6
+
+    def test_no_reach_rows(self, capacitated_triangle):
+        # fbal/lbal and y >= 0 already make a node's inflow cover what it absorbs
+        model = seeded_model(capacitated_triangle)
+        assert row_names(model, "fbal") and row_names(model, "lbal")
+        assert not row_names(model, "freach") and not row_names(model, "lreach")
+
+    def test_shape_follows_worst_case_load(self, triangle):
+        worst = worst_case_load(triangle)
+        assert worst == 12.0  # six 1 Gbps pairs of a one-VNF chain, two segments each
+        assert seeded_model(with_capacity(triangle, worst)).compact
+        assert not seeded_model(with_capacity(triangle, worst - 0.5)).compact
+
+    def test_nsfnet_compact_rows(self):
+        # convexity and core rows only: no x, end flows, cap or consistency rows
+        inst = load_instance(*nsfnet_files(), k=14, nc=34)
+        model, _ = engine.run_column_generation(inst, partition_all(inst))
+        assert model.compact
+        n_ci, n_nfv = len(model.chain_instances), len(inst.topology.nfv_nodes)
+        assert n_ci == 34
+        assert model.lp.n_rows == n_ci + n_nfv
+        assert model.lp.n_vars == len(model.pool) + n_ci  # z plus one artificial each
+        assert model.last_relaxation.objective == pytest.approx(390.0)
+        assert all(model.last_relaxation.x[j] == 0.0 for j in model.artificial.values())
 
     def test_missing_seed_rejected(self, triangle):
         with pytest.raises(MasterError):
@@ -89,11 +116,12 @@ class TestBuildRmp:
 
     def test_seed_at_source_kills_first_segment_flow(self):
         inst = build_instance(
-            ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], [("a", "b")]
+            ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], [("a", "b")], capacity=1.5
         )
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
         model = build_rmp(inst, parts, [colocated(ci, "a")])
+        assert not model.compact and model.yfvar
         sol, _ = solve_relaxation(model)
         first_flow = sum(
             sol.x[j] for (key, _pair, _arc), j in model.yfvar.items() if key == ci.key
@@ -114,6 +142,18 @@ class TestBuildRmp:
 
 
 class TestAddColumn:
+    def test_column_that_does_not_fit_is_refused(self):
+        # one 2 Gbps group of fw, nat at 1 core/Gbps: co-location needs 4 cores
+        inst = build_instance(
+            ["a", "b"], [("a", "b")], [("a", "b", 2.0)], chain_vnfs=("fw", "nat"), cores=3
+        )
+        parts = partition_all(inst)
+        (ci,) = chain_instances(inst, parts)
+        model = build_rmp(inst, parts, [make_configuration(ci, ("a", "b"), ((("a", "b"),),))])
+        with pytest.raises(MasterError, match="does not fit"):
+            add_column(model, colocated(ci, "a"))
+        assert len(model.pool) == 1
+
     def test_duplicate_is_idempotent(self, triangle):
         model = seeded_model(triangle)
         (ci,) = model.chain_instances
@@ -174,7 +214,8 @@ class TestDuals:
         assert all(d <= 1e-9 for d in duals.core.values())
         assert all(d <= 1e-9 for d in duals.capacity.values())
 
-    def test_reduced_cost_matches_pricer_breakdown(self, triangle):
+    def test_reduced_cost_matches_pricer_breakdown(self, capacitated_triangle):
+        triangle = capacitated_triangle
         model = seeded_model(triangle, seed_nodes=("b",))
         _, duals = solve_relaxation(model)
         (ci,) = model.chain_instances
@@ -193,6 +234,25 @@ class TestDuals:
                 reduced_cost_of(model, duals, c)
                 for c in enumerate_all_configs(triangle, ci)
             ),
+            abs=1e-8,
+        )
+
+
+    def test_compact_reduced_cost_is_column_cost_less_duals(self, triangle):
+        # on a compact master the end cost enters through the consistency
+        # prices, so reduced_cost_of still equals c - A'y of the column
+        model = seeded_model(triangle, seed_nodes=("b",))
+        assert model.compact
+        _, duals = solve_relaxation(model)
+        (ci,) = model.chain_instances
+        for config in enumerate_all_configs(triangle, ci):
+            recomputed = column_cost(model, config)
+            for row, coef in column_coefficients(model, config).items():
+                recomputed -= model.last_relaxation.duals[row] * coef
+            assert reduced_cost_of(model, duals, config) == pytest.approx(recomputed, abs=1e-8)
+        _, breakdown = best_configuration(triangle, ci, duals)
+        assert breakdown.total == pytest.approx(
+            min(reduced_cost_of(model, duals, c) for c in enumerate_all_configs(triangle, ci)),
             abs=1e-8,
         )
 
@@ -240,16 +300,14 @@ class TestFinalIlp:
         mip = highs.solve_mip(final.lp)
         assert mip.objective >= model.last_relaxation.objective - 1e-6
 
-    def test_fast_refused_when_capacity_tight(self):
-        inst = build_instance(
-            ["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "c", 1.0)], capacity=1.0
-        )
-        parts = partition_all(inst)
-        (ci,) = chain_instances(inst, parts)
-        model = build_rmp(inst, parts, [colocated(ci, "b")])
-        solve_relaxation(model)
-        with pytest.raises(MasterError):
-            build_final_ilp(model, MODE_FAST, inst.k)
+    def test_compact_master_has_one_final_program(self, triangle):
+        model = self.converged(triangle)
+        assert model.compact
+        full = build_final_ilp(model, MODE_FULL, triangle.k)
+        fast = build_final_ilp(model, MODE_FAST, triangle.k)
+        assert full.mode == fast.mode == MODE_FAST
+        assert [v.name for v in full.lp.variables] == [v.name for v in fast.lp.variables]
+        assert not [v for v in full.lp.variables if v.name.startswith("art[")]
 
     def test_infeasible_when_k_below_pool_spread(self):
         # two chain instances whose only pooled placements sit on different

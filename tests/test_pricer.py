@@ -1,11 +1,14 @@
+import itertools
 import random
 
 import pytest
 from conftest import build_instance, random_connected_instance
 
-from scmap.master import DualPrices, chain_instances, validate_configuration
+from scmap.master import DualPrices, chain_instances, fits, validate_configuration
+from scmap.pathcore import shortest_path_weighted
 from scmap.pricer import (
     PricerError,
+    _fitting_argmin,
     best_configuration,
     enumerate_all_configs,
     price_chain_instance,
@@ -115,6 +118,20 @@ class TestSegmentTable:
         # the penalized arc may be bypassed when an alternative is cheaper
         assert priced.cost[("a", "c")] <= flat.cost[("a", "c")] + 2.0
 
+    def test_unit_weights_read_the_hop_table_as_dijkstra_would(self, nsfnet_instance):
+        # under zero duals the table comes from the hop table; the Dijkstra
+        # it stands in for must agree on every cost and path, ties included
+        topo = nsfnet_instance.topology
+        table = segment_cost_table(nsfnet_instance, zero_duals())
+        unit = {arc: 1.0 for arc in topo.arc_index}
+        for u in topo.nfv_nodes:
+            for w in topo.nfv_nodes:
+                if u == w:
+                    continue
+                cost, arcs = shortest_path_weighted(topo, unit, u, w)
+                assert table.cost[(u, w)] == cost
+                assert table.path[(u, w)] == tuple(arcs)
+
 
 class TestEnumeration:
     def test_triangle_single_position(self, triangle_instance):
@@ -185,6 +202,77 @@ class TestExactness:
                 brute_force_total(inst, ci, duals, config), abs=1e-6
             )
             checked += 1
+
+    def test_masked_pricer_matches_brute_force_over_columns_that_fit(self):
+        # tight cores: the minimum runs over the configurations whose own
+        # core use fits every node, and the unmasked optimum often does not
+        rng = random.Random(6)
+        checked = masked = 0
+        while checked < 150:
+            inst = random_connected_instance(
+                rng,
+                max_nodes=5,
+                chain_vnfs=("fw", "nat", "lb")[: rng.randint(1, 3)],
+                cores=rng.choice([1, 2, 3, 4]),
+            )
+            ci = chain_instances(inst, partition_all(inst))[0]
+            fitting = [
+                c for c in enumerate_all_configs(inst, ci) if fits(inst, ci, c.locations)
+            ]
+            if not fitting:
+                continue
+            duals = random_duals(rng, inst, ci)
+            config, breakdown = best_configuration(inst, ci, duals)
+            validate_configuration(inst, ci, config)
+            assert fits(inst, ci, config.locations)
+            best = min(brute_force_total(inst, ci, duals, c) for c in fitting)
+            assert breakdown.total == pytest.approx(best, abs=1e-6)
+            assert breakdown.total == pytest.approx(
+                brute_force_total(inst, ci, duals, config), abs=1e-6
+            )
+            unmasked = min(
+                brute_force_total(inst, ci, duals, c) for c in enumerate_all_configs(inst, ci)
+            )
+            masked += unmasked < best - 1e-6
+            checked += 1
+        assert masked >= 30, masked
+
+    def test_fitting_search_matches_every_tuple(self):
+        # chains up to six long: the search must return the cheapest tuple
+        # that fits, the lexicographically smallest among equal costs
+        # (integer costs make ties common), and None when none fits
+        rng = random.Random(11)
+        empty = 0
+        for _ in range(300):
+            m, n = rng.randint(1, 5), rng.randint(1, 6)
+            node_cost = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
+            seg = [[0 if v == w else rng.randint(1, 3) for w in range(m)] for v in range(m)]
+            need = [rng.choice([0.5, 1.0, 2.0]) for _ in range(n)]
+            cores = [rng.choice([1.0, 2.0, 3.0]) for _ in range(m)]
+            best = None
+            for tup in itertools.product(range(m), repeat=n):
+                use = [0.0] * m
+                for pos, v in enumerate(tup):
+                    use[v] += need[pos]
+                if any(u > c for u, c in zip(use, cores)):
+                    continue
+                cost = sum(node_cost[pos][v] for pos, v in enumerate(tup))
+                cost += sum(seg[tup[i]][tup[i + 1]] for i in range(n - 1))
+                if best is None or cost < best[0]:
+                    best = (cost, tup)
+            got = _fitting_argmin(node_cost, seg, need, cores)
+            if best is None:
+                assert got is None
+                empty += 1
+            else:
+                assert got == best[1]
+        assert 20 <= empty <= 280, empty
+
+    def test_no_fitting_placement_raises(self):
+        inst = build_instance(["a", "b"], [("a", "b")], [("a", "b", 2.0)], cores=1)
+        ci = only_instance(inst)
+        with pytest.raises(PricerError, match="no placement fits"):
+            best_configuration(inst, ci, zero_duals())
 
     def test_breakdown_identity(self):
         rng = random.Random(7)
