@@ -9,9 +9,7 @@ plan exists that keeps each group on one chain instance.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import logging
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -44,13 +42,6 @@ SWEEP_HEADER = (
 EXIT_HELP = (
     "exit codes: 0 ok, 1 input error, 2 infeasible relative to the demand "
     "grouping (sptg partition), 3 plan validation failed"
-)
-MODE_HELP = (
-    "final integer program when some link is below the worst-case load "
-    "(otherwise all modes run the one compact program): fast folds the end "
-    "segments in at shortest-path cost, full routes them as integer flows, "
-    "auto runs fast and falls back to full only if fast's plan fails "
-    "validation"
 )
 
 
@@ -115,7 +106,6 @@ def cmd_solve(args) -> int:
         instance,
         max_iters=args.max_iters,
         time_limit=args.time_limit,
-        mode=args.mode,
     )
     plan = result.plan
     with open(args.out, "w") as fh:
@@ -174,9 +164,7 @@ def _sweep_group(instance_parts, nc: int, k_values, args) -> list:
             inst = ProblemInstance(
                 topo, vnfs, chains, demands, k=k, nc={c: nc for c in demands.chains}
             )
-            plan = engine.extract_plan(
-                inst, model, mode=args.mode, time_limit=args.time_limit
-            )
+            plan = engine.extract_plan(inst, model, time_limit=args.time_limit)
             cell.status = "ok"
             cell.objective = plan.objective_gbps_hops
             cell.gap = plan.gap
@@ -208,16 +196,6 @@ def _parse_int_list(text: str, flag: str) -> list:
     return values
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("SCMAP_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            log.warning("ignoring non-integer SCMAP_THREADS=%r", raw)
-    return max(1, os.cpu_count() or 1)
-
-
 def cmd_sweep(args) -> int:
     nc_values = _parse_int_list(args.nc_list, "--nc-list")
     k_values = _parse_int_list(args.k_list, "--k-list")
@@ -236,11 +214,7 @@ def cmd_sweep(args) -> int:
     lb = report.shortest_path_lb
     single = report.single_node[1]
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_thread_cap()) as pool:
-        futures = [
-            pool.submit(_sweep_group, parts, nc, k_values, args) for nc in nc_values
-        ]
-        groups = [f.result() for f in futures]
+    groups = [_sweep_group(parts, nc, k_values, args) for nc in nc_values]
 
     with open(args.out, "w") as fh:
         fh.write(SWEEP_HEADER + "\n")
@@ -313,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="solve one instance, write the plan JSON", epilog=EXIT_HELP
     )
     _add_instance_flags(p, need_k=True)
-    p.add_argument("--mode", choices=["auto", "full", "fast"], default="auto", help=MODE_HELP)
     p.add_argument(
         "--time-limit",
         type=float,
@@ -333,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--demands", required=True)
     p.add_argument("--nc-list", required=True, help="comma-separated counts")
     p.add_argument("--k-list", required=True, help="comma-separated budgets")
-    p.add_argument("--mode", choices=["auto", "full", "fast"], default="auto", help=MODE_HELP)
     p.add_argument(
         "--time-limit",
         type=float,

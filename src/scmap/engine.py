@@ -6,12 +6,13 @@ so one converged model serves every k of a sweep and only the integer
 selection reads k. The price is a k-blind `lp_bound`: the same at every k,
 and the reported `gap` is measured against it.
 
-On a compact master (see `scmap.master`) the selection is one program,
-whatever the mode. On an arc-flow master `auto` first solves the fast
-program, a relaxation of the full one: its validated plan is optimal, its
-infeasibility is the full program's, and only a plan that fails validation
-or a stalled solve falls back to the full program. Every verdict, plan or
-"infeasible", is relative to the `sptg` demand grouping.
+The final selection is automatic. It solves the selection program, the
+master's z-restriction (see `scmap.master`): on a compact master that is
+the one program there is. On an arc-flow master it relaxes the full
+program, so its validated plan is optimal and its infeasibility is the full
+program's; only a plan that fails validation or a stalled solve falls back
+to the full program. Every verdict, plan or "infeasible", is relative to
+the `sptg` demand grouping.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional
 
 from .master import (
-    MODE_FAST,
-    MODE_FULL,
     ChainInstance,
     Configuration,
     DualPrices,
@@ -50,8 +49,6 @@ from .simplexkit import highs
 from .sptg import ChainPartition, partition_all
 
 log = logging.getLogger(__name__)
-
-EPS = 1e-6
 
 Arc = tuple[str, str]
 
@@ -411,12 +408,12 @@ def _decode(
             )
         config = model.pool[chosen[0]]
         head, tail = config.locations[0], config.locations[-1]
-        if final.mode == MODE_FAST:
-            first = {(s, d): model.paths.path_arcs(s, head) for s, d in ci.pairs}
-            last = {(s, d): model.paths.path_arcs(tail, d) for s, d in ci.pairs}
-        else:
+        if final.full:
             first = _end_routes(model, x, ci, head, lead_in=True)
             last = _end_routes(model, x, ci, tail, lead_in=False)
+        else:
+            first = {(s, d): model.paths.path_arcs(s, head) for s, d in ci.pairs}
+            last = {(s, d): model.paths.path_arcs(tail, d) for s, d in ci.pairs}
         routes = [
             PairRoute(s, d, tuple(first[s, d]), tuple(last[s, d])) for s, d in ci.pairs
         ]
@@ -445,11 +442,16 @@ def _decode(
 
 
 def _extract(
-    instance: ProblemInstance, model: RmpModel, mode: str, time_limit: Optional[float]
+    instance: ProblemInstance,
+    model: RmpModel,
+    time_limit: Optional[float] = None,
+    *,
+    full: bool = False,
 ) -> MappingPlan:
+    """Solve, decode and validate one final program (`build_final_ilp`)."""
     # k may differ from the budget the model was built with; the relaxation
     # does not depend on it
-    final = build_final_ilp(model, mode, instance.k)
+    final = build_final_ilp(model, instance.k, full=full)
     mip = highs.solve_mip(final.lp, time_limit=time_limit)
     if mip.status == "infeasible":
         raise Infeasible(
@@ -494,38 +496,32 @@ def _limit(deadline: Optional[float], stage: str) -> Optional[float]:
 def extract_plan(
     instance: ProblemInstance,
     model: RmpModel,
-    mode: str = "auto",
     time_limit: Optional[float] = None,
 ) -> MappingPlan:
     """Integer selection over the pooled columns, decoded and validated.
 
-    On a compact master every mode runs its one program. On an arc-flow
-    master mode "auto" solves the fast program (end segments folded into
-    the z objective at hop-shortest cost), a relaxation of the full one: a
-    fast plan that validates is optimal, and a fast program proven
-    infeasible makes the full one infeasible too. Only a fast plan that
-    fails validation or a fast solve that ends without a plan falls back to
-    the full binary program. `time_limit` (seconds) covers both attempts:
-    the fallback gets only what the fast one left. The relaxation is
-    re-solved when it is missing or predates columns added since.
+    Solves the selection program (`build_final_ilp`). On a compact master
+    that is the only program. On an arc-flow master it relaxes the full
+    program: a plan of it that validates is optimal, and its proven
+    infeasibility is the full program's too. Only a plan that fails
+    validation or a solve that ends without a plan falls back to the full
+    program. `time_limit` (seconds) covers both attempts: the fallback gets
+    only what the first one left. The relaxation is re-solved when it is
+    missing or predates columns added since.
     """
     deadline = _deadline(time_limit)
     if model.last_relaxation is None or len(model.last_relaxation.x) != model.lp.n_vars:
         solve_relaxation(model)
-    if mode == "fast":
-        mode = MODE_FAST
-    if mode not in ("auto", MODE_FULL, MODE_FAST):
-        raise EngineError(f"unknown mode {mode!r}")
     limit = _limit(deadline, "the final selection")
-    if mode != "auto" or model.compact:
-        return _extract(instance, model, MODE_FAST if mode == "auto" else mode, limit)
     try:
-        return _extract(instance, model, MODE_FAST, limit)
+        return _extract(instance, model, limit)
     except Infeasible:
         raise
     except EngineError as exc:
-        log.info("fast selection unavailable (%s); solving the full program", exc)
-        return _extract(instance, model, MODE_FULL, _limit(deadline, "the full selection"))
+        if model.compact:
+            raise
+        log.info("selection program gave no valid plan (%s); solving the full program", exc)
+        return _extract(instance, model, _limit(deadline, "the full selection"), full=True)
 
 
 def solve(
@@ -533,7 +529,6 @@ def solve(
     *,
     max_iters: int = 200,
     time_limit: Optional[float] = None,
-    mode: str = "auto",
     paths: Optional[PathTable] = None,
     partitions=None,
 ) -> SolveResult:
@@ -567,7 +562,7 @@ def solve(
             len(model.pool),
         )
         left = None
-    plan = extract_plan(instance, model, mode=mode, time_limit=left)
+    plan = extract_plan(instance, model, time_limit=left)
     return SolveResult(plan=plan, trace=trace, model=model, partitions=partitions)
 
 

@@ -16,7 +16,9 @@ paths can put on one arc:
   destination and a rate share one lead-out commodity: their per-pair flow
   rows would be identical, and an integer flow of n units splits into n
   unit paths, so the merge is exact for the relaxation and the integer
-  selection alike.
+  selection alike. Consistency rows tie the z columns to position
+  variables x, which exist only at the first and last positions: those
+  are the only ones an end flow meets.
 
 Either way only self-feasible columns are pooled: a configuration whose own
 core use exceeds some node's cores can never be part of an integer plan, so
@@ -25,11 +27,18 @@ feasible set). One penalised artificial column per chain instance keeps the
 restricted LP feasible while the pool holds too few columns that fit side
 by side; it never enters the integer selection, and since every plan is
 feasible with it at zero, the LP value still bounds every plan from below.
-The hosting budget k is not part of the relaxation, so its
-bound is the same at every k; hosting flags and the budget row enter only
-the integer selection built by `build_final_ilp`. Columns arrive from the
-pricer; rows never change shape after `build_rmp`, so duals keep stable
-meaning across iterations.
+Columns arrive from the pricer; rows never change shape after
+`build_rmp`, so duals keep stable meaning across iterations.
+
+The hosting budget k is not part of the relaxation, so its bound is the
+same at every k; hosting flags and the budget row enter only the integer
+selection (`build_final_ilp`). That selection is the master's
+z-restriction: its convexity, core and capacity rows with only their z
+coefficients, each z costed with its end segments at hop-shortest distance.
+On a compact master that is the master itself without its artificial
+columns. On an arc-flow master it drops the end flows, which makes it a
+relaxation of the full program, the master cloned with every variable
+integer.
 """
 
 from __future__ import annotations
@@ -54,9 +63,6 @@ FIT_TOL = 1e-9
 # a >= row's dual in our minimization convention is >= 0, a <= row's <= 0;
 # anything past this much on the wrong side means a solver defect
 DUAL_SIGN_TOL = 1e-5
-
-MODE_FULL = "full"
-MODE_FAST = "uncapacitated_fast"
 
 
 class MasterError(RuntimeError):
@@ -135,7 +141,7 @@ class FinalIlp:
     """Integer selection problem plus the decode map for its z columns."""
 
     lp: LinearProgram
-    mode: str
+    full: bool  # the integer clone of an arc-flow master, end flows included
     zmap: dict  # variable index -> pool position
 
 
@@ -154,7 +160,7 @@ class RmpModel:
     zvar: list = field(default_factory=list)  # pool position -> LP variable
     pool_by_instance: dict = field(default_factory=dict)  # key -> pool positions
     config_index: dict = field(default_factory=dict)  # Configuration.key -> LP variable
-    xvar: dict = field(default_factory=dict)  # (key, position, node) -> var
+    xvar: dict = field(default_factory=dict)  # (key, end position, node) -> var
     # end commodities: one per (chain instance, source, gbps) for lead-ins and
     # one per (chain instance, destination, gbps) for lead-outs, carrying one
     # unit of flow per member pair
@@ -165,16 +171,13 @@ class RmpModel:
     conv_row: dict = field(default_factory=dict)  # key -> row
     core_row: dict = field(default_factory=dict)  # node -> row
     cap_row: dict = field(default_factory=dict)  # arc -> row
-    cons_row: dict = field(default_factory=dict)  # (key, position, node) -> row
+    cons_row: dict = field(default_factory=dict)  # (key, end position, node) -> row
+    by_key: dict = field(default_factory=dict)  # key -> ChainInstance
     last_relaxation: Optional[LpSolution] = None
     last_duals: Optional[DualPrices] = None
 
     def instance_of(self, key: tuple[str, int]) -> ChainInstance:
-        try:
-            return self._by_key[key]
-        except AttributeError:
-            object.__setattr__(self, "_by_key", {ci.key: ci for ci in self.chain_instances})
-            return self._by_key[key]
+        return self.by_key[key]
 
 
 def chain_instances(
@@ -367,6 +370,7 @@ def build_rmp(
         paths=paths,
         lp=lp,
         compact=all(a.capacity_gbps >= worst for a in topo.arcs),
+        by_key={ci.key: ci for ci in cis},
     )
     cost = model.end_cost
     for ci in cis:
@@ -430,15 +434,20 @@ def _build_compact_rows(model: RmpModel) -> None:
 
 
 def _build_arc_flow_rows(model: RmpModel) -> None:
-    """Position variables x, end-commodity flows, and the convexity, core,
-    capacity, consistency and end-flow rows."""
+    """Position variables x, end-commodity flows, the compact rows, and the
+    capacity, consistency and end-flow rows.
+
+    Only the end flows read x, so x and its consistency row exist at the
+    first and last positions alone.
+    """
     lp = model.lp
     topo = model.instance.topology
     cis = model.chain_instances
     nfv = topo.nfv_nodes
     arcs = [(a.src, a.dst) for a in topo.arcs]
+    ends = {ci.key: sorted({0, len(ci.vnfs) - 1}) for ci in cis}
     for ci in cis:
-        for pos in range(len(ci.vnfs)):
+        for pos in ends[ci.key]:
             for v in nfv:
                 model.xvar[(ci.key, pos, v)] = lp.add_variable(
                     f"x[{ci.label}/{pos}/{v}]", 0.0, 1.0
@@ -459,12 +468,7 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
                     )
 
     # configuration choice and resource rows; z columns arrive via add_column
-    for ci in cis:
-        model.conv_row[ci.key] = lp.add_constraint([], EQ, 1.0, name=f"conv[{ci.label}]")
-    for v in nfv:
-        model.core_row[v] = lp.add_constraint(
-            [], LE, float(topo.node_by_id[v].cores), name=f"core[{v}]"
-        )
+    _build_compact_rows(model)
     for arc in arcs:
         coeffs = [
             (yvar[(key, com, arc)], com[1])
@@ -475,13 +479,11 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
             coeffs, LE, topo.capacity(arc), name=f"cap[{arc[0]}>{arc[1]}]"
         )
     for ci in cis:
-        for pos in range(len(ci.vnfs)):
+        for pos in ends[ci.key]:
             for v in nfv:
-                model.cons_row[(ci.key, pos, v)] = lp.add_constraint(
-                    [(model.xvar[(ci.key, pos, v)], -1.0)],
-                    EQ,
-                    0.0,
-                    name=f"cons[{ci.label}/{pos}/{v}]",
+                key = (ci.key, pos, v)
+                model.cons_row[key] = lp.add_constraint(
+                    [(model.xvar[key], -1.0)], EQ, 0.0, name=f"cons[{ci.label}/{pos}/{v}]"
                 )
 
     for lead_in, members in ((True, model.lead_in), (False, model.lead_out)):
@@ -509,7 +511,8 @@ def column_coefficients(model: RmpModel, config: Configuration) -> dict:
     for arc, mult in sorted(arc_mult.items()):
         coeffs[model.cap_row[arc]] = ci.total_gbps * mult
     for pos, v in enumerate(config.locations):
-        coeffs[model.cons_row[(ci.key, pos, v)]] = 1.0
+        if (ci.key, pos, v) in model.cons_row:
+            coeffs[model.cons_row[(ci.key, pos, v)]] = 1.0
     return coeffs
 
 
@@ -626,75 +629,40 @@ def _add_hosting_block(lp: LinearProgram, model: RmpModel, zvars: list, k: int) 
     lp.add_constraint([(hvar[v], 1.0) for v in nfv], LE, float(k), name="kbudget")
 
 
-def build_final_ilp(model: RmpModel, mode: str, k: int) -> FinalIlp:
+def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
     """Integer selection over the pooled columns with at most k hosting nodes.
 
-    uncapacitated_fast: one binary z per pooled column, costed with its end
-    segments at hop-shortest distance, under the convexity, core and (on an
-    arc-flow master) capacity rows of the z part, plus the hosting block
-    (`_add_hosting_block`). On a compact master this is the master's own
-    integer program without its artificial columns, and every mode builds
-    it. full (arc-flow master only): every variable of the relaxation turns
-    integer, so z and x become binary and the end flows integer counts,
-    plus the same hosting block. The fast program relaxes the full one: it
-    drops the end segments' capacity use and prices them at their shortest.
+    The selection program (the default) keeps the master's convexity, core
+    and capacity rows with only their z coefficients, makes z binary at
+    `config.cost` plus its hop-shortest end cost, and adds the hosting block
+    (`_add_hosting_block`). The full program (arc-flow master only) is the
+    master with every variable integer, its artificial columns fixed at 0,
+    plus the same hosting block.
     """
-    if mode == "fast":
-        mode = MODE_FAST
-    if mode not in (MODE_FULL, MODE_FAST):
-        raise MasterError(f"unknown final ILP mode {mode!r}")
-    if mode == MODE_FULL and not model.compact:
+    if full:
+        if model.compact:
+            raise MasterError("a compact master has no full program: it has no end flows")
         lp = model.lp.clone(integer_all=True)
         for var in model.artificial.values():
             lp.variables[var].ub = 0.0
         _add_hosting_block(lp, model, model.zvar, k)
-        zmap = {model.zvar[i]: i for i in range(len(model.pool))}
-        return FinalIlp(lp=lp, mode=mode, zmap=zmap)
+        return FinalIlp(lp=lp, full=True, zmap={var: p for p, var in enumerate(model.zvar)})
 
-    topo = model.instance.topology
-    lp = LinearProgram("final-fast")
-    zmap = {}
-    zvars = []
-    for pos, config in enumerate(model.pool):
+    lp = LinearProgram("selection")
+    znew = {}  # master z variable -> selection variable
+    for var, config in zip(model.zvar, model.pool):
         key = (config.chain, config.group_index)
-        var = lp.add_variable(
-            f"z[{model.instance_of(key).label}/{pos}]",
+        znew[var] = lp.add_variable(
+            model.lp.variables[var].name,
             0.0,
             1.0,
             obj=config.cost + _end_cost(model, key, config.locations),
             integer=True,
         )
-        zmap[var] = pos
-        zvars.append(var)
-
-    for ci in model.chain_instances:
-        members = model.pool_by_instance[ci.key]
-        lp.add_constraint([(zvars[p], 1.0) for p in members], EQ, 1.0, name=f"conv[{ci.label}]")
-    _add_hosting_block(lp, model, zvars, k)
-
-    # resource rows on the z part alone; the end segments' capacity use is
-    # left out, which is what makes this a relaxation of the full program
-    for v in model.core_row:
-        terms = []
-        for p, config in enumerate(model.pool):
-            ci = model.instance_of((config.chain, config.group_index))
-            per_gbps = model.instance.chain_cores_per_gbps(ci.chain)
-            use = sum(per_gbps[pos] for pos, loc in enumerate(config.locations) if loc == v)
-            if use:
-                terms.append((zvars[p], ci.total_gbps * use))
-        if terms:
-            lp.add_constraint(
-                terms, LE, float(topo.node_by_id[v].cores), name=f"core[{v}]"
-            )
-    for arc in model.cap_row:
-        terms = []
-        for p, config in enumerate(model.pool):
-            ci = model.instance_of((config.chain, config.group_index))
-            mult = sum(seg.count(arc) for seg in config.segment_paths)
-            if mult:
-                terms.append((zvars[p], ci.total_gbps * mult))
-        if terms:
-            lp.add_constraint(
-                terms, LE, topo.capacity(arc), name=f"cap[{arc[0]}>{arc[1]}]"
-            )
-    return FinalIlp(lp=lp, mode=MODE_FAST, zmap=zmap)
+    for r in (*model.conv_row.values(), *model.core_row.values(), *model.cap_row.values()):
+        row = model.lp.rows[r]
+        lp.add_constraint(
+            [(znew[j], a) for j, a in row.coeffs if j in znew], row.relation, row.rhs, row.name
+        )
+    _add_hosting_block(lp, model, list(znew.values()), k)
+    return FinalIlp(lp=lp, full=False, zmap={j: p for p, j in enumerate(znew.values())})

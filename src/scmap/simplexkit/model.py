@@ -108,9 +108,6 @@ class LinearProgram:
     def row_activity(self, row: int, x: list[float]) -> float:
         return sum(a * x[j] for j, a in self.rows[row].coeffs)
 
-    def objective_value(self, x: list[float]) -> float:
-        return sum(v.obj * x[j] for j, v in enumerate(self.variables))
-
 
 @dataclass
 class LpSolution:

@@ -39,10 +39,6 @@ class ChainPartition:
     chain: str
     groups: list[Group]
 
-    @property
-    def pair_count(self) -> int:
-        return sum(len(g.members) for g in self.groups)
-
 
 def _cover_index(pairs: Iterable[Pair], paths: PathTable) -> dict[Pair, set[Pair]]:
     """Map each ordered node pair (head, tail) to the pairs whose canonical

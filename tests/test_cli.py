@@ -173,15 +173,11 @@ class TestSweep:
                     "--k-list", "1", "--out", str(tmp_path / "s.csv")])
         assert code == 1
 
-    def test_thread_cap_env(self, triangle_flags, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCMAP_THREADS", "1")
+    def test_one_row_per_cell(self, triangle_flags, tmp_path):
         out = tmp_path / "s.csv"
         assert run(["sweep", *triangle_flags, "--nc-list", "1,2",
                     "--k-list", "1", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
-        monkeypatch.setenv("SCMAP_THREADS", "not-a-number")
-        assert run(["sweep", *triangle_flags, "--nc-list", "1",
-                    "--k-list", "1", "--out", str(out)]) == 0
 
 
 class TestArgErrors:
@@ -196,3 +192,13 @@ class TestArgErrors:
             cli.build_parser().parse_args(["solve", *triangle_flags, "--vibes", "9"])
         assert err.value.code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_final_selection_has_no_flag(self, command, triangle_flags, capsys):
+        extra = ["--k", "1"] if command == "solve" else ["--nc-list", "1", "--k-list", "1"]
+        with pytest.raises(SystemExit) as err:
+            cli.build_parser().parse_args(
+                [command, *triangle_flags, *extra, "--out", "x", "--mode", "full"]
+            )
+        assert err.value.code == 1
+        assert "unrecognized arguments: --mode full" in capsys.readouterr().err

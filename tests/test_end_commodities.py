@@ -2,6 +2,7 @@
 source (or a destination) and a rate are routed as one integer flow, and the
 full selection must still find every plan the per-pair routing could."""
 
+import functools
 import math
 import random
 
@@ -42,7 +43,7 @@ def test_shared_source_splits_over_two_paths():
     model, _ = engine.run_column_generation(inst, partition_all(inst))
     (ci,) = model.chain_instances
     assert model.lead_in == {(ci.key, ("s", 1.0)): (("s", "d1"), ("s", "d2"))}
-    plan = engine.extract_plan(inst, model, mode="full")
+    plan = engine._extract(inst, model, full=True)
     assert engine.validate_plan(inst, plan) == []
     (asg,) = plan.assignments
     first = {(r.src, r.dst): r.first_arcs for r in asg.routes}
@@ -179,7 +180,7 @@ def full_pool_verdicts(instance, ks):
     out = {}
     for k in ks:
         try:
-            plan = engine.extract_plan(with_k(instance, k), model, mode="full")
+            plan = engine._extract(with_k(instance, k), model, full=not model.compact)
         except engine.Infeasible:
             out[k] = None
             continue
@@ -253,9 +254,10 @@ def test_full_selection_matches_exhaustive_oracle():
 
 
 def test_auto_matches_full_on_capacitated_draws():
-    # on an arc-flow master the fast program relaxes the full one, so auto
-    # (fast, then full only for a plan that fails validation) must reach
-    # full's objective or full's "infeasible" over the same column pool
+    # on an arc-flow master the selection program relaxes the full one, so
+    # extract_plan (the selection, then full only for a plan that fails
+    # validation) must reach full's objective or full's "infeasible" over
+    # the same column pool
     compared = fallbacks = 0
     for case, inst in draws():
         if worst_case_load(inst) <= min(a.capacity_gbps for a in inst.topology.arcs):
@@ -267,9 +269,9 @@ def test_auto_matches_full_on_capacitated_draws():
         assert not model.compact
         for k in budgets(inst):
             verdicts = []
-            for mode in ("auto", "full"):
+            for extract in (engine.extract_plan, functools.partial(engine._extract, full=True)):
                 try:
-                    plan = engine.extract_plan(with_k(inst, k), model, mode=mode)
+                    plan = extract(with_k(inst, k), model)
                 except engine.Infeasible:
                     verdicts.append(None)
                     continue

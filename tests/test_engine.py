@@ -176,18 +176,40 @@ class TestExtractPlan:
         assert not engine.validate_plan(inst_k1, patched)
 
     @pytest.mark.parametrize("mode", ["auto", "fast", "full"])
-    def test_column_added_after_last_solve(self, mode):
+    def test_column_added_after_last_solve(self, mode, monkeypatch):
         # path a-b-c, demand a->b: the seed at c costs 3, the column at a 1;
-        # the relaxation solved before the column was added is stale
+        # the relaxation solved before the column was added is stale. auto
+        # runs on the compact master, fast on the arc-flow one (2 Gbps links,
+        # below W = 3), full on the arc-flow one with the selection program
+        # made to fail, so the plan comes from the full program
+        capacity = 1000.0 if mode == "auto" else 2.0
         inst = build_instance(
-            ["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "b")], chain_vnfs=("fw", "nat")
+            ["a", "b", "c"],
+            [("a", "b"), ("b", "c")],
+            [("a", "b")],
+            chain_vnfs=("fw", "nat"),
+            capacity=capacity,
         )
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
         model = build_rmp(inst, parts, [make_configuration(ci, ("c", "c"), ((),))])
+        assert model.compact == (mode == "auto")
         assert solve_relaxation(model)[0].objective == pytest.approx(3.0)
         add_column(model, make_configuration(ci, ("a", "a"), ((),)))
-        plan = engine.extract_plan(inst, model, mode=mode)
+        if mode == "full":
+            extract = engine._extract
+            programs = []
+
+            def no_selection(instance, model, time_limit=None, *, full=False):
+                programs.append(full)
+                if not full:
+                    raise engine.EngineError("selection made to fail")
+                return extract(instance, model, time_limit, full=full)
+
+            monkeypatch.setattr(engine, "_extract", no_selection)
+        plan = engine.extract_plan(inst, model)
+        if mode == "full":
+            assert programs == [False, True]
         assert plan.objective_gbps_hops == pytest.approx(1.0)
         assert plan.lp_bound == pytest.approx(1.0)
 
@@ -198,23 +220,6 @@ class TestExtractPlan:
         with pytest.raises(engine.Infeasible) as err:
             engine.solve(inst)
         assert "a->b" in str(err.value) or "b->c" in str(err.value)
-
-    def test_modes_agree_when_uncapacitated(self, triangle_instance):
-        model, _ = engine.run_column_generation(
-            triangle_instance, partition_all(triangle_instance)
-        )
-        full = engine.extract_plan(triangle_instance, model, mode="full")
-        fast = engine.extract_plan(triangle_instance, model, mode="fast")
-        assert full.objective_gbps_hops == pytest.approx(
-            fast.objective_gbps_hops, abs=1e-6
-        )
-
-    def test_unknown_mode_rejected(self, triangle_instance):
-        model, _ = engine.run_column_generation(
-            triangle_instance, partition_all(triangle_instance)
-        )
-        with pytest.raises(engine.EngineError):
-            engine.extract_plan(triangle_instance, model, mode="simulated_annealing")
 
     def test_gap_nonnegative_and_bound_consistent(self):
         rng = random.Random(11)
@@ -396,8 +401,8 @@ def test_pool_holds_only_columns_that_fit():
 
 def test_fast_infeasible_is_final_without_the_full_program(monkeypatch):
     # arc-flow master whose two chain instances are pooled only on different
-    # nodes: at k=1 the fast program is infeasible, and so must be the full
-    # one it relaxes, so auto reports it after one MIP
+    # nodes: at k=1 the selection program is infeasible, and so must be the
+    # full one it relaxes, so the selection reports it after one MIP
     inst = build_instance(
         ["a", "b", "c"],
         [("a", "b"), ("b", "c"), ("a", "c")],
@@ -421,9 +426,9 @@ def test_fast_infeasible_is_final_without_the_full_program(monkeypatch):
     monkeypatch.setattr(highs, "solve_mip", mip)
     with pytest.raises(engine.Infeasible):
         engine.extract_plan(inst, model)
-    assert calls == ["final-fast"]
+    assert calls == ["selection"]
     with pytest.raises(engine.Infeasible):
-        engine.extract_plan(inst, model, mode="full")
+        engine._extract(inst, model, full=True)
 
 
 class FakeClock:

@@ -5,9 +5,8 @@ from conftest import build_instance, with_capacity
 
 from scmap import baselines, engine
 from scmap.master import (
-    MODE_FAST,
-    MODE_FULL,
     MasterError,
+    _end_cost,
     add_column,
     build_final_ilp,
     build_rmp,
@@ -200,6 +199,29 @@ class TestAddColumn:
             derived = column_coefficients(model, config)
             assert stored == pytest.approx(derived)
 
+    def test_x_and_consistency_only_at_end_positions(self):
+        # only the end flows read x, so the middle position of a 3-VNF
+        # chain gets neither an x nor a consistency row (3 Gbps links are
+        # below the worst-case load of 8: an arc-flow master)
+        inst = build_instance(
+            ["a", "b", "c"],
+            [("a", "b"), ("b", "c"), ("a", "c")],
+            [("a", "b"), ("b", "c")],
+            chain_vnfs=("fw", "nat", "ids"),
+            capacity=3.0,
+        )
+        model, _ = engine.run_column_generation(inst, partition_all(inst))
+        assert not model.compact
+        assert {len(ci.vnfs) for ci in model.chain_instances} == {3}
+        assert {pos for _key, pos, _v in model.xvar} == {0, 2}
+        assert set(model.cons_row) == set(model.xvar)
+        assert len(row_names(model, "cons")) == len(model.xvar)
+        assert len(model.pool) > 1
+        for pos, config in enumerate(model.pool):
+            var = model.zvar[pos]
+            stored = {i: a for i, row in enumerate(model.lp.rows) for j, a in row.coeffs if j == var}
+            assert stored == pytest.approx(column_coefficients(model, config))
+
 
 class TestDuals:
     def test_le_row_duals_nonpositive(self):
@@ -265,27 +287,31 @@ class TestFinalIlp:
 
     def test_fast_binary_count_on_triangle(self, triangle):
         model = self.converged(triangle)
-        final = build_final_ilp(model, MODE_FAST, triangle.k)
+        final = build_final_ilp(model, triangle.k)
         nbin = sum(1 for v in final.lp.variables if v.integer)
         assert nbin == len(model.pool) + len(triangle.topology.nfv_nodes)
 
-    def test_full_matches_fast_uncapacitated(self, triangle):
-        model = self.converged(triangle)
-        full = build_final_ilp(model, MODE_FULL, triangle.k)
-        fast = build_final_ilp(model, MODE_FAST, triangle.k)
+    def test_full_matches_fast_uncapacitated(self, capacitated_triangle):
+        # 6 Gbps links: an arc-flow master, yet no plan loads an arc that far
+        model = self.converged(capacitated_triangle)
+        full = build_final_ilp(model, capacitated_triangle.k, full=True)
+        fast = build_final_ilp(model, capacitated_triangle.k)
         a = highs.solve_mip(full.lp)
         b = highs.solve_mip(fast.lp)
         assert a.status == b.status == "optimal"
         assert a.objective == pytest.approx(b.objective, abs=1e-6)
 
     def test_modes_agree_at_every_k_when_k1_binds(self):
-        inst = two_ended_path()
+        # 3 Gbps links are below the worst-case load of 6, so the master is
+        # arc-flow, yet no plan loads an arc past 2
+        inst = with_capacity(two_ended_path(), 3.0)
         model = self.converged(inst)
+        assert not model.compact
         got = {}
         for k in range(1, len(inst.topology.nfv_nodes) + 1):
             objs = [
-                highs.solve_mip(build_final_ilp(model, mode, k).lp).objective
-                for mode in (MODE_FULL, MODE_FAST)
+                highs.solve_mip(build_final_ilp(model, k, full=full).lp).objective
+                for full in (True, False)
             ]
             assert objs[0] == pytest.approx(objs[1], abs=1e-6), k
             got[k] = objs[0]
@@ -294,20 +320,44 @@ class TestFinalIlp:
         assert got[1] == pytest.approx(single) and single > 2.0
         assert all(got[k] == pytest.approx(2.0) for k in got if k > 1)
 
-    def test_final_objective_at_least_relaxation(self, triangle):
-        model = self.converged(triangle)
-        final = build_final_ilp(model, MODE_FULL, triangle.k)
-        mip = highs.solve_mip(final.lp)
-        assert mip.objective >= model.last_relaxation.objective - 1e-6
+    def test_final_objective_at_least_relaxation(self, triangle, capacitated_triangle):
+        for inst in (triangle, capacitated_triangle):
+            model = self.converged(inst)
+            final = build_final_ilp(model, inst.k, full=not model.compact)
+            mip = highs.solve_mip(final.lp)
+            assert mip.objective >= model.last_relaxation.objective - 1e-6
 
-    def test_compact_master_has_one_final_program(self, triangle):
-        model = self.converged(triangle)
-        assert model.compact
-        full = build_final_ilp(model, MODE_FULL, triangle.k)
-        fast = build_final_ilp(model, MODE_FAST, triangle.k)
-        assert full.mode == fast.mode == MODE_FAST
-        assert [v.name for v in full.lp.variables] == [v.name for v in fast.lp.variables]
-        assert not [v for v in full.lp.variables if v.name.startswith("art[")]
+    def test_selection_is_the_masters_z_restriction(self, triangle, capacitated_triangle):
+        # row for row the master's conv/core/cap rows with only their z
+        # terms, then the hosting block; z priced with its end cost
+        for inst in (triangle, capacitated_triangle):
+            model = self.converged(inst)
+            final = build_final_ilp(model, inst.k)
+            assert not final.full
+            lp = final.lp
+            zsel = {model.zvar[p]: var for var, p in final.zmap.items()}
+            assert sorted(zsel.values()) == list(range(len(model.pool)))
+            kept = [*model.conv_row.values(), *model.core_row.values(), *model.cap_row.values()]
+            for i, r in enumerate(kept):
+                want = model.lp.rows[r]
+                got = lp.rows[i]
+                assert (got.name, got.relation, got.rhs) == (want.name, want.relation, want.rhs)
+                assert got.coeffs == [(zsel[j], a) for j, a in want.coeffs if j in zsel]
+            hosting = [r.name for r in lp.rows[len(kept):]]
+            assert hosting[-1] == "kbudget"
+            assert all(n.startswith("host[") for n in hosting[:-1])
+            for p, config in enumerate(model.pool):
+                key = (config.chain, config.group_index)
+                cost = config.cost + _end_cost(model, key, config.locations)
+                assert lp.variables[zsel[model.zvar[p]]].obj == pytest.approx(cost)
+            assert not [v for v in lp.variables if v.name.startswith(("art[", "x[", "y"))]
+            assert [v.name for v in lp.variables if v.integer and v.name.startswith("h[")]
+            if model.compact:
+                # no end flows, so no full program either
+                with pytest.raises(MasterError):
+                    build_final_ilp(model, inst.k, full=True)
+            else:
+                assert build_final_ilp(model, inst.k, full=True).full
 
     def test_infeasible_when_k_below_pool_spread(self):
         # two chain instances whose only pooled placements sit on different
@@ -323,10 +373,12 @@ class TestFinalIlp:
         cis = chain_instances(inst, parts)
         assert len(cis) == 2
         seeds = [colocated(cis[0], "a"), colocated(cis[1], "b")]
-        model = build_rmp(inst, parts, seeds)
-        solve_relaxation(model)
-        for mode in (MODE_FULL, MODE_FAST):
-            mip = highs.solve_mip(build_final_ilp(model, mode, 1).lp)
-            assert mip.status == "infeasible", mode
-            mip = highs.solve_mip(build_final_ilp(model, mode, 2).lp)
-            assert mip.status == "optimal", mode
+        for capacity in (1000.0, 5.0):  # compact, then arc-flow
+            model = build_rmp(with_capacity(inst, capacity), parts, seeds)
+            assert model.compact == (capacity == 1000.0)
+            solve_relaxation(model)
+            for full in [False] if model.compact else [False, True]:
+                mip = highs.solve_mip(build_final_ilp(model, 1, full=full).lp)
+                assert mip.status == "infeasible", full
+                mip = highs.solve_mip(build_final_ilp(model, 2, full=full).lp)
+                assert mip.status == "optimal", full
