@@ -210,9 +210,9 @@ def cmd_sweep(args) -> int:
         if nc < 1:
             raise CliError(f"--nc-list value {nc} must be >= 1")
     parts = (probe.topology, probe.vnfs, probe.chains, probe.demands)
-    report = baselines.baseline_report(probe)
-    lb = report.shortest_path_lb
-    single = report.single_node[1]
+    paths = all_pairs_hops(probe.topology)
+    lb = baselines.shortest_path_lb(probe, paths)
+    single = baselines.single_node_oracle(probe, paths)[1]
 
     groups = [_sweep_group(parts, nc, k_values, args) for nc in nc_values]
 

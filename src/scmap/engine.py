@@ -268,11 +268,11 @@ def run_column_generation(
         added = 0
         best_rc = 0.0
         for ci in model.chain_instances:
-            priced = price_chain_instance(instance, ci, duals, seg_table=seg)
+            priced = price_chain_instance(instance, ci, duals, seg)
             if priced is None:
                 continue
-            config, breakdown = priced
-            best_rc = min(best_rc, breakdown.total)
+            config, reduced = priced
+            best_rc = min(best_rc, reduced)
             before = len(model.pool)
             add_column(model, config)
             if len(model.pool) > before:

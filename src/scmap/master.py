@@ -176,9 +176,6 @@ class RmpModel:
     last_relaxation: Optional[LpSolution] = None
     last_duals: Optional[DualPrices] = None
 
-    def instance_of(self, key: tuple[str, int]) -> ChainInstance:
-        return self.by_key[key]
-
 
 def chain_instances(
     instance: ProblemInstance, partitions: Iterable[ChainPartition]
@@ -321,7 +318,7 @@ def _add_end_rows(
     topo = model.instance.topology
     lp = model.lp
     nfv = set(topo.nfv_nodes)
-    ci = model.instance_of(key)
+    ci = model.by_key[key]
     if lead_in:
         yvar, pos, away, toward = model.yfvar, 0, topo.out_arcs, topo.in_arcs
         names, sign = ("fsrc", "fbal"), 1.0
@@ -493,7 +490,7 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
 
 def column_coefficients(model: RmpModel, config: Configuration) -> dict:
     """Row index -> coefficient a z column for `config` must carry."""
-    ci = model.instance_of((config.chain, config.group_index))
+    ci = model.by_key[(config.chain, config.group_index)]
     per_gbps = model.instance.chain_cores_per_gbps(ci.chain)
     coeffs = {model.conv_row[ci.key]: 1.0}
     core_use: dict[str, float] = {}
@@ -537,7 +534,7 @@ def add_column(model: RmpModel, config: Configuration) -> int:
     """
     key = (config.chain, config.group_index)
     try:
-        ci = model.instance_of(key)
+        ci = model.by_key[key]
     except KeyError:
         raise MasterError(f"no chain instance {key} in this model") from None
     validate_configuration(model.instance, ci, config)
@@ -594,7 +591,7 @@ def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
 def reduced_cost_of(model: RmpModel, duals: DualPrices, config: Configuration) -> float:
     """Recompute a column's reduced cost from its row coefficients (on a
     compact master the end cost enters through `duals.consistency`)."""
-    ci = model.instance_of((config.chain, config.group_index))
+    ci = model.by_key[(config.chain, config.group_index)]
     rc = config.cost - duals.convexity[ci.key]
     per_gbps = model.instance.chain_cores_per_gbps(ci.chain)
     for pos, v in enumerate(config.locations):

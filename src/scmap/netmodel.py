@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -186,8 +187,8 @@ class ProblemInstance:
                 if f not in self.vnfs:
                     raise ValidationError(f"chain {c.id!r} references unknown VNF {f!r}")
         for f in self.vnfs.values():
-            if f.cores_per_gbps < 0:
-                raise ValidationError(f"vnf {f.id!r} cores_per_gbps must be >= 0")
+            if not 0 <= f.cores_per_gbps < math.inf:
+                raise ValidationError(f"vnf {f.id!r} cores_per_gbps must be finite and >= 0")
         for r in self.demands.records:
             for v in (r.src, r.dst):
                 if v not in self.topology.node_by_id:
@@ -246,6 +247,13 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _number(value, key: str, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{where}: {key} not a number") from e
+
+
 def _load_json(path: str | Path) -> dict:
     path = Path(path)
     try:
@@ -266,11 +274,14 @@ def load_topology(path: str | Path) -> Topology:
     nodes = []
     for i, n in enumerate(_need(data, "nodes", where)):
         spot = f"{where} nodes[{i}]"
+        cores = _number(n.get("cores", 0), "cores", spot)
+        if not cores.is_integer():
+            raise ParseError(f"{spot}: cores must be a whole number, got {cores:g}")
         nodes.append(
             NodeSpec(
                 id=str(_need(n, "id", spot)),
                 nfv=bool(_need(n, "nfv", spot)),
-                cores=int(n.get("cores", 0)),
+                cores=int(cores),
             )
         )
     arcs = []
@@ -278,10 +289,7 @@ def load_topology(path: str | Path) -> Topology:
         spot = f"{where} links[{i}]"
         a = str(_need(l, "a", spot))
         b = str(_need(l, "b", spot))
-        try:
-            cap = float(_need(l, "capacity_gbps", spot))
-        except (TypeError, ValueError) as e:
-            raise ParseError(f"{spot}: capacity_gbps not a number") from e
+        cap = _number(_need(l, "capacity_gbps", spot), "capacity_gbps", spot)
         arcs.append(ArcSpec(a, b, cap))
         arcs.append(ArcSpec(b, a, cap))
     return Topology(name=str(data.get("name", Path(path).stem)), nodes=nodes, arcs=arcs)
@@ -296,7 +304,8 @@ def load_chains(path: str | Path) -> tuple[dict[str, VnfSpec], dict[str, ChainSp
         vid = str(_need(v, "id", spot))
         if vid in vnfs:
             raise ValidationError(f"{spot}: duplicate vnf id {vid!r}")
-        vnfs[vid] = VnfSpec(vid, float(_need(v, "cores_per_gbps", spot)))
+        rate = _number(_need(v, "cores_per_gbps", spot), "cores_per_gbps", spot)
+        vnfs[vid] = VnfSpec(vid, rate)
     chains: dict[str, ChainSpec] = {}
     for i, c in enumerate(_need(data, "chains", where)):
         spot = f"{where} chains[{i}]"

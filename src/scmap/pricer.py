@@ -6,11 +6,10 @@ The reduced cost decomposes additively: each position i at node v pays
 pays a shortest path under arc weight D * (1 - capacity_dual). On a compact
 master the consistency term is minus the end cost of placing the first or
 last position at v (see `master.DualPrices`), so both master shapes price
-through the same code. A layered sweep over positions minimises over every
-location tuple; when its answer fits the nodes' cores on its own it is also
-the self-feasible optimum, and otherwise a depth-first search over the
-fitting tuples, cut by the sweep's cost-to-go, finds it. The brute-force
-enumeration tests confirm this rather than assume it.
+through the same code. One depth-first search over the location tuples that
+fit the nodes' cores finds the optimum, cut by a layered cost-to-go sweep
+over every tuple, which never overestimates. The brute-force enumeration
+tests confirm this rather than assume it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .master import (
     ChainInstance,
     Configuration,
     DualPrices,
-    fits,
     make_configuration,
     position_cores,
 )
@@ -38,17 +36,6 @@ Arc = tuple[str, str]
 
 class PricerError(ValueError):
     """Size guard or malformed pricing input."""
-
-
-@dataclass(frozen=True)
-class ReducedCostBreakdown:
-    """total = raw_cost - convexity_term - node_terms - arc_terms."""
-
-    raw_cost: float
-    convexity_term: float
-    node_terms: float
-    arc_terms: float
-    total: float
 
 
 @dataclass(frozen=True)
@@ -101,9 +88,9 @@ def segment_cost_table(
 
 def _fitting_argmin(
     node_cost: list, seg: list, need: list, cores: list
-) -> Optional[tuple[int, ...]]:
+) -> tuple[float, Optional[tuple[int, ...]]]:
     """Cheapest location tuple (node indices) whose core use fits every
-    node, or None if none does.
+    node, with its cost; (inf, None) if none fits.
 
     `node_cost[pos][v]` is position pos's cost at node v and `seg[v][w]`
     the segment cost from v to w. Depth-first over positions, nodes in
@@ -113,7 +100,7 @@ def _fitting_argmin(
     """
     n, m = len(need), len(cores)
     if sum(need) > sum(cores) + FIT_TOL:
-        return None
+        return math.inf, None
     # togo[pos][v]: cheapest completion of positions after pos, v at pos
     togo = [[0.0] * m for _ in range(n)]
     for pos in range(n - 2, -1, -1):
@@ -140,112 +127,58 @@ def _fitting_argmin(
             left[v] += need[pos]
 
     dive(0, 0, 0.0)
-    return best[1]
+    return best[0], best[1]
 
 
 def best_configuration(
     instance: ProblemInstance,
     chain_instance: ChainInstance,
     duals: DualPrices,
-    seg_table: Optional[SegmentCostTable] = None,
-) -> tuple[Configuration, ReducedCostBreakdown]:
+    seg_table: SegmentCostTable,
+) -> tuple[Configuration, float]:
     """Exact reduced-cost minimizer over the self-feasible configurations of
-    one chain instance.
+    one chain instance, with its reduced cost.
 
-    Ties break toward the lexicographically smallest node at every layer, so
-    repeated calls under equal duals return the same configuration. Raises
-    PricerError when no location tuple fits the nodes' cores.
+    Among placements of equal reduced cost the one whose tuple of NFV-node
+    indices is lexicographically smallest wins, so repeated calls under
+    equal duals return the same configuration. Raises PricerError when no
+    location tuple fits the nodes' cores.
     """
-    if seg_table is None:
-        seg_table = segment_cost_table(instance, duals)
     ci = chain_instance
     nfv = instance.topology.nfv_nodes
-    per_gbps = instance.chain_cores_per_gbps(ci.chain)
-    n = len(ci.vnfs)
+    node = instance.topology.node_by_id
     dgroup = ci.total_gbps
-
-    def node_cost(pos: int, v: str) -> float:
-        pi = duals.core.get(v, 0.0)
-        lam = duals.consistency.get((ci.key, pos, v), 0.0)
-        return -pi * dgroup * per_gbps[pos] - lam
-
-    dp = {v: node_cost(0, v) for v in nfv}
-    parents: list[dict] = []
-    for pos in range(1, n):
-        nxt: dict = {}
-        par: dict = {}
-        for w in nfv:
-            best = None
-            pick = None
-            for v in nfv:
-                cand = dp[v] + dgroup * seg_table.cost[(v, w)]
-                if best is None or cand < best - 1e-12:
-                    best = cand
-                    pick = v
-            nxt[w] = best + node_cost(pos, w)
-            par[w] = pick
-        dp = nxt
-        parents.append(par)
-
-    end = None
-    best = None
-    for v in nfv:
-        if best is None or dp[v] < best - 1e-12:
-            best = dp[v]
-            end = v
-    locations = [end]
-    for par in reversed(parents):
-        locations.append(par[locations[-1]])
-    locations = tuple(reversed(locations))
-    if not fits(instance, ci, locations):
-        # the unrestricted optimum does not fit: search the self-feasible tuples
-        node = instance.topology.node_by_id
-        picked = _fitting_argmin(
-            [[node_cost(pos, v) for v in nfv] for pos in range(n)],
-            [[dgroup * seg_table.cost[(v, w)] for w in nfv] for v in nfv],
-            position_cores(instance, ci),
-            [float(node[v].cores) for v in nfv],
-        )
-        if picked is None:
-            raise PricerError(f"{ci.label}: no placement fits the nodes' cores")
-        locations = tuple(nfv[i] for i in picked)
-    segments = tuple(
-        seg_table.path[(locations[i], locations[i + 1])] for i in range(n - 1)
-    )
+    need = position_cores(instance, ci)
+    node_cost = [
+        [
+            -duals.core.get(v, 0.0) * need[pos]
+            - duals.consistency.get((ci.key, pos, v), 0.0)
+            for v in nfv
+        ]
+        for pos in range(len(need))
+    ]
+    seg = [[dgroup * seg_table.cost[(v, w)] for w in nfv] for v in nfv]
+    cost, picked = _fitting_argmin(node_cost, seg, need, [float(node[v].cores) for v in nfv])
+    if picked is None:
+        raise PricerError(f"{ci.label}: no placement fits the nodes' cores")
+    locations = tuple(nfv[i] for i in picked)
+    segments = tuple(seg_table.path[pair] for pair in zip(locations, locations[1:]))
     config = make_configuration(ci, locations, segments)
-
-    node_terms = sum(
-        duals.core.get(v, 0.0) * dgroup * per_gbps[pos]
-        + duals.consistency.get((ci.key, pos, v), 0.0)
-        for pos, v in enumerate(config.locations)
-    )
-    arc_terms = sum(
-        duals.capacity.get(arc, 0.0) * dgroup
-        for seg in config.segment_paths
-        for arc in seg
-    )
-    conv = duals.convexity.get(ci.key, 0.0)
-    breakdown = ReducedCostBreakdown(
-        raw_cost=config.cost,
-        convexity_term=conv,
-        node_terms=node_terms,
-        arc_terms=arc_terms,
-        total=config.cost - conv - node_terms - arc_terms,
-    )
-    return config, breakdown
+    return config, cost - duals.convexity.get(ci.key, 0.0)
 
 
 def price_chain_instance(
     instance: ProblemInstance,
     chain_instance: ChainInstance,
     duals: DualPrices,
-    seg_table: Optional[SegmentCostTable] = None,
-) -> Optional[tuple[Configuration, ReducedCostBreakdown]]:
-    """Return an improving configuration, or None when none prices out."""
-    config, breakdown = best_configuration(instance, chain_instance, duals, seg_table)
-    if breakdown.total >= -EPS:
+    seg_table: SegmentCostTable,
+) -> Optional[tuple[Configuration, float]]:
+    """Return an improving configuration and its reduced cost, or None when
+    none prices out."""
+    config, reduced = best_configuration(instance, chain_instance, duals, seg_table)
+    if reduced >= -EPS:
         return None
-    return config, breakdown
+    return config, reduced
 
 
 def _simple_paths(instance: ProblemInstance, src: str, dst: str) -> list[tuple[Arc, ...]]:

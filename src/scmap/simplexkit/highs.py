@@ -8,8 +8,6 @@ identity (`model.dual_objective`) can be asserted on every solve.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
@@ -87,13 +85,6 @@ _MIP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 def solve_mip(lp: LinearProgram, time_limit: float | None = None) -> MipSolution:
-    if not lp.integer_indices():
-        sol = solve_lp(lp)
-        return MipSolution(
-            status=sol.status, x=sol.x, objective=sol.objective,
-            bound=sol.objective, gap=0.0 if sol.optimal else math.nan,
-            message=sol.message,
-        )
     c = np.array([v.obj for v in lp.variables], dtype=float)
     lo = np.array([-np.inf if r.relation == LE else r.rhs for r in lp.rows], dtype=float)
     hi = np.array([np.inf if r.relation == GE else r.rhs for r in lp.rows], dtype=float)

@@ -92,9 +92,6 @@ class LinearProgram:
             raise LpError("non-finite coefficient")
         self.rows[row].coeffs.append((var, coef))
 
-    def integer_indices(self) -> list[int]:
-        return [j for j, v in enumerate(self.variables) if v.integer]
-
     def clone(self, integer_all: bool = False) -> "LinearProgram":
         out = LinearProgram(self.name)
         for v in self.variables:

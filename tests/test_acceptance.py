@@ -28,7 +28,7 @@ from scmap.simplexkit import GE, LE, highs
 from scmap.fixturedata import cost239_files, nsfnet_files
 from scmap.master import chain_instances
 from scmap.netmodel import ProblemInstance, load_instance, save_instance
-from scmap.pricer import best_configuration, enumerate_all_configs
+from scmap.pricer import best_configuration, enumerate_all_configs, segment_cost_table
 from scmap.sptg import partition_all
 
 NSF_LB = 390.0
@@ -173,12 +173,12 @@ def test_criterion_6_pricing_exactness():
         )
         ci = chain_instances(inst, partition_all(inst))[0]
         duals = random_duals(rng, inst, ci)
-        _, breakdown = best_configuration(inst, ci, duals)
+        _, reduced = best_configuration(inst, ci, duals, segment_cost_table(inst, duals))
         best = min(
             brute_force_total(inst, ci, duals, c)
             for c in enumerate_all_configs(inst, ci)
         )
-        if abs(breakdown.total - best) > 1e-6:
+        if abs(reduced - best) > 1e-6:
             failures += 1
     assert failures == 0
     print("\ncriterion 6 PASS: 500/500 pricing calls match brute-force enumeration")

@@ -4,7 +4,7 @@ import pytest
 from conftest import build_instance
 
 from scmap import cli, engine
-from scmap.fixturedata import triangle_files
+from scmap.fixturedata import nsfnet_files, triangle_files
 from scmap.netmodel import save_instance
 
 
@@ -178,6 +178,29 @@ class TestSweep:
         assert run(["sweep", *triangle_flags, "--nc-list", "1,2",
                     "--k-list", "1", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
+
+    def test_reference_columns_need_no_solve(self, tmp_path, monkeypatch):
+        # every node at 30 cores: the per-pair baseline would need a solve,
+        # which is infeasible here; the sweep writes only the closed-form
+        # columns, so it must never solve, and its one cell is infeasible
+        topo, chains, demands = nsfnet_files()
+        doc = json.loads(topo.read_text())
+        for node in doc["nodes"]:
+            node["cores"] = 30
+        tight = tmp_path / "nsfnet30.topology.json"
+        tight.write_text(json.dumps(doc))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("sweep called engine.solve")
+
+        monkeypatch.setattr(engine, "solve", no_solve)
+        out = tmp_path / "s.csv"
+        code = run(["sweep", "--topology", str(tight), "--chains", str(chains),
+                    "--demands", str(demands), "--nc-list", "14", "--k-list", "14",
+                    "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == ["infeasible"]
 
 
 class TestArgErrors:

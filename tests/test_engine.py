@@ -9,6 +9,7 @@ import pytest
 from conftest import build_instance, random_connected_instance
 
 from scmap import baselines, engine
+from scmap.fixturedata import cost239_files, nsfnet_files
 from scmap.master import (
     add_column,
     build_rmp,
@@ -17,9 +18,16 @@ from scmap.master import (
     make_configuration,
     solve_relaxation,
 )
-from scmap.netmodel import ChainSpec, NodeSpec, ProblemInstance, Topology, VnfSpec
+from scmap.netmodel import (
+    ChainSpec,
+    NodeSpec,
+    ProblemInstance,
+    Topology,
+    VnfSpec,
+    load_instance,
+)
 from scmap.pathcore import all_pairs_hops
-from scmap.pricer import enumerate_all_configs, price_chain_instance
+from scmap.pricer import enumerate_all_configs, price_chain_instance, segment_cost_table
 from scmap.simplexkit import MipSolution, highs
 from scmap.sptg import partition_all
 
@@ -93,10 +101,10 @@ class TestColumnGeneration:
             triangle_instance, partition_all(triangle_instance)
         )
         assert trace.converged
+        duals = model.last_duals
+        seg = segment_cost_table(triangle_instance, duals, model.paths)
         for ci in model.chain_instances:
-            assert (
-                price_chain_instance(triangle_instance, ci, model.last_duals) is None
-            )
+            assert price_chain_instance(triangle_instance, ci, duals, seg) is None
 
     def test_trace_objective_monotone(self):
         rng = random.Random(5)
@@ -311,6 +319,39 @@ def test_tight_square_solves(cores):
     assert engine.validate_plan(inst, plan) == []
 
 
+@pytest.mark.parametrize(
+    "files, cores, nc, objective, lp_bound, rounds, added",
+    [
+        (nsfnet_files, 70, 4, 842.0, 825.30303, 3, 6),
+        (nsfnet_files, 70, 8, 647.0, 592.435293, 3, 5),
+        (cost239_files, 50, 4, 378.0, 374.483333, 8, 17),
+        (cost239_files, 50, 8, 261.0, 254.819048, 6, 9),
+    ],
+)
+def test_core_bound_cells_keep_their_cg_path(
+    files, cores, nc, objective, lp_bound, rounds, added
+):
+    # every node at `cores`, k = every NFV node: column generation iterates
+    # and ends on split placements, so the pricer's choices shape the result
+    base = load_instance(*files(), k=1, nc=nc)
+    topo = base.topology
+    nodes = [dataclasses.replace(n, cores=cores) for n in topo.nodes]
+    inst = ProblemInstance(
+        Topology(topo.name, nodes, list(topo.arcs)),
+        base.vnfs,
+        base.chains,
+        base.demands,
+        k=len(topo.nfv_nodes),
+        nc=dict(base.nc),
+    )
+    result = engine.solve(inst)
+    assert result.plan.objective_gbps_hops == pytest.approx(objective, abs=1e-6)
+    assert result.plan.lp_bound == pytest.approx(lp_bound, abs=1e-6)
+    assert len(result.trace.iterations) == rounds
+    assert sum(it.columns_added for it in result.trace.iterations) == added
+    assert engine.validate_plan(inst, result.plan) == []
+
+
 @pytest.mark.parametrize("capacity", [4.0, 1000.0])
 def test_long_chain_under_tight_cores_matches_every_tuple(capacity):
     # a six-VNF chain on a six-node ring whose nodes hold two positions
@@ -393,7 +434,7 @@ def test_pool_holds_only_columns_that_fit():
         except engine.Infeasible:
             continue
         for config in model.pool:
-            ci = model.instance_of((config.chain, config.group_index))
+            ci = model.by_key[(config.chain, config.group_index)]
             assert fits(inst, ci, config.locations), (case, config.locations)
         checked += 1
     assert checked >= 40, checked

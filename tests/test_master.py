@@ -20,7 +20,7 @@ from scmap.master import (
 )
 from scmap.netmodel import ProblemInstance, load_instance
 from scmap.pathcore import all_pairs_hops
-from scmap.pricer import best_configuration, enumerate_all_configs
+from scmap.pricer import best_configuration, enumerate_all_configs, segment_cost_table
 from scmap.fixturedata import nsfnet_files, triangle_files
 from scmap.simplexkit import highs
 from scmap.sptg import partition_all
@@ -250,8 +250,10 @@ class TestDuals:
             for row, coef in coeffs.items():
                 recomputed -= model.last_relaxation.duals[row] * coef
             assert mine == pytest.approx(recomputed, abs=1e-8)
-        _, breakdown = best_configuration(triangle, ci, duals)
-        assert breakdown.total == pytest.approx(
+        _, reduced = best_configuration(
+            triangle, ci, duals, segment_cost_table(triangle, duals)
+        )
+        assert reduced == pytest.approx(
             min(
                 reduced_cost_of(model, duals, c)
                 for c in enumerate_all_configs(triangle, ci)
@@ -272,8 +274,10 @@ class TestDuals:
             for row, coef in column_coefficients(model, config).items():
                 recomputed -= model.last_relaxation.duals[row] * coef
             assert reduced_cost_of(model, duals, config) == pytest.approx(recomputed, abs=1e-8)
-        _, breakdown = best_configuration(triangle, ci, duals)
-        assert breakdown.total == pytest.approx(
+        _, reduced = best_configuration(
+            triangle, ci, duals, segment_cost_table(triangle, duals)
+        )
+        assert reduced == pytest.approx(
             min(reduced_cost_of(model, duals, c) for c in enumerate_all_configs(triangle, ci)),
             abs=1e-8,
         )

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -145,6 +146,26 @@ def test_missing_field_named(tmp_path):
     bad.write_text('{"name": "x", "nodes": [{"nfv": true}], "links": []}')
     with pytest.raises(ParseError, match="missing field 'id'"):
         load_topology(bad)
+
+
+@pytest.mark.parametrize(
+    "target, field, value, error",
+    [
+        ("topology", "cores", "many", ParseError),
+        ("topology", "cores", 2.5, ParseError),
+        ("chains", "cores_per_gbps", "x", ParseError),
+        ("chains", "cores_per_gbps", "nan", ValidationError),
+        ("chains", "cores_per_gbps", "inf", ValidationError),
+    ],
+)
+def test_bad_numeric_field_is_an_input_error(tmp_path, target, field, value, error):
+    files = dict(zip(("topology", "chains", "demands"), triangle_files()))
+    doc = json.loads(files[target].read_text())
+    doc["nodes" if target == "topology" else "vnfs"][0][field] = value
+    files[target] = tmp_path / files[target].name
+    files[target].write_text(json.dumps(doc))
+    with pytest.raises(error, match=field):
+        load_instance(files["topology"], files["chains"], files["demands"], k=1, nc=1)
 
 
 def test_roundtrip(tmp_path, nsfnet_instance):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -20,6 +21,10 @@ from scmap.sptg import partition_all
 def only_instance(instance):
     (ci,) = chain_instances(instance, partition_all(instance))
     return ci
+
+
+def price(instance, ci, duals):
+    return best_configuration(instance, ci, duals, segment_cost_table(instance, duals))
 
 
 def zero_duals():
@@ -63,16 +68,17 @@ class TestZeroDuals:
             chain_vnfs=("fw", "nat"),
         )
         ci = only_instance(inst)
-        config, breakdown = best_configuration(inst, ci, zero_duals())
-        assert breakdown.raw_cost == 0.0
-        assert breakdown.total == 0.0
+        config, reduced = price(inst, ci, zero_duals())
+        assert config.cost == 0.0
+        assert reduced == 0.0
         assert len(set(config.locations)) == 1
         assert config.segment_paths == ((),)
 
     def test_nonnegative_total_returns_none(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
         ci = only_instance(inst)
-        assert price_chain_instance(inst, ci, zero_duals()) is None
+        duals = zero_duals()
+        assert price_chain_instance(inst, ci, duals, segment_cost_table(inst, duals)) is None
 
     def test_convexity_offset_prices_out(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
@@ -80,10 +86,10 @@ class TestZeroDuals:
         duals = DualPrices(
             convexity={ci.key: 1.0}, core={}, capacity={}, consistency={}
         )
-        priced = price_chain_instance(inst, ci, duals)
+        priced = price_chain_instance(inst, ci, duals, segment_cost_table(inst, duals))
         assert priced is not None
-        _, breakdown = priced
-        assert breakdown.total == pytest.approx(-1.0)
+        _, reduced = priced
+        assert reduced == pytest.approx(-1.0)
 
     def test_offset_exactly_at_optimum_is_not_improving(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
@@ -91,7 +97,7 @@ class TestZeroDuals:
         duals = DualPrices(
             convexity={ci.key: 0.0}, core={}, capacity={}, consistency={}
         )
-        assert price_chain_instance(inst, ci, duals) is None
+        assert price_chain_instance(inst, ci, duals, segment_cost_table(inst, duals)) is None
 
 
 class TestSegmentTable:
@@ -191,14 +197,14 @@ class TestExactness:
             )
             ci = chain_instances(inst, partition_all(inst))[0]
             duals = random_duals(rng, inst, ci)
-            config, breakdown = best_configuration(inst, ci, duals)
+            config, reduced = price(inst, ci, duals)
             validate_configuration(inst, ci, config)
             best = min(
                 brute_force_total(inst, ci, duals, c)
                 for c in enumerate_all_configs(inst, ci)
             )
-            assert breakdown.total == pytest.approx(best, abs=1e-6)
-            assert breakdown.total == pytest.approx(
+            assert reduced == pytest.approx(best, abs=1e-6)
+            assert reduced == pytest.approx(
                 brute_force_total(inst, ci, duals, config), abs=1e-6
             )
             checked += 1
@@ -222,12 +228,12 @@ class TestExactness:
             if not fitting:
                 continue
             duals = random_duals(rng, inst, ci)
-            config, breakdown = best_configuration(inst, ci, duals)
+            config, reduced = price(inst, ci, duals)
             validate_configuration(inst, ci, config)
             assert fits(inst, ci, config.locations)
             best = min(brute_force_total(inst, ci, duals, c) for c in fitting)
-            assert breakdown.total == pytest.approx(best, abs=1e-6)
-            assert breakdown.total == pytest.approx(
+            assert reduced == pytest.approx(best, abs=1e-6)
+            assert reduced == pytest.approx(
                 brute_force_total(inst, ci, duals, config), abs=1e-6
             )
             unmasked = min(
@@ -262,35 +268,14 @@ class TestExactness:
                     best = (cost, tup)
             got = _fitting_argmin(node_cost, seg, need, cores)
             if best is None:
-                assert got is None
+                assert got == (math.inf, None)
                 empty += 1
             else:
-                assert got == best[1]
+                assert got == best
         assert 20 <= empty <= 280, empty
 
     def test_no_fitting_placement_raises(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b", 2.0)], cores=1)
         ci = only_instance(inst)
         with pytest.raises(PricerError, match="no placement fits"):
-            best_configuration(inst, ci, zero_duals())
-
-    def test_breakdown_identity(self):
-        rng = random.Random(7)
-        inst = random_connected_instance(rng, max_nodes=5, chain_vnfs=("fw", "nat"))
-        ci = chain_instances(inst, partition_all(inst))[0]
-        duals = random_duals(rng, inst, ci)
-        _, b = best_configuration(inst, ci, duals)
-        assert b.total == pytest.approx(
-            b.raw_cost - b.convexity_term - b.node_terms - b.arc_terms, abs=1e-9
-        )
-
-    def test_shared_table_matches_fresh_pricing(self):
-        rng = random.Random(99)
-        inst = random_connected_instance(rng, max_nodes=5, chain_vnfs=("fw",))
-        ci = chain_instances(inst, partition_all(inst))[0]
-        duals = random_duals(rng, inst, ci)
-        table = segment_cost_table(inst, duals)
-        with_table = best_configuration(inst, ci, duals, seg_table=table)
-        without = best_configuration(inst, ci, duals)
-        assert with_table[1].total == pytest.approx(without[1].total, abs=1e-12)
-        assert with_table[0] == without[0]
+            price(inst, ci, zero_duals())
