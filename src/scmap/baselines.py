@@ -3,7 +3,8 @@
 Everything here comes from hop counts and direct summation over demand
 records, never from the LP stack, so these numbers stand as independent
 checks on the solver. The one exception is the per-pair value's fallback
-when its preconditions fail; that run is flagged as such in the report.
+when its preconditions fail; that run is flagged as such in the report, and
+its value is None when the engine finds no plan.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ CAP_TOL = 1e-9
 class BaselineReport:
     shortest_path_lb: float
     single_node: tuple  # (node id, objective)
-    per_pair_instance: float
+    per_pair_instance: Optional[float]  # None: the engine fallback found no plan
     per_pair_from_engine: bool
 
 
@@ -127,7 +128,7 @@ def _per_pair_applicable(instance: ProblemInstance, paths: PathTable) -> bool:
 
 def per_pair_instance_ub(
     instance: ProblemInstance, paths: Optional[PathTable] = None
-) -> float:
+) -> Optional[float]:
     value, _ = _per_pair(instance, paths)
     return value
 
@@ -153,8 +154,11 @@ def _per_pair(instance: ProblemInstance, paths: Optional[PathTable]) -> tuple:
             c: len(instance.pairs_for_chain(c)) for c in instance.chains_with_demand()
         },
     )
-    result = engine.solve(relaxed, paths=paths)
-    return result.plan.objective_gbps_hops, True
+    try:
+        return engine.solve(relaxed, paths=paths).plan.objective_gbps_hops, True
+    except engine.Infeasible as exc:
+        log.warning("per-pair fallback found no plan: %s", exc)
+        return None, True
 
 
 def baseline_report(

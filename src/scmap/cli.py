@@ -271,7 +271,10 @@ def cmd_lowerbound(args) -> int:
     print(f"shortest_path_lb {report.shortest_path_lb:.6f}")
     print(f"single_node {node} {value:.6f}")
     suffix = " engine" if report.per_pair_from_engine else ""
-    print(f"per_pair {report.per_pair_instance:.6f}{suffix}")
+    if report.per_pair_instance is None:
+        print(f"per_pair none{suffix}: no plan relative to the demand grouping")
+    else:
+        print(f"per_pair {report.per_pair_instance:.6f}{suffix}")
     return EXIT_OK
 
 

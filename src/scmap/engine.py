@@ -35,10 +35,11 @@ from .master import (
     chain_instances,
     fits,
     make_configuration,
+    placement_faults,
     solve_relaxation,
 )
 from .netmodel import ProblemInstance
-from .pathcore import PathError, PathTable, all_pairs_hops, path_nodes
+from .pathcore import PathTable, all_pairs_hops, path_nodes, route_fault
 from .pricer import (
     PricerError,
     best_configuration,
@@ -569,49 +570,11 @@ def solve(
 # -- independent feasibility checking ----------------------------------------
 
 
-def _check_route(
-    violations: list,
-    instance: ProblemInstance,
-    arcs,
-    start: str,
-    end: str,
-    label: str,
-) -> None:
-    if not arcs:
-        if start != end:
-            violations.append(
-                Violation("contiguity", f"{label}: empty route but {start} != {end}")
-            )
-        return
-    if start == end:
-        violations.append(
-            Violation("contiguity", f"{label}: nonempty route on co-located endpoints")
-        )
-        return
-    for arc in arcs:
-        if tuple(arc) not in instance.topology.arc_index:
-            violations.append(Violation("contiguity", f"{label}: unknown arc {arc}"))
-            return
-    try:
-        nodes = path_nodes(list(arcs))
-    except PathError:
-        violations.append(Violation("contiguity", f"{label}: arcs do not chain"))
-        return
-    if nodes[0] != start or nodes[-1] != end:
-        violations.append(
-            Violation(
-                "contiguity",
-                f"{label}: route runs {nodes[0]}->{nodes[-1]}, expected {start}->{end}",
-            )
-        )
-
-
 def validate_plan(instance: ProblemInstance, plan: MappingPlan) -> list:
     """Re-derive every invariant from raw routes; stored aggregates are only
     cross-checked, never trusted."""
     violations: list = []
     topo = instance.topology
-    nfv = set(topo.nfv_nodes)
     covered: dict = {}
 
     for asg in plan.assignments:
@@ -619,41 +582,15 @@ def validate_plan(instance: ProblemInstance, plan: MappingPlan) -> list:
         if asg.chain not in instance.chains:
             violations.append(Violation("coverage", f"{label}: unknown chain"))
             continue
-        vnfs = instance.chains[asg.chain].vnfs
-        if len(asg.locations) != len(vnfs):
-            violations.append(
-                Violation(
-                    "contiguity",
-                    f"{label}: {len(asg.locations)} locations for a "
-                    f"{len(vnfs)}-position chain",
-                )
+        violations.extend(
+            Violation(*fault)
+            for fault in placement_faults(
+                instance, asg.chain, asg.locations, asg.segment_paths, label
             )
-            continue
-        for v in asg.locations:
-            if v not in topo.node_by_id:
-                violations.append(Violation("location_not_nfv", f"{label}: unknown node {v}"))
-            elif v not in nfv:
-                violations.append(
-                    Violation("location_not_nfv", f"{label}: {v} is not an NFV node")
-                )
-        if len(asg.segment_paths) != len(vnfs) - 1:
-            violations.append(
-                Violation(
-                    "contiguity",
-                    f"{label}: {len(asg.segment_paths)} segments for a "
-                    f"{len(vnfs)}-position chain",
-                )
-            )
-            continue
-        for i, seg in enumerate(asg.segment_paths):
-            _check_route(
-                violations,
-                instance,
-                seg,
-                asg.locations[i],
-                asg.locations[i + 1],
-                f"{label} segment {i}",
-            )
+        )
+        n = len(instance.chains[asg.chain].vnfs)
+        if (len(asg.locations), len(asg.segment_paths)) != (n, n - 1):
+            continue  # the routes have no ends to check against
         for route in asg.routes:
             pair_label = f"{label} {route.src}->{route.dst}"
             try:
@@ -664,22 +601,13 @@ def validate_plan(instance: ProblemInstance, plan: MappingPlan) -> list:
                 )
                 continue
             covered.setdefault(asg.chain, []).append((route.src, route.dst))
-            _check_route(
-                violations,
-                instance,
-                route.first_arcs,
-                route.src,
-                asg.locations[0],
-                f"{pair_label} lead-in",
-            )
-            _check_route(
-                violations,
-                instance,
-                route.last_arcs,
-                asg.locations[-1],
-                route.dst,
-                f"{pair_label} lead-out",
-            )
+            for arcs, a, b, end in (
+                (route.first_arcs, route.src, asg.locations[0], "lead-in"),
+                (route.last_arcs, asg.locations[-1], route.dst, "lead-out"),
+            ):
+                fault = route_fault(topo, arcs, a, b)
+                if fault:
+                    violations.append(Violation("contiguity", f"{pair_label} {end}: {fault}"))
 
     for chain in instance.chains_with_demand():
         want = instance.pairs_for_chain(chain)

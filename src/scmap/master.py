@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .netmodel import ProblemInstance
-from .pathcore import PathTable, all_pairs_hops, path_nodes
+from .pathcore import PathTable, all_pairs_hops, route_fault
 from .simplexkit import EQ, LE, LinearProgram, LpSolution, highs
 from .sptg import ChainPartition
 
@@ -220,6 +220,33 @@ def make_configuration(
     )
 
 
+def placement_faults(
+    instance: ProblemInstance, chain: str, locations, segment_paths, label: str
+) -> Iterable[tuple[str, str]]:
+    """(kind, detail) for each way `locations` joined by `segment_paths` fails
+    to place `chain`: NFV locations, one route per consecutive pair. The
+    integer plan's validator and `add_column` share this check."""
+    n = len(instance.chains[chain].vnfs)
+    if len(locations) != n:
+        yield "contiguity", f"{label}: {len(locations)} locations for a {n}-position chain"
+        return
+    topo = instance.topology
+    for v in locations:
+        if v not in topo.node_by_id:
+            yield "location_not_nfv", f"{label}: unknown node {v}"
+        elif not topo.node_by_id[v].nfv:
+            yield "location_not_nfv", f"{label}: {v} is not an NFV node"
+    if len(segment_paths) != n - 1:
+        yield "contiguity", (
+            f"{label}: {len(segment_paths)} segments for a {n}-position chain"
+        )
+        return
+    for i, seg in enumerate(segment_paths):
+        fault = route_fault(topo, seg, locations[i], locations[i + 1])
+        if fault:
+            yield "contiguity", f"{label} segment {i}: {fault}"
+
+
 def validate_configuration(
     instance: ProblemInstance, chain_instance: ChainInstance, config: Configuration
 ) -> None:
@@ -228,43 +255,10 @@ def validate_configuration(
             f"configuration for {config.chain}/{config.group_index} offered to "
             f"chain instance {chain_instance.label}"
         )
-    n = len(chain_instance.vnfs)
-    if len(config.locations) != n:
-        raise MasterError(
-            f"{chain_instance.label}: {len(config.locations)} locations for a "
-            f"{n}-position chain"
-        )
-    nfv = set(instance.topology.nfv_nodes)
-    for v in config.locations:
-        if v not in nfv:
-            raise MasterError(f"{chain_instance.label}: location {v!r} is not an NFV node")
-    if len(config.segment_paths) != n - 1:
-        raise MasterError(
-            f"{chain_instance.label}: expected {n - 1} segment paths, "
-            f"got {len(config.segment_paths)}"
-        )
-    for i, seg in enumerate(config.segment_paths):
-        a, b = config.locations[i], config.locations[i + 1]
-        if not seg:
-            if a != b:
-                raise MasterError(
-                    f"{chain_instance.label}: empty segment {i} between distinct "
-                    f"locations {a!r} and {b!r}"
-                )
-            continue
-        if a == b:
-            raise MasterError(
-                f"{chain_instance.label}: nonempty segment {i} between co-located "
-                f"positions at {a!r}"
-            )
-        for arc in seg:
-            if arc not in instance.topology.arc_index:
-                raise MasterError(f"{chain_instance.label}: unknown arc {arc!r} in segment {i}")
-        nodes = path_nodes(list(seg))
-        if not nodes or nodes[0] != a or nodes[-1] != b:
-            raise MasterError(
-                f"{chain_instance.label}: segment {i} does not run {a!r} -> {b!r}"
-            )
+    for _, detail in placement_faults(
+        instance, config.chain, config.locations, config.segment_paths, chain_instance.label
+    ):
+        raise MasterError(detail)
     want = chain_instance.total_gbps * config.hop_count
     if abs(config.cost - want) > 1e-9 * max(1.0, abs(want)):
         raise MasterError(

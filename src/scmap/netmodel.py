@@ -277,13 +277,10 @@ def load_topology(path: str | Path) -> Topology:
         cores = _number(n.get("cores", 0), "cores", spot)
         if not cores.is_integer():
             raise ParseError(f"{spot}: cores must be a whole number, got {cores:g}")
-        nodes.append(
-            NodeSpec(
-                id=str(_need(n, "id", spot)),
-                nfv=bool(_need(n, "nfv", spot)),
-                cores=int(cores),
-            )
-        )
+        nfv = _need(n, "nfv", spot)
+        if not isinstance(nfv, bool):
+            raise ParseError(f"{spot}: nfv must be true or false, got {nfv!r}")
+        nodes.append(NodeSpec(id=str(_need(n, "id", spot)), nfv=nfv, cores=int(cores)))
     arcs = []
     for i, l in enumerate(_need(data, "links", where)):
         spot = f"{where} links[{i}]"

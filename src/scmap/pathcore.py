@@ -147,3 +147,22 @@ def path_nodes(arcs: list[tuple[str, str]]) -> list[str]:
             raise PathError(f"arc list not contiguous at {u!r}")
         seq.append(v)
     return seq
+
+
+def route_fault(topology: Topology, arcs, start: str, end: str) -> str | None:
+    """Why `arcs` is not a route from `start` to `end`, or None when it is.
+
+    An empty route is the route from a node to itself, and only that.
+    """
+    if not arcs:
+        return None if start == end else f"empty route but {start} != {end}"
+    if start == end:
+        return "nonempty route on co-located endpoints"
+    for arc in arcs:
+        if tuple(arc) not in topology.arc_index:
+            return f"unknown arc {arc}"
+    if any(a[1] != b[0] for a, b in zip(arcs, arcs[1:])):
+        return "arcs do not chain"
+    if arcs[0][0] != start or arcs[-1][1] != end:
+        return f"route runs {arcs[0][0]}->{arcs[-1][1]}, expected {start}->{end}"
+    return None

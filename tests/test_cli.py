@@ -132,6 +132,23 @@ class TestLowerbound:
         assert out[1] == "single_node a 8.000000"
         assert out[2] == "per_pair 6.000000"
 
+    def test_infeasible_fallback_still_prints_bounds(self, tmp_path, capsys):
+        # 182 pairs x 3 VNFs x 1 core/Gbps need 546 cores and 14 nodes x 30
+        # have 420: the per-pair construction does not fit and no plan exists
+        topo, chains, demands = nsfnet_files()
+        doc = json.loads(topo.read_text())
+        for node in doc["nodes"]:
+            node["cores"] = 30
+        starved = tmp_path / "nsfnet.topology.json"
+        starved.write_text(json.dumps(doc))
+        args = ["--topology", str(starved), "--chains", str(chains), "--demands", str(demands)]
+        assert run(["lowerbound", *args]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "shortest_path_lb 390.000000",
+            "single_node 06 624.000000",
+            "per_pair none engine: no plan relative to the demand grouping",
+        ]
+
 
 class TestSweep:
     def test_k1_rows_share_the_objective(self, triangle_flags, tmp_path):

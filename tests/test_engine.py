@@ -241,6 +241,18 @@ class TestExtractPlan:
             )
 
 
+def square_instance():
+    return build_instance(
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
+        [("a", "c"), ("b", "d"), ("c", "a", 2.0)],
+        k=2,
+        nc=2,
+        chain_vnfs=("fw", "nat"),
+        cores=6,
+    )
+
+
 def solved_square():
     """Square a-b-c-d and its plan, which must use at least two hosting nodes.
 
@@ -250,15 +262,7 @@ def solved_square():
     optima comes back would be up to the solver. The two groups ({a->c} and
     {b->d, c->a}) cannot both start at their own sources, so some pair always
     has a multi-hop first route."""
-    inst = build_instance(
-        ["a", "b", "c", "d"],
-        [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")],
-        [("a", "c"), ("b", "d"), ("c", "a", 2.0)],
-        k=2,
-        nc=2,
-        chain_vnfs=("fw", "nat"),
-        cores=6,
-    )
+    inst = square_instance()
     core_demand = sum(
         r.gbps * sum(inst.chain_cores_per_gbps(r.chain))
         for r in inst.demands.records
@@ -744,6 +748,105 @@ class TestValidatePlan:
         plan.objective_gbps_hops += 1.0
         kinds = {v.kind for v in engine.validate_plan(inst, plan)}
         assert "objective_mismatch" in kinds
+
+    def test_fault_texts_are_pinned(self):
+        # one of the square's optimal plans, written out so that the pinned
+        # texts do not depend on which tied optimum the solver returns
+        inst = square_instance()
+        to_c = engine.PairRoute("a", "c", (), (("a", "b"), ("b", "c")))
+        asg0 = engine.InstanceAssignment("c", 0, ("a", "a"), ((),), (to_c,))
+        asg1 = engine.InstanceAssignment(
+            "c",
+            1,
+            ("b", "b"),
+            ((),),
+            (
+                engine.PairRoute("b", "d", (), (("b", "a"), ("a", "d"))),
+                engine.PairRoute("c", "a", (("c", "b"),), (("b", "a"),)),
+            ),
+        )
+        loads = {
+            ("a", "b"): 1.0, ("b", "c"): 1.0, ("b", "a"): 3.0, ("a", "d"): 1.0, ("c", "b"): 2.0
+        }
+
+        def check(*assignments):
+            plan = engine.MappingPlan(
+                assignments, dict(loads), {"a": 2.0, "b": 6.0}, ("a", "b"), 8.0, 8.0, 0.0
+            )
+            return [str(v) for v in engine.validate_plan(inst, plan)]
+
+        def rerouted(asg, i, **arcs):
+            routes = list(asg.routes)
+            routes[i] = dataclasses.replace(routes[i], **arcs)
+            return dataclasses.replace(asg, routes=tuple(routes))
+
+        fix = dataclasses.replace
+        cases = {
+            "clean": (asg0, asg1),
+            "location count": (fix(asg0, locations=("a",)), asg1),
+            "segment count": (fix(asg0, segment_paths=((), ())), asg1),
+            "unknown node": (asg0, fix(asg1, locations=("zz", "zz"))),
+            "empty segment": (fix(asg0, locations=("a", "b")), asg1),
+            "co-located segment": (asg0, fix(asg1, segment_paths=((("b", "a"), ("a", "b")),))),
+            "unchained": (rerouted(asg0, 0, last_arcs=(("a", "b"), ("c", "d"))), asg1),
+            "unknown arc": (asg0, rerouted(asg1, 1, first_arcs=(("c", "a"),))),
+            "wrong ends": (asg0, rerouted(asg1, 1, first_arcs=(("d", "c"), ("c", "b")))),
+        }
+        uncovered_ac = (
+            "coverage: chain c: demand pairs not covered exactly once "
+            "(missing [('a', 'c')], surplus [])"
+        )
+        assert {name: check(*asgs) for name, asgs in cases.items()} == {
+            "clean": [],
+            "location count": [
+                "contiguity: c/0: 1 locations for a 2-position chain",
+                uncovered_ac,
+                "arc_load_mismatch: arc a->b: stored 1.0, recomputed 0.0",
+                "arc_load_mismatch: arc b->c: stored 1.0, recomputed 0.0",
+                "objective_mismatch: stored 8.0, recomputed 6.0",
+            ],
+            "segment count": [
+                "contiguity: c/0: 2 segments for a 2-position chain",
+                uncovered_ac,
+            ],
+            "unknown node": [
+                "location_not_nfv: c/1: unknown node zz",
+                "location_not_nfv: c/1: unknown node zz",
+                "contiguity: c/1 b->d lead-in: empty route but b != zz",
+                "contiguity: c/1 b->d lead-out: route runs b->d, expected zz->d",
+                "contiguity: c/1 c->a lead-in: route runs c->b, expected c->zz",
+                "contiguity: c/1 c->a lead-out: route runs b->a, expected zz->a",
+                "arc_load_mismatch: arc a->d: stored 1.0, recomputed 0.0",
+                "arc_load_mismatch: arc b->a: stored 3.0, recomputed 0.0",
+                "arc_load_mismatch: arc c->b: stored 2.0, recomputed 0.0",
+                "objective_mismatch: stored 8.0, recomputed 2.0",
+            ],
+            "empty segment": [
+                "contiguity: c/0 segment 0: empty route but a != b",
+                "contiguity: c/0 a->c lead-out: route runs a->c, expected b->c",
+                "cores: node b uses 7.0 cores of 6",
+            ],
+            "co-located segment": [
+                "contiguity: c/1 segment 0: nonempty route on co-located endpoints",
+                "arc_load_mismatch: arc a->b: stored 1.0, recomputed 4.0",
+                "arc_load_mismatch: arc b->a: stored 3.0, recomputed 6.0",
+                "objective_mismatch: stored 8.0, recomputed 14.0",
+            ],
+            "unchained": [
+                "contiguity: c/0 a->c lead-out: arcs do not chain",
+                "arc_load_mismatch: arc b->c: stored 1.0, recomputed 0.0",
+                "arc_load_mismatch: arc c->d loaded but not stored",
+            ],
+            "unknown arc": [
+                "contiguity: c/1 c->a lead-in: unknown arc ('c', 'a')",
+                "arc_load_mismatch: arc c->b: stored 2.0, recomputed 0.0",
+            ],
+            "wrong ends": [
+                "contiguity: c/1 c->a lead-in: route runs d->b, expected c->b",
+                "arc_load_mismatch: arc d->c loaded but not stored",
+                "objective_mismatch: stored 8.0, recomputed 10.0",
+            ],
+        }
 
 
 class TestPlanJson:

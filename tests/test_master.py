@@ -171,18 +171,43 @@ class TestAddColumn:
         better, _ = solve_relaxation(model)
         assert better.objective <= base.objective + 1e-9
 
-    def test_non_nfv_location_rejected(self):
+    @pytest.mark.parametrize(
+        "locations, segments, fault",
+        [
+            (("a",), (), "1 locations for a 2-position chain"),
+            (("a", "d"), ((("a", "b"), ("b", "c"), ("c", "d")),), "d is not an NFV node"),
+            (("a", "a"), ((), ()), "2 segments for a 2-position chain"),
+            (("a", "b"), ((),), "empty route but a != b"),
+            (("a", "a"), ((("a", "b"), ("b", "a")),), "nonempty route on co-located"),
+            (("a", "c"), ((("a", "c"),),), "unknown arc"),
+            (("a", "c"), ((("a", "b"), ("c", "b")),), "arcs do not chain"),
+            (("a", "c"), ((("a", "b"),),), "route runs a->b, expected a->c"),
+        ],
+        ids=[
+            "location_count",
+            "non_nfv_location",
+            "segment_count",
+            "empty_segment",
+            "co_located_segment",
+            "unknown_arc",
+            "unchained_arcs",
+            "wrong_endpoints",
+        ],
+    )
+    def test_structural_fault_is_refused(self, locations, segments, fault):
         inst = build_instance(
-            ["a", "b", "c"],
-            [("a", "b"), ("b", "c")],
-            [("a", "c")],
-            nfv=["a", "b"],
+            ["a", "b", "c", "d"],
+            [("a", "b"), ("b", "c"), ("c", "d")],
+            [("a", "d")],
+            chain_vnfs=("fw", "nat"),
+            nfv=["a", "b", "c"],
         )
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
         model = build_rmp(inst, parts, [colocated(ci, "a")])
-        with pytest.raises(MasterError):
-            add_column(model, colocated(ci, "c"))
+        with pytest.raises(MasterError, match=fault):
+            add_column(model, make_configuration(ci, locations, segments))
+        assert len(model.pool) == 1
 
     def test_column_coefficient_audit(self, triangle):
         model = seeded_model(triangle)

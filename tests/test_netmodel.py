@@ -153,6 +153,8 @@ def test_missing_field_named(tmp_path):
     [
         ("topology", "cores", "many", ParseError),
         ("topology", "cores", 2.5, ParseError),
+        ("topology", "nfv", "false", ParseError),
+        ("topology", "nfv", 1, ParseError),
         ("chains", "cores_per_gbps", "x", ParseError),
         ("chains", "cores_per_gbps", "nan", ValidationError),
         ("chains", "cores_per_gbps", "inf", ValidationError),
