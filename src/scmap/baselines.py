@@ -24,7 +24,7 @@ CAP_TOL = 1e-9
 @dataclass(frozen=True)
 class BaselineReport:
     shortest_path_lb: float
-    single_node: tuple  # (node id, objective)
+    single_node: tuple  # (node id, objective), or (None, None) if no node fits
     per_pair_instance: Optional[float]  # None: the engine fallback found no plan
     per_pair_from_engine: bool
 
@@ -72,8 +72,8 @@ def single_node_oracle(
 
     The objective is the detour sum over all records; ties break to the
     lexicographically smallest node id. When the winner's implied loads
-    exceed a capacity, the next candidate in (objective, id) order that
-    fits is returned instead.
+    exceed a capacity or its cores, the next candidate in (objective, id)
+    order that fits is returned instead, and (None, None) when no node fits.
     """
     if paths is None:
         paths = all_pairs_hops(instance.topology)
@@ -94,20 +94,15 @@ def single_node_oracle(
         if _fits(instance, loads, cores):
             if (value, v) != ranked[0]:
                 log.warning(
-                    "single-node oracle: %s (%.6g) is capacity-infeasible, "
-                    "reporting %s (%.6g)",
+                    "single-node oracle: %s (%.6g) does not fit the capacities "
+                    "or cores, reporting %s (%.6g)",
                     ranked[0][1],
                     ranked[0][0],
                     v,
                     value,
                 )
             return v, value
-    log.warning(
-        "single-node oracle: no node fits the capacities; reporting the "
-        "unconstrained argmin %s",
-        ranked[0][1],
-    )
-    return ranked[0][1], ranked[0][0]
+    return None, None
 
 
 def _per_pair_applicable(instance: ProblemInstance, paths: PathTable) -> bool:

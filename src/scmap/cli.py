@@ -132,7 +132,7 @@ class _Cell:
     wall_ms: Optional[int] = None
 
 
-def _sweep_group(instance_parts, nc: int, k_values, args) -> list:
+def _sweep_group(instance_parts, paths, nc: int, k_values, args) -> list:
     """All cells for one nc: one column-generation run shared across k."""
     topo, vnfs, chains, demands = instance_parts
     cells = []
@@ -143,10 +143,14 @@ def _sweep_group(instance_parts, nc: int, k_values, args) -> list:
         )
         model, trace = engine.run_column_generation(
             base,
-            partition_all(base),
+            partition_all(base, paths),
             max_iters=args.max_iters,
             time_limit=args.time_limit,
+            paths=paths,
         )
+    except engine.Infeasible as exc:
+        log.error("nc=%d: %s", nc, exc)
+        return [_Cell(status="infeasible") for _ in k_values]
     except Exception as exc:  # noqa: BLE001 - a failed group must not kill the sweep
         log.error("nc=%d: column generation failed: %s", nc, exc)
         return [_Cell() for _ in k_values]
@@ -214,7 +218,7 @@ def cmd_sweep(args) -> int:
     lb = baselines.shortest_path_lb(probe, paths)
     single = baselines.single_node_oracle(probe, paths)[1]
 
-    groups = [_sweep_group(parts, nc, k_values, args) for nc in nc_values]
+    groups = [_sweep_group(parts, paths, nc, k_values, args) for nc in nc_values]
 
     with open(args.out, "w") as fh:
         fh.write(SWEEP_HEADER + "\n")
@@ -234,7 +238,7 @@ def cmd_sweep(args) -> int:
                             _fmt(cell.columns, "d"),
                             _fmt(cell.wall_ms, "d"),
                             format(lb, ".6f"),
-                            format(single, ".6f"),
+                            _fmt(single, ".6f"),
                         ]
                     )
                     + "\n"
@@ -269,7 +273,10 @@ def cmd_lowerbound(args) -> int:
     report = baselines.baseline_report(instance)
     node, value = report.single_node
     print(f"shortest_path_lb {report.shortest_path_lb:.6f}")
-    print(f"single_node {node} {value:.6f}")
+    if node is None:
+        print("single_node none: no node fits every demand")
+    else:
+        print(f"single_node {node} {value:.6f}")
     suffix = " engine" if report.per_pair_from_engine else ""
     if report.per_pair_instance is None:
         print(f"per_pair none{suffix}: no plan relative to the demand grouping")

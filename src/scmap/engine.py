@@ -1,7 +1,8 @@
 """Pipeline orchestration: grouping, column generation, integer solve.
 
-The flow is seed -> iterate (relax, price, extend) -> integer selection ->
-decode -> independent validation. The relaxation carries no hosting budget,
+The flow is necessary cuts -> master with its Phase-I artificials ->
+iterate (relax, price, extend) -> integer selection -> decode ->
+independent validation. The relaxation carries no hosting budget,
 so one converged model serves every k of a sweep and only the integer
 selection reads k. The price is a k-blind `lp_bound`: the same at every k,
 and the reported `gap` is measured against it.
@@ -26,13 +27,10 @@ from typing import IO, Iterable, Optional
 from .master import (
     ChainInstance,
     Configuration,
-    DualPrices,
-    MasterInfeasible,
     RmpModel,
     add_column,
     build_final_ilp,
     build_rmp,
-    chain_instances,
     fits,
     make_configuration,
     placement_faults,
@@ -40,12 +38,7 @@ from .master import (
 )
 from .netmodel import ProblemInstance
 from .pathcore import PathTable, all_pairs_hops, path_nodes, route_fault
-from .pricer import (
-    PricerError,
-    best_configuration,
-    price_chain_instance,
-    segment_cost_table,
-)
+from .pricer import PricerError, price_chain_instance, segment_cost_table
 from .simplexkit import highs
 from .sptg import ChainPartition, partition_all
 
@@ -140,45 +133,6 @@ def _no_placement(instance: ProblemInstance, ci: ChainInstance) -> Infeasible:
     )
 
 
-def seed_pool(
-    instance: ProblemInstance,
-    partitions: Iterable[ChainPartition],
-    paths: Optional[PathTable] = None,
-) -> list[Configuration]:
-    """One self-feasible configuration per chain instance.
-
-    The seed is co-located at the group 1-median when that fits the nodes'
-    cores: the 1-median minimizes the unweighted sum of dist(s, v) +
-    dist(v, d) over the group's pairs, ties to the lexicographically
-    smallest node. Otherwise it is the pricer's self-feasible choice under
-    zero duals. An instance with no self-feasible placement at all raises
-    `Infeasible`.
-    """
-    if paths is None:
-        paths = all_pairs_hops(instance.topology)
-    zero = DualPrices(convexity={}, core={}, capacity={}, consistency={})
-    seg = None
-    out = []
-    for ci in chain_instances(instance, partitions):
-        best = None
-        pick = None
-        for v in instance.topology.nfv_nodes:
-            score = sum(paths.distance(s, v) + paths.distance(v, d) for s, d in ci.pairs)
-            if best is None or score < best:
-                best = score
-                pick = v
-        seed = _colocated(ci, pick)
-        if not fits(instance, ci, seed.locations):
-            if seg is None:
-                seg = segment_cost_table(instance, zero, paths)
-            try:
-                seed, _ = best_configuration(instance, ci, zero, seg)
-            except PricerError as exc:
-                raise _no_placement(instance, ci) from exc
-        out.append(seed)
-    return out
-
-
 def diagnose_infeasibility(instance: ProblemInstance) -> list:
     """Cheap necessary-condition cuts that name what cannot fit.
 
@@ -232,16 +186,24 @@ def run_column_generation(
 ) -> tuple[RmpModel, CgTrace]:
     """Iterate relax/price/extend until a full pricing round adds nothing.
 
+    A necessary cut of `diagnose_infeasibility` that fires is a proof that
+    no plan exists, so it raises `Infeasible` before any LP solve. The
+    master starts from its artificial columns alone (each stands for its
+    chain instance left unserved), so it is feasible from the first solve
+    and needs no seed. A chain instance that fits on no placement raises the
+    `_no_placement` certificate when the pricer finds none.
+
     `time_limit` (seconds) counts from the call, so it covers the RMP build.
     An iteration starts only if it and the closing relaxation refresh, each
     taken to last as long as the previous iteration, end within the limit.
     """
     started = time.perf_counter()
+    hints = diagnose_infeasibility(instance)
+    if hints:
+        raise Infeasible("no plan exists: " + "; ".join(hints))
     if paths is None:
         paths = all_pairs_hops(instance.topology)
-    partitions = list(partitions)
-    seeds = seed_pool(instance, partitions, paths)
-    model = build_rmp(instance, partitions, seeds, paths=paths)
+    model = build_rmp(instance, partitions, paths=paths)
     # fallback columns: a co-located configuration at every NFV node where it
     # fits, so the integer stage has every one-host choice that exists
     for ci in model.chain_instances:
@@ -258,18 +220,16 @@ def run_column_generation(
         if time_limit is not None and tick - started + 2 * last > time_limit:
             log.warning("column generation stopped by time limit after %d iterations", it - 1)
             break
-        try:
-            sol, duals = solve_relaxation(model)
-        except MasterInfeasible as exc:
-            hints = diagnose_infeasibility(instance)
-            detail = "; ".join(hints) if hints else "no single-cut certificate found"
-            raise Infeasible(f"{exc} [{detail}]") from exc
+        sol, duals = solve_relaxation(model)
         pool_dirty = False
         seg = segment_cost_table(instance, duals, model.paths)
         added = 0
         best_rc = 0.0
         for ci in model.chain_instances:
-            priced = price_chain_instance(instance, ci, duals, seg)
+            try:
+                priced = price_chain_instance(instance, ci, duals, seg)
+            except PricerError as exc:
+                raise _no_placement(instance, ci) from exc
             if priced is None:
                 continue
             config, reduced = priced
@@ -531,7 +491,6 @@ def solve(
     max_iters: int = 200,
     time_limit: Optional[float] = None,
     paths: Optional[PathTable] = None,
-    partitions=None,
 ) -> SolveResult:
     """Full pipeline on one instance: partition, generate columns, select.
 
@@ -545,8 +504,7 @@ def solve(
     reserve = 0.0 if time_limit is None else SELECTION_SHARE * time_limit
     if paths is None:
         paths = all_pairs_hops(instance.topology)
-    if partitions is None:
-        partitions = partition_all(instance, paths)
+    partitions = partition_all(instance, paths)
     model, trace = run_column_generation(
         instance,
         partitions,

@@ -23,10 +23,13 @@ paths can put on one arc:
 Either way only self-feasible columns are pooled: a configuration whose own
 core use exceeds some node's cores can never be part of an integer plan, so
 `add_column` refuses it (Dantzig-Wolfe convexifies only the subproblem's
-feasible set). One penalised artificial column per chain instance keeps the
-restricted LP feasible while the pool holds too few columns that fit side
-by side; it never enters the integer selection, and since every plan is
-feasible with it at zero, the LP value still bounds every plan from below.
+feasible set). Phase I is one penalised artificial column per chain
+instance that stands for the instance left unserved: it fills the
+instance's convexity row and, on an arc-flow master, the source rows of its
+lead-ins and the sink rows of its lead-outs. So the master is feasible with
+no configuration column at all, and needs no seed. An artificial never
+enters the integer selection, and since every plan is feasible with it at
+zero, the LP value still bounds every plan from below.
 Columns arrive from the pricer; rows never change shape after
 `build_rmp`, so duals keep stable meaning across iterations.
 
@@ -66,11 +69,7 @@ DUAL_SIGN_TOL = 1e-5
 
 
 class MasterError(RuntimeError):
-    """Structural misuse: bad configuration, missing seed, infeasible RMP."""
-
-
-class MasterInfeasible(MasterError):
-    """The relaxation itself has no feasible point (capacities or cores)."""
+    """Structural misuse (a bad configuration) or an unsolved relaxation."""
 
 
 @dataclass(frozen=True)
@@ -322,10 +321,11 @@ def _add_end_rows(
     label = f"{ci.label}/{point}@{gbps:g}"
     y = {arc: yvar[(key, (point, gbps), arc)] for arc in topo.arc_index}
     # `point` sends (or takes) n units, less n per unit of the end position
-    # placed on it; every other node passes flow on and absorbs (or emits)
+    # placed on it and n per unit of the instance left unserved (its
+    # artificial); every other node passes flow on and absorbs (or emits)
     # n per unit of the end position placed on it. With y >= 0 the balance
     # already makes a node's inflow at least what it absorbs.
-    coeffs = [(y[arc], 1.0) for arc in away[point]]
+    coeffs = [(y[arc], 1.0) for arc in away[point]] + [(model.artificial[key], n)]
     if point in nfv:
         coeffs.append((model.xvar[(key, pos, point)], n))
     lp.add_constraint(coeffs, EQ, n, name=f"{names[0]}[{label}]")
@@ -342,12 +342,11 @@ def _add_end_rows(
 def build_rmp(
     instance: ProblemInstance,
     partitions: Iterable[ChainPartition],
-    seed_pool: Iterable[Configuration],
     *,
     paths: Optional[PathTable] = None,
 ) -> RmpModel:
-    """Pick the master's shape, assemble its rows and static columns, then
-    seed the configuration pool."""
+    """Pick the master's shape and assemble its artificial columns, rows and
+    static columns. Configuration columns arrive through `add_column`."""
     topo = instance.topology
     if paths is None:
         paths = all_pairs_hops(topo)
@@ -362,6 +361,7 @@ def build_rmp(
         lp=lp,
         compact=all(a.capacity_gbps >= worst for a in topo.arcs),
         by_key={ci.key: ci for ci in cis},
+        pool_by_instance={ci.key: [] for ci in cis},
     )
     cost = model.end_cost
     for ci in cis:
@@ -375,49 +375,41 @@ def build_rmp(
                 g * paths.distance(v, d) for (_, d), g in pairs
             )
 
+    for ci in cis:
+        _add_artificial(model, ci)
     if model.compact:
         _build_compact_rows(model)
     else:
         _build_arc_flow_rows(model)
-
-    for config in seed_pool:
-        add_column(model, config)
-    missing = [ci.label for ci in cis if not model.pool_by_instance.get(ci.key)]
-    if missing:
-        raise MasterError(f"missing seed configuration for chain instance(s) {missing}")
-    for ci in cis:
-        _add_artificial(model, ci, model.pool[model.pool_by_instance[ci.key][0]])
     return model
 
 
-def _add_artificial(model: RmpModel, ci: ChainInstance, seed: Configuration) -> None:
-    """Phase-I column of `ci`: its seed's placement without the seed's core
-    use or inter-VNF capacity use, at a cost above any configuration's.
+def _add_artificial(model: RmpModel, ci: ChainInstance) -> None:
+    """Phase-I column of `ci`: the instance left unserved, at a cost above
+    any configuration's.
 
-    Seeds chosen one instance at a time may together overfill a node; the
-    artificial keeps the restricted LP feasible while pricing finds columns
-    that fit side by side. On an arc-flow master it feeds the consistency
-    rows at the seed's locations, so the end flows still reach them. Every
-    plan is feasible with the artificial at zero, so the LP value stays a
-    lower bound; it never enters the integer selection.
+    The row builders give it coefficient 1 in the convexity row of `ci` and,
+    on an arc-flow master, n in the source row of each lead-in and in the
+    sink row of each lead-out commodity of n pairs. So with every
+    artificial at 1 and every x, y and z at 0 the master is feasible, and
+    column generation needs no seed. Every plan is feasible with the
+    artificials at zero, so the LP value stays a lower bound; an artificial
+    never enters the integer selection.
     """
     # n + 1 segments of at most |V| - 1 hops each carry the group's rate
     n_nodes = len(model.instance.topology.nodes)
     penalty = ci.total_gbps * (len(ci.vnfs) + 1) * (n_nodes - 1) + 1.0
-    var = model.lp.add_variable(f"art[{ci.label}]", 0.0, 1.0, obj=penalty)
-    model.lp.add_coefficient(model.conv_row[ci.key], var, 1.0)
-    for pos, v in enumerate(seed.locations):
-        if (ci.key, pos, v) in model.cons_row:
-            model.lp.add_coefficient(model.cons_row[(ci.key, pos, v)], var, 1.0)
-    model.artificial[ci.key] = var
+    model.artificial[ci.key] = model.lp.add_variable(f"art[{ci.label}]", 0.0, 1.0, obj=penalty)
 
 
 def _build_compact_rows(model: RmpModel) -> None:
-    """Convexity and core rows."""
+    """Convexity rows, each with its instance's artificial, and core rows."""
     lp = model.lp
     topo = model.instance.topology
     for ci in model.chain_instances:
-        model.conv_row[ci.key] = lp.add_constraint([], EQ, 1.0, name=f"conv[{ci.label}]")
+        model.conv_row[ci.key] = lp.add_constraint(
+            [(model.artificial[ci.key], 1.0)], EQ, 1.0, name=f"conv[{ci.label}]"
+        )
     for v in topo.nfv_nodes:
         model.core_row[v] = lp.add_constraint(
             [], LE, float(topo.node_by_id[v].cores), name=f"core[{v}]"
@@ -548,15 +540,13 @@ def add_column(model: RmpModel, config: Configuration) -> int:
         model.lp.add_coefficient(row, var, coef)
     model.pool.append(config)
     model.zvar.append(var)
-    model.pool_by_instance.setdefault(key, []).append(pos)
+    model.pool_by_instance[key].append(pos)
     model.config_index[config.key] = var
     return var
 
 
 def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
     sol = highs.solve_lp(model.lp)
-    if sol.status == "infeasible":
-        raise MasterInfeasible(f"relaxation infeasible ({sol.message})")
     if not sol.optimal:
         raise MasterError(f"relaxation not solved to optimality: {sol.status} ({sol.message})")
     duals = sol.duals

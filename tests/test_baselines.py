@@ -89,6 +89,15 @@ class TestSingleNodeOracle:
         assert value == pytest.approx(4.0)
 
 
+    def test_none_when_no_node_fits(self):
+        # 2 Gbps of one-VNF demand need 2 cores on the hosting node, and
+        # every node has 1
+        inst = build_instance(
+            ["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "c"), ("c", "a")], cores=1
+        )
+        assert single_node_oracle(inst) == (None, None)
+
+
 class TestPerPair:
     def test_equals_lb_when_applicable(self, triangle_instance):
         assert per_pair_instance_ub(triangle_instance) == pytest.approx(6.0)

@@ -3,7 +3,7 @@ import json
 import pytest
 from conftest import build_instance
 
-from scmap import cli, engine
+from scmap import baselines, cli, engine, master, pathcore, sptg
 from scmap.fixturedata import nsfnet_files, triangle_files
 from scmap.netmodel import save_instance
 
@@ -16,6 +16,18 @@ def triangle_flags():
 
 def run(argv):
     return cli.main(argv)
+
+
+def nsfnet_at_30_cores(tmp_path):
+    """Instance flags for NSFNET with every node at 30 cores: its 182 pairs
+    x 3 VNFs x 1 core/Gbps need 546 cores, and the 14 nodes have 420."""
+    topo, chains, demands = nsfnet_files()
+    doc = json.loads(topo.read_text())
+    for node in doc["nodes"]:
+        node["cores"] = 30
+    starved = tmp_path / "nsfnet30.topology.json"
+    starved.write_text(json.dumps(doc))
+    return ["--topology", str(starved), "--chains", str(chains), "--demands", str(demands)]
 
 
 class TestParseNc:
@@ -133,19 +145,12 @@ class TestLowerbound:
         assert out[2] == "per_pair 6.000000"
 
     def test_infeasible_fallback_still_prints_bounds(self, tmp_path, capsys):
-        # 182 pairs x 3 VNFs x 1 core/Gbps need 546 cores and 14 nodes x 30
-        # have 420: the per-pair construction does not fit and no plan exists
-        topo, chains, demands = nsfnet_files()
-        doc = json.loads(topo.read_text())
-        for node in doc["nodes"]:
-            node["cores"] = 30
-        starved = tmp_path / "nsfnet.topology.json"
-        starved.write_text(json.dumps(doc))
-        args = ["--topology", str(starved), "--chains", str(chains), "--demands", str(demands)]
-        assert run(["lowerbound", *args]) == 0
+        # no single node fits, the per-pair construction does not fit and no
+        # plan exists
+        assert run(["lowerbound", *nsfnet_at_30_cores(tmp_path)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "shortest_path_lb 390.000000",
-            "single_node 06 624.000000",
+            "single_node none: no node fits every demand",
             "per_pair none engine: no plan relative to the demand grouping",
         ]
 
@@ -200,24 +205,42 @@ class TestSweep:
         # every node at 30 cores: the per-pair baseline would need a solve,
         # which is infeasible here; the sweep writes only the closed-form
         # columns, so it must never solve, and its one cell is infeasible
-        topo, chains, demands = nsfnet_files()
-        doc = json.loads(topo.read_text())
-        for node in doc["nodes"]:
-            node["cores"] = 30
-        tight = tmp_path / "nsfnet30.topology.json"
-        tight.write_text(json.dumps(doc))
-
         def no_solve(*args, **kwargs):
             raise AssertionError("sweep called engine.solve")
 
         monkeypatch.setattr(engine, "solve", no_solve)
         out = tmp_path / "s.csv"
-        code = run(["sweep", "--topology", str(tight), "--chains", str(chains),
-                    "--demands", str(demands), "--nc-list", "14", "--k-list", "14",
-                    "--out", str(out)])
+        code = run(["sweep", *nsfnet_at_30_cores(tmp_path), "--nc-list", "14",
+                    "--k-list", "14", "--out", str(out)])
         assert code == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [r[2] for r in rows] == ["infeasible"]
+
+    def test_hop_table_is_built_once(self, triangle_flags, tmp_path, monkeypatch):
+        built = []
+
+        def counted(topology):
+            built.append(topology.name)
+            return pathcore.all_pairs_hops(topology)
+
+        for module in (cli, engine, sptg, master, baselines):
+            monkeypatch.setattr(module, "all_pairs_hops", counted)
+        assert run(["sweep", *triangle_flags, "--nc-list", "1,4", "--k-list", "1,3",
+                    "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(built) == 1
+
+    def test_cut_certified_cell_is_infeasible(self, tmp_path):
+        # column generation itself proves nc=1 infeasible (too few cores in
+        # all), so the cell is "infeasible", not "error"; no node fits every
+        # demand, so the single-node column stays empty
+        out = tmp_path / "s.csv"
+        code = run(["sweep", *nsfnet_at_30_cores(tmp_path), "--nc-list", "1",
+                    "--k-list", "14", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[:9] + r[10:] for r in rows] == [
+            ["1", "14", "infeasible", "", "", "", "", "", "", "390.000000", ""]
+        ]
 
 
 class TestArgErrors:

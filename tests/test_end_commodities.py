@@ -11,7 +11,7 @@ from conftest import build_instance, random_connected_instance, with_capacity
 
 from scmap import engine
 from scmap.master import (
-    MasterInfeasible,
+    add_column,
     build_rmp,
     chain_instances,
     fits,
@@ -172,11 +172,10 @@ def full_pool_verdicts(instance, ks):
     ]
     if {(c.chain, c.group_index) for c in pool} != {ci.key for ci in cis}:
         return None, {k: None for k in ks}
-    model = build_rmp(instance, parts, pool)
-    try:
-        solve_relaxation(model)
-    except MasterInfeasible:
-        return model, {k: None for k in ks}
+    model = build_rmp(instance, parts)
+    for config in pool:
+        add_column(model, config)
+    solve_relaxation(model)
     out = {}
     for k in ks:
         try:
@@ -285,13 +284,42 @@ def test_auto_matches_full_on_capacitated_draws():
     assert compared >= 100, compared
 
 
+def test_path_plans_need_no_seed():
+    # path n0-n4 with 3 Gbps links and 3 cores per node: the three chain
+    # instances fit side by side only on split placements whose end flows
+    # the capacities allow, and the master must be feasible before pricing
+    # has found any of them
+    nodes = [f"n{i}" for i in range(5)]
+    inst = build_instance(
+        nodes,
+        list(zip(nodes, nodes[1:])),
+        [("n2", "n0", 2.0), ("n0", "n4", 2.0), ("n2", "n4", 1.0), ("n4", "n1", 0.5)],
+        nc=3,
+        chain_vnfs=("fw", "nat"),
+        cores=3,
+        capacity=3.0,
+    )
+    want = oracle(inst, chain_instances(inst, partition_all(inst)))
+    assert want == {1: None, 2: None, 3: None, 4: 15.5, 5: 15.5}
+    for k, objective in want.items():
+        if objective is None:
+            with pytest.raises(engine.Infeasible):
+                engine.solve(with_k(inst, k))
+            continue
+        result = engine.solve(with_k(inst, k))
+        assert not result.model.compact
+        assert engine.validate_plan(with_k(inst, k), result.plan) == []
+        assert result.plan.objective_gbps_hops == pytest.approx(objective)
+        assert result.plan.lp_bound == pytest.approx(15.5)
+
+
 @pytest.mark.parametrize("capacity", [10.0, 1000.0])
 def test_split_only_instances_share_seed_nodes_yet_solve(capacity):
     # two 2 Gbps fw->nat instances on 3-core nodes: neither fits on one
-    # node, and both seeds take the same node pair, which together they
-    # overfill; the restricted LP stays feasible on its artificial columns
-    # until pricing finds pairs that fit side by side (10 Gbps links are
-    # below the worst-case arc load of 12, so that case is arc-flow)
+    # node, so no co-located column enters the pool; the restricted LP
+    # stays feasible on its artificial columns until pricing finds pairs
+    # that fit side by side (10 Gbps links are below the worst-case arc
+    # load of 12, so that case is arc-flow)
     inst = build_instance(
         ["a", "b", "c", "d", "e"],
         [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")],
@@ -305,8 +333,6 @@ def test_split_only_instances_share_seed_nodes_yet_solve(capacity):
     cis = chain_instances(inst, parts)
     assert [ci.total_gbps for ci in cis] == [2.0, 2.0]
     assert not any(fits(inst, ci, (v, v)) for ci in cis for v in inst.topology.nfv_nodes)
-    seeds = engine.seed_pool(inst, parts)
-    assert seeds[0].locations == seeds[1].locations
     want = oracle(inst, cis)
     assert want[3] is None and want[4] is not None
     for k in (3, 4, 5):

@@ -55,36 +55,6 @@ def separable_optimum(instance):
     return total
 
 
-class TestSeedPool:
-    def test_triangle_lexicographic_tie(self, triangle_instance):
-        seeds = engine.seed_pool(
-            triangle_instance, partition_all(triangle_instance)
-        )
-        assert len(seeds) == 1
-        assert set(seeds[0].locations) == {"a"}
-        assert seeds[0].segment_paths == ()
-
-    def test_star_hub_only_nfv(self):
-        inst = build_instance(
-            ["hub", "l1", "l2", "l3", "l4"],
-            [("hub", "l1"), ("hub", "l2"), ("hub", "l3"), ("hub", "l4")],
-            [("l1", "l2"), ("l2", "l3"), ("l3", "l4")],
-            nfv=["hub"],
-        )
-        seeds = engine.seed_pool(inst, partition_all(inst))
-        assert all(set(s.locations) == {"hub"} for s in seeds)
-
-    def test_path_graph_median_pick(self):
-        inst = build_instance(
-            ["a", "b", "c", "d", "e"],
-            [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")],
-            [("a", "e")],
-        )
-        (seed,) = engine.seed_pool(inst, partition_all(inst))
-        # every node on the path scores dist(a,v)+dist(v,e) = 4; tie goes to a
-        assert seed.locations == ("a",)
-
-
 class TestColumnGeneration:
     def test_single_pair_converges_to_shortest_path(self):
         inst = build_instance(
@@ -200,7 +170,8 @@ class TestExtractPlan:
         )
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
-        model = build_rmp(inst, parts, [make_configuration(ci, ("c", "c"), ((),))])
+        model = build_rmp(inst, parts)
+        add_column(model, make_configuration(ci, ("c", "c"), ((),)))
         assert model.compact == (mode == "auto")
         assert solve_relaxation(model)[0].objective == pytest.approx(3.0)
         add_column(model, make_configuration(ci, ("a", "a"), ((),)))
@@ -326,10 +297,10 @@ def test_tight_square_solves(cores):
 @pytest.mark.parametrize(
     "files, cores, nc, objective, lp_bound, rounds, added",
     [
-        (nsfnet_files, 70, 4, 842.0, 825.30303, 3, 6),
-        (nsfnet_files, 70, 8, 647.0, 592.435293, 3, 5),
-        (cost239_files, 50, 4, 378.0, 374.483333, 8, 17),
-        (cost239_files, 50, 8, 261.0, 254.819048, 6, 9),
+        (nsfnet_files, 70, 4, 842.0, 825.30303, 3, 5),
+        (nsfnet_files, 70, 8, 647.0, 592.435293, 3, 4),
+        (cost239_files, 50, 4, 378.0, 374.483333, 4, 11),
+        (cost239_files, 50, 8, 261.0, 254.819048, 5, 9),
     ],
 )
 def test_core_bound_cells_keep_their_cg_path(
@@ -418,6 +389,27 @@ def test_group_too_large_for_any_node_is_a_named_certificate():
     assert "need [3.0] cores" in msg and "the most cores, a, has 2" in msg
 
 
+def test_core_cut_refuses_before_any_lp_solve(monkeypatch):
+    # two 1 Gbps groups of a one-VNF chain each fit the one NFV node's
+    # single core, but together they need 2: the necessary core cut proves
+    # that no plan exists, so no LP is solved
+    inst = build_instance(
+        ["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "c"), ("c", "b")],
+        nc=2, cores=1, nfv=["a"],
+    )
+    lps = []
+    real_lp = highs.solve_lp
+
+    def lp(model):
+        lps.append(model.name)
+        return real_lp(model)
+
+    monkeypatch.setattr(highs, "solve_lp", lp)
+    with pytest.raises(engine.Infeasible, match="placements require 2 cores but NFV nodes provide 1"):
+        engine.solve(inst)
+    assert lps == []
+
+
 def test_pool_holds_only_columns_that_fit():
     # core-bound instances of both master shapes: no pooled configuration
     # may use more cores on a node than it has, whatever the LP mixes
@@ -458,8 +450,9 @@ def test_fast_infeasible_is_final_without_the_full_program(monkeypatch):
     )
     parts = partition_all(inst)
     cis = chain_instances(inst, parts)
-    seeds = [make_configuration(cis[0], ("a",), ()), make_configuration(cis[1], ("b",), ())]
-    model = build_rmp(inst, parts, seeds)
+    model = build_rmp(inst, parts)
+    add_column(model, make_configuration(cis[0], ("a",), ()))
+    add_column(model, make_configuration(cis[1], ("b",), ()))
     assert not model.compact
     calls = []
     real_mip = highs.solve_mip
@@ -503,7 +496,7 @@ def several_round_instance():
         ],
         nc=4,
         chain_vnfs=("fw", "nat"),
-        cores=3,
+        cores=5,
     )
 
 

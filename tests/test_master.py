@@ -33,9 +33,10 @@ def colocated(ci, node):
 
 def seeded_model(instance, seed_nodes=("a",)):
     parts = partition_all(instance)
-    cis = chain_instances(instance, parts)
-    seeds = [colocated(ci, seed_nodes[i % len(seed_nodes)]) for i, ci in enumerate(cis)]
-    return build_rmp(instance, parts, seeds)
+    model = build_rmp(instance, parts)
+    for i, ci in enumerate(model.chain_instances):
+        add_column(model, colocated(ci, seed_nodes[i % len(seed_nodes)]))
+    return model
 
 
 @pytest.fixture()
@@ -99,9 +100,19 @@ class TestBuildRmp:
         assert model.last_relaxation.objective == pytest.approx(390.0)
         assert all(model.last_relaxation.x[j] == 0.0 for j in model.artificial.values())
 
-    def test_missing_seed_rejected(self, triangle):
-        with pytest.raises(MasterError):
-            build_rmp(triangle, partition_all(triangle), [])
+    def test_artificials_alone_are_a_feasible_master(self):
+        # each artificial stands for its chain instance left unserved, so an
+        # arc-flow master with no configuration column solves, every
+        # artificial at 1 and every end flow at 0
+        inst = with_capacity(load_instance(*triangle_files(), k=3, nc=2), 6.0)
+        model = build_rmp(inst, partition_all(inst))
+        assert not model.compact and not model.pool
+        assert len(model.artificial) == 2
+        sol, _ = solve_relaxation(model)
+        assert sol.optimal
+        assert [sol.x[j] for j in model.artificial.values()] == pytest.approx([1.0, 1.0])
+        assert all(sol.x[j] == pytest.approx(0.0) for j in model.yfvar.values())
+        assert all(sol.x[j] == pytest.approx(0.0) for j in model.ylvar.values())
 
     def test_relaxation_ignores_hosting_budget(self):
         inst = two_ended_path()
@@ -119,7 +130,8 @@ class TestBuildRmp:
         )
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
-        model = build_rmp(inst, parts, [colocated(ci, "a")])
+        model = build_rmp(inst, parts)
+        add_column(model, colocated(ci, "a"))
         assert not model.compact and model.yfvar
         sol, _ = solve_relaxation(model)
         first_flow = sum(
@@ -148,7 +160,8 @@ class TestAddColumn:
         )
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
-        model = build_rmp(inst, parts, [make_configuration(ci, ("a", "b"), ((("a", "b"),),))])
+        model = build_rmp(inst, parts)
+        add_column(model, make_configuration(ci, ("a", "b"), ((("a", "b"),),)))
         with pytest.raises(MasterError, match="does not fit"):
             add_column(model, colocated(ci, "a"))
         assert len(model.pool) == 1
@@ -204,7 +217,8 @@ class TestAddColumn:
         )
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
-        model = build_rmp(inst, parts, [colocated(ci, "a")])
+        model = build_rmp(inst, parts)
+        add_column(model, colocated(ci, "a"))
         with pytest.raises(MasterError, match=fault):
             add_column(model, make_configuration(ci, locations, segments))
         assert len(model.pool) == 1
@@ -256,7 +270,8 @@ class TestDuals:
         )
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
-        model = build_rmp(inst, parts, [colocated(ci, "a")])
+        model = build_rmp(inst, parts)
+        add_column(model, colocated(ci, "a"))
         _, duals = solve_relaxation(model)
         assert all(d <= 1e-9 for d in duals.core.values())
         assert all(d <= 1e-9 for d in duals.capacity.values())
@@ -403,7 +418,9 @@ class TestFinalIlp:
         assert len(cis) == 2
         seeds = [colocated(cis[0], "a"), colocated(cis[1], "b")]
         for capacity in (1000.0, 5.0):  # compact, then arc-flow
-            model = build_rmp(with_capacity(inst, capacity), parts, seeds)
+            model = build_rmp(with_capacity(inst, capacity), parts)
+            for seed in seeds:
+                add_column(model, seed)
             assert model.compact == (capacity == 1000.0)
             solve_relaxation(model)
             for full in [False] if model.compact else [False, True]:
