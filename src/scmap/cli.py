@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -74,6 +75,21 @@ def parse_nc(text: str):
         except ValueError:
             raise CliError(f"--nc: {count!r} is not an integer (in {part!r})") from None
     return out
+
+
+def _positive(convert):
+    """An argparse type: `convert(text)`, which must be finite and > 0."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = 0
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+        return value
+
+    return parse
 
 
 def _add_instance_flags(p: argparse.ArgumentParser, *, need_k: bool) -> None:
@@ -160,7 +176,7 @@ def _sweep_group(instance_parts, paths, nc: int, k_values, args) -> list:
     for pos, k in enumerate(k_values):
         tick = time.perf_counter()
         cell = _Cell(
-            lp_bound=model.last_relaxation.objective,
+            lp_bound=model.lp_bound,
             iterations=iters,
             columns=cols,
         )
@@ -299,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p, need_k=True)
     p.add_argument(
         "--time-limit",
-        type=float,
+        type=_positive(float),
         default=None,
         help="seconds for the whole solve: grouping, column generation and "
         "final selection share one budget; column generation stops with a "
         "quarter of it left for the selection",
     )
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-iters", type=_positive(int), default=200)
     p.add_argument("--out", required=True, help="plan JSON output path")
     p.add_argument("--trace", default=None, help="iteration trace CSV path")
     p.set_defaults(func=cmd_solve)
@@ -318,12 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", required=True, help="comma-separated budgets")
     p.add_argument(
         "--time-limit",
-        type=float,
+        type=_positive(float),
         default=None,
         help="seconds for each nc's column generation, its RMP build included, "
         "and again for each k's selection",
     )
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--max-iters", type=_positive(int), default=200)
     p.add_argument("--out", required=True, help="report CSV path")
     p.set_defaults(func=cmd_sweep)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional
@@ -196,6 +197,13 @@ def run_column_generation(
     `time_limit` (seconds) counts from the call, so it covers the RMP build.
     An iteration starts only if it and the closing relaxation refresh, each
     taken to last as long as the previous iteration, end within the limit.
+
+    A round that adds no column certifies the LP optimum: the master has no
+    variable upper bounds, so its row duals are dual feasible. A run cut
+    short by `max_iters` or by time has no such certificate; it sets
+    `model.truncated_bound` to the best Lagrangian bound of its priced
+    rounds, the LP value plus each chain instance's most negative reduced
+    cost (Lübbecke & Desrosiers, 2005), or 0.0 if no round was priced.
     """
     started = time.perf_counter()
     hints = diagnose_infeasibility(instance)
@@ -215,6 +223,7 @@ def run_column_generation(
     trace = CgTrace()
     pool_dirty = True
     last = 0.0  # duration of the previous iteration
+    bound = 0.0  # every cost is >= 0
     for it in range(1, max_iters + 1):
         tick = time.perf_counter()
         if time_limit is not None and tick - started + 2 * last > time_limit:
@@ -225,6 +234,7 @@ def run_column_generation(
         seg = segment_cost_table(instance, duals, model.paths)
         added = 0
         best_rc = 0.0
+        lagrangian = sol.objective
         for ci in model.chain_instances:
             try:
                 priced = price_chain_instance(instance, ci, duals, seg)
@@ -234,11 +244,13 @@ def run_column_generation(
                 continue
             config, reduced = priced
             best_rc = min(best_rc, reduced)
+            lagrangian += reduced
             before = len(model.pool)
             add_column(model, config)
             if len(model.pool) > before:
                 added += 1
                 pool_dirty = True
+        bound = max(bound, lagrangian)
         last = time.perf_counter() - tick
         trace.iterations.append(CgIteration(it, sol.objective, added, best_rc, last * 1e3))
         if added == 0:
@@ -248,6 +260,7 @@ def run_column_generation(
         # truncated mid-round: refresh the bound so it covers the whole pool
         solve_relaxation(model)
     if not trace.converged:
+        model.truncated_bound = bound
         log.warning(
             "column generation truncated (%d iterations, %d columns)",
             len(trace.iterations),
@@ -389,7 +402,7 @@ def _decode(
         )
     loads, cores, hosting = _aggregate(instance, assignments)
     objective = sum(loads.values())
-    lp_bound = model.last_relaxation.objective
+    lp_bound = model.lp_bound
     gap = max(0.0, (objective - lp_bound) / max(1.0, abs(objective)))
     return MappingPlan(
         assignments=tuple(assignments),
@@ -499,7 +512,10 @@ def solve(
     selection gets whatever is left. If the budget is spent all the same (a
     round or the relaxation refresh ran long), the selection still runs over
     the columns found so far, without a limit, and the overrun is logged.
+    A `time_limit` that is not a finite positive number raises EngineError.
     """
+    if time_limit is not None and not 0 < time_limit < math.inf:
+        raise EngineError(f"time limit must be finite positive seconds, got {time_limit}")
     deadline = _deadline(time_limit)
     reserve = 0.0 if time_limit is None else SELECTION_SHARE * time_limit
     if paths is None:

@@ -7,21 +7,33 @@ paths can put on one arc:
 
 - compact, when every arc's capacity is at least W: no capacity row can
   bind, so each end segment (demand source to first VNF location, last VNF
-  location to demand destination) is a hop-shortest path and its cost
-  folds into the configuration column. The master has convexity and core
-  rows only.
+  location to demand destination) is a hop-shortest path. The master has
+  convexity and core rows only.
 - arc-flow, otherwise: the two end segments are routed as arc flows under
   capacity rows. Pairs of one chain instance that share a source and a rate
   share one lead-in commodity of one unit per pair, and pairs that share a
   destination and a rate share one lead-out commodity: their per-pair flow
   rows would be identical, and an integer flow of n units splits into n
   unit paths, so the merge is exact for the relaxation and the integer
-  selection alike. Consistency rows tie the z columns to position
-  variables x, which exist only at the first and last positions: those
-  are the only ones an end flow meets.
+  selection alike. A z column absorbs (or emits) end flow in the flow rows
+  of the nodes holding its first and last positions: no position variables.
 
-Either way only self-feasible columns are pooled: a configuration whose own
-core use exceeds some node's cores can never be part of an integer plan, so
+On both shapes a z column costs its segments plus its end segments at
+hop-shortest distance. An end flow pays only its detour: arc (u, w) costs
+gbps * (1 + d(s, u) - d(s, w)) in a lead-in from s and gbps * (1 + d(w, t)
+- d(u, t)) in a lead-out to t, d the hop distance. These are reduced costs
+under node potentials (Ahuja, Magnanti & Orlin, *Network Flows*, 1993):
+each is >= 0, a cycle still costs its hop length, and a unit path from s to
+v costs its length less d(s, v), which the column absorbing it pays. So the
+objective is unchanged at every feasible point.
+
+No master variable has an upper bound: the convexity rows bound z and the
+artificials, the capacity rows and positive-cost cycles the end flows. With
+no bound multipliers the row duals are dual feasible, so a pricing round
+that finds no improving column certifies the LP optimum.
+
+Only self-feasible columns are pooled: a configuration whose own core use
+exceeds some node's cores can never be part of an integer plan, so
 `add_column` refuses it (Dantzig-Wolfe convexifies only the subproblem's
 feasible set). Phase I is one penalised artificial column per chain
 instance that stands for the instance left unserved: it fills the
@@ -37,11 +49,10 @@ The hosting budget k is not part of the relaxation, so its bound is the
 same at every k; hosting flags and the budget row enter only the integer
 selection (`build_final_ilp`). That selection is the master's
 z-restriction: its convexity, core and capacity rows with only their z
-coefficients, each z costed with its end segments at hop-shortest distance.
-On a compact master that is the master itself without its artificial
-columns. On an arc-flow master it drops the end flows, which makes it a
-relaxation of the full program, the master cloned with every variable
-integer.
+coefficients, and its z objectives. On a compact master that is the master
+itself without its artificial columns. On an arc-flow master it drops the
+end flows, which makes it a relaxation of the full program, the master
+cloned with every variable integer.
 """
 
 from __future__ import annotations
@@ -123,16 +134,16 @@ class DualPrices:
     Convexity rows are equalities (free sign); core and capacity rows are
     <=-rows of a minimization, so their duals are <= 0 and tiny positive
     noise is clamped to zero before pricing. A compact master has no
-    capacity or consistency rows: `capacity` is empty, and `consistency`
-    holds minus the end cost of placing the first (or last) position at a
-    node, so the pricer charges that cost where the arc-flow master's
-    consistency dual would stand.
+    capacity rows, so `capacity` is empty. `end` is the end charge of
+    placing the first (or last) position at a node: the end-flow rows'
+    duals times the coefficients `end_rows` gives there (none on a compact
+    master), less the end cost.
     """
 
     convexity: dict  # (chain, group_index) -> float
     core: dict  # node -> float
     capacity: dict  # arc -> float
-    consistency: dict  # ((chain, group_index), position, node) -> float
+    end: dict  # ((chain, group_index), position, node) -> float
 
 
 @dataclass(frozen=True)
@@ -154,12 +165,13 @@ class RmpModel:
     # (key, position, node) -> Gbps-hops of the end segments a column pays
     # for placing its first (position 0) or last position at node
     end_cost: dict = field(default_factory=dict)
+    # (key, position, node) -> [(end-flow row, coefficient)] of a column placing there
+    end_rows: dict = field(default_factory=dict)
     artificial: dict = field(default_factory=dict)  # key -> LP variable
     pool: list = field(default_factory=list)
     zvar: list = field(default_factory=list)  # pool position -> LP variable
     pool_by_instance: dict = field(default_factory=dict)  # key -> pool positions
     config_index: dict = field(default_factory=dict)  # Configuration.key -> LP variable
-    xvar: dict = field(default_factory=dict)  # (key, end position, node) -> var
     # end commodities: one per (chain instance, source, gbps) for lead-ins and
     # one per (chain instance, destination, gbps) for lead-outs, carrying one
     # unit of flow per member pair
@@ -170,10 +182,18 @@ class RmpModel:
     conv_row: dict = field(default_factory=dict)  # key -> row
     core_row: dict = field(default_factory=dict)  # node -> row
     cap_row: dict = field(default_factory=dict)  # arc -> row
-    cons_row: dict = field(default_factory=dict)  # (key, end position, node) -> row
     by_key: dict = field(default_factory=dict)  # key -> ChainInstance
     last_relaxation: Optional[LpSolution] = None
     last_duals: Optional[DualPrices] = None
+    truncated_bound: Optional[float] = None  # set by a column generation cut short
+
+    @property
+    def lp_bound(self) -> float:
+        """The relaxation's value, a lower bound once column generation has
+        converged; a run cut short reports its best Lagrangian bound."""
+        if self.truncated_bound is not None:
+            return self.truncated_bound
+        return self.last_relaxation.objective
 
 
 def chain_instances(
@@ -301,16 +321,20 @@ def _end_commodities(ci: ChainInstance, lead_in: bool) -> list:
 def _add_end_rows(
     model: RmpModel, key: tuple, point: str, gbps: float, n: float, *, lead_in: bool
 ) -> None:
-    """Flow rows of one end commodity of n unit flows.
+    """Flow rows of one end commodity of n unit flows, and the coefficients
+    z columns carry in them.
 
     A lead-in leaves its source `point` and is absorbed where the first
     position sits; a lead-out leaves where the last position sits and is
     absorbed at its destination `point`. Both use the same rows with arc
-    directions swapped: "away" arcs lead away from `point`'s side.
+    directions swapped: "away" arcs lead away from `point`'s side. A z
+    column placing that end position at node v puts n in `point`'s row
+    when v is `point` (the flow never leaves it) and sign * n in v's
+    balance row otherwise; `model.end_rows[(key, position, v)]` records the
+    pair.
     """
     topo = model.instance.topology
     lp = model.lp
-    nfv = set(topo.nfv_nodes)
     ci = model.by_key[key]
     if lead_in:
         yvar, pos, away, toward = model.yfvar, 0, topo.out_arcs, topo.in_arcs
@@ -326,17 +350,15 @@ def _add_end_rows(
     # n per unit of the end position placed on it. With y >= 0 the balance
     # already makes a node's inflow at least what it absorbs.
     coeffs = [(y[arc], 1.0) for arc in away[point]] + [(model.artificial[key], n)]
-    if point in nfv:
-        coeffs.append((model.xvar[(key, pos, point)], n))
-    lp.add_constraint(coeffs, EQ, n, name=f"{names[0]}[{label}]")
+    row = lp.add_constraint(coeffs, EQ, n, name=f"{names[0]}[{label}]")
+    model.end_rows.setdefault((key, pos, point), []).append((row, n))
     for v in topo.node_ids:
         if v == point:
             continue
         into = [(y[arc], 1.0) for arc in toward[v]]
         balance = [(y[arc], sign) for arc in away[v]] + [(j, -sign) for j, _ in into]
-        if v in nfv:
-            balance.append((model.xvar[(key, pos, v)], sign * n))
-        lp.add_constraint(balance, EQ, 0.0, name=f"{names[1]}[{label}/{v}]")
+        row = lp.add_constraint(balance, EQ, 0.0, name=f"{names[1]}[{label}/{v}]")
+        model.end_rows.setdefault((key, pos, v), []).append((row, sign * n))
 
 
 def build_rmp(
@@ -391,7 +413,7 @@ def _add_artificial(model: RmpModel, ci: ChainInstance) -> None:
     The row builders give it coefficient 1 in the convexity row of `ci` and,
     on an arc-flow master, n in the source row of each lead-in and in the
     sink row of each lead-out commodity of n pairs. So with every
-    artificial at 1 and every x, y and z at 0 the master is feasible, and
+    artificial at 1 and every y and z at 0 the master is feasible, and
     column generation needs no seed. Every plan is feasible with the
     artificials at zero, so the LP value stays a lower bound; an artificial
     never enters the integer selection.
@@ -399,7 +421,7 @@ def _add_artificial(model: RmpModel, ci: ChainInstance) -> None:
     # n + 1 segments of at most |V| - 1 hops each carry the group's rate
     n_nodes = len(model.instance.topology.nodes)
     penalty = ci.total_gbps * (len(ci.vnfs) + 1) * (n_nodes - 1) + 1.0
-    model.artificial[ci.key] = model.lp.add_variable(f"art[{ci.label}]", 0.0, 1.0, obj=penalty)
+    model.artificial[ci.key] = model.lp.add_variable(f"art[{ci.label}]", 0.0, obj=penalty)
 
 
 def _build_compact_rows(model: RmpModel) -> None:
@@ -417,37 +439,31 @@ def _build_compact_rows(model: RmpModel) -> None:
 
 
 def _build_arc_flow_rows(model: RmpModel) -> None:
-    """Position variables x, end-commodity flows, the compact rows, and the
-    capacity, consistency and end-flow rows.
+    """End-commodity flows, the compact rows, and the capacity and end-flow
+    rows.
 
-    Only the end flows read x, so x and its consistency row exist at the
-    first and last positions alone.
+    An end flow on arc (u, w) pays 1 + pot[u] - pot[w], the hops the arc
+    adds to the hop-shortest route, under node potentials pot: hops from its
+    source, or minus hops to its destination. The z column that absorbs (or
+    emits) it pays the hop-shortest distance itself (module docstring).
     """
     lp = model.lp
     topo = model.instance.topology
-    cis = model.chain_instances
-    nfv = topo.nfv_nodes
+    d = model.paths.distance
     arcs = [(a.src, a.dst) for a in topo.arcs]
-    ends = {ci.key: sorted({0, len(ci.vnfs) - 1}) for ci in cis}
-    for ci in cis:
-        for pos in ends[ci.key]:
-            for v in nfv:
-                model.xvar[(ci.key, pos, v)] = lp.add_variable(
-                    f"x[{ci.label}/{pos}/{v}]", 0.0, 1.0
-                )
-    for ci in cis:
+    for ci in model.chain_instances:
         for lead_in, members, yvar, tag in (
             (True, model.lead_in, model.yfvar, "yf"),
             (False, model.lead_out, model.ylvar, "yl"),
         ):
             for (point, gbps), pairs in _end_commodities(ci, lead_in):
                 members[(ci.key, (point, gbps))] = pairs
-                for arc in arcs:
-                    yvar[(ci.key, (point, gbps), arc)] = lp.add_variable(
-                        f"{tag}[{ci.label}/{point}@{gbps:g}/{arc[0]}>{arc[1]}]",
+                pot = {v: d(point, v) if lead_in else -d(v, point) for v in topo.node_ids}
+                for u, w in arcs:
+                    yvar[(ci.key, (point, gbps), (u, w))] = lp.add_variable(
+                        f"{tag}[{ci.label}/{point}@{gbps:g}/{u}>{w}]",
                         0.0,
-                        float(len(pairs)),
-                        obj=gbps,
+                        obj=gbps * (1 + pot[u] - pot[w]),
                     )
 
     # configuration choice and resource rows; z columns arrive via add_column
@@ -461,14 +477,6 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
         model.cap_row[arc] = lp.add_constraint(
             coeffs, LE, topo.capacity(arc), name=f"cap[{arc[0]}>{arc[1]}]"
         )
-    for ci in cis:
-        for pos in ends[ci.key]:
-            for v in nfv:
-                key = (ci.key, pos, v)
-                model.cons_row[key] = lp.add_constraint(
-                    [(model.xvar[key], -1.0)], EQ, 0.0, name=f"cons[{ci.label}/{pos}/{v}]"
-                )
-
     for lead_in, members in ((True, model.lead_in), (False, model.lead_out)):
         for (key, (point, gbps)), pairs in members.items():
             _add_end_rows(model, key, point, gbps, float(len(pairs)), lead_in=lead_in)
@@ -494,22 +502,17 @@ def column_coefficients(model: RmpModel, config: Configuration) -> dict:
     for arc, mult in sorted(arc_mult.items()):
         coeffs[model.cap_row[arc]] = ci.total_gbps * mult
     for pos, v in enumerate(config.locations):
-        if (ci.key, pos, v) in model.cons_row:
-            coeffs[model.cons_row[(ci.key, pos, v)]] = 1.0
+        coeffs.update(model.end_rows.get((ci.key, pos, v), ()))
     return coeffs
 
 
-def _end_cost(model: RmpModel, key: tuple, locations: tuple) -> float:
-    """Hop-shortest cost of the end segments of a column at `locations`."""
-    return sum(model.end_cost.get((key, pos, v), 0.0) for pos, v in enumerate(locations))
-
-
 def column_cost(model: RmpModel, config: Configuration) -> float:
-    """A z column's objective: the segment cost, plus the end segments'
-    hop-shortest cost on a compact master."""
-    if not model.compact:
-        return config.cost
-    return config.cost + _end_cost(model, (config.chain, config.group_index), config.locations)
+    """A z column's objective on either shape: the segment cost plus the
+    end segments' hop-shortest cost."""
+    key = (config.chain, config.group_index)
+    return config.cost + sum(
+        model.end_cost.get((key, pos, v), 0.0) for pos, v in enumerate(config.locations)
+    )
 
 
 def add_column(model: RmpModel, config: Configuration) -> int:
@@ -533,9 +536,7 @@ def add_column(model: RmpModel, config: Configuration) -> int:
             f"nodes' cores on its own"
         )
     pos = len(model.pool)
-    var = model.lp.add_variable(
-        f"z[{ci.label}/{pos}]", 0.0, 1.0, obj=column_cost(model, config)
-    )
+    var = model.lp.add_variable(f"z[{ci.label}/{pos}]", 0.0, obj=column_cost(model, config))
     for row, coef in column_coefficients(model, config).items():
         model.lp.add_coefficient(row, var, coef)
     model.pool.append(config)
@@ -561,11 +562,10 @@ def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
         convexity={ci.key: duals[model.conv_row[ci.key]] for ci in model.chain_instances},
         core={v: clamped(r, f"core[{v}]") for v, r in model.core_row.items()},
         capacity={a: clamped(r, f"cap[{a}]") for a, r in model.cap_row.items()},
-        consistency=(
-            {k: -cost for k, cost in model.end_cost.items()}
-            if model.compact
-            else {k: duals[r] for k, r in model.cons_row.items()}
-        ),
+        end={
+            k: sum(a * duals[r] for r, a in model.end_rows.get(k, ())) - cost
+            for k, cost in model.end_cost.items()
+        },
     )
     model.last_relaxation = sol
     model.last_duals = prices
@@ -573,14 +573,14 @@ def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
 
 
 def reduced_cost_of(model: RmpModel, duals: DualPrices, config: Configuration) -> float:
-    """Recompute a column's reduced cost from its row coefficients (on a
-    compact master the end cost enters through `duals.consistency`)."""
+    """Recompute a column's reduced cost from its row coefficients; its end
+    cost and end-flow rows enter through `duals.end`."""
     ci = model.by_key[(config.chain, config.group_index)]
     rc = config.cost - duals.convexity[ci.key]
     per_gbps = model.instance.chain_cores_per_gbps(ci.chain)
     for pos, v in enumerate(config.locations):
         rc -= duals.core[v] * ci.total_gbps * per_gbps[pos]
-        rc -= duals.consistency.get((ci.key, pos, v), 0.0)
+        rc -= duals.end.get((ci.key, pos, v), 0.0)
     for seg in config.segment_paths:
         for arc in seg:
             rc -= duals.capacity.get(arc, 0.0) * ci.total_gbps
@@ -614,11 +614,11 @@ def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
     """Integer selection over the pooled columns with at most k hosting nodes.
 
     The selection program (the default) keeps the master's convexity, core
-    and capacity rows with only their z coefficients, makes z binary at
-    `config.cost` plus its hop-shortest end cost, and adds the hosting block
-    (`_add_hosting_block`). The full program (arc-flow master only) is the
-    master with every variable integer, its artificial columns fixed at 0,
-    plus the same hosting block.
+    and capacity rows with only their z coefficients, makes z binary at the
+    master's z objective, and adds the hosting block (`_add_hosting_block`).
+    The full program (arc-flow master only) is the master with every
+    variable integer, its artificial columns fixed at 0, plus the same
+    hosting block.
     """
     if full:
         if model.compact:
@@ -631,15 +631,9 @@ def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
 
     lp = LinearProgram("selection")
     znew = {}  # master z variable -> selection variable
-    for var, config in zip(model.zvar, model.pool):
-        key = (config.chain, config.group_index)
-        znew[var] = lp.add_variable(
-            model.lp.variables[var].name,
-            0.0,
-            1.0,
-            obj=config.cost + _end_cost(model, key, config.locations),
-            integer=True,
-        )
+    for var in model.zvar:
+        z = model.lp.variables[var]
+        znew[var] = lp.add_variable(z.name, 0.0, 1.0, obj=z.obj, integer=True)
     for r in (*model.conv_row.values(), *model.core_row.values(), *model.cap_row.values()):
         row = model.lp.rows[r]
         lp.add_constraint(

@@ -2,14 +2,14 @@
 chain instance.
 
 The reduced cost decomposes additively: each position i at node v pays
--(core_dual_v * D * cores_per_gbps(f_i)) - consistency_dual, and each segment
-pays a shortest path under arc weight D * (1 - capacity_dual). On a compact
-master the consistency term is minus the end cost of placing the first or
-last position at v (see `master.DualPrices`), so both master shapes price
-through the same code. One depth-first search over the location tuples that
-fit the nodes' cores finds the optimum, cut by a layered cost-to-go sweep
-over every tuple, which never overestimates. The brute-force enumeration
-tests confirm this rather than assume it.
+-(core_dual_v * D * cores_per_gbps(f_i)) - end_charge, and each segment pays
+a shortest path under arc weight D * (1 - capacity_dual). The end charge of
+the first or last position at v is the end-flow rows' duals there less the
+end cost (`master.DualPrices.end`); a compact master has no end-flow rows,
+so both master shapes price through the same code. One depth-first search
+over the location tuples that fit the nodes' cores finds the optimum, cut by
+a layered cost-to-go sweep over every tuple, which never overestimates. The
+brute-force enumeration tests confirm this rather than assume it.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def best_configuration(
     node_cost = [
         [
             -duals.core.get(v, 0.0) * need[pos]
-            - duals.consistency.get((ci.key, pos, v), 0.0)
+            - duals.end.get((ci.key, pos, v), 0.0)
             for v in nfv
         ]
         for pos in range(len(need))

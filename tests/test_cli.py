@@ -265,3 +265,27 @@ class TestArgErrors:
             )
         assert err.value.code == 1
         assert "unrecognized arguments: --mode full" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--time-limit", "inf"),
+            ("--time-limit", "nan"),
+            ("--time-limit", "0"),
+            ("--time-limit", "-1"),
+            ("--time-limit", "soon"),
+            ("--max-iters", "0"),
+            ("--max-iters", "-2"),
+        ],
+    )
+    def test_limits_must_be_positive(self, command, flag, value, triangle_flags, capsys):
+        # an infinite time limit would leave column generation no time at
+        # all, so the selection would run over the starting columns alone
+        extra = ["--k", "1"] if command == "solve" else ["--nc-list", "1", "--k-list", "1"]
+        with pytest.raises(SystemExit) as err:
+            cli.build_parser().parse_args(
+                [command, *triangle_flags, *extra, "--out", "x", flag, value]
+            )
+        assert err.value.code == 1
+        assert f"argument {flag}: must be" in capsys.readouterr().err

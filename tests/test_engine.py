@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from scmap.master import (
     chain_instances,
     fits,
     make_configuration,
+    reduced_cost_of,
     solve_relaxation,
 )
 from scmap.netmodel import (
@@ -325,6 +327,18 @@ def test_core_bound_cells_keep_their_cg_path(
     assert len(result.trace.iterations) == rounds
     assert sum(it.columns_added for it in result.trace.iterations) == added
     assert engine.validate_plan(inst, result.plan) == []
+    # the master has no variable upper bounds, so its duals are dual
+    # feasible: no pooled column prices out at convergence
+    model = result.model
+    assert min(reduced_cost_of(model, model.last_duals, c) for c in model.pool) >= -1e-9
+    # a run cut short reports a Lagrangian bound, never its RMP value,
+    # which bounds the LP from above
+    for max_iters in range(1, rounds):
+        try:
+            truncated = engine.solve(inst, max_iters=max_iters).plan
+        except engine.Infeasible:
+            continue  # a truncated pool may hold no integer selection
+        assert truncated.lp_bound <= lp_bound + 1e-6, max_iters
 
 
 @pytest.mark.parametrize("capacity", [4.0, 1000.0])
@@ -572,7 +586,15 @@ class TestTimeBudget:
         assert not result.trace.converged
         assert result.trace.iterations == []
         assert engine.validate_plan(triangle_instance, result.plan) == []
+        assert result.plan.lp_bound == 0.0  # no round was priced
         assert calls == [(90.0, 10.0)]
+
+    @pytest.mark.parametrize("limit", [math.inf, math.nan, 0.0, -1.0])
+    def test_time_limit_must_be_finite_and_positive(self, limit, triangle_instance):
+        # an infinite limit would leave column generation max(0, nan) = 0
+        # seconds, so no pricing round would run
+        with pytest.raises(engine.EngineError, match="finite positive"):
+            engine.solve(triangle_instance, time_limit=limit)
 
     def test_spent_budget_still_selects_without_a_limit(
         self, monkeypatch, caplog, triangle_instance

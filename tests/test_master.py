@@ -6,7 +6,6 @@ from conftest import build_instance, with_capacity
 from scmap import baselines, engine
 from scmap.master import (
     MasterError,
-    _end_cost,
     add_column,
     build_final_ilp,
     build_rmp,
@@ -89,7 +88,7 @@ class TestBuildRmp:
         assert not seeded_model(with_capacity(triangle, worst - 0.5)).compact
 
     def test_nsfnet_compact_rows(self):
-        # convexity and core rows only: no x, end flows, cap or consistency rows
+        # convexity and core rows only: no end flows or cap rows
         inst = load_instance(*nsfnet_files(), k=14, nc=34)
         model, _ = engine.run_column_generation(inst, partition_all(inst))
         assert model.compact
@@ -238,10 +237,11 @@ class TestAddColumn:
             derived = column_coefficients(model, config)
             assert stored == pytest.approx(derived)
 
-    def test_x_and_consistency_only_at_end_positions(self):
-        # only the end flows read x, so the middle position of a 3-VNF
-        # chain gets neither an x nor a consistency row (3 Gbps links are
-        # below the worst-case load of 8: an arc-flow master)
+    def test_z_meets_end_flows_only_at_end_positions(self):
+        # z columns read the end-flow rows directly, with no position
+        # variables or consistency rows, and only at the first and last of
+        # a 3-VNF chain's positions (3 Gbps links are below the worst-case
+        # load of 8: an arc-flow master)
         inst = build_instance(
             ["a", "b", "c"],
             [("a", "b"), ("b", "c"), ("a", "c")],
@@ -252,14 +252,25 @@ class TestAddColumn:
         model, _ = engine.run_column_generation(inst, partition_all(inst))
         assert not model.compact
         assert {len(ci.vnfs) for ci in model.chain_instances} == {3}
-        assert {pos for _key, pos, _v in model.xvar} == {0, 2}
-        assert set(model.cons_row) == set(model.xvar)
-        assert len(row_names(model, "cons")) == len(model.xvar)
+        assert not [v for v in model.lp.variables if v.name.startswith("x[")]
+        assert not row_names(model, "cons")
+        assert {pos for _key, pos, _v in model.end_rows} == {0, 2}
         assert len(model.pool) > 1
         for pos, config in enumerate(model.pool):
             var = model.zvar[pos]
             stored = {i: a for i, row in enumerate(model.lp.rows) for j, a in row.coeffs if j == var}
             assert stored == pytest.approx(column_coefficients(model, config))
+
+    def test_z_costs_the_same_on_both_shapes(self, triangle, capacitated_triangle):
+        # an arc-flow end flow pays only its detour, so a z column carries
+        # its hop-shortest end cost there too
+        compact = seeded_model(triangle)
+        arc_flow = seeded_model(capacitated_triangle)
+        assert compact.compact and not arc_flow.compact
+        (ci,) = compact.chain_instances
+        for config in enumerate_all_configs(triangle, ci):
+            assert column_cost(arc_flow, config) == column_cost(compact, config)
+            assert column_cost(compact, config) > config.cost
 
 
 class TestDuals:
@@ -285,7 +296,7 @@ class TestDuals:
         # agree with the standalone formula for every candidate column
         for config in enumerate_all_configs(triangle, ci):
             mine = reduced_cost_of(model, duals, config)
-            recomputed = config.cost
+            recomputed = column_cost(model, config)
             coeffs = column_coefficients(model, config)
             for row, coef in coeffs.items():
                 recomputed -= model.last_relaxation.duals[row] * coef
@@ -303,8 +314,8 @@ class TestDuals:
 
 
     def test_compact_reduced_cost_is_column_cost_less_duals(self, triangle):
-        # on a compact master the end cost enters through the consistency
-        # prices, so reduced_cost_of still equals c - A'y of the column
+        # on a compact master the end cost enters through the end charges,
+        # so reduced_cost_of still equals c - A'y of the column
         model = seeded_model(triangle, seed_nodes=("b",))
         assert model.compact
         _, duals = solve_relaxation(model)
@@ -391,9 +402,9 @@ class TestFinalIlp:
             assert hosting[-1] == "kbudget"
             assert all(n.startswith("host[") for n in hosting[:-1])
             for p, config in enumerate(model.pool):
-                key = (config.chain, config.group_index)
-                cost = config.cost + _end_cost(model, key, config.locations)
-                assert lp.variables[zsel[model.zvar[p]]].obj == pytest.approx(cost)
+                cost = model.lp.variables[model.zvar[p]].obj
+                assert cost == column_cost(model, config)
+                assert lp.variables[zsel[model.zvar[p]]].obj == cost
             assert not [v for v in lp.variables if v.name.startswith(("art[", "x[", "y"))]
             assert [v.name for v in lp.variables if v.integer and v.name.startswith("h[")]
             if model.compact:

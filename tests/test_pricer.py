@@ -28,7 +28,7 @@ def price(instance, ci, duals):
 
 
 def zero_duals():
-    return DualPrices(convexity={}, core={}, capacity={}, consistency={})
+    return DualPrices(convexity={}, core={}, capacity={}, end={})
 
 
 def random_duals(rng, instance, ci):
@@ -36,7 +36,7 @@ def random_duals(rng, instance, ci):
         convexity={ci.key: rng.uniform(-5.0, 5.0)},
         core={v: -rng.uniform(0.0, 2.0) for v in instance.topology.nfv_nodes},
         capacity={a: -rng.uniform(0.0, 1.5) for a in instance.topology.arc_index},
-        consistency={
+        end={
             (ci.key, pos, v): rng.uniform(-3.0, 3.0)
             for pos in range(len(ci.vnfs))
             for v in instance.topology.nfv_nodes
@@ -52,7 +52,7 @@ def brute_force_total(instance, ci, duals, config):
     total -= duals.convexity.get(ci.key, 0.0)
     for pos, v in enumerate(config.locations):
         total -= duals.core.get(v, 0.0) * dgroup * rates[pos]
-        total -= duals.consistency.get((ci.key, pos, v), 0.0)
+        total -= duals.end.get((ci.key, pos, v), 0.0)
     for seg in config.segment_paths:
         for arc in seg:
             total -= duals.capacity.get(arc, 0.0) * dgroup
@@ -84,7 +84,7 @@ class TestZeroDuals:
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
         ci = only_instance(inst)
         duals = DualPrices(
-            convexity={ci.key: 1.0}, core={}, capacity={}, consistency={}
+            convexity={ci.key: 1.0}, core={}, capacity={}, end={}
         )
         priced = price_chain_instance(inst, ci, duals, segment_cost_table(inst, duals))
         assert priced is not None
@@ -95,7 +95,7 @@ class TestZeroDuals:
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
         ci = only_instance(inst)
         duals = DualPrices(
-            convexity={ci.key: 0.0}, core={}, capacity={}, consistency={}
+            convexity={ci.key: 0.0}, core={}, capacity={}, end={}
         )
         assert price_chain_instance(inst, ci, duals, segment_cost_table(inst, duals)) is None
 
@@ -104,7 +104,7 @@ class TestSegmentTable:
     def test_positive_capacity_dual_rejected(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
         duals = DualPrices(
-            convexity={}, core={}, capacity={("a", "b"): 0.5}, consistency={}
+            convexity={}, core={}, capacity={("a", "b"): 0.5}, end={}
         )
         with pytest.raises(PricerError):
             segment_cost_table(inst, duals)
@@ -116,7 +116,7 @@ class TestSegmentTable:
             convexity={},
             core={},
             capacity={("a", "b"): -1.0},
-            consistency={},
+            end={},
         )
         priced = segment_cost_table(inst, duals)
         assert flat.cost[("a", "b")] == pytest.approx(1.0)
