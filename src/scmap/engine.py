@@ -7,13 +7,14 @@ so one converged model serves every k of a sweep and only the integer
 selection reads k. The price is a k-blind `lp_bound`: the same at every k,
 and the reported `gap` is measured against it.
 
-The final selection is automatic. It solves the selection program, the
-master's z-restriction (see `scmap.master`): on a compact master that is
-the one program there is. On an arc-flow master it relaxes the full
-program, so its validated plan is optimal and its infeasibility is the full
-program's; only a plan that fails validation or a stalled solve falls back
-to the full program. Every verdict, plan or "infeasible", is relative to
-the `sptg` demand grouping.
+The final selection is automatic. When the relaxation's own point is
+already an integer selection within k, it is the plan and no MIP runs.
+Otherwise it solves the selection program, the master's z-restriction (see
+`scmap.master`): on a compact master that is the one program there is. On
+an arc-flow master it relaxes the full program, so its validated plan is
+optimal and its infeasibility is the full program's; only a plan that
+fails validation or a stalled solve falls back to the full program. Every
+verdict, plan or "infeasible", is relative to the `sptg` demand grouping.
 """
 
 from __future__ import annotations
@@ -165,16 +166,31 @@ def diagnose_infeasibility(instance: ProblemInstance) -> list:
                 f"demand entering {v} totals {need:g} Gbps but its incoming arcs "
                 f"{[f'{a}->{b}' for a, b in arcs]} provide {have:g}"
             )
+    cut = _core_cut(instance, len(topo.nfv_nodes))
+    if cut:
+        hints.append(cut)
+    return hints
+
+
+def _core_cut(instance: ProblemInstance, k: int) -> Optional[str]:
+    """The cores all placements need against the k NFV nodes with the most
+    cores, or None when they fit.
+
+    A chain instance takes the same cores wherever it sits and a plan hosts
+    on at most k nodes, so a need above those k nodes' cores is a proof.
+    """
+    topo = instance.topology
     needed = sum(
         r.gbps * sum(instance.chain_cores_per_gbps(r.chain))
         for r in instance.demands.records
     )
-    have = sum(topo.node_by_id[v].cores for v in topo.nfv_nodes)
-    if needed > have + 1e-9:
-        hints.append(
-            f"placements require {needed:g} cores but NFV nodes provide {have:g}"
-        )
-    return hints
+    cores = sorted((topo.node_by_id[v].cores for v in topo.nfv_nodes), reverse=True)
+    have = sum(cores[:k])
+    if needed <= have + 1e-9:
+        return None
+    if k >= len(cores):
+        return f"placements require {needed:g} cores but NFV nodes provide {have:g}"
+    return f"placements require {needed:g} cores but k={k} hosting nodes hold at most {have:g}"
 
 
 def run_column_generation(
@@ -367,22 +383,21 @@ def _end_routes(model: RmpModel, x: list, ci: ChainInstance, location: str, lead
 
 
 def _decode(
-    instance: ProblemInstance, model: RmpModel, final, mip
+    instance: ProblemInstance, model: RmpModel, x: list, zvar: list, full: bool
 ) -> MappingPlan:
-    x = mip.x
-    zvar_of = {pos: var for var, pos in final.zmap.items()}
+    """The plan an integer point `x` selects; `zvar` maps pool positions to
+    its z variables. `full` points route their ends by their end flows,
+    others along hop-shortest paths."""
     assignments = []
     for ci in model.chain_instances:
-        chosen = [
-            p for p in model.pool_by_instance[ci.key] if x[zvar_of[p]] > 0.5
-        ]
+        chosen = [p for p in model.pool_by_instance[ci.key] if x[zvar[p]] > 0.5]
         if len(chosen) != 1:
             raise EngineError(
                 f"instance {ci.label}: {len(chosen)} configurations selected"
             )
         config = model.pool[chosen[0]]
         head, tail = config.locations[0], config.locations[-1]
-        if final.full:
+        if full:
             first = _end_routes(model, x, ci, head, lead_in=True)
             last = _end_routes(model, x, ci, tail, lead_in=False)
         else:
@@ -435,7 +450,10 @@ def _extract(
         )
     if mip.status not in ("optimal", "feasible"):
         raise EngineError(f"final selection failed: {mip.status} ({mip.message})")
-    plan = _decode(instance, model, final, mip)
+    return _validated(instance, _decode(instance, model, mip.x, final.zvar, final.full))
+
+
+def _validated(instance: ProblemInstance, plan: MappingPlan) -> MappingPlan:
     violations = validate_plan(instance, plan)
     if violations:
         raise EngineError(
@@ -443,6 +461,36 @@ def _extract(
             + "; ".join(str(v) for v in violations[:3])
         )
     return plan
+
+
+# a relaxation value within this of an integer counts as that integer
+INTEGRAL_TOL = 1e-9
+
+
+def _relaxation_plan(instance: ProblemInstance, model: RmpModel) -> Optional[MappingPlan]:
+    """The relaxation's own point as the validated plan, or None unless it
+    is an integer selection within k.
+
+    Every integer selection's point, artificials at 0 and hosting flags
+    dropped, is feasible for the master, so the master's value bounds every
+    selection from below. A point with every artificial at 0, every
+    variable integral and at most k hosts attains that bound: no selection
+    program can beat it (Lübbecke & Desrosiers, 2005). After a column
+    generation cut short that holds relative to the pool, as for the MIP.
+    On an arc-flow master the point's integral end flows peel into routes,
+    as the full program's do.
+    """
+    x = model.last_relaxation.x
+    if any(x[var] > INTEGRAL_TOL for var in model.artificial.values()):
+        return None
+    if any(abs(v - round(v)) > INTEGRAL_TOL for v in x):
+        return None
+    chosen = [p for p, var in enumerate(model.zvar) if x[var] > 0.5]
+    hosts = {v for p in chosen for v in model.pool[p].locations}
+    if len(hosts) > instance.k:
+        return None
+    plan = _decode(instance, model, [round(v) for v in x], model.zvar, not model.compact)
+    return _validated(instance, plan)
 
 
 # share of `solve`'s time limit that column generation leaves to the final
@@ -474,28 +522,43 @@ def extract_plan(
 ) -> MappingPlan:
     """Integer selection over the pooled columns, decoded and validated.
 
-    Solves the selection program (`build_final_ilp`). On a compact master
-    that is the only program. On an arc-flow master it relaxes the full
-    program: a plan of it that validates is optimal, and its proven
-    infeasibility is the full program's too. Only a plan that fails
-    validation or a solve that ends without a plan falls back to the full
-    program. `time_limit` (seconds) covers both attempts: the fallback gets
-    only what the first one left. The relaxation is re-solved when it is
-    missing or predates columns added since.
+    Raises `Infeasible` naming the cut, before any solve, when the cores all
+    placements need exceed those of the k NFV nodes with the most cores.
+    The relaxation is re-solved when it is missing or predates columns added
+    since. When its point is already an integer selection within k, that
+    point is the plan (`_relaxation_plan`) and no MIP runs; after a
+    converged column generation its gap is 0.
+    Otherwise it solves the selection program (`build_final_ilp`). On a
+    compact master that is the only program. On an arc-flow master it
+    relaxes the full program: a plan of it that validates is optimal, and
+    its proven infeasibility is the full program's too. Only a plan that
+    fails validation or a solve that ends without a plan falls back to the
+    full program. `time_limit` (seconds) covers both attempts: the fallback
+    gets only what the first one left. The program that chose the plan is
+    logged at INFO.
     """
     deadline = _deadline(time_limit)
+    cut = _core_cut(instance, instance.k)
+    if cut:
+        raise Infeasible(f"no plan exists at k={instance.k}: {cut}")
     if model.last_relaxation is None or len(model.last_relaxation.x) != model.lp.n_vars:
         solve_relaxation(model)
-    limit = _limit(deadline, "the final selection")
-    try:
-        return _extract(instance, model, limit)
-    except Infeasible:
-        raise
-    except EngineError as exc:
-        if model.compact:
+    plan, program = _relaxation_plan(instance, model), "relaxation point"
+    if plan is None:
+        limit = _limit(deadline, "the final selection")
+        program = "selection program"
+        try:
+            plan = _extract(instance, model, limit)
+        except Infeasible:
             raise
-        log.info("selection program gave no valid plan (%s); solving the full program", exc)
-        return _extract(instance, model, _limit(deadline, "the full selection"), full=True)
+        except EngineError as exc:
+            if model.compact:
+                raise
+            log.info("selection program gave no valid plan (%s); solving the full program", exc)
+            program = "full program"
+            plan = _extract(instance, model, _limit(deadline, "the full selection"), full=True)
+    log.info("plan chosen by the %s at k=%d", program, instance.k)
+    return plan
 
 
 def solve(

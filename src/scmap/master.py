@@ -52,7 +52,11 @@ z-restriction: its convexity, core and capacity rows with only their z
 coefficients, and its z objectives. On a compact master that is the master
 itself without its artificial columns. On an arc-flow master it drops the
 end flows, which makes it a relaxation of the full program, the master
-cloned with every variable integer.
+cloned with every variable integer. Both programs' feasible points, with
+the artificials at zero and the hosting block dropped, are feasible for
+the master, so a relaxation point with every artificial at zero, every
+variable integral and at most k hosts is optimal for both: the engine
+takes it as the plan without building either.
 """
 
 from __future__ import annotations
@@ -152,7 +156,7 @@ class FinalIlp:
 
     lp: LinearProgram
     full: bool  # the integer clone of an arc-flow master, end flows included
-    zmap: dict  # variable index -> pool position
+    zvar: list  # pool position -> variable
 
 
 @dataclass
@@ -627,7 +631,7 @@ def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
         for var in model.artificial.values():
             lp.variables[var].ub = 0.0
         _add_hosting_block(lp, model, model.zvar, k)
-        return FinalIlp(lp=lp, full=True, zmap={var: p for p, var in enumerate(model.zvar)})
+        return FinalIlp(lp=lp, full=True, zvar=list(model.zvar))
 
     lp = LinearProgram("selection")
     znew = {}  # master z variable -> selection variable
@@ -640,4 +644,4 @@ def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
             [(znew[j], a) for j, a in row.coeffs if j in znew], row.relation, row.rhs, row.name
         )
     _add_hosting_block(lp, model, list(znew.values()), k)
-    return FinalIlp(lp=lp, full=False, zmap={j: p for p, j in enumerate(znew.values())})
+    return FinalIlp(lp=lp, full=False, zvar=list(znew.values()))

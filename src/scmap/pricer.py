@@ -31,11 +31,9 @@ from .pathcore import PathTable, all_pairs_hops, shortest_path_weighted
 
 EPS = 1e-6
 
-Arc = tuple[str, str]
-
 
 class PricerError(ValueError):
-    """Size guard or malformed pricing input."""
+    """Malformed pricing input, or no placement that fits the nodes' cores."""
 
 
 @dataclass(frozen=True)
@@ -179,53 +177,3 @@ def price_chain_instance(
     if reduced >= -EPS:
         return None
     return config, reduced
-
-
-def _simple_paths(instance: ProblemInstance, src: str, dst: str) -> list[tuple[Arc, ...]]:
-    topo = instance.topology
-    out: list[tuple[Arc, ...]] = []
-    stack: list[tuple[str, tuple[Arc, ...], frozenset]] = [(src, (), frozenset([src]))]
-    while stack:
-        node, arcs, seen = stack.pop()
-        if node == dst:
-            out.append(arcs)
-            continue
-        for arc in reversed(topo.out_arcs[node]):
-            w = arc[1]
-            if w not in seen:
-                stack.append((w, arcs + (arc,), seen | {w}))
-    out.sort(key=lambda p: (len(p), p))
-    return out
-
-
-def enumerate_all_configs(
-    instance: ProblemInstance, chain_instance: ChainInstance, max_nodes: int = 7
-) -> list[Configuration]:
-    """Brute-force oracle: every configuration with simple segment paths."""
-    topo = instance.topology
-    n = len(chain_instance.vnfs)
-    if len(topo.nodes) > max_nodes or max_nodes > 7:
-        raise PricerError(
-            f"enumeration limited to 7 nodes, got {len(topo.nodes)} (cap {max_nodes})"
-        )
-    if n > 3:
-        raise PricerError(f"enumeration limited to 3 positions, got {n}")
-
-    paths_between: dict = {}
-    for u in topo.nfv_nodes:
-        for w in topo.nfv_nodes:
-            paths_between[(u, w)] = [()] if u == w else _simple_paths(instance, u, w)
-
-    def expand(locations: tuple[str, ...], segments: tuple) -> list[Configuration]:
-        if len(locations) == n:
-            return [make_configuration(chain_instance, locations, segments)]
-        out = []
-        for v in topo.nfv_nodes:
-            if not locations:
-                out.extend(expand((v,), ()))
-            else:
-                for seg in paths_between[(locations[-1], v)]:
-                    out.extend(expand(locations + (v,), segments + (seg,)))
-        return out
-
-    return expand((), ())

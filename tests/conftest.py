@@ -64,6 +64,14 @@ def with_capacity(instance, gbps):
     )
 
 
+def with_k(instance, k):
+    """The same instance with hosting budget `k`."""
+    return ProblemInstance(
+        instance.topology, instance.vnfs, instance.chains, instance.demands,
+        k=k, nc=dict(instance.nc),
+    )
+
+
 def random_connected_instance(rng: random.Random, max_nodes=6, **kwargs):
     """Random connected topology with a random demand subset."""
     n = rng.randint(3, max_nodes)
@@ -90,6 +98,20 @@ def capacitated_triangle(triangle_instance):
     """The triangle with 6 Gbps links: below its worst-case arc load of 12
     Gbps, so it gets an arc-flow master, yet no plan needs more."""
     return with_capacity(triangle_instance, 6.0)
+
+
+@pytest.fixture(scope="session")
+def split_triangle():
+    """The triangle in two chain instances at k=1: its relaxation places them
+    on different nodes, so its point is no integer selection within k and
+    the selection MIP runs."""
+    return load_instance(*triangle_files(), k=1, nc=2)
+
+
+@pytest.fixture(scope="session")
+def capacitated_split_triangle(split_triangle):
+    """`split_triangle` with 6 Gbps links: an arc-flow master."""
+    return with_capacity(split_triangle, 6.0)
 
 
 @pytest.fixture(scope="session")

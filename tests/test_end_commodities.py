@@ -7,7 +7,8 @@ import math
 import random
 
 import pytest
-from conftest import build_instance, random_connected_instance, with_capacity
+from brute_force import enumerate_all_configs, simple_paths
+from conftest import build_instance, random_connected_instance, with_capacity, with_k
 
 from scmap import engine
 from scmap.master import (
@@ -18,16 +19,7 @@ from scmap.master import (
     solve_relaxation,
     worst_case_load,
 )
-from scmap.netmodel import ProblemInstance
-from scmap.pricer import enumerate_all_configs
 from scmap.sptg import partition_all
-
-
-def with_k(instance, k):
-    return ProblemInstance(
-        instance.topology, instance.vnfs, instance.chains, instance.demands,
-        k=k, nc=dict(instance.nc),
-    )
 
 
 def test_shared_source_splits_over_two_paths():
@@ -65,23 +57,6 @@ def test_peel_cuts_loops_and_hands_out_units_in_order():
         engine._peel_walks({("a", "c"): 1}, "a", "d", 1, "test")
 
 
-def simple_paths(topo, src, dst):
-    """Every simple src->dst arc path; the empty path when src == dst."""
-    if src == dst:
-        return [()]
-    out = []
-    stack = [(src, (), {src})]
-    while stack:
-        node, arcs, seen = stack.pop()
-        if node == dst:
-            out.append(arcs)
-            continue
-        for arc in topo.out_arcs[node]:
-            if arc[1] not in seen:
-                stack.append((arc[1], arcs + (arc,), seen | {arc[1]}))
-    return sorted(out, key=lambda p: (len(p), p))
-
-
 def oracle(instance, chain_instances):
     """Optimum per hosting budget over every configuration per chain
     instance and every simple lead-in and lead-out path per pair, under
@@ -100,7 +75,7 @@ def oracle(instance, chain_instances):
 
     def between(u, w):
         if (u, w) not in paths:
-            paths[(u, w)] = simple_paths(topo, u, w)
+            paths[(u, w)] = simple_paths(topo.out_arcs, u, w)
         return paths[(u, w)]
 
     def answer(h):
@@ -282,6 +257,34 @@ def test_auto_matches_full_on_capacitated_draws():
                 assert verdicts[0] == pytest.approx(verdicts[1], abs=1e-6), f"case {case} k={k}"
             compared += 1
     assert compared >= 100, compared
+
+
+def test_relaxation_point_matches_the_forced_selection():
+    # wherever the relaxation's own point is taken as the plan, the MIP it
+    # spares (the selection program on a compact master, the full program
+    # on an arc-flow one) reaches the same objective over the same pool
+    fired = {True: 0, False: 0}  # by master shape: compact or not
+    declined = 0
+    for case, inst in draws():
+        try:
+            model, _ = engine.run_column_generation(inst, partition_all(inst))
+        except engine.Infeasible:
+            continue
+        for k in budgets(inst):
+            plan = engine._relaxation_plan(with_k(inst, k), model)
+            if plan is None:
+                declined += 1
+                continue
+            fired[model.compact] += 1
+            assert engine.validate_plan(with_k(inst, k), plan) == []
+            assert plan.objective_gbps_hops >= model.lp_bound - 1e-6, f"case {case} k={k}"
+            forced = engine._extract(with_k(inst, k), model, full=not model.compact)
+            assert plan.objective_gbps_hops == pytest.approx(
+                forced.objective_gbps_hops, abs=1e-6
+            ), f"case {case} k={k}"
+    # 134 compact and 105 arc-flow selections taken, 95 declined, at the
+    # time of writing
+    assert min(fired.values()) >= 80 and declined >= 50, (fired, declined)
 
 
 def test_path_plans_need_no_seed():

@@ -7,7 +7,8 @@ import math
 import random
 
 import pytest
-from conftest import build_instance, random_connected_instance
+from brute_force import enumerate_all_configs
+from conftest import build_instance, random_connected_instance, with_capacity, with_k
 
 from scmap import baselines, engine
 from scmap.fixturedata import cost239_files, nsfnet_files
@@ -29,7 +30,7 @@ from scmap.netmodel import (
     load_instance,
 )
 from scmap.pathcore import all_pairs_hops
-from scmap.pricer import enumerate_all_configs, price_chain_instance, segment_cost_table
+from scmap.pricer import price_chain_instance, segment_cost_table
 from scmap.simplexkit import MipSolution, highs
 from scmap.sptg import partition_all
 
@@ -158,10 +159,12 @@ class TestExtractPlan:
     @pytest.mark.parametrize("mode", ["auto", "fast", "full"])
     def test_column_added_after_last_solve(self, mode, monkeypatch):
         # path a-b-c, demand a->b: the seed at c costs 3, the column at a 1;
-        # the relaxation solved before the column was added is stale. auto
-        # runs on the compact master, fast on the arc-flow one (2 Gbps links,
-        # below W = 3), full on the arc-flow one with the selection program
-        # made to fail, so the plan comes from the full program
+        # the relaxation solved before the column was added is stale, and
+        # its point, all on c, must not be taken as the plan. auto runs on
+        # the compact master, fast on the arc-flow one (2 Gbps links, below
+        # W = 3), full on the arc-flow one with the relaxation point declined
+        # and the selection program made to fail, so the plan comes from the
+        # full program
         capacity = 1000.0 if mode == "auto" else 2.0
         inst = build_instance(
             ["a", "b", "c"],
@@ -188,6 +191,7 @@ class TestExtractPlan:
                 return extract(instance, model, time_limit, full=full)
 
             monkeypatch.setattr(engine, "_extract", no_selection)
+            monkeypatch.setattr(engine, "_relaxation_plan", lambda instance, model: None)
         plan = engine.extract_plan(inst, model)
         if mode == "full":
             assert programs == [False, True]
@@ -212,6 +216,140 @@ class TestExtractPlan:
                 result.plan.objective_gbps_hops
                 >= result.plan.lp_bound - 1e-6
             )
+
+
+def record_mips(monkeypatch, stall_first=False):
+    """The name of every MIP solved from here on; the first one stalls
+    when asked to."""
+    calls = []
+    real_mip = highs.solve_mip
+
+    def mip(lp, time_limit=None):
+        calls.append(lp.name)
+        if stall_first and len(calls) == 1:
+            return MipSolution(status="stalled", message="stalled")
+        return real_mip(lp, time_limit=time_limit)
+
+    monkeypatch.setattr(highs, "solve_mip", mip)
+    return calls
+
+
+class TestRelaxationPoint:
+    @pytest.mark.parametrize(
+        "nc, at_14, at_2, mips_at_2",
+        [(1, 624.0, 624.0, 0), (4, 494.0, 544.0, 1), (16, 407.0, 533.0, 1), (34, 390.0, 526.0, 1)],
+    )
+    def test_nsfnet_sweep_cells(self, monkeypatch, nc, at_14, at_2, mips_at_2):
+        # every k=14 cell and nc1 at k=2 are integer selections within k
+        # as the LP leaves them; the other k=2 cells host on more than 2
+        inst = load_instance(*nsfnet_files(), k=14, nc=nc)
+        model, _ = engine.run_column_generation(inst, partition_all(inst))
+        calls = record_mips(monkeypatch)
+        for k, objective, mips in ((14, at_14, 0), (2, at_2, mips_at_2)):
+            calls.clear()
+            plan = engine.extract_plan(with_k(inst, k), model)
+            assert engine.validate_plan(with_k(inst, k), plan) == []
+            assert plan.objective_gbps_hops == pytest.approx(objective)
+            assert len(calls) == mips, (k, calls)
+            if not mips:
+                assert plan.gap == pytest.approx(0.0, abs=1e-12)
+
+    @staticmethod
+    def nsfnet_at_30_gbps(nc):
+        """NSFNET with every link below the worst-case load: arc-flow."""
+        inst = with_capacity(load_instance(*nsfnet_files(), k=14, nc=nc), 30.0)
+        model, _ = engine.run_column_generation(inst, partition_all(inst))
+        assert not model.compact
+        return inst, model
+
+    @pytest.mark.parametrize("nc, objective", [(4, 494.0), (16, 407.0)])
+    def test_arc_flow_point_routes_its_end_flows(self, monkeypatch, nc, objective):
+        inst, model = self.nsfnet_at_30_gbps(nc)
+        calls = record_mips(monkeypatch)
+        plan = engine.extract_plan(inst, model)
+        assert engine.validate_plan(inst, plan) == []
+        assert plan.objective_gbps_hops == pytest.approx(objective)
+        assert calls == []
+
+    def test_fractional_arc_flow_point_runs_the_mip(self, monkeypatch):
+        inst, model = self.nsfnet_at_30_gbps(1)
+        x = model.last_relaxation.x
+        assert any(abs(v - round(v)) > engine.INTEGRAL_TOL for v in x)
+        calls = record_mips(monkeypatch)
+        try:
+            engine.extract_plan(inst, model)
+        except engine.Infeasible:
+            pass  # the verdict is the MIP's; only that it ran matters here
+        assert calls[0] == "selection"
+
+    def test_declined_unless_an_integer_selection(self, triangle_instance):
+        model, _ = engine.run_column_generation(
+            triangle_instance, partition_all(triangle_instance)
+        )
+        assert engine._relaxation_plan(triangle_instance, model) is not None
+        x = model.last_relaxation.x
+        (chosen,) = [p for p, var in enumerate(model.zvar) if x[var] > 0.5]
+        other = 1 if chosen == 0 else 0
+        (art,) = model.artificial.values()
+        half = list(x)
+        half[model.zvar[chosen]] = half[model.zvar[other]] = 0.5
+        unserved = list(x)
+        unserved[model.zvar[chosen]], unserved[art] = 0.0, 1.0
+        for point in (half, unserved):
+            model.last_relaxation = dataclasses.replace(model.last_relaxation, x=point)
+            assert engine._relaxation_plan(triangle_instance, model) is None
+
+    def test_declined_beyond_k(self, split_triangle):
+        # an integral point on two hosts: the plan at k=2, not at k=1
+        model, _ = engine.run_column_generation(split_triangle, partition_all(split_triangle))
+        x = model.last_relaxation.x
+        assert all(x[var] == 0.0 for var in model.artificial.values())
+        assert all(abs(v - round(v)) <= engine.INTEGRAL_TOL for v in x)
+        assert engine._relaxation_plan(split_triangle, model) is None
+        plan = engine._relaxation_plan(with_k(split_triangle, 2), model)
+        assert len(plan.hosting) == 2
+
+    @pytest.mark.parametrize(
+        "name, program, mips",
+        [
+            ("triangle_instance", "relaxation point", []),
+            ("split_triangle", "selection program", ["selection"]),
+            ("capacitated_split_triangle", "full program", ["selection", "rmp"]),
+        ],
+    )
+    def test_log_names_the_program_that_chose(
+        self, monkeypatch, caplog, request, name, program, mips
+    ):
+        inst = request.getfixturevalue(name)
+        model, _ = engine.run_column_generation(inst, partition_all(inst))
+        calls = record_mips(monkeypatch, stall_first=program == "full program")
+        with caplog.at_level(logging.INFO, logger=engine.log.name):
+            plan = engine.extract_plan(inst, model)
+        assert engine.validate_plan(inst, plan) == []
+        assert calls == mips
+        chosen = [r.message for r in caplog.records if r.message.startswith("plan chosen by")]
+        assert len(chosen) == 1 and chosen[0].startswith(f"plan chosen by the {program}")
+
+
+def test_core_cut_at_k_refuses_before_any_mip(monkeypatch):
+    # three nodes of 2 cores and 3 cores of need in two groups: every node
+    # fits either group and all three hold the need, so column generation
+    # runs, but no single node holds it: k=1 is refused with no MIP solved
+    inst = build_instance(
+        ["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "c", 2.0), ("b", "a", 1.0)],
+        k=1, nc=2, cores=2,
+    )
+    model, _ = engine.run_column_generation(inst, partition_all(inst))
+    calls = record_mips(monkeypatch)
+    with pytest.raises(
+        engine.Infeasible,
+        match="at k=1: placements require 3 cores but k=1 hosting nodes hold at most 2",
+    ):
+        engine.extract_plan(inst, model)
+    assert calls == []
+    plan = engine.extract_plan(with_k(inst, 2), model)
+    assert engine.validate_plan(with_k(inst, 2), plan) == []
+    assert len(plan.hosting) == 2
 
 
 def square_instance():
@@ -550,9 +688,11 @@ class TestTimeBudget:
         monkeypatch.setattr(highs, "solve_mip", mip)
         return clock, calls
 
-    def test_limits_stay_within_one_budget(self, monkeypatch, capacitated_triangle):
-        # the fast-then-full fallback exists only on an arc-flow master
-        triangle_instance = capacitated_triangle
+    def test_limits_stay_within_one_budget(self, monkeypatch, capacitated_split_triangle):
+        # the fast-then-full fallback exists only on an arc-flow master, and
+        # the selection MIP runs only when the relaxation point is no
+        # integer selection within k
+        triangle_instance = capacitated_split_triangle
         clock, calls = self.instrument(monkeypatch, stall_first_mip=True)
         _, trace = engine.run_column_generation(
             triangle_instance, partition_all(triangle_instance)
@@ -575,19 +715,32 @@ class TestTimeBudget:
             assert spent + limit <= budget
         assert calls[1][1] == calls[0][1] - self.MIP_SECONDS
 
-    def test_cut_short_column_generation_still_selects(self, monkeypatch, triangle_instance):
+    def test_cut_short_column_generation_still_selects(self, monkeypatch, split_triangle):
         # the RMP build runs past column generation's share (75 of 100 s):
         # no pricing round starts, the refreshed relaxation ends at 90 s, and
         # the selection gets the 10 s left
         budget = 100.0
         assert budget * (1 - engine.SELECTION_SHARE) == 75.0
         clock, calls = self.instrument(monkeypatch, build_seconds=80.0)
-        result = engine.solve(triangle_instance, time_limit=budget)
+        result = engine.solve(split_triangle, time_limit=budget)
         assert not result.trace.converged
         assert result.trace.iterations == []
-        assert engine.validate_plan(triangle_instance, result.plan) == []
+        assert engine.validate_plan(split_triangle, result.plan) == []
         assert result.plan.lp_bound == 0.0  # no round was priced
         assert calls == [(90.0, 10.0)]
+
+    @pytest.mark.parametrize("name", ["triangle_instance", "capacitated_triangle"])
+    def test_integral_relaxation_point_selects_without_a_mip(self, monkeypatch, request, name):
+        # as above, but the triangle's relaxation point is already an
+        # integer selection within k: it is the plan, and no MIP runs
+        inst = request.getfixturevalue(name)
+        clock, calls = self.instrument(monkeypatch, build_seconds=80.0)
+        result = engine.solve(inst, time_limit=100.0)
+        assert result.trace.iterations == []
+        assert engine.validate_plan(inst, result.plan) == []
+        assert result.plan.lp_bound == 0.0
+        assert calls == []
+        assert clock.now == 90.0
 
     @pytest.mark.parametrize("limit", [math.inf, math.nan, 0.0, -1.0])
     def test_time_limit_must_be_finite_and_positive(self, limit, triangle_instance):
@@ -597,15 +750,15 @@ class TestTimeBudget:
             engine.solve(triangle_instance, time_limit=limit)
 
     def test_spent_budget_still_selects_without_a_limit(
-        self, monkeypatch, caplog, triangle_instance
+        self, monkeypatch, caplog, split_triangle
     ):
         # the refreshed relaxation ends at 90 s, past the 85 s budget: the
         # selection runs from the pool so far with no limit, never a
         # non-positive one, and the overrun is logged
         clock, calls = self.instrument(monkeypatch, build_seconds=80.0)
         with caplog.at_level(logging.WARNING, logger=engine.log.name):
-            result = engine.solve(triangle_instance, time_limit=85.0)
-        assert engine.validate_plan(triangle_instance, result.plan) == []
+            result = engine.solve(split_triangle, time_limit=85.0)
+        assert engine.validate_plan(split_triangle, result.plan) == []
         assert calls == [(90.0, None)]
         assert "time limit overrun by 5 s" in caplog.text
 
@@ -625,21 +778,24 @@ class TestTimeBudget:
         assert len(trace.iterations) == rounds - 2
         assert clock.now <= limit
 
-    def test_fallback_gets_what_the_fast_attempt_left(self, monkeypatch, capacitated_triangle):
+    def test_fallback_gets_what_the_fast_attempt_left(
+        self, monkeypatch, capacitated_split_triangle
+    ):
+        triangle_instance = capacitated_split_triangle
         model, _ = engine.run_column_generation(
-            capacitated_triangle, partition_all(capacitated_triangle)
+            triangle_instance, partition_all(triangle_instance)
         )
         assert not model.compact
-        triangle_instance = capacitated_triangle
         _, calls = self.instrument(monkeypatch, stall_first_mip=True)
         engine.extract_plan(triangle_instance, model, time_limit=100.0)
         assert calls == [(0.0, 100.0), (self.MIP_SECONDS, 100.0 - self.MIP_SECONDS)]
 
     def test_budget_spent_before_the_selection_raises_once(
-        self, monkeypatch, caplog, capacitated_triangle
+        self, monkeypatch, caplog, capacitated_split_triangle
     ):
-        # on an arc-flow master, where a failed fast attempt could fall back
-        triangle_instance = capacitated_triangle
+        # on an arc-flow master, where a failed fast attempt could fall back,
+        # whose relaxation point does not spare the selection MIP
+        triangle_instance = capacitated_split_triangle
         model, _ = engine.run_column_generation(
             triangle_instance, partition_all(triangle_instance)
         )

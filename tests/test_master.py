@@ -1,7 +1,8 @@
 import math
 
 import pytest
-from conftest import build_instance, with_capacity
+from brute_force import enumerate_all_configs
+from conftest import build_instance, with_capacity, with_k
 
 from scmap import baselines, engine
 from scmap.master import (
@@ -17,9 +18,9 @@ from scmap.master import (
     solve_relaxation,
     worst_case_load,
 )
-from scmap.netmodel import ProblemInstance, load_instance
+from scmap.netmodel import load_instance
 from scmap.pathcore import all_pairs_hops
-from scmap.pricer import best_configuration, enumerate_all_configs, segment_cost_table
+from scmap.pricer import best_configuration, segment_cost_table
 from scmap.fixturedata import nsfnet_files, triangle_files
 from scmap.simplexkit import highs
 from scmap.sptg import partition_all
@@ -45,13 +46,6 @@ def triangle():
 
 def row_names(model, prefix):
     return [r.name for r in model.lp.rows if r.name.startswith(prefix + "[")]
-
-
-def with_k(instance, k):
-    return ProblemInstance(
-        instance.topology, instance.vnfs, instance.chains, instance.demands,
-        k=k, nc=dict(instance.nc),
-    )
 
 
 def two_ended_path():
@@ -390,7 +384,7 @@ class TestFinalIlp:
             final = build_final_ilp(model, inst.k)
             assert not final.full
             lp = final.lp
-            zsel = {model.zvar[p]: var for var, p in final.zmap.items()}
+            zsel = dict(zip(model.zvar, final.zvar))
             assert sorted(zsel.values()) == list(range(len(model.pool)))
             kept = [*model.conv_row.values(), *model.core_row.values(), *model.cap_row.values()]
             for i, r in enumerate(kept):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from scmap.pathcore import PathError, all_pairs_hops, path_nodes, shortest_path_weighted
 
+from brute_force import simple_paths
 from conftest import build_instance
 
 
@@ -22,21 +23,6 @@ def floyd_warshall(nodes, arcs):
                 if dist[(i, k)] + dist[(k, j)] < dist[(i, j)]:
                     dist[(i, j)] = dist[(i, k)] + dist[(k, j)]
     return dist
-
-
-def enumerate_simple_paths(out_arcs, src, dst):
-    """All simple src->dst paths as arc lists (DFS)."""
-    paths = []
-    stack = [(src, [src], [])]
-    while stack:
-        u, seen, arcs = stack.pop()
-        if u == dst:
-            paths.append(arcs)
-            continue
-        for (a, v) in out_arcs[u]:
-            if v not in seen:
-                stack.append((v, seen + [v], arcs + [(u, v)]))
-    return paths
 
 
 def test_triangle_distances(triangle_paths):
@@ -159,7 +145,7 @@ def test_weighted_matches_enumeration_on_random_graphs():
             src, dst = rng.sample(nodes, 2)
             best = min(
                 sum(weights[a] for a in p)
-                for p in enumerate_simple_paths(topo.out_arcs, src, dst)
+                for p in simple_paths(topo.out_arcs, src, dst)
             )
             cost, arcs = shortest_path_weighted(topo, weights, src, dst)
             assert cost == pytest.approx(best, abs=1e-9)
