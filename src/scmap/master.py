@@ -65,6 +65,8 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .netmodel import ProblemInstance
 from .pathcore import PathTable, all_pairs_hops, route_fault
 from .simplexkit import EQ, LE, LinearProgram, LpSolution, highs
@@ -389,17 +391,25 @@ def build_rmp(
         by_key={ci.key: ci for ci in cis},
         pool_by_instance={ci.key: [] for ci in cis},
     )
+    # Gbps-hops from every source to each NFV node and from each NFV node to
+    # every destination: the instance's Gbps per node times the hop matrix
+    ix = paths.index
+    at = [ix[v] for v in nfv]
+    hops_in, hops_out = paths.hops[:, at], paths.hops[at, :].T
     cost = model.end_cost
     for ci in cis:
-        pairs = sorted(ci.demand.items())
+        ends = [(ix[s], ix[d], g) for (s, d), g in ci.demand.items()]
+        src, dst, gbps = zip(*ends)
+        by_src = np.bincount(src, weights=gbps, minlength=len(ix))
+        by_dst = np.bincount(dst, weights=gbps, minlength=len(ix))
+        into = (by_src[:, None] * hops_in).sum(axis=0)
+        out = (by_dst[:, None] * hops_out).sum(axis=0)
         last = len(ci.vnfs) - 1
-        for v in nfv:
+        for v, lead_in, lead_out in zip(nfv, into.tolist(), out.tolist()):
             # lead-ins end at position 0 and lead-outs start at the last one,
             # which is position 0 too on a one-VNF chain
-            cost[(ci.key, 0, v)] = sum(g * paths.distance(s, v) for (s, _), g in pairs)
-            cost[(ci.key, last, v)] = cost.get((ci.key, last, v), 0.0) + sum(
-                g * paths.distance(v, d) for (_, d), g in pairs
-            )
+            cost[(ci.key, 0, v)] = lead_in
+            cost[(ci.key, last, v)] = cost.get((ci.key, last, v), 0.0) + lead_out
 
     for ci in cis:
         _add_artificial(model, ci)

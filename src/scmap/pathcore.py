@@ -1,9 +1,11 @@
 """Shortest-path machinery: hop-count all-pairs table and weighted Dijkstra.
 
-Hop distances drive the traffic grouping and the end-segment costs; the
-weighted variant serves the pricing subproblem, where arcs carry dual-adjusted
-prices. Both pick a canonical path deterministically: among all shortest
-paths, the one whose node sequence is lexicographically smallest.
+Hop distances drive the traffic grouping and the end-segment costs; they are
+held once, as an integer matrix over a node -> index map, so the grouping and
+the master read whole rows and columns of it instead of one pair at a time.
+The weighted variant serves the pricing subproblem, where arcs carry
+dual-adjusted prices. Both pick a canonical path deterministically: among all
+shortest paths, the one whose node sequence is lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .netmodel import Topology
 
@@ -24,16 +28,18 @@ class PathError(ValueError):
 class PathTable:
     """All-pairs hop distances with canonical next hops.
 
+    hops[index[u], index[w]] is the hop count of the shortest u->w path.
     next_hop[(u, w)] is the first node after u on the canonical shortest
     u->w path: the smallest-id out-neighbor that still lies on some
     shortest path.
     """
 
-    dist: dict[tuple[str, str], int]
+    index: dict[str, int]  # node -> row and column of `hops`
+    hops: np.ndarray  # integer matrix
     next_hop: dict[tuple[str, str], str]
 
     def distance(self, u: str, w: str) -> int:
-        return self.dist[(u, w)]
+        return int(self.hops[self.index[u], self.index[w]])
 
     def path_arcs(self, u: str, w: str) -> list[tuple[str, str]]:
         """Arc list of the canonical shortest path (empty when u == w)."""
@@ -55,7 +61,8 @@ class PathTable:
 
 def all_pairs_hops(topology: Topology) -> PathTable:
     """BFS-based all-pairs hop table over the directed arcs."""
-    dist: dict[tuple[str, str], int] = {}
+    index = {v: i for i, v in enumerate(topology.node_ids)}
+    hops = np.zeros((len(index), len(index)), dtype=np.int64)
     next_hop: dict[tuple[str, str], str] = {}
     for target in topology.node_ids:
         # reverse BFS gives distance-to-target from every node
@@ -70,15 +77,17 @@ def all_pairs_hops(topology: Topology) -> PathTable:
         if len(d) != len(topology.node_ids):
             missing = sorted(set(topology.node_ids) - set(d))[:3]
             raise PathError(f"no path to {target!r} from {missing}")
+        column = [0] * len(index)
         for u, du in d.items():
-            dist[(u, target)] = du
+            column[index[u]] = du
             if u == target:
                 continue
             # smallest next hop that stays on a shortest path
             next_hop[(u, target)] = min(
                 v for (_, v) in topology.out_arcs[u] if d[v] == du - 1
             )
-    return PathTable(dist=dist, next_hop=next_hop)
+        hops[:, index[target]] = column
+    return PathTable(index=index, hops=hops, next_hop=next_hop)
 
 
 def shortest_path_weighted(

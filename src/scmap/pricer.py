@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .master import (
     FIT_TOL,
     ChainInstance,
@@ -94,16 +96,19 @@ def _fitting_argmin(
     the segment cost from v to w. Depth-first over positions, nodes in
     order, cut by the cost-to-go of the unrestricted layered sweep, which
     never overestimates; a tuple replaces the best one found only when it
-    is strictly cheaper, so ties go to the lexicographically smallest.
+    is strictly cheaper, so ties go to the lexicographically smallest. The
+    sweep is one array min per position; the search reads it as lists.
     """
     n, m = len(need), len(cores)
     if sum(need) > sum(cores) + FIT_TOL:
         return math.inf, None
     # togo[pos][v]: cheapest completion of positions after pos, v at pos
-    togo = [[0.0] * m for _ in range(n)]
+    cost_at = np.array(node_cost, dtype=float).reshape(n, m)
+    seg_cost = np.array(seg, dtype=float).reshape(m, m)
+    sweep = [np.zeros(m)]
     for pos in range(n - 2, -1, -1):
-        after = [node_cost[pos + 1][w] + togo[pos + 1][w] for w in range(m)]
-        togo[pos] = [min(seg[v][w] + after[w] for w in range(m)) for v in range(m)]
+        sweep.append((seg_cost + (cost_at[pos + 1] + sweep[-1])).min(axis=1))
+    togo = [row.tolist() for row in reversed(sweep)]
     left = list(cores)
     picked: list = []
     best: list = [math.inf, None]

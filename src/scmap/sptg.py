@@ -6,16 +6,21 @@ detour. Greedy largest-cluster selection runs first; leftovers attach to the
 nearest anchor; oversized partitions are refined by splitting until the group
 count hits min(requested instances, pair count).
 
-Each chain's pair paths are walked once into a cover index, which maps every
-(head, tail) corridor to the pairs that traverse it, so a candidate cluster
-is one set intersection.
+Each chain's pair paths are walked once into sparse cover entries, one
+(anchor, member) entry per demand pair `anchor` whose head the canonical
+path of `member` visits no later than its tail. Pairs are numbered in
+lexicographic order, so a cluster size is a count over the entries
+(`np.bincount`), the first argmax is the smallest anchor among the largest,
+and a leftover's nearest anchor is the first argmin of one row of detours
+read off the hop matrix.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .netmodel import ProblemInstance
 from .pathcore import PathTable, all_pairs_hops
@@ -40,33 +45,40 @@ class ChainPartition:
     groups: list[Group]
 
 
-def _cover_index(pairs: Iterable[Pair], paths: PathTable) -> dict[Pair, set[Pair]]:
-    """Map each ordered node pair (head, tail) to the pairs whose canonical
-    path visits head no later than tail. Each path is walked once."""
-    index: dict[Pair, set[Pair]] = {}
-    for pair in pairs:
-        seq = paths.path_node_seq(*pair)
-        for i, head in enumerate(seq):
-            for tail in seq[i:]:
-                index.setdefault((head, tail), set()).add(pair)
-    return index
+def _cover_entries(
+    anchors: list[Pair], members: list[Pair], paths: PathTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """(anchor ids, member ids), indices into the two lists, with one entry
+    for each anchor whose head a member's canonical path visits no later
+    than its tail. Each path is walked once; paths of equal length are
+    matched against the anchors together."""
+    ix = paths.index
+    n = len(ix)
+    anchor_at = np.full((n, n), -1)
+    anchor_at[[ix[h] for h, _ in anchors], [ix[t] for _, t in anchors]] = np.arange(len(anchors))
+    by_length: dict[int, tuple[list, list]] = {}
+    for m, pair in enumerate(members):
+        seq = [ix[v] for v in paths.path_node_seq(*pair)]
+        ids, seqs = by_length.setdefault(len(seq), ([], []))
+        ids.append(m)
+        seqs.append(seq)
+    anchor_ids, member_ids = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for length, (ids, seqs) in by_length.items():
+        head, tail = np.triu_indices(length)
+        seq = np.array(seqs)
+        found = anchor_at[seq[:, head], seq[:, tail]]
+        hit = found >= 0
+        anchor_ids.append(found[hit])
+        member_ids.append(np.repeat(ids, hit.sum(axis=1)))
+    return np.concatenate(anchor_ids), np.concatenate(member_ids)
 
 
 def cluster_of(anchor: Pair, remaining: set[Pair] | frozenset[Pair], paths: PathTable) -> set[Pair]:
     """Pairs in `remaining` whose canonical path visits anchor's head no later
     than its tail. The anchor pair itself always qualifies."""
-    return set(_cover_index(remaining, paths).get(anchor, ()))
-
-
-def _detour(member: Pair, anchor: Pair, paths: PathTable) -> int:
-    s, d = member
-    vs, vd = anchor
-    return (
-        paths.distance(s, vs)
-        + paths.distance(vs, vd)
-        + paths.distance(vd, d)
-        - paths.distance(s, d)
-    )
+    members = sorted(remaining)
+    _, hit = _cover_entries([anchor], members, paths)
+    return {members[m] for m in hit.tolist()}
 
 
 def partition_chain(
@@ -83,70 +95,81 @@ def partition_chain(
         raise ValueError(f"chain {chain!r} has no demand")
     if nc is None:
         nc = instance.nc.get(chain, 1)
+    if nc < 1:
+        raise ValueError(f"chain {chain!r}: nc must be at least 1, got {nc}")
     target = min(nc, len(pairs))
-    index = _cover_index(pairs, paths)
+    entries = _cover_entries(pairs, pairs, paths)
+    anchor, member = entries
 
-    groups: list[Group] = []
-    left = set(pairs)
-    while len(groups) < target and left:
-        best_anchor = None
-        best_cluster: set[Pair] = set()
-        for anchor in sorted(left):
-            cluster = index[anchor] & left
-            if len(cluster) > len(best_cluster):
-                best_anchor, best_cluster = anchor, cluster
-        groups.append(Group(anchor=best_anchor, members=tuple(best_cluster)))
-        left -= best_cluster
+    # anchors[i] and groups[i] (member ids) of the i-th group, in creation order
+    anchors: list[int] = []
+    groups: list[np.ndarray] = []
+    left = np.ones(len(pairs), dtype=bool)
+    while len(groups) < target and left.any():
+        live = left[member]
+        size = np.bincount(anchor[live], minlength=len(pairs))
+        size[~left] = 0
+        best = int(np.argmax(size))
+        anchors.append(best)
+        groups.append(member[live & (anchor == best)])
+        left[groups[-1]] = False
 
-    # more pairs than groups allowed: attach each leftover to the cheapest anchor
-    if left:
-        attach: dict[Pair, list[Pair]] = {g.anchor: list(g.members) for g in groups}
-        order = {g.anchor: i for i, g in enumerate(groups)}
-        for pair in sorted(left):
-            best = min(groups, key=lambda g: (_detour(pair, g.anchor, paths), g.anchor))
-            attach[best.anchor].append(pair)
-        groups = [
-            Group(anchor=a, members=tuple(attach[a]))
-            for a in sorted(attach, key=lambda a: order[a])
-        ]
+    # more pairs than groups allowed: attach each leftover (s, d) to the anchor
+    # (vs, vd) of least detour d(s, vs) + d(vs, vd) + d(vd, d) - d(s, d),
+    # ties to the smallest
+    rest = np.flatnonzero(left)
+    if rest.size:
+        src = np.array([paths.index[s] for s, _ in pairs])
+        dst = np.array([paths.index[d] for _, d in pairs])
+        order = np.array(sorted(range(len(anchors)), key=anchors.__getitem__))
+        vs, vd = src[anchors][order], dst[anchors][order]
+        s, d, hops = src[rest, None], dst[rest, None], paths.hops
+        detour = hops[s, vs] + hops[vs, vd] + hops[vd, d] - hops[s, d]
+        nearest = order[np.argmin(detour, axis=1)]
+        groups = [np.concatenate([g, rest[nearest == i]]) for i, g in enumerate(groups)]
 
     # fewer groups than allowed: split the biggest until the count is reached
     while len(groups) < target:
         gi = min(
-            (i for i, g in enumerate(groups) if len(g.members) > 1),
-            key=lambda i: (-len(groups[i].members), groups[i].anchor),
+            (i for i, g in enumerate(groups) if len(g) > 1),
+            key=lambda i: (-len(groups[i]), anchors[i]),
         )
-        old = groups[gi]
-        groups[gi : gi + 1] = _split(old, paths, index)
+        split = _split(anchors[gi], groups[gi], entries, len(pairs))
+        anchors[gi : gi + 1] = [a for a, _ in split]
+        groups[gi : gi + 1] = [g for _, g in split]
 
-    return ChainPartition(chain=chain, groups=groups)
+    return ChainPartition(
+        chain=chain,
+        groups=[
+            Group(anchor=pairs[a], members=tuple(pairs[m] for m in g.tolist()))
+            for a, g in zip(anchors, groups)
+        ],
+    )
 
 
-def _split(group: Group, paths: PathTable, index: dict[Pair, set[Pair]]) -> list[Group]:
-    """Split one group in two: the largest proper internal cluster leaves, or
-    failing that the member with the largest detour via the anchor. `index`
-    is the chain's cover index."""
-    members = set(group.members)
-    best_anchor = None
-    best_cluster: set[Pair] = set()
-    for m in sorted(members):
-        cluster = index[m] & members
-        if len(cluster) < len(members) and len(cluster) > len(best_cluster):
-            best_anchor, best_cluster = m, cluster
-    if best_anchor is None:
-        candidates = sorted(m for m in members if m != group.anchor)
-        if not candidates:  # anchor-only group cannot reach here (len > 1 checked)
-            raise ValueError("cannot split singleton group")
-        mover = max(candidates, key=lambda m: (_detour(m, group.anchor, paths),))
-        # max() keeps the first of equal keys; candidates are sorted, so ties
-        # resolve to the lexicographically smallest member
-        best_anchor, best_cluster = mover, {mover}
-    residual = members - best_cluster
-    residual_anchor = group.anchor if group.anchor in residual else min(residual)
-    return [
-        Group(anchor=residual_anchor, members=tuple(residual)),
-        Group(anchor=best_anchor, members=tuple(best_cluster)),
-    ]
+def _split(
+    group_anchor: int, group: np.ndarray, entries: tuple[np.ndarray, np.ndarray], n_pairs: int
+) -> list[tuple[int, np.ndarray]]:
+    """Split one group in two, as (anchor id, member ids): the largest proper
+    internal cluster leaves, and the rest keeps the group's anchor.
+    `entries` are the cover entries of the chain's `n_pairs` pairs.
+
+    A pair that covers another's corridor runs over a shortest path through
+    both its ends, so it is strictly longer. Hence a proper cluster exists
+    (the longest member's cluster is that member alone), and the anchor
+    never leaves: splits run only once the greedy pass has placed every
+    pair, so every member covers its group's anchor, and the anchor covers
+    no other member.
+    """
+    anchor, member = entries
+    inside = np.zeros(n_pairs, dtype=bool)
+    inside[group] = True
+    live = inside[anchor] & inside[member]
+    size = np.bincount(anchor[live], minlength=n_pairs)
+    best = int(np.argmax(np.where(inside & (size < len(group)), size, 0)))
+    cluster = member[live & (anchor == best)]
+    inside[cluster] = False
+    return [(group_anchor, np.flatnonzero(inside)), (best, cluster)]
 
 
 def partition_all(

@@ -1,7 +1,10 @@
-"""Exhaustive enumerations that tests compare the solver against."""
+"""Exhaustive enumerations and reference implementations that tests compare
+the solver against."""
 
 from scmap.master import ChainInstance, Configuration, make_configuration
 from scmap.netmodel import ProblemInstance
+from scmap.pathcore import PathTable
+from scmap.sptg import ChainPartition, Group
 
 
 def simple_paths(out_arcs: dict, src: str, dst: str) -> list:
@@ -51,3 +54,81 @@ def enumerate_all_configs(
         return out
 
     return expand((), ())
+
+
+def _cover_index(pairs, paths: PathTable) -> dict:
+    """Map each ordered node pair (head, tail) to the pairs whose canonical
+    path visits head no later than tail."""
+    index: dict = {}
+    for pair in pairs:
+        seq = paths.path_node_seq(*pair)
+        for i, head in enumerate(seq):
+            for tail in seq[i:]:
+                index.setdefault((head, tail), set()).add(pair)
+    return index
+
+
+def _detour(member, anchor, paths: PathTable) -> int:
+    s, d = member
+    vs, vd = anchor
+    return (
+        paths.distance(s, vs)
+        + paths.distance(vs, vd)
+        + paths.distance(vd, d)
+        - paths.distance(s, d)
+    )
+
+
+def _split(group: Group, paths: PathTable, index: dict) -> list:
+    members = set(group.members)
+    best_anchor = None
+    best_cluster: set = set()
+    for m in sorted(members):
+        cluster = index[m] & members
+        if len(cluster) < len(members) and len(cluster) > len(best_cluster):
+            best_anchor, best_cluster = m, cluster
+    if best_anchor is None:
+        candidates = sorted(m for m in members if m != group.anchor)
+        # max() keeps the first of equal keys: the smallest member
+        mover = max(candidates, key=lambda m: _detour(m, group.anchor, paths))
+        best_anchor, best_cluster = mover, {mover}
+    residual = members - best_cluster
+    residual_anchor = group.anchor if group.anchor in residual else min(residual)
+    return [
+        Group(anchor=residual_anchor, members=tuple(residual)),
+        Group(anchor=best_anchor, members=tuple(best_cluster)),
+    ]
+
+
+def reference_partition(instance: ProblemInstance, chain: str, paths: PathTable, nc: int):
+    """The grouping of `sptg.partition_chain` over Python sets, one pair at a
+    time: greedy largest cluster (ties to the smallest anchor), leftovers to
+    the anchor of least detour (ties to the smallest), then splits of the
+    biggest group (ties to the smallest anchor)."""
+    pairs = instance.pairs_for_chain(chain)
+    target = min(nc, len(pairs))
+    index = _cover_index(pairs, paths)
+    groups: list = []
+    left = set(pairs)
+    while len(groups) < target and left:
+        best_anchor = None
+        best_cluster: set = set()
+        for anchor in sorted(left):
+            cluster = index[anchor] & left
+            if len(cluster) > len(best_cluster):
+                best_anchor, best_cluster = anchor, cluster
+        groups.append(Group(anchor=best_anchor, members=tuple(best_cluster)))
+        left -= best_cluster
+    if left:
+        attach = {g.anchor: list(g.members) for g in groups}
+        for pair in sorted(left):
+            best = min(groups, key=lambda g: (_detour(pair, g.anchor, paths), g.anchor))
+            attach[best.anchor].append(pair)
+        groups = [Group(anchor=g.anchor, members=tuple(attach[g.anchor])) for g in groups]
+    while len(groups) < target:
+        gi = min(
+            (i for i, g in enumerate(groups) if len(g.members) > 1),
+            key=lambda i: (-len(groups[i].members), groups[i].anchor),
+        )
+        groups[gi : gi + 1] = _split(groups[gi], paths, index)
+    return ChainPartition(chain=chain, groups=groups)

@@ -11,6 +11,9 @@ from brute_force import enumerate_all_configs, simple_paths
 from conftest import build_instance, random_connected_instance, with_capacity, with_k
 
 from scmap import engine
+from scmap.fixturedata import cost239_files, nsfnet_files, triangle_files
+from scmap.netmodel import load_instance
+from scmap.pathcore import all_pairs_hops
 from scmap.master import (
     add_column,
     build_rmp,
@@ -347,3 +350,78 @@ def test_split_only_instances_share_seed_nodes_yet_solve(capacity):
         assert result.model.compact == (capacity >= worst_case_load(inst))
         assert engine.validate_plan(with_k(inst, k), result.plan) == []
         assert result.plan.objective_gbps_hops == pytest.approx(want[k])
+
+
+def assert_end_cost_is_the_per_pair_sum(instance):
+    """`end_cost` of every chain instance, position and NFV node equals
+    sum g * d(s, v) for the first position and sum g * d(v, t) for the last."""
+    paths = all_pairs_hops(instance.topology)
+    model = build_rmp(instance, partition_all(instance, paths), paths=paths)
+    want: dict = {}
+    for ci in model.chain_instances:
+        last = len(ci.vnfs) - 1
+        for v in instance.topology.nfv_nodes:
+            for (s, d), g in ci.demand.items():
+                want[(ci.key, 0, v)] = want.get((ci.key, 0, v), 0.0) + g * paths.distance(s, v)
+                want[(ci.key, last, v)] = (
+                    want.get((ci.key, last, v), 0.0) + g * paths.distance(v, d)
+                )
+    assert model.end_cost.keys() == want.keys()
+    for key, cost in want.items():
+        assert abs(model.end_cost[key] - cost) <= 1e-9 * max(1.0, cost), key
+
+
+@pytest.mark.parametrize("nc", [1, 4, 34])
+@pytest.mark.parametrize(
+    "files", [triangle_files, nsfnet_files, cost239_files], ids=["triangle", "nsfnet", "cost239"]
+)
+def test_end_cost_is_the_per_pair_sum_on_fixtures(files, nc):
+    assert_end_cost_is_the_per_pair_sum(load_instance(*files(), k=1, nc=nc))
+
+
+def test_end_cost_is_the_per_pair_sum_on_draws():
+    # per-pair rates of 0.5, 1 and 2 Gbps, one or two positions
+    for _, inst in draws():
+        assert_end_cost_is_the_per_pair_sum(inst)
+
+
+# case -> (CG rounds, columns added, LP bound, plan objective per budget or
+# None for "infeasible"), as the per-pair end-cost loop gave them: the eight
+# draws whose column generation adds a column, and five with fractional
+# bounds or plans
+DRAW_CG_PATHS = {
+    24: (1, 0, 23.666666666666664, [None]),
+    46: (2, 1, 7.0, [None, 7.0]),
+    55: (1, 0, 2.5, [3.0, 2.5]),
+    83: (2, 1, 8.0, [None, 8.0]),
+    108: (1, 0, 9.0, [10.5, 10.5]),
+    190: (1, 0, 10.5, [10.5]),
+    253: (1, 0, 6.5, [7.5, 6.5]),
+    262: (2, 1, 19.0, [None, 19.0]),
+    306: (2, 1, 10.0, [None, 10.0]),
+    307: (2, 1, 16.0, [None, None]),
+    318: (2, 1, 10.0, [None, 10.0]),
+    347: (2, 1, 10.5, [None, 10.5]),
+    350: (2, 1, 12.0, [None, 12.0]),
+}
+
+
+def test_cg_paths_on_sampled_draws():
+    seen = {}
+    for case, inst in draws():
+        if case not in DRAW_CG_PATHS:
+            continue
+        model, trace = engine.run_column_generation(inst, partition_all(inst))
+        objectives = []
+        for k in budgets(inst):
+            try:
+                objectives.append(engine.extract_plan(with_k(inst, k), model).objective_gbps_hops)
+            except engine.Infeasible:
+                objectives.append(None)
+        added = sum(it.columns_added for it in trace.iterations)
+        seen[case] = (len(trace.iterations), added, model.lp_bound, objectives)
+    assert seen.keys() == DRAW_CG_PATHS.keys()
+    for case, (rounds, added, bound, objectives) in DRAW_CG_PATHS.items():
+        assert seen[case][:2] == (rounds, added), case
+        assert seen[case][2] == pytest.approx(bound, abs=1e-9), case
+        assert seen[case][3] == pytest.approx(objectives, abs=1e-9), case

@@ -805,7 +805,9 @@ class TestTimeBudget:
             with pytest.raises(engine.EngineError, match="before the final selection"):
                 engine.extract_plan(triangle_instance, model, time_limit=self.LP_SECONDS / 2)
         assert calls == []
-        assert "fast selection unavailable" not in caplog.text
+        # no program chose a plan, and no fallback was tried
+        assert "plan chosen by" not in caplog.text
+        assert "solving the full program" not in caplog.text
 
 
 class TestValidatePlan:

@@ -163,4 +163,5 @@ def test_path_nodes_rejects_gap():
 def test_determinism(nsfnet_instance):
     t1 = all_pairs_hops(nsfnet_instance.topology)
     t2 = all_pairs_hops(nsfnet_instance.topology)
-    assert t1.dist == t2.dist and t1.next_hop == t2.next_hop
+    assert t1.index == t2.index and (t1.hops == t2.hops).all()
+    assert t1.next_hop == t2.next_hop

@@ -1,16 +1,23 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scmap.fixturedata import nsfnet_files
+from scmap.fixturedata import cost239_files, nsfnet_files
 from scmap.netmodel import load_instance
 from scmap.pathcore import all_pairs_hops
 from scmap.sptg import cluster_of, partition_all, partition_chain, partitions_to_json
 
+from brute_force import reference_partition
 from conftest import build_instance, random_connected_instance
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PATH5 = (list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
 
@@ -74,6 +81,13 @@ def test_partition_exact_group_count_and_disjoint_cover():
     seen = [m for g in part.groups for m in g.members]
     assert sorted(seen) == sorted(set(seen))
     assert set(seen) == set(inst.pairs_for_chain("c"))
+
+
+@pytest.mark.parametrize("nc", [0, -1])
+def test_nc_below_one_is_rejected(nc):
+    inst = path5_instance([("a", "e"), ("b", "d")])
+    with pytest.raises(ValueError, match=f"nc must be at least 1, got {nc}"):
+        partition_chain(inst, "c", nc=nc)
 
 
 def test_partition_nc_capped_by_pair_count():
@@ -184,3 +198,62 @@ def test_nsfnet_partitions_golden(nc, nsfnet_paths):
     inst = load_instance(*nsfnet_files(), k=14, nc=nc)
     dump = partitions_to_json(partition_all(inst, nsfnet_paths))
     assert hashlib.sha256(dump.encode()).hexdigest() == NSFNET_PARTITION_SHA256[nc]
+
+
+def groups_of(part):
+    return [(g.anchor, g.members) for g in part.groups]
+
+
+def assert_matches_reference(inst, paths, nc):
+    for chain in inst.chains_with_demand():
+        got = partition_chain(inst, chain, paths, nc=nc)
+        want = reference_partition(inst, chain, paths, nc)
+        assert groups_of(got) == groups_of(want), (chain, nc)
+
+
+REFERENCE_NC = (1, 2, 3, 4, 5, 8, 16, 34, 60, 182)
+
+
+@pytest.mark.parametrize("files", [nsfnet_files, cost239_files], ids=["nsfnet", "cost239"])
+def test_partition_matches_reference_on_reference_topologies(files):
+    inst = load_instance(*files(), k=1, nc=1)
+    paths = all_pairs_hops(inst.topology)
+    for nc in REFERENCE_NC:
+        assert_matches_reference(inst, paths, nc)
+
+
+def test_partition_matches_reference_on_the_mesh28_bench_topology(tmp_path):
+    # 28-node ring plus 16 chords, 756 pairs: the benchmark's mesh28-scale input
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.generate("mesh28-scale", 1, tmp_path)
+    inst = load_instance(
+        tmp_path / "topology.json", tmp_path / "chains.json", tmp_path / "demands.csv", k=28
+    )
+    paths = all_pairs_hops(inst.topology)
+    for nc in (1, 8, 30, 200, 756):
+        assert_matches_reference(inst, paths, nc)
+
+
+@st.composite
+def grouping_cases(draw):
+    """A connected graph, a subset of its ordered pairs as demand, and nc."""
+    n = draw(st.integers(3, 8))
+    nodes = [f"n{i}" for i in range(n)]
+    links = {(nodes[i - 1], nodes[i]) for i in range(1, n)}
+    node = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(node, node), max_size=2 * n)):
+        if i != j:
+            links.add((nodes[min(i, j)], nodes[max(i, j)]))
+    everything = [(s, d) for s in nodes for d in nodes if s != d]
+    pairs = draw(st.lists(st.sampled_from(everything), min_size=1, max_size=30, unique=True))
+    nc = draw(st.integers(1, len(pairs) + 2))
+    return build_instance(nodes, sorted(links), pairs), nc
+
+
+@given(grouping_cases())
+@settings(max_examples=150, deadline=None)
+def test_partition_matches_reference_on_random_graphs(case):
+    inst, nc = case
+    assert_matches_reference(inst, all_pairs_hops(inst.topology), nc)
