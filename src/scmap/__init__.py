@@ -1,46 +1,3 @@
 """Service chain mapping: traffic grouping plus column-generation placement."""
 
-from .netmodel import (
-    ChainSpec,
-    DemandRecord,
-    DemandSet,
-    NodeSpec,
-    ProblemInstance,
-    Topology,
-    VnfSpec,
-    load_instance,
-    save_instance,
-    total_demand,
-)
-from .pathcore import PathTable, all_pairs_hops, path_nodes, shortest_path_weighted
-from .sptg import ChainPartition, Group, cluster_of, partition_all, partition_chain
-from .master import (
-    ChainInstance,
-    Configuration,
-    build_final_ilp,
-    build_rmp,
-    chain_instances,
-    make_configuration,
-    solve_relaxation,
-)
-from .pricer import best_configuration, price_chain_instance, segment_cost_table
-from .engine import (
-    EngineError,
-    Infeasible,
-    MappingPlan,
-    extract_plan,
-    plan_from_json,
-    plan_to_json,
-    run_column_generation,
-    solve,
-    validate_plan,
-)
-from .baselines import (
-    BaselineReport,
-    baseline_report,
-    per_pair_instance_ub,
-    shortest_path_lb,
-    single_node_oracle,
-)
-
 __version__ = "0.1.0"

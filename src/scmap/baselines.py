@@ -121,13 +121,6 @@ def _per_pair_applicable(instance: ProblemInstance, paths: PathTable) -> bool:
     return _fits(instance, loads, cores)
 
 
-def per_pair_instance_ub(
-    instance: ProblemInstance, paths: Optional[PathTable] = None
-) -> Optional[float]:
-    value, _ = _per_pair(instance, paths)
-    return value
-
-
 def _per_pair(instance: ProblemInstance, paths: Optional[PathTable]) -> tuple:
     if paths is None:
         paths = all_pairs_hops(instance.topology)

@@ -586,21 +586,6 @@ def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
     return sol, prices
 
 
-def reduced_cost_of(model: RmpModel, duals: DualPrices, config: Configuration) -> float:
-    """Recompute a column's reduced cost from its row coefficients; its end
-    cost and end-flow rows enter through `duals.end`."""
-    ci = model.by_key[(config.chain, config.group_index)]
-    rc = config.cost - duals.convexity[ci.key]
-    per_gbps = model.instance.chain_cores_per_gbps(ci.chain)
-    for pos, v in enumerate(config.locations):
-        rc -= duals.core[v] * ci.total_gbps * per_gbps[pos]
-        rc -= duals.end.get((ci.key, pos, v), 0.0)
-    for seg in config.segment_paths:
-        for arc in seg:
-            rc -= duals.capacity.get(arc, 0.0) * ci.total_gbps
-    return rc
-
-
 def _add_hosting_block(lp: LinearProgram, model: RmpModel, zvars: list, k: int) -> None:
     """Binary hosting flags h[v], switched on by any selected column placing
     at v, with at most k of them set.

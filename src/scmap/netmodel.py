@@ -224,20 +224,6 @@ class ProblemInstance:
         return [self.vnfs[f].cores_per_gbps for f in self.chains[chain].vnfs]
 
 
-def total_demand(instance: ProblemInstance, chain: str, pairs=None) -> float:
-    """Sum of gbps over the chain's demand records, optionally restricted to `pairs`."""
-    if chain not in instance.chains:
-        raise ValidationError(f"unknown chain {chain!r}")
-    wanted = None if pairs is None else set(pairs)
-    total = 0.0
-    for r in instance.demands.records:
-        if r.chain != chain:
-            continue
-        if wanted is None or (r.src, r.dst) in wanted:
-            total += r.gbps
-    return total
-
-
 # -- file ingestion ----------------------------------------------------------
 
 
@@ -359,56 +345,3 @@ def load_instance(
     else:
         nc_map = dict(nc)
     return ProblemInstance(topo, vnfs, chains, demands, k=k, nc=nc_map)
-
-
-def save_instance(instance: ProblemInstance, directory: str | Path) -> dict[str, Path]:
-    """Write the instance back out as topology/chains/demands files.
-
-    Returns the paths written. Round-trips: loading the emitted files yields
-    an instance equal to the original (same nodes, arcs, records, order).
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    topo = instance.topology
-    links = []
-    for i in range(0, len(topo.arcs), 2):
-        a = topo.arcs[i]
-        links.append({"a": a.src, "b": a.dst, "capacity_gbps": a.capacity_gbps})
-    paths = {
-        "topology": directory / "topology.json",
-        "chains": directory / "chains.json",
-        "demands": directory / "demands.csv",
-    }
-    with open(paths["topology"], "w") as fh:
-        json.dump(
-            {
-                "name": topo.name,
-                "nodes": [{"id": n.id, "nfv": n.nfv, "cores": n.cores} for n in topo.nodes],
-                "links": links,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
-    with open(paths["chains"], "w") as fh:
-        json.dump(
-            {
-                "vnfs": [
-                    {"id": v.id, "cores_per_gbps": v.cores_per_gbps}
-                    for v in sorted(instance.vnfs.values(), key=lambda v: v.id)
-                ],
-                "chains": [
-                    {"id": c.id, "vnfs": list(c.vnfs)}
-                    for c in sorted(instance.chains.values(), key=lambda c: c.id)
-                ],
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
-    with open(paths["demands"], "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "chain", "gbps"])
-        for r in instance.demands.records:
-            writer.writerow([r.src, r.dst, r.chain, repr(r.gbps)])
-    return paths

@@ -19,5 +19,4 @@ from .model import (
     MipSolution,
     Row,
     Variable,
-    dual_objective,
 )

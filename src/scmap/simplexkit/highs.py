@@ -2,8 +2,9 @@
 
 Duals follow the minimization convention used throughout: <= rows carry
 nonpositive multipliers, >= rows nonnegative, equalities free. Reduced costs
-are recomputed as c - A'y from the returned row duals so the duality-gap
-identity (`model.dual_objective`) can be asserted on every solve.
+are recomputed as c - A'y from the returned row duals, so at an optimum the
+dual objective y'b plus the bound terms of the reduced costs equals the
+primal objective (strong duality).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from .model import EQ, GE, LE, LinearProgram, LpError, LpSolution, MipSolution
+from .model import EQ, GE, LE, LinearProgram, LpSolution, MipSolution
 
 _LP_STATUS = {0: "optimal", 1: "stalled", 2: "infeasible", 3: "unbounded", 4: "stalled"}
 

@@ -102,9 +102,6 @@ class LinearProgram:
             out.rows.append(Row(r.name, list(r.coeffs), r.relation, r.rhs))
         return out
 
-    def row_activity(self, row: int, x: list[float]) -> float:
-        return sum(a * x[j] for j, a in self.rows[row].coeffs)
-
 
 @dataclass
 class LpSolution:
@@ -129,25 +126,3 @@ class MipSolution:
     gap: float = math.nan
     nodes: int = 0
     message: str = ""
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == "optimal"
-
-
-def dual_objective(lp: LinearProgram, sol: LpSolution) -> float:
-    """Dual value implied by sol's multipliers: y'b plus bound contributions.
-
-    Equals the primal objective at an optimum (strong duality); tests assert
-    the gap stays below 1e-6 * (1 + |objective|).
-    """
-    val = sum(y * r.rhs for y, r in zip(sol.duals, lp.rows))
-    for j, v in enumerate(lp.variables):
-        d = sol.reduced_costs[j]
-        if d > 0:
-            val += d * v.lb
-        elif d < 0:
-            if math.isinf(v.ub):
-                continue  # a tiny negative rc on an unbounded var is noise
-            val += d * v.ub
-    return val

@@ -17,7 +17,6 @@ read off the hop matrix.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,31 +72,19 @@ def _cover_entries(
     return np.concatenate(anchor_ids), np.concatenate(member_ids)
 
 
-def cluster_of(anchor: Pair, remaining: set[Pair] | frozenset[Pair], paths: PathTable) -> set[Pair]:
-    """Pairs in `remaining` whose canonical path visits anchor's head no later
-    than its tail. The anchor pair itself always qualifies."""
-    members = sorted(remaining)
-    _, hit = _cover_entries([anchor], members, paths)
-    return {members[m] for m in hit.tolist()}
-
-
 def partition_chain(
     instance: ProblemInstance,
     chain: str,
     paths: PathTable | None = None,
-    nc: int | None = None,
 ) -> ChainPartition:
-    """Partition a chain's demand pairs into exactly min(nc, |pairs|) groups."""
+    """Partition a chain's demand pairs into exactly min(nc, |pairs|) groups,
+    nc the instance's count for the chain."""
     if paths is None:
         paths = all_pairs_hops(instance.topology)
     pairs = instance.pairs_for_chain(chain)
     if not pairs:
         raise ValueError(f"chain {chain!r} has no demand")
-    if nc is None:
-        nc = instance.nc.get(chain, 1)
-    if nc < 1:
-        raise ValueError(f"chain {chain!r}: nc must be at least 1, got {nc}")
-    target = min(nc, len(pairs))
+    target = min(instance.nc.get(chain, 1), len(pairs))
     entries = _cover_entries(pairs, pairs, paths)
     anchor, member = entries
 
@@ -182,18 +169,3 @@ def partition_all(
         partition_chain(instance, chain, paths)
         for chain in instance.chains_with_demand()
     ]
-
-
-def partitions_to_json(partitions: list[ChainPartition]) -> str:
-    """Inspection dump: one object per chain with anchors and members."""
-    payload = [
-        {
-            "chain": p.chain,
-            "groups": [
-                {"anchor": list(g.anchor), "members": [list(m) for m in g.members]}
-                for g in p.groups
-            ],
-        }
-        for p in partitions
-    ]
-    return json.dumps(payload, indent=2) + "\n"

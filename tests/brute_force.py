@@ -1,10 +1,18 @@
 """Exhaustive enumerations and reference implementations that tests compare
-the solver against."""
+the solver against, and the grouping's cluster lookup and JSON dump."""
 
-from scmap.master import ChainInstance, Configuration, make_configuration
+import json
+
+from scmap.master import (
+    ChainInstance,
+    Configuration,
+    DualPrices,
+    RmpModel,
+    make_configuration,
+)
 from scmap.netmodel import ProblemInstance
 from scmap.pathcore import PathTable
-from scmap.sptg import ChainPartition, Group
+from scmap.sptg import ChainPartition, Group, _cover_entries
 
 
 def simple_paths(out_arcs: dict, src: str, dst: str) -> list:
@@ -132,3 +140,42 @@ def reference_partition(instance: ProblemInstance, chain: str, paths: PathTable,
         )
         groups[gi : gi + 1] = _split(groups[gi], paths, index)
     return ChainPartition(chain=chain, groups=groups)
+
+
+def reduced_cost_of(model: RmpModel, duals: DualPrices, config: Configuration) -> float:
+    """Recompute a column's reduced cost from its row coefficients; its end
+    cost and end-flow rows enter through `duals.end`."""
+    ci = model.by_key[(config.chain, config.group_index)]
+    rc = config.cost - duals.convexity[ci.key]
+    per_gbps = model.instance.chain_cores_per_gbps(ci.chain)
+    for pos, v in enumerate(config.locations):
+        rc -= duals.core[v] * ci.total_gbps * per_gbps[pos]
+        rc -= duals.end.get((ci.key, pos, v), 0.0)
+    for seg in config.segment_paths:
+        for arc in seg:
+            rc -= duals.capacity.get(arc, 0.0) * ci.total_gbps
+    return rc
+
+
+def cluster_of(anchor: tuple, remaining, paths: PathTable) -> set:
+    """Pairs in `remaining` whose canonical path visits anchor's head no later
+    than its tail, read off `sptg`'s cover entries. The anchor pair itself
+    always qualifies."""
+    members = sorted(remaining)
+    _, hit = _cover_entries([anchor], members, paths)
+    return {members[m] for m in hit.tolist()}
+
+
+def partitions_to_json(partitions: list[ChainPartition]) -> str:
+    """Inspection dump: one object per chain with anchors and members."""
+    payload = [
+        {
+            "chain": p.chain,
+            "groups": [
+                {"anchor": list(g.anchor), "members": [list(m) for m in g.members]}
+                for g in p.groups
+            ],
+        }
+        for p in partitions
+    ]
+    return json.dumps(payload, indent=2) + "\n"

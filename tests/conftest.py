@@ -1,4 +1,7 @@
+import csv
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +75,14 @@ def with_k(instance, k):
     )
 
 
+def with_nc(instance, nc):
+    """The same instance asking for `nc` instances of every chain."""
+    return ProblemInstance(
+        instance.topology, instance.vnfs, instance.chains, instance.demands,
+        k=instance.k, nc={c: nc for c in instance.nc},
+    )
+
+
 def random_connected_instance(rng: random.Random, max_nodes=6, **kwargs):
     """Random connected topology with a random demand subset."""
     n = rng.randint(3, max_nodes)
@@ -132,3 +143,56 @@ def triangle_paths(triangle_instance):
 @pytest.fixture(scope="session")
 def nsfnet_paths(nsfnet_instance):
     return all_pairs_hops(nsfnet_instance.topology)
+
+
+def save_instance(instance, directory):
+    """Write the instance back out as topology/chains/demands files.
+
+    Returns the paths written. Round-trips: loading the emitted files yields
+    an instance equal to the original (same nodes, arcs, records, order).
+    """
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    topo = instance.topology
+    links = []
+    for i in range(0, len(topo.arcs), 2):
+        a = topo.arcs[i]
+        links.append({"a": a.src, "b": a.dst, "capacity_gbps": a.capacity_gbps})
+    paths = {
+        "topology": directory / "topology.json",
+        "chains": directory / "chains.json",
+        "demands": directory / "demands.csv",
+    }
+    with open(paths["topology"], "w") as fh:
+        json.dump(
+            {
+                "name": topo.name,
+                "nodes": [{"id": n.id, "nfv": n.nfv, "cores": n.cores} for n in topo.nodes],
+                "links": links,
+            },
+            fh,
+            indent=2,
+        )
+        fh.write("\n")
+    with open(paths["chains"], "w") as fh:
+        json.dump(
+            {
+                "vnfs": [
+                    {"id": v.id, "cores_per_gbps": v.cores_per_gbps}
+                    for v in sorted(instance.vnfs.values(), key=lambda v: v.id)
+                ],
+                "chains": [
+                    {"id": c.id, "vnfs": list(c.vnfs)}
+                    for c in sorted(instance.chains.values(), key=lambda c: c.id)
+                ],
+            },
+            fh,
+            indent=2,
+        )
+        fh.write("\n")
+    with open(paths["demands"], "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["src", "dst", "chain", "gbps"])
+        for r in instance.demands.records:
+            writer.writerow([r.src, r.dst, r.chain, repr(r.gbps)])
+    return paths

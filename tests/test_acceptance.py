@@ -13,7 +13,7 @@ import time
 
 import pytest
 from brute_force import enumerate_all_configs
-from conftest import random_connected_instance
+from conftest import random_connected_instance, save_instance
 from test_engine import separable_optimum, solved_square
 from test_pricer import brute_force_total, random_duals
 from test_simplexkit import (
@@ -28,7 +28,7 @@ from scmap import baselines, cli, engine
 from scmap.simplexkit import GE, LE, highs
 from scmap.fixturedata import cost239_files, nsfnet_files
 from scmap.master import chain_instances
-from scmap.netmodel import ProblemInstance, load_instance, save_instance
+from scmap.netmodel import ProblemInstance, load_instance
 from scmap.pricer import best_configuration, segment_cost_table
 from scmap.sptg import partition_all
 

@@ -5,7 +5,6 @@ from conftest import build_instance, random_connected_instance
 
 from scmap.baselines import (
     baseline_report,
-    per_pair_instance_ub,
     shortest_path_lb,
     single_node_oracle,
 )
@@ -100,7 +99,7 @@ class TestSingleNodeOracle:
 
 class TestPerPair:
     def test_equals_lb_when_applicable(self, triangle_instance):
-        assert per_pair_instance_ub(triangle_instance) == pytest.approx(6.0)
+        assert baseline_report(triangle_instance).per_pair_instance == pytest.approx(6.0)
 
     def test_fallback_flagged_with_non_nfv_node(self):
         inst = build_instance(

@@ -1,11 +1,10 @@
 import json
 
 import pytest
-from conftest import build_instance
+from conftest import build_instance, save_instance
 
 from scmap import baselines, cli, engine, master, pathcore, sptg
 from scmap.fixturedata import nsfnet_files, triangle_files
-from scmap.netmodel import save_instance
 
 
 @pytest.fixture()
@@ -18,14 +17,15 @@ def run(argv):
     return cli.main(argv)
 
 
-def nsfnet_at_30_cores(tmp_path):
-    """Instance flags for NSFNET with every node at 30 cores: its 182 pairs
-    x 3 VNFs x 1 core/Gbps need 546 cores, and the 14 nodes have 420."""
+def nsfnet_at_cores(tmp_path, cores):
+    """Instance flags for NSFNET with every node at `cores` cores: its 182
+    pairs x 3 VNFs x 1 core/Gbps need 546 cores, and at 30 cores the 14
+    nodes have 420."""
     topo, chains, demands = nsfnet_files()
     doc = json.loads(topo.read_text())
     for node in doc["nodes"]:
-        node["cores"] = 30
-    starved = tmp_path / "nsfnet30.topology.json"
+        node["cores"] = cores
+    starved = tmp_path / f"nsfnet{cores}.topology.json"
     starved.write_text(json.dumps(doc))
     return ["--topology", str(starved), "--chains", str(chains), "--demands", str(demands)]
 
@@ -104,6 +104,62 @@ class TestValidate:
         mutate(doc)
         path.write_text(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "mutate, code, message",
+        [
+            (
+                lambda doc: doc["instances"][0]["segments"].append(["a", "pluto"]),
+                1,
+                "c1/0 segment 0: unknown node 'pluto'",
+            ),
+            (
+                lambda doc: doc["instances"][0]["pairs"][0].update(src="pluto"),
+                1,
+                "c1/0: unknown demand node 'pluto'",
+            ),
+            (
+                lambda doc: doc["instances"][0]["pairs"][0].update(dst="pluto"),
+                1,
+                "c1/0: unknown demand node 'pluto'",
+            ),
+            (
+                lambda doc: doc["arc_loads"].update({"a>pluto": 1.0}),
+                1,
+                "arc_loads: unknown node 'pluto'",
+            ),
+            (
+                lambda doc: doc["nodes"].update(pluto={"cores_used": 0.0, "hosts_vnfs": False}),
+                1,
+                "nodes: unknown node 'pluto'",
+            ),
+            (
+                lambda doc: doc["instances"][0].update(chain="nope"),
+                3,
+                "coverage: nope/0: unknown chain",
+            ),
+            (
+                # the triangle has an arc between every two nodes, but none
+                # from a node to itself
+                lambda doc: doc["arc_loads"].update({"a>a": 1.0}),
+                3,
+                "arc_load_mismatch: stored load names unknown arc",
+            ),
+        ],
+        ids=[
+            "segment-node", "pair-src", "pair-dst", "arc-load-node", "nodes-key",
+            "unknown-chain", "arcless-load",
+        ],
+    )
+    def test_corrupted_plan(self, mutate, code, message, triangle_flags, tmp_path, capsys):
+        out = tmp_path / "plan.json"
+        assert run(["solve", *triangle_flags, "--nc", "1", "--k", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        self.corrupt(out, mutate)
+        assert run(["validate", *triangle_flags, "--nc", "1", "--k", "3",
+                    "--plan", str(out)]) == code
+        captured = capsys.readouterr()
+        assert message in (captured.err if code == 1 else captured.out)
+
     def test_tampered_load_exits_3(self, triangle_flags, tmp_path, capsys):
         out = tmp_path / "plan.json"
         run(["solve", *triangle_flags, "--nc", "1", "--k", "3", "--out", str(out)])
@@ -147,7 +203,7 @@ class TestLowerbound:
     def test_infeasible_fallback_still_prints_bounds(self, tmp_path, capsys):
         # no single node fits, the per-pair construction does not fit and no
         # plan exists
-        assert run(["lowerbound", *nsfnet_at_30_cores(tmp_path)]) == 0
+        assert run(["lowerbound", *nsfnet_at_cores(tmp_path, 30)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "shortest_path_lb 390.000000",
             "single_node none: no node fits every demand",
@@ -195,6 +251,21 @@ class TestSweep:
                     "--k-list", "1", "--out", str(tmp_path / "s.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "nc_list, k_list, message",
+        [
+            ("0", "1", "--nc-list value 0 must be >= 1"),
+            ("1", ",", "--k-list must not be empty"),
+        ],
+        ids=["nc-zero", "k-empty"],
+    )
+    def test_list_values_checked(self, nc_list, k_list, message, triangle_flags, tmp_path,
+                                 capsys):
+        code = run(["sweep", *triangle_flags, "--nc-list", nc_list,
+                    "--k-list", k_list, "--out", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_one_row_per_cell(self, triangle_flags, tmp_path):
         out = tmp_path / "s.csv"
         assert run(["sweep", *triangle_flags, "--nc-list", "1,2",
@@ -210,7 +281,7 @@ class TestSweep:
 
         monkeypatch.setattr(engine, "solve", no_solve)
         out = tmp_path / "s.csv"
-        code = run(["sweep", *nsfnet_at_30_cores(tmp_path), "--nc-list", "14",
+        code = run(["sweep", *nsfnet_at_cores(tmp_path, 30), "--nc-list", "14",
                     "--k-list", "14", "--out", str(out)])
         assert code == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
@@ -234,12 +305,29 @@ class TestSweep:
         # all), so the cell is "infeasible", not "error"; no node fits every
         # demand, so the single-node column stays empty
         out = tmp_path / "s.csv"
-        code = run(["sweep", *nsfnet_at_30_cores(tmp_path), "--nc-list", "1",
+        code = run(["sweep", *nsfnet_at_cores(tmp_path, 30), "--nc-list", "1",
                     "--k-list", "14", "--out", str(out)])
         assert code == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [r[:9] + r[10:] for r in rows] == [
             ["1", "14", "infeasible", "", "", "", "", "", "", "390.000000", ""]
+        ]
+
+
+    def test_k_aware_cut_makes_one_k_infeasible(self, tmp_path):
+        # every node at 100 cores: column generation finds a plan for nc=34,
+        # but the 546 cores needed do not fit on the k=2 hosting nodes, which
+        # hold 200; at k=14 the relaxation point is the plan
+        out = tmp_path / "s.csv"
+        code = run(["sweep", *nsfnet_at_cores(tmp_path, 100), "--nc-list", "34",
+                    "--k-list", "2,14", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[:9] + r[10:] for r in rows] == [
+            ["34", "2", "infeasible", "", "390.000000", "", "", "1", "476",
+             "390.000000", ""],
+            ["34", "14", "ok", "390.000000", "390.000000", "0.000000", "12", "1", "476",
+             "390.000000", ""],
         ]
 
 

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from brute_force import enumerate_all_configs
+from brute_force import enumerate_all_configs, reduced_cost_of
 from conftest import build_instance, random_connected_instance, with_capacity, with_k
 
 from scmap import baselines, engine
@@ -18,7 +18,6 @@ from scmap.master import (
     chain_instances,
     fits,
     make_configuration,
-    reduced_cost_of,
     solve_relaxation,
 )
 from scmap.netmodel import (

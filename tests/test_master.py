@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from brute_force import enumerate_all_configs
+from brute_force import enumerate_all_configs, reduced_cost_of
 from conftest import build_instance, with_capacity, with_k
 
 from scmap import baselines, engine
@@ -14,7 +14,6 @@ from scmap.master import (
     column_coefficients,
     column_cost,
     make_configuration,
-    reduced_cost_of,
     solve_relaxation,
     worst_case_load,
 )

@@ -1,5 +1,4 @@
 import json
-import random
 
 import pytest
 
@@ -15,11 +14,9 @@ from scmap.netmodel import (
     load_demands,
     load_instance,
     load_topology,
-    save_instance,
-    total_demand,
 )
 
-from conftest import build_instance
+from conftest import build_instance, save_instance
 
 
 def test_triangle_counts(triangle_instance):
@@ -47,25 +44,6 @@ def test_cost239_counts(cost239_instance):
 def test_arcs_carry_full_capacity(triangle_instance):
     topo = triangle_instance.topology
     assert topo.capacity(("a", "b")) == topo.capacity(("b", "a")) == 1000.0
-
-
-def test_total_demand(nsfnet_instance):
-    assert total_demand(nsfnet_instance, "sc3") == 182.0
-    assert total_demand(nsfnet_instance, "sc3", pairs=[]) == 0.0
-    assert total_demand(nsfnet_instance, "sc3", pairs=[("01", "02"), ("02", "01")]) == 2.0
-    with pytest.raises(ValidationError):
-        total_demand(nsfnet_instance, "nope")
-
-
-def test_total_demand_additive_over_partition(nsfnet_instance):
-    rng = random.Random(7)
-    pairs = nsfnet_instance.pairs_for_chain("sc3")
-    rng.shuffle(pairs)
-    cut = rng.randint(1, len(pairs) - 1)
-    a, b = pairs[:cut], pairs[cut:]
-    assert total_demand(nsfnet_instance, "sc3", a) + total_demand(
-        nsfnet_instance, "sc3", b
-    ) == pytest.approx(total_demand(nsfnet_instance, "sc3"))
 
 
 def test_self_demand_rejected():
@@ -116,6 +94,12 @@ def test_nonpositive_capacity_rejected():
 def test_k_out_of_range():
     with pytest.raises(ValidationError, match="k="):
         build_instance(["a", "b"], [("a", "b")], [("a", "b")], k=3)
+
+
+@pytest.mark.parametrize("nc", [0, -1])
+def test_nc_below_one_is_rejected(nc):
+    with pytest.raises(ValidationError, match="nc for chain 'c' must be >= 1"):
+        build_instance(["a", "b"], [("a", "b")], [("a", "b")], nc=nc)
 
 
 def test_nc_clamped_to_pair_count(caplog):

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from scmap.fixturedata import cost239_files, nsfnet_files
 from scmap.netmodel import load_instance
 from scmap.pathcore import all_pairs_hops
-from scmap.sptg import cluster_of, partition_all, partition_chain, partitions_to_json
+from scmap.sptg import partition_all, partition_chain
 
-from brute_force import reference_partition
-from conftest import build_instance, random_connected_instance
+from brute_force import cluster_of, partitions_to_json, reference_partition
+from conftest import build_instance, random_connected_instance, with_nc
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -83,16 +83,9 @@ def test_partition_exact_group_count_and_disjoint_cover():
     assert set(seen) == set(inst.pairs_for_chain("c"))
 
 
-@pytest.mark.parametrize("nc", [0, -1])
-def test_nc_below_one_is_rejected(nc):
-    inst = path5_instance([("a", "e"), ("b", "d")])
-    with pytest.raises(ValueError, match=f"nc must be at least 1, got {nc}"):
-        partition_chain(inst, "c", nc=nc)
-
-
 def test_partition_nc_capped_by_pair_count():
-    inst = path5_instance([("a", "e"), ("b", "d")], nc=2)
-    part = partition_chain(inst, "c", nc=99)
+    inst = path5_instance([("a", "e"), ("b", "d")], nc=99)
+    part = partition_chain(inst, "c")
     assert len(part.groups) == 2
     assert all(len(g.members) == 1 for g in part.groups)
 
@@ -103,7 +96,7 @@ def test_partition_property_random_instances():
         inst = random_connected_instance(rng)
         pairs = inst.pairs_for_chain("c")
         nc = rng.randint(1, len(pairs) + 2)
-        part = partition_chain(inst, "c", nc=nc)
+        part = partition_chain(with_nc(inst, nc), "c")
         members = [m for g in part.groups for m in g.members]
         assert sorted(members) == sorted(set(members)), "overlap"
         assert set(members) == set(pairs), "cover"
@@ -118,20 +111,21 @@ def test_group_count_monotone_in_nc():
         inst = random_connected_instance(rng)
         pairs = inst.pairs_for_chain("c")
         counts = [
-            len(partition_chain(inst, "c", nc=nc).groups)
+            len(partition_chain(with_nc(inst, nc), "c").groups)
             for nc in range(1, len(pairs) + 2)
         ]
         assert counts == sorted(counts)
 
 
 def test_partition_deterministic(nsfnet_instance, nsfnet_paths):
-    a = partition_chain(nsfnet_instance, "sc3", nsfnet_paths, nc=8)
-    b = partition_chain(nsfnet_instance, "sc3", nsfnet_paths, nc=8)
+    inst = with_nc(nsfnet_instance, 8)
+    a = partition_chain(inst, "sc3", nsfnet_paths)
+    b = partition_chain(inst, "sc3", nsfnet_paths)
     assert partitions_to_json([a]) == partitions_to_json([b])
 
 
 def test_nsfnet_34_groups(nsfnet_instance, nsfnet_paths):
-    part = partition_chain(nsfnet_instance, "sc3", nsfnet_paths, nc=34)
+    part = partition_chain(with_nc(nsfnet_instance, 34), "sc3", nsfnet_paths)
     assert len(part.groups) == 34
     sizes = sorted((len(g.members) for g in part.groups), reverse=True)
     assert sum(sizes) == 182
@@ -159,7 +153,7 @@ def test_anchor_is_member_at_creation():
     rng = random.Random(321)
     for _ in range(50):
         inst = random_connected_instance(rng)
-        part = partition_chain(inst, "c", nc=1)
+        part = partition_chain(inst, "c")
         g = part.groups[0]
         assert g.anchor in g.members
 
@@ -182,7 +176,7 @@ def test_cluster_of_matches_scan_on_random_instances():
 
 
 # sha256 of partitions_to_json for the bundled NSFNET instance, as written by
-# the per-pair scan that cluster_of replaced; the grouping must not drift
+# the per-pair scan that the cover entries replaced; the grouping must not drift
 NSFNET_PARTITION_SHA256 = {
     1: "2a3d9826e8e663f7c86ec32fbffdac0eb7ca9be6088489b65a51054fd916df1e",
     4: "d64d1c63d0e7505b828ca828c16ed23615988896dcd6d3bebd354af16d66f271",
@@ -206,7 +200,7 @@ def groups_of(part):
 
 def assert_matches_reference(inst, paths, nc):
     for chain in inst.chains_with_demand():
-        got = partition_chain(inst, chain, paths, nc=nc)
+        got = partition_chain(with_nc(inst, nc), chain, paths)
         want = reference_partition(inst, chain, paths, nc)
         assert groups_of(got) == groups_of(want), (chain, nc)
 
