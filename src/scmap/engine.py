@@ -7,9 +7,16 @@ so one converged model serves every k of a sweep and only the integer
 selection reads k. The price is a k-blind `lp_bound`: the same at every k,
 and the reported `gap` is measured against it.
 
-The final selection is automatic. When the relaxation's own point is
-already an integer selection within k, it is the plan and no MIP runs.
-Otherwise it solves the selection program, the master's z-restriction (see
+The final selection is automatic and tries, in order: the relaxation
+point, the host-set bound, the selection program, the full program. When
+the relaxation's own point is already an integer selection within k, it is
+the plan and no MIP runs. Otherwise, on a compact master, the host-set
+bound enumerates the sets H of min(k, |NFV|) NFV nodes: every selection
+hosts inside some H, so the least sum over chain instances of their
+cheapest pooled column inside H bounds the selection program from below,
+and when those columns fit the core rows they attain it and are the plan.
+It declines above `HOST_SET_CAP` (host set, pooled column) pairs. Then it
+solves the selection program, the master's z-restriction (see
 `scmap.master`): on a compact master that is the one program there is. On
 an arc-flow master it relaxes the full program, so its validated plan is
 optimal and its infeasibility is the full program's; only a plan that
@@ -19,6 +26,7 @@ verdict, plan or "infeasible", is relative to the `sptg` demand grouping.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -26,7 +34,10 @@ import time
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional
 
+import numpy as np
+
 from .master import (
+    FIT_TOL,
     ChainInstance,
     Configuration,
     RmpModel,
@@ -493,6 +504,56 @@ def _relaxation_plan(instance: ProblemInstance, model: RmpModel) -> Optional[Map
     return _validated(instance, plan)
 
 
+# most (host set, pooled column) pairs the host-set bound scores, about 2 MB
+# per matrix of them; above it the selection program decides
+HOST_SET_CAP = 1 << 18
+
+
+def _host_set_plan(instance: ProblemInstance, model: RmpModel) -> Optional[MappingPlan]:
+    """The selection program's optimum on a compact master, found by
+    enumerating host sets, or None when the bound is not attained.
+
+    A selection hosts on at most k of the m NFV nodes, so its hosts lie in
+    some set H of s = min(k, m) of them, and L(H), the sum over chain
+    instances of their cheapest pooled column inside H, bounds it from
+    below. If the argmins at the H of least L (the first in
+    `itertools.combinations` order, then the lowest pool position) fit the
+    core rows, they attain the bound. None on an arc-flow master, whose end
+    flows need the MIP, and when C(m, s) x |pool| exceeds `HOST_SET_CAP`.
+    """
+    nfv = instance.topology.nfv_nodes
+    m = len(nfv)
+    s = min(instance.k, m)
+    groups = [model.pool_by_instance[ci.key] for ci in model.chain_instances]
+    # a host set is an int64 bitmask over the NFV nodes
+    if not model.compact or m > 63 or not all(groups):
+        return None
+    if math.comb(m, s) * len(model.pool) > HOST_SET_CAP:
+        return None
+    bit = {v: 1 << i for i, v in enumerate(nfv)}
+    order = [p for g in groups for p in g]
+    masks = np.array([sum(bit[v] for v in set(model.pool[p].locations)) for p in order])
+    costs = np.array([model.lp.variables[model.zvar[p]].obj for p in order])
+    sets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations([1 << i for i in range(m)], s)),
+        dtype=np.int64,
+    ).reshape(-1, s).sum(axis=1)
+    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    scored = np.where((masks & ~sets[:, None]) == 0, costs, np.inf)  # inf outside H
+    bound = np.minimum.reduceat(scored, starts, axis=1).sum(axis=1)
+    h = int(np.argmin(bound))
+    if bound[h] == np.inf:
+        return None
+    ends = [*starts[1:], len(order)]
+    chosen = {model.zvar[order[a + int(np.argmin(scored[h, a:b]))]] for a, b in zip(starts, ends)}
+    for r in model.core_row.values():
+        row = model.lp.rows[r]
+        if sum(a for j, a in row.coeffs if j in chosen) > row.rhs + FIT_TOL:
+            return None
+    x = [1.0 if var in chosen else 0.0 for var in range(model.lp.n_vars)]
+    return _validated(instance, _decode(instance, model, x, model.zvar, False))
+
+
 # share of `solve`'s time limit that column generation leaves to the final
 # selection, so a run cut short by time still has time to pick a plan
 SELECTION_SHARE = 0.25
@@ -525,11 +586,21 @@ def extract_plan(
     Raises `Infeasible` naming the cut, before any solve, when the cores all
     placements need exceed those of the k NFV nodes with the most cores.
     The relaxation is re-solved when it is missing or predates columns added
-    since. When its point is already an integer selection within k, that
-    point is the plan (`_relaxation_plan`) and no MIP runs; after a
-    converged column generation its gap is 0.
-    Otherwise it solves the selection program (`build_final_ilp`). On a
-    compact master that is the only program. On an arc-flow master it
+    since. The four steps, in order:
+
+    1. the relaxation point (`_relaxation_plan`): when it is already an
+       integer selection within k it is the plan, and after a converged
+       column generation its gap is 0;
+    2. the host-set bound (`_host_set_plan`, compact masters): the cheapest
+       pooled column per chain instance inside the best set of min(k, |NFV|)
+       NFV nodes bounds every selection from below, so when those columns
+       fit the core rows they are the selection program's optimum; it
+       declines above `HOST_SET_CAP` (host set, pooled column) pairs;
+    3. the selection program (`build_final_ilp`);
+    4. the full program, on an arc-flow master only.
+
+    No MIP runs when step 1 or 2 gives the plan. On a compact master the
+    selection program is the only program. On an arc-flow master it
     relaxes the full program: a plan of it that validates is optimal, and
     its proven infeasibility is the full program's too. Only a plan that
     fails validation or a solve that ends without a plan falls back to the
@@ -544,6 +615,8 @@ def extract_plan(
     if model.last_relaxation is None or len(model.last_relaxation.x) != model.lp.n_vars:
         solve_relaxation(model)
     plan, program = _relaxation_plan(instance, model), "relaxation point"
+    if plan is None:
+        plan, program = _host_set_plan(instance, model), "host-set bound"
     if plan is None:
         limit = _limit(deadline, "the final selection")
         program = "selection program"

@@ -17,6 +17,7 @@ read off the hop matrix.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,23 +116,29 @@ def partition_chain(
         nearest = order[np.argmin(detour, axis=1)]
         groups = [np.concatenate([g, rest[nearest == i]]) for i, g in enumerate(groups)]
 
-    # fewer groups than allowed: split the biggest until the count is reached
-    while len(groups) < target:
-        gi = min(
-            (i for i, g in enumerate(groups) if len(g) > 1),
-            key=lambda i: (-len(groups[i]), anchors[i]),
-        )
-        split = _split(anchors[gi], groups[gi], entries, len(pairs))
-        anchors[gi : gi + 1] = [a for a, _ in split]
-        groups[gi : gi + 1] = [g for _, g in split]
+    # fewer groups than allowed: split the biggest, ties to the smallest
+    # anchor, until the count is reached. Anchors are distinct, so they key
+    # the groups; a split-off group follows its parent in the output order
+    by_anchor = dict(zip(anchors, groups))
+    after = dict(zip(anchors, anchors[1:] + [None]))
+    heap = [(-len(g), a) for a, g in by_anchor.items() if len(g) > 1]
+    heapq.heapify(heap)
+    while len(by_anchor) < target:
+        _, a = heapq.heappop(heap)
+        (_, kept), (b, cluster) = _split(a, by_anchor[a], entries, len(pairs))
+        by_anchor[a], by_anchor[b] = kept, cluster
+        after[a], after[b] = b, after[a]
+        for g in (a, b):
+            if len(by_anchor[g]) > 1:
+                heapq.heappush(heap, (-len(by_anchor[g]), g))
 
-    return ChainPartition(
-        chain=chain,
-        groups=[
-            Group(anchor=pairs[a], members=tuple(pairs[m] for m in g.tolist()))
-            for a, g in zip(anchors, groups)
-        ],
-    )
+    out = []
+    a = anchors[0]
+    while a is not None:
+        members = tuple(pairs[m] for m in by_anchor[a].tolist())
+        out.append(Group(anchor=pairs[a], members=members))
+        a = after[a]
+    return ChainPartition(chain=chain, groups=out)
 
 
 def _split(

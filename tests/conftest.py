@@ -111,18 +111,41 @@ def capacitated_triangle(triangle_instance):
     return with_capacity(triangle_instance, 6.0)
 
 
+def with_cores(instance, cores):
+    """The same instance with node id -> cores overriding the nodes named."""
+    topo = instance.topology
+    nodes = [NodeSpec(n.id, n.nfv, cores.get(n.id, n.cores)) for n in topo.nodes]
+    return ProblemInstance(
+        Topology(topo.name, nodes, list(topo.arcs)),
+        instance.vnfs,
+        instance.chains,
+        instance.demands,
+        k=instance.k,
+        nc=dict(instance.nc),
+    )
+
+
 @pytest.fixture(scope="session")
-def split_triangle():
-    """The triangle in two chain instances at k=1: its relaxation places them
-    on different nodes, so its point is no integer selection within k and
-    the selection MIP runs."""
+def uncapped_split_triangle():
+    """The triangle in two chain instances (4 and 2 Gbps) at k=1: its
+    relaxation places them on different nodes, so its point is no integer
+    selection within k. Every node costs 8 for both, so the host-set bound
+    takes node a."""
     return load_instance(*triangle_files(), k=1, nc=2)
 
 
 @pytest.fixture(scope="session")
-def capacitated_split_triangle(split_triangle):
-    """`split_triangle` with 6 Gbps links: an arc-flow master."""
-    return with_capacity(split_triangle, 6.0)
+def split_triangle(uncapped_split_triangle):
+    """`uncapped_split_triangle` with 5 cores at node a, which holds either
+    chain instance but not both: the host-set bound's pick at a breaks a's
+    core row, so the selection MIP runs."""
+    return with_cores(uncapped_split_triangle, {"a": 5})
+
+
+@pytest.fixture(scope="session")
+def capacitated_split_triangle(uncapped_split_triangle):
+    """`uncapped_split_triangle` with 6 Gbps links: an arc-flow master."""
+    return with_capacity(uncapped_split_triangle, 6.0)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,8 @@ from test_simplexkit import (
 )
 
 from scmap import baselines, cli, engine
-from scmap.simplexkit import GE, LE, highs
+from scmap.simplexkit import LE, highs
+from scmap.simplexkit.model import GE
 from scmap.fixturedata import cost239_files, nsfnet_files
 from scmap.master import chain_instances
 from scmap.netmodel import ProblemInstance, load_instance

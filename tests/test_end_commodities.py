@@ -8,7 +8,13 @@ import random
 
 import pytest
 from brute_force import enumerate_all_configs, simple_paths
-from conftest import build_instance, random_connected_instance, with_capacity, with_k
+from conftest import (
+    build_instance,
+    random_connected_instance,
+    with_capacity,
+    with_cores,
+    with_k,
+)
 
 from scmap import engine
 from scmap.fixturedata import cost239_files, nsfnet_files, triangle_files
@@ -288,6 +294,72 @@ def test_relaxation_point_matches_the_forced_selection():
     # 134 compact and 105 arc-flow selections taken, 95 declined, at the
     # time of writing
     assert min(fired.values()) >= 80 and declined >= 50, (fired, declined)
+
+
+def host_set_verdicts(inst, model, ks, tally, label):
+    """Tally `_host_set_plan` at each budget of `ks` that reaches it in
+    `extract_plan` (core cut passed, relaxation point declined): "fired"
+    where its plan validates and equals the forced selection program's
+    objective over the same pool, "declined" where it returns None."""
+    for k in ks:
+        at_k = with_k(inst, k)
+        if engine._core_cut(at_k, k) or engine._relaxation_plan(at_k, model):
+            continue
+        plan = engine._host_set_plan(at_k, model)
+        if plan is None:
+            tally["declined"] += 1
+            continue
+        tally["fired"] += 1
+        assert engine.validate_plan(at_k, plan) == []
+        forced = engine._extract(at_k, model)
+        assert plan.objective_gbps_hops == pytest.approx(
+            forced.objective_gbps_hops, abs=1e-6
+        ), f"{label} k={k}"
+
+
+def test_host_set_bound_matches_the_forced_selection_on_draws():
+    # only a compact master's selection is the bound's to take
+    tally = {"fired": 0, "declined": 0}
+    for case, inst in draws():
+        try:
+            model, _ = engine.run_column_generation(inst, partition_all(inst))
+        except engine.Infeasible:
+            continue
+        if not model.compact:
+            assert all(
+                engine._host_set_plan(with_k(inst, k), model) is None for k in budgets(inst)
+            ), case
+            continue
+        host_set_verdicts(inst, model, budgets(inst), tally, f"case {case}")
+    # fired 4, declined 3 at the time of writing
+    assert tally["fired"] >= 4 and tally["declined"] >= 3, tally
+
+
+@pytest.mark.parametrize(
+    "scale, fired, declined", [(None, 18, 2), (6, 8, 6)], ids=["uncapped", "cores-6"]
+)
+def test_host_set_bound_matches_the_forced_selection_on_fixtures(scale, fired, declined):
+    # NSFNET and COST239 at nc in {2, 4, 16, 34} and k in {1, 2, 3, 5},
+    # uncapped or with ceil(scale * need / |V|) cores per node, need the
+    # cores all placements take (the counts at the time of writing). The
+    # declines at `uncapped` are NSFNET nc16 and nc34 at k=5, C(14, 5) host
+    # sets over 224 and 476 columns, above HOST_SET_CAP; the others are
+    # picks that break a core row
+    tally = {"fired": 0, "declined": 0}
+    for files in (nsfnet_files, cost239_files):
+        for nc in (2, 4, 16, 34):
+            inst = load_instance(*files(), k=1, nc=nc)
+            if scale is not None:
+                need = sum(
+                    r.gbps * sum(inst.chain_cores_per_gbps(r.chain))
+                    for r in inst.demands.records
+                )
+                cores = math.ceil(scale * need / len(inst.topology.nodes))
+                inst = with_cores(inst, {v.id: cores for v in inst.topology.nodes})
+            model, _ = engine.run_column_generation(inst, partition_all(inst))
+            assert model.compact
+            host_set_verdicts(inst, model, (1, 2, 3, 5), tally, f"{files.__name__} nc={nc}")
+    assert tally["fired"] >= fired and tally["declined"] >= declined, tally
 
 
 def test_path_plans_need_no_seed():

@@ -236,11 +236,12 @@ def record_mips(monkeypatch, stall_first=False):
 class TestRelaxationPoint:
     @pytest.mark.parametrize(
         "nc, at_14, at_2, mips_at_2",
-        [(1, 624.0, 624.0, 0), (4, 494.0, 544.0, 1), (16, 407.0, 533.0, 1), (34, 390.0, 526.0, 1)],
+        [(1, 624.0, 624.0, 0), (4, 494.0, 544.0, 0), (16, 407.0, 533.0, 0), (34, 390.0, 526.0, 0)],
     )
     def test_nsfnet_sweep_cells(self, monkeypatch, nc, at_14, at_2, mips_at_2):
         # every k=14 cell and nc1 at k=2 are integer selections within k
-        # as the LP leaves them; the other k=2 cells host on more than 2
+        # as the LP leaves them; the other k=2 cells host on more than 2,
+        # and the host-set bound's pick is their plan
         inst = load_instance(*nsfnet_files(), k=14, nc=nc)
         model, _ = engine.run_column_generation(inst, partition_all(inst))
         calls = record_mips(monkeypatch)
@@ -250,8 +251,8 @@ class TestRelaxationPoint:
             assert engine.validate_plan(with_k(inst, k), plan) == []
             assert plan.objective_gbps_hops == pytest.approx(objective)
             assert len(calls) == mips, (k, calls)
-            if not mips:
-                assert plan.gap == pytest.approx(0.0, abs=1e-12)
+            # the bound is k-blind, and the k=14 plan attains it
+            assert plan.lp_bound == pytest.approx(at_14)
 
     @staticmethod
     def nsfnet_at_30_gbps(nc):
@@ -314,6 +315,7 @@ class TestRelaxationPoint:
             ("triangle_instance", "relaxation point", []),
             ("split_triangle", "selection program", ["selection"]),
             ("capacitated_split_triangle", "full program", ["selection", "rmp"]),
+            ("uncapped_split_triangle", "host-set bound", []),
         ],
     )
     def test_log_names_the_program_that_chose(
@@ -328,6 +330,50 @@ class TestRelaxationPoint:
         assert calls == mips
         chosen = [r.message for r in caplog.records if r.message.startswith("plan chosen by")]
         assert len(chosen) == 1 and chosen[0].startswith(f"plan chosen by the {program}")
+
+
+class TestHostSetBound:
+    @staticmethod
+    def converged(inst):
+        model, _ = engine.run_column_generation(inst, partition_all(inst))
+        return model
+
+    def test_first_least_host_set_is_the_plan(self, uncapped_split_triangle):
+        # every node costs 8 for both chain instances, so {a}, the first
+        # host set, holds the plan; at k=2 {a, c} is first among the 7s
+        inst = uncapped_split_triangle
+        model = self.converged(inst)
+        for k, hosting, objective in ((1, ("a",), 8.0), (2, ("a", "c"), 7.0)):
+            plan = engine._host_set_plan(with_k(inst, k), model)
+            assert engine.validate_plan(with_k(inst, k), plan) == []
+            assert plan.hosting == hosting
+            assert plan.objective_gbps_hops == pytest.approx(objective)
+            assert plan.lp_bound == pytest.approx(model.lp_bound)
+
+    def test_declined_when_the_pick_breaks_a_core_row(self, monkeypatch, split_triangle):
+        # both chain instances at a need 6 of its 5 cores; the MIP places
+        # them together on another node at the same 8
+        model = self.converged(split_triangle)
+        assert engine._host_set_plan(split_triangle, model) is None
+        calls = record_mips(monkeypatch)
+        plan = engine.extract_plan(split_triangle, model)
+        assert calls == ["selection"]
+        assert plan.objective_gbps_hops == pytest.approx(8.0)
+        assert plan.hosting != ("a",)
+
+    def test_declined_above_the_cap(self, monkeypatch, uncapped_split_triangle):
+        # C(3, 1) host sets over 6 pooled columns
+        model = self.converged(uncapped_split_triangle)
+        assert len(model.pool) == 6
+        monkeypatch.setattr(engine, "HOST_SET_CAP", 17)
+        assert engine._host_set_plan(uncapped_split_triangle, model) is None
+        monkeypatch.setattr(engine, "HOST_SET_CAP", 18)
+        assert engine._host_set_plan(uncapped_split_triangle, model) is not None
+
+    def test_declined_on_an_arc_flow_master(self, capacitated_split_triangle):
+        model = self.converged(capacitated_split_triangle)
+        assert not model.compact
+        assert engine._host_set_plan(capacitated_split_triangle, model) is None
 
 
 def test_core_cut_at_k_refuses_before_any_mip(monkeypatch):
