@@ -29,10 +29,9 @@ class BaselineReport:
     per_pair_from_engine: bool
 
 
-def shortest_path_lb(instance: ProblemInstance, paths: Optional[PathTable] = None) -> float:
+def shortest_path_lb(instance: ProblemInstance) -> float:
     """Bandwidth if every record could ride its shortest path untouched."""
-    if paths is None:
-        paths = all_pairs_hops(instance.topology)
+    paths = all_pairs_hops(instance.topology)
     return float(
         sum(r.gbps * paths.distance(r.src, r.dst) for r in instance.demands.records)
     )
@@ -65,9 +64,7 @@ def _single_node_usage(instance: ProblemInstance, v: str, paths: PathTable):
     return loads, {v: cores}
 
 
-def single_node_oracle(
-    instance: ProblemInstance, paths: Optional[PathTable] = None
-) -> tuple:
+def single_node_oracle(instance: ProblemInstance) -> tuple:
     """(node, objective) for hosting everything at one co-located site.
 
     The objective is the detour sum over all records; ties break to the
@@ -75,8 +72,7 @@ def single_node_oracle(
     exceed a capacity or its cores, the next candidate in (objective, id)
     order that fits is returned instead, and (None, None) when no node fits.
     """
-    if paths is None:
-        paths = all_pairs_hops(instance.topology)
+    paths = all_pairs_hops(instance.topology)
     ranked = sorted(
         (
             float(
@@ -105,9 +101,10 @@ def single_node_oracle(
     return None, None
 
 
-def _per_pair_applicable(instance: ProblemInstance, paths: PathTable) -> bool:
+def _per_pair_applicable(instance: ProblemInstance) -> bool:
     """True when hosting each pair's chain at its own source verifiably fits."""
     topo = instance.topology
+    paths = all_pairs_hops(topo)
     if set(topo.nfv_nodes) != set(topo.node_ids):
         return False
     loads: dict = {}
@@ -121,11 +118,9 @@ def _per_pair_applicable(instance: ProblemInstance, paths: PathTable) -> bool:
     return _fits(instance, loads, cores)
 
 
-def _per_pair(instance: ProblemInstance, paths: Optional[PathTable]) -> tuple:
-    if paths is None:
-        paths = all_pairs_hops(instance.topology)
-    if _per_pair_applicable(instance, paths):
-        return shortest_path_lb(instance, paths), False
+def _per_pair(instance: ProblemInstance) -> tuple:
+    if _per_pair_applicable(instance):
+        return shortest_path_lb(instance), False
     log.warning(
         "per-pair construction is infeasible here; solving for the value instead"
     )
@@ -143,21 +138,17 @@ def _per_pair(instance: ProblemInstance, paths: Optional[PathTable]) -> tuple:
         },
     )
     try:
-        return engine.solve(relaxed, paths=paths).plan.objective_gbps_hops, True
+        return engine.solve(relaxed).plan.objective_gbps_hops, True
     except engine.Infeasible as exc:
         log.warning("per-pair fallback found no plan: %s", exc)
         return None, True
 
 
-def baseline_report(
-    instance: ProblemInstance, paths: Optional[PathTable] = None
-) -> BaselineReport:
-    if paths is None:
-        paths = all_pairs_hops(instance.topology)
-    per_pair, flagged = _per_pair(instance, paths)
+def baseline_report(instance: ProblemInstance) -> BaselineReport:
+    per_pair, flagged = _per_pair(instance)
     return BaselineReport(
-        shortest_path_lb=shortest_path_lb(instance, paths),
-        single_node=single_node_oracle(instance, paths),
+        shortest_path_lb=shortest_path_lb(instance),
+        single_node=single_node_oracle(instance),
         per_pair_instance=per_pair,
         per_pair_from_engine=flagged,
     )

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import baselines, engine
-from .netmodel import (
-    ParseError,
-    ProblemInstance,
-    ValidationError,
-    load_instance,
-    load_topology,
-)
-from .pathcore import all_pairs_hops
+from .netmodel import ParseError, ProblemInstance, ValidationError, load_instance
 from .sptg import partition_all
 
 log = logging.getLogger(__name__)
@@ -108,11 +101,8 @@ def _add_instance_flags(p: argparse.ArgumentParser, *, need_k: bool) -> None:
 
 
 def _load(args) -> ProblemInstance:
-    k = args.k
-    if k is None:
-        k = len(load_topology(args.topology).nfv_nodes)
     return load_instance(
-        args.topology, args.chains, args.demands, k=k, nc=parse_nc(args.nc)
+        args.topology, args.chains, args.demands, k=args.k, nc=parse_nc(args.nc)
     )
 
 
@@ -148,7 +138,7 @@ class _Cell:
     wall_ms: Optional[int] = None
 
 
-def _sweep_group(instance_parts, paths, nc: int, k_values, args) -> list:
+def _sweep_group(instance_parts, nc: int, k_values, args) -> list:
     """All cells for one nc: one column-generation run shared across k."""
     topo, vnfs, chains, demands = instance_parts
     cells = []
@@ -159,10 +149,9 @@ def _sweep_group(instance_parts, paths, nc: int, k_values, args) -> list:
         )
         model, trace = engine.run_column_generation(
             base,
-            partition_all(base, paths),
+            partition_all(base),
             max_iters=args.max_iters,
             time_limit=args.time_limit,
-            paths=paths,
         )
     except engine.Infeasible as exc:
         log.error("nc=%d: %s", nc, exc)
@@ -230,11 +219,10 @@ def cmd_sweep(args) -> int:
         if nc < 1:
             raise CliError(f"--nc-list value {nc} must be >= 1")
     parts = (probe.topology, probe.vnfs, probe.chains, probe.demands)
-    paths = all_pairs_hops(probe.topology)
-    lb = baselines.shortest_path_lb(probe, paths)
-    single = baselines.single_node_oracle(probe, paths)[1]
+    lb = baselines.shortest_path_lb(probe)
+    single = baselines.single_node_oracle(probe)[1]
 
-    groups = [_sweep_group(parts, paths, nc, k_values, args) for nc in nc_values]
+    groups = [_sweep_group(parts, nc, k_values, args) for nc in nc_values]
 
     with open(args.out, "w") as fh:
         fh.write(SWEEP_HEADER + "\n")

@@ -50,7 +50,7 @@ from .master import (
     solve_relaxation,
 )
 from .netmodel import ProblemInstance
-from .pathcore import PathTable, all_pairs_hops, path_nodes, route_fault
+from .pathcore import all_pairs_hops, path_nodes, route_fault
 from .pricer import PricerError, price_chain_instance, segment_cost_table
 from .simplexkit import highs
 from .sptg import ChainPartition, partition_all
@@ -146,6 +146,47 @@ def _no_placement(instance: ProblemInstance, ci: ChainInstance) -> Infeasible:
     )
 
 
+def _colocation_cut(
+    instance: ProblemInstance, cis: Iterable[ChainInstance]
+) -> Optional[Infeasible]:
+    """Certificate that a chain instance above every arc's capacity fits on
+    no single NFV node, or None.
+
+    Any segment carries the instance's whole rate, so such an instance sits
+    on one node v. Then v takes the Gbps of every member with source != v
+    over its in-arcs and of every member with destination != v over its
+    out-arcs, and the instance's cores.
+    """
+    topo = instance.topology
+    top = max((a.capacity_gbps for a in topo.arcs), default=math.inf)
+    for ci in cis:
+        if ci.total_gbps <= top + 1e-9:
+            continue
+        cores = ci.total_gbps * sum(instance.chain_cores_per_gbps(ci.chain))
+        ranked = []
+        for v in topo.nfv_nodes:
+            into = sum(g for (s, _), g in ci.demand.items() if s != v)
+            out = sum(g for (_, d), g in ci.demand.items() if d != v)
+            have_in = sum(topo.capacity(a) for a in topo.in_arcs[v])
+            have_out = sum(topo.capacity(a) for a in topo.out_arcs[v])
+            checks = ((into, have_in), (out, have_out), (cores, topo.node_by_id[v].cores))
+            if all(need <= have + 1e-9 for need, have in checks):
+                break
+            worst = max(need / have if have else math.inf for need, have in checks if need)
+            ranked.append((worst, v, checks))
+        else:
+            _, v, ((into, have_in), (out, have_out), (_, have_cores)) = min(ranked)
+            return Infeasible(
+                f"chain instance {ci.label} carries {ci.total_gbps:g} Gbps, above "
+                f"every arc's capacity ({top:g}), so it must be co-located on one "
+                f"node, and no NFV node takes it: the closest, {v}, needs "
+                f"{into:g} Gbps in over {have_in:g}, {out:g} Gbps out over "
+                f"{have_out:g} and {cores:g} cores of its {have_cores} (relative "
+                f"to the demand grouping)"
+            )
+    return None
+
+
 def diagnose_infeasibility(instance: ProblemInstance) -> list:
     """Cheap necessary-condition cuts that name what cannot fit.
 
@@ -210,16 +251,16 @@ def run_column_generation(
     *,
     max_iters: int = 200,
     time_limit: Optional[float] = None,
-    paths: Optional[PathTable] = None,
 ) -> tuple[RmpModel, CgTrace]:
     """Iterate relax/price/extend until a full pricing round adds nothing.
 
-    A necessary cut of `diagnose_infeasibility` that fires is a proof that
-    no plan exists, so it raises `Infeasible` before any LP solve. The
-    master starts from its artificial columns alone (each stands for its
-    chain instance left unserved), so it is feasible from the first solve
-    and needs no seed. A chain instance that fits on no placement raises the
-    `_no_placement` certificate when the pricer finds none.
+    A necessary cut of `diagnose_infeasibility`, or `_colocation_cut` on the
+    grouped chain instances, that fires is a proof that no plan exists, so
+    it raises `Infeasible` before any LP solve. The master starts from its
+    artificial columns alone (each stands for its chain instance left
+    unserved), so it is feasible from the first solve and needs no seed. A
+    chain instance that fits on no placement raises the `_no_placement`
+    certificate when the pricer finds none.
 
     `time_limit` (seconds) counts from the call, so it covers the RMP build.
     An iteration starts only if it and the closing relaxation refresh, each
@@ -236,9 +277,10 @@ def run_column_generation(
     hints = diagnose_infeasibility(instance)
     if hints:
         raise Infeasible("no plan exists: " + "; ".join(hints))
-    if paths is None:
-        paths = all_pairs_hops(instance.topology)
-    model = build_rmp(instance, partitions, paths=paths)
+    model = build_rmp(instance, partitions)
+    cut = _colocation_cut(instance, model.chain_instances)
+    if cut:
+        raise cut
     # fallback columns: a co-located configuration at every NFV node where it
     # fits, so the integer stage has every one-host choice that exists
     for ci in model.chain_instances:
@@ -258,7 +300,7 @@ def run_column_generation(
             break
         sol, duals = solve_relaxation(model)
         pool_dirty = False
-        seg = segment_cost_table(instance, duals, model.paths)
+        seg = segment_cost_table(instance, duals)
         added = 0
         best_rc = 0.0
         lagrangian = sol.objective
@@ -399,6 +441,7 @@ def _decode(
     """The plan an integer point `x` selects; `zvar` maps pool positions to
     its z variables. `full` points route their ends by their end flows,
     others along hop-shortest paths."""
+    paths = all_pairs_hops(instance.topology)
     assignments = []
     for ci in model.chain_instances:
         chosen = [p for p in model.pool_by_instance[ci.key] if x[zvar[p]] > 0.5]
@@ -412,8 +455,8 @@ def _decode(
             first = _end_routes(model, x, ci, head, lead_in=True)
             last = _end_routes(model, x, ci, tail, lead_in=False)
         else:
-            first = {(s, d): model.paths.path_arcs(s, head) for s, d in ci.pairs}
-            last = {(s, d): model.paths.path_arcs(tail, d) for s, d in ci.pairs}
+            first = {(s, d): paths.path_arcs(s, head) for s, d in ci.pairs}
+            last = {(s, d): paths.path_arcs(tail, d) for s, d in ci.pairs}
         routes = [
             PairRoute(s, d, tuple(first[s, d]), tuple(last[s, d])) for s, d in ci.pairs
         ]
@@ -639,7 +682,6 @@ def solve(
     *,
     max_iters: int = 200,
     time_limit: Optional[float] = None,
-    paths: Optional[PathTable] = None,
 ) -> SolveResult:
     """Full pipeline on one instance: partition, generate columns, select.
 
@@ -654,15 +696,12 @@ def solve(
         raise EngineError(f"time limit must be finite positive seconds, got {time_limit}")
     deadline = _deadline(time_limit)
     reserve = 0.0 if time_limit is None else SELECTION_SHARE * time_limit
-    if paths is None:
-        paths = all_pairs_hops(instance.topology)
-    partitions = partition_all(instance, paths)
+    partitions = partition_all(instance)
     model, trace = run_column_generation(
         instance,
         partitions,
         max_iters=max_iters,
         time_limit=None if deadline is None else max(0.0, _left(deadline) - reserve),
-        paths=paths,
     )
     left = _left(deadline)
     if left is not None and left <= 0:

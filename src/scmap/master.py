@@ -68,7 +68,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .netmodel import ProblemInstance
-from .pathcore import PathTable, all_pairs_hops, route_fault
+from .pathcore import all_pairs_hops, route_fault
 from .simplexkit import EQ, LE, LinearProgram, LpSolution, highs
 from .sptg import ChainPartition
 
@@ -165,7 +165,6 @@ class FinalIlp:
 class RmpModel:
     instance: ProblemInstance
     chain_instances: tuple[ChainInstance, ...]
-    paths: PathTable
     lp: LinearProgram
     compact: bool = False  # the master's shape; see the module docstring
     # (key, position, node) -> Gbps-hops of the end segments a column pays
@@ -190,7 +189,6 @@ class RmpModel:
     cap_row: dict = field(default_factory=dict)  # arc -> row
     by_key: dict = field(default_factory=dict)  # key -> ChainInstance
     last_relaxation: Optional[LpSolution] = None
-    last_duals: Optional[DualPrices] = None
     truncated_bound: Optional[float] = None  # set by a column generation cut short
 
     @property
@@ -370,14 +368,11 @@ def _add_end_rows(
 def build_rmp(
     instance: ProblemInstance,
     partitions: Iterable[ChainPartition],
-    *,
-    paths: Optional[PathTable] = None,
 ) -> RmpModel:
     """Pick the master's shape and assemble its artificial columns, rows and
     static columns. Configuration columns arrive through `add_column`."""
     topo = instance.topology
-    if paths is None:
-        paths = all_pairs_hops(topo)
+    paths = all_pairs_hops(topo)
     cis = chain_instances(instance, partitions)
     nfv = topo.nfv_nodes
     worst = worst_case_load(instance)
@@ -385,7 +380,6 @@ def build_rmp(
     model = RmpModel(
         instance=instance,
         chain_instances=cis,
-        paths=paths,
         lp=lp,
         compact=all(a.capacity_gbps >= worst for a in topo.arcs),
         by_key={ci.key: ci for ci in cis},
@@ -463,7 +457,7 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
     """
     lp = model.lp
     topo = model.instance.topology
-    d = model.paths.distance
+    d = all_pairs_hops(topo).distance
     arcs = [(a.src, a.dst) for a in topo.arcs]
     for ci in model.chain_instances:
         for lead_in, members, yvar, tag in (
@@ -582,7 +576,6 @@ def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
         },
     )
     model.last_relaxation = sol
-    model.last_duals = prices
     return sol, prices
 
 

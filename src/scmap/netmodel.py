@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .pathcore import PathError, PathTable, build_hop_table
+
 log = logging.getLogger("scmap")
 
 
@@ -66,8 +68,10 @@ class Topology:
     """Directed-arc view of an undirected topology file.
 
     Each undirected link {a, b} becomes the two arcs (a, b) and (b, a), each
-    carrying the full link capacity. Derived adjacency is precomputed; treat
-    instances as immutable after construction.
+    carrying the full link capacity. Derived adjacency and the all-pairs hop
+    table are precomputed; the table's BFS from every node is also the check
+    that the topology is strongly connected. Treat instances as immutable
+    after construction.
     """
 
     name: str
@@ -77,6 +81,7 @@ class Topology:
     arc_index: dict[tuple[str, str], int] = field(init=False, repr=False)
     out_arcs: dict[str, list[tuple[str, str]]] = field(init=False, repr=False)
     in_arcs: dict[str, list[tuple[str, str]]] = field(init=False, repr=False)
+    paths: PathTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.node_by_id = {}
@@ -106,26 +111,12 @@ class Topology:
         for adj in (self.out_arcs, self.in_arcs):
             for v in adj:
                 adj[v].sort()
-        self._check_connected()
-
-    def _check_connected(self) -> None:
         if not self.nodes:
             raise ValidationError("topology has no nodes")
-        for adj, label in ((self.out_arcs, "forward"), (self.in_arcs, "reverse")):
-            seen = {self.nodes[0].id}
-            stack = [self.nodes[0].id]
-            while stack:
-                u = stack.pop()
-                for key in adj[u]:
-                    w = key[1] if adj is self.out_arcs else key[0]
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            if len(seen) != len(self.nodes):
-                missing = sorted(set(self.node_by_id) - seen)[:3]
-                raise ValidationError(
-                    f"topology not strongly connected ({label} reach misses {missing})"
-                )
+        try:
+            self.paths = build_hop_table(self)
+        except PathError as e:
+            raise ValidationError(f"topology not strongly connected ({e})") from None
 
     @property
     def node_ids(self) -> list[str]:
@@ -329,13 +320,14 @@ def load_instance(
     topology_path: str | Path,
     chains_path: str | Path,
     demands_path: str | Path,
-    k: int,
+    k: int | None,
     nc: int | dict[str, int] = 1,
 ) -> ProblemInstance:
     """Load the three input files and assemble a validated ProblemInstance.
 
-    `nc` may be a single int (applied to every chain with demand) or a map
-    from chain id to instance count.
+    `k` None allows every NFV node to host. `nc` may be a single int
+    (applied to every chain with demand) or a map from chain id to instance
+    count.
     """
     topo = load_topology(topology_path)
     vnfs, chains = load_chains(chains_path)
@@ -344,4 +336,6 @@ def load_instance(
         nc_map = {c: nc for c in demands.chains}
     else:
         nc_map = dict(nc)
+    if k is None:
+        k = len(topo.nfv_nodes)
     return ProblemInstance(topo, vnfs, chains, demands, k=k, nc=nc_map)

@@ -1,7 +1,8 @@
 """Shortest-path machinery: hop-count all-pairs table and weighted Dijkstra.
 
-Hop distances drive the traffic grouping and the end-segment costs; they are
-held once, as an integer matrix over a node -> index map, so the grouping and
+Hop distances drive the traffic grouping and the end-segment costs. Each
+`Topology` builds its table once, as an integer matrix over a node -> index
+map, and every stage reads it through `all_pairs_hops`, so the grouping and
 the master read whole rows and columns of it instead of one pair at a time.
 The weighted variant serves the pricing subproblem, where arcs carry
 dual-adjusted prices. Both pick a canonical path deterministically: among all
@@ -14,10 +15,12 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .netmodel import Topology
+if TYPE_CHECKING:
+    from .netmodel import Topology
 
 
 class PathError(ValueError):
@@ -60,7 +63,14 @@ class PathTable:
 
 
 def all_pairs_hops(topology: Topology) -> PathTable:
-    """BFS-based all-pairs hop table over the directed arcs."""
+    """The topology's all-pairs hop table, built with it."""
+    return topology.paths
+
+
+def build_hop_table(topology: Topology) -> PathTable:
+    """BFS from every target over the directed arcs; raises PathError when
+    some node cannot reach a target, so a table exists only for a strongly
+    connected topology."""
     index = {v: i for i, v in enumerate(topology.node_ids)}
     hops = np.zeros((len(index), len(index)), dtype=np.int64)
     next_hop: dict[tuple[str, str], str] = {}

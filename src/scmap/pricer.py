@@ -29,7 +29,7 @@ from .master import (
     position_cores,
 )
 from .netmodel import ProblemInstance
-from .pathcore import PathTable, all_pairs_hops, shortest_path_weighted
+from .pathcore import all_pairs_hops, shortest_path_weighted
 
 EPS = 1e-6
 
@@ -51,14 +51,11 @@ class SegmentCostTable:
     path: dict
 
 
-def segment_cost_table(
-    instance: ProblemInstance, duals: DualPrices, paths: Optional[PathTable] = None
-) -> SegmentCostTable:
+def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentCostTable:
     """With no negative capacity dual every arc weighs 1, and the table is
-    read off the hop table (`paths`, or one built here): it breaks ties
-    toward the lexicographically smallest node sequence, as the Dijkstra
-    does. Otherwise each segment is a Dijkstra under the dual-scaled
-    weights."""
+    read off the topology's hop table: it breaks ties toward the
+    lexicographically smallest node sequence, as the Dijkstra does.
+    Otherwise each segment is a Dijkstra under the dual-scaled weights."""
     topo = instance.topology
     weights = {}
     for arc in topo.arc_index:
@@ -67,8 +64,7 @@ def segment_cost_table(
             raise PricerError(f"capacity dual for {arc} is positive ({mu})")
         weights[arc] = 1.0 - min(mu, 0.0)
     unit = all(w == 1.0 for w in weights.values())
-    if unit and paths is None:
-        paths = all_pairs_hops(topo)
+    paths = all_pairs_hops(topo)
     cost: dict = {}
     path: dict = {}
     for u in topo.nfv_nodes:

@@ -61,24 +61,17 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     status = _LP_STATUS.get(res.status, "stalled")
     if status != "optimal":
         return LpSolution(status=status, message=str(res.message))
-    # reduced costs c - A'y, taken from the signed matrices HiGHS was given
     duals = np.zeros(lp.n_rows)
-    rc = c.copy()
     if len(ub_rows):
-        marginals = res.ineqlin.marginals
         # marginal is d obj / d rhs of the *signed* row; undo the sign
-        duals[ub_rows] = marginals * ub_sign
-        rc -= A_ub.T @ marginals
+        duals[ub_rows] = res.ineqlin.marginals * ub_sign
     if len(eq_rows):
-        marginals = res.eqlin.marginals
-        duals[eq_rows] = marginals
-        rc -= A_eq.T @ marginals
+        duals[eq_rows] = res.eqlin.marginals
     return LpSolution(
         status="optimal",
         x=res.x.tolist(),
         objective=float(res.fun),
         duals=duals.tolist(),
-        reduced_costs=rc.tolist(),
     )
 
 

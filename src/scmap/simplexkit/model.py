@@ -109,7 +109,6 @@ class LpSolution:
     x: list[float] = field(default_factory=list)
     objective: float = math.nan
     duals: list[float] = field(default_factory=list)
-    reduced_costs: list[float] = field(default_factory=list)
     message: str = ""
 
     @property

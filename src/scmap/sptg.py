@@ -73,15 +73,10 @@ def _cover_entries(
     return np.concatenate(anchor_ids), np.concatenate(member_ids)
 
 
-def partition_chain(
-    instance: ProblemInstance,
-    chain: str,
-    paths: PathTable | None = None,
-) -> ChainPartition:
+def partition_chain(instance: ProblemInstance, chain: str) -> ChainPartition:
     """Partition a chain's demand pairs into exactly min(nc, |pairs|) groups,
     nc the instance's count for the chain."""
-    if paths is None:
-        paths = all_pairs_hops(instance.topology)
+    paths = all_pairs_hops(instance.topology)
     pairs = instance.pairs_for_chain(chain)
     if not pairs:
         raise ValueError(f"chain {chain!r} has no demand")
@@ -166,13 +161,6 @@ def _split(
     return [(group_anchor, np.flatnonzero(inside)), (best, cluster)]
 
 
-def partition_all(
-    instance: ProblemInstance, paths: PathTable | None = None
-) -> list[ChainPartition]:
+def partition_all(instance: ProblemInstance) -> list[ChainPartition]:
     """One partition per chain that has demand, chains in id order."""
-    if paths is None:
-        paths = all_pairs_hops(instance.topology)
-    return [
-        partition_chain(instance, chain, paths)
-        for chain in instance.chains_with_demand()
-    ]
+    return [partition_chain(instance, chain) for chain in instance.chains_with_demand()]

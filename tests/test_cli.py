@@ -3,7 +3,7 @@ import json
 import pytest
 from conftest import build_instance, save_instance
 
-from scmap import baselines, cli, engine, master, pathcore, sptg
+from scmap import baselines, cli, engine, netmodel
 from scmap.fixturedata import nsfnet_files, triangle_files
 
 
@@ -28,6 +28,46 @@ def nsfnet_at_cores(tmp_path, cores):
     starved = tmp_path / f"nsfnet{cores}.topology.json"
     starved.write_text(json.dumps(doc))
     return ["--topology", str(starved), "--chains", str(chains), "--demands", str(demands)]
+
+
+@pytest.fixture()
+def hop_table_builds(monkeypatch):
+    """Topology names, one per hop table built from here on."""
+    built = []
+    build = netmodel.build_hop_table
+
+    def counted(topology):
+        built.append(topology.name)
+        return build(topology)
+
+    monkeypatch.setattr(netmodel, "build_hop_table", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--nc", "1", "--k", "3"],
+        ["sweep", "--nc-list", "1,4", "--k-list", "1,3"],
+        ["lowerbound"],
+        ["lowerbound", "--k", "2"],
+    ],
+    ids=["solve", "sweep", "lowerbound", "lowerbound-k"],
+)
+def test_hop_table_is_built_once(argv, triangle_flags, tmp_path, hop_table_builds):
+    out = [] if argv[0] == "lowerbound" else ["--out", str(tmp_path / "out")]
+    assert run([*argv, *triangle_flags, *out]) == 0
+    assert len(hop_table_builds) == 1
+
+
+def test_solve_and_baselines_reuse_the_hop_table(hop_table_builds):
+    # a non-NFV middle node sends the per-pair value through engine.solve
+    inst = build_instance(["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "c")],
+                          nfv=["a", "c"])
+    assert len(hop_table_builds) == 1
+    engine.solve(inst)
+    assert baselines.baseline_report(inst).per_pair_from_engine
+    assert len(hop_table_builds) == 1
 
 
 class TestParseNc:
@@ -82,6 +122,20 @@ class TestSolve:
              "--k", "1", "--out", str(tmp_path / "p.json")]
         )
         assert code == 1
+
+    def test_colocation_cut_exits_2_and_names_itself(self, tmp_path, capsys):
+        topo, chains, demands = nsfnet_files()
+        doc = json.loads(topo.read_text())
+        for link in doc["links"]:
+            link["capacity_gbps"] = 40
+        links40 = tmp_path / "links40.topology.json"
+        links40.write_text(json.dumps(doc))
+        code = run(["solve", "--topology", str(links40), "--chains", str(chains),
+                    "--demands", str(demands), "--nc", "1", "--k", "14",
+                    "--out", str(tmp_path / "p.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "infeasible: chain instance sc3/0" in err and "must be co-located" in err
 
     def test_infeasible_maps_to_exit_2(self, tmp_path):
         inst = build_instance(
@@ -286,19 +340,6 @@ class TestSweep:
         assert code == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [r[2] for r in rows] == ["infeasible"]
-
-    def test_hop_table_is_built_once(self, triangle_flags, tmp_path, monkeypatch):
-        built = []
-
-        def counted(topology):
-            built.append(topology.name)
-            return pathcore.all_pairs_hops(topology)
-
-        for module in (cli, engine, sptg, master, baselines):
-            monkeypatch.setattr(module, "all_pairs_hops", counted)
-        assert run(["sweep", *triangle_flags, "--nc-list", "1,4", "--k-list", "1,3",
-                    "--out", str(tmp_path / "s.csv")]) == 0
-        assert len(built) == 1
 
     def test_cut_certified_cell_is_infeasible(self, tmp_path):
         # column generation itself proves nc=1 infeasible (too few cores in

@@ -73,8 +73,8 @@ class TestColumnGeneration:
             triangle_instance, partition_all(triangle_instance)
         )
         assert trace.converged
-        duals = model.last_duals
-        seg = segment_cost_table(triangle_instance, duals, model.paths)
+        _, duals = solve_relaxation(model)
+        seg = segment_cost_table(triangle_instance, duals)
         for ci in model.chain_instances:
             assert price_chain_instance(triangle_instance, ci, duals, seg) is None
 
@@ -272,6 +272,9 @@ class TestRelaxationPoint:
         assert calls == []
 
     def test_fractional_arc_flow_point_runs_the_mip(self, monkeypatch):
+        # the co-location cut refuses this instance before any LP solve;
+        # without the cut, column generation ends on a fractional point
+        monkeypatch.setattr(engine, "_colocation_cut", lambda *args: None)
         inst, model = self.nsfnet_at_30_gbps(1)
         x = model.last_relaxation.x
         assert any(abs(v - round(v)) > engine.INTEGRAL_TOL for v in x)
@@ -513,7 +516,8 @@ def test_core_bound_cells_keep_their_cg_path(
     # the master has no variable upper bounds, so its duals are dual
     # feasible: no pooled column prices out at convergence
     model = result.model
-    assert min(reduced_cost_of(model, model.last_duals, c) for c in model.pool) >= -1e-9
+    _, duals = solve_relaxation(model)
+    assert min(reduced_cost_of(model, duals, c) for c in model.pool) >= -1e-9
     # a run cut short reports a Lagrangian bound, never its RMP value,
     # which bounds the LP from above
     for max_iters in range(1, rounds):
@@ -605,6 +609,35 @@ def test_core_cut_refuses_before_any_lp_solve(monkeypatch):
     with pytest.raises(engine.Infeasible, match="placements require 2 cores but NFV nodes provide 1"):
         engine.solve(inst)
     assert lps == []
+
+
+@pytest.mark.parametrize("gbps", [30.0, 40.0])
+def test_colocation_cut_refuses_before_any_lp_solve(monkeypatch, gbps):
+    # at nc=1 the one 182 Gbps group is above every link, so it sits on one
+    # node, whose in- and out-links carry at most 4 x gbps of the 169 Gbps
+    # from and to the other 13 nodes
+    inst = with_capacity(load_instance(*nsfnet_files(), k=14, nc=1), gbps)
+    solves = []
+    monkeypatch.setattr(highs, "solve_lp", lambda *a, **kw: solves.append("lp"))
+    monkeypatch.setattr(highs, "solve_mip", lambda *a, **kw: solves.append("mip"))
+    with pytest.raises(engine.Infeasible) as err:
+        engine.solve(inst)
+    msg = str(err.value)
+    assert "sc3/0 carries 182 Gbps" in msg and "must be co-located" in msg
+    assert "the closest, 06, needs 169 Gbps in over" in msg
+    assert msg.endswith("(relative to the demand grouping)")
+    assert solves == []
+
+
+@pytest.mark.parametrize(
+    "files, nc, gbps",
+    [(nsfnet_files, 4, 30.0), (nsfnet_files, 4, 40.0)]
+    + [(cost239_files, nc, gbps) for nc in (1, 4) for gbps in (30.0, 40.0, 50.0)],
+)
+def test_colocation_cut_passes_plannable_cells(files, nc, gbps):
+    inst = with_capacity(load_instance(*files(), k=2, nc=nc), gbps)
+    cis = chain_instances(inst, partition_all(inst))
+    assert engine._colocation_cut(inst, cis) is None
 
 
 def test_pool_holds_only_columns_that_fit():

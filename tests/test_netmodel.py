@@ -81,8 +81,10 @@ def test_disconnected_topology_rejected():
     nodes = [NodeSpec(v, True, 1) for v in "abcd"]
     arcs = [ArcSpec("a", "b", 1.0), ArcSpec("b", "a", 1.0),
             ArcSpec("c", "d", 1.0), ArcSpec("d", "c", 1.0)]
-    with pytest.raises(ValidationError, match="connected"):
+    with pytest.raises(ValidationError, match="connected") as err:
         Topology("t", nodes, arcs)
+    # the BFS toward the first node names it and the nodes that cannot reach it
+    assert "no path to 'a' from ['c', 'd']" in str(err.value)
 
 
 def test_nonpositive_capacity_rejected():

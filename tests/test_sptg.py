@@ -117,15 +117,15 @@ def test_group_count_monotone_in_nc():
         assert counts == sorted(counts)
 
 
-def test_partition_deterministic(nsfnet_instance, nsfnet_paths):
+def test_partition_deterministic(nsfnet_instance):
     inst = with_nc(nsfnet_instance, 8)
-    a = partition_chain(inst, "sc3", nsfnet_paths)
-    b = partition_chain(inst, "sc3", nsfnet_paths)
+    a = partition_chain(inst, "sc3")
+    b = partition_chain(inst, "sc3")
     assert partitions_to_json([a]) == partitions_to_json([b])
 
 
-def test_nsfnet_34_groups(nsfnet_instance, nsfnet_paths):
-    part = partition_chain(with_nc(nsfnet_instance, 34), "sc3", nsfnet_paths)
+def test_nsfnet_34_groups(nsfnet_instance):
+    part = partition_chain(with_nc(nsfnet_instance, 34), "sc3")
     assert len(part.groups) == 34
     sizes = sorted((len(g.members) for g in part.groups), reverse=True)
     assert sum(sizes) == 182
@@ -188,9 +188,9 @@ NSFNET_PARTITION_SHA256 = {
 
 
 @pytest.mark.parametrize("nc", sorted(NSFNET_PARTITION_SHA256))
-def test_nsfnet_partitions_golden(nc, nsfnet_paths):
+def test_nsfnet_partitions_golden(nc):
     inst = load_instance(*nsfnet_files(), k=14, nc=nc)
-    dump = partitions_to_json(partition_all(inst, nsfnet_paths))
+    dump = partitions_to_json(partition_all(inst))
     assert hashlib.sha256(dump.encode()).hexdigest() == NSFNET_PARTITION_SHA256[nc]
 
 
@@ -200,7 +200,7 @@ def groups_of(part):
 
 def assert_matches_reference(inst, paths, nc):
     for chain in inst.chains_with_demand():
-        got = partition_chain(with_nc(inst, nc), chain, paths)
+        got = partition_chain(with_nc(inst, nc), chain)
         want = reference_partition(inst, chain, paths, nc)
         assert groups_of(got) == groups_of(want), (chain, nc)
 
