@@ -1,11 +1,14 @@
 """Pipeline orchestration: grouping, column generation, integer solve.
 
-The flow is necessary cuts -> master with its Phase-I artificials ->
-iterate (relax, price, extend) -> integer selection -> decode ->
-independent validation. The relaxation carries no hosting budget,
-so one converged model serves every k of a sweep and only the integer
-selection reads k. The price is a k-blind `lp_bound`: the same at every k,
-and the reported `gap` is measured against it.
+The flow is necessary cuts -> master with its Phase-I artificials and
+one-host columns -> iterate (relax, price, extend) -> integer selection ->
+decode -> independent validation. On a compact master where no core row
+binds, a round's relaxation is solved in closed form, each chain instance
+at its cheapest pooled column with ties to the lowest pool position (see
+`scmap.master`); otherwise HiGHS solves it. The relaxation carries no
+hosting budget, so one converged model serves every k of a sweep and only
+the integer selection reads k. The price is a k-blind `lp_bound`: the same
+at every k, and the reported `gap` is measured against it.
 
 The final selection is automatic and tries, in order: the relaxation
 point, the host-set bound, the selection program, the full program. When
@@ -39,13 +42,13 @@ import numpy as np
 from .master import (
     FIT_TOL,
     ChainInstance,
-    Configuration,
     RmpModel,
+    add_colocated_columns,
     add_column,
     build_final_ilp,
     build_rmp,
-    fits,
-    make_configuration,
+    chain_instances,
+    core_loads,
     placement_faults,
     solve_relaxation,
 )
@@ -75,6 +78,7 @@ class CgIteration:
     columns_added: int
     best_reduced_cost: float
     wall_ms: float
+    relaxation: str  # how the round's relaxation was solved: "closed_form" or "highs"
 
 
 @dataclass
@@ -126,11 +130,6 @@ class SolveResult:
     trace: CgTrace
     model: RmpModel
     partitions: list
-
-
-def _colocated(ci: ChainInstance, node: str) -> Configuration:
-    n = len(ci.vnfs)
-    return make_configuration(ci, (node,) * n, ((),) * (n - 1))
 
 
 def _no_placement(instance: ProblemInstance, ci: ChainInstance) -> Infeasible:
@@ -256,9 +255,10 @@ def run_column_generation(
 
     A necessary cut of `diagnose_infeasibility`, or `_colocation_cut` on the
     grouped chain instances, that fires is a proof that no plan exists, so
-    it raises `Infeasible` before any LP solve. The master starts from its
-    artificial columns alone (each stands for its chain instance left
-    unserved), so it is feasible from the first solve and needs no seed. A
+    it raises `Infeasible` before the master is built. The master's
+    artificial columns (each stands for its chain instance left unserved)
+    make it feasible from the first solve, so it needs no seed; its
+    one-host columns are pooled as one block before the first round. A
     chain instance that fits on no placement raises the `_no_placement`
     certificate when the pricer finds none.
 
@@ -277,17 +277,14 @@ def run_column_generation(
     hints = diagnose_infeasibility(instance)
     if hints:
         raise Infeasible("no plan exists: " + "; ".join(hints))
-    model = build_rmp(instance, partitions)
-    cut = _colocation_cut(instance, model.chain_instances)
+    partitions = tuple(partitions)
+    cut = _colocation_cut(instance, chain_instances(instance, partitions))
     if cut:
         raise cut
+    model = build_rmp(instance, partitions)
     # fallback columns: a co-located configuration at every NFV node where it
     # fits, so the integer stage has every one-host choice that exists
-    for ci in model.chain_instances:
-        for v in instance.topology.nfv_nodes:
-            config = _colocated(ci, v)
-            if fits(instance, ci, config.locations):
-                add_column(model, config)
+    add_colocated_columns(model)
 
     trace = CgTrace()
     pool_dirty = True
@@ -321,7 +318,9 @@ def run_column_generation(
                 pool_dirty = True
         bound = max(bound, lagrangian)
         last = time.perf_counter() - tick
-        trace.iterations.append(CgIteration(it, sol.objective, added, best_rc, last * 1e3))
+        trace.iterations.append(
+            CgIteration(it, sol.objective, added, best_rc, last * 1e3, sol.method)
+        )
         if added == 0:
             trace.converged = True
             break
@@ -339,11 +338,11 @@ def run_column_generation(
 
 
 def write_trace_csv(trace: CgTrace, fh: IO[str]) -> None:
-    fh.write("iter,objective,columns_added,best_rc,wall_ms\n")
+    fh.write("iter,objective,columns_added,best_rc,wall_ms,relaxation\n")
     for row in trace.iterations:
         fh.write(
             f"{row.iteration},{row.objective:.6f},{row.columns_added},"
-            f"{row.best_reduced_cost:.6f},{row.wall_ms:.1f}\n"
+            f"{row.best_reduced_cost:.6f},{row.wall_ms:.1f},{row.relaxation}\n"
         )
 
 
@@ -589,10 +588,8 @@ def _host_set_plan(instance: ProblemInstance, model: RmpModel) -> Optional[Mappi
         return None
     ends = [*starts[1:], len(order)]
     chosen = {model.zvar[order[a + int(np.argmin(scored[h, a:b]))]] for a, b in zip(starts, ends)}
-    for r in model.core_row.values():
-        row = model.lp.rows[r]
-        if sum(a for j, a in row.coeffs if j in chosen) > row.rhs + FIT_TOL:
-            return None
+    if any(load > cores + FIT_TOL for load, cores in core_loads(model, chosen)):
+        return None
     x = [1.0 if var in chosen else 0.0 for var in range(model.lp.n_vars)]
     return _validated(instance, _decode(instance, model, x, model.zvar, False))
 

@@ -42,8 +42,17 @@ lead-ins and the sink rows of its lead-outs. So the master is feasible with
 no configuration column at all, and needs no seed. An artificial never
 enters the integer selection, and since every plan is feasible with it at
 zero, the LP value still bounds every plan from below.
-Columns arrive from the pricer; rows never change shape after
+Columns arrive from the pricer, after the one-host columns that
+`add_colocated_columns` pools as one block; rows never change shape after
 `build_rmp`, so duals keep stable meaning across iterations.
+
+When no core row binds, the compact master's relaxation separates: each
+chain instance takes its cheapest pooled column, the lowest pool position
+among equals, and `solve_relaxation` returns that point with its duals in
+closed form (`_closed_form`), without HiGHS. Those duals are the unique
+optimal ones, so pricing is the same either way, and a plan read off such
+a point does not depend on how HiGHS breaks ties. Every other relaxation
+goes to HiGHS.
 
 The hosting budget k is not part of the relaxation, so its bound is the
 same at every k; hosting flags and the budget row enter only the integer
@@ -172,6 +181,8 @@ class RmpModel:
     end_cost: dict = field(default_factory=dict)
     # (key, position, node) -> [(end-flow row, coefficient)] of a column placing there
     end_rows: dict = field(default_factory=dict)
+    # key -> end cost of its one-host column at each NFV node, in `nfv_nodes` order
+    colocated_cost: dict = field(default_factory=dict)
     artificial: dict = field(default_factory=dict)  # key -> LP variable
     pool: list = field(default_factory=list)
     zvar: list = field(default_factory=list)  # pool position -> LP variable
@@ -398,6 +409,7 @@ def build_rmp(
         by_dst = np.bincount(dst, weights=gbps, minlength=len(ix))
         into = (by_src[:, None] * hops_in).sum(axis=0)
         out = (by_dst[:, None] * hops_out).sum(axis=0)
+        model.colocated_cost[ci.key] = into + out
         last = len(ci.vnfs) - 1
         for v, lead_in, lead_out in zip(nfv, into.tolist(), out.tolist()):
             # lead-ins end at position 0 and lead-outs start at the last one,
@@ -523,6 +535,20 @@ def column_cost(model: RmpModel, config: Configuration) -> float:
     )
 
 
+def _pool(
+    model: RmpModel, ci: ChainInstance, config: Configuration, cost: float, coeffs: list
+) -> int:
+    """Append `config` of `ci` as a z column of objective `cost` with the
+    (row, coefficient) pairs `coeffs`."""
+    pos = len(model.pool)
+    var = model.lp.add_column(f"z[{ci.label}/{pos}]", cost, coeffs)
+    model.pool.append(config)
+    model.zvar.append(var)
+    model.pool_by_instance[ci.key].append(pos)
+    model.config_index[config.key] = var
+    return var
+
+
 def add_column(model: RmpModel, config: Configuration) -> int:
     """Append one z column; exact duplicates return the existing variable.
 
@@ -543,19 +569,96 @@ def add_column(model: RmpModel, config: Configuration) -> int:
             f"{ci.label}: configuration at {config.locations} does not fit the "
             f"nodes' cores on its own"
         )
-    pos = len(model.pool)
-    var = model.lp.add_variable(f"z[{ci.label}/{pos}]", 0.0, obj=column_cost(model, config))
-    for row, coef in column_coefficients(model, config).items():
-        model.lp.add_coefficient(row, var, coef)
-    model.pool.append(config)
-    model.zvar.append(var)
-    model.pool_by_instance[key].append(pos)
-    model.config_index[config.key] = var
-    return var
+    coeffs = list(column_coefficients(model, config).items())
+    return _pool(model, ci, config, column_cost(model, config), coeffs)
+
+
+def add_colocated_columns(model: RmpModel) -> None:
+    """Pool every one-host column that fits: each chain instance, in order,
+    placed whole on each NFV node, in order, whose cores take it.
+
+    These are the columns `add_column` would pool one by one, with the same
+    costs and coefficients, built as one block: a one-host column is valid
+    by construction, fits where the instance's whole need is within the
+    node's cores, costs its end segments (`colocated_cost`), and carries its
+    convexity row, its node's core row and, on an arc-flow master, that
+    node's end-flow rows.
+    """
+    instance = model.instance
+    topo = instance.topology
+    nfv = topo.nfv_nodes
+    cores = np.array([topo.node_by_id[v].cores for v in nfv], dtype=float)
+    for ci in model.chain_instances:
+        n = len(ci.vnfs)
+        # the need and the core coefficient round as in `fits` and
+        # `column_coefficients`, so the pool is the one they would give
+        rate = sum(instance.chain_cores_per_gbps(ci.chain))
+        fit = sum(position_cores(instance, ci)) <= cores + FIT_TOL
+        ends = sorted({0, n - 1})
+        for v, ok, cost in zip(nfv, fit.tolist(), model.colocated_cost[ci.key].tolist()):
+            if not ok:
+                continue
+            config = Configuration(ci.chain, ci.group_index, (v,) * n, ((),) * (n - 1), 0.0)
+            if config.key in model.config_index:
+                continue
+            coeffs = {model.conv_row[ci.key]: 1.0}
+            if rate:
+                coeffs[model.core_row[v]] = ci.total_gbps * rate
+            for pos in ends:
+                coeffs.update(model.end_rows.get((ci.key, pos, v), ()))
+            _pool(model, ci, config, cost, list(coeffs.items()))
+
+
+def core_loads(model: RmpModel, chosen) -> list:
+    """(cores taken, cores held) of every core row, the z columns `chosen`
+    (LP variables) at 1 and the rest at 0."""
+    rows = [model.lp.rows[r] for r in model.core_row.values()]
+    return [(sum(a for j, a in row.coeffs if j in chosen), row.rhs) for row in rows]
+
+
+def _closed_form(model: RmpModel) -> Optional[LpSolution]:
+    """The compact master's optimum when no core row binds, or None.
+
+    Every chain instance takes its cheapest pooled column (the lowest pool
+    position among equals). If those columns leave every core row more than
+    `FIT_TOL` below its cores, the point is optimal with convexity duals at
+    those costs and core duals at 0: each z column's reduced cost is its
+    cost less its instance's least, each artificial costs more than that
+    least, and the two objectives are equal. The core rows are slack at
+    this optimum, so complementary slackness makes the dual unique, the
+    one HiGHS returns. None on an arc-flow master, when some instance has
+    no pooled column or an artificial no dearer than its columns, or when
+    a core row is within `FIT_TOL` of binding.
+    """
+    if not model.compact:
+        return None
+    lp = model.lp
+    obj = [lp.variables[var].obj for var in model.zvar]
+    x = [0.0] * lp.n_vars
+    duals = [0.0] * lp.n_rows
+    chosen = set()
+    for ci in model.chain_instances:
+        group = model.pool_by_instance[ci.key]
+        if not group:
+            return None
+        p = min(group, key=obj.__getitem__)
+        if obj[p] >= lp.variables[model.artificial[ci.key]].obj:
+            return None
+        chosen.add(model.zvar[p])
+        x[model.zvar[p]] = 1.0
+        duals[model.conv_row[ci.key]] = obj[p]
+    if any(load >= cores - FIT_TOL for load, cores in core_loads(model, chosen)):
+        return None
+    objective = sum(duals[model.conv_row[ci.key]] for ci in model.chain_instances)
+    return LpSolution(
+        status="optimal", x=x, objective=objective, duals=duals, method="closed_form"
+    )
 
 
 def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
-    sol = highs.solve_lp(model.lp)
+    """The master's LP optimum and its duals: in closed form on a compact
+    master where no core row binds (`_closed_form`), else from HiGHS."""
+    sol = _closed_form(model) or highs.solve_lp(model.lp)
     if not sol.optimal:
         raise MasterError(f"relaxation not solved to optimality: {sol.status} ({sol.message})")
     duals = sol.duals
@@ -566,14 +669,17 @@ def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
             raise MasterError(f"{label}: <=-row dual {d} is positive beyond tolerance")
         return min(d, 0.0)
 
+    # end charges: end-flow duals times their coefficients (arc-flow masters
+    # only), less the end cost
+    end = {k: -cost for k, cost in model.end_cost.items()}
+    for k, rows in model.end_rows.items():
+        if k in end:
+            end[k] += sum(a * duals[r] for r, a in rows)
     prices = DualPrices(
         convexity={ci.key: duals[model.conv_row[ci.key]] for ci in model.chain_instances},
         core={v: clamped(r, f"core[{v}]") for v, r in model.core_row.items()},
         capacity={a: clamped(r, f"cap[{a}]") for a, r in model.cap_row.items()},
-        end={
-            k: sum(a * duals[r] for r, a in model.end_rows.get(k, ())) - cost
-            for k, cost in model.end_cost.items()
-        },
+        end=end,
     )
     model.last_relaxation = sol
     return sol, prices

@@ -164,6 +164,10 @@ class ProblemInstance:
     demands: DemandSet
     k: int
     nc: dict[str, int]  # requested instance count per chain id
+    # chain id -> per-position cores/Gbps, read once from `vnfs`
+    cores_per_gbps: dict[str, tuple[float, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         nfv = self.topology.nfv_nodes
@@ -180,6 +184,10 @@ class ProblemInstance:
         for f in self.vnfs.values():
             if not 0 <= f.cores_per_gbps < math.inf:
                 raise ValidationError(f"vnf {f.id!r} cores_per_gbps must be finite and >= 0")
+        self.cores_per_gbps = {
+            cid: tuple(self.vnfs[f].cores_per_gbps for f in c.vnfs)
+            for cid, c in self.chains.items()
+        }
         for r in self.demands.records:
             for v in (r.src, r.dst):
                 if v not in self.topology.node_by_id:
@@ -212,7 +220,7 @@ class ProblemInstance:
 
     def chain_cores_per_gbps(self, chain: str) -> list[float]:
         """Per-position cores/Gbps for the chain's VNF sequence."""
-        return [self.vnfs[f].cores_per_gbps for f in self.chains[chain].vnfs]
+        return list(self.cores_per_gbps[chain])
 
 
 # -- file ingestion ----------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -40,18 +40,23 @@ class PathTable:
     index: dict[str, int]  # node -> row and column of `hops`
     hops: np.ndarray  # integer matrix
     next_hop: dict[tuple[str, str], str]
+    # (u, w) -> arcs of the canonical path, filled as `path_arcs` walks them
+    _arcs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def distance(self, u: str, w: str) -> int:
         return int(self.hops[self.index[u], self.index[w]])
 
     def path_arcs(self, u: str, w: str) -> list[tuple[str, str]]:
         """Arc list of the canonical shortest path (empty when u == w)."""
-        arcs = []
-        while u != w:
-            v = self.next_hop[(u, w)]
-            arcs.append((u, v))
-            u = v
-        return arcs
+        arcs = self._arcs.get((u, w))
+        if arcs is None:
+            walk, v = [], u
+            while v != w:
+                nxt = self.next_hop[(v, w)]
+                walk.append((v, nxt))
+                v = nxt
+            arcs = self._arcs[(u, w)] = tuple(walk)
+        return list(arcs)
 
     def path_node_seq(self, u: str, w: str) -> list[str]:
         """Node sequence of the canonical shortest path, endpoints included."""

@@ -42,20 +42,23 @@ class PricerError(ValueError):
 class SegmentCostTable:
     """Cheapest inter-location segments under 1-per-Gbps arc weights.
 
-    `cost[(u, w)]` is the weighted hop cost for one Gbps; a chain instance
-    scales it by its group demand, which leaves the argmin paths unchanged,
-    so one table serves every instance under the same duals.
+    `matrix[i, j]` is the weighted hop cost for one Gbps from the i-th to
+    the j-th NFV node (`Topology.nfv_nodes` order), and `path[(u, w)]` its
+    arcs; a chain instance scales the matrix by its group demand, which
+    leaves the argmin paths unchanged, so one table serves every instance
+    under the same duals.
     """
 
-    cost: dict
+    matrix: np.ndarray
     path: dict
 
 
 def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentCostTable:
     """With no negative capacity dual every arc weighs 1, and the table is
-    read off the topology's hop table: it breaks ties toward the
-    lexicographically smallest node sequence, as the Dijkstra does.
-    Otherwise each segment is a Dijkstra under the dual-scaled weights."""
+    read off the topology's hop table, its matrix one slice of the hop
+    matrix: it breaks ties toward the lexicographically smallest node
+    sequence, as the Dijkstra does. Otherwise each segment is a Dijkstra
+    under the dual-scaled weights."""
     topo = instance.topology
     weights = {}
     for arc in topo.arc_index:
@@ -65,21 +68,23 @@ def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentC
         weights[arc] = 1.0 - min(mu, 0.0)
     unit = all(w == 1.0 for w in weights.values())
     paths = all_pairs_hops(topo)
-    cost: dict = {}
-    path: dict = {}
-    for u in topo.nfv_nodes:
-        for w in topo.nfv_nodes:
+    nfv = topo.nfv_nodes
+    if unit:
+        at = [paths.index[v] for v in nfv]
+        matrix = paths.hops[np.ix_(at, at)].astype(float)
+        path = {(u, w): tuple(paths.path_arcs(u, w)) for u in nfv for w in nfv}
+        return SegmentCostTable(matrix=matrix, path=path)
+    matrix = np.zeros((len(nfv), len(nfv)))
+    path = {}
+    for i, u in enumerate(nfv):
+        for j, w in enumerate(nfv):
             if u == w:
-                cost[(u, w)] = 0.0
                 path[(u, w)] = ()
-            elif unit:
-                cost[(u, w)] = float(paths.distance(u, w))
-                path[(u, w)] = tuple(paths.path_arcs(u, w))
-            else:
-                c, arcs = shortest_path_weighted(topo, weights, u, w)
-                cost[(u, w)] = c
-                path[(u, w)] = tuple(arcs)
-    return SegmentCostTable(cost=cost, path=path)
+                continue
+            cost, arcs = shortest_path_weighted(topo, weights, u, w)
+            matrix[i, j] = cost
+            path[(u, w)] = tuple(arcs)
+    return SegmentCostTable(matrix=matrix, path=path)
 
 
 def _fitting_argmin(
@@ -156,7 +161,7 @@ def best_configuration(
         ]
         for pos in range(len(need))
     ]
-    seg = [[dgroup * seg_table.cost[(v, w)] for w in nfv] for v in nfv]
+    seg = (dgroup * seg_table.matrix).tolist()
     cost, picked = _fitting_argmin(node_cost, seg, need, [float(node[v].cores) for v in nfv])
     if picked is None:
         raise PricerError(f"{ci.label}: no placement fits the nodes' cores")

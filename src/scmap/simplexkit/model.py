@@ -34,7 +34,7 @@ class Row:
 class LinearProgram:
     """Minimization program with bounded variables and sparse rows.
 
-    Columns may be appended after rows exist (`add_coefficient`), which is how
+    Columns may be appended after rows exist (`add_column`), which is how
     the master problem grows during column generation.
     """
 
@@ -83,14 +83,21 @@ class LinearProgram:
         self.rows.append(Row(name or f"r{len(self.rows)}", list(coeffs), relation, rhs))
         return len(self.rows) - 1
 
-    def add_coefficient(self, row: int, var: int, coef: float) -> None:
-        if not 0 <= row < len(self.rows):
-            raise LpError(f"row index {row} out of range")
-        if not 0 <= var < len(self.variables):
-            raise LpError(f"variable index {var} out of range")
-        if not math.isfinite(coef):
-            raise LpError("non-finite coefficient")
-        self.rows[row].coeffs.append((var, coef))
+    def add_column(self, name: str, obj: float, coeffs: list[tuple[int, float]]) -> int:
+        """Append a variable in [0, inf) with its (row, coefficient) entries
+        in existing rows."""
+        if not math.isfinite(obj):
+            raise LpError(f"variable {name!r}: objective must be finite")
+        for row, coef in coeffs:
+            if not 0 <= row < len(self.rows):
+                raise LpError(f"variable {name!r}: row index {row} out of range")
+            if not math.isfinite(coef):
+                raise LpError(f"variable {name!r}: non-finite coefficient")
+        var = len(self.variables)
+        self.variables.append(Variable(name, 0.0, math.inf, obj))
+        for row, coef in coeffs:
+            self.rows[row].coeffs.append((var, coef))
+        return var
 
     def clone(self, integer_all: bool = False) -> "LinearProgram":
         out = LinearProgram(self.name)
@@ -110,6 +117,7 @@ class LpSolution:
     objective: float = math.nan
     duals: list[float] = field(default_factory=list)
     message: str = ""
+    method: str = "highs"  # what found it: HiGHS, or "closed_form" (scmap.master)
 
     @property
     def optimal(self) -> bool:

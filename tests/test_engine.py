@@ -101,7 +101,7 @@ class TestColumnGeneration:
         buf = io.StringIO()
         engine.write_trace_csv(trace, buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "iter,objective,columns_added,best_rc,wall_ms"
+        assert lines[0] == "iter,objective,columns_added,best_rc,wall_ms,relaxation"
         assert len(lines) == 1 + len(trace.iterations)
 
 
@@ -620,13 +620,14 @@ def test_colocation_cut_refuses_before_any_lp_solve(monkeypatch, gbps):
     solves = []
     monkeypatch.setattr(highs, "solve_lp", lambda *a, **kw: solves.append("lp"))
     monkeypatch.setattr(highs, "solve_mip", lambda *a, **kw: solves.append("mip"))
+    monkeypatch.setattr(engine, "build_rmp", lambda *a, **kw: solves.append("build"))
     with pytest.raises(engine.Infeasible) as err:
         engine.solve(inst)
     msg = str(err.value)
     assert "sc3/0 carries 182 Gbps" in msg and "must be co-located" in msg
     assert "the closest, 06, needs 169 Gbps in over" in msg
     assert msg.endswith("(relative to the demand grouping)")
-    assert solves == []
+    assert solves == []  # no master built, no LP or MIP solved
 
 
 @pytest.mark.parametrize(

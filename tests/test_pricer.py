@@ -119,10 +119,11 @@ class TestSegmentTable:
             end={},
         )
         priced = segment_cost_table(inst, duals)
-        assert flat.cost[("a", "b")] == pytest.approx(1.0)
-        assert priced.cost[("a", "b")] == pytest.approx(2.0)
+        # rows and columns follow the NFV nodes a, b, c
+        assert flat.matrix[0, 1] == pytest.approx(1.0)
+        assert priced.matrix[0, 1] == pytest.approx(2.0)
         # the penalized arc may be bypassed when an alternative is cheaper
-        assert priced.cost[("a", "c")] <= flat.cost[("a", "c")] + 2.0
+        assert priced.matrix[0, 2] <= flat.matrix[0, 2] + 2.0
 
     def test_unit_weights_read_the_hop_table_as_dijkstra_would(self, nsfnet_instance):
         # under zero duals the table comes from the hop table; the Dijkstra
@@ -130,12 +131,13 @@ class TestSegmentTable:
         topo = nsfnet_instance.topology
         table = segment_cost_table(nsfnet_instance, zero_duals())
         unit = {arc: 1.0 for arc in topo.arc_index}
-        for u in topo.nfv_nodes:
-            for w in topo.nfv_nodes:
+        for i, u in enumerate(topo.nfv_nodes):
+            for j, w in enumerate(topo.nfv_nodes):
                 if u == w:
+                    assert table.matrix[i, j] == 0.0 and table.path[(u, w)] == ()
                     continue
                 cost, arcs = shortest_path_weighted(topo, unit, u, w)
-                assert table.cost[(u, w)] == cost
+                assert table.matrix[i, j] == cost
                 assert table.path[(u, w)] == tuple(arcs)
 
 

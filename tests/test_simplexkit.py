@@ -202,6 +202,16 @@ def test_model_validation():
         lp.add_constraint([(0, 1.0)], "<", 1.0)
     with pytest.raises(LpError):
         lp.add_constraint([(0, math.nan)], LE, 1.0)
+    row = lp.add_constraint([(0, 1.0)], LE, 1.0)
+    with pytest.raises(LpError):
+        lp.add_column("y", math.inf, [(row, 1.0)])
+    with pytest.raises(LpError):
+        lp.add_column("y", 1.0, [(row + 1, 1.0)])
+    with pytest.raises(LpError):
+        lp.add_column("y", 1.0, [(row, math.nan)])
+    assert lp.n_vars == 1 and lp.rows[row].coeffs == [(0, 1.0)]
+    assert lp.add_column("y", 1.0, [(row, 2.0)]) == 1
+    assert lp.rows[row].coeffs == [(0, 1.0), (1, 2.0)]
 
 
 # -- oracle batteries ---------------------------------------------------------
