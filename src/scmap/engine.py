@@ -5,7 +5,11 @@ one-host columns -> iterate (relax, price, extend) -> integer selection ->
 decode -> independent validation. On a compact master where no core row
 binds, a round's relaxation is solved in closed form, each chain instance
 at its cheapest pooled column with ties to the lowest pool position (see
-`scmap.master`); otherwise HiGHS solves it. The relaxation carries no
+`scmap.master`); otherwise HiGHS solves it. Pricing searches only the
+chain instances whose round bound (`scmap.pricer`) is below -EPS or that
+have no pooled column. A decoded plan is validated with the loads its
+decode summed; `validate_plan` sums them afresh for any plan it is handed.
+The relaxation carries no
 hosting budget, so one converged model serves every k of a sweep and only
 the integer selection reads k. The price is a k-blind `lp_bound`: the same
 at every k, and the reported `gap` is measured against it.
@@ -34,6 +38,7 @@ import json
 import logging
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Optional
 
@@ -49,18 +54,24 @@ from .master import (
     build_rmp,
     chain_instances,
     core_loads,
+    node_cores,
     placement_faults,
     solve_relaxation,
 )
 from .netmodel import ProblemInstance
 from .pathcore import all_pairs_hops, path_nodes, route_fault
-from .pricer import PricerError, price_chain_instance, segment_cost_table
+from .pricer import (
+    EPS,
+    PricerError,
+    PricingRound,
+    price_chain_instance,
+    price_round,
+    segment_cost_table,
+)
 from .simplexkit import highs
 from .sptg import ChainPartition, partition_all
 
 log = logging.getLogger(__name__)
-
-Arc = tuple[str, str]
 
 
 class EngineError(RuntimeError):
@@ -258,8 +269,9 @@ def run_column_generation(
     it raises `Infeasible` before the master is built. The master's
     artificial columns (each stands for its chain instance left unserved)
     make it feasible from the first solve, so it needs no seed; its
-    one-host columns are pooled as one block before the first round. A
-    chain instance that fits on no placement raises the `_no_placement`
+    one-host columns are pooled as one block before the first round. Each
+    round prices only the chain instances `_to_price` names. A chain
+    instance that fits on no placement raises the `_no_placement`
     certificate when the pricer finds none.
 
     `time_limit` (seconds) counts from the call, so it covers the RMP build.
@@ -297,13 +309,15 @@ def run_column_generation(
             break
         sol, duals = solve_relaxation(model)
         pool_dirty = False
-        seg = segment_cost_table(instance, duals)
+        pricing = price_round(
+            instance, model.chain_instances, duals, segment_cost_table(instance, duals)
+        )
         added = 0
         best_rc = 0.0
         lagrangian = sol.objective
-        for ci in model.chain_instances:
+        for ci in _to_price(model, pricing):
             try:
-                priced = price_chain_instance(instance, ci, duals, seg)
+                priced = price_chain_instance(instance, ci, pricing)
             except PricerError as exc:
                 raise _no_placement(instance, ci) from exc
             if priced is None:
@@ -335,6 +349,20 @@ def run_column_generation(
             len(model.pool),
         )
     return model, trace
+
+
+def _to_price(model: RmpModel, pricing: PricingRound) -> list:
+    """The chain instances a round must search: those whose sweep bound is
+    below -EPS, and those with no pooled column, which may fit nowhere.
+
+    The bound never exceeds an instance's least reduced cost, so no column
+    of any other instance prices out; they would return None.
+    """
+    return [
+        ci
+        for ci in model.chain_instances
+        if pricing.bound[ci.index] < -EPS or not model.pool_by_instance[ci.key]
+    ]
 
 
 def write_trace_csv(trace: CgTrace, fh: IO[str]) -> None:
@@ -382,35 +410,37 @@ def _peel_walks(flow: dict, start: str, end: str, n: int, label: str) -> list:
 
 
 def _aggregate(instance: ProblemInstance, assignments) -> tuple[dict, dict, tuple]:
-    """Recompute arc loads, node core use, and hosting set from raw routes."""
-    loads: dict = {}
+    """Recompute arc loads, node core use, and hosting set from raw routes.
+
+    The Gbps on each distinct route (an arc tuple) is summed first, so each
+    one's arcs are walked once however many pairs share it.
+    """
+    carried: dict = {}  # route -> Gbps along it
     cores: dict = {}
     hosting = set()
-
-    def put(arc: Arc, gbps: float) -> None:
-        loads[arc] = loads.get(arc, 0.0) + gbps
-
+    gbps_of = instance.demands.gbps
     for asg in assignments:
         per_gbps = instance.chain_cores_per_gbps(asg.chain)
         routed = []
         for route in asg.routes:
-            gbps = instance.demands.gbps.get((asg.chain, route.src, route.dst))
+            gbps = gbps_of.get((asg.chain, route.src, route.dst))
             # a route with no demand record carries nothing; validate_plan
             # reports it as a coverage fault of its own
             if gbps is not None:
                 routed.append((route, gbps))
         dgroup = sum(gbps for _, gbps in routed)
         for seg in asg.segment_paths:
-            for arc in seg:
-                put(arc, dgroup)
+            carried[seg] = carried.get(seg, 0.0) + dgroup
         for route, gbps in routed:
-            for arc in route.first_arcs:
-                put(arc, gbps)
-            for arc in route.last_arcs:
-                put(arc, gbps)
+            for arcs in (route.first_arcs, route.last_arcs):
+                carried[arcs] = carried.get(arcs, 0.0) + gbps
         for pos, v in enumerate(asg.locations):
             cores[v] = cores.get(v, 0.0) + dgroup * per_gbps[pos]
             hosting.add(v)
+    loads: dict = {}
+    for arcs, gbps in carried.items():
+        for arc in arcs:
+            loads[arc] = loads.get(arc, 0.0) + gbps
     return loads, cores, tuple(sorted(hosting))
 
 
@@ -439,26 +469,29 @@ def _decode(
 ) -> MappingPlan:
     """The plan an integer point `x` selects; `zvar` maps pool positions to
     its z variables. `full` points route their ends by their end flows,
-    others along hop-shortest paths."""
+    others along hop-shortest paths, each the hop table's own route tuple."""
     paths = all_pairs_hops(instance.topology)
-    assignments = []
+    picked = np.flatnonzero(np.asarray(x)[zvar] > 0.5)
+    count = np.bincount(model.z_ci[picked], minlength=len(model.chain_instances))
     for ci in model.chain_instances:
-        chosen = [p for p in model.pool_by_instance[ci.key] if x[zvar[p]] > 0.5]
-        if len(chosen) != 1:
+        if count[ci.index] != 1:
             raise EngineError(
-                f"instance {ci.label}: {len(chosen)} configurations selected"
+                f"instance {ci.label}: {count[ci.index]} configurations selected"
             )
-        config = model.pool[chosen[0]]
+    chosen = picked[np.argsort(model.z_ci[picked])].tolist()
+    assignments = []
+    for ci, p in zip(model.chain_instances, chosen):
+        config = model.pool[p]
         head, tail = config.locations[0], config.locations[-1]
         if full:
             first = _end_routes(model, x, ci, head, lead_in=True)
             last = _end_routes(model, x, ci, tail, lead_in=False)
+            routes = [
+                PairRoute(s, d, tuple(first[s, d]), tuple(last[s, d])) for s, d in ci.pairs
+            ]
         else:
-            first = {(s, d): paths.path_arcs(s, head) for s, d in ci.pairs}
-            last = {(s, d): paths.path_arcs(tail, d) for s, d in ci.pairs}
-        routes = [
-            PairRoute(s, d, tuple(first[s, d]), tuple(last[s, d])) for s, d in ci.pairs
-        ]
+            route = paths.route
+            routes = [PairRoute(s, d, route(s, head), route(tail, d)) for s, d in ci.pairs]
         assignments.append(
             InstanceAssignment(
                 chain=ci.chain,
@@ -507,7 +540,11 @@ def _extract(
 
 
 def _validated(instance: ProblemInstance, plan: MappingPlan) -> MappingPlan:
-    violations = validate_plan(instance, plan)
+    """`plan`, fresh from `_decode`, once every check of `validate_plan`
+    passes; its stored aggregates are the `_aggregate` of its routes that
+    `_decode` just ran, so the checks read them rather than sum again."""
+    aggregate = (plan.arc_loads, plan.node_cores, plan.hosting)
+    violations = _violations(instance, plan, aggregate)
     if violations:
         raise EngineError(
             "extracted plan failed validation: "
@@ -533,16 +570,15 @@ def _relaxation_plan(instance: ProblemInstance, model: RmpModel) -> Optional[Map
     On an arc-flow master the point's integral end flows peel into routes,
     as the full program's do.
     """
-    x = model.last_relaxation.x
-    if any(x[var] > INTEGRAL_TOL for var in model.artificial.values()):
+    x = np.asarray(model.last_relaxation.x)
+    if (x[list(model.artificial.values())] > INTEGRAL_TOL).any():
         return None
-    if any(abs(v - round(v)) > INTEGRAL_TOL for v in x):
+    if (np.abs(x - np.round(x)) > INTEGRAL_TOL).any():
         return None
-    chosen = [p for p, var in enumerate(model.zvar) if x[var] > 0.5]
-    hosts = {v for p in chosen for v in model.pool[p].locations}
-    if len(hosts) > instance.k:
+    chosen = np.flatnonzero(x[model.zvar] > 0.5)
+    if np.unique(model.z_loc[chosen]).size > instance.k:
         return None
-    plan = _decode(instance, model, [round(v) for v in x], model.zvar, not model.compact)
+    plan = _decode(instance, model, np.round(x).tolist(), model.zvar, not model.compact)
     return _validated(instance, plan)
 
 
@@ -563,35 +599,35 @@ def _host_set_plan(instance: ProblemInstance, model: RmpModel) -> Optional[Mappi
     core rows, they attain the bound. None on an arc-flow master, whose end
     flows need the MIP, and when C(m, s) x |pool| exceeds `HOST_SET_CAP`.
     """
-    nfv = instance.topology.nfv_nodes
-    m = len(nfv)
+    m = len(model.nfv_index)
     s = min(instance.k, m)
-    groups = [model.pool_by_instance[ci.key] for ci in model.chain_instances]
+    counts = np.bincount(model.z_ci, minlength=len(model.chain_instances))
     # a host set is an int64 bitmask over the NFV nodes
-    if not model.compact or m > 63 or not all(groups):
+    if not model.compact or m > 63 or not counts.all():
         return None
     if math.comb(m, s) * len(model.pool) > HOST_SET_CAP:
         return None
-    bit = {v: 1 << i for i, v in enumerate(nfv)}
-    order = [p for g in groups for p in g]
-    masks = np.array([sum(bit[v] for v in set(model.pool[p].locations)) for p in order])
-    costs = np.array([model.lp.variables[model.zvar[p]].obj for p in order])
+    # the pool grouped by chain instance, pool order within each
+    order = np.argsort(model.z_ci, kind="stable")
+    masks = np.bitwise_or.reduce(np.left_shift(1, model.z_loc[order]), axis=1)
+    costs = model.z_obj[order]
     sets = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations([1 << i for i in range(m)], s)),
         dtype=np.int64,
     ).reshape(-1, s).sum(axis=1)
-    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+    starts = np.r_[0, np.cumsum(counts)[:-1]]
     scored = np.where((masks & ~sets[:, None]) == 0, costs, np.inf)  # inf outside H
     bound = np.minimum.reduceat(scored, starts, axis=1).sum(axis=1)
     h = int(np.argmin(bound))
     if bound[h] == np.inf:
         return None
     ends = [*starts[1:], len(order)]
-    chosen = {model.zvar[order[a + int(np.argmin(scored[h, a:b]))]] for a, b in zip(starts, ends)}
-    if any(load > cores + FIT_TOL for load, cores in core_loads(model, chosen)):
+    chosen = [order[a + int(np.argmin(scored[h, a:b]))] for a, b in zip(starts, ends)]
+    if (core_loads(model, chosen) > node_cores(model) + FIT_TOL).any():
         return None
-    x = [1.0 if var in chosen else 0.0 for var in range(model.lp.n_vars)]
-    return _validated(instance, _decode(instance, model, x, model.zvar, False))
+    x = np.zeros(model.lp.n_vars)
+    x[np.asarray(model.zvar)[chosen]] = 1.0
+    return _validated(instance, _decode(instance, model, x.tolist(), model.zvar, False))
 
 
 # share of `solve`'s time limit that column generation leaves to the final
@@ -719,9 +755,19 @@ def solve(
 def validate_plan(instance: ProblemInstance, plan: MappingPlan) -> list:
     """Re-derive every invariant from raw routes; stored aggregates are only
     cross-checked, never trusted."""
+    return _violations(instance, plan, None)
+
+
+def _violations(instance: ProblemInstance, plan: MappingPlan, aggregate) -> list:
+    """The checks of `validate_plan`. `aggregate` is `_aggregate` of every
+    assignment of `plan`, or None to compute it here over the assignments
+    whose chain and locations are known. A route is checked once per
+    distinct (arcs, start, end), however many pairs share it."""
     violations: list = []
     topo = instance.topology
     covered: dict = {}
+    faults: dict = {}  # (arcs, start, end) -> route_fault, None when clean
+    demands = instance.demands.gbps
 
     for asg in plan.assignments:
         label = f"{asg.chain}/{asg.group_index}"
@@ -737,23 +783,28 @@ def validate_plan(instance: ProblemInstance, plan: MappingPlan) -> list:
         n = len(instance.chains[asg.chain].vnfs)
         if (len(asg.locations), len(asg.segment_paths)) != (n, n - 1):
             continue  # the routes have no ends to check against
+        head, tail = asg.locations[0], asg.locations[-1]
+        pairs = covered.setdefault(asg.chain, [])
         for route in asg.routes:
-            pair_label = f"{label} {route.src}->{route.dst}"
-            try:
-                instance.demand_gbps(asg.chain, route.src, route.dst)
-            except KeyError:
+            if (asg.chain, route.src, route.dst) not in demands:
                 violations.append(
-                    Violation("coverage", f"{pair_label}: no such demand record")
+                    Violation(
+                        "coverage", f"{label} {route.src}->{route.dst}: no such demand record"
+                    )
                 )
                 continue
-            covered.setdefault(asg.chain, []).append((route.src, route.dst))
-            for arcs, a, b, end in (
-                (route.first_arcs, route.src, asg.locations[0], "lead-in"),
-                (route.last_arcs, asg.locations[-1], route.dst, "lead-out"),
+            pairs.append((route.src, route.dst))
+            for key, end in (
+                ((route.first_arcs, route.src, head), "lead-in"),
+                ((route.last_arcs, tail, route.dst), "lead-out"),
             ):
-                fault = route_fault(topo, arcs, a, b)
+                fault = faults.get(key, False)
+                if fault is False:
+                    fault = faults[key] = route_fault(topo, *key)
                 if fault:
-                    violations.append(Violation("contiguity", f"{pair_label} {end}: {fault}"))
+                    violations.append(
+                        Violation("contiguity", f"{label} {route.src}->{route.dst} {end}: {fault}")
+                    )
 
     for chain in instance.chains_with_demand():
         want = instance.pairs_for_chain(chain)
@@ -769,14 +820,34 @@ def validate_plan(instance: ProblemInstance, plan: MappingPlan) -> list:
                 )
             )
 
-    safe = [
-        asg
-        for asg in plan.assignments
-        if asg.chain in instance.chains
-        and len(asg.locations) == len(instance.chains[asg.chain].vnfs)
-        and all(v in topo.node_by_id for v in asg.locations)
-    ]
-    loads, cores, hosting = _aggregate(instance, safe)
+    # a chain takes at most its nc instances (`ProblemInstance` clamps nc
+    # to the chain's pair count), each with its own group index
+    count = Counter(asg.chain for asg in plan.assignments if asg.chain in instance.chains)
+    for chain, n in sorted(count.items()):
+        nc = instance.nc.get(chain, 1)
+        if n > nc:
+            violations.append(
+                Violation("instance_count", f"chain {chain}: {n} instances, nc={nc}")
+            )
+    seen: set = set()
+    for asg in plan.assignments:
+        key = (asg.chain, asg.group_index)
+        if key in seen:
+            violations.append(
+                Violation("instance_count", f"{asg.chain}/{asg.group_index}: assigned twice")
+            )
+        seen.add(key)
+
+    if aggregate is None:
+        safe = [
+            asg
+            for asg in plan.assignments
+            if asg.chain in instance.chains
+            and len(asg.locations) == len(instance.chains[asg.chain].vnfs)
+            and all(v in topo.node_by_id for v in asg.locations)
+        ]
+        aggregate = _aggregate(instance, safe)
+    loads, cores, hosting = aggregate
     for arc, load in sorted(loads.items()):
         if tuple(arc) not in topo.arc_index:
             continue  # already reported as contiguity

@@ -89,6 +89,10 @@ Pair = tuple[str, str]
 # slack allowed when checking a column's own core use against a node's cores
 FIT_TOL = 1e-9
 
+# most entries a (chain instances, nodes, NFV nodes) array op holds at once,
+# about 8 MB of floats
+ARRAY_BLOCK = 1 << 20
+
 # a >= row's dual in our minimization convention is >= 0, a <= row's <= 0;
 # anything past this much on the wrong side means a solver defect
 DUAL_SIGN_TOL = 1e-5
@@ -124,7 +128,9 @@ class Configuration:
 
 @dataclass(frozen=True)
 class ChainInstance:
-    """A chain plus one demand group from the phase-1 partition."""
+    """A chain plus one demand group from the phase-1 partition; `index` is
+    its place in the `chain_instances` order, the row of the master's and
+    the pricer's per-instance arrays."""
 
     chain: str
     group_index: int
@@ -132,6 +138,7 @@ class ChainInstance:
     pairs: tuple[Pair, ...]
     demand: dict  # pair -> gbps
     total_gbps: float
+    index: int
 
     @property
     def key(self) -> tuple[str, int]:
@@ -149,16 +156,17 @@ class DualPrices:
     Convexity rows are equalities (free sign); core and capacity rows are
     <=-rows of a minimization, so their duals are <= 0 and tiny positive
     noise is clamped to zero before pricing. A compact master has no
-    capacity rows, so `capacity` is empty. `end` is the end charge of
-    placing the first (or last) position at a node: the end-flow rows'
-    duals times the coefficients `end_rows` gives there (none on a compact
-    master), less the end cost.
+    capacity rows, so `capacity` is empty. `end[i, p, v]` is the end charge
+    of placing position p of the chain instance of index i at the v-th NFV
+    node: the end-flow rows' duals times the coefficients `end_rows` gives
+    there (none on a compact master), less the end cost (`RmpModel.end_cost`).
+    It is 0 at every position but the first and last.
     """
 
     convexity: dict  # (chain, group_index) -> float
     core: dict  # node -> float
     capacity: dict  # arc -> float
-    end: dict  # ((chain, group_index), position, node) -> float
+    end: np.ndarray  # (chain instance index, position, NFV node) -> float
 
 
 @dataclass(frozen=True)
@@ -172,21 +180,33 @@ class FinalIlp:
 
 @dataclass
 class RmpModel:
+    """The master, with the per-instance arrays indexed by chain instance
+    index i, position p and NFV node v in `Topology.nfv_nodes` order."""
+
     instance: ProblemInstance
     chain_instances: tuple[ChainInstance, ...]
     lp: LinearProgram
+    # [i, p, v]: Gbps-hops of the end segments a column pays for placing
+    # position p at v, nonzero only at the first (p = 0) and last positions
+    end_cost: np.ndarray
+    # [i, p]: cores position p takes wherever it sits, 0 past the chain's end
+    need: np.ndarray
+    # pooled z columns by pool position: objective, chain instance index,
+    # and the NFV-node index of each position, padded with the last one
+    z_obj: np.ndarray
+    z_ci: np.ndarray
+    z_loc: np.ndarray
     compact: bool = False  # the master's shape; see the module docstring
-    # (key, position, node) -> Gbps-hops of the end segments a column pays
-    # for placing its first (position 0) or last position at node
-    end_cost: dict = field(default_factory=dict)
     # (key, position, node) -> [(end-flow row, coefficient)] of a column placing there
     end_rows: dict = field(default_factory=dict)
-    # key -> end cost of its one-host column at each NFV node, in `nfv_nodes` order
-    colocated_cost: dict = field(default_factory=dict)
+    # the end-flow duals' share of the end charges, as (flat index into
+    # `end_cost`, row, coefficient) arrays; empty on a compact master
+    end_duals: tuple = ()
     artificial: dict = field(default_factory=dict)  # key -> LP variable
     pool: list = field(default_factory=list)
     zvar: list = field(default_factory=list)  # pool position -> LP variable
     pool_by_instance: dict = field(default_factory=dict)  # key -> pool positions
+    nfv_index: dict = field(default_factory=dict)  # NFV node -> v
     config_index: dict = field(default_factory=dict)  # Configuration.key -> LP variable
     # end commodities: one per (chain instance, source, gbps) for lead-ins and
     # one per (chain instance, destination, gbps) for lead-outs, carrying one
@@ -233,6 +253,7 @@ def chain_instances(
                     pairs=tuple(group.members),
                     demand=demand,
                     total_gbps=sum(demand.values()),
+                    index=len(out),
                 )
             )
     return tuple(out)
@@ -314,6 +335,15 @@ def position_cores(instance: ProblemInstance, ci: ChainInstance) -> list:
     return [ci.total_gbps * rate for rate in instance.chain_cores_per_gbps(ci.chain)]
 
 
+def position_need(instance: ProblemInstance, cis) -> np.ndarray:
+    """[i, p]: `position_cores` of the chain instance of index i, 0 past
+    its chain's end; as many positions as the longest chain."""
+    need = np.zeros((len(cis), max((len(ci.vnfs) for ci in cis), default=0)))
+    for ci in cis:
+        need[ci.index, : len(ci.vnfs)] = position_cores(instance, ci)
+    return need
+
+
 def fits(instance: ProblemInstance, ci: ChainInstance, locations: tuple) -> bool:
     """Whether `ci` placed at `locations` fits every node's cores on its own."""
     use: dict = {}
@@ -386,36 +416,48 @@ def build_rmp(
     paths = all_pairs_hops(topo)
     cis = chain_instances(instance, partitions)
     nfv = topo.nfv_nodes
+    need = position_need(instance, cis)
     worst = worst_case_load(instance)
     lp = LinearProgram("rmp")
     model = RmpModel(
         instance=instance,
         chain_instances=cis,
         lp=lp,
+        end_cost=np.zeros((len(cis), need.shape[1], len(nfv))),
+        need=need,
+        z_obj=np.zeros(0),
+        z_ci=np.zeros(0, dtype=np.int64),
+        z_loc=np.zeros((0, need.shape[1]), dtype=np.int64),
         compact=all(a.capacity_gbps >= worst for a in topo.arcs),
         by_key={ci.key: ci for ci in cis},
         pool_by_instance={ci.key: [] for ci in cis},
+        nfv_index={v: j for j, v in enumerate(nfv)},
     )
     # Gbps-hops from every source to each NFV node and from each NFV node to
-    # every destination: the instance's Gbps per node times the hop matrix
+    # every destination: each instance's Gbps per node times the hop matrix
     ix = paths.index
+    n = len(ix)
     at = [ix[v] for v in nfv]
     hops_in, hops_out = paths.hops[:, at], paths.hops[at, :].T
-    cost = model.end_cost
+    src, dst, gbps = [], [], []
     for ci in cis:
-        ends = [(ix[s], ix[d], g) for (s, d), g in ci.demand.items()]
-        src, dst, gbps = zip(*ends)
-        by_src = np.bincount(src, weights=gbps, minlength=len(ix))
-        by_dst = np.bincount(dst, weights=gbps, minlength=len(ix))
-        into = (by_src[:, None] * hops_in).sum(axis=0)
-        out = (by_dst[:, None] * hops_out).sum(axis=0)
-        model.colocated_cost[ci.key] = into + out
-        last = len(ci.vnfs) - 1
-        for v, lead_in, lead_out in zip(nfv, into.tolist(), out.tolist()):
-            # lead-ins end at position 0 and lead-outs start at the last one,
-            # which is position 0 too on a one-VNF chain
-            cost[(ci.key, 0, v)] = lead_in
-            cost[(ci.key, last, v)] = cost.get((ci.key, last, v), 0.0) + lead_out
+        for (s, d), g in ci.demand.items():
+            src.append(ci.index * n + ix[s])
+            dst.append(ci.index * n + ix[d])
+            gbps.append(g)
+    by_src, by_dst = (
+        np.bincount(np.array(ends, dtype=np.int64), weights=gbps, minlength=len(cis) * n)
+        .reshape(len(cis), n)
+        for ends in (src, dst)
+    )
+    last = np.array([len(ci.vnfs) - 1 for ci in cis], dtype=np.int64)
+    step = max(1, ARRAY_BLOCK // max(1, n * len(nfv)))
+    for lo in range(0, len(cis), step):
+        block = np.arange(lo, min(lo + step, len(cis)))
+        # lead-ins end at position 0 and lead-outs start at the last one,
+        # which is position 0 too on a one-VNF chain
+        model.end_cost[block, 0] = (by_src[block, :, None] * hops_in).sum(axis=1)
+        model.end_cost[block, last[block]] += (by_dst[block, :, None] * hops_out).sum(axis=1)
 
     for ci in cis:
         _add_artificial(model, ci)
@@ -500,6 +542,18 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
     for lead_in, members in ((True, model.lead_in), (False, model.lead_out)):
         for (key, (point, gbps)), pairs in members.items():
             _add_end_rows(model, key, point, gbps, float(len(pairs)), lead_in=lead_in)
+    # the end charges' dual terms, each key's rows in the order listed
+    _, n_pos, m = model.end_cost.shape
+    flat, rows, coefs = [], [], []
+    for (key, pos, v), entries in model.end_rows.items():
+        if v in model.nfv_index:
+            at = (model.by_key[key].index * n_pos + pos) * m + model.nfv_index[v]
+            for r, a in entries:
+                flat.append(at)
+                rows.append(r)
+                coefs.append(a)
+    model.end_duals = (np.array(flat, dtype=np.int64), np.array(rows, dtype=np.int64),
+                       np.array(coefs, dtype=float))
 
 
 def column_coefficients(model: RmpModel, config: Configuration) -> dict:
@@ -529,24 +583,31 @@ def column_coefficients(model: RmpModel, config: Configuration) -> dict:
 def column_cost(model: RmpModel, config: Configuration) -> float:
     """A z column's objective on either shape: the segment cost plus the
     end segments' hop-shortest cost."""
-    key = (config.chain, config.group_index)
-    return config.cost + sum(
-        model.end_cost.get((key, pos, v), 0.0) for pos, v in enumerate(config.locations)
-    )
+    cost = model.end_cost[model.by_key[(config.chain, config.group_index)].index]
+    at = model.nfv_index
+    return config.cost + sum(cost[pos, at[v]] for pos, v in enumerate(config.locations)).item()
 
 
-def _pool(
-    model: RmpModel, ci: ChainInstance, config: Configuration, cost: float, coeffs: list
-) -> int:
-    """Append `config` of `ci` as a z column of objective `cost` with the
-    (row, coefficient) pairs `coeffs`."""
-    pos = len(model.pool)
-    var = model.lp.add_column(f"z[{ci.label}/{pos}]", cost, coeffs)
-    model.pool.append(config)
-    model.zvar.append(var)
-    model.pool_by_instance[ci.key].append(pos)
-    model.config_index[config.key] = var
-    return var
+def _pool(model: RmpModel, cis: list, configs: list, costs: list, coeffs: list) -> None:
+    """Append `configs[j]` of `cis[j]` as a z column of objective `costs[j]`
+    with the (row, coefficient) pairs `coeffs[j]`, one after another."""
+    if not configs:
+        return
+    first = len(model.pool)
+    names = [f"z[{ci.label}/{first + j}]" for j, ci in enumerate(cis)]
+    zvar = model.lp.add_columns(names, costs, coeffs)
+    at = model.nfv_index
+    width = model.z_loc.shape[1]
+    loc = [[at[v] for v in c.locations] for c in configs]
+    loc = np.array([row + row[-1:] * (width - len(row)) for row in loc], dtype=np.int64)
+    model.z_obj = np.concatenate((model.z_obj, costs))
+    model.z_ci = np.concatenate((model.z_ci, np.array([ci.index for ci in cis], dtype=np.int64)))
+    model.z_loc = np.concatenate((model.z_loc, loc))
+    for pos, (ci, config, var) in enumerate(zip(cis, configs, zvar), start=first):
+        model.pool_by_instance[ci.key].append(pos)
+        model.config_index[config.key] = var
+    model.pool += configs
+    model.zvar += zvar
 
 
 def add_column(model: RmpModel, config: Configuration) -> int:
@@ -570,50 +631,67 @@ def add_column(model: RmpModel, config: Configuration) -> int:
             f"nodes' cores on its own"
         )
     coeffs = list(column_coefficients(model, config).items())
-    return _pool(model, ci, config, column_cost(model, config), coeffs)
+    _pool(model, [ci], [config], [column_cost(model, config)], [coeffs])
+    return model.zvar[-1]
 
 
 def add_colocated_columns(model: RmpModel) -> None:
-    """Pool every one-host column that fits: each chain instance, in order,
-    placed whole on each NFV node, in order, whose cores take it.
+    """Pool every one-host column that fits into a master with no column
+    yet: each chain instance, in order, placed whole on each NFV node, in
+    order, whose cores take it.
 
     These are the columns `add_column` would pool one by one, with the same
     costs and coefficients, built as one block: a one-host column is valid
     by construction, fits where the instance's whole need is within the
-    node's cores, costs its end segments (`colocated_cost`), and carries its
-    convexity row, its node's core row and, on an arc-flow master, that
-    node's end-flow rows.
+    node's cores, costs its end segments (the end costs of its positions,
+    all at that node), and carries its convexity row, its node's core row
+    and, on an arc-flow master, that node's end-flow rows.
     """
+    if model.pool:
+        raise MasterError("one-host columns go into a master with no column yet")
     instance = model.instance
     topo = instance.topology
     nfv = topo.nfv_nodes
     cores = np.array([topo.node_by_id[v].cores for v in nfv], dtype=float)
+    colocated = model.end_cost.sum(axis=1).tolist()
+    owners, configs, costs, coeffs = [], [], [], []
     for ci in model.chain_instances:
         n = len(ci.vnfs)
         # the need and the core coefficient round as in `fits` and
         # `column_coefficients`, so the pool is the one they would give
         rate = sum(instance.chain_cores_per_gbps(ci.chain))
         fit = sum(position_cores(instance, ci)) <= cores + FIT_TOL
-        ends = sorted({0, n - 1})
-        for v, ok, cost in zip(nfv, fit.tolist(), model.colocated_cost[ci.key].tolist()):
+        ends = sorted({0, n - 1}) if model.end_rows else ()
+        conv = model.conv_row[ci.key]
+        core = ci.total_gbps * rate
+        no_segments = ((),) * (n - 1)
+        for v, ok, cost in zip(nfv, fit.tolist(), colocated[ci.index]):
             if not ok:
                 continue
-            config = Configuration(ci.chain, ci.group_index, (v,) * n, ((),) * (n - 1), 0.0)
-            if config.key in model.config_index:
-                continue
-            coeffs = {model.conv_row[ci.key]: 1.0}
-            if rate:
-                coeffs[model.core_row[v]] = ci.total_gbps * rate
+            column = [(conv, 1.0), (model.core_row[v], core)] if rate else [(conv, 1.0)]
             for pos in ends:
-                coeffs.update(model.end_rows.get((ci.key, pos, v), ()))
-            _pool(model, ci, config, cost, list(coeffs.items()))
+                column += model.end_rows.get((ci.key, pos, v), ())
+            owners.append(ci)
+            configs.append(Configuration(ci.chain, ci.group_index, (v,) * n, no_segments, 0.0))
+            costs.append(cost)
+            coeffs.append(column)
+    _pool(model, owners, configs, costs, coeffs)
 
 
-def core_loads(model: RmpModel, chosen) -> list:
-    """(cores taken, cores held) of every core row, the z columns `chosen`
-    (LP variables) at 1 and the rest at 0."""
-    rows = [model.lp.rows[r] for r in model.core_row.values()]
-    return [(sum(a for j, a in row.coeffs if j in chosen), row.rhs) for row in rows]
+def core_loads(model: RmpModel, chosen) -> np.ndarray:
+    """Cores taken at each NFV node with the pooled columns at pool
+    positions `chosen` selected and the rest not."""
+    chosen = np.asarray(chosen, dtype=np.int64)
+    return np.bincount(
+        model.z_loc[chosen].ravel(),
+        weights=model.need[model.z_ci[chosen]].ravel(),
+        minlength=len(model.nfv_index),
+    )
+
+
+def node_cores(model: RmpModel) -> np.ndarray:
+    """Each NFV node's cores, the right-hand sides of the core rows."""
+    return np.array([model.lp.rows[r].rhs for r in model.core_row.values()])
 
 
 def _closed_form(model: RmpModel) -> Optional[LpSolution]:
@@ -633,25 +711,30 @@ def _closed_form(model: RmpModel) -> Optional[LpSolution]:
     if not model.compact:
         return None
     lp = model.lp
-    obj = [lp.variables[var].obj for var in model.zvar]
-    x = [0.0] * lp.n_vars
-    duals = [0.0] * lp.n_rows
-    chosen = set()
-    for ci in model.chain_instances:
-        group = model.pool_by_instance[ci.key]
-        if not group:
-            return None
-        p = min(group, key=obj.__getitem__)
-        if obj[p] >= lp.variables[model.artificial[ci.key]].obj:
-            return None
-        chosen.add(model.zvar[p])
-        x[model.zvar[p]] = 1.0
-        duals[model.conv_row[ci.key]] = obj[p]
-    if any(load >= cores - FIT_TOL for load, cores in core_loads(model, chosen)):
+    cis = model.chain_instances
+    if (np.bincount(model.z_ci, minlength=len(cis)) == 0).any():
         return None
-    objective = sum(duals[model.conv_row[ci.key]] for ci in model.chain_instances)
+    # by instance, then objective, then pool position: each instance's first
+    # entry is its cheapest column
+    order = np.lexsort((model.z_obj, model.z_ci))
+    first = np.flatnonzero(np.r_[True, np.diff(model.z_ci[order]) != 0])
+    chosen = order[first]
+    cost = model.z_obj[chosen]
+    penalty = [lp.variables[model.artificial[ci.key]].obj for ci in cis]
+    if (cost >= penalty).any():
+        return None
+    if (core_loads(model, chosen) >= node_cores(model) - FIT_TOL).any():
+        return None
+    x = np.zeros(lp.n_vars)
+    x[np.asarray(model.zvar)[chosen]] = 1.0
+    duals = np.zeros(lp.n_rows)
+    duals[[model.conv_row[ci.key] for ci in cis]] = cost
     return LpSolution(
-        status="optimal", x=x, objective=objective, duals=duals, method="closed_form"
+        status="optimal",
+        x=x.tolist(),
+        objective=sum(cost.tolist()),
+        duals=duals.tolist(),
+        method="closed_form",
     )
 
 
@@ -671,10 +754,12 @@ def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
 
     # end charges: end-flow duals times their coefficients (arc-flow masters
     # only), less the end cost
-    end = {k: -cost for k, cost in model.end_cost.items()}
-    for k, rows in model.end_rows.items():
-        if k in end:
-            end[k] += sum(a * duals[r] for r, a in rows)
+    end = -model.end_cost
+    if model.end_duals:
+        flat, rows, coefs = model.end_duals
+        charge = np.zeros(end.size)
+        np.add.at(charge, flat, coefs * np.asarray(duals)[rows])
+        end += charge.reshape(end.shape)
     prices = DualPrices(
         convexity={ci.key: duals[model.conv_row[ci.key]] for ci in model.chain_instances},
         core={v: clamped(r, f"core[{v}]") for v, r in model.core_row.items()},

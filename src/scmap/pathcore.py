@@ -40,14 +40,15 @@ class PathTable:
     index: dict[str, int]  # node -> row and column of `hops`
     hops: np.ndarray  # integer matrix
     next_hop: dict[tuple[str, str], str]
-    # (u, w) -> arcs of the canonical path, filled as `path_arcs` walks them
+    # (u, w) -> arcs of the canonical path, filled as `route` walks them
     _arcs: dict = field(default_factory=dict, repr=False, compare=False)
 
     def distance(self, u: str, w: str) -> int:
         return int(self.hops[self.index[u], self.index[w]])
 
-    def path_arcs(self, u: str, w: str) -> list[tuple[str, str]]:
-        """Arc list of the canonical shortest path (empty when u == w)."""
+    def route(self, u: str, w: str) -> tuple[tuple[str, str], ...]:
+        """Arcs of the canonical shortest path (empty when u == w), walked
+        once per pair; every call for a pair returns the same tuple."""
         arcs = self._arcs.get((u, w))
         if arcs is None:
             walk, v = [], u
@@ -56,7 +57,11 @@ class PathTable:
                 walk.append((v, nxt))
                 v = nxt
             arcs = self._arcs[(u, w)] = tuple(walk)
-        return list(arcs)
+        return arcs
+
+    def path_arcs(self, u: str, w: str) -> list[tuple[str, str]]:
+        """Arc list of the canonical shortest path (empty when u == w)."""
+        return list(self.route(u, w))
 
     def path_node_seq(self, u: str, w: str) -> list[str]:
         """Node sequence of the canonical shortest path, endpoints included."""

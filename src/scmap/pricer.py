@@ -6,27 +6,35 @@ The reduced cost decomposes additively: each position i at node v pays
 a shortest path under arc weight D * (1 - capacity_dual). The end charge of
 the first or last position at v is the end-flow rows' duals there less the
 end cost (`master.DualPrices.end`); a compact master has no end-flow rows,
-so both master shapes price through the same code. One depth-first search
-over the location tuples that fit the nodes' cores finds the optimum, cut by
-a layered cost-to-go sweep over every tuple, which never overestimates. The
-brute-force enumeration tests confirm this rather than assume it.
+so both master shapes price through the same code.
+
+A round is priced in one array pass first (`price_round`): a layered
+cost-to-go sweep over chain instance x position x NFV node arrays, each
+segment the instance's rate times the segment table, gives every instance
+the least reduced cost over all location tuples, cores ignored. That never
+overestimates the exact minimum, so an instance whose bound is at least
+-`EPS` has no column that prices out and needs no search. For the others,
+one depth-first search over the location tuples that fit the nodes' cores
+finds the optimum, cut by the same sweep's cost-to-go. The brute-force
+enumeration tests confirm both rather than assume them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .master import (
+    ARRAY_BLOCK,
     FIT_TOL,
     ChainInstance,
     Configuration,
     DualPrices,
     make_configuration,
-    position_cores,
+    position_need,
 )
 from .netmodel import ProblemInstance
 from .pathcore import all_pairs_hops, shortest_path_weighted
@@ -43,22 +51,23 @@ class SegmentCostTable:
     """Cheapest inter-location segments under 1-per-Gbps arc weights.
 
     `matrix[i, j]` is the weighted hop cost for one Gbps from the i-th to
-    the j-th NFV node (`Topology.nfv_nodes` order), and `path[(u, w)]` its
+    the j-th NFV node (`Topology.nfv_nodes` order), and `path(u, w)` its
     arcs; a chain instance scales the matrix by its group demand, which
     leaves the argmin paths unchanged, so one table serves every instance
     under the same duals.
     """
 
     matrix: np.ndarray
-    path: dict
+    path: Callable[[str, str], tuple]
 
 
 def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentCostTable:
     """With no negative capacity dual every arc weighs 1, and the table is
-    read off the topology's hop table, its matrix one slice of the hop
-    matrix: it breaks ties toward the lexicographically smallest node
-    sequence, as the Dijkstra does. Otherwise each segment is a Dijkstra
-    under the dual-scaled weights."""
+    read off the topology's hop table: its matrix one slice of the hop
+    matrix, and a segment's path walked only when asked for, as the hop
+    table's canonical route, which breaks ties toward the lexicographically
+    smallest node sequence, as the Dijkstra does. Otherwise each segment is
+    a Dijkstra under the dual-scaled weights."""
     topo = instance.topology
     weights = {}
     for arc in topo.arc_index:
@@ -71,9 +80,7 @@ def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentC
     nfv = topo.nfv_nodes
     if unit:
         at = [paths.index[v] for v in nfv]
-        matrix = paths.hops[np.ix_(at, at)].astype(float)
-        path = {(u, w): tuple(paths.path_arcs(u, w)) for u in nfv for w in nfv}
-        return SegmentCostTable(matrix=matrix, path=path)
+        return SegmentCostTable(matrix=paths.hops[np.ix_(at, at)].astype(float), path=paths.route)
     matrix = np.zeros((len(nfv), len(nfv)))
     path = {}
     for i, u in enumerate(nfv):
@@ -84,32 +91,83 @@ def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentC
             cost, arcs = shortest_path_weighted(topo, weights, u, w)
             matrix[i, j] = cost
             path[(u, w)] = tuple(arcs)
-    return SegmentCostTable(matrix=matrix, path=path)
+    return SegmentCostTable(matrix=matrix, path=lambda u, w: path[u, w])
+
+
+def cost_to_go(
+    node_cost: np.ndarray, rate: np.ndarray, length: np.ndarray, matrix: np.ndarray
+) -> np.ndarray:
+    """The layered sweep: [i, p, v] is the cheapest completion of the
+    positions after p of instance i with p at the v-th node, cores ignored.
+
+    `node_cost[i, p, v]` is position p's cost at v (0 past the chain), the
+    segment from u to w costs `rate[i] * matrix[u, w]`, and instance i has
+    `length[i]` positions. One array min per position, over a block of
+    instances at a time.
+    """
+    n_ci, n_pos, m = node_cost.shape
+    togo = np.zeros_like(node_cost)
+    # the segment out of position p, none past the chain's last position
+    scale = np.where(np.arange(1, n_pos) < length[:, None], rate[:, None], 0.0)
+    step = max(1, ARRAY_BLOCK // max(1, m * m))
+    for p in range(n_pos - 2, -1, -1):
+        ahead = node_cost[:, p + 1] + togo[:, p + 1]
+        for lo in range(0, n_ci, step):
+            hi = lo + step
+            seg = scale[lo:hi, p, None, None] * matrix
+            togo[lo:hi, p] = (seg + ahead[lo:hi, None, :]).min(axis=2)
+    return togo
+
+
+@dataclass(frozen=True)
+class PricingRound:
+    """One round's pricing arrays, indexed by chain instance index i,
+    position p and NFV node v (`Topology.nfv_nodes` order)."""
+
+    table: SegmentCostTable
+    need: np.ndarray  # [i, p]: cores position p takes, 0 past the chain
+    node_cost: np.ndarray  # [i, p, v]: reduced cost of position p at v
+    togo: np.ndarray  # [i, p, v]: `cost_to_go`
+    convexity: np.ndarray  # [i]: the convexity dual
+    # [i]: least reduced cost over every location tuple, cores ignored; it
+    # never exceeds the exact minimum over the tuples that fit
+    bound: np.ndarray
+
+
+def price_round(
+    instance: ProblemInstance, chain_instances, duals: DualPrices, table: SegmentCostTable
+) -> PricingRound:
+    """Sweep every chain instance at once under `duals` and `table`.
+    `chain_instances` is the whole `chain_instances` tuple, whose indices
+    are the rows of `duals.end`."""
+    cis = chain_instances
+    need = position_need(instance, cis)
+    core = np.array([duals.core.get(v, 0.0) for v in instance.topology.nfv_nodes])
+    node_cost = -core * need[:, :, None] - duals.end[:, : need.shape[1]]
+    rate = np.array([ci.total_gbps for ci in cis])
+    length = np.array([len(ci.vnfs) for ci in cis])
+    togo = cost_to_go(node_cost, rate, length, table.matrix)
+    convexity = np.array([duals.convexity.get(ci.key, 0.0) for ci in cis])
+    bound = (node_cost[:, 0] + togo[:, 0]).min(axis=1) - convexity
+    return PricingRound(table, need, node_cost, togo, convexity, bound)
 
 
 def _fitting_argmin(
-    node_cost: list, seg: list, need: list, cores: list
+    node_cost: list, seg: list, need: list, cores: list, togo: list
 ) -> tuple[float, Optional[tuple[int, ...]]]:
     """Cheapest location tuple (node indices) whose core use fits every
     node, with its cost; (inf, None) if none fits.
 
-    `node_cost[pos][v]` is position pos's cost at node v and `seg[v][w]`
-    the segment cost from v to w. Depth-first over positions, nodes in
-    order, cut by the cost-to-go of the unrestricted layered sweep, which
-    never overestimates; a tuple replaces the best one found only when it
-    is strictly cheaper, so ties go to the lexicographically smallest. The
-    sweep is one array min per position; the search reads it as lists.
+    `node_cost[pos][v]` is position pos's cost at node v, `seg[v][w]` the
+    segment cost from v to w and `togo[pos][v]` the unrestricted cost-to-go
+    (`cost_to_go`), which never overestimates. Depth-first over positions,
+    nodes in order, cut by the cost-to-go; a tuple replaces the best one
+    found only when it is strictly cheaper, so ties go to the
+    lexicographically smallest.
     """
     n, m = len(need), len(cores)
     if sum(need) > sum(cores) + FIT_TOL:
         return math.inf, None
-    # togo[pos][v]: cheapest completion of positions after pos, v at pos
-    cost_at = np.array(node_cost, dtype=float).reshape(n, m)
-    seg_cost = np.array(seg, dtype=float).reshape(m, m)
-    sweep = [np.zeros(m)]
-    for pos in range(n - 2, -1, -1):
-        sweep.append((seg_cost + (cost_at[pos + 1] + sweep[-1])).min(axis=1))
-    togo = [row.tolist() for row in reversed(sweep)]
     left = list(cores)
     picked: list = []
     best: list = [math.inf, None]
@@ -135,13 +193,10 @@ def _fitting_argmin(
 
 
 def best_configuration(
-    instance: ProblemInstance,
-    chain_instance: ChainInstance,
-    duals: DualPrices,
-    seg_table: SegmentCostTable,
+    instance: ProblemInstance, chain_instance: ChainInstance, pricing: PricingRound
 ) -> tuple[Configuration, float]:
     """Exact reduced-cost minimizer over the self-feasible configurations of
-    one chain instance, with its reduced cost.
+    one chain instance, with its reduced cost, under the round `pricing`.
 
     Among placements of equal reduced cost the one whose tuple of NFV-node
     indices is lexicographically smallest wins, so repeated calls under
@@ -149,37 +204,31 @@ def best_configuration(
     location tuple fits the nodes' cores.
     """
     ci = chain_instance
+    i, n = ci.index, len(ci.vnfs)
     nfv = instance.topology.nfv_nodes
     node = instance.topology.node_by_id
-    dgroup = ci.total_gbps
-    need = position_cores(instance, ci)
-    node_cost = [
-        [
-            -duals.core.get(v, 0.0) * need[pos]
-            - duals.end.get((ci.key, pos, v), 0.0)
-            for v in nfv
-        ]
-        for pos in range(len(need))
-    ]
-    seg = (dgroup * seg_table.matrix).tolist()
-    cost, picked = _fitting_argmin(node_cost, seg, need, [float(node[v].cores) for v in nfv])
+    table = pricing.table
+    cost, picked = _fitting_argmin(
+        pricing.node_cost[i, :n].tolist(),
+        (ci.total_gbps * table.matrix).tolist(),
+        pricing.need[i, :n].tolist(),
+        [float(node[v].cores) for v in nfv],
+        pricing.togo[i, :n].tolist(),
+    )
     if picked is None:
         raise PricerError(f"{ci.label}: no placement fits the nodes' cores")
-    locations = tuple(nfv[i] for i in picked)
-    segments = tuple(seg_table.path[pair] for pair in zip(locations, locations[1:]))
+    locations = tuple(nfv[v] for v in picked)
+    segments = tuple(table.path(u, w) for u, w in zip(locations, locations[1:]))
     config = make_configuration(ci, locations, segments)
-    return config, cost - duals.convexity.get(ci.key, 0.0)
+    return config, cost - float(pricing.convexity[i])
 
 
 def price_chain_instance(
-    instance: ProblemInstance,
-    chain_instance: ChainInstance,
-    duals: DualPrices,
-    seg_table: SegmentCostTable,
+    instance: ProblemInstance, chain_instance: ChainInstance, pricing: PricingRound
 ) -> Optional[tuple[Configuration, float]]:
     """Return an improving configuration and its reduced cost, or None when
     none prices out."""
-    config, reduced = best_configuration(instance, chain_instance, duals, seg_table)
+    config, reduced = best_configuration(instance, chain_instance, pricing)
     if reduced >= -EPS:
         return None
     return config, reduced

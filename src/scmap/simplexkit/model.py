@@ -34,7 +34,7 @@ class Row:
 class LinearProgram:
     """Minimization program with bounded variables and sparse rows.
 
-    Columns may be appended after rows exist (`add_column`), which is how
+    Columns may be appended after rows exist (`add_columns`), which is how
     the master problem grows during column generation.
     """
 
@@ -83,21 +83,35 @@ class LinearProgram:
         self.rows.append(Row(name or f"r{len(self.rows)}", list(coeffs), relation, rhs))
         return len(self.rows) - 1
 
-    def add_column(self, name: str, obj: float, coeffs: list[tuple[int, float]]) -> int:
-        """Append a variable in [0, inf) with its (row, coefficient) entries
-        in existing rows."""
-        if not math.isfinite(obj):
-            raise LpError(f"variable {name!r}: objective must be finite")
-        for row, coef in coeffs:
-            if not 0 <= row < len(self.rows):
-                raise LpError(f"variable {name!r}: row index {row} out of range")
-            if not math.isfinite(coef):
-                raise LpError(f"variable {name!r}: non-finite coefficient")
-        var = len(self.variables)
-        self.variables.append(Variable(name, 0.0, math.inf, obj))
-        for row, coef in coeffs:
-            self.rows[row].coeffs.append((var, coef))
-        return var
+    def add_columns(
+        self, names: list[str], obj: list[float], coeffs: list[list[tuple[int, float]]]
+    ) -> list[int]:
+        """Append one variable in [0, inf) per name, with objective `obj[j]`
+        and the (row, coefficient) entries `coeffs[j]` in existing rows;
+        nothing is appended when any column is malformed."""
+        rows = [row for col in coeffs for row, _ in col]
+        values = [coef for col in coeffs for _, coef in col]
+        if not (
+            all(map(math.isfinite, obj))
+            and all(map(math.isfinite, values))
+            and min(rows, default=0) >= 0
+            and max(rows, default=-1) < len(self.rows)
+        ):
+            for name, c, col in zip(names, obj, coeffs):
+                if not math.isfinite(c):
+                    raise LpError(f"variable {name!r}: objective must be finite")
+                for row, coef in col:
+                    if not 0 <= row < len(self.rows):
+                        raise LpError(f"variable {name!r}: row index {row} out of range")
+                    if not math.isfinite(coef):
+                        raise LpError(f"variable {name!r}: non-finite coefficient")
+        first = len(self.variables)
+        self.variables += [Variable(name, 0.0, math.inf, c) for name, c in zip(names, obj)]
+        program_rows = self.rows
+        for var, col in enumerate(coeffs, start=first):
+            for row, coef in col:
+                program_rows[row].coeffs.append((var, coef))
+        return list(range(first, len(self.variables)))
 
     def clone(self, integer_all: bool = False) -> "LinearProgram":
         out = LinearProgram(self.name)

@@ -150,7 +150,7 @@ def reduced_cost_of(model: RmpModel, duals: DualPrices, config: Configuration) -
     per_gbps = model.instance.chain_cores_per_gbps(ci.chain)
     for pos, v in enumerate(config.locations):
         rc -= duals.core[v] * ci.total_gbps * per_gbps[pos]
-        rc -= duals.end.get((ci.key, pos, v), 0.0)
+        rc -= duals.end[ci.index, pos, model.nfv_index[v]]
     for seg in config.segment_paths:
         for arc in seg:
             rc -= duals.capacity.get(arc, 0.0) * ci.total_gbps

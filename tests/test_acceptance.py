@@ -30,7 +30,7 @@ from scmap.simplexkit.model import GE
 from scmap.fixturedata import cost239_files, nsfnet_files
 from scmap.master import chain_instances
 from scmap.netmodel import ProblemInstance, load_instance
-from scmap.pricer import best_configuration, segment_cost_table
+from scmap.pricer import best_configuration, price_round, segment_cost_table
 from scmap.sptg import partition_all
 
 NSF_LB = 390.0
@@ -175,7 +175,8 @@ def test_criterion_6_pricing_exactness():
         )
         ci = chain_instances(inst, partition_all(inst))[0]
         duals = random_duals(rng, inst, ci)
-        _, reduced = best_configuration(inst, ci, duals, segment_cost_table(inst, duals))
+        pricing = price_round(inst, [ci], duals, segment_cost_table(inst, duals))
+        _, reduced = best_configuration(inst, ci, pricing)
         best = min(
             brute_force_total(inst, ci, duals, c)
             for c in enumerate_all_configs(inst, ci)

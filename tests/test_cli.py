@@ -240,6 +240,20 @@ class TestValidate:
                     "--plan", str(out)])
         assert code == 1
 
+    def test_plan_above_nc_exits_3(self, tmp_path, capsys):
+        # the NSFNET nc34 plan (34 instances, objective 390) is valid at
+        # nc=34 but not at nc=4, where the solver's own plan is 494
+        flags = ["--topology", "--chains", "--demands"]
+        flags = [x for pair in zip(flags, map(str, nsfnet_files())) for x in pair]
+        out = tmp_path / "nc34.json"
+        assert run(["solve", *flags, "--nc", "34", "--k", "14", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(["validate", *flags, "--nc", "34", "--k", "14", "--plan", str(out)]) == 0
+        assert run(["validate", *flags, "--nc", "4", "--k", "14", "--plan", str(out)]) == 3
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "instance_count: chain sc3: 34 instances, nc=4"
+        ]
+
     def test_missing_plan_exits_1(self, triangle_flags, tmp_path):
         code = run(["validate", *triangle_flags, "--nc", "1", "--k", "3",
                     "--plan", str(tmp_path / "void.json")])

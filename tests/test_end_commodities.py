@@ -6,6 +6,7 @@ import functools
 import math
 import random
 
+import numpy as np
 import pytest
 from brute_force import enumerate_all_configs, simple_paths
 from conftest import (
@@ -440,21 +441,23 @@ def test_split_only_instances_share_seed_nodes_yet_solve(capacity):
 
 def assert_end_cost_is_the_per_pair_sum(instance):
     """`end_cost` of every chain instance, position and NFV node equals
-    sum g * d(s, v) for the first position and sum g * d(v, t) for the last."""
+    sum g * d(s, v) for the first position and sum g * d(v, t) for the last,
+    and 0 at every other position."""
     paths = all_pairs_hops(instance.topology)
     model = build_rmp(instance, partition_all(instance))
-    want: dict = {}
+    want = np.zeros(model.end_cost.shape)
     for ci in model.chain_instances:
         last = len(ci.vnfs) - 1
-        for v in instance.topology.nfv_nodes:
+        for j, v in enumerate(instance.topology.nfv_nodes):
             for (s, d), g in ci.demand.items():
-                want[(ci.key, 0, v)] = want.get((ci.key, 0, v), 0.0) + g * paths.distance(s, v)
-                want[(ci.key, last, v)] = (
-                    want.get((ci.key, last, v), 0.0) + g * paths.distance(v, d)
-                )
-    assert model.end_cost.keys() == want.keys()
-    for key, cost in want.items():
-        assert abs(model.end_cost[key] - cost) <= 1e-9 * max(1.0, cost), key
+                want[ci.index, 0, j] += g * paths.distance(s, v)
+                want[ci.index, last, j] += g * paths.distance(v, d)
+    assert model.end_cost.shape == (
+        len(model.chain_instances),
+        max(len(ci.vnfs) for ci in model.chain_instances),
+        len(instance.topology.nfv_nodes),
+    )
+    assert (np.abs(model.end_cost - want) <= 1e-9 * np.maximum(1.0, want)).all()
 
 
 @pytest.mark.parametrize("nc", [1, 4, 34])

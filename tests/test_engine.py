@@ -8,7 +8,13 @@ import random
 
 import pytest
 from brute_force import enumerate_all_configs, reduced_cost_of
-from conftest import build_instance, random_connected_instance, with_capacity, with_k
+from conftest import (
+    build_instance,
+    random_connected_instance,
+    with_capacity,
+    with_k,
+    with_nc,
+)
 
 from scmap import baselines, engine
 from scmap.fixturedata import cost239_files, nsfnet_files
@@ -29,7 +35,7 @@ from scmap.netmodel import (
     load_instance,
 )
 from scmap.pathcore import all_pairs_hops
-from scmap.pricer import price_chain_instance, segment_cost_table
+from scmap.pricer import price_chain_instance, price_round, segment_cost_table
 from scmap.simplexkit import MipSolution, highs
 from scmap.sptg import partition_all
 
@@ -75,8 +81,9 @@ class TestColumnGeneration:
         assert trace.converged
         _, duals = solve_relaxation(model)
         seg = segment_cost_table(triangle_instance, duals)
+        pricing = price_round(triangle_instance, model.chain_instances, duals, seg)
         for ci in model.chain_instances:
-            assert price_chain_instance(triangle_instance, ci, duals, seg) is None
+            assert price_chain_instance(triangle_instance, ci, pricing) is None
 
     def test_trace_objective_monotone(self):
         rng = random.Random(5)
@@ -590,6 +597,44 @@ def test_group_too_large_for_any_node_is_a_named_certificate():
     assert "need [3.0] cores" in msg and "the most cores, a, has 2" in msg
 
 
+def test_instance_without_a_pooled_column_is_always_priced(monkeypatch):
+    # a bound at 0 lets the screen skip an instance only once it has a
+    # pooled column: one with none may fit nowhere, and only its search
+    # raises the certificate
+    inst = build_instance(
+        ["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "c"), ("c", "b")], nc=2
+    )
+    model = build_rmp(inst, partition_all(inst))
+    _, duals = solve_relaxation(model)
+    pricing = price_round(
+        inst, model.chain_instances, duals, segment_cost_table(inst, duals)
+    )
+    at_zero = dataclasses.replace(pricing, bound=0.0 * pricing.bound)
+    assert engine._to_price(model, at_zero) == list(model.chain_instances)
+    add_column(model, make_configuration(model.chain_instances[1], ("a",), ()))
+    assert engine._to_price(model, at_zero) == [model.chain_instances[0]]
+    below = dataclasses.replace(at_zero, bound=at_zero.bound - 2 * engine.EPS)
+    assert engine._to_price(model, below) == list(model.chain_instances)
+
+    # end to end: the first round prices every chain instance, as none has
+    # a one-host column where every node holds less than each needs
+    priced = []
+    price = engine.price_chain_instance
+
+    def spy(instance, ci, pricing):
+        priced.append(ci.label)
+        return price(instance, ci, pricing)
+
+    monkeypatch.setattr(engine, "price_chain_instance", spy)
+    tight = build_instance(
+        ["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "c", 2.0)],
+        chain_vnfs=("fw", "nat"), cores=3,
+    )
+    model, _ = engine.run_column_generation(tight, partition_all(tight))
+    assert not any(set(c.locations) == {v} for c in model.pool for v in "abc")
+    assert priced[:1] == ["c/0"]
+
+
 def test_core_cut_refuses_before_any_lp_solve(monkeypatch):
     # two 1 Gbps groups of a one-VNF chain each fit the one NFV node's
     # single core, but together they need 2: the necessary core cut proves
@@ -994,6 +1039,27 @@ class TestValidatePlan:
         broken = engine.plan_from_json(json.dumps(doc), inst)
         kinds = {v.kind for v in engine.validate_plan(inst, broken)}
         assert "location_not_nfv" in kinds
+
+    def test_instance_count_against_nc(self):
+        # a plan of exactly nc instances passes; one more than nc, or a
+        # (chain, group_index) given twice, is an instance_count fault
+        inst = load_instance(*nsfnet_files(), k=14, nc=34)
+        plan = engine.solve(inst).plan
+        assert len(plan.assignments) == 34
+
+        def faults(nc):
+            at = with_nc(inst, nc)
+            return [str(v) for v in engine.validate_plan(at, plan) if v.kind == "instance_count"]
+
+        assert faults(34) == [] and faults(35) == []
+        assert faults(33) == ["instance_count: chain sc3: 34 instances, nc=33"]
+        square, solved = solved_square()
+        twice = dataclasses.replace(solved, assignments=solved.assignments * 2)
+        kinds = [str(v) for v in engine.validate_plan(square, twice) if v.kind == "instance_count"]
+        assert kinds == [
+            f"instance_count: chain c: {2 * len(solved.assignments)} instances, nc=2",
+            *(f"instance_count: c/{a.group_index}: assigned twice" for a in solved.assignments),
+        ]
 
     def test_objective_drift_detected(self):
         inst, plan = solved_square()

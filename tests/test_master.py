@@ -19,7 +19,7 @@ from scmap.master import (
 )
 from scmap.netmodel import load_instance
 from scmap.pathcore import all_pairs_hops
-from scmap.pricer import best_configuration, segment_cost_table
+from scmap.pricer import best_configuration, price_round, segment_cost_table
 from scmap.fixturedata import nsfnet_files, triangle_files
 from scmap.simplexkit import highs
 from scmap.sptg import partition_all
@@ -294,9 +294,10 @@ class TestDuals:
             for row, coef in coeffs.items():
                 recomputed -= model.last_relaxation.duals[row] * coef
             assert mine == pytest.approx(recomputed, abs=1e-8)
-        _, reduced = best_configuration(
-            triangle, ci, duals, segment_cost_table(triangle, duals)
+        pricing = price_round(
+            triangle, model.chain_instances, duals, segment_cost_table(triangle, duals)
         )
+        _, reduced = best_configuration(triangle, ci, pricing)
         assert reduced == pytest.approx(
             min(
                 reduced_cost_of(model, duals, c)
@@ -318,9 +319,10 @@ class TestDuals:
             for row, coef in column_coefficients(model, config).items():
                 recomputed -= model.last_relaxation.duals[row] * coef
             assert reduced_cost_of(model, duals, config) == pytest.approx(recomputed, abs=1e-8)
-        _, reduced = best_configuration(
-            triangle, ci, duals, segment_cost_table(triangle, duals)
+        pricing = price_round(
+            triangle, model.chain_instances, duals, segment_cost_table(triangle, duals)
         )
+        _, reduced = best_configuration(triangle, ci, pricing)
         assert reduced == pytest.approx(
             min(reduced_cost_of(model, duals, c) for c in enumerate_all_configs(triangle, ci)),
             abs=1e-8,

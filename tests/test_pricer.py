@@ -1,18 +1,24 @@
+import dataclasses
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from brute_force import enumerate_all_configs
 from conftest import build_instance, random_connected_instance
+from test_end_commodities import draws
 
 from scmap.master import DualPrices, chain_instances, fits, validate_configuration
 from scmap.pathcore import shortest_path_weighted
 from scmap.pricer import (
+    EPS,
     PricerError,
     _fitting_argmin,
     best_configuration,
+    cost_to_go,
     price_chain_instance,
+    price_round,
     segment_cost_table,
 )
 from scmap.sptg import partition_all
@@ -23,24 +29,34 @@ def only_instance(instance):
     return ci
 
 
+def one_round(instance, ci, duals):
+    """The pricing round of `ci`, the only chain instance, under `duals`."""
+    return price_round(instance, [ci], duals, segment_cost_table(instance, duals))
+
+
 def price(instance, ci, duals):
-    return best_configuration(instance, ci, duals, segment_cost_table(instance, duals))
+    return best_configuration(instance, ci, one_round(instance, ci, duals))
 
 
-def zero_duals():
-    return DualPrices(convexity={}, core={}, capacity={}, end={})
+def no_end_charges(instance):
+    """`DualPrices.end` of zeros for one chain instance of any chain."""
+    n = max(len(c.vnfs) for c in instance.chains.values())
+    return np.zeros((1, n, len(instance.topology.nfv_nodes)))
+
+
+def zero_duals(instance):
+    return DualPrices(convexity={}, core={}, capacity={}, end=no_end_charges(instance))
 
 
 def random_duals(rng, instance, ci):
+    nfv = instance.topology.nfv_nodes
     return DualPrices(
         convexity={ci.key: rng.uniform(-5.0, 5.0)},
-        core={v: -rng.uniform(0.0, 2.0) for v in instance.topology.nfv_nodes},
+        core={v: -rng.uniform(0.0, 2.0) for v in nfv},
         capacity={a: -rng.uniform(0.0, 1.5) for a in instance.topology.arc_index},
-        end={
-            (ci.key, pos, v): rng.uniform(-3.0, 3.0)
-            for pos in range(len(ci.vnfs))
-            for v in instance.topology.nfv_nodes
-        },
+        end=np.array(
+            [[[rng.uniform(-3.0, 3.0) for _ in nfv] for _ in range(len(ci.vnfs))]]
+        ),
     )
 
 
@@ -50,9 +66,10 @@ def brute_force_total(instance, ci, duals, config):
     rates = instance.chain_cores_per_gbps(ci.chain)
     total = config.cost
     total -= duals.convexity.get(ci.key, 0.0)
+    nfv = instance.topology.nfv_nodes
     for pos, v in enumerate(config.locations):
         total -= duals.core.get(v, 0.0) * dgroup * rates[pos]
-        total -= duals.end.get((ci.key, pos, v), 0.0)
+        total -= duals.end[ci.index, pos, nfv.index(v)]
     for seg in config.segment_paths:
         for arc in seg:
             total -= duals.capacity.get(arc, 0.0) * dgroup
@@ -68,7 +85,7 @@ class TestZeroDuals:
             chain_vnfs=("fw", "nat"),
         )
         ci = only_instance(inst)
-        config, reduced = price(inst, ci, zero_duals())
+        config, reduced = price(inst, ci, zero_duals(inst))
         assert config.cost == 0.0
         assert reduced == 0.0
         assert len(set(config.locations)) == 1
@@ -77,16 +94,15 @@ class TestZeroDuals:
     def test_nonnegative_total_returns_none(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
         ci = only_instance(inst)
-        duals = zero_duals()
-        assert price_chain_instance(inst, ci, duals, segment_cost_table(inst, duals)) is None
+        assert price_chain_instance(inst, ci, one_round(inst, ci, zero_duals(inst))) is None
 
     def test_convexity_offset_prices_out(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
         ci = only_instance(inst)
         duals = DualPrices(
-            convexity={ci.key: 1.0}, core={}, capacity={}, end={}
+            convexity={ci.key: 1.0}, core={}, capacity={}, end=no_end_charges(inst)
         )
-        priced = price_chain_instance(inst, ci, duals, segment_cost_table(inst, duals))
+        priced = price_chain_instance(inst, ci, one_round(inst, ci, duals))
         assert priced is not None
         _, reduced = priced
         assert reduced == pytest.approx(-1.0)
@@ -95,28 +111,28 @@ class TestZeroDuals:
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
         ci = only_instance(inst)
         duals = DualPrices(
-            convexity={ci.key: 0.0}, core={}, capacity={}, end={}
+            convexity={ci.key: 0.0}, core={}, capacity={}, end=no_end_charges(inst)
         )
-        assert price_chain_instance(inst, ci, duals, segment_cost_table(inst, duals)) is None
+        assert price_chain_instance(inst, ci, one_round(inst, ci, duals)) is None
 
 
 class TestSegmentTable:
     def test_positive_capacity_dual_rejected(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
         duals = DualPrices(
-            convexity={}, core={}, capacity={("a", "b"): 0.5}, end={}
+            convexity={}, core={}, capacity={("a", "b"): 0.5}, end=no_end_charges(inst)
         )
         with pytest.raises(PricerError):
             segment_cost_table(inst, duals)
 
     def test_weights_inflate_with_negative_duals(self):
         inst = build_instance(["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "c")])
-        flat = segment_cost_table(inst, zero_duals())
+        flat = segment_cost_table(inst, zero_duals(inst))
         duals = DualPrices(
             convexity={},
             core={},
             capacity={("a", "b"): -1.0},
-            end={},
+            end=no_end_charges(inst),
         )
         priced = segment_cost_table(inst, duals)
         # rows and columns follow the NFV nodes a, b, c
@@ -129,16 +145,16 @@ class TestSegmentTable:
         # under zero duals the table comes from the hop table; the Dijkstra
         # it stands in for must agree on every cost and path, ties included
         topo = nsfnet_instance.topology
-        table = segment_cost_table(nsfnet_instance, zero_duals())
+        table = segment_cost_table(nsfnet_instance, zero_duals(nsfnet_instance))
         unit = {arc: 1.0 for arc in topo.arc_index}
         for i, u in enumerate(topo.nfv_nodes):
             for j, w in enumerate(topo.nfv_nodes):
                 if u == w:
-                    assert table.matrix[i, j] == 0.0 and table.path[(u, w)] == ()
+                    assert table.matrix[i, j] == 0.0 and table.path(u, w) == ()
                     continue
                 cost, arcs = shortest_path_weighted(topo, unit, u, w)
                 assert table.matrix[i, j] == cost
-                assert table.path[(u, w)] == tuple(arcs)
+                assert table.path(u, w) == tuple(arcs)
 
 
 class TestEnumeration:
@@ -268,7 +284,10 @@ class TestExactness:
                 cost += sum(seg[tup[i]][tup[i + 1]] for i in range(n - 1))
                 if best is None or cost < best[0]:
                     best = (cost, tup)
-            got = _fitting_argmin(node_cost, seg, need, cores)
+            togo = cost_to_go(
+                np.array([node_cost], dtype=float), np.ones(1), np.array([n]), np.array(seg, float)
+            )
+            got = _fitting_argmin(node_cost, seg, need, cores, togo[0].tolist())
             if best is None:
                 assert got == (math.inf, None)
                 empty += 1
@@ -280,4 +299,60 @@ class TestExactness:
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b", 2.0)], cores=1)
         ci = only_instance(inst)
         with pytest.raises(PricerError, match="no placement fits"):
-            price(inst, ci, zero_duals())
+            price(inst, ci, zero_duals(inst))
+
+
+class TestRoundBound:
+    def test_screen_skips_only_instances_that_cannot_price_out(self):
+        # every chain instance of every draw under core, capacity and end
+        # duals drawn as above, with each convexity dual set near its
+        # instance's least cost so that both verdicts occur: the round's
+        # bound never exceeds the brute-force least reduced cost, so an
+        # instance the screen skips (bound >= -EPS) has no configuration
+        # that prices out, whether or not it fits the cores
+        rng = random.Random(21)
+        skipped = priced = 0
+        for case, inst in draws():
+            cis = chain_instances(inst, partition_all(inst))
+            nfv = inst.topology.nfv_nodes
+            width = max(len(ci.vnfs) for ci in cis)
+            duals = DualPrices(
+                convexity={},
+                core={v: -rng.uniform(0.0, 2.0) for v in nfv},
+                capacity={a: -rng.uniform(0.0, 1.5) for a in inst.topology.arc_index},
+                end=np.array(
+                    [[[rng.uniform(-3.0, 3.0) for _ in nfv] for _ in range(width)] for _ in cis]
+                ),
+            )
+            least = {
+                ci.key: min(
+                    brute_force_total(inst, ci, duals, c) for c in enumerate_all_configs(inst, ci)
+                )
+                for ci in cis
+            }
+            duals = dataclasses.replace(
+                duals, convexity={key: c + rng.uniform(-0.5, 0.5) for key, c in least.items()}
+            )
+            pricing = price_round(inst, cis, duals, segment_cost_table(inst, duals))
+            for ci in cis:
+                reduced = least[ci.key] - duals.convexity[ci.key]
+                bound = pricing.bound[ci.index]
+                assert bound <= reduced + 1e-9, f"case {case} {ci.label}"
+                if bound >= -EPS:
+                    assert reduced >= -EPS, f"case {case} {ci.label}"
+                    skipped += 1
+                else:
+                    priced += 1
+        # 264 skipped, 263 priced at the time of writing
+        assert skipped >= 150 and priced >= 150, (skipped, priced)
+
+    def test_bound_is_the_exact_minimum_where_cores_are_ample(self):
+        # with every location tuple fitting, the sweep's bound is the exact
+        # search's reduced cost
+        rng = random.Random(3)
+        for _ in range(60):
+            inst = random_connected_instance(rng, max_nodes=5, chain_vnfs=("fw", "nat", "lb"))
+            ci = only_instance(inst)
+            pricing = one_round(inst, ci, random_duals(rng, inst, ci))
+            _, reduced = best_configuration(inst, ci, pricing)
+            assert pricing.bound[ci.index] == pytest.approx(reduced, abs=1e-9)

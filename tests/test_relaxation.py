@@ -19,6 +19,7 @@ from scmap.master import (
     core_loads,
     fits,
     make_configuration,
+    node_cores,
 )
 from scmap.netmodel import load_instance
 from scmap.simplexkit import highs
@@ -36,13 +37,10 @@ def core_bound(instance, scale):
 
 
 def cheapest_columns(model):
-    """Each chain instance's cheapest pooled z variable, the lowest pool
-    position among equals."""
+    """Each chain instance's cheapest pooled column's pool position, the
+    lowest among equals."""
     obj = [model.lp.variables[var].obj for var in model.zvar]
-    return {
-        model.zvar[min(group, key=lambda p: (obj[p], p))]
-        for group in model.pool_by_instance.values()
-    }
+    return [min(group, key=lambda p: (obj[p], p)) for group in model.pool_by_instance.values()]
 
 
 def check_every_relaxation(monkeypatch, tally):
@@ -70,7 +68,7 @@ def check_every_relaxation(monkeypatch, tally):
             tally["fired"] += 1
         elif all(model.pool_by_instance.values()):
             loads = core_loads(model, cheapest_columns(model))
-            assert any(load >= cores - FIT_TOL for load, cores in loads), where
+            assert (loads >= node_cores(model) - FIT_TOL).any(), where
             tally["declined"] += 1
         return solve(model)
 
@@ -163,8 +161,9 @@ def looped_pool(instance, partitions):
 
 
 def assert_block_pools_as_the_loop(instance):
-    """Same pool order, configurations (keys and costs), z variables and
-    objectives, and every row's coefficients, exactly; returns the model."""
+    """Same pool order, configurations (keys and costs), z variables, names
+    and objectives, every row's coefficients, and the pool's objective,
+    chain-instance and location arrays, exactly; returns the model."""
     partitions = partition_all(instance)
     block = build_rmp(instance, partitions)
     add_colocated_columns(block)
@@ -177,6 +176,16 @@ def assert_block_pools_as_the_loop(instance):
         (v.name, v.obj) for v in loop.lp.variables
     ]
     assert [r.coeffs for r in block.lp.rows] == [r.coeffs for r in loop.lp.rows]
+    for name in ("z_obj", "z_ci", "z_loc"):
+        got, want = getattr(block, name), getattr(loop, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    # the arrays agree with the pooled columns they stand for
+    assert block.z_obj.tolist() == [block.lp.variables[var].obj for var in block.zvar]
+    nfv = instance.topology.nfv_nodes
+    for p, config in enumerate(block.pool):
+        ci = block.by_key[(config.chain, config.group_index)]
+        assert block.z_ci[p] == ci.index
+        assert {nfv[v] for v in block.z_loc[p]} == set(config.locations)
     return block
 
 
@@ -206,6 +215,13 @@ def test_one_host_block_pools_as_the_loop_on_fixtures(files, variant, nc):
         inst = core_bound(inst, 1.5)
     model = assert_block_pools_as_the_loop(inst)
     assert model.compact == (variant != "links-30")
+
+
+def test_one_host_block_goes_into_an_empty_pool(triangle_instance):
+    model = build_rmp(triangle_instance, partition_all(triangle_instance))
+    add_colocated_columns(model)
+    with pytest.raises(master.MasterError, match="no column yet"):
+        add_colocated_columns(model)
 
 
 def test_closed_form_ties_go_to_the_lowest_pool_position(uncapped_split_triangle):

@@ -204,14 +204,18 @@ def test_model_validation():
         lp.add_constraint([(0, math.nan)], LE, 1.0)
     row = lp.add_constraint([(0, 1.0)], LE, 1.0)
     with pytest.raises(LpError):
-        lp.add_column("y", math.inf, [(row, 1.0)])
+        lp.add_columns(["y"], [math.inf], [[(row, 1.0)]])
     with pytest.raises(LpError):
-        lp.add_column("y", 1.0, [(row + 1, 1.0)])
+        lp.add_columns(["y"], [1.0], [[(row + 1, 1.0)]])
     with pytest.raises(LpError):
-        lp.add_column("y", 1.0, [(row, math.nan)])
+        lp.add_columns(["y"], [1.0], [[(row, math.nan)]])
+    # a malformed column anywhere in a block appends none of it
+    with pytest.raises(LpError):
+        lp.add_columns(["y", "w"], [1.0, 1.0], [[(row, 2.0)], [(row + 1, 1.0)]])
     assert lp.n_vars == 1 and lp.rows[row].coeffs == [(0, 1.0)]
-    assert lp.add_column("y", 1.0, [(row, 2.0)]) == 1
-    assert lp.rows[row].coeffs == [(0, 1.0), (1, 2.0)]
+    assert lp.add_columns(["y"], [1.0], [[(row, 2.0)]]) == [1]
+    assert lp.add_columns(["u", "w"], [1.0, 3.0], [[], [(row, 4.0)]]) == [2, 3]
+    assert lp.rows[row].coeffs == [(0, 1.0), (1, 2.0), (3, 4.0)]
 
 
 # -- oracle batteries ---------------------------------------------------------
