@@ -7,8 +7,11 @@ binds, a round's relaxation is solved in closed form, each chain instance
 at its cheapest pooled column with ties to the lowest pool position (see
 `scmap.master`); otherwise HiGHS solves it. Pricing searches only the
 chain instances whose round bound (`scmap.pricer`) is below -EPS or that
-have no pooled column. A decoded plan is validated with the loads its
-decode summed; `validate_plan` sums them afresh for any plan it is handed.
+have no pooled column. A plan whose ends follow the hop table's canonical
+paths is decoded with its loads summed off the master's per-pair arrays
+along the next-hop matrix (`_plan_sums`), with no walk per demand pair, and
+validated with those sums; `validate_plan` sums the loads afresh along the
+routes of any plan it is handed, so the two sums are independent.
 The relaxation carries no
 hosting budget, so one converged model serves every k of a sweep and only
 the integer selection reads k. The price is a k-blind `lp_bound`: the same
@@ -107,8 +110,12 @@ class Violation:
         return f"{self.kind}: {self.detail}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PairRoute:
+    """One demand pair's end routes. Not frozen: a decode builds one per
+    pair, and a frozen `__init__` costs over three times as much; treat it
+    as immutable all the same."""
+
     src: str
     dst: str
     first_arcs: tuple
@@ -205,14 +212,7 @@ def diagnose_infeasibility(instance: ProblemInstance) -> list:
     """
     hints = []
     topo = instance.topology
-    out_need: dict = {}
-    in_need: dict = {}
-    for r in instance.demands.records:
-        if r.src == r.dst:
-            continue
-        out_need[r.src] = out_need.get(r.src, 0.0) + r.gbps
-        in_need[r.dst] = in_need.get(r.dst, 0.0) + r.gbps
-    for v, need in sorted(out_need.items()):
+    for v, need in sorted(instance.out_gbps.items()):
         arcs = topo.out_arcs[v]
         have = sum(topo.capacity(a) for a in arcs)
         if need > have + 1e-9:
@@ -220,7 +220,7 @@ def diagnose_infeasibility(instance: ProblemInstance) -> list:
                 f"demand leaving {v} totals {need:g} Gbps but its outgoing arcs "
                 f"{[f'{a}->{b}' for a, b in arcs]} provide {have:g}"
             )
-    for v, need in sorted(in_need.items()):
+    for v, need in sorted(instance.in_gbps.items()):
         arcs = topo.in_arcs[v]
         have = sum(topo.capacity(a) for a in arcs)
         if need > have + 1e-9:
@@ -242,10 +242,7 @@ def _core_cut(instance: ProblemInstance, k: int) -> Optional[str]:
     on at most k nodes, so a need above those k nodes' cores is a proof.
     """
     topo = instance.topology
-    needed = sum(
-        r.gbps * sum(instance.chain_cores_per_gbps(r.chain))
-        for r in instance.demands.records
-    )
+    needed = instance.core_need
     cores = sorted((topo.node_by_id[v].cores for v in topo.nfv_nodes), reverse=True)
     have = sum(cores[:k])
     if needed <= have + 1e-9:
@@ -290,10 +287,11 @@ def run_column_generation(
     if hints:
         raise Infeasible("no plan exists: " + "; ".join(hints))
     partitions = tuple(partitions)
-    cut = _colocation_cut(instance, chain_instances(instance, partitions))
+    cis = chain_instances(instance, partitions)
+    cut = _colocation_cut(instance, cis)
     if cut:
         raise cut
-    model = build_rmp(instance, partitions)
+    model = build_rmp(instance, partitions, cis)
     # fallback columns: a co-located configuration at every NFV node where it
     # fits, so the integer stage has every one-host choice that exists
     add_colocated_columns(model)
@@ -464,12 +462,71 @@ def _end_routes(model: RmpModel, x: list, ci: ChainInstance, location: str, lead
     return out
 
 
+def _spread(nxt: np.ndarray, carried: np.ndarray) -> np.ndarray:
+    """Arc loads of routes along canonical paths: [u * n + w] is the Gbps
+    on arc (u, w) when carried[a * n + b] Gbps run along the canonical path
+    from node a to node b, n nodes and `nxt` the hop table's next-hop
+    matrix. Every path takes its first hop together, then its second, and
+    so on: one `bincount` per hop."""
+    n = len(nxt)
+    loads = np.zeros(n * n)
+    route = np.flatnonzero(carried)
+    u, w = np.divmod(route, n)
+    gbps = carried[route]
+    while True:
+        live = u != w
+        u, w, gbps = u[live], w[live], gbps[live]
+        if not u.size:
+            return loads
+        step = nxt[u, w]
+        loads += np.bincount(u * n + step, weights=gbps, minlength=n * n)
+        u = step
+
+
+def _plan_sums(model: RmpModel, chosen: list) -> tuple[dict, dict, tuple]:
+    """`_aggregate` of the plan that selects pool positions `chosen` (one
+    per chain instance, in instance order) and routes every lead-in and
+    lead-out along the hop table's canonical path, summed off the model's
+    per-pair arrays instead of the routes: one `bincount` over (from, to)
+    route ids covers every end, `_spread` puts those routes on arcs, each
+    instance adds its segments' arcs, and node cores come per position."""
+    paths = all_pairs_hops(model.instance.topology)
+    ix, names = paths.index, paths.names
+    n = len(names)
+    at = np.array([ix[v] for v in model.nfv_index], dtype=np.int64)
+    loc = model.z_loc[chosen]
+    head, tail = at[loc[:, 0]][model.pair_ci], at[loc[:, -1]][model.pair_ci]
+    routes = np.concatenate((model.pair_src * n + head, tail * n + model.pair_dst))
+    carried = np.bincount(routes, weights=np.tile(model.pair_gbps, 2), minlength=n * n)
+    loads = _spread(paths.nxt, carried)
+    seg_arcs, seg_gbps = [], []
+    for ci, p in zip(model.chain_instances, chosen):
+        for seg in model.pool[p].segment_paths:
+            seg_arcs += [ix[u] * n + ix[w] for u, w in seg]
+            seg_gbps += [ci.total_gbps] * len(seg)
+    loads += np.bincount(
+        np.array(seg_arcs, dtype=np.int64), weights=seg_gbps, minlength=n * n
+    )
+    used = np.flatnonzero(loads)
+    frm, to = np.divmod(used, n)
+    arc_loads = {
+        (names[a], names[b]): load
+        for a, b, load in zip(frm.tolist(), to.tolist(), loads[used].tolist())
+    }
+    nfv = list(model.nfv_index)
+    use = core_loads(model, chosen).tolist()
+    hosts = np.unique(loc).tolist()  # NFV order is id order
+    return arc_loads, {nfv[v]: use[v] for v in hosts}, tuple(nfv[v] for v in hosts)
+
+
 def _decode(
     instance: ProblemInstance, model: RmpModel, x: list, zvar: list, full: bool
 ) -> MappingPlan:
     """The plan an integer point `x` selects; `zvar` maps pool positions to
     its z variables. `full` points route their ends by their end flows,
-    others along hop-shortest paths, each the hop table's own route tuple."""
+    and their sums walk those routes (`_aggregate`). Others route their
+    ends along hop-shortest paths, each the hop table's own route tuple,
+    and their sums come from the model's arrays (`_plan_sums`)."""
     paths = all_pairs_hops(instance.topology)
     picked = np.flatnonzero(np.asarray(x)[zvar] > 0.5)
     count = np.bincount(model.z_ci[picked], minlength=len(model.chain_instances))
@@ -501,7 +558,10 @@ def _decode(
                 routes=tuple(routes),
             )
         )
-    loads, cores, hosting = _aggregate(instance, assignments)
+    if full:
+        loads, cores, hosting = _aggregate(instance, assignments)
+    else:
+        loads, cores, hosting = _plan_sums(model, chosen)
     objective = sum(loads.values())
     lp_bound = model.lp_bound
     gap = max(0.0, (objective - lp_bound) / max(1.0, abs(objective)))
@@ -762,11 +822,15 @@ def _violations(instance: ProblemInstance, plan: MappingPlan, aggregate) -> list
     """The checks of `validate_plan`. `aggregate` is `_aggregate` of every
     assignment of `plan`, or None to compute it here over the assignments
     whose chain and locations are known. A route is checked once per
-    distinct (arcs, start, end), however many pairs share it."""
+    (arcs object, start, end), however many pairs share it: a decoded
+    plan's pairs share the hop table's route tuples, and keying them by
+    identity spares hashing each pair's arc tuple."""
     violations: list = []
     topo = instance.topology
     covered: dict = {}
-    faults: dict = {}  # (arcs, start, end) -> route_fault, None when clean
+    # (id of an arc tuple, start, end) -> route_fault, None when clean; the
+    # plan holds every tuple for the whole call, so no id is reused
+    faults: dict = {}
     demands = instance.demands.gbps
 
     for asg in plan.assignments:
@@ -794,13 +858,14 @@ def _violations(instance: ProblemInstance, plan: MappingPlan, aggregate) -> list
                 )
                 continue
             pairs.append((route.src, route.dst))
-            for key, end in (
-                ((route.first_arcs, route.src, head), "lead-in"),
-                ((route.last_arcs, tail, route.dst), "lead-out"),
+            for arcs, start, stop, end in (
+                (route.first_arcs, route.src, head, "lead-in"),
+                (route.last_arcs, tail, route.dst, "lead-out"),
             ):
+                key = (id(arcs), start, stop)
                 fault = faults.get(key, False)
                 if fault is False:
-                    fault = faults[key] = route_fault(topo, *key)
+                    fault = faults[key] = route_fault(topo, arcs, start, stop)
                 if fault:
                     violations.append(
                         Violation("contiguity", f"{label} {route.src}->{route.dst} {end}: {fault}")

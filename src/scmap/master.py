@@ -196,6 +196,13 @@ class RmpModel:
     z_obj: np.ndarray
     z_ci: np.ndarray
     z_loc: np.ndarray
+    # each chain instance's demand pairs, instances in order and each one's
+    # pairs in `ChainInstance.pairs` order: chain instance index, node index
+    # (`PathTable.index`) of source and destination, and Gbps
+    pair_ci: np.ndarray
+    pair_src: np.ndarray
+    pair_dst: np.ndarray
+    pair_gbps: np.ndarray
     compact: bool = False  # the master's shape; see the module docstring
     # (key, position, node) -> [(end-flow row, coefficient)] of a column placing there
     end_rows: dict = field(default_factory=dict)
@@ -238,13 +245,9 @@ def chain_instances(
     out = []
     for part in sorted(partitions, key=lambda p: p.chain):
         spec = instance.chains[part.chain]
-        gbps = {
-            (r.src, r.dst): r.gbps
-            for r in instance.demands.records
-            if r.chain == part.chain
-        }
+        gbps = instance.demands.gbps
         for gi, group in enumerate(part.groups):
-            demand = {pair: gbps[pair] for pair in group.members}
+            demand = {(s, d): gbps[part.chain, s, d] for s, d in group.members}
             out.append(
                 ChainInstance(
                     chain=part.chain,
@@ -409,15 +412,26 @@ def _add_end_rows(
 def build_rmp(
     instance: ProblemInstance,
     partitions: Iterable[ChainPartition],
+    cis: Optional[tuple[ChainInstance, ...]] = None,
 ) -> RmpModel:
     """Pick the master's shape and assemble its artificial columns, rows and
-    static columns. Configuration columns arrive through `add_column`."""
+    static columns. Configuration columns arrive through `add_column`.
+    `cis`, when given, is `chain_instances(instance, partitions)`, which
+    the caller already has."""
     topo = instance.topology
     paths = all_pairs_hops(topo)
-    cis = chain_instances(instance, partitions)
+    if cis is None:
+        cis = chain_instances(instance, partitions)
     nfv = topo.nfv_nodes
     need = position_need(instance, cis)
     worst = worst_case_load(instance)
+    ix = paths.index
+    n = len(ix)
+    pairs = [(ci.index, ix[s], ix[d], g) for ci in cis for (s, d), g in ci.demand.items()]
+    pair_ci, pair_src, pair_dst = (
+        np.array([p[f] for p in pairs], dtype=np.int64) for f in range(3)
+    )
+    pair_gbps = np.array([p[3] for p in pairs], dtype=float)
     lp = LinearProgram("rmp")
     model = RmpModel(
         instance=instance,
@@ -428,6 +442,10 @@ def build_rmp(
         z_obj=np.zeros(0),
         z_ci=np.zeros(0, dtype=np.int64),
         z_loc=np.zeros((0, need.shape[1]), dtype=np.int64),
+        pair_ci=pair_ci,
+        pair_src=pair_src,
+        pair_dst=pair_dst,
+        pair_gbps=pair_gbps,
         compact=all(a.capacity_gbps >= worst for a in topo.arcs),
         by_key={ci.key: ci for ci in cis},
         pool_by_instance={ci.key: [] for ci in cis},
@@ -435,20 +453,12 @@ def build_rmp(
     )
     # Gbps-hops from every source to each NFV node and from each NFV node to
     # every destination: each instance's Gbps per node times the hop matrix
-    ix = paths.index
-    n = len(ix)
     at = [ix[v] for v in nfv]
     hops_in, hops_out = paths.hops[:, at], paths.hops[at, :].T
-    src, dst, gbps = [], [], []
-    for ci in cis:
-        for (s, d), g in ci.demand.items():
-            src.append(ci.index * n + ix[s])
-            dst.append(ci.index * n + ix[d])
-            gbps.append(g)
     by_src, by_dst = (
-        np.bincount(np.array(ends, dtype=np.int64), weights=gbps, minlength=len(cis) * n)
+        np.bincount(pair_ci * n + ends, weights=pair_gbps, minlength=len(cis) * n)
         .reshape(len(cis), n)
-        for ends in (src, dst)
+        for ends in (pair_src, pair_dst)
     )
     last = np.array([len(ci.vnfs) - 1 for ci in cis], dtype=np.int64)
     step = max(1, ARRAY_BLOCK // max(1, n * len(nfv)))

@@ -168,6 +168,15 @@ class ProblemInstance:
     cores_per_gbps: dict[str, tuple[float, ...]] = field(
         init=False, repr=False, compare=False
     )
+    # chain id -> its demand pairs in lexicographic order, read once from `demands`
+    chain_pairs: dict[str, tuple[tuple[str, str], ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    # cores every placement together needs, wherever each chain instance sits
+    core_need: float = field(init=False, repr=False, compare=False)
+    # node -> Gbps of the demands leaving it, and of those entering it
+    out_gbps: dict[str, float] = field(init=False, repr=False, compare=False)
+    in_gbps: dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nfv = self.topology.nfv_nodes
@@ -188,12 +197,21 @@ class ProblemInstance:
             cid: tuple(self.vnfs[f].cores_per_gbps for f in c.vnfs)
             for cid, c in self.chains.items()
         }
+        pairs: dict[str, list[tuple[str, str]]] = {}
+        chain_rate = {cid: sum(rates) for cid, rates in self.cores_per_gbps.items()}
+        self.core_need = 0.0
+        self.out_gbps, self.in_gbps = {}, {}
         for r in self.demands.records:
             for v in (r.src, r.dst):
                 if v not in self.topology.node_by_id:
                     raise ValidationError(f"demand references unknown node {v!r}")
             if r.chain not in self.chains:
                 raise ValidationError(f"demand references unknown chain {r.chain!r}")
+            pairs.setdefault(r.chain, []).append((r.src, r.dst))
+            self.core_need += r.gbps * chain_rate[r.chain]
+            self.out_gbps[r.src] = self.out_gbps.get(r.src, 0.0) + r.gbps
+            self.in_gbps[r.dst] = self.in_gbps.get(r.dst, 0.0) + r.gbps
+        self.chain_pairs = {chain: tuple(sorted(p)) for chain, p in pairs.items()}
         clamped = {}
         for chain, n in self.nc.items():
             if chain not in self.chains:
@@ -208,8 +226,9 @@ class ProblemInstance:
         self.nc = clamped
 
     def pairs_for_chain(self, chain: str) -> list[tuple[str, str]]:
-        """Demand pairs requesting `chain`, in lexicographic order."""
-        return sorted((r.src, r.dst) for r in self.demands.records if r.chain == chain)
+        """Demand pairs requesting `chain`, in lexicographic order; a fresh
+        list on every call."""
+        return list(self.chain_pairs.get(chain, ()))
 
     def demand_gbps(self, chain: str, src: str, dst: str) -> float:
         """Gbps of the (src, dst) demand on `chain`; KeyError if there is none."""

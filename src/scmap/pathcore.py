@@ -1,12 +1,15 @@
 """Shortest-path machinery: hop-count all-pairs table and weighted Dijkstra.
 
 Hop distances drive the traffic grouping and the end-segment costs. Each
-`Topology` builds its table once, as an integer matrix over a node -> index
-map, and every stage reads it through `all_pairs_hops`, so the grouping and
-the master read whole rows and columns of it instead of one pair at a time.
-The weighted variant serves the pricing subproblem, where arcs carry
-dual-adjusted prices. Both pick a canonical path deterministically: among all
-shortest paths, the one whose node sequence is lexicographically smallest.
+`Topology` builds its table once, as integer matrices over a node -> index
+map, and every stage reads it through `all_pairs_hops`: the hop matrix, and
+the next-hop matrix `nxt` that holds every canonical path in index form. So
+the grouping, the master and the plan decode read whole rows and columns of
+them, or walk every path at once one hop per array lookup, instead of one
+pair at a time. The weighted variant serves the pricing subproblem, where
+arcs carry dual-adjusted prices. Both pick a canonical path
+deterministically: among all shortest paths, the one whose node sequence is
+lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -29,17 +32,19 @@ class PathError(ValueError):
 
 @dataclass
 class PathTable:
-    """All-pairs hop distances with canonical next hops.
+    """All-pairs hop distances with canonical next hops, by node index.
 
-    hops[index[u], index[w]] is the hop count of the shortest u->w path.
-    next_hop[(u, w)] is the first node after u on the canonical shortest
-    u->w path: the smallest-id out-neighbor that still lies on some
-    shortest path.
+    hops[i, j] is the hop count of the shortest path from node i to node j.
+    nxt[i, j] is the node after i on the canonical i->j path: the
+    smallest-id out-neighbor that still lies on some shortest path, and
+    nxt[j, j] = j. So the canonical path from i to j is i, nxt[i, j],
+    nxt[nxt[i, j], j], ... up to j, one lookup per hop.
     """
 
-    index: dict[str, int]  # node -> row and column of `hops`
+    index: dict[str, int]  # node -> row and column of `hops` and `nxt`
+    names: list[str]  # index -> node
     hops: np.ndarray  # integer matrix
-    next_hop: dict[tuple[str, str], str]
+    nxt: np.ndarray  # integer matrix
     # (u, w) -> arcs of the canonical path, filled as `route` walks them
     _arcs: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -48,28 +53,22 @@ class PathTable:
 
     def route(self, u: str, w: str) -> tuple[tuple[str, str], ...]:
         """Arcs of the canonical shortest path (empty when u == w), walked
-        once per pair; every call for a pair returns the same tuple."""
+        along `nxt` once per pair; every call for a pair returns the same
+        tuple."""
         arcs = self._arcs.get((u, w))
         if arcs is None:
-            walk, v = [], u
-            while v != w:
-                nxt = self.next_hop[(v, w)]
-                walk.append((v, nxt))
-                v = nxt
+            names, i, j = self.names, self.index[u], self.index[w]
+            toward = self.nxt[:, j].tolist()
+            walk = []
+            while i != j:
+                walk.append((names[i], names[toward[i]]))
+                i = toward[i]
             arcs = self._arcs[(u, w)] = tuple(walk)
         return arcs
 
     def path_arcs(self, u: str, w: str) -> list[tuple[str, str]]:
         """Arc list of the canonical shortest path (empty when u == w)."""
         return list(self.route(u, w))
-
-    def path_node_seq(self, u: str, w: str) -> list[str]:
-        """Node sequence of the canonical shortest path, endpoints included."""
-        seq = [u]
-        while u != w:
-            u = self.next_hop[(u, w)]
-            seq.append(u)
-        return seq
 
 
 def all_pairs_hops(topology: Topology) -> PathTable:
@@ -81,10 +80,11 @@ def build_hop_table(topology: Topology) -> PathTable:
     """BFS from every target over the directed arcs; raises PathError when
     some node cannot reach a target, so a table exists only for a strongly
     connected topology."""
-    index = {v: i for i, v in enumerate(topology.node_ids)}
+    names = topology.node_ids
+    index = {v: i for i, v in enumerate(names)}
     hops = np.zeros((len(index), len(index)), dtype=np.int64)
-    next_hop: dict[tuple[str, str], str] = {}
-    for target in topology.node_ids:
+    nxt = np.zeros_like(hops)
+    for target in names:
         # reverse BFS gives distance-to-target from every node
         d = {target: 0}
         queue = deque([target])
@@ -98,16 +98,16 @@ def build_hop_table(topology: Topology) -> PathTable:
             missing = sorted(set(topology.node_ids) - set(d))[:3]
             raise PathError(f"no path to {target!r} from {missing}")
         column = [0] * len(index)
+        step = [index[target]] * len(index)
         for u, du in d.items():
             column[index[u]] = du
             if u == target:
                 continue
             # smallest next hop that stays on a shortest path
-            next_hop[(u, target)] = min(
-                v for (_, v) in topology.out_arcs[u] if d[v] == du - 1
-            )
+            step[index[u]] = index[min(v for (_, v) in topology.out_arcs[u] if d[v] == du - 1)]
         hops[:, index[target]] = column
-    return PathTable(index=index, hops=hops, next_hop=next_hop)
+        nxt[:, index[target]] = step
+    return PathTable(index=index, names=names, hops=hops, nxt=nxt)
 
 
 def shortest_path_weighted(

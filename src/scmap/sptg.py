@@ -8,7 +8,9 @@ count hits min(requested instances, pair count).
 
 Each chain's pair paths are walked once into sparse cover entries, one
 (anchor, member) entry per demand pair `anchor` whose head the canonical
-path of `member` visits no later than its tail. Pairs are numbered in
+path of `member` visits no later than its tail. The walk reads the hop
+table's next-hop matrix: all paths of one length advance together, one
+array lookup per hop, with no walk per pair. Pairs are numbered in
 lexicographic order, so a cluster size is a count over the entries
 (`np.bincount`), the first argmax is the smallest anchor among the largest,
 and a leftover's nearest anchor is the first argmin of one row of detours
@@ -45,27 +47,39 @@ class ChainPartition:
     groups: list[Group]
 
 
-def _cover_entries(
-    anchors: list[Pair], members: list[Pair], paths: PathTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """(anchor ids, member ids), indices into the two lists, with one entry
-    for each anchor whose head a member's canonical path visits no later
-    than its tail. Each path is walked once; paths of equal length are
-    matched against the anchors together."""
+def node_ends(pairs: list[Pair], paths: PathTable) -> tuple[np.ndarray, np.ndarray]:
+    """The node indices (`PathTable.index`) of the pairs' first and second
+    nodes, as two arrays."""
     ix = paths.index
-    n = len(ix)
+    return (
+        np.array([ix[s] for s, _ in pairs], dtype=np.int64),
+        np.array([ix[d] for _, d in pairs], dtype=np.int64),
+    )
+
+
+def _cover_entries(
+    anchors: tuple[np.ndarray, np.ndarray],
+    members: tuple[np.ndarray, np.ndarray],
+    paths: PathTable,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(anchor ids, member ids) with one entry for each anchor whose head a
+    member's canonical path visits no later than its tail; anchors and
+    members are given by `node_ends`, and ids index them. Paths of equal
+    length are walked together, one `nxt` lookup per hop, and matched
+    against the anchors together."""
+    n = len(paths.index)
     anchor_at = np.full((n, n), -1)
-    anchor_at[[ix[h] for h, _ in anchors], [ix[t] for _, t in anchors]] = np.arange(len(anchors))
-    by_length: dict[int, tuple[list, list]] = {}
-    for m, pair in enumerate(members):
-        seq = [ix[v] for v in paths.path_node_seq(*pair)]
-        ids, seqs = by_length.setdefault(len(seq), ([], []))
-        ids.append(m)
-        seqs.append(seq)
+    anchor_at[anchors] = np.arange(len(anchors[0]))
+    src, dst = members
+    length = paths.hops[src, dst] + 1
     anchor_ids, member_ids = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for length, (ids, seqs) in by_length.items():
-        head, tail = np.triu_indices(length)
-        seq = np.array(seqs)
+    for size in np.unique(length).tolist():
+        ids = np.flatnonzero(length == size)
+        seq = np.empty((ids.size, size), dtype=np.int64)
+        seq[:, 0] = src[ids]
+        for hop in range(1, size):
+            seq[:, hop] = paths.nxt[seq[:, hop - 1], dst[ids]]
+        head, tail = np.triu_indices(size)
         found = anchor_at[seq[:, head], seq[:, tail]]
         hit = found >= 0
         anchor_ids.append(found[hit])
@@ -81,7 +95,8 @@ def partition_chain(instance: ProblemInstance, chain: str) -> ChainPartition:
     if not pairs:
         raise ValueError(f"chain {chain!r} has no demand")
     target = min(instance.nc.get(chain, 1), len(pairs))
-    entries = _cover_entries(pairs, pairs, paths)
+    src, dst = ends = node_ends(pairs, paths)
+    entries = _cover_entries(ends, ends, paths)
     anchor, member = entries
 
     # anchors[i] and groups[i] (member ids) of the i-th group, in creation order
@@ -102,8 +117,6 @@ def partition_chain(instance: ProblemInstance, chain: str) -> ChainPartition:
     # ties to the smallest
     rest = np.flatnonzero(left)
     if rest.size:
-        src = np.array([paths.index[s] for s, _ in pairs])
-        dst = np.array([paths.index[d] for _, d in pairs])
         order = np.array(sorted(range(len(anchors)), key=anchors.__getitem__))
         vs, vd = src[anchors][order], dst[anchors][order]
         s, d, hops = src[rest, None], dst[rest, None], paths.hops

@@ -3,6 +3,8 @@ the solver against, and the grouping's cluster lookup and JSON dump."""
 
 import json
 
+import numpy as np
+
 from scmap.master import (
     ChainInstance,
     Configuration,
@@ -12,7 +14,7 @@ from scmap.master import (
 )
 from scmap.netmodel import ProblemInstance
 from scmap.pathcore import PathTable
-from scmap.sptg import ChainPartition, Group, _cover_entries
+from scmap.sptg import ChainPartition, Group, _cover_entries, node_ends
 
 
 def simple_paths(out_arcs: dict, src: str, dst: str) -> list:
@@ -64,12 +66,26 @@ def enumerate_all_configs(
     return expand((), ())
 
 
+def path_node_seq(paths: PathTable, u: str, w: str) -> list:
+    """Node sequence of the canonical shortest u->w path, endpoints included,
+    read off the hop matrix alone: from each node, the smallest-id
+    out-neighbor (one hop away) that is one hop closer to w."""
+    hops, names = paths.hops, paths.names
+    i, j = paths.index[u], paths.index[w]
+    seq = [u]
+    while i != j:
+        closer = np.flatnonzero((hops[i] == 1) & (hops[:, j] == hops[i, j] - 1))
+        i = min(closer.tolist(), key=names.__getitem__)
+        seq.append(names[i])
+    return seq
+
+
 def _cover_index(pairs, paths: PathTable) -> dict:
     """Map each ordered node pair (head, tail) to the pairs whose canonical
     path visits head no later than tail."""
     index: dict = {}
     for pair in pairs:
-        seq = paths.path_node_seq(*pair)
+        seq = path_node_seq(paths, *pair)
         for i, head in enumerate(seq):
             for tail in seq[i:]:
                 index.setdefault((head, tail), set()).add(pair)
@@ -162,7 +178,7 @@ def cluster_of(anchor: tuple, remaining, paths: PathTable) -> set:
     than its tail, read off `sptg`'s cover entries. The anchor pair itself
     always qualifies."""
     members = sorted(remaining)
-    _, hit = _cover_entries([anchor], members, paths)
+    _, hit = _cover_entries(node_ends([anchor], paths), node_ends(members, paths), paths)
     return {members[m] for m in hit.tolist()}
 
 

@@ -99,6 +99,19 @@ def random_connected_instance(rng: random.Random, max_nodes=6, **kwargs):
     return build_instance(nodes, sorted(links), demands, **kwargs)
 
 
+def ring_with_chords(n=28, chords=16, seed=28, **kwargs):
+    """A ring of n nodes plus `chords` seeded chords, demand on every
+    ordered pair."""
+    rng = random.Random(seed)
+    nodes = [f"m{i:02d}" for i in range(n)]
+    links = {tuple(sorted((nodes[i], nodes[(i + 1) % n]))) for i in range(n)}
+    while len(links) < n + chords:
+        a, b = rng.sample(nodes, 2)
+        links.add((min(a, b), max(a, b)))
+    pairs = [(s, d) for s in nodes for d in nodes if s != d]
+    return build_instance(nodes, sorted(links), pairs, **kwargs)
+
+
 @pytest.fixture(scope="session")
 def triangle_instance():
     return load_instance(*triangle_files(), k=3, nc=1)

@@ -6,8 +6,10 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 from brute_force import enumerate_all_configs, reduced_cost_of
+from test_end_commodities import budgets, draws
 from conftest import (
     build_instance,
     random_connected_instance,
@@ -17,7 +19,7 @@ from conftest import (
 )
 
 from scmap import baselines, engine
-from scmap.fixturedata import cost239_files, nsfnet_files
+from scmap.fixturedata import cost239_files, nsfnet_files, triangle_files
 from scmap.master import (
     add_column,
     build_rmp,
@@ -1165,6 +1167,92 @@ class TestValidatePlan:
                 "objective_mismatch: stored 8.0, recomputed 10.0",
             ],
         }
+
+
+def decode_cells():
+    """(instance, every k to select at): the bundled fixtures at nc 1, 4,
+    16 and 34 (clamped), and at nc 1 with every link at 30 Gbps (an
+    arc-flow master), at k = 2 and every NFV node; then every third of the
+    `draws()` at its budgets."""
+    for files in (triangle_files, nsfnet_files, cost239_files):
+        base = load_instance(*files(), k=None, nc=1)
+        ks = sorted({min(2, len(base.topology.nfv_nodes)), len(base.topology.nfv_nodes)})
+        for nc in (1, 4, 16, 34):
+            yield with_nc(base, nc), ks
+            if nc == 1:
+                yield with_capacity(base, 30.0), ks
+    for case, inst in draws():
+        if case % 3 == 0:
+            yield inst, budgets(inst)
+
+
+def assert_close(got, want, what):
+    assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (what, got, want)
+
+
+def test_array_sums_equal_the_walk_over_the_routes(monkeypatch, caplog):
+    # a plan whose ends are the hop table's routes sums its loads, cores and
+    # objective off the model's per-pair arrays; they must equal
+    # `_aggregate` of the plan's own routes
+    caplog.set_level(logging.ERROR)
+    summed = []
+    plan_sums = engine._plan_sums
+
+    def spy(model, chosen):
+        summed.append(len(chosen))
+        return plan_sums(model, chosen)
+
+    monkeypatch.setattr(engine, "_plan_sums", spy)
+    plans = 0
+    for inst, ks in decode_cells():
+        try:
+            model, _ = engine.run_column_generation(inst, partition_all(inst))
+        except engine.Infeasible:
+            continue
+        for k in ks:
+            try:
+                plan = engine.extract_plan(with_k(inst, k), model)
+            except engine.Infeasible:
+                continue
+            plans += 1
+            loads, cores, hosting = engine._aggregate(inst, plan.assignments)
+            assert plan.arc_loads.keys() == loads.keys()
+            for arc, load in loads.items():
+                assert_close(plan.arc_loads[arc], load, arc)
+            assert plan.node_cores.keys() == cores.keys()
+            for v, used in cores.items():
+                assert_close(plan.node_cores[v], used, v)
+            assert plan.hosting == hosting
+            assert_close(plan.objective_gbps_hops, sum(loads.values()), "objective")
+    # most plans are summed off the arrays; the rest are full-program or
+    # arc-flow relaxation points, whose ends are peeled end flows
+    assert plans >= 110 and len(summed) >= 85, (plans, len(summed))
+
+
+def test_a_hop_dropped_from_the_array_sum_is_a_load_mismatch(monkeypatch):
+    # `_validated` reads the sums the decode stored, so it cannot see a
+    # hop missing from them; `validate_plan` walks the routes and must
+    inst = load_instance(*nsfnet_files(), k=14, nc=4)
+    spread = engine._spread
+    dropped = []
+
+    def drop_one_hop(nxt, carried):
+        loads = spread(nxt, carried)
+        n = len(nxt)
+        route = next(r for r in np.flatnonzero(carried).tolist() if r // n != r % n)
+        u, w = divmod(route, n)
+        loads[u * n + nxt[u, w]] -= carried[route]
+        dropped.append((u, int(nxt[u, w])))
+        return loads
+
+    monkeypatch.setattr(engine, "_spread", drop_one_hop)
+    plan = engine.solve(inst).plan
+    names = all_pairs_hops(inst.topology).names
+    (u, v), = dropped
+    found = [str(x) for x in engine.validate_plan(inst, plan) if x.kind == "arc_load_mismatch"]
+    assert len(found) == 1 and f"arc {names[u]}->{names[v]}" in found[0], found
+    monkeypatch.setattr(engine, "_spread", spread)
+    assert engine.validate_plan(inst, engine.solve(inst).plan) == []
 
 
 class TestPlanJson:

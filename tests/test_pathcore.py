@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scmap.pathcore import PathError, all_pairs_hops, path_nodes, shortest_path_weighted
+from scmap.fixturedata import cost239_files
+from scmap.netmodel import load_instance
+from scmap.pathcore import (
+    PathError,
+    all_pairs_hops,
+    build_hop_table,
+    path_nodes,
+    shortest_path_weighted,
+)
 
-from brute_force import simple_paths
-from conftest import build_instance
+from brute_force import path_node_seq, simple_paths
+from conftest import build_instance, ring_with_chords
 
 
 def floyd_warshall(nodes, arcs):
@@ -36,7 +44,7 @@ def test_path_graph_distances():
     inst = build_instance(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")], [("a", "e")])
     paths = all_pairs_hops(inst.topology)
     assert paths.distance("a", "e") == 4
-    assert paths.path_node_seq("a", "e") == ["a", "b", "c", "d", "e"]
+    assert path_node_seq(paths, "a", "e") == ["a", "b", "c", "d", "e"]
     assert paths.path_arcs("a", "a") == []
 
 
@@ -44,7 +52,8 @@ def test_canonical_path_prefers_smallest_ids():
     # two parallel 2-hop routes a-b-d and a-c-d: the b route is canonical
     inst = build_instance(list("abcd"), [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")], [("a", "d")])
     paths = all_pairs_hops(inst.topology)
-    assert paths.path_node_seq("a", "d") == ["a", "b", "d"]
+    assert path_node_seq(paths, "a", "d") == ["a", "b", "d"]
+    assert path_nodes(paths.route("a", "d")) == ["a", "b", "d"]
 
 
 def test_nsfnet_against_floyd_warshall(nsfnet_instance, nsfnet_paths):
@@ -63,7 +72,7 @@ def test_reconstruction_length_matches_distance(nsfnet_paths, nsfnet_instance):
         for w in topo.node_ids:
             arcs = nsfnet_paths.path_arcs(u, w)
             assert len(arcs) == nsfnet_paths.distance(u, w)
-            assert path_nodes(arcs) == (nsfnet_paths.path_node_seq(u, w) if arcs else [])
+            assert path_nodes(arcs) == (path_node_seq(nsfnet_paths, u, w) if arcs else [])
 
 
 @st.composite
@@ -162,6 +171,35 @@ def test_path_nodes_rejects_gap():
 
 def test_determinism(nsfnet_instance):
     t1 = all_pairs_hops(nsfnet_instance.topology)
-    t2 = all_pairs_hops(nsfnet_instance.topology)
-    assert t1.index == t2.index and (t1.hops == t2.hops).all()
-    assert t1.next_hop == t2.next_hop
+    t2 = build_hop_table(nsfnet_instance.topology)
+    assert t1.index == t2.index and t1.names == t2.names
+    assert (t1.hops == t2.hops).all()
+    assert (t1.nxt == t2.nxt).all()
+
+
+def walk_nxt(paths, u, w):
+    """The u->w node sequence read off `nxt` alone."""
+    i, j = paths.index[u], paths.index[w]
+    seq = [i]
+    while seq[-1] != j:
+        seq.append(int(paths.nxt[seq[-1], j]))
+        assert len(seq) <= len(paths.names), "nxt walk cycles"
+    return [paths.names[v] for v in seq]
+
+
+@pytest.mark.parametrize("which", ["nsfnet", "cost239", "ring28"])
+def test_nxt_walks_the_canonical_route(which, nsfnet_instance):
+    if which == "nsfnet":
+        topo = nsfnet_instance.topology
+    elif which == "cost239":
+        topo = load_instance(*cost239_files(), k=1).topology
+    else:
+        topo = ring_with_chords().topology
+    paths = all_pairs_hops(topo)
+    for j, w in enumerate(paths.names):
+        assert paths.nxt[j, j] == j
+        for u in paths.names:
+            seq = walk_nxt(paths, u, w)
+            assert seq == path_node_seq(paths, u, w)
+            assert (path_nodes(paths.route(u, w)) or [u]) == seq
+            assert len(seq) - 1 == paths.distance(u, w)

@@ -12,10 +12,17 @@ from hypothesis import strategies as st
 from scmap.fixturedata import cost239_files, nsfnet_files
 from scmap.netmodel import load_instance
 from scmap.pathcore import all_pairs_hops
-from scmap.sptg import partition_all, partition_chain
+from scmap.sptg import _cover_entries, node_ends, partition_all, partition_chain
 
-from brute_force import cluster_of, partitions_to_json, reference_partition
-from conftest import build_instance, random_connected_instance, with_nc
+from brute_force import (
+    _cover_index,
+    cluster_of,
+    path_node_seq,
+    partitions_to_json,
+    reference_partition,
+)
+from conftest import build_instance, random_connected_instance, ring_with_chords, with_nc
+from test_end_commodities import draws
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -26,12 +33,13 @@ def path5_instance(demands, nc=1):
     return build_instance(PATH5[0], PATH5[1], demands, nc=nc)
 
 
-def scan_cluster(anchor, remaining, paths):
-    """Brute-force oracle for cluster_of: walk every remaining pair's path."""
+def scan_cluster(anchor, remaining, seqs):
+    """Brute-force oracle for cluster_of: walk every remaining pair's node
+    sequence (`seqs`, pair -> `path_node_seq`)."""
     head, tail = anchor
     out = set()
     for (s, d) in remaining:
-        pos = {v: i for i, v in enumerate(paths.path_node_seq(s, d))}
+        pos = {v: i for i, v in enumerate(seqs[s, d])}
         if head in pos and tail in pos and pos[head] <= pos[tail]:
             out.add((s, d))
     return out
@@ -41,10 +49,11 @@ def assert_clusters_match_scan(nodes, pairs, paths, rng, draws):
     """cluster_of equals the scan for every ordered node pair as anchor
     (demand pairs and head == tail included) on random subsets of `pairs`."""
     anchors = list(itertools.product(nodes, repeat=2))
+    seqs = {pair: path_node_seq(paths, *pair) for pair in pairs}
     for _ in range(draws):
         subset = set(rng.sample(pairs, rng.randint(1, len(pairs))))
         for anchor in anchors:
-            assert cluster_of(anchor, subset, paths) == scan_cluster(anchor, subset, paths), (
+            assert cluster_of(anchor, subset, paths) == scan_cluster(anchor, subset, seqs), (
                 anchor,
                 sorted(subset),
             )
@@ -251,3 +260,35 @@ def grouping_cases(draw):
 def test_partition_matches_reference_on_random_graphs(case):
     inst, nc = case
     assert_matches_reference(inst, all_pairs_hops(inst.topology), nc)
+
+
+def assert_cover_entries_match_the_walk(topology):
+    """`_cover_entries` with every ordered node pair as an anchor and every
+    demand-like pair as a member equals the reference walk over each pair's
+    node sequence, entry for entry."""
+    paths = all_pairs_hops(topology)
+    nodes = paths.names
+    anchors = [(h, t) for h in nodes for t in nodes]
+    members = [(s, d) for s in nodes for d in nodes if s != d]
+    anchor, member = _cover_entries(node_ends(anchors, paths), node_ends(members, paths), paths)
+    entries = list(zip(anchor.tolist(), member.tolist()))
+    assert len(set(entries)) == len(entries)
+    got: dict = {}
+    for a, m in entries:
+        got.setdefault(anchors[a], set()).add(members[m])
+    assert got == _cover_index(members, paths)
+
+
+@pytest.mark.parametrize("which", ["nsfnet", "cost239", "ring28"])
+def test_cover_entries_match_the_walk(which):
+    if which == "ring28":
+        topology = ring_with_chords().topology
+    else:
+        files = nsfnet_files if which == "nsfnet" else cost239_files
+        topology = load_instance(*files(), k=1).topology
+    assert_cover_entries_match_the_walk(topology)
+
+
+def test_cover_entries_match_the_walk_on_draws():
+    for _, inst in draws():
+        assert_cover_entries_match_the_walk(inst.topology)
