@@ -56,9 +56,9 @@ def _single_node_usage(instance: ProblemInstance, v: str, paths: PathTable):
     loads: dict = {}
     cores = 0.0
     for r in instance.demands.records:
-        for arc in paths.path_arcs(r.src, v):
+        for arc in paths.route(r.src, v):
             loads[arc] = loads.get(arc, 0.0) + r.gbps
-        for arc in paths.path_arcs(v, r.dst):
+        for arc in paths.route(v, r.dst):
             loads[arc] = loads.get(arc, 0.0) + r.gbps
         cores += r.gbps * _chain_core_rate(instance, r.chain)
     return loads, {v: cores}
@@ -110,7 +110,7 @@ def _per_pair_applicable(instance: ProblemInstance) -> bool:
     loads: dict = {}
     cores: dict = {}
     for r in instance.demands.records:
-        for arc in paths.path_arcs(r.src, r.dst):
+        for arc in paths.route(r.src, r.dst):
             loads[arc] = loads.get(arc, 0.0) + r.gbps
         cores[r.src] = cores.get(r.src, 0.0) + r.gbps * _chain_core_rate(
             instance, r.chain

@@ -7,12 +7,13 @@ binds, a round's relaxation is solved in closed form, each chain instance
 at its cheapest pooled column with ties to the lowest pool position (see
 `scmap.master`); otherwise HiGHS solves it. Pricing searches only the
 chain instances whose round bound (`scmap.pricer`) is below -EPS or that
-have no pooled column. A plan whose ends follow the hop table's canonical
-paths is decoded with its loads summed off the master's per-pair arrays
-along the next-hop matrix (`_plan_sums`), with no walk per demand pair, and
-validated with those sums; `validate_plan` sums the loads afresh along the
-routes of any plan it is handed, so the two sums are independent.
-The relaxation carries no
+have no pooled column. Every selection step hands `_decode` one pool
+position per chain instance (`_selected` reads them off an integer point).
+A plan whose ends follow the hop table's canonical paths is decoded with
+its loads summed off the master's per-pair arrays along the next-hop
+matrix (`_plan_sums`), with no walk per demand pair, and validated with
+those sums; `validate_plan` sums the loads afresh along the routes of any
+plan it is handed, so the two sums are independent. The relaxation carries no
 hosting budget, so one converged model serves every k of a sweep and only
 the integer selection reads k. The price is a k-blind `lp_bound`: the same
 at every k, and the reported `gap` is measured against it.
@@ -356,11 +357,9 @@ def _to_price(model: RmpModel, pricing: PricingRound) -> list:
     The bound never exceeds an instance's least reduced cost, so no column
     of any other instance prices out; they would return None.
     """
-    return [
-        ci
-        for ci in model.chain_instances
-        if pricing.bound[ci.index] < -EPS or not model.pool_by_instance[ci.key]
-    ]
+    pooled = np.bincount(model.z_ci, minlength=len(model.chain_instances))
+    search = (pricing.bound < -EPS) | (pooled == 0)
+    return [model.chain_instances[i] for i in np.flatnonzero(search).tolist()]
 
 
 def write_trace_csv(trace: CgTrace, fh: IO[str]) -> None:
@@ -442,7 +441,7 @@ def _aggregate(instance: ProblemInstance, assignments) -> tuple[dict, dict, tupl
     return loads, cores, tuple(sorted(hosting))
 
 
-def _end_routes(model: RmpModel, x: list, ci: ChainInstance, location: str, lead_in: bool):
+def _end_routes(model: RmpModel, x, ci: ChainInstance, location: str, lead_in: bool):
     """Member pair -> arcs of its lead-in (or lead-out), peeled off the
     rounded integer flow of each end commodity of `ci` and handed to the
     member pairs in sorted order."""
@@ -519,30 +518,36 @@ def _plan_sums(model: RmpModel, chosen: list) -> tuple[dict, dict, tuple]:
     return arc_loads, {nfv[v]: use[v] for v in hosts}, tuple(nfv[v] for v in hosts)
 
 
-def _decode(
-    instance: ProblemInstance, model: RmpModel, x: list, zvar: list, full: bool
-) -> MappingPlan:
-    """The plan an integer point `x` selects; `zvar` maps pool positions to
-    its z variables. `full` points route their ends by their end flows,
-    and their sums walk those routes (`_aggregate`). Others route their
-    ends along hop-shortest paths, each the hop table's own route tuple,
-    and their sums come from the model's arrays (`_plan_sums`)."""
-    paths = all_pairs_hops(instance.topology)
-    picked = np.flatnonzero(np.asarray(x)[zvar] > 0.5)
+def _selected(model: RmpModel, x, z0: int) -> list:
+    """The pool position each chain instance selects, in instance order, at
+    an integer point `x` whose variable z0 + p is pool position p."""
+    picked = np.flatnonzero(np.asarray(x)[z0 : z0 + len(model.pool)] > 0.5)
     count = np.bincount(model.z_ci[picked], minlength=len(model.chain_instances))
     for ci in model.chain_instances:
         if count[ci.index] != 1:
             raise EngineError(
                 f"instance {ci.label}: {count[ci.index]} configurations selected"
             )
-    chosen = picked[np.argsort(model.z_ci[picked])].tolist()
+    return picked[np.argsort(model.z_ci[picked])].tolist()
+
+
+def _decode(
+    instance: ProblemInstance, model: RmpModel, chosen: list, point=None
+) -> MappingPlan:
+    """The plan that selects pool positions `chosen`, one per chain
+    instance in instance order. With an integer `point` of the master or
+    its full program, each end is routed by that point's end flows, and the
+    sums walk those routes (`_aggregate`). Without one, each end takes its
+    hop-shortest path, the hop table's own route tuple, and the sums come
+    from the model's arrays (`_plan_sums`)."""
+    paths = all_pairs_hops(instance.topology)
     assignments = []
     for ci, p in zip(model.chain_instances, chosen):
         config = model.pool[p]
         head, tail = config.locations[0], config.locations[-1]
-        if full:
-            first = _end_routes(model, x, ci, head, lead_in=True)
-            last = _end_routes(model, x, ci, tail, lead_in=False)
+        if point is not None:
+            first = _end_routes(model, point, ci, head, lead_in=True)
+            last = _end_routes(model, point, ci, tail, lead_in=False)
             routes = [
                 PairRoute(s, d, tuple(first[s, d]), tuple(last[s, d])) for s, d in ci.pairs
             ]
@@ -558,7 +563,7 @@ def _decode(
                 routes=tuple(routes),
             )
         )
-    if full:
+    if point is not None:
         loads, cores, hosting = _aggregate(instance, assignments)
     else:
         loads, cores, hosting = _plan_sums(model, chosen)
@@ -596,7 +601,8 @@ def _extract(
         )
     if mip.status not in ("optimal", "feasible"):
         raise EngineError(f"final selection failed: {mip.status} ({mip.message})")
-    return _validated(instance, _decode(instance, model, mip.x, final.zvar, final.full))
+    chosen = _selected(model, mip.x, final.z0)
+    return _validated(instance, _decode(instance, model, chosen, mip.x if final.full else None))
 
 
 def _validated(instance: ProblemInstance, plan: MappingPlan) -> MappingPlan:
@@ -635,10 +641,11 @@ def _relaxation_plan(instance: ProblemInstance, model: RmpModel) -> Optional[Map
         return None
     if (np.abs(x - np.round(x)) > INTEGRAL_TOL).any():
         return None
-    chosen = np.flatnonzero(x[model.zvar] > 0.5)
+    x = np.round(x)
+    chosen = _selected(model, x, model.z0)
     if np.unique(model.z_loc[chosen]).size > instance.k:
         return None
-    plan = _decode(instance, model, np.round(x).tolist(), model.zvar, not model.compact)
+    plan = _decode(instance, model, chosen, None if model.compact else x.tolist())
     return _validated(instance, plan)
 
 
@@ -685,9 +692,7 @@ def _host_set_plan(instance: ProblemInstance, model: RmpModel) -> Optional[Mappi
     chosen = [order[a + int(np.argmin(scored[h, a:b]))] for a, b in zip(starts, ends)]
     if (core_loads(model, chosen) > node_cores(model) + FIT_TOL).any():
         return None
-    x = np.zeros(model.lp.n_vars)
-    x[np.asarray(model.zvar)[chosen]] = 1.0
-    return _validated(instance, _decode(instance, model, x.tolist(), model.zvar, False))
+    return _validated(instance, _decode(instance, model, chosen))
 
 
 # share of `solve`'s time limit that column generation leaves to the final

@@ -42,9 +42,14 @@ lead-ins and the sink rows of its lead-outs. So the master is feasible with
 no configuration column at all, and needs no seed. An artificial never
 enters the integer selection, and since every plan is feasible with it at
 zero, the LP value still bounds every plan from below.
-Columns arrive from the pricer, after the one-host columns that
-`add_colocated_columns` pools as one block; rows never change shape after
-`build_rmp`, so duals keep stable meaning across iterations.
+
+Every z column enters through `_pool`, which derives the objectives and
+row coefficients of a batch of configurations at once (`column_terms`):
+first the one-host columns (`add_colocated_columns`, one batch), then the
+pricer's (`add_column`, one each). Rows never change shape after
+`build_rmp`, so duals keep stable meaning across iterations, and z columns
+are the last variables: pool position p is variable `z0 + p`, and the
+pool's arrays (`z_obj`, `z_ci`, `z_loc`) are its only index.
 
 When no core row binds, the compact master's relaxation separates: each
 chain instance takes its cheapest pooled column, the lowest pool position
@@ -121,10 +126,6 @@ class Configuration:
     def key(self) -> tuple:
         return (self.chain, self.group_index, self.locations, self.segment_paths)
 
-    @property
-    def hop_count(self) -> int:
-        return sum(len(p) for p in self.segment_paths)
-
 
 @dataclass(frozen=True)
 class ChainInstance:
@@ -151,31 +152,33 @@ class ChainInstance:
 
 @dataclass(frozen=True)
 class DualPrices:
-    """Relaxation duals keyed the way the pricer consumes them.
+    """Relaxation duals in the master's index: chain instance index i,
+    position p, NFV node v in `Topology.nfv_nodes` order and arc a in
+    `Topology.arcs` order.
 
     Convexity rows are equalities (free sign); core and capacity rows are
     <=-rows of a minimization, so their duals are <= 0 and tiny positive
     noise is clamped to zero before pricing. A compact master has no
-    capacity rows, so `capacity` is empty. `end[i, p, v]` is the end charge
+    capacity rows, so `capacity` is all 0. `end[i, p, v]` is the end charge
     of placing position p of the chain instance of index i at the v-th NFV
-    node: the end-flow rows' duals times the coefficients `end_rows` gives
-    there (none on a compact master), less the end cost (`RmpModel.end_cost`).
-    It is 0 at every position but the first and last.
+    node: the end-flow rows' duals times the coefficients `end_entries`
+    gives there (none on a compact master), less the end cost
+    (`RmpModel.end_cost`). It is 0 at every position but the first and last.
     """
 
-    convexity: dict  # (chain, group_index) -> float
-    core: dict  # node -> float
-    capacity: dict  # arc -> float
-    end: np.ndarray  # (chain instance index, position, NFV node) -> float
+    convexity: np.ndarray  # [i]
+    core: np.ndarray  # [v]
+    capacity: np.ndarray  # [a]
+    end: np.ndarray  # [i, p, v]
 
 
 @dataclass(frozen=True)
 class FinalIlp:
-    """Integer selection problem plus the decode map for its z columns."""
+    """Integer selection problem; pool position p is its variable z0 + p."""
 
     lp: LinearProgram
     full: bool  # the integer clone of an arc-flow master, end flows included
-    zvar: list  # pool position -> variable
+    z0: int
 
 
 @dataclass
@@ -189,10 +192,12 @@ class RmpModel:
     # [i, p, v]: Gbps-hops of the end segments a column pays for placing
     # position p at v, nonzero only at the first (p = 0) and last positions
     end_cost: np.ndarray
-    # [i, p]: cores position p takes wherever it sits, 0 past the chain's end
-    need: np.ndarray
-    # pooled z columns by pool position: objective, chain instance index,
-    # and the NFV-node index of each position, padded with the last one
+    # [i, p]: cores per Gbps of position p, 0 past the chain's end; [i]: Gbps
+    rate: np.ndarray
+    gbps: np.ndarray
+    # pooled z columns by pool position p, the LP variable z0 + p: objective,
+    # chain instance index, and the NFV-node index of each position, padded
+    # with the last one
     z_obj: np.ndarray
     z_ci: np.ndarray
     z_loc: np.ndarray
@@ -204,15 +209,13 @@ class RmpModel:
     pair_dst: np.ndarray
     pair_gbps: np.ndarray
     compact: bool = False  # the master's shape; see the module docstring
-    # (key, position, node) -> [(end-flow row, coefficient)] of a column placing there
-    end_rows: dict = field(default_factory=dict)
-    # the end-flow duals' share of the end charges, as (flat index into
-    # `end_cost`, row, coefficient) arrays; empty on a compact master
-    end_duals: tuple = ()
+    z0: int = 0  # the first z variable: every variable `build_rmp` adds comes before
+    # the end-flow coefficients of a z column placing position p at NFV node
+    # v, as (flat index of [i, p, v] into `end_cost`, row, coefficient)
+    # arrays sorted by flat index; empty on a compact master
+    end_entries: tuple = ()
     artificial: dict = field(default_factory=dict)  # key -> LP variable
     pool: list = field(default_factory=list)
-    zvar: list = field(default_factory=list)  # pool position -> LP variable
-    pool_by_instance: dict = field(default_factory=dict)  # key -> pool positions
     nfv_index: dict = field(default_factory=dict)  # NFV node -> v
     config_index: dict = field(default_factory=dict)  # Configuration.key -> LP variable
     # end commodities: one per (chain instance, source, gbps) for lead-ins and
@@ -222,9 +225,9 @@ class RmpModel:
     lead_out: dict = field(default_factory=dict)  # (key, (dst, gbps)) -> member pairs
     yfvar: dict = field(default_factory=dict)  # (key, (src, gbps), arc) -> var
     ylvar: dict = field(default_factory=dict)  # (key, (dst, gbps), arc) -> var
-    conv_row: dict = field(default_factory=dict)  # key -> row
-    core_row: dict = field(default_factory=dict)  # node -> row
-    cap_row: dict = field(default_factory=dict)  # arc -> row
+    conv_row: list = field(default_factory=list)  # [i] -> row
+    core_row: list = field(default_factory=list)  # [v] -> row
+    cap_row: list = field(default_factory=list)  # [a] -> row; none on a compact master
     by_key: dict = field(default_factory=dict)  # key -> ChainInstance
     last_relaxation: Optional[LpSolution] = None
     truncated_bound: Optional[float] = None  # set by a column generation cut short
@@ -317,7 +320,7 @@ def validate_configuration(
         instance, config.chain, config.locations, config.segment_paths, chain_instance.label
     ):
         raise MasterError(detail)
-    want = chain_instance.total_gbps * config.hop_count
+    want = chain_instance.total_gbps * sum(len(p) for p in config.segment_paths)
     if abs(config.cost - want) > 1e-9 * max(1.0, abs(want)):
         raise MasterError(
             f"{chain_instance.label}: stored cost {config.cost} != recomputed {want}"
@@ -333,25 +336,20 @@ def worst_case_load(instance: ProblemInstance) -> float:
     )
 
 
-def position_cores(instance: ProblemInstance, ci: ChainInstance) -> list:
-    """Cores each position of `ci` takes wherever it is placed."""
-    return [ci.total_gbps * rate for rate in instance.chain_cores_per_gbps(ci.chain)]
-
-
-def position_need(instance: ProblemInstance, cis) -> np.ndarray:
-    """[i, p]: `position_cores` of the chain instance of index i, 0 past
-    its chain's end; as many positions as the longest chain."""
-    need = np.zeros((len(cis), max((len(ci.vnfs) for ci in cis), default=0)))
+def position_rates(instance: ProblemInstance, cis) -> np.ndarray:
+    """[i, p]: cores per Gbps of position p of the chain instance of index
+    i, 0 past its chain's end; as many positions as the longest chain."""
+    rate = np.zeros((len(cis), max((len(ci.vnfs) for ci in cis), default=0)))
     for ci in cis:
-        need[ci.index, : len(ci.vnfs)] = position_cores(instance, ci)
-    return need
+        rate[ci.index, : len(ci.vnfs)] = instance.chain_cores_per_gbps(ci.chain)
+    return rate
 
 
 def fits(instance: ProblemInstance, ci: ChainInstance, locations: tuple) -> bool:
     """Whether `ci` placed at `locations` fits every node's cores on its own."""
     use: dict = {}
-    for v, need in zip(locations, position_cores(instance, ci)):
-        use[v] = use.get(v, 0.0) + need
+    for v, rate in zip(locations, instance.chain_cores_per_gbps(ci.chain)):
+        use[v] = use.get(v, 0.0) + ci.total_gbps * rate
     node = instance.topology.node_by_id
     return all(u <= node[v].cores + FIT_TOL for v, u in use.items())
 
@@ -367,7 +365,8 @@ def _end_commodities(ci: ChainInstance, lead_in: bool) -> list:
 
 
 def _add_end_rows(
-    model: RmpModel, key: tuple, point: str, gbps: float, n: float, *, lead_in: bool
+    model: RmpModel, key: tuple, point: str, gbps: float, n: float, entries: list, *,
+    lead_in: bool
 ) -> None:
     """Flow rows of one end commodity of n unit flows, and the coefficients
     z columns carry in them.
@@ -376,10 +375,10 @@ def _add_end_rows(
     position sits; a lead-out leaves where the last position sits and is
     absorbed at its destination `point`. Both use the same rows with arc
     directions swapped: "away" arcs lead away from `point`'s side. A z
-    column placing that end position at node v puts n in `point`'s row
+    column placing that end position at NFV node v puts n in `point`'s row
     when v is `point` (the flow never leaves it) and sign * n in v's
-    balance row otherwise; `model.end_rows[(key, position, v)]` records the
-    pair.
+    balance row otherwise; `entries` gets each such (flat index of [i, p,
+    v] into `end_cost`, row, coefficient), in row order.
     """
     topo = model.instance.topology
     lp = model.lp
@@ -392,21 +391,26 @@ def _add_end_rows(
         names, sign = ("ldst", "lbal"), -1.0
     label = f"{ci.label}/{point}@{gbps:g}"
     y = {arc: yvar[(key, (point, gbps), arc)] for arc in topo.arc_index}
+    _, n_pos, m = model.end_cost.shape
+    at = (ci.index * n_pos + pos) * m
+
+    def enter(v: str, row: int, coef: float) -> None:
+        if v in model.nfv_index:
+            entries.append((at + model.nfv_index[v], row, coef))
+
     # `point` sends (or takes) n units, less n per unit of the end position
     # placed on it and n per unit of the instance left unserved (its
     # artificial); every other node passes flow on and absorbs (or emits)
     # n per unit of the end position placed on it. With y >= 0 the balance
     # already makes a node's inflow at least what it absorbs.
     coeffs = [(y[arc], 1.0) for arc in away[point]] + [(model.artificial[key], n)]
-    row = lp.add_constraint(coeffs, EQ, n, name=f"{names[0]}[{label}]")
-    model.end_rows.setdefault((key, pos, point), []).append((row, n))
+    enter(point, lp.add_constraint(coeffs, EQ, n, name=f"{names[0]}[{label}]"), n)
     for v in topo.node_ids:
         if v == point:
             continue
         into = [(y[arc], 1.0) for arc in toward[v]]
         balance = [(y[arc], sign) for arc in away[v]] + [(j, -sign) for j, _ in into]
-        row = lp.add_constraint(balance, EQ, 0.0, name=f"{names[1]}[{label}/{v}]")
-        model.end_rows.setdefault((key, pos, v), []).append((row, sign * n))
+        enter(v, lp.add_constraint(balance, EQ, 0.0, name=f"{names[1]}[{label}/{v}]"), sign * n)
 
 
 def build_rmp(
@@ -415,7 +419,7 @@ def build_rmp(
     cis: Optional[tuple[ChainInstance, ...]] = None,
 ) -> RmpModel:
     """Pick the master's shape and assemble its artificial columns, rows and
-    static columns. Configuration columns arrive through `add_column`.
+    static columns. Configuration columns arrive through `_pool` after it.
     `cis`, when given, is `chain_instances(instance, partitions)`, which
     the caller already has."""
     topo = instance.topology
@@ -423,7 +427,7 @@ def build_rmp(
     if cis is None:
         cis = chain_instances(instance, partitions)
     nfv = topo.nfv_nodes
-    need = position_need(instance, cis)
+    rate = position_rates(instance, cis)
     worst = worst_case_load(instance)
     ix = paths.index
     n = len(ix)
@@ -437,18 +441,18 @@ def build_rmp(
         instance=instance,
         chain_instances=cis,
         lp=lp,
-        end_cost=np.zeros((len(cis), need.shape[1], len(nfv))),
-        need=need,
+        end_cost=np.zeros((len(cis), rate.shape[1], len(nfv))),
+        rate=rate,
+        gbps=np.array([ci.total_gbps for ci in cis]),
         z_obj=np.zeros(0),
         z_ci=np.zeros(0, dtype=np.int64),
-        z_loc=np.zeros((0, need.shape[1]), dtype=np.int64),
+        z_loc=np.zeros((0, rate.shape[1]), dtype=np.int64),
         pair_ci=pair_ci,
         pair_src=pair_src,
         pair_dst=pair_dst,
         pair_gbps=pair_gbps,
         compact=all(a.capacity_gbps >= worst for a in topo.arcs),
         by_key={ci.key: ci for ci in cis},
-        pool_by_instance={ci.key: [] for ci in cis},
         nfv_index={v: j for j, v in enumerate(nfv)},
     )
     # Gbps-hops from every source to each NFV node and from each NFV node to
@@ -475,6 +479,7 @@ def build_rmp(
         _build_compact_rows(model)
     else:
         _build_arc_flow_rows(model)
+    model.z0 = lp.n_vars
     return model
 
 
@@ -500,14 +505,14 @@ def _build_compact_rows(model: RmpModel) -> None:
     """Convexity rows, each with its instance's artificial, and core rows."""
     lp = model.lp
     topo = model.instance.topology
-    for ci in model.chain_instances:
-        model.conv_row[ci.key] = lp.add_constraint(
-            [(model.artificial[ci.key], 1.0)], EQ, 1.0, name=f"conv[{ci.label}]"
-        )
-    for v in topo.nfv_nodes:
-        model.core_row[v] = lp.add_constraint(
-            [], LE, float(topo.node_by_id[v].cores), name=f"core[{v}]"
-        )
+    model.conv_row = [
+        lp.add_constraint([(model.artificial[ci.key], 1.0)], EQ, 1.0, name=f"conv[{ci.label}]")
+        for ci in model.chain_instances
+    ]
+    model.core_row = [
+        lp.add_constraint([], LE, float(topo.node_by_id[v].cores), name=f"core[{v}]")
+        for v in topo.nfv_nodes
+    ]
 
 
 def _build_arc_flow_rows(model: RmpModel) -> None:
@@ -538,7 +543,7 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
                         obj=gbps * (1 + pot[u] - pot[w]),
                     )
 
-    # configuration choice and resource rows; z columns arrive via add_column
+    # configuration choice and resource rows; z columns arrive via `_pool`
     _build_compact_rows(model)
     for arc in arcs:
         coeffs = [
@@ -546,82 +551,92 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
             for members, yvar in ((model.lead_in, model.yfvar), (model.lead_out, model.ylvar))
             for key, com in members
         ]
-        model.cap_row[arc] = lp.add_constraint(
-            coeffs, LE, topo.capacity(arc), name=f"cap[{arc[0]}>{arc[1]}]"
+        model.cap_row.append(
+            lp.add_constraint(coeffs, LE, topo.capacity(arc), name=f"cap[{arc[0]}>{arc[1]}]")
         )
+    entries: list = []
     for lead_in, members in ((True, model.lead_in), (False, model.lead_out)):
         for (key, (point, gbps)), pairs in members.items():
-            _add_end_rows(model, key, point, gbps, float(len(pairs)), lead_in=lead_in)
-    # the end charges' dual terms, each key's rows in the order listed
-    _, n_pos, m = model.end_cost.shape
-    flat, rows, coefs = [], [], []
-    for (key, pos, v), entries in model.end_rows.items():
-        if v in model.nfv_index:
-            at = (model.by_key[key].index * n_pos + pos) * m + model.nfv_index[v]
-            for r, a in entries:
-                flat.append(at)
-                rows.append(r)
-                coefs.append(a)
-    model.end_duals = (np.array(flat, dtype=np.int64), np.array(rows, dtype=np.int64),
-                       np.array(coefs, dtype=float))
+            _add_end_rows(model, key, point, gbps, float(len(pairs)), entries, lead_in=lead_in)
+    flat, rows = (np.array([e[f] for e in entries], dtype=np.int64) for f in (0, 1))
+    coefs = np.array([e[2] for e in entries], dtype=float)
+    # stable, so each [i, p, v]'s entries stay in row order
+    order = np.argsort(flat, kind="stable")
+    model.end_entries = (flat[order], rows[order], coefs[order])
 
 
-def column_coefficients(model: RmpModel, config: Configuration) -> dict:
-    """Row index -> coefficient a z column for `config` must carry."""
-    ci = model.by_key[(config.chain, config.group_index)]
-    per_gbps = model.instance.chain_cores_per_gbps(ci.chain)
-    coeffs = {model.conv_row[ci.key]: 1.0}
-    core_use: dict[str, float] = {}
-    for pos, v in enumerate(config.locations):
-        core_use[v] = core_use.get(v, 0.0) + per_gbps[pos]
-    for v, use in sorted(core_use.items()):
-        if use:
-            coeffs[model.core_row[v]] = ci.total_gbps * use
-    if model.compact:
-        return coeffs
-    arc_mult: dict[Arc, int] = {}
-    for seg in config.segment_paths:
-        for arc in seg:
-            arc_mult[arc] = arc_mult.get(arc, 0) + 1
-    for arc, mult in sorted(arc_mult.items()):
-        coeffs[model.cap_row[arc]] = ci.total_gbps * mult
-    for pos, v in enumerate(config.locations):
-        coeffs.update(model.end_rows.get((ci.key, pos, v), ()))
-    return coeffs
+def column_terms(model: RmpModel, configs: list) -> tuple:
+    """The z columns of `configs`: their objectives, chain instance indices
+    and NFV-node rows (as `RmpModel.z_obj`, `z_ci` and `z_loc` hold them),
+    and each one's (row, coefficient) pairs.
 
-
-def column_cost(model: RmpModel, config: Configuration) -> float:
-    """A z column's objective on either shape: the segment cost plus the
-    end segments' hop-shortest cost."""
-    cost = model.end_cost[model.by_key[(config.chain, config.group_index)].index]
-    at = model.nfv_index
-    return config.cost + sum(cost[pos, at[v]] for pos, v in enumerate(config.locations)).item()
-
-
-def _pool(model: RmpModel, cis: list, configs: list, costs: list, coeffs: list) -> None:
-    """Append `configs[j]` of `cis[j]` as a z column of objective `costs[j]`
-    with the (row, coefficient) pairs `coeffs[j]`, one after another."""
-    if not configs:
-        return
-    first = len(model.pool)
-    names = [f"z[{ci.label}/{first + j}]" for j, ci in enumerate(cis)]
-    zvar = model.lp.add_columns(names, costs, coeffs)
+    A column costs its segments plus the end costs of its positions. It
+    carries 1 in its instance's convexity row; in the core row of each node
+    it uses, the instance's Gbps times the cores per Gbps of its positions
+    there, summed in position order (no entry where that is 0); and on an
+    arc-flow master, the Gbps times the number of its segments crossing
+    each arc in that arc's capacity row, and the end-flow coefficients of
+    its positions (`end_entries`).
+    """
     at = model.nfv_index
     width = model.z_loc.shape[1]
+    ci = np.array([model.by_key[c.chain, c.group_index].index for c in configs], dtype=np.int64)
     loc = [[at[v] for v in c.locations] for c in configs]
     loc = np.array([row + row[-1:] * (width - len(row)) for row in loc], dtype=np.int64)
-    model.z_obj = np.concatenate((model.z_obj, costs))
-    model.z_ci = np.concatenate((model.z_ci, np.array([ci.index for ci in cis], dtype=np.int64)))
+    col = np.arange(len(configs))
+    pos = np.arange(width)
+    end = model.end_cost[ci[:, None], pos, loc].sum(axis=1)
+    obj = np.array([c.cost for c in configs], dtype=float) + end
+    # each position's cores go to the first position at its node
+    first = (loc[:, :, None] == loc[:, None, :]).argmax(axis=2)
+    use = np.zeros(loc.shape)
+    for p in pos:
+        use[col, first[:, p]] += model.rate[ci, p]
+    j, p = np.nonzero(use)
+    conv, core = np.array(model.conv_row), np.array(model.core_row)
+    terms = [
+        (col, conv[ci], np.ones(len(col))),
+        (j, core[loc[j, p]], model.gbps[ci[j]] * use[j, p]),
+    ]
+    if not model.compact:
+        n_rows, arc = model.lp.n_rows, model.instance.topology.arc_index
+        crossed = [k * n_rows + model.cap_row[arc[a]]
+                   for k, c in enumerate(configs) for seg in c.segment_paths for a in seg]
+        key, count = np.unique(np.array(crossed, dtype=np.int64), return_counts=True)
+        j, rows = np.divmod(key, n_rows)
+        terms.append((j, rows, model.gbps[ci[j]] * count))
+        flat, rows, coefs = model.end_entries
+        want = ((ci[:, None] * width + pos) * len(at) + loc).ravel()
+        lo = np.searchsorted(flat, want)
+        n = np.searchsorted(flat, want, side="right") - lo
+        take = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+        terms.append((np.repeat(col, width).repeat(n), rows[take], coefs[take]))
+    j, rows, coefs = (np.concatenate(t) for t in zip(*terms))
+    order = np.argsort(j, kind="stable")
+    pairs = list(zip(rows[order].tolist(), coefs[order].tolist()))
+    cut = np.searchsorted(j[order], np.arange(len(configs) + 1)).tolist()
+    return obj, ci, loc, [pairs[a:b] for a, b in zip(cut, cut[1:])]
+
+
+def _pool(model: RmpModel, configs: list) -> None:
+    """Append `configs` as z columns, one after another: the only way a
+    column enters the master."""
+    if not configs:
+        return
+    obj, ci, loc, coeffs = column_terms(model, configs)
+    first = len(model.pool)
+    names = [f"z[{c.chain}/{c.group_index}/{first + j}]" for j, c in enumerate(configs)]
+    zvar = model.lp.add_columns(names, obj.tolist(), coeffs)
+    model.config_index.update(zip((c.key for c in configs), zvar))
+    model.z_obj = np.concatenate((model.z_obj, obj))
+    model.z_ci = np.concatenate((model.z_ci, ci))
     model.z_loc = np.concatenate((model.z_loc, loc))
-    for pos, (ci, config, var) in enumerate(zip(cis, configs, zvar), start=first):
-        model.pool_by_instance[ci.key].append(pos)
-        model.config_index[config.key] = var
     model.pool += configs
-    model.zvar += zvar
 
 
 def add_column(model: RmpModel, config: Configuration) -> int:
-    """Append one z column; exact duplicates return the existing variable.
+    """Append one z column and return its variable; exact duplicates return
+    the existing variable.
 
     A configuration that does not fit the nodes' cores on its own is
     refused: no integer plan can select it.
@@ -640,68 +655,47 @@ def add_column(model: RmpModel, config: Configuration) -> int:
             f"{ci.label}: configuration at {config.locations} does not fit the "
             f"nodes' cores on its own"
         )
-    coeffs = list(column_coefficients(model, config).items())
-    _pool(model, [ci], [config], [column_cost(model, config)], [coeffs])
-    return model.zvar[-1]
+    _pool(model, [config])
+    return model.z0 + len(model.pool) - 1
 
 
 def add_colocated_columns(model: RmpModel) -> None:
     """Pool every one-host column that fits into a master with no column
     yet: each chain instance, in order, placed whole on each NFV node, in
-    order, whose cores take it.
-
-    These are the columns `add_column` would pool one by one, with the same
-    costs and coefficients, built as one block: a one-host column is valid
-    by construction, fits where the instance's whole need is within the
-    node's cores, costs its end segments (the end costs of its positions,
-    all at that node), and carries its convexity row, its node's core row
-    and, on an arc-flow master, that node's end-flow rows.
-    """
+    order, whose cores take it. A one-host column is valid by construction,
+    and fits where the instance's whole need, summed as `fits` sums it, is
+    within the node's cores."""
     if model.pool:
         raise MasterError("one-host columns go into a master with no column yet")
-    instance = model.instance
-    topo = instance.topology
-    nfv = topo.nfv_nodes
-    cores = np.array([topo.node_by_id[v].cores for v in nfv], dtype=float)
-    colocated = model.end_cost.sum(axis=1).tolist()
-    owners, configs, costs, coeffs = [], [], [], []
-    for ci in model.chain_instances:
+    nfv = model.instance.topology.nfv_nodes
+    need = np.zeros(len(model.chain_instances))
+    for p in range(model.rate.shape[1]):
+        need += model.gbps * model.rate[:, p]
+    owner, host = np.nonzero(need[:, None] <= node_cores(model) + FIT_TOL)
+    configs = []
+    for i, v in zip(owner.tolist(), host.tolist()):
+        ci = model.chain_instances[i]
         n = len(ci.vnfs)
-        # the need and the core coefficient round as in `fits` and
-        # `column_coefficients`, so the pool is the one they would give
-        rate = sum(instance.chain_cores_per_gbps(ci.chain))
-        fit = sum(position_cores(instance, ci)) <= cores + FIT_TOL
-        ends = sorted({0, n - 1}) if model.end_rows else ()
-        conv = model.conv_row[ci.key]
-        core = ci.total_gbps * rate
-        no_segments = ((),) * (n - 1)
-        for v, ok, cost in zip(nfv, fit.tolist(), colocated[ci.index]):
-            if not ok:
-                continue
-            column = [(conv, 1.0), (model.core_row[v], core)] if rate else [(conv, 1.0)]
-            for pos in ends:
-                column += model.end_rows.get((ci.key, pos, v), ())
-            owners.append(ci)
-            configs.append(Configuration(ci.chain, ci.group_index, (v,) * n, no_segments, 0.0))
-            costs.append(cost)
-            coeffs.append(column)
-    _pool(model, owners, configs, costs, coeffs)
+        config = Configuration(ci.chain, ci.group_index, (nfv[v],) * n, ((),) * (n - 1), 0.0)
+        configs.append(config)
+    _pool(model, configs)
 
 
 def core_loads(model: RmpModel, chosen) -> np.ndarray:
     """Cores taken at each NFV node with the pooled columns at pool
     positions `chosen` selected and the rest not."""
     chosen = np.asarray(chosen, dtype=np.int64)
+    ci = model.z_ci[chosen]
     return np.bincount(
         model.z_loc[chosen].ravel(),
-        weights=model.need[model.z_ci[chosen]].ravel(),
+        weights=(model.gbps[ci, None] * model.rate[ci]).ravel(),
         minlength=len(model.nfv_index),
     )
 
 
 def node_cores(model: RmpModel) -> np.ndarray:
     """Each NFV node's cores, the right-hand sides of the core rows."""
-    return np.array([model.lp.rows[r].rhs for r in model.core_row.values()])
+    return np.array([model.lp.rows[r].rhs for r in model.core_row])
 
 
 def _closed_form(model: RmpModel) -> Optional[LpSolution]:
@@ -736,9 +730,9 @@ def _closed_form(model: RmpModel) -> Optional[LpSolution]:
     if (core_loads(model, chosen) >= node_cores(model) - FIT_TOL).any():
         return None
     x = np.zeros(lp.n_vars)
-    x[np.asarray(model.zvar)[chosen]] = 1.0
+    x[model.z0 + chosen] = 1.0
     duals = np.zeros(lp.n_rows)
-    duals[[model.conv_row[ci.key] for ci in cis]] = cost
+    duals[model.conv_row] = cost
     return LpSolution(
         status="optimal",
         x=x.tolist(),
@@ -754,53 +748,53 @@ def solve_relaxation(model: RmpModel) -> tuple[LpSolution, DualPrices]:
     sol = _closed_form(model) or highs.solve_lp(model.lp)
     if not sol.optimal:
         raise MasterError(f"relaxation not solved to optimality: {sol.status} ({sol.message})")
-    duals = sol.duals
+    duals = np.asarray(sol.duals)
+    topo = model.instance.topology
 
-    def clamped(row: int, label: str) -> float:
-        d = duals[row]
-        if d > DUAL_SIGN_TOL:
-            raise MasterError(f"{label}: <=-row dual {d} is positive beyond tolerance")
-        return min(d, 0.0)
+    def clamped(rows: list, keys: list, kind: str) -> np.ndarray:
+        d = duals[rows]
+        bad = np.flatnonzero(d > DUAL_SIGN_TOL)
+        if bad.size:
+            label = f"{kind}[{keys[bad[0]]}]"
+            raise MasterError(f"{label}: <=-row dual {d[bad[0]]} is positive beyond tolerance")
+        return np.where(d > 0.0, 0.0, d)  # as min(d, 0.0): -0.0 stays
 
     # end charges: end-flow duals times their coefficients (arc-flow masters
     # only), less the end cost
     end = -model.end_cost
-    if model.end_duals:
-        flat, rows, coefs = model.end_duals
+    if model.end_entries:
+        flat, rows, coefs = model.end_entries
         charge = np.zeros(end.size)
-        np.add.at(charge, flat, coefs * np.asarray(duals)[rows])
+        np.add.at(charge, flat, coefs * duals[rows])
         end += charge.reshape(end.shape)
-    prices = DualPrices(
-        convexity={ci.key: duals[model.conv_row[ci.key]] for ci in model.chain_instances},
-        core={v: clamped(r, f"core[{v}]") for v, r in model.core_row.items()},
-        capacity={a: clamped(r, f"cap[{a}]") for a, r in model.cap_row.items()},
-        end=end,
-    )
+    core = clamped(model.core_row, topo.nfv_nodes, "core")
+    if model.cap_row:
+        capacity = clamped(model.cap_row, list(topo.arc_index), "cap")
+    else:
+        capacity = np.zeros(len(topo.arcs))
+    prices = DualPrices(duals[model.conv_row], core, capacity, end)
     model.last_relaxation = sol
     return sol, prices
 
 
-def _add_hosting_block(lp: LinearProgram, model: RmpModel, zvars: list, k: int) -> None:
+def _add_hosting_block(lp: LinearProgram, model: RmpModel, z0: int, k: int) -> None:
     """Binary hosting flags h[v], switched on by any selected column placing
-    at v, with at most k of them set.
+    at v, with at most k of them set; pool position p is variable z0 + p.
 
     One row per (chain instance, node) suffices: the convexity row lets at
     most one column of an instance be selected, so the sum of that
     instance's columns using v is 0 or 1.
     """
     nfv = model.instance.topology.nfv_nodes
-    hvar = {v: lp.add_variable(f"h[{v}]", 0.0, 1.0, integer=True) for v in nfv}
-    for ci in model.chain_instances:
-        users: dict = {}
-        for p in model.pool_by_instance[ci.key]:
-            for v in set(model.pool[p].locations):
-                users.setdefault(v, []).append((zvars[p], 1.0))
-        for v in nfv:
-            if v in users:
-                lp.add_constraint(
-                    users[v] + [(hvar[v], -1.0)], LE, 0.0, name=f"host[{ci.label}/{v}]"
-                )
-    lp.add_constraint([(hvar[v], 1.0) for v in nfv], LE, float(k), name="kbudget")
+    hvar = [lp.add_variable(f"h[{v}]", 0.0, 1.0, integer=True) for v in nfv]
+    users: dict = {}  # (chain instance index, v) -> its columns using v
+    for p, (i, loc) in enumerate(zip(model.z_ci.tolist(), model.z_loc.tolist()), start=z0):
+        for v in set(loc):
+            users.setdefault((i, v), []).append((p, 1.0))
+    for (i, v), using in sorted(users.items()):
+        label = f"{model.chain_instances[i].label}/{nfv[v]}"
+        lp.add_constraint(using + [(hvar[v], -1.0)], LE, 0.0, name=f"host[{label}]")
+    lp.add_constraint([(h, 1.0) for h in hvar], LE, float(k), name="kbudget")
 
 
 def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
@@ -819,18 +813,17 @@ def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
         lp = model.lp.clone(integer_all=True)
         for var in model.artificial.values():
             lp.variables[var].ub = 0.0
-        _add_hosting_block(lp, model, model.zvar, k)
-        return FinalIlp(lp=lp, full=True, zvar=list(model.zvar))
+        _add_hosting_block(lp, model, model.z0, k)
+        return FinalIlp(lp=lp, full=True, z0=model.z0)
 
     lp = LinearProgram("selection")
-    znew = {}  # master z variable -> selection variable
-    for var in model.zvar:
-        z = model.lp.variables[var]
-        znew[var] = lp.add_variable(z.name, 0.0, 1.0, obj=z.obj, integer=True)
-    for r in (*model.conv_row.values(), *model.core_row.values(), *model.cap_row.values()):
+    z0 = model.z0
+    for z in model.lp.variables[z0:]:
+        lp.add_variable(z.name, 0.0, 1.0, obj=z.obj, integer=True)
+    for r in (*model.conv_row, *model.core_row, *model.cap_row):
         row = model.lp.rows[r]
         lp.add_constraint(
-            [(znew[j], a) for j, a in row.coeffs if j in znew], row.relation, row.rhs, row.name
+            [(j - z0, a) for j, a in row.coeffs if j >= z0], row.relation, row.rhs, row.name
         )
-    _add_hosting_block(lp, model, list(znew.values()), k)
-    return FinalIlp(lp=lp, full=False, zvar=list(znew.values()))
+    _add_hosting_block(lp, model, 0, k)
+    return FinalIlp(lp=lp, full=False, z0=0)

@@ -184,6 +184,8 @@ class ProblemInstance:
             raise ValidationError("no NFV-capable node in topology")
         if not 1 <= self.k <= len(nfv):
             raise ValidationError(f"k={self.k} outside [1, |V^NFV|={len(nfv)}]")
+        if not self.demands.records:
+            raise ValidationError("no demand records")
         for c in self.chains.values():
             if not c.vnfs:
                 raise ValidationError(f"chain {c.id!r} is empty")

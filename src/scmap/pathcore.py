@@ -66,10 +66,6 @@ class PathTable:
             arcs = self._arcs[(u, w)] = tuple(walk)
         return arcs
 
-    def path_arcs(self, u: str, w: str) -> list[tuple[str, str]]:
-        """Arc list of the canonical shortest path (empty when u == w)."""
-        return list(self.route(u, w))
-
 
 def all_pairs_hops(topology: Topology) -> PathTable:
     """The topology's all-pairs hop table, built with it."""

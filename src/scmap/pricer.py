@@ -34,7 +34,7 @@ from .master import (
     Configuration,
     DualPrices,
     make_configuration,
-    position_need,
+    position_rates,
 )
 from .netmodel import ProblemInstance
 from .pathcore import all_pairs_hops, shortest_path_weighted
@@ -69,18 +69,18 @@ def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentC
     smallest node sequence, as the Dijkstra does. Otherwise each segment is
     a Dijkstra under the dual-scaled weights."""
     topo = instance.topology
-    weights = {}
-    for arc in topo.arc_index:
-        mu = duals.capacity.get(arc, 0.0)
-        if mu > EPS:
-            raise PricerError(f"capacity dual for {arc} is positive ({mu})")
-        weights[arc] = 1.0 - min(mu, 0.0)
-    unit = all(w == 1.0 for w in weights.values())
+    mu = duals.capacity
+    bad = np.flatnonzero(mu > EPS)
+    if bad.size:
+        a = bad[0]
+        raise PricerError(f"capacity dual for {list(topo.arc_index)[a]} is positive ({mu[a]})")
+    weights = 1.0 - np.minimum(mu, 0.0)
     paths = all_pairs_hops(topo)
     nfv = topo.nfv_nodes
-    if unit:
+    if (weights == 1.0).all():
         at = [paths.index[v] for v in nfv]
         return SegmentCostTable(matrix=paths.hops[np.ix_(at, at)].astype(float), path=paths.route)
+    weights = dict(zip(topo.arc_index, weights.tolist()))
     matrix = np.zeros((len(nfv), len(nfv)))
     path = {}
     for i, u in enumerate(nfv):
@@ -141,15 +141,13 @@ def price_round(
     `chain_instances` is the whole `chain_instances` tuple, whose indices
     are the rows of `duals.end`."""
     cis = chain_instances
-    need = position_need(instance, cis)
-    core = np.array([duals.core.get(v, 0.0) for v in instance.topology.nfv_nodes])
-    node_cost = -core * need[:, :, None] - duals.end[:, : need.shape[1]]
     rate = np.array([ci.total_gbps for ci in cis])
+    need = position_rates(instance, cis) * rate[:, None]
+    node_cost = -duals.core * need[:, :, None] - duals.end[:, : need.shape[1]]
     length = np.array([len(ci.vnfs) for ci in cis])
     togo = cost_to_go(node_cost, rate, length, table.matrix)
-    convexity = np.array([duals.convexity.get(ci.key, 0.0) for ci in cis])
-    bound = (node_cost[:, 0] + togo[:, 0]).min(axis=1) - convexity
-    return PricingRound(table, need, node_cost, togo, convexity, bound)
+    bound = (node_cost[:, 0] + togo[:, 0]).min(axis=1) - duals.convexity
+    return PricingRound(table, need, node_cost, togo, duals.convexity, bound)
 
 
 def _fitting_argmin(

@@ -162,14 +162,15 @@ def reduced_cost_of(model: RmpModel, duals: DualPrices, config: Configuration) -
     """Recompute a column's reduced cost from its row coefficients; its end
     cost and end-flow rows enter through `duals.end`."""
     ci = model.by_key[(config.chain, config.group_index)]
-    rc = config.cost - duals.convexity[ci.key]
+    rc = config.cost - duals.convexity[ci.index]
     per_gbps = model.instance.chain_cores_per_gbps(ci.chain)
     for pos, v in enumerate(config.locations):
-        rc -= duals.core[v] * ci.total_gbps * per_gbps[pos]
+        rc -= duals.core[model.nfv_index[v]] * ci.total_gbps * per_gbps[pos]
         rc -= duals.end[ci.index, pos, model.nfv_index[v]]
+    arc_index = model.instance.topology.arc_index
     for seg in config.segment_paths:
         for arc in seg:
-            rc -= duals.capacity.get(arc, 0.0) * ci.total_gbps
+            rc -= duals.capacity[arc_index[arc]] * ci.total_gbps
     return rc
 
 

@@ -386,6 +386,28 @@ class TestSweep:
         ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--nc", "1", "--k", "3", "--out", "p.json"],
+        ["validate", "--nc", "1", "--k", "3", "--plan", "p.json"],
+        ["sweep", "--nc-list", "1", "--k-list", "3", "--out", "s.csv"],
+        ["lowerbound"],
+    ],
+    ids=["solve", "validate", "sweep", "lowerbound"],
+)
+def test_header_only_demands_is_input_error(argv, tmp_path, capsys, monkeypatch):
+    # a demand file with its header alone has nothing to place: every
+    # subcommand refuses it as bad input, before any solve
+    topo, chains, _ = triangle_files()
+    demands = tmp_path / "empty.demands.csv"
+    demands.write_text("src,dst,chain,gbps\n")
+    monkeypatch.chdir(tmp_path)
+    flags = ["--topology", str(topo), "--chains", str(chains), "--demands", str(demands)]
+    assert run([*argv, *flags]) == 1
+    assert "error: no demand records" in capsys.readouterr().err
+
+
 class TestArgErrors:
     def test_no_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as err:

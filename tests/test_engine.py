@@ -294,19 +294,38 @@ class TestRelaxationPoint:
             pass  # the verdict is the MIP's; only that it ran matters here
         assert calls[0] == "selection"
 
+    @pytest.mark.parametrize("name", ["split_triangle", "capacitated_split_triangle"])
+    def test_two_columns_of_one_instance_are_no_selection(self, name, request):
+        # an integer point, of the master or of the selection program, that
+        # selects two columns of one chain instance and none of the other
+        # names both counts, the first instance's first
+        inst = request.getfixturevalue(name)
+        model, _ = engine.run_column_generation(inst, partition_all(inst))
+        first, second = model.chain_instances
+        two = np.flatnonzero(model.z_ci == first.index)[:2]
+        x = np.zeros(model.lp.n_vars)
+        x[model.z0 + two] = 1.0
+        for point, z0 in ((x, model.z0), (x[model.z0 :], 0)):
+            with pytest.raises(engine.EngineError) as err:
+                engine._selected(model, point.tolist(), z0)
+            assert str(err.value) == f"instance {first.label}: 2 configurations selected"
+        x[model.z0 + two[1]] = 0.0
+        with pytest.raises(engine.EngineError, match=f"instance {second.label}: 0 config"):
+            engine._selected(model, x, model.z0)
+
     def test_declined_unless_an_integer_selection(self, triangle_instance):
         model, _ = engine.run_column_generation(
             triangle_instance, partition_all(triangle_instance)
         )
         assert engine._relaxation_plan(triangle_instance, model) is not None
         x = model.last_relaxation.x
-        (chosen,) = [p for p, var in enumerate(model.zvar) if x[var] > 0.5]
+        (chosen,) = [p for p, v in enumerate(x[model.z0 :]) if v > 0.5]
         other = 1 if chosen == 0 else 0
         (art,) = model.artificial.values()
         half = list(x)
-        half[model.zvar[chosen]] = half[model.zvar[other]] = 0.5
+        half[model.z0 + chosen] = half[model.z0 + other] = 0.5
         unserved = list(x)
-        unserved[model.zvar[chosen]], unserved[art] = 0.0, 1.0
+        unserved[model.z0 + chosen], unserved[art] = 0.0, 1.0
         for point in (half, unserved):
             model.last_relaxation = dataclasses.replace(model.last_relaxation, x=point)
             assert engine._relaxation_plan(triangle_instance, model) is None
@@ -1016,8 +1035,8 @@ class TestValidatePlan:
         stray = engine.PairRoute(
             "d",
             "b",
-            tuple(paths.path_arcs("d", asg.locations[0])),
-            tuple(paths.path_arcs(asg.locations[-1], "b")),
+            paths.route("d", asg.locations[0]),
+            paths.route(asg.locations[-1], "b"),
         )
         assert stray.first_arcs or stray.last_arcs
         broken = dataclasses.replace(asg, routes=asg.routes + (stray,))

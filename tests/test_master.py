@@ -2,17 +2,18 @@ import math
 
 import pytest
 from brute_force import enumerate_all_configs, reduced_cost_of
-from conftest import build_instance, with_capacity, with_k
+from conftest import build_instance, with_capacity, with_cores, with_k
+from test_relaxation import core_bound
 
 from scmap import baselines, engine
 from scmap.master import (
     MasterError,
+    add_colocated_columns,
     add_column,
     build_final_ilp,
     build_rmp,
     chain_instances,
-    column_coefficients,
-    column_cost,
+    column_terms,
     make_configuration,
     solve_relaxation,
     worst_case_load,
@@ -41,6 +42,14 @@ def seeded_model(instance, seed_nodes=("a",)):
 @pytest.fixture()
 def triangle():
     return load_instance(*triangle_files(), k=3, nc=1)
+
+
+def column_cost(model, config):
+    return column_terms(model, [config])[0][0]
+
+
+def column_coefficients(model, config):
+    return dict(column_terms(model, [config])[3][0])
 
 
 def row_names(model, prefix):
@@ -166,7 +175,7 @@ class TestAddColumn:
         var1 = add_column(model, colocated(ci, "a"))
         assert len(model.pool) == before_pool
         assert model.lp.n_vars == before_vars
-        assert var1 == model.zvar[0]
+        assert var1 == model.z0
 
     def test_objective_never_increases(self, triangle):
         model = seeded_model(triangle, seed_nodes=("c",))
@@ -221,7 +230,7 @@ class TestAddColumn:
         for node in ("b", "c"):
             add_column(model, colocated(ci, node))
         for pos, config in enumerate(model.pool):
-            var = model.zvar[pos]
+            var = model.z0 + pos
             stored = {}
             for i, row in enumerate(model.lp.rows):
                 for j, a in row.coeffs:
@@ -247,10 +256,11 @@ class TestAddColumn:
         assert {len(ci.vnfs) for ci in model.chain_instances} == {3}
         assert not [v for v in model.lp.variables if v.name.startswith("x[")]
         assert not row_names(model, "cons")
-        assert {pos for _key, pos, _v in model.end_rows} == {0, 2}
+        _, width, m = model.end_cost.shape
+        assert set((model.end_entries[0] // m % width).tolist()) == {0, 2}
         assert len(model.pool) > 1
         for pos, config in enumerate(model.pool):
-            var = model.zvar[pos]
+            var = model.z0 + pos
             stored = {i: a for i, row in enumerate(model.lp.rows) for j, a in row.coeffs if j == var}
             assert stored == pytest.approx(column_coefficients(model, config))
 
@@ -266,6 +276,44 @@ class TestAddColumn:
             assert column_cost(compact, config) > config.cost
 
 
+@pytest.mark.parametrize("shape", ["compact", "arc-flow"])
+def test_pool_position_p_is_variable_z0_plus_p(shape):
+    # NSFNET nc4 at twice the cores it needs, and a 3 Gbps pair set where
+    # only c takes a one-host column, at 4 Gbps links: each master gets
+    # one-host columns, then priced ones, and pool position p is variable
+    # z0 + p throughout, after only artificials and end flows
+    if shape == "compact":
+        inst = core_bound(load_instance(*nsfnet_files(), k=14, nc=4), 2)
+    else:
+        inst = build_instance(
+            ["a", "b", "c"],
+            [("a", "b"), ("b", "c"), ("a", "c")],
+            [("a", "b", 2.0), ("b", "c", 1.0)],
+            chain_vnfs=("fw", "nat"),
+            cores=3,
+            capacity=4.0,
+        )
+        inst = with_cores(inst, {"c": 6})
+    block = build_rmp(inst, partition_all(inst))
+    add_colocated_columns(block)
+    model, _ = engine.run_column_generation(inst, partition_all(inst))
+    assert model.compact == (shape == "compact")
+    assert 0 < len(block.pool) < len(model.pool)
+    assert model.pool[: len(block.pool)] == block.pool
+    assert model.lp.n_vars == model.z0 + len(model.pool)
+    assert {v.name.split("[")[0] for v in model.lp.variables[: model.z0]} <= {"art", "yf", "yl"}
+    stored = {}
+    for i, row in enumerate(model.lp.rows):
+        for j, a in row.coeffs:
+            stored.setdefault(j, {})[i] = a
+    for p, config in enumerate(model.pool):
+        var = model.lp.variables[model.z0 + p]
+        assert var.name == f"z[{config.chain}/{config.group_index}/{p}]"
+        assert model.config_index[config.key] == model.z0 + p
+        assert var.obj == model.z_obj[p] == column_cost(model, config)
+        assert stored[model.z0 + p] == column_coefficients(model, config)
+
+
 class TestDuals:
     def test_le_row_duals_nonpositive(self):
         # tight capacity makes the capacity duals meaningful
@@ -277,8 +325,8 @@ class TestDuals:
         model = build_rmp(inst, parts)
         add_column(model, colocated(ci, "a"))
         _, duals = solve_relaxation(model)
-        assert all(d <= 1e-9 for d in duals.core.values())
-        assert all(d <= 1e-9 for d in duals.capacity.values())
+        assert all(d <= 1e-9 for d in duals.core)
+        assert all(d <= 1e-9 for d in duals.capacity)
 
     def test_reduced_cost_matches_pricer_breakdown(self, capacitated_triangle):
         triangle = capacitated_triangle
@@ -385,9 +433,9 @@ class TestFinalIlp:
             final = build_final_ilp(model, inst.k)
             assert not final.full
             lp = final.lp
-            zsel = dict(zip(model.zvar, final.zvar))
-            assert sorted(zsel.values()) == list(range(len(model.pool)))
-            kept = [*model.conv_row.values(), *model.core_row.values(), *model.cap_row.values()]
+            assert final.z0 == 0 and lp.n_vars > len(model.pool)
+            zsel = {model.z0 + p: p for p in range(len(model.pool))}
+            kept = [*model.conv_row, *model.core_row, *model.cap_row]
             for i, r in enumerate(kept):
                 want = model.lp.rows[r]
                 got = lp.rows[i]
@@ -397,9 +445,9 @@ class TestFinalIlp:
             assert hosting[-1] == "kbudget"
             assert all(n.startswith("host[") for n in hosting[:-1])
             for p, config in enumerate(model.pool):
-                cost = model.lp.variables[model.zvar[p]].obj
-                assert cost == column_cost(model, config)
-                assert lp.variables[zsel[model.zvar[p]]].obj == cost
+                z = model.lp.variables[model.z0 + p]
+                assert z.obj == column_cost(model, config)
+                assert (lp.variables[p].name, lp.variables[p].obj) == (z.name, z.obj)
             assert not [v for v in lp.variables if v.name.startswith(("art[", "x[", "y"))]
             assert [v.name for v in lp.variables if v.integer and v.name.startswith("h[")]
             if model.compact:

@@ -45,7 +45,7 @@ def test_path_graph_distances():
     paths = all_pairs_hops(inst.topology)
     assert paths.distance("a", "e") == 4
     assert path_node_seq(paths, "a", "e") == ["a", "b", "c", "d", "e"]
-    assert paths.path_arcs("a", "a") == []
+    assert paths.route("a", "a") == ()
 
 
 def test_canonical_path_prefers_smallest_ids():
@@ -70,7 +70,7 @@ def test_reconstruction_length_matches_distance(nsfnet_paths, nsfnet_instance):
     topo = nsfnet_instance.topology
     for u in topo.node_ids:
         for w in topo.node_ids:
-            arcs = nsfnet_paths.path_arcs(u, w)
+            arcs = nsfnet_paths.route(u, w)
             assert len(arcs) == nsfnet_paths.distance(u, w)
             assert path_nodes(arcs) == (path_node_seq(nsfnet_paths, u, w) if arcs else [])
 

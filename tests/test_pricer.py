@@ -44,16 +44,25 @@ def no_end_charges(instance):
     return np.zeros((1, n, len(instance.topology.nfv_nodes)))
 
 
-def zero_duals(instance):
-    return DualPrices(convexity={}, core={}, capacity={}, end=no_end_charges(instance))
+def duals_of(instance, convexity=0.0, capacity=None):
+    """`DualPrices` of one chain instance: its convexity dual, core duals of
+    0, capacity duals of 0 but at the arcs `capacity` maps, and no end
+    charges."""
+    topo = instance.topology
+    mu = np.zeros(len(topo.arcs))
+    for arc, dual in (capacity or {}).items():
+        mu[topo.arc_index[arc]] = dual
+    return DualPrices(
+        np.array([convexity]), np.zeros(len(topo.nfv_nodes)), mu, no_end_charges(instance)
+    )
 
 
 def random_duals(rng, instance, ci):
     nfv = instance.topology.nfv_nodes
     return DualPrices(
-        convexity={ci.key: rng.uniform(-5.0, 5.0)},
-        core={v: -rng.uniform(0.0, 2.0) for v in nfv},
-        capacity={a: -rng.uniform(0.0, 1.5) for a in instance.topology.arc_index},
+        convexity=np.array([rng.uniform(-5.0, 5.0)]),
+        core=np.array([-rng.uniform(0.0, 2.0) for v in nfv]),
+        capacity=np.array([-rng.uniform(0.0, 1.5) for a in instance.topology.arc_index]),
         end=np.array(
             [[[rng.uniform(-3.0, 3.0) for _ in nfv] for _ in range(len(ci.vnfs))]]
         ),
@@ -65,14 +74,15 @@ def brute_force_total(instance, ci, duals, config):
     dgroup = ci.total_gbps
     rates = instance.chain_cores_per_gbps(ci.chain)
     total = config.cost
-    total -= duals.convexity.get(ci.key, 0.0)
+    total -= duals.convexity[ci.index]
     nfv = instance.topology.nfv_nodes
     for pos, v in enumerate(config.locations):
-        total -= duals.core.get(v, 0.0) * dgroup * rates[pos]
+        total -= duals.core[nfv.index(v)] * dgroup * rates[pos]
         total -= duals.end[ci.index, pos, nfv.index(v)]
+    arc_index = instance.topology.arc_index
     for seg in config.segment_paths:
         for arc in seg:
-            total -= duals.capacity.get(arc, 0.0) * dgroup
+            total -= duals.capacity[arc_index[arc]] * dgroup
     return total
 
 
@@ -85,7 +95,7 @@ class TestZeroDuals:
             chain_vnfs=("fw", "nat"),
         )
         ci = only_instance(inst)
-        config, reduced = price(inst, ci, zero_duals(inst))
+        config, reduced = price(inst, ci, duals_of(inst))
         assert config.cost == 0.0
         assert reduced == 0.0
         assert len(set(config.locations)) == 1
@@ -94,14 +104,12 @@ class TestZeroDuals:
     def test_nonnegative_total_returns_none(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
         ci = only_instance(inst)
-        assert price_chain_instance(inst, ci, one_round(inst, ci, zero_duals(inst))) is None
+        assert price_chain_instance(inst, ci, one_round(inst, ci, duals_of(inst))) is None
 
     def test_convexity_offset_prices_out(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
         ci = only_instance(inst)
-        duals = DualPrices(
-            convexity={ci.key: 1.0}, core={}, capacity={}, end=no_end_charges(inst)
-        )
+        duals = duals_of(inst, convexity=1.0)
         priced = price_chain_instance(inst, ci, one_round(inst, ci, duals))
         assert priced is not None
         _, reduced = priced
@@ -110,30 +118,21 @@ class TestZeroDuals:
     def test_offset_exactly_at_optimum_is_not_improving(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
         ci = only_instance(inst)
-        duals = DualPrices(
-            convexity={ci.key: 0.0}, core={}, capacity={}, end=no_end_charges(inst)
-        )
+        duals = duals_of(inst, convexity=0.0)
         assert price_chain_instance(inst, ci, one_round(inst, ci, duals)) is None
 
 
 class TestSegmentTable:
     def test_positive_capacity_dual_rejected(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
-        duals = DualPrices(
-            convexity={}, core={}, capacity={("a", "b"): 0.5}, end=no_end_charges(inst)
-        )
+        duals = duals_of(inst, capacity={("a", "b"): 0.5})
         with pytest.raises(PricerError):
             segment_cost_table(inst, duals)
 
     def test_weights_inflate_with_negative_duals(self):
         inst = build_instance(["a", "b", "c"], [("a", "b"), ("b", "c")], [("a", "c")])
-        flat = segment_cost_table(inst, zero_duals(inst))
-        duals = DualPrices(
-            convexity={},
-            core={},
-            capacity={("a", "b"): -1.0},
-            end=no_end_charges(inst),
-        )
+        flat = segment_cost_table(inst, duals_of(inst))
+        duals = duals_of(inst, capacity={("a", "b"): -1.0})
         priced = segment_cost_table(inst, duals)
         # rows and columns follow the NFV nodes a, b, c
         assert flat.matrix[0, 1] == pytest.approx(1.0)
@@ -145,7 +144,7 @@ class TestSegmentTable:
         # under zero duals the table comes from the hop table; the Dijkstra
         # it stands in for must agree on every cost and path, ties included
         topo = nsfnet_instance.topology
-        table = segment_cost_table(nsfnet_instance, zero_duals(nsfnet_instance))
+        table = segment_cost_table(nsfnet_instance, duals_of(nsfnet_instance))
         unit = {arc: 1.0 for arc in topo.arc_index}
         for i, u in enumerate(topo.nfv_nodes):
             for j, w in enumerate(topo.nfv_nodes):
@@ -299,7 +298,7 @@ class TestExactness:
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b", 2.0)], cores=1)
         ci = only_instance(inst)
         with pytest.raises(PricerError, match="no placement fits"):
-            price(inst, ci, zero_duals(inst))
+            price(inst, ci, duals_of(inst))
 
 
 class TestRoundBound:
@@ -317,9 +316,9 @@ class TestRoundBound:
             nfv = inst.topology.nfv_nodes
             width = max(len(ci.vnfs) for ci in cis)
             duals = DualPrices(
-                convexity={},
-                core={v: -rng.uniform(0.0, 2.0) for v in nfv},
-                capacity={a: -rng.uniform(0.0, 1.5) for a in inst.topology.arc_index},
+                convexity=np.zeros(len(cis)),
+                core=np.array([-rng.uniform(0.0, 2.0) for v in nfv]),
+                capacity=np.array([-rng.uniform(0.0, 1.5) for a in inst.topology.arc_index]),
                 end=np.array(
                     [[[rng.uniform(-3.0, 3.0) for _ in nfv] for _ in range(width)] for _ in cis]
                 ),
@@ -331,11 +330,12 @@ class TestRoundBound:
                 for ci in cis
             }
             duals = dataclasses.replace(
-                duals, convexity={key: c + rng.uniform(-0.5, 0.5) for key, c in least.items()}
+                duals,
+                convexity=np.array([least[ci.key] + rng.uniform(-0.5, 0.5) for ci in cis]),
             )
             pricing = price_round(inst, cis, duals, segment_cost_table(inst, duals))
             for ci in cis:
-                reduced = least[ci.key] - duals.convexity[ci.key]
+                reduced = least[ci.key] - duals.convexity[ci.index]
                 bound = pricing.bound[ci.index]
                 assert bound <= reduced + 1e-9, f"case {case} {ci.label}"
                 if bound >= -EPS:

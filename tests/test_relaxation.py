@@ -39,8 +39,11 @@ def core_bound(instance, scale):
 def cheapest_columns(model):
     """Each chain instance's cheapest pooled column's pool position, the
     lowest among equals."""
-    obj = [model.lp.variables[var].obj for var in model.zvar]
-    return [min(group, key=lambda p: (obj[p], p)) for group in model.pool_by_instance.values()]
+    obj = [v.obj for v in model.lp.variables[model.z0 :]]
+    groups: dict = {}
+    for p, i in enumerate(model.z_ci.tolist()):
+        groups.setdefault(i, []).append(p)
+    return [min(groups[i], key=lambda p: (obj[p], p)) for i in sorted(groups)]
 
 
 def check_every_relaxation(monkeypatch, tally):
@@ -66,7 +69,7 @@ def check_every_relaxation(monkeypatch, tally):
             assert sol.objective == pytest.approx(ref.objective, abs=1e-9), where
             assert np.abs(np.subtract(sol.duals, ref.duals)).max() <= 1e-7, where
             tally["fired"] += 1
-        elif all(model.pool_by_instance.values()):
+        elif set(model.z_ci.tolist()) == set(range(len(model.chain_instances))):
             loads = core_loads(model, cheapest_columns(model))
             assert (loads >= node_cores(model) - FIT_TOL).any(), where
             tally["declined"] += 1
@@ -170,7 +173,7 @@ def assert_block_pools_as_the_loop(instance):
     loop = looped_pool(instance, partitions)
     assert [c.key for c in block.pool] == [c.key for c in loop.pool]
     assert block.pool == loop.pool
-    assert block.zvar == loop.zvar and block.pool_by_instance == loop.pool_by_instance
+    assert block.z0 == loop.z0
     assert block.config_index == loop.config_index
     assert [(v.name, v.obj) for v in block.lp.variables] == [
         (v.name, v.obj) for v in loop.lp.variables
@@ -180,7 +183,7 @@ def assert_block_pools_as_the_loop(instance):
         got, want = getattr(block, name), getattr(loop, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     # the arrays agree with the pooled columns they stand for
-    assert block.z_obj.tolist() == [block.lp.variables[var].obj for var in block.zvar]
+    assert block.z_obj.tolist() == [v.obj for v in block.lp.variables[block.z0 :]]
     nfv = instance.topology.nfv_nodes
     for p, config in enumerate(block.pool):
         ci = block.by_key[(config.chain, config.group_index)]
@@ -229,7 +232,7 @@ def test_closed_form_ties_go_to_the_lowest_pool_position(uncapped_split_triangle
     # c1/1 cost 3, 3 and 2: the point takes c1/0 at a and c1/1 at c
     model = build_rmp(uncapped_split_triangle, partition_all(uncapped_split_triangle))
     add_colocated_columns(model)
-    assert [model.lp.variables[var].obj for var in model.zvar] == [5, 5, 6, 3, 3, 2]
+    assert [v.obj for v in model.lp.variables[model.z0 :]] == [5, 5, 6, 3, 3, 2]
     sol = master._closed_form(model)
     assert sol.method == "closed_form" and sol.objective == 7.0
-    assert [p for p, var in enumerate(model.zvar) if sol.x[var] == 1.0] == [0, 5]
+    assert [p for p, x in enumerate(sol.x[model.z0 :]) if x == 1.0] == [0, 5]
