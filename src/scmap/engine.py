@@ -93,6 +93,7 @@ class CgIteration:
     columns_added: int
     best_reduced_cost: float
     wall_ms: float
+    lp_iterations: int  # HiGHS's simplex iterations on the round's relaxation; 0 in closed form
     relaxation: str  # how the round's relaxation was solved: "closed_form" or "highs"
 
 
@@ -332,7 +333,7 @@ def run_column_generation(
         bound = max(bound, lagrangian)
         last = time.perf_counter() - tick
         trace.iterations.append(
-            CgIteration(it, sol.objective, added, best_rc, last * 1e3, sol.method)
+            CgIteration(it, sol.objective, added, best_rc, last * 1e3, sol.iterations, sol.method)
         )
         if added == 0:
             trace.converged = True
@@ -363,11 +364,12 @@ def _to_price(model: RmpModel, pricing: PricingRound) -> list:
 
 
 def write_trace_csv(trace: CgTrace, fh: IO[str]) -> None:
-    fh.write("iter,objective,columns_added,best_rc,wall_ms,relaxation\n")
+    fh.write("iter,objective,columns_added,best_rc,wall_ms,lp_iters,relaxation\n")
     for row in trace.iterations:
         fh.write(
             f"{row.iteration},{row.objective:.6f},{row.columns_added},"
-            f"{row.best_reduced_cost:.6f},{row.wall_ms:.1f},{row.relaxation}\n"
+            f"{row.best_reduced_cost:.6f},{row.wall_ms:.1f},{row.lp_iterations},"
+            f"{row.relaxation}\n"
         )
 
 

@@ -1,116 +1,201 @@
-"""HiGHS-backed solver via scipy.optimize.
+"""HiGHS, run directly through the binding scipy bundles.
 
-Duals follow the minimization convention used throughout: <= rows carry
-nonpositive multipliers, >= rows nonnegative, equalities free. Reduced costs
-are recomputed as c - A'y from the returned row duals, so at an optimum the
-dual objective y'b plus the bound terms of the reduced costs equals the
-primal objective (strong duality).
+Each program goes to HiGHS as one `HighsLp`: columns with their bounds and
+costs, and rows as row_lower <= Ax <= row_upper (a <= row has no lower side,
+a >= row no upper side, an = row both at its rhs). scipy's `linprog` and
+`milp` make the same call after input checks and conversions that this
+module has no use for, since `LinearProgram` checks its input as it is built.
+The rows of an LP go in the order linprog stacks them (inequalities, then
+equalities) and those of a MIP in program order, as milp passes them, so
+each solve returns the point and duals scipy's wrapper would.
+
+Duals are HiGHS's row duals, d objective / d rhs under minimization: <= rows
+carry nonpositive multipliers, >= rows nonnegative, equalities free, so at an
+optimum the dual objective y'b plus the bound terms of the reduced costs
+c - A'y equals the primal objective (strong duality).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+
+# scipy.optimize before its private submodule: both orders load the same
+# modules, but with scipy 1.17.1 a fresh process took about 60 ms longer
+# to import this module in the other order
+import scipy.optimize  # noqa: F401
 
 from .model import EQ, GE, LE, LinearProgram, LpSolution, MipSolution
 
-_LP_STATUS = {0: "optimal", 1: "stalled", 2: "infeasible", 3: "unbounded", 4: "stalled"}
+try:
+    from scipy.optimize._highspy import _core
+except ImportError as exc:  # the private binding moved or is missing
+    raise ImportError(
+        "scmap.simplexkit.highs needs scipy>=1.17, whose bundled HiGHS binding "
+        "is scipy.optimize._highspy._core"
+    ) from exc
+
+_STATUS = _core.HighsModelStatus
+
+# linprog's feasibility check of an "optimal" point: sqrt(tol) * 10 at its
+# default tol of 1e-9
+RESULT_TOL = np.sqrt(1e-9) * 10
+
+# HiGHS model status -> the status a failed run reports, as scipy maps them
+# (`_highs_to_scipy_status_message`); any other status reads "stalled"
+_FAILED = {
+    _STATUS.kInfeasible: "infeasible",
+    _STATUS.kModelError: "infeasible",
+    _STATUS.kUnbounded: "unbounded",
+}
+# statuses after which a MIP still holds an incumbent, if it found one
+_MIP_STOPPED = (_STATUS.kTimeLimit, _STATUS.kIterationLimit, _STATUS.kSolutionLimit)
+
+# the options linprog sets: presolve on, dual simplex, no output
+_LP_OPTIONS = (
+    ("output_flag", False),
+    ("presolve", "on"),
+    ("simplex_strategy", int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+)
+# milp's (no output), and no feasibility-jump heuristic: on the selection
+# programs it costs 8-12 ms a run and its incumbent was never the one kept
+_MIP_OPTIONS = (
+    ("output_flag", False),
+    ("mip_heuristic_run_feasibility_jump", False),
+)
 
 
-def _csr(lp: LinearProgram) -> sp.csr_matrix:
-    """The constraint matrix, one row per program row."""
-    counts = [len(r.coeffs) for r in lp.rows]
-    indptr = np.zeros(lp.n_rows + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(counts)
-    nnz = int(indptr[-1])
+def _highs_lp(lp: LinearProgram, order: np.ndarray, integer: bool) -> tuple:
+    """`lp` as one HighsLp whose row i is program row `order[i]`, with its
+    columns' bounds as an (n, 2) array and its row bounds, in HiGHS's row
+    order, as a (2, m) array; duplicate entries of a row are summed."""
+    n, m = lp.n_vars, lp.n_rows
+    cost = np.fromiter((v.obj for v in lp.variables), dtype=float, count=n)
+    bounds = np.fromiter(
+        (b for v in lp.variables for b in (v.lb, v.ub)), dtype=float, count=2 * n
+    ).reshape(n, 2)
+    rhs = np.fromiter((r.rhs for r in lp.rows), dtype=float, count=m)
+    relation = np.array([r.relation for r in lp.rows], dtype="U2")
+    row_bounds = np.array([rhs, rhs])
+    row_bounds[0, relation == LE] = -np.inf
+    row_bounds[1, relation == GE] = np.inf
+
+    position = np.empty(m, dtype=np.int64)
+    position[order] = np.arange(m)
+    counts = np.fromiter((len(r.coeffs) for r in lp.rows), dtype=np.int64, count=m)
+    nnz = int(counts.sum())
+    rows = np.repeat(position, counts)
     cols = np.fromiter((j for r in lp.rows for j, _ in r.coeffs), dtype=np.int64, count=nnz)
     vals = np.fromiter((a for r in lp.rows for _, a in r.coeffs), dtype=float, count=nnz)
-    mat = sp.csr_matrix((vals, cols, indptr), shape=(lp.n_rows, lp.n_vars))
-    mat.sum_duplicates()
-    return mat
+    # column-wise, rows ascending within a column, duplicates summed
+    key = cols * m + rows
+    entry = np.argsort(key, kind="stable")
+    key = key[entry]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])[: len(key)]
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols[entry[first]], minlength=n), out=start[1:])
+
+    out = _core.HighsLp()
+    out.num_col_ = out.a_matrix_.num_col_ = n
+    out.num_row_ = out.a_matrix_.num_row_ = m
+    out.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    out.a_matrix_.start_ = start
+    out.a_matrix_.index_ = rows[entry[first]]
+    out.a_matrix_.value_ = np.add.reduceat(vals[entry], first) if nnz else vals
+    out.col_cost_ = cost
+    out.col_lower_ = bounds[:, 0]
+    out.col_upper_ = bounds[:, 1]
+    out.row_lower_ = row_bounds[0, order]
+    out.row_upper_ = row_bounds[1, order]
+    if integer:
+        kind = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
+        out.integrality_ = [kind[v.integer] for v in lp.variables]
+    return out, bounds, row_bounds[:, order]
 
 
-def _matrices(lp: LinearProgram):
-    """Split rows into A_ub (>= rows negated) and A_eq, remembering the
-    program row and sign behind each."""
-    mat = _csr(lp)
-    rhs = np.array([r.rhs for r in lp.rows], dtype=float)
-    eq = np.array([r.relation == EQ for r in lp.rows], dtype=bool)
-    sign = np.array([-1.0 if r.relation == GE else 1.0 for r in lp.rows])
-    ub_rows, eq_rows = np.flatnonzero(~eq), np.flatnonzero(eq)
-    ub_sign = sign[ub_rows]
-    A_ub = sp.diags(ub_sign) @ mat[ub_rows]
-    b_ub = ub_sign * rhs[ub_rows]
-    return (ub_rows, ub_sign, A_ub, b_ub), (eq_rows, mat[eq_rows], rhs[eq_rows])
+def _run(model: _core.HighsLp, options: tuple) -> _core._Highs:
+    """A fresh HiGHS instance that has run on `model` under `options`."""
+    solver = _core._Highs()
+    for name, value in options:
+        solver.setOptionValue(name, value)
+    solver.passModel(model)
+    solver.run()
+    return solver
+
+
+# The calls every LP and every MIP run passes through, named after the scipy
+# wrappers they replace; a tracer wraps them by module attribute.
+linprog = _run
+milp = _run
+
+
+def _fails_check(x: np.ndarray, fun: float, activity: np.ndarray, bounds, row_bounds) -> bool:
+    """linprog's check of an "optimal" point: any NaN, or a bound or row
+    missed by more than RESULT_TOL."""
+    if np.isnan(x).any() or np.isnan(fun) or np.isnan(activity).any():
+        return True
+    return bool(
+        (x < bounds[:, 0] - RESULT_TOL).any()
+        or (x > bounds[:, 1] + RESULT_TOL).any()
+        or (activity - row_bounds[0] < -RESULT_TOL).any()
+        or (row_bounds[1] - activity < -RESULT_TOL).any()
+    )
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    c = np.array([v.obj for v in lp.variables], dtype=float)
-    bounds = np.array([(v.lb, v.ub) for v in lp.variables], dtype=float).reshape(-1, 2)
-    (ub_rows, ub_sign, A_ub, b_ub), (eq_rows, A_eq, b_eq) = _matrices(lp)
-    res = linprog(
-        c,
-        A_ub=A_ub if len(ub_rows) else None,
-        b_ub=b_ub if len(ub_rows) else None,
-        A_eq=A_eq if len(eq_rows) else None,
-        b_eq=b_eq if len(eq_rows) else None,
-        bounds=bounds,
-        method="highs",
-    )
-    status = _LP_STATUS.get(res.status, "stalled")
-    if status != "optimal":
-        return LpSolution(status=status, message=str(res.message))
-    duals = np.zeros(lp.n_rows)
-    if len(ub_rows):
-        # marginal is d obj / d rhs of the *signed* row; undo the sign
-        duals[ub_rows] = res.ineqlin.marginals * ub_sign
-    if len(eq_rows):
-        duals[eq_rows] = res.eqlin.marginals
+    # linprog's row order: inequality rows, then equalities, each in program
+    # order; in another order HiGHS may return another of several optimal
+    # points or dual solutions
+    order = np.argsort([r.relation == EQ for r in lp.rows], kind="stable")
+    model, bounds, row_bounds = _highs_lp(lp, order, integer=False)
+    solver = linprog(model, _LP_OPTIONS)
+    status = solver.getModelStatus()
+    message = solver.modelStatusToString(status)
+    if status != _STATUS.kOptimal:
+        return LpSolution(status=_FAILED.get(status, "stalled"), message=message)
+    info = solver.getInfo()
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    activity = np.array(solution.row_value)
+    duals = np.empty(lp.n_rows)
+    duals[order] = solution.row_dual
+    if _fails_check(x, info.objective_function_value, activity, bounds, row_bounds):
+        return LpSolution(
+            status="stalled",
+            message=f"{message}, but the point misses a bound or row by more than {RESULT_TOL:.2e}",
+        )
     return LpSolution(
         status="optimal",
-        x=res.x.tolist(),
-        objective=float(res.fun),
+        x=x.tolist(),
+        objective=float(info.objective_function_value),
         duals=duals.tolist(),
+        message=message,
+        iterations=int(info.simplex_iteration_count),
     )
-
-
-_MIP_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 
 def solve_mip(lp: LinearProgram, time_limit: float | None = None) -> MipSolution:
-    c = np.array([v.obj for v in lp.variables], dtype=float)
-    lo = np.array([-np.inf if r.relation == LE else r.rhs for r in lp.rows], dtype=float)
-    hi = np.array([np.inf if r.relation == GE else r.rhs for r in lp.rows], dtype=float)
-    A = _csr(lp)
-    integrality = np.array([1 if v.integer else 0 for v in lp.variables])
-    options = {"disp": False}
+    integer = any(v.integer for v in lp.variables)
+    model, _, _ = _highs_lp(lp, np.arange(lp.n_rows), integer)
+    options = _MIP_OPTIONS
     if time_limit is not None:
-        options["time_limit"] = float(time_limit)
-    res = milp(
-        c,
-        constraints=LinearConstraint(A, lo, hi),
-        integrality=integrality,
-        bounds=Bounds(
-            np.array([v.lb for v in lp.variables], dtype=float),
-            np.array([v.ub for v in lp.variables], dtype=float),
-        ),
-        options=options,
-    )
-    if res.status in _MIP_STATUS and res.status != 0:
-        return MipSolution(status=_MIP_STATUS[res.status], message=str(res.message))
-    if res.x is None:
-        return MipSolution(status="stalled", message=str(res.message))
-    objective = float(res.fun)
-    bound = float(res.mip_dual_bound) if res.mip_dual_bound is not None else objective
+        options += (("time_limit", float(time_limit)),)
+    solver = milp(model, options)
+    status = solver.getModelStatus()
+    message = solver.modelStatusToString(status)
+    info = solver.getInfo()
+    objective = float(info.objective_function_value)
+    if status != _STATUS.kOptimal and not (
+        integer and status in _MIP_STOPPED and objective != np.inf
+    ):
+        return MipSolution(status=_FAILED.get(status, "stalled"), message=message)
+    bound = float(info.mip_dual_bound) if integer else objective
     gap = (objective - bound) / max(1.0, abs(objective))
-    status = "optimal" if res.status == 0 else "feasible"
     return MipSolution(
-        status=status,
-        x=list(map(float, res.x)),
+        status="optimal" if status == _STATUS.kOptimal else "feasible",
+        x=solver.getSolution().col_value,
         objective=objective,
         bound=bound,
         gap=max(gap, 0.0),
-        nodes=int(res.mip_node_count or 0),
-        message=str(res.message),
+        nodes=int(info.mip_node_count) if integer else 0,
+        message=message,
     )

@@ -132,6 +132,7 @@ class LpSolution:
     duals: list[float] = field(default_factory=list)
     message: str = ""
     method: str = "highs"  # what found it: HiGHS, or "closed_form" (scmap.master)
+    iterations: int = 0  # HiGHS's simplex iterations; 0 for a closed form
 
     @property
     def optimal(self) -> bool:

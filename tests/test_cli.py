@@ -99,7 +99,7 @@ class TestSolve:
         doc = json.loads(out.read_text())
         assert doc["objective_gbps_hops"] == pytest.approx(8.0)
         lines = trace.read_text().splitlines()
-        assert lines[0] == "iter,objective,columns_added,best_rc,wall_ms,relaxation"
+        assert lines[0] == "iter,objective,columns_added,best_rc,wall_ms,lp_iters,relaxation"
 
     def test_emitted_plan_validates(self, triangle_flags, tmp_path, capsys):
         out = tmp_path / "plan.json"

@@ -110,7 +110,7 @@ class TestColumnGeneration:
         buf = io.StringIO()
         engine.write_trace_csv(trace, buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "iter,objective,columns_added,best_rc,wall_ms,relaxation"
+        assert lines[0] == "iter,objective,columns_added,best_rc,wall_ms,lp_iters,relaxation"
         assert len(lines) == 1 + len(trace.iterations)
 
 

@@ -137,6 +137,7 @@ def test_uncapacitated_sweep_solves_no_lp(monkeypatch):
         inst = load_instance(*nsfnet_files(), k=14, nc=nc)
         model, trace = engine.run_column_generation(inst, partition_all(inst))
         assert {it.relaxation for it in trace.iterations} == {"closed_form"}
+        assert {it.lp_iterations for it in trace.iterations} == {0}
         for k in (2, 14):
             engine.extract_plan(with_k(inst, k), model)
     assert calls == []
@@ -148,6 +149,8 @@ def test_core_bound_cell_still_solves_lps(monkeypatch):
     _, trace = engine.run_column_generation(inst, partition_all(inst))
     assert "highs" in {it.relaxation for it in trace.iterations}
     assert len(calls) >= 1
+    # HiGHS's simplex iterations on the HiGHS rounds, none on the others
+    assert all((it.lp_iterations > 0) == (it.relaxation == "highs") for it in trace.iterations)
 
 
 def looped_pool(instance, partitions):

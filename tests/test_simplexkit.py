@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scmap.simplexkit import EQ, LE, LinearProgram, highs
 from scmap.simplexkit.model import GE, LpError
@@ -340,3 +342,189 @@ def test_module_level_helpers():
     lp = lp_from_arrays([1.0], [([1.0], GE, 2.0)])
     assert highs.solve_lp(lp).objective == pytest.approx(2.0)
     assert highs.solve_mip(lp).objective == pytest.approx(2.0)
+
+
+# -- the direct HiGHS path against scipy's wrappers ---------------------------
+
+small = st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def programs(draw, integer=False):
+    """(variables, rows): variables as (lb, ub, obj, integer), rows as
+    (coeffs, relation, rhs) whose coeffs may name a column twice."""
+    n = draw(st.integers(1, 4))
+    variables = []
+    for _ in range(n):
+        lb = draw(st.sampled_from([0.0, 0.0, -2.0, 1.0]))
+        ub = draw(st.sampled_from([math.inf, lb, lb + 1.0, lb + 3.0]))
+        is_int = integer and draw(st.booleans())
+        variables.append((lb, ub, draw(small), is_int))
+    rows = draw(st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.integers(0, n - 1), small), max_size=5),
+            st.sampled_from([LE, GE, EQ]),
+            st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0, 4.0]),
+        ),
+        max_size=5,
+    ))
+    return variables, rows
+
+
+def program_lp(spec):
+    variables, rows = spec
+    lp = LinearProgram()
+    for j, (lb, ub, obj, is_int) in enumerate(variables):
+        lp.add_variable(f"x{j}", lb, ub, obj, is_int)
+    for coeffs, rel, rhs in rows:
+        lp.add_constraint(coeffs, rel, rhs)
+    return lp
+
+
+def dense_rows(spec):
+    """The constraint matrix with repeated entries summed, and each row's
+    relation and rhs."""
+    variables, rows = spec
+    A = np.zeros((len(rows), len(variables)))
+    for i, (coeffs, _, _) in enumerate(rows):
+        for j, a in coeffs:
+            A[i, j] += a
+    return A, [rel for _, rel, _ in rows], np.array([rhs for _, _, rhs in rows])
+
+
+def scipy_linprog(spec):
+    """`scipy.optimize.linprog` on the program as (status, x, duals,
+    objective, iterations), >= rows negated into A_ub and their duals
+    negated back."""
+    from scipy.optimize import linprog
+
+    variables, _ = spec
+    A, rel, rhs = dense_rows(spec)
+    ub = np.array([r != EQ for r in rel], dtype=bool)
+    sign = np.array([-1.0 if r == GE else 1.0 for r in rel])[ub]
+    res = linprog(
+        [v[2] for v in variables],
+        A_ub=sign[:, None] * A[ub] if ub.any() else None,
+        b_ub=sign * rhs[ub] if ub.any() else None,
+        A_eq=A[~ub] if (~ub).any() else None,
+        b_eq=rhs[~ub] if (~ub).any() else None,
+        bounds=[(v[0], v[1]) for v in variables],
+        method="highs",
+    )
+    status = {0: "optimal", 1: "stalled", 2: "infeasible", 3: "unbounded", 4: "stalled"}
+    if res.status != 0:
+        return status[res.status], None, None, None, None
+    duals = np.zeros(len(rel))
+    duals[ub] = res.ineqlin.marginals * sign
+    duals[~ub] = res.eqlin.marginals
+    return "optimal", res.x, duals, res.fun, res.nit
+
+
+def scipy_milp(spec):
+    """`scipy.optimize.milp` on the program as (status, objective)."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    variables, _ = spec
+    A, rel, rhs = dense_rows(spec)
+    lo = np.where([r == LE for r in rel], -np.inf, rhs)
+    hi = np.where([r == GE for r in rel], np.inf, rhs)
+    res = milp(
+        [v[2] for v in variables],
+        constraints=LinearConstraint(A, lo, hi) if len(rel) else None,
+        integrality=[int(v[3]) for v in variables],
+        bounds=Bounds([v[0] for v in variables], [v[1] for v in variables]),
+        options={"disp": False},
+    )
+    if res.x is None:
+        return {2: "infeasible", 3: "unbounded"}.get(res.status, "stalled"), None
+    return "optimal" if res.status == 0 else "feasible", res.fun
+
+
+def same_floats(a, b):
+    """Equal element by element with no tolerance: the same bits, but for
+    the sign of a zero."""
+    return np.array_equal(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+NO_ROWS = ([(0.0, 3.0, -1.0, False), (0.0, math.inf, 2.0, False)], [])
+INFEASIBLE = ([(0.0, math.inf, 1.0, False)], [([(0, 1.0)], LE, -1.0)])
+UNBOUNDED = ([(0.0, math.inf, -1.0, False)], [([(0, 1.0)], GE, 1.0)])
+REPEATED = (
+    [(0.0, math.inf, 1.0, False), (0.0, math.inf, 2.0, False)],
+    [([(0, 1.0), (1, 1.0), (0, 1.0)], GE, 2.0), ([(1, 1.0), (0, -1.0)], EQ, 0.0)],
+)
+
+
+@given(programs())
+@example(NO_ROWS)
+@example(INFEASIBLE)
+@example(UNBOUNDED)
+@example(REPEATED)
+@settings(max_examples=300, deadline=None)
+def test_lp_equals_scipy_linprog(spec):
+    """Same status as `linprog`, and at an optimum the same x, duals and
+    objective, with no tolerance, and the same iteration count. A zero dual of a >= row may differ in
+    sign: the reference negates such a row into A_ub and its dual back, so
+    a 0.0 from HiGHS comes back as -0.0."""
+    got = highs.solve_lp(program_lp(spec))
+    status, x, duals, objective, iterations = scipy_linprog(spec)
+    assert got.status == status
+    if status == "optimal":
+        assert same_floats(got.x, x)
+        assert same_floats(got.duals, duals)
+        assert same_floats([got.objective], [objective])
+        assert got.iterations == iterations
+
+
+@given(programs(integer=True))
+@example(NO_ROWS)
+@example(INFEASIBLE)
+@example(UNBOUNDED)
+@example(REPEATED)
+@settings(max_examples=300, deadline=None)
+def test_mip_equals_scipy_milp(spec):
+    got = highs.solve_mip(program_lp(spec))
+    status, objective = scipy_milp(spec)
+    assert got.status == status
+    if objective is not None:
+        assert got.objective == objective
+
+
+class DoctoredRun:
+    """A finished HiGHS run whose solution reports `value` as the first
+    entry of `field`."""
+
+    def __init__(self, run, field, value):
+        self._run, self._field, self._value = run, field, value
+
+    def __getattr__(self, name):
+        return getattr(self._run, name)
+
+    def getSolution(self):
+        solution = self._run.getSolution()
+        values = list(getattr(solution, self._field))
+        values[0] = self._value
+        setattr(solution, self._field, values)
+        return solution
+
+
+@pytest.mark.parametrize(
+    "field, value, status",
+    [
+        ("col_value", math.nan, "stalled"),
+        ("row_value", 5.0 + 3.3e-4, "stalled"),
+        ("col_value", 3.0 + 3.3e-4, "stalled"),
+        ("row_value", 5.0 + 3.1e-4, "optimal"),  # within linprog's 3.16e-4
+    ],
+    ids=["nan", "row_residual", "bound_residual", "within_tolerance"],
+)
+def test_point_off_its_rows_is_stalled(monkeypatch, field, value, status):
+    # min -x0 - x1/2 st x0 + x1 <= 5, x in [0, 3]^2: the optimum x = (3, 2)
+    # has x0 at its upper bound and the row tight; each case doctors x0 or
+    # the row's activity as HiGHS reports it
+    lp = lp_from_arrays([-1.0, -0.5], [([1.0, 1.0], LE, 5.0)], ub=[3.0, 3.0])
+    assert highs.solve_lp(lp).x == [3.0, 2.0]
+    real = highs.linprog
+    monkeypatch.setattr(highs, "linprog", lambda *a: DoctoredRun(real(*a), field, value))
+    got = highs.solve_lp(lp)
+    assert got.status == status, got.message
