@@ -78,6 +78,7 @@ def _highs_lp(lp: LinearProgram, order: np.ndarray, integer: bool) -> tuple:
     row_bounds = np.array([rhs, rhs])
     row_bounds[0, relation == LE] = -np.inf
     row_bounds[1, relation == GE] = np.inf
+    row_bounds = row_bounds[:, order]
 
     position = np.empty(m, dtype=np.int64)
     position[order] = np.arange(m)
@@ -89,8 +90,7 @@ def _highs_lp(lp: LinearProgram, order: np.ndarray, integer: bool) -> tuple:
     # column-wise, rows ascending within a column, duplicates summed
     key = cols * m + rows
     entry = np.argsort(key, kind="stable")
-    key = key[entry]
-    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])[: len(key)]
+    first = np.flatnonzero(np.diff(key[entry], prepend=-1))
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols[entry[first]], minlength=n), out=start[1:])
 
@@ -100,16 +100,16 @@ def _highs_lp(lp: LinearProgram, order: np.ndarray, integer: bool) -> tuple:
     out.a_matrix_.format_ = _core.MatrixFormat.kColwise
     out.a_matrix_.start_ = start
     out.a_matrix_.index_ = rows[entry[first]]
-    out.a_matrix_.value_ = np.add.reduceat(vals[entry], first) if nnz else vals
+    out.a_matrix_.value_ = np.add.reduceat(vals[entry], first)
     out.col_cost_ = cost
     out.col_lower_ = bounds[:, 0]
     out.col_upper_ = bounds[:, 1]
-    out.row_lower_ = row_bounds[0, order]
-    out.row_upper_ = row_bounds[1, order]
+    out.row_lower_ = row_bounds[0]
+    out.row_upper_ = row_bounds[1]
     if integer:
         kind = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
         out.integrality_ = [kind[v.integer] for v in lp.variables]
-    return out, bounds, row_bounds[:, order]
+    return out, bounds, row_bounds
 
 
 def _run(model: _core.HighsLp, options: tuple) -> _core._Highs:
@@ -156,13 +156,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     solution = solver.getSolution()
     x = np.array(solution.col_value)
     activity = np.array(solution.row_value)
-    duals = np.empty(lp.n_rows)
-    duals[order] = solution.row_dual
     if _fails_check(x, info.objective_function_value, activity, bounds, row_bounds):
         return LpSolution(
             status="stalled",
-            message=f"{message}, but the point misses a bound or row by more than {RESULT_TOL:.2e}",
+            message=f"{message}, but a bound or row is missed by more than {RESULT_TOL:.2e}",
         )
+    duals = np.empty(lp.n_rows)
+    duals[order] = solution.row_dual
     return LpSolution(
         status="optimal",
         x=x.tolist(),

@@ -462,10 +462,10 @@ REPEATED = (
 @example(REPEATED)
 @settings(max_examples=300, deadline=None)
 def test_lp_equals_scipy_linprog(spec):
-    """Same status as `linprog`, and at an optimum the same x, duals and
-    objective, with no tolerance, and the same iteration count. A zero dual of a >= row may differ in
-    sign: the reference negates such a row into A_ub and its dual back, so
-    a 0.0 from HiGHS comes back as -0.0."""
+    """Same status as `linprog`, and at an optimum the same iteration count
+    and the same x, duals and objective, with no tolerance. A zero dual of
+    a >= row may differ in sign: the reference negates such a row into A_ub
+    and its dual back, so a 0.0 from HiGHS comes back as -0.0."""
     got = highs.solve_lp(program_lp(spec))
     status, x, duals, objective, iterations = scipy_linprog(spec)
     assert got.status == status
