@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from scmap.simplexkit import EQ, LE, LinearProgram, highs
 from scmap.simplexkit.model import GE, LpError
@@ -396,8 +397,6 @@ def scipy_linprog(spec):
     """`scipy.optimize.linprog` on the program as (status, x, duals,
     objective, iterations), >= rows negated into A_ub and their duals
     negated back."""
-    from scipy.optimize import linprog
-
     variables, _ = spec
     A, rel, rhs = dense_rows(spec)
     ub = np.array([r != EQ for r in rel], dtype=bool)
@@ -422,8 +421,6 @@ def scipy_linprog(spec):
 
 def scipy_milp(spec):
     """`scipy.optimize.milp` on the program as (status, objective)."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
-
     variables, _ = spec
     A, rel, rhs = dense_rows(spec)
     lo = np.where([r == LE for r in rel], -np.inf, rhs)
