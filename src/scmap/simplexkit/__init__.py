@@ -1,4 +1,5 @@
-"""LP/MILP program container and its one solver, HiGHS via scipy.optimize.
+"""LP/MILP program container and its one solver, HiGHS through the binding
+scipy bundles, loaded from its file without importing `scipy.optimize`.
 
 The solver is called as `highs.solve_lp(lp)` and `highs.solve_mip(lp,
 time_limit)`, looked up on the module at call time, so a wrapper set on

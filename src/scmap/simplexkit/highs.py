@@ -1,5 +1,14 @@
 """HiGHS, run directly through the binding scipy bundles.
 
+scmap needs one thing from scipy: the HiGHS extension it ships as
+`scipy.optimize._highspy._core`. Importing that by name runs
+`scipy.optimize/__init__`, which loads hundreds of modules scmap never calls
+(numpy.f2py among them) and takes most of a start-up. So the extension is
+loaded from its file in scipy's install, found without importing scipy, and
+registered under its own name: a later `import scipy.optimize` in the same
+process reuses it rather than initialising the binding a second time. Where
+`scipy.optimize` is already imported, its module is taken as it is.
+
 Each program goes to HiGHS as one `HighsLp`: columns with their bounds and
 costs, and rows as row_lower <= Ax <= row_upper (a <= row has no lower side,
 a >= row no upper side, an = row both at its rhs). scipy's `linprog` and
@@ -17,23 +26,45 @@ c - A'y equals the primal objective (strong duality).
 
 from __future__ import annotations
 
-import numpy as np
+import importlib.machinery
+import importlib.util
+import sys
+from pathlib import Path
 
-# scipy.optimize before its private submodule: both orders load the same
-# modules, but with scipy 1.17.1 a fresh process took about 60 ms longer
-# to import this module in the other order
-import scipy.optimize  # noqa: F401
+import numpy as np
 
 from .model import EQ, GE, LE, LinearProgram, LpSolution, MipSolution
 
-try:
-    from scipy.optimize._highspy import _core
-except ImportError as exc:  # the private binding moved or is missing
-    raise ImportError(
-        "scmap.simplexkit.highs needs scipy>=1.17, whose bundled HiGHS binding "
-        "is scipy.optimize._highspy._core"
-    ) from exc
+_CORE = "scipy.optimize._highspy._core"
+_MISSING = f"scmap.simplexkit.highs needs scipy>=1.17, whose bundled HiGHS binding is {_CORE}"
 
+
+def _load_core():
+    """scipy's HiGHS binding, without importing `scipy.optimize`."""
+    if _CORE in sys.modules or "scipy.optimize" in sys.modules:
+        try:
+            return importlib.import_module(_CORE)
+        except ImportError as exc:
+            raise ImportError(_MISSING) from exc
+    scipy = importlib.util.find_spec("scipy")  # finds, imports nothing
+    roots = scipy.submodule_search_locations if scipy else None
+    found = [
+        path
+        for root in roots or ()
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        if (path := Path(root, "optimize", "_highspy", f"_core{suffix}")).is_file()
+    ]
+    if not found:  # the private binding moved or is missing
+        raise ImportError(_MISSING)
+    loader = importlib.machinery.ExtensionFileLoader(_CORE, str(found[0]))
+    spec = importlib.util.spec_from_file_location(_CORE, found[0], loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = module
+    loader.exec_module(module)
+    return module
+
+
+_core = _load_core()
 _STATUS = _core.HighsModelStatus
 
 # linprog's feasibility check of an "optimal" point: sqrt(tol) * 10 at its
