@@ -62,15 +62,16 @@ goes to HiGHS.
 The hosting budget k is not part of the relaxation, so its bound is the
 same at every k; hosting flags and the budget row enter only the integer
 selection (`build_final_ilp`). That selection is the master's
-z-restriction: its convexity, core and capacity rows with only their z
-coefficients, and its z objectives. On a compact master that is the master
-itself without its artificial columns. On an arc-flow master it drops the
-end flows, which makes it a relaxation of the full program, the master
-cloned with every variable integer. Both programs' feasible points, with
-the artificials at zero and the hosting block dropped, are feasible for
-the master, so a relaxation point with every artificial at zero, every
-variable integral and at most k hosts is optimal for both: the engine
-takes it as the plan without building either.
+z-restriction: its convexity, core and capacity rows (the master's first
+rows on both shapes) with only their z coefficients, and its z objectives.
+On a compact master that is the master itself without its artificial
+columns. On an arc-flow master it drops the end flows, which makes it a
+relaxation of the full program, the master with every variable integer.
+Both programs' feasible points, with the artificials at zero and the
+hosting block dropped, are feasible for the master, so a relaxation point
+with every artificial at zero, every variable integral and at most k hosts
+is optimal for both: the engine takes it as the plan without building
+either.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ class FinalIlp:
     """Integer selection problem; pool position p is its variable z0 + p."""
 
     lp: LinearProgram
-    full: bool  # the integer clone of an arc-flow master, end flows included
+    full: bool  # an arc-flow master in integers, end flows included
     z0: int
 
 
@@ -381,7 +382,6 @@ def _add_end_rows(
     v] into `end_cost`, row, coefficient), in row order.
     """
     topo = model.instance.topology
-    lp = model.lp
     ci = model.by_key[key]
     if lead_in:
         yvar, pos, away, toward = model.yfvar, 0, topo.out_arcs, topo.in_arcs
@@ -394,23 +394,24 @@ def _add_end_rows(
     _, n_pos, m = model.end_cost.shape
     at = (ci.index * n_pos + pos) * m
 
-    def enter(v: str, row: int, coef: float) -> None:
-        if v in model.nfv_index:
-            entries.append((at + model.nfv_index[v], row, coef))
-
     # `point` sends (or takes) n units, less n per unit of the end position
     # placed on it and n per unit of the instance left unserved (its
     # artificial); every other node passes flow on and absorbs (or emits)
     # n per unit of the end position placed on it. With y >= 0 the balance
     # already makes a node's inflow at least what it absorbs.
-    coeffs = [(y[arc], 1.0) for arc in away[point]] + [(model.artificial[key], n)]
-    enter(point, lp.add_constraint(coeffs, EQ, n, name=f"{names[0]}[{label}]"), n)
-    for v in topo.node_ids:
-        if v == point:
-            continue
-        into = [(y[arc], 1.0) for arc in toward[v]]
-        balance = [(y[arc], sign) for arc in away[v]] + [(j, -sign) for j, _ in into]
-        enter(v, lp.add_constraint(balance, EQ, 0.0, name=f"{names[1]}[{label}/{v}]"), sign * n)
+    others = [v for v in topo.node_ids if v != point]
+    coeffs = [[(y[arc], 1.0) for arc in away[point]] + [(model.artificial[key], n)]] + [
+        [(y[arc], sign) for arc in away[v]] + [(y[arc], -sign) for arc in toward[v]]
+        for v in others
+    ]
+    rows = model.lp.add_rows(
+        [f"{names[0]}[{label}]"] + [f"{names[1]}[{label}/{v}]" for v in others],
+        [EQ] * len(coeffs), [n] + [0.0] * len(others),
+        tuple(zip(*((r, j, a) for r, row in enumerate(coeffs) for j, a in row))),
+    )
+    for v, row, coef in zip([point] + others, rows, [n] + [sign * n] * len(others)):
+        if v in model.nfv_index:
+            entries.append((at + model.nfv_index[v], row, coef))
 
 
 def build_rmp(
@@ -473,8 +474,7 @@ def build_rmp(
         model.end_cost[block, 0] = (by_src[block, :, None] * hops_in).sum(axis=1)
         model.end_cost[block, last[block]] += (by_dst[block, :, None] * hops_out).sum(axis=1)
 
-    for ci in cis:
-        _add_artificial(model, ci)
+    _add_artificials(model)
     if model.compact:
         _build_compact_rows(model)
     else:
@@ -483,12 +483,12 @@ def build_rmp(
     return model
 
 
-def _add_artificial(model: RmpModel, ci: ChainInstance) -> None:
-    """Phase-I column of `ci`: the instance left unserved, at a cost above
-    any configuration's.
+def _add_artificials(model: RmpModel) -> None:
+    """Phase-I column of each chain instance: the instance left unserved, at
+    a cost above any configuration's.
 
-    The row builders give it coefficient 1 in the convexity row of `ci` and,
-    on an arc-flow master, n in the source row of each lead-in and in the
+    The row builders give it coefficient 1 in its instance's convexity row
+    and, on an arc-flow master, n in the source row of each lead-in and in the
     sink row of each lead-out commodity of n pairs. So with every
     artificial at 1 and every y and z at 0 the master is feasible, and
     column generation needs no seed. Every plan is feasible with the
@@ -496,23 +496,22 @@ def _add_artificial(model: RmpModel, ci: ChainInstance) -> None:
     never enters the integer selection.
     """
     # n + 1 segments of at most |V| - 1 hops each carry the group's rate
-    n_nodes = len(model.instance.topology.nodes)
-    penalty = ci.total_gbps * (len(ci.vnfs) + 1) * (n_nodes - 1) + 1.0
-    model.artificial[ci.key] = model.lp.add_variable(f"art[{ci.label}]", 0.0, obj=penalty)
+    n_nodes, cis = len(model.instance.topology.nodes), model.chain_instances
+    penalty = [ci.total_gbps * (len(ci.vnfs) + 1) * (n_nodes - 1) + 1.0 for ci in cis]
+    columns = model.lp.add_columns([f"art[{ci.label}]" for ci in cis], penalty)
+    model.artificial = dict(zip((ci.key for ci in cis), columns))
 
 
 def _build_compact_rows(model: RmpModel) -> None:
     """Convexity rows, each with its instance's artificial, and core rows."""
-    lp = model.lp
-    topo = model.instance.topology
-    model.conv_row = [
-        lp.add_constraint([(model.artificial[ci.key], 1.0)], EQ, 1.0, name=f"conv[{ci.label}]")
-        for ci in model.chain_instances
-    ]
-    model.core_row = [
-        lp.add_constraint([], LE, float(topo.node_by_id[v].cores), name=f"core[{v}]")
-        for v in topo.nfv_nodes
-    ]
+    lp, topo, cis = model.lp, model.instance.topology, model.chain_instances
+    model.conv_row = list(lp.add_rows(
+        [f"conv[{ci.label}]" for ci in cis], [EQ] * len(cis), np.ones(len(cis)),
+        (range(len(cis)), [model.artificial[ci.key] for ci in cis], np.ones(len(cis))),
+    ))
+    nfv = topo.nfv_nodes
+    cores = [float(topo.node_by_id[v].cores) for v in nfv]
+    model.core_row = list(lp.add_rows([f"core[{v}]" for v in nfv], [LE] * len(nfv), cores))
 
 
 def _build_arc_flow_rows(model: RmpModel) -> None:
@@ -536,24 +535,24 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
             for (point, gbps), pairs in _end_commodities(ci, lead_in):
                 members[(ci.key, (point, gbps))] = pairs
                 pot = {v: d(point, v) if lead_in else -d(v, point) for v in topo.node_ids}
-                for u, w in arcs:
-                    yvar[(ci.key, (point, gbps), (u, w))] = lp.add_variable(
-                        f"{tag}[{ci.label}/{point}@{gbps:g}/{u}>{w}]",
-                        0.0,
-                        obj=gbps * (1 + pot[u] - pot[w]),
-                    )
+                columns = lp.add_columns(
+                    [f"{tag}[{ci.label}/{point}@{gbps:g}/{u}>{w}]" for u, w in arcs],
+                    [gbps * (1 + pot[u] - pot[w]) for u, w in arcs],
+                )
+                yvar.update(((ci.key, (point, gbps), arc), j) for arc, j in zip(arcs, columns))
 
     # configuration choice and resource rows; z columns arrive via `_pool`
     _build_compact_rows(model)
-    for arc in arcs:
-        coeffs = [
-            (yvar[(key, com, arc)], com[1])
-            for members, yvar in ((model.lead_in, model.yfvar), (model.lead_out, model.ylvar))
-            for key, com in members
-        ]
-        model.cap_row.append(
-            lp.add_constraint(coeffs, LE, topo.capacity(arc), name=f"cap[{arc[0]}>{arc[1]}]")
-        )
+    block = [
+        (a, yvar[(key, com, arc)], com[1])
+        for a, arc in enumerate(arcs)
+        for members, yvar in ((model.lead_in, model.yfvar), (model.lead_out, model.ylvar))
+        for key, com in members
+    ]
+    model.cap_row = list(lp.add_rows(
+        [f"cap[{u}>{w}]" for u, w in arcs], [LE] * len(arcs),
+        [topo.capacity(arc) for arc in arcs], tuple(zip(*block)),
+    ))
     entries: list = []
     for lead_in, members in ((True, model.lead_in), (False, model.lead_out)):
         for (key, (point, gbps)), pairs in members.items():
@@ -568,7 +567,7 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
 def column_terms(model: RmpModel, configs: list) -> tuple:
     """The z columns of `configs`: their objectives, chain instance indices
     and NFV-node rows (as `RmpModel.z_obj`, `z_ci` and `z_loc` hold them),
-    and each one's (row, coefficient) pairs.
+    and their entries as (row, index in `configs`, coefficient) arrays, by column.
 
     A column costs its segments plus the end costs of its positions. It
     carries 1 in its instance's convexity row; in the core row of each node
@@ -613,9 +612,7 @@ def column_terms(model: RmpModel, configs: list) -> tuple:
         terms.append((np.repeat(col, width).repeat(n), rows[take], coefs[take]))
     j, rows, coefs = (np.concatenate(t) for t in zip(*terms))
     order = np.argsort(j, kind="stable")
-    pairs = list(zip(rows[order].tolist(), coefs[order].tolist()))
-    cut = np.searchsorted(j[order], np.arange(len(configs) + 1)).tolist()
-    return obj, ci, loc, [pairs[a:b] for a, b in zip(cut, cut[1:])]
+    return obj, ci, loc, (rows[order], j[order], coefs[order])
 
 
 def _pool(model: RmpModel, configs: list) -> None:
@@ -623,10 +620,10 @@ def _pool(model: RmpModel, configs: list) -> None:
     column enters the master."""
     if not configs:
         return
-    obj, ci, loc, coeffs = column_terms(model, configs)
+    obj, ci, loc, entries = column_terms(model, configs)
     first = len(model.pool)
     names = [f"z[{c.chain}/{c.group_index}/{first + j}]" for j, c in enumerate(configs)]
-    zvar = model.lp.add_columns(names, obj.tolist(), coeffs)
+    zvar = model.lp.add_columns(names, obj, entries)
     model.config_index.update(zip((c.key for c in configs), zvar))
     model.z_obj = np.concatenate((model.z_obj, obj))
     model.z_ci = np.concatenate((model.z_ci, ci))
@@ -695,7 +692,7 @@ def core_loads(model: RmpModel, chosen) -> np.ndarray:
 
 def node_cores(model: RmpModel) -> np.ndarray:
     """Each NFV node's cores, the right-hand sides of the core rows."""
-    return np.array([model.lp.rows[r].rhs for r in model.core_row])
+    return model.lp.rhs[model.core_row]
 
 
 def _closed_form(model: RmpModel) -> Optional[LpSolution]:
@@ -715,8 +712,7 @@ def _closed_form(model: RmpModel) -> Optional[LpSolution]:
     if not model.compact:
         return None
     lp = model.lp
-    cis = model.chain_instances
-    if (np.bincount(model.z_ci, minlength=len(cis)) == 0).any():
+    if (np.bincount(model.z_ci, minlength=len(model.chain_instances)) == 0).any():
         return None
     # by instance, then objective, then pool position: each instance's first
     # entry is its cheapest column
@@ -724,7 +720,7 @@ def _closed_form(model: RmpModel) -> Optional[LpSolution]:
     first = np.flatnonzero(np.r_[True, np.diff(model.z_ci[order]) != 0])
     chosen = order[first]
     cost = model.z_obj[chosen]
-    penalty = [lp.variables[model.artificial[ci.key]].obj for ci in cis]
+    penalty = lp.obj[list(model.artificial.values())]
     if (cost >= penalty).any():
         return None
     if (core_loads(model, chosen) >= node_cores(model) - FIT_TOL).any():
@@ -781,49 +777,53 @@ def _add_hosting_block(lp: LinearProgram, model: RmpModel, z0: int, k: int) -> N
     """Binary hosting flags h[v], switched on by any selected column placing
     at v, with at most k of them set; pool position p is variable z0 + p.
 
-    One row per (chain instance, node) suffices: the convexity row lets at
-    most one column of an instance be selected, so the sum of that
-    instance's columns using v is 0 or 1.
+    One row per (chain instance, node), in that order, holding +1 on each
+    of the instance's pooled columns that place at the node, in pool order,
+    and -1 on its flag, suffices: the convexity row lets at most one column
+    of an instance be selected, so the sum of those columns is 0 or 1.
     """
     nfv = model.instance.topology.nfv_nodes
-    hvar = [lp.add_variable(f"h[{v}]", 0.0, 1.0, integer=True) for v in nfv]
-    users: dict = {}  # (chain instance index, v) -> its columns using v
-    for p, (i, loc) in enumerate(zip(model.z_ci.tolist(), model.z_loc.tolist()), start=z0):
-        for v in set(loc):
-            users.setdefault((i, v), []).append((p, 1.0))
-    for (i, v), using in sorted(users.items()):
-        label = f"{model.chain_instances[i].label}/{nfv[v]}"
-        lp.add_constraint(using + [(hvar[v], -1.0)], LE, 0.0, name=f"host[{label}]")
-    lp.add_constraint([(h, 1.0) for h in hvar], LE, float(k), name="kbudget")
+    n_nfv = len(nfv)
+    h = np.array(lp.add_columns([f"h[{v}]" for v in nfv], np.zeros(n_nfv), ub=1.0, integer=True))
+    # each pooled column's distinct nodes, pool position ascending
+    loc = np.sort(model.z_loc, axis=1)
+    p, at = np.nonzero(np.diff(loc, axis=1, prepend=-1))
+    key, row = np.unique(model.z_ci[p] * n_nfv + loc[p, at], return_inverse=True)
+    owner, host = np.divmod(key, n_nfv)
+    cis = model.chain_instances
+    names = [f"host[{cis[i].label}/{nfv[v]}]" for i, v in zip(owner.tolist(), host.tolist())]
+    n = len(names)
+    rows, cols = np.r_[row, np.arange(n)], np.r_[z0 + p, h[host]]
+    lp.add_rows(names, [LE] * n, np.zeros(n), (rows, cols, np.r_[np.ones(len(p)), -np.ones(n)]))
+    lp.add_rows(["kbudget"], [LE], [float(k)], (np.zeros(n_nfv, np.int64), h, np.ones(n_nfv)))
 
 
 def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
     """Integer selection over the pooled columns with at most k hosting nodes.
 
-    The selection program (the default) keeps the master's convexity, core
-    and capacity rows with only their z coefficients, makes z binary at the
-    master's z objective, and adds the hosting block (`_add_hosting_block`).
-    The full program (arc-flow master only) is the master with every
-    variable integer, its artificial columns fixed at 0, plus the same
+    The selection program (the default) is a slice of the master: its z
+    columns, binary at their objectives, on its first rows, the convexity,
+    core and capacity rows, plus the hosting block (`_add_hosting_block`).
+    The full program (arc-flow master only) is the whole master with every
+    variable integer and its artificial columns fixed at 0, plus the same
     hosting block.
     """
+    master, first, ub = model.lp, model.z0, 1.0
+    n_rows = len(model.conv_row) + len(model.core_row) + len(model.cap_row)
     if full:
         if model.compact:
             raise MasterError("a compact master has no full program: it has no end flows")
-        lp = model.lp.clone(integer_all=True)
-        for var in model.artificial.values():
-            lp.variables[var].ub = 0.0
-        _add_hosting_block(lp, model, model.z0, k)
-        return FinalIlp(lp=lp, full=True, z0=model.z0)
-
-    lp = LinearProgram("selection")
-    z0 = model.z0
-    for z in model.lp.variables[z0:]:
-        lp.add_variable(z.name, 0.0, 1.0, obj=z.obj, integer=True)
-    for r in (*model.conv_row, *model.core_row, *model.cap_row):
-        row = model.lp.rows[r]
-        lp.add_constraint(
-            [(j - z0, a) for j, a in row.coeffs if j >= z0], row.relation, row.rhs, row.name
-        )
-    _add_hosting_block(lp, model, 0, k)
-    return FinalIlp(lp=lp, full=False, z0=0)
+        first, n_rows, ub = 0, master.n_rows, master.ub.copy()
+        ub[list(model.artificial.values())] = 0.0
+    lp = LinearProgram(master.name if full else "selection")
+    lp.add_columns(
+        master.col_names[first:], master.obj[first:], lb=master.lb[first:], ub=ub, integer=True
+    )
+    rows, cols, values = master.entries
+    keep = (cols >= first) & (rows < n_rows)
+    lp.add_rows(
+        master.row_names[:n_rows], master.relation[:n_rows], master.rhs[:n_rows],
+        (rows[keep], cols[keep] - first, values[keep]),
+    )
+    _add_hosting_block(lp, model, model.z0 - first, k)
+    return FinalIlp(lp=lp, full=full, z0=model.z0 - first)

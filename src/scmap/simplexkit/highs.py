@@ -97,27 +97,18 @@ _MIP_OPTIONS = (
 
 def _highs_lp(lp: LinearProgram, order: np.ndarray, integer: bool) -> tuple:
     """`lp` as one HighsLp whose row i is program row `order[i]`, with its
-    columns' bounds as an (n, 2) array and its row bounds, in HiGHS's row
-    order, as a (2, m) array; duplicate entries of a row are summed."""
+    row bounds, in HiGHS's row order, as a (2, m) array; duplicate entries
+    of a row are summed in the order they were added."""
     n, m = lp.n_vars, lp.n_rows
-    cost = np.fromiter((v.obj for v in lp.variables), dtype=float, count=n)
-    bounds = np.fromiter(
-        (b for v in lp.variables for b in (v.lb, v.ub)), dtype=float, count=2 * n
-    ).reshape(n, 2)
-    rhs = np.fromiter((r.rhs for r in lp.rows), dtype=float, count=m)
-    relation = np.array([r.relation for r in lp.rows], dtype="U2")
-    row_bounds = np.array([rhs, rhs])
-    row_bounds[0, relation == LE] = -np.inf
-    row_bounds[1, relation == GE] = np.inf
+    row_bounds = np.array([lp.rhs, lp.rhs])
+    row_bounds[0, lp.relation == LE] = -np.inf
+    row_bounds[1, lp.relation == GE] = np.inf
     row_bounds = row_bounds[:, order]
 
     position = np.empty(m, dtype=np.int64)
     position[order] = np.arange(m)
-    counts = np.fromiter((len(r.coeffs) for r in lp.rows), dtype=np.int64, count=m)
-    nnz = int(counts.sum())
-    rows = np.repeat(position, counts)
-    cols = np.fromiter((j for r in lp.rows for j, _ in r.coeffs), dtype=np.int64, count=nnz)
-    vals = np.fromiter((a for r in lp.rows for _, a in r.coeffs), dtype=float, count=nnz)
+    rows, cols, vals = lp.entries
+    rows = position[rows]
     # column-wise, rows ascending within a column, duplicates summed
     key = cols * m + rows
     entry = np.argsort(key, kind="stable")
@@ -132,15 +123,15 @@ def _highs_lp(lp: LinearProgram, order: np.ndarray, integer: bool) -> tuple:
     out.a_matrix_.start_ = start
     out.a_matrix_.index_ = rows[entry[first]]
     out.a_matrix_.value_ = np.add.reduceat(vals[entry], first)
-    out.col_cost_ = cost
-    out.col_lower_ = bounds[:, 0]
-    out.col_upper_ = bounds[:, 1]
+    out.col_cost_ = np.array(lp.obj)
+    out.col_lower_ = np.array(lp.lb)
+    out.col_upper_ = np.array(lp.ub)
     out.row_lower_ = row_bounds[0]
     out.row_upper_ = row_bounds[1]
     if integer:
         kind = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
-        out.integrality_ = [kind[v.integer] for v in lp.variables]
-    return out, bounds, row_bounds
+        out.integrality_ = [kind[v] for v in lp.integer.tolist()]
+    return out, row_bounds
 
 
 def _run(model: _core.HighsLp, options: tuple) -> _core._Highs:
@@ -159,14 +150,14 @@ linprog = _run
 milp = _run
 
 
-def _fails_check(x: np.ndarray, fun: float, activity: np.ndarray, bounds, row_bounds) -> bool:
+def _fails_check(x: np.ndarray, fun: float, activity: np.ndarray, lp, row_bounds) -> bool:
     """linprog's check of an "optimal" point: any NaN, or a bound or row
     missed by more than RESULT_TOL."""
     if np.isnan(x).any() or np.isnan(fun) or np.isnan(activity).any():
         return True
     return bool(
-        (x < bounds[:, 0] - RESULT_TOL).any()
-        or (x > bounds[:, 1] + RESULT_TOL).any()
+        (x < lp.lb - RESULT_TOL).any()
+        or (x > lp.ub + RESULT_TOL).any()
         or (activity - row_bounds[0] < -RESULT_TOL).any()
         or (row_bounds[1] - activity < -RESULT_TOL).any()
     )
@@ -176,8 +167,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # linprog's row order: inequality rows, then equalities, each in program
     # order; in another order HiGHS may return another of several optimal
     # points or dual solutions
-    order = np.argsort([r.relation == EQ for r in lp.rows], kind="stable")
-    model, bounds, row_bounds = _highs_lp(lp, order, integer=False)
+    order = np.argsort(lp.relation == EQ, kind="stable")
+    model, row_bounds = _highs_lp(lp, order, integer=False)
     solver = linprog(model, _LP_OPTIONS)
     status = solver.getModelStatus()
     message = solver.modelStatusToString(status)
@@ -187,7 +178,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     solution = solver.getSolution()
     x = np.array(solution.col_value)
     activity = np.array(solution.row_value)
-    if _fails_check(x, info.objective_function_value, activity, bounds, row_bounds):
+    if _fails_check(x, info.objective_function_value, activity, lp, row_bounds):
         return LpSolution(
             status="stalled",
             message=f"{message}, but a bound or row is missed by more than {RESULT_TOL:.2e}",
@@ -205,8 +196,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 
 def solve_mip(lp: LinearProgram, time_limit: float | None = None) -> MipSolution:
-    integer = any(v.integer for v in lp.variables)
-    model, _, _ = _highs_lp(lp, np.arange(lp.n_rows), integer)
+    integer = bool(lp.integer.any())
+    model, _ = _highs_lp(lp, np.arange(lp.n_rows), integer)
     options = _MIP_OPTIONS
     if time_limit is not None:
         options += (("time_limit", float(time_limit)),)

@@ -100,10 +100,9 @@ ROUND_TRIP = """
 
     print("scipy.optimize" in sys.modules)
     lp = LinearProgram()
-    for j, cost in enumerate((-1.0, -2.0, 0.5)):
-        lp.add_variable(f"x{{j}}", 0.0, 4.0, cost)
-    lp.add_constraint([(0, 1.0), (1, 1.0), (2, 1.0)], LE, 5.0)
-    lp.add_constraint([(0, 1.0), (1, 3.0)], LE, 9.0)
+    lp.add_columns(["x0", "x1", "x2"], [-1.0, -2.0, 0.5], ub=4.0)
+    entries = ([0, 0, 0, 1, 1], [0, 1, 2, 0, 1], [1.0, 1.0, 1.0, 1.0, 3.0])
+    lp.add_rows(["r0", "r1"], [LE, LE], [5.0, 9.0], entries)
 
     def scmap_answer():
         s = highs.solve_lp(lp)

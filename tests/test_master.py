@@ -14,6 +14,7 @@ from scmap.master import (
     build_rmp,
     chain_instances,
     column_terms,
+    fits,
     make_configuration,
     solve_relaxation,
     worst_case_load,
@@ -22,7 +23,8 @@ from scmap.netmodel import load_instance
 from scmap.pathcore import all_pairs_hops
 from scmap.pricer import best_configuration, price_round, segment_cost_table
 from scmap.fixturedata import nsfnet_files, triangle_files
-from scmap.simplexkit import highs
+from scmap.simplexkit import LE, highs
+from scmap.simplexkit.model import Row
 from scmap.sptg import partition_all
 
 
@@ -49,7 +51,8 @@ def column_cost(model, config):
 
 
 def column_coefficients(model, config):
-    return dict(column_terms(model, [config])[3][0])
+    rows, _, coefs = column_terms(model, [config])[3]
+    return dict(zip(rows.tolist(), coefs.tolist()))
 
 
 def row_names(model, prefix):
@@ -120,7 +123,7 @@ class TestBuildRmp:
         bounds = []
         for k in (1, len(inst.topology.nfv_nodes)):
             model, _ = engine.run_column_generation(with_k(inst, k), partition_all(inst))
-            names = [r.name for r in model.lp.rows] + [v.name for v in model.lp.variables]
+            names = model.lp.row_names + model.lp.col_names
             assert not [n for n in names if n.startswith(("h[", "xf[", "host", "kbudget"))]
             bounds.append(model.last_relaxation.objective)
         assert bounds[0] == bounds[1] == 2.0
@@ -254,7 +257,7 @@ class TestAddColumn:
         model, _ = engine.run_column_generation(inst, partition_all(inst))
         assert not model.compact
         assert {len(ci.vnfs) for ci in model.chain_instances} == {3}
-        assert not [v for v in model.lp.variables if v.name.startswith("x[")]
+        assert not [v for v in model.lp.col_names if v.startswith("x[")]
         assert not row_names(model, "cons")
         _, width, m = model.end_cost.shape
         assert set((model.end_entries[0] // m % width).tolist()) == {0, 2}
@@ -301,16 +304,15 @@ def test_pool_position_p_is_variable_z0_plus_p(shape):
     assert 0 < len(block.pool) < len(model.pool)
     assert model.pool[: len(block.pool)] == block.pool
     assert model.lp.n_vars == model.z0 + len(model.pool)
-    assert {v.name.split("[")[0] for v in model.lp.variables[: model.z0]} <= {"art", "yf", "yl"}
+    assert {v.split("[")[0] for v in model.lp.col_names[: model.z0]} <= {"art", "yf", "yl"}
     stored = {}
     for i, row in enumerate(model.lp.rows):
         for j, a in row.coeffs:
             stored.setdefault(j, {})[i] = a
     for p, config in enumerate(model.pool):
-        var = model.lp.variables[model.z0 + p]
-        assert var.name == f"z[{config.chain}/{config.group_index}/{p}]"
+        assert model.lp.col_names[model.z0 + p] == f"z[{config.chain}/{config.group_index}/{p}]"
         assert model.config_index[config.key] == model.z0 + p
-        assert var.obj == model.z_obj[p] == column_cost(model, config)
+        assert model.lp.obj[model.z0 + p] == model.z_obj[p] == column_cost(model, config)
         assert stored[model.z0 + p] == column_coefficients(model, config)
 
 
@@ -386,7 +388,7 @@ class TestFinalIlp:
     def test_fast_binary_count_on_triangle(self, triangle):
         model = self.converged(triangle)
         final = build_final_ilp(model, triangle.k)
-        nbin = sum(1 for v in final.lp.variables if v.integer)
+        nbin = int(final.lp.integer.sum())
         assert nbin == len(model.pool) + len(triangle.topology.nfv_nodes)
 
     def test_full_matches_fast_uncapacitated(self, capacitated_triangle):
@@ -427,35 +429,78 @@ class TestFinalIlp:
 
     def test_selection_is_the_masters_z_restriction(self, triangle, capacitated_triangle):
         # row for row the master's conv/core/cap rows with only their z
-        # terms, then the hosting block; z priced with its end cost
-        for inst in (triangle, capacitated_triangle):
+        # terms, then the hosting block; z priced with its end cost; on each
+        # shape with one chain instance and with two, every fitting
+        # configuration pooled so that several columns share a hosting row
+        path = two_ended_path()
+        shared = {True: 0, False: 0}  # most columns in one hosting row, by shape
+        for inst in (triangle, capacitated_triangle, path, with_capacity(path, 3.0)):
             model = self.converged(inst)
+            for ci in model.chain_instances:
+                for config in enumerate_all_configs(inst, ci):
+                    if fits(inst, ci, config.locations):
+                        add_column(model, config)
             final = build_final_ilp(model, inst.k)
             assert not final.full
             lp = final.lp
             assert final.z0 == 0 and lp.n_vars > len(model.pool)
             zsel = {model.z0 + p: p for p in range(len(model.pool))}
             kept = [*model.conv_row, *model.core_row, *model.cap_row]
+            master_rows, rows = model.lp.rows, lp.rows
             for i, r in enumerate(kept):
-                want = model.lp.rows[r]
-                got = lp.rows[i]
+                want = master_rows[r]
+                got = rows[i]
                 assert (got.name, got.relation, got.rhs) == (want.name, want.relation, want.rhs)
                 assert got.coeffs == [(zsel[j], a) for j, a in want.coeffs if j in zsel]
-            hosting = [r.name for r in lp.rows[len(kept):]]
-            assert hosting[-1] == "kbudget"
-            assert all(n.startswith("host[") for n in hosting[:-1])
             for p, config in enumerate(model.pool):
-                z = model.lp.variables[model.z0 + p]
-                assert z.obj == column_cost(model, config)
-                assert (lp.variables[p].name, lp.variables[p].obj) == (z.name, z.obj)
-            assert not [v for v in lp.variables if v.name.startswith(("art[", "x[", "y"))]
-            assert [v.name for v in lp.variables if v.integer and v.name.startswith("h[")]
+                z = model.z0 + p
+                assert model.lp.obj[z] == column_cost(model, config)
+                assert (lp.col_names[p], lp.obj[p]) == (model.lp.col_names[z], model.lp.obj[z])
+            assert not [v for v in lp.col_names if v.startswith(("art[", "x[", "y"))]
+            # hosting: one binary flag per NFV node, then a row per (chain
+            # instance, node) holding +1 on each of the instance's columns
+            # placing there, in pool order, and -1 on the node's flag
+            nfv = inst.topology.nfv_nodes
+            h = {v: lp.col_names.index(f"h[{v}]") for v in nfv}
+            assert sorted(h.values()) == list(range(len(model.pool), lp.n_vars))
+            assert lp.integer.all() and (lp.ub[list(h.values())] == 1.0).all()
+            users: dict = {}
+            for p, config in enumerate(model.pool):
+                i = model.by_key[config.chain, config.group_index].index
+                for v in sorted({nfv.index(v) for v in config.locations}):
+                    users.setdefault((i, v), []).append((p, 1.0))
+            labels = [ci.label for ci in model.chain_instances]
+            assert rows[len(kept) : -1] == [
+                Row(f"host[{labels[i]}/{nfv[v]}]", using + [(h[nfv[v]], -1.0)], LE, 0.0)
+                for (i, v), using in sorted(users.items())
+            ]
+            assert len({i for i, _ in users}) == len(labels)
+            shared[model.compact] = max(shared[model.compact], *map(len, users.values()))
+            assert rows[-1] == Row("kbudget", [(h[v], 1.0) for v in nfv], LE, float(inst.k))
             if model.compact:
                 # no end flows, so no full program either
                 with pytest.raises(MasterError):
                     build_final_ilp(model, inst.k, full=True)
             else:
-                assert build_final_ilp(model, inst.k, full=True).full
+                # the full program: the master in integers with its artificials
+                # fixed at 0, then the same hosting block on its own columns
+                full = build_final_ilp(model, inst.k, full=True)
+                n, m = model.lp.n_vars, model.lp.n_rows
+                assert full.full and full.z0 == model.z0 and full.lp.integer.all()
+                assert full.lp.col_names[:n] == model.lp.col_names
+                assert full.lp.obj[:n].tolist() == model.lp.obj.tolist()
+                ub = model.lp.ub.copy()
+                ub[list(model.artificial.values())] = 0.0
+                assert full.lp.ub[:n].tolist() == ub.tolist()
+                full_rows = full.lp.rows
+                assert full_rows[:m] == master_rows
+                at = [model.z0 + p if p < len(model.pool) else n + p - len(model.pool)
+                      for p in range(lp.n_vars)]
+                assert full_rows[m:] == [
+                    Row(r.name, [(at[j], a) for j, a in r.coeffs], r.relation, r.rhs)
+                    for r in rows[len(kept):]
+                ]
+        assert min(shared.values()) > 2, shared
 
     def test_infeasible_when_k_below_pool_spread(self):
         # two chain instances whose only pooled placements sit on different

@@ -39,7 +39,7 @@ def core_bound(instance, scale):
 def cheapest_columns(model):
     """Each chain instance's cheapest pooled column's pool position, the
     lowest among equals."""
-    obj = [v.obj for v in model.lp.variables[model.z0 :]]
+    obj = model.lp.obj[model.z0 :].tolist()
     groups: dict = {}
     for p, i in enumerate(model.z_ci.tolist()):
         groups.setdefault(i, []).append(p)
@@ -63,7 +63,7 @@ def check_every_relaxation(monkeypatch, tally):
         where = tally["where"]
         if sol is not None:
             ref = highs.solve_lp(model.lp)
-            obj = [v.obj for v in model.lp.variables]
+            obj = model.lp.obj.tolist()
             assert sorted(set(sol.x)) == [0.0, 1.0], where
             assert sum(c * x for c, x in zip(obj, sol.x)) == pytest.approx(sol.objective)
             assert sol.objective == pytest.approx(ref.objective, abs=1e-9), where
@@ -178,15 +178,14 @@ def assert_block_pools_as_the_loop(instance):
     assert block.pool == loop.pool
     assert block.z0 == loop.z0
     assert block.config_index == loop.config_index
-    assert [(v.name, v.obj) for v in block.lp.variables] == [
-        (v.name, v.obj) for v in loop.lp.variables
-    ]
+    assert block.lp.col_names == loop.lp.col_names
+    assert block.lp.obj.tolist() == loop.lp.obj.tolist()
     assert [r.coeffs for r in block.lp.rows] == [r.coeffs for r in loop.lp.rows]
     for name in ("z_obj", "z_ci", "z_loc"):
         got, want = getattr(block, name), getattr(loop, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     # the arrays agree with the pooled columns they stand for
-    assert block.z_obj.tolist() == [v.obj for v in block.lp.variables[block.z0 :]]
+    assert block.z_obj.tolist() == block.lp.obj[block.z0 :].tolist()
     nfv = instance.topology.nfv_nodes
     for p, config in enumerate(block.pool):
         ci = block.by_key[(config.chain, config.group_index)]
@@ -235,7 +234,7 @@ def test_closed_form_ties_go_to_the_lowest_pool_position(uncapped_split_triangle
     # c1/1 cost 3, 3 and 2: the point takes c1/0 at a and c1/1 at c
     model = build_rmp(uncapped_split_triangle, partition_all(uncapped_split_triangle))
     add_colocated_columns(model)
-    assert [v.obj for v in model.lp.variables[model.z0 :]] == [5, 5, 6, 3, 3, 2]
+    assert model.lp.obj[model.z0 :].tolist() == [5, 5, 6, 3, 3, 2]
     sol = master._closed_form(model)
     assert sol.method == "closed_form" and sol.objective == 7.0
     assert [p for p, x in enumerate(sol.x[model.z0 :]) if x == 1.0] == [0, 5]

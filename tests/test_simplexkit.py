@@ -15,6 +15,17 @@ from scmap.simplexkit.model import GE, LpError
 over_solvers = pytest.mark.parametrize("solver", [highs], ids=["highs"])
 
 
+def add_variable(lp, name, lb=0.0, ub=math.inf, obj=0.0, integer=False):
+    """One column with no entries, as `LinearProgram.add_columns` enters it."""
+    return lp.add_columns([name], [obj], lb=lb, ub=ub, integer=integer)[0]
+
+
+def add_constraint(lp, coeffs, relation, rhs):
+    """One row holding the (column, coefficient) pairs `coeffs`, in order."""
+    cols, values = [j for j, _ in coeffs], [a for _, a in coeffs]
+    return lp.add_rows([f"r{lp.n_rows}"], [relation], [rhs], ([0] * len(cols), cols, values))[0]
+
+
 def lp_from_arrays(c, rows, lb=None, ub=None, integer=None):
     """rows: list of (coeff list, relation, rhs)."""
     lp = LinearProgram()
@@ -23,9 +34,9 @@ def lp_from_arrays(c, rows, lb=None, ub=None, integer=None):
     ub = ub or [math.inf] * n
     integer = integer or [False] * n
     for j in range(n):
-        lp.add_variable(f"x{j}", lb[j], ub[j], c[j], integer[j])
+        add_variable(lp, f"x{j}", lb[j], ub[j], c[j], integer[j])
     for coeffs, rel, rhs in rows:
-        lp.add_constraint([(j, a) for j, a in enumerate(coeffs) if a], rel, rhs)
+        add_constraint(lp, [(j, a) for j, a in enumerate(coeffs) if a], rel, rhs)
     return lp
 
 
@@ -101,7 +112,7 @@ def row_activity(lp, row, x):
 
 def reduced_costs(lp, sol):
     """c_j - sum_i y_i a_ij from sol's row duals, one coefficient at a time."""
-    rc = [v.obj for v in lp.variables]
+    rc = lp.obj.tolist()
     for y, row in zip(sol.duals, lp.rows):
         for j, a in row.coeffs:
             rc[j] -= y * a
@@ -115,13 +126,13 @@ def dual_objective(lp, sol):
     `assert_duality_gap` checks to 1e-6 * (1 + |objective|).
     """
     val = sum(y * r.rhs for y, r in zip(sol.duals, lp.rows))
-    for d, v in zip(reduced_costs(lp, sol), lp.variables):
+    for d, lb, ub in zip(reduced_costs(lp, sol), lp.lb.tolist(), lp.ub.tolist()):
         if d > 0:
-            val += d * v.lb
+            val += d * lb
         elif d < 0:
-            if math.isinf(v.ub):
+            if math.isinf(ub):
                 continue  # a tiny negative rc on an unbounded var is noise
-            val += d * v.ub
+            val += d * ub
     return val
 
 
@@ -195,30 +206,43 @@ def test_no_rows_lp():
 def test_model_validation():
     lp = LinearProgram()
     with pytest.raises(LpError):
-        lp.add_variable("x", lb=-math.inf)
+        add_variable(lp, "x", lb=-math.inf)
     with pytest.raises(LpError):
-        lp.add_variable("x", lb=1.0, ub=0.0)
-    lp.add_variable("x")
+        add_variable(lp, "x", lb=1.0, ub=0.0)
+    add_variable(lp, "x")
     with pytest.raises(LpError):
-        lp.add_constraint([(3, 1.0)], LE, 1.0)
+        add_constraint(lp, [(3, 1.0)], LE, 1.0)
     with pytest.raises(LpError):
-        lp.add_constraint([(0, 1.0)], "<", 1.0)
+        add_constraint(lp, [(0, 1.0)], "<", 1.0)
     with pytest.raises(LpError):
-        lp.add_constraint([(0, math.nan)], LE, 1.0)
-    row = lp.add_constraint([(0, 1.0)], LE, 1.0)
+        add_constraint(lp, [(0, math.nan)], LE, 1.0)
     with pytest.raises(LpError):
-        lp.add_columns(["y"], [math.inf], [[(row, 1.0)]])
+        add_constraint(lp, [(0, 1.0)], "<==", 1.0)
     with pytest.raises(LpError):
-        lp.add_columns(["y"], [1.0], [[(row + 1, 1.0)]])
+        add_constraint(lp, [(0, 1.0)], LE, math.inf)
+    row = add_constraint(lp, [(0, 1.0)], LE, 1.0)
     with pytest.raises(LpError):
-        lp.add_columns(["y"], [1.0], [[(row, math.nan)]])
-    # a malformed column anywhere in a block appends none of it
+        lp.add_columns(["y"], [math.inf], ([row], [0], [1.0]))
     with pytest.raises(LpError):
-        lp.add_columns(["y", "w"], [1.0, 1.0], [[(row, 2.0)], [(row + 1, 1.0)]])
-    assert lp.n_vars == 1 and lp.rows[row].coeffs == [(0, 1.0)]
-    assert lp.add_columns(["y"], [1.0], [[(row, 2.0)]]) == [1]
-    assert lp.add_columns(["u", "w"], [1.0, 3.0], [[], [(row, 4.0)]]) == [2, 3]
+        lp.add_columns(["y"], [1.0], ([row + 1], [0], [1.0]))
+    with pytest.raises(LpError):
+        lp.add_columns(["y"], [1.0], ([row], [0], [math.nan]))
+    with pytest.raises(LpError):
+        lp.add_columns(["y"], [1.0], ([row], [1], [1.0]))  # no second new column
+    with pytest.raises(LpError):
+        lp.add_columns(["y", "w"], [1.0, 1.0], ub=[1.0, math.nan])
+    # a malformed column or row anywhere in a block appends none of it
+    with pytest.raises(LpError):
+        lp.add_columns(["y", "w"], [1.0, 1.0], ([row, row + 1], [0, 1], [2.0, 1.0]))
+    with pytest.raises(LpError):
+        lp.add_rows(["s", "t"], [LE, GE], [1.0, 2.0], ([0, 1], [0, 1], [1.0, 1.0]))
+    with pytest.raises(LpError):
+        lp.add_rows(["s", "t"], [LE, "<"], [1.0, 2.0], ([0], [0], [1.0]))
+    assert (lp.n_vars, lp.n_rows, lp.nnz) == (1, 1, 1) and lp.rows[row].coeffs == [(0, 1.0)]
+    assert lp.add_columns(["y"], [1.0], ([row], [0], [2.0])) == range(1, 2)
+    assert lp.add_columns(["u", "w"], [1.0, 3.0], ([row], [1], [4.0])) == range(2, 4)
     assert lp.rows[row].coeffs == [(0, 1.0), (1, 2.0), (3, 4.0)]
+    assert lp.col_names == ["x", "y", "u", "w"] and lp.obj.tolist() == [0.0, 1.0, 1.0, 3.0]
 
 
 # -- oracle batteries ---------------------------------------------------------
@@ -376,9 +400,9 @@ def program_lp(spec):
     variables, rows = spec
     lp = LinearProgram()
     for j, (lb, ub, obj, is_int) in enumerate(variables):
-        lp.add_variable(f"x{j}", lb, ub, obj, is_int)
+        add_variable(lp, f"x{j}", lb, ub, obj, is_int)
     for coeffs, rel, rhs in rows:
-        lp.add_constraint(coeffs, rel, rhs)
+        add_constraint(lp, coeffs, rel, rhs)
     return lp
 
 
@@ -450,6 +474,14 @@ REPEATED = (
     [(0.0, math.inf, 1.0, False), (0.0, math.inf, 2.0, False)],
     [([(0, 1.0), (1, 1.0), (0, 1.0)], GE, 2.0), ([(1, 1.0), (0, -1.0)], EQ, 0.0)],
 )
+# duplicates whose sum depends on its order: 0.1 + 0.2 + 0.3 > 0.3 + 0.2 + 0.1
+INEXACT = (
+    [(0.0, math.inf, 1.0, False), (0.0, math.inf, 1.0, False)],
+    [
+        ([(0, 0.1), (1, 1.0), (0, 0.2), (0, 0.3)], GE, 1.0),
+        ([(1, 0.3), (1, 0.2), (1, 0.1)], LE, 4.0),
+    ],
+)
 
 
 @given(programs())
@@ -485,6 +517,77 @@ def test_mip_equals_scipy_milp(spec):
     assert got.status == status
     if objective is not None:
         assert got.objective == objective
+
+
+def column_wise(spec, cuts):
+    """The program of `spec` entered column by column: its rows first, with
+    no entries, then its columns in batches split at `cuts`, each column's
+    entries in row order and, within a row, in the row's order."""
+    variables, rows = spec
+    lp = LinearProgram()
+    lp.add_rows([f"r{i}" for i in range(len(rows))], [r[1] for r in rows], [r[2] for r in rows])
+    entries = sorted(
+        ((j, i, a) for i, (coeffs, _, _) in enumerate(rows) for j, a in coeffs),
+        key=lambda e: e[0],
+    )
+    bounds = [0, *(c for c in sorted(cuts) if c < len(variables)), len(variables)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        batch = [e for e in entries if lo <= e[0] < hi]
+        lb, ub, obj, is_int = (list(f) for f in zip(*variables[lo:hi]))
+        lp.add_columns(
+            [f"x{j}" for j in range(lo, hi)],
+            obj,
+            ([i for _, i, _ in batch], [j - lo for j, _, _ in batch], [a for _, _, a in batch]),
+            lb=lb,
+            ub=ub,
+            integer=is_int,
+        )
+    return lp
+
+
+def highs_arrays(lp, order, integer):
+    """Every array of the HighsLp `_highs_lp` builds, as raw bytes."""
+    model, _ = highs._highs_lp(lp, order, integer)
+    matrix = model.a_matrix_
+    counts = (matrix.start_, matrix.index_)
+    values = (
+        matrix.value_, model.col_cost_, model.col_lower_, model.col_upper_,
+        model.row_lower_, model.row_upper_,
+    )
+    out = [np.asarray(f, dtype=np.int64).tobytes() for f in counts]
+    out += [np.asarray(f, dtype=float).tobytes() for f in values]
+    return out + [(model.num_col_, model.num_row_, list(map(int, model.integrality_)))]
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@given(programs(integer=True), st.sets(st.integers(1, 3)))
+@example(REPEATED, set())
+@example(REPEATED, {1})
+@example(INEXACT, set())
+@example(INEXACT, {1})
+@settings(max_examples=200, deadline=None)
+def test_row_wise_and_column_wise_entry_give_one_program(spec, cuts):
+    """A program entered row by row and the same program entered column by
+    column, in one batch or several, hand HiGHS the same arrays, in linprog's
+    row order and in program order, and solve to the same bits."""
+    by_row, by_col = program_lp(spec), column_wise(spec, cuts)
+    assert by_row.col_names == by_col.col_names
+    assert by_row.relation.tolist() == by_col.relation.tolist()
+    for order, integer in (
+        (np.argsort(by_row.relation == EQ, kind="stable"), False),
+        (np.arange(by_row.n_rows), True),
+    ):
+        assert highs_arrays(by_row, order, integer) == highs_arrays(by_col, order, integer)
+    a, b = highs.solve_lp(by_row), highs.solve_lp(by_col)
+    assert (a.status, a.message, a.iterations) == (b.status, b.message, b.iterations)
+    assert same_bits(a.x, b.x) and same_bits(a.duals, b.duals)
+    assert same_bits([a.objective], [b.objective])
+    a, b = highs.solve_mip(by_row), highs.solve_mip(by_col)
+    assert (a.status, a.message, a.nodes) == (b.status, b.message, b.nodes)
+    assert same_bits(a.x, b.x) and same_bits([a.objective, a.bound], [b.objective, b.bound])
 
 
 class DoctoredRun:
