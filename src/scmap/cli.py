@@ -262,7 +262,10 @@ def cmd_validate(args) -> int:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read plan: {exc}") from None
-    plan = engine.plan_from_json(text, instance)
+    try:
+        plan = engine.plan_from_json(text, instance)
+    except engine.EngineError as exc:
+        raise CliError(f"{args.plan}: {exc}") from None
     violations = engine.validate_plan(instance, plan)
     if not violations:
         print(f"plan ok: objective={plan.objective_gbps_hops:.6f}")

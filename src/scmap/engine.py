@@ -447,19 +447,15 @@ def _end_routes(model: RmpModel, x, ci: ChainInstance, location: str, lead_in: b
     """Member pair -> arcs of its lead-in (or lead-out), peeled off the
     rounded integer flow of each end commodity of `ci` and handed to the
     member pairs in sorted order."""
-    members, yvar = (
-        (model.lead_in, model.yfvar) if lead_in else (model.lead_out, model.ylvar)
-    )
     arcs = model.instance.topology.arc_index
     out = {}
-    for (key, com), pairs in members.items():
-        if key != ci.key:
+    for end in model.ends:
+        if end.i != ci.index or end.lead_in != lead_in:
             continue
-        point, gbps = com
-        flow = {arc: round(x[yvar[(key, com, arc)]]) for arc in arcs}
-        start, end = (point, location) if lead_in else (location, point)
-        label = f"{ci.label} {'lead-in' if lead_in else 'lead-out'} {point}@{gbps:g}"
-        out.update(zip(pairs, _peel_walks(flow, start, end, len(pairs), label)))
+        flow = {arc: round(x[end.y0 + a]) for arc, a in arcs.items()}
+        start, stop = (end.point, location) if lead_in else (location, end.point)
+        label = f"{ci.label} {'lead-in' if lead_in else 'lead-out'} {end.point}@{end.gbps:g}"
+        out.update(zip(end.pairs, _peel_walks(flow, start, stop, len(end.pairs), label)))
     return out
 
 
@@ -639,7 +635,7 @@ def _relaxation_plan(instance: ProblemInstance, model: RmpModel) -> Optional[Map
     as the full program's do.
     """
     x = np.asarray(model.last_relaxation.x)
-    if (x[list(model.artificial.values())] > INTEGRAL_TOL).any():
+    if (x[: len(model.chain_instances)] > INTEGRAL_TOL).any():  # the artificials
         return None
     if (np.abs(x - np.round(x)) > INTEGRAL_TOL).any():
         return None
@@ -882,13 +878,14 @@ def _violations(instance: ProblemInstance, plan: MappingPlan, aggregate) -> list
         want = instance.pairs_for_chain(chain)
         got = sorted(covered.get(chain, []))
         if got != want:
-            missing = sorted(set(want) - set(got))
-            extra = [p for p in got if got.count(p) > 1] + sorted(set(got) - set(want))
+            wanted, times = set(want), Counter(got)
+            missing = sorted(wanted - times.keys())
+            extra = sorted(p for p, n in times.items() if n > 1 or p not in wanted)
             violations.append(
                 Violation(
                     "coverage",
                     f"chain {chain}: demand pairs not covered exactly once "
-                    f"(missing {missing[:3]}, surplus {sorted(set(extra))[:3]})",
+                    f"(missing {missing[:3]}, surplus {extra[:3]})",
                 )
             )
 
@@ -1038,6 +1035,7 @@ def plan_from_json(text: str, instance: ProblemInstance) -> MappingPlan:
     except json.JSONDecodeError as exc:
         raise EngineError(f"plan is not valid JSON: {exc}") from None
     known = instance.topology.node_by_id
+    part = "instances"  # the field being read, for the message
     try:
         assignments = []
         for entry in doc["instances"]:
@@ -1076,21 +1074,21 @@ def plan_from_json(text: str, instance: ProblemInstance) -> MappingPlan:
                     routes=routes,
                 )
             )
-        arc_loads = {}
+        arc_loads, part = {}, "arc_loads"
         for name, load in doc["arc_loads"].items():
             u, _, w = name.partition(">")
             for v in (u, w):
                 if v not in known:
                     raise EngineError(f"arc_loads: unknown node {v!r}")
             arc_loads[(u, w)] = float(load)
-        node_cores = {}
-        hosting = []
+        node_cores, hosting, part = {}, [], "nodes"
         for v, info in doc["nodes"].items():
             if v not in known:
                 raise EngineError(f"nodes: unknown node {v!r}")
             node_cores[v] = float(info["cores_used"])
             if info["hosts_vnfs"]:
                 hosting.append(v)
+        part = "objective_gbps_hops, lp_bound and gap"
         return MappingPlan(
             assignments=tuple(assignments),
             arc_loads=arc_loads,
@@ -1100,5 +1098,5 @@ def plan_from_json(text: str, instance: ProblemInstance) -> MappingPlan:
             lp_bound=float(doc["lp_bound"]),
             gap=float(doc["gap"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise EngineError(f"malformed plan document: {exc!r}") from None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise EngineError(f"malformed plan document at {part}: {exc!r}") from None

@@ -43,13 +43,24 @@ no configuration column at all, and needs no seed. An artificial never
 enters the integer selection, and since every plan is feasible with it at
 zero, the LP value still bounds every plan from below.
 
+The master is positional: no column or row has a name or a key, and
+`build_rmp` adds them in one fixed order. Columns: the artificial of chain
+instance i is column i; on an arc-flow master the end flows follow, one
+block of a column per arc for each end commodity (`RmpModel.ends`, in
+instance order, each instance's lead-ins before its lead-outs), so the flow
+of commodity e on arc a (`Topology.arcs` order) is column `e.y0 + a`; the
+z columns come last, pool position p at column `z0 + p`. Rows: the
+convexity rows (one per instance), the core rows (one per NFV node) and,
+on an arc-flow master, the capacity rows (one per arc) are contiguous from
+row 0 in that order, the ranges `conv_row`, `core_row` and `cap_row`; each
+end commodity's flow rows follow, every lead-in's before any lead-out's.
+
 Every z column enters through `_pool`, which derives the objectives and
 row coefficients of a batch of configurations at once (`column_terms`):
 first the one-host columns (`add_colocated_columns`, one batch), then the
 pricer's (`add_column`, one each). Rows never change shape after
-`build_rmp`, so duals keep stable meaning across iterations, and z columns
-are the last variables: pool position p is variable `z0 + p`, and the
-pool's arrays (`z_obj`, `z_ci`, `z_loc`) are its only index.
+`build_rmp`, so duals keep stable meaning across iterations, and the
+pool's arrays (`z_obj`, `z_ci`, `z_loc`) are the z columns' only index.
 
 When no core row binds, the compact master's relaxation separates: each
 chain instance takes its cheapest pooled column, the lowest pool position
@@ -182,6 +193,20 @@ class FinalIlp:
     z0: int
 
 
+@dataclass(frozen=True)
+class EndCommodity:
+    """The lead-ins of chain instance `i` from source `point`, or its
+    lead-outs to destination `point`, at `gbps` each: one unit of flow per
+    member pair. Its flow on arc a is master column `y0 + a`."""
+
+    i: int
+    lead_in: bool
+    point: str
+    gbps: float
+    pairs: tuple[Pair, ...]
+    y0: int
+
+
 @dataclass
 class RmpModel:
     """The master, with the per-instance arrays indexed by chain instance
@@ -215,20 +240,15 @@ class RmpModel:
     # v, as (flat index of [i, p, v] into `end_cost`, row, coefficient)
     # arrays sorted by flat index; empty on a compact master
     end_entries: tuple = ()
-    artificial: dict = field(default_factory=dict)  # key -> LP variable
     pool: list = field(default_factory=list)
     nfv_index: dict = field(default_factory=dict)  # NFV node -> v
     config_index: dict = field(default_factory=dict)  # Configuration.key -> LP variable
-    # end commodities: one per (chain instance, source, gbps) for lead-ins and
-    # one per (chain instance, destination, gbps) for lead-outs, carrying one
-    # unit of flow per member pair
-    lead_in: dict = field(default_factory=dict)  # (key, (src, gbps)) -> member pairs
-    lead_out: dict = field(default_factory=dict)  # (key, (dst, gbps)) -> member pairs
-    yfvar: dict = field(default_factory=dict)  # (key, (src, gbps), arc) -> var
-    ylvar: dict = field(default_factory=dict)  # (key, (dst, gbps), arc) -> var
-    conv_row: list = field(default_factory=list)  # [i] -> row
-    core_row: list = field(default_factory=list)  # [v] -> row
-    cap_row: list = field(default_factory=list)  # [a] -> row; none on a compact master
+    # one per (chain instance, source, gbps) for lead-ins and one per (chain
+    # instance, destination, gbps) for lead-outs; none on a compact master
+    ends: list = field(default_factory=list)
+    conv_row: range = range(0)  # [i] -> row
+    core_row: range = range(0)  # [v] -> row
+    cap_row: range = range(0)  # [a] -> row; none on a compact master
     by_key: dict = field(default_factory=dict)  # key -> ChainInstance
     last_relaxation: Optional[LpSolution] = None
     truncated_bound: Optional[float] = None  # set by a column generation cut short
@@ -365,34 +385,30 @@ def _end_commodities(ci: ChainInstance, lead_in: bool) -> list:
     return sorted((com, tuple(pairs)) for com, pairs in groups.items())
 
 
-def _add_end_rows(
-    model: RmpModel, key: tuple, point: str, gbps: float, n: float, entries: list, *,
-    lead_in: bool
-) -> None:
-    """Flow rows of one end commodity of n unit flows, and the coefficients
-    z columns carry in them.
+def _add_end_rows(model: RmpModel, end: EndCommodity, entries: list) -> None:
+    """Flow rows of end commodity `end` of n unit flows, and the
+    coefficients z columns carry in them.
 
     A lead-in leaves its source `point` and is absorbed where the first
     position sits; a lead-out leaves where the last position sits and is
     absorbed at its destination `point`. Both use the same rows with arc
-    directions swapped: "away" arcs lead away from `point`'s side. A z
-    column placing that end position at NFV node v puts n in `point`'s row
-    when v is `point` (the flow never leaves it) and sign * n in v's
+    directions swapped: "away" arcs lead away from `point`'s side. Its
+    artificial (column i) fills `point`'s row with n. A z column placing
+    that end position at NFV node v puts n in `point`'s row when v is
+    `point` (the flow never leaves it) and sign * n in v's
     balance row otherwise; `entries` gets each such (flat index of [i, p,
     v] into `end_cost`, row, coefficient), in row order.
     """
     topo = model.instance.topology
-    ci = model.by_key[key]
-    if lead_in:
-        yvar, pos, away, toward = model.yfvar, 0, topo.out_arcs, topo.in_arcs
-        names, sign = ("fsrc", "fbal"), 1.0
+    if end.lead_in:
+        pos, away, toward, sign = 0, topo.out_arcs, topo.in_arcs, 1.0
     else:
-        yvar, pos, away, toward = model.ylvar, len(ci.vnfs) - 1, topo.in_arcs, topo.out_arcs
-        names, sign = ("ldst", "lbal"), -1.0
-    label = f"{ci.label}/{point}@{gbps:g}"
-    y = {arc: yvar[(key, (point, gbps), arc)] for arc in topo.arc_index}
+        pos = len(model.chain_instances[end.i].vnfs) - 1
+        away, toward, sign = topo.in_arcs, topo.out_arcs, -1.0
+    point, n = end.point, float(len(end.pairs))
+    y = {arc: end.y0 + a for arc, a in topo.arc_index.items()}
     _, n_pos, m = model.end_cost.shape
-    at = (ci.index * n_pos + pos) * m
+    at = (end.i * n_pos + pos) * m
 
     # `point` sends (or takes) n units, less n per unit of the end position
     # placed on it and n per unit of the instance left unserved (its
@@ -400,13 +416,12 @@ def _add_end_rows(
     # n per unit of the end position placed on it. With y >= 0 the balance
     # already makes a node's inflow at least what it absorbs.
     others = [v for v in topo.node_ids if v != point]
-    coeffs = [[(y[arc], 1.0) for arc in away[point]] + [(model.artificial[key], n)]] + [
+    coeffs = [[(y[arc], 1.0) for arc in away[point]] + [(end.i, n)]] + [
         [(y[arc], sign) for arc in away[v]] + [(y[arc], -sign) for arc in toward[v]]
         for v in others
     ]
     rows = model.lp.add_rows(
-        [f"{names[0]}[{label}]"] + [f"{names[1]}[{label}/{v}]" for v in others],
-        [EQ] * len(coeffs), [n] + [0.0] * len(others),
+        EQ, [n] + [0.0] * len(others),
         tuple(zip(*((r, j, a) for r, row in enumerate(coeffs) for j, a in row))),
     )
     for v, row, coef in zip([point] + others, rows, [n] + [sign * n] * len(others)):
@@ -474,49 +489,22 @@ def build_rmp(
         model.end_cost[block, 0] = (by_src[block, :, None] * hops_in).sum(axis=1)
         model.end_cost[block, last[block]] += (by_dst[block, :, None] * hops_out).sum(axis=1)
 
-    _add_artificials(model)
-    if model.compact:
-        _build_compact_rows(model)
-    else:
+    # Phase I: the artificial of chain instance i, column i, stands for the
+    # instance left unserved at a cost above any configuration's (module
+    # docstring): n + 1 segments of at most |V| - 1 hops carry its rate
+    lp.add_columns([ci.total_gbps * (len(ci.vnfs) + 1) * (n - 1) + 1.0 for ci in cis])
+    # convexity rows, each with its instance's artificial, and core rows
+    one = np.ones(len(cis))
+    model.conv_row = lp.add_rows(EQ, one, (range(len(cis)), range(len(cis)), one))
+    model.core_row = lp.add_rows(LE, [float(topo.node_by_id[v].cores) for v in nfv])
+    if not model.compact:
         _build_arc_flow_rows(model)
     model.z0 = lp.n_vars
     return model
 
 
-def _add_artificials(model: RmpModel) -> None:
-    """Phase-I column of each chain instance: the instance left unserved, at
-    a cost above any configuration's.
-
-    The row builders give it coefficient 1 in its instance's convexity row
-    and, on an arc-flow master, n in the source row of each lead-in and in the
-    sink row of each lead-out commodity of n pairs. So with every
-    artificial at 1 and every y and z at 0 the master is feasible, and
-    column generation needs no seed. Every plan is feasible with the
-    artificials at zero, so the LP value stays a lower bound; an artificial
-    never enters the integer selection.
-    """
-    # n + 1 segments of at most |V| - 1 hops each carry the group's rate
-    n_nodes, cis = len(model.instance.topology.nodes), model.chain_instances
-    penalty = [ci.total_gbps * (len(ci.vnfs) + 1) * (n_nodes - 1) + 1.0 for ci in cis]
-    columns = model.lp.add_columns([f"art[{ci.label}]" for ci in cis], penalty)
-    model.artificial = dict(zip((ci.key for ci in cis), columns))
-
-
-def _build_compact_rows(model: RmpModel) -> None:
-    """Convexity rows, each with its instance's artificial, and core rows."""
-    lp, topo, cis = model.lp, model.instance.topology, model.chain_instances
-    model.conv_row = list(lp.add_rows(
-        [f"conv[{ci.label}]" for ci in cis], [EQ] * len(cis), np.ones(len(cis)),
-        (range(len(cis)), [model.artificial[ci.key] for ci in cis], np.ones(len(cis))),
-    ))
-    nfv = topo.nfv_nodes
-    cores = [float(topo.node_by_id[v].cores) for v in nfv]
-    model.core_row = list(lp.add_rows([f"core[{v}]" for v in nfv], [LE] * len(nfv), cores))
-
-
 def _build_arc_flow_rows(model: RmpModel) -> None:
-    """End-commodity flows, the compact rows, and the capacity and end-flow
-    rows.
+    """End-commodity flows, and the capacity and end-flow rows.
 
     An end flow on arc (u, w) pays 1 + pot[u] - pot[w], the hops the arc
     adds to the hop-shortest route, under node potentials pot: hops from its
@@ -528,35 +516,18 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
     d = all_pairs_hops(topo).distance
     arcs = [(a.src, a.dst) for a in topo.arcs]
     for ci in model.chain_instances:
-        for lead_in, members, yvar, tag in (
-            (True, model.lead_in, model.yfvar, "yf"),
-            (False, model.lead_out, model.ylvar, "yl"),
-        ):
+        for lead_in in (True, False):
             for (point, gbps), pairs in _end_commodities(ci, lead_in):
-                members[(ci.key, (point, gbps))] = pairs
                 pot = {v: d(point, v) if lead_in else -d(v, point) for v in topo.node_ids}
-                columns = lp.add_columns(
-                    [f"{tag}[{ci.label}/{point}@{gbps:g}/{u}>{w}]" for u, w in arcs],
-                    [gbps * (1 + pot[u] - pot[w]) for u, w in arcs],
-                )
-                yvar.update(((ci.key, (point, gbps), arc), j) for arc, j in zip(arcs, columns))
-
-    # configuration choice and resource rows; z columns arrive via `_pool`
-    _build_compact_rows(model)
-    block = [
-        (a, yvar[(key, com, arc)], com[1])
-        for a, arc in enumerate(arcs)
-        for members, yvar in ((model.lead_in, model.yfvar), (model.lead_out, model.ylvar))
-        for key, com in members
-    ]
-    model.cap_row = list(lp.add_rows(
-        [f"cap[{u}>{w}]" for u, w in arcs], [LE] * len(arcs),
-        [topo.capacity(arc) for arc in arcs], tuple(zip(*block)),
-    ))
+                y = lp.add_columns([gbps * (1 + pot[u] - pot[w]) for u, w in arcs])
+                model.ends.append(EndCommodity(ci.index, lead_in, point, gbps, pairs, y.start))
+    # every lead-in before any lead-out, as their flow rows come
+    ends = sorted(model.ends, key=lambda e: not e.lead_in)
+    block = [(a, e.y0 + a, e.gbps) for a in range(len(arcs)) for e in ends]
+    model.cap_row = lp.add_rows(LE, [topo.capacity(arc) for arc in arcs], tuple(zip(*block)))
     entries: list = []
-    for lead_in, members in ((True, model.lead_in), (False, model.lead_out)):
-        for (key, (point, gbps)), pairs in members.items():
-            _add_end_rows(model, key, point, gbps, float(len(pairs)), entries, lead_in=lead_in)
+    for end in ends:
+        _add_end_rows(model, end, entries)
     flat, rows = (np.array([e[f] for e in entries], dtype=np.int64) for f in (0, 1))
     coefs = np.array([e[2] for e in entries], dtype=float)
     # stable, so each [i, p, v]'s entries stay in row order
@@ -592,10 +563,9 @@ def column_terms(model: RmpModel, configs: list) -> tuple:
     for p in pos:
         use[col, first[:, p]] += model.rate[ci, p]
     j, p = np.nonzero(use)
-    conv, core = np.array(model.conv_row), np.array(model.core_row)
     terms = [
-        (col, conv[ci], np.ones(len(col))),
-        (j, core[loc[j, p]], model.gbps[ci[j]] * use[j, p]),
+        (col, model.conv_row.start + ci, np.ones(len(col))),
+        (j, model.core_row.start + loc[j, p], model.gbps[ci[j]] * use[j, p]),
     ]
     if not model.compact:
         n_rows, arc = model.lp.n_rows, model.instance.topology.arc_index
@@ -621,9 +591,7 @@ def _pool(model: RmpModel, configs: list) -> None:
     if not configs:
         return
     obj, ci, loc, entries = column_terms(model, configs)
-    first = len(model.pool)
-    names = [f"z[{c.chain}/{c.group_index}/{first + j}]" for j, c in enumerate(configs)]
-    zvar = model.lp.add_columns(names, obj, entries)
+    zvar = model.lp.add_columns(obj, entries)
     model.config_index.update(zip((c.key for c in configs), zvar))
     model.z_obj = np.concatenate((model.z_obj, obj))
     model.z_ci = np.concatenate((model.z_ci, ci))
@@ -720,7 +688,7 @@ def _closed_form(model: RmpModel) -> Optional[LpSolution]:
     first = np.flatnonzero(np.r_[True, np.diff(model.z_ci[order]) != 0])
     chosen = order[first]
     cost = model.z_obj[chosen]
-    penalty = lp.obj[list(model.artificial.values())]
+    penalty = lp.obj[: len(model.chain_instances)]  # the artificials
     if (cost >= penalty).any():
         return None
     if (core_loads(model, chosen) >= node_cores(model) - FIT_TOL).any():
@@ -782,20 +750,16 @@ def _add_hosting_block(lp: LinearProgram, model: RmpModel, z0: int, k: int) -> N
     and -1 on its flag, suffices: the convexity row lets at most one column
     of an instance be selected, so the sum of those columns is 0 or 1.
     """
-    nfv = model.instance.topology.nfv_nodes
-    n_nfv = len(nfv)
-    h = np.array(lp.add_columns([f"h[{v}]" for v in nfv], np.zeros(n_nfv), ub=1.0, integer=True))
+    n_nfv = len(model.nfv_index)
+    h = np.array(lp.add_columns(np.zeros(n_nfv), ub=1.0, integer=True))
     # each pooled column's distinct nodes, pool position ascending
     loc = np.sort(model.z_loc, axis=1)
     p, at = np.nonzero(np.diff(loc, axis=1, prepend=-1))
     key, row = np.unique(model.z_ci[p] * n_nfv + loc[p, at], return_inverse=True)
-    owner, host = np.divmod(key, n_nfv)
-    cis = model.chain_instances
-    names = [f"host[{cis[i].label}/{nfv[v]}]" for i, v in zip(owner.tolist(), host.tolist())]
-    n = len(names)
-    rows, cols = np.r_[row, np.arange(n)], np.r_[z0 + p, h[host]]
-    lp.add_rows(names, [LE] * n, np.zeros(n), (rows, cols, np.r_[np.ones(len(p)), -np.ones(n)]))
-    lp.add_rows(["kbudget"], [LE], [float(k)], (np.zeros(n_nfv, np.int64), h, np.ones(n_nfv)))
+    n = len(key)
+    rows, cols = np.r_[row, np.arange(n)], np.r_[z0 + p, h[key % n_nfv]]
+    lp.add_rows(LE, np.zeros(n), (rows, cols, np.r_[np.ones(len(p)), -np.ones(n)]))
+    lp.add_rows(LE, [float(k)], (np.zeros(n_nfv, np.int64), h, np.ones(n_nfv)))
 
 
 def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
@@ -814,16 +778,12 @@ def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
         if model.compact:
             raise MasterError("a compact master has no full program: it has no end flows")
         first, n_rows, ub = 0, master.n_rows, master.ub.copy()
-        ub[list(model.artificial.values())] = 0.0
+        ub[: len(model.chain_instances)] = 0.0  # the artificials
     lp = LinearProgram(master.name if full else "selection")
-    lp.add_columns(
-        master.col_names[first:], master.obj[first:], lb=master.lb[first:], ub=ub, integer=True
-    )
+    lp.add_columns(master.obj[first:], lb=master.lb[first:], ub=ub, integer=True)
     rows, cols, values = master.entries
     keep = (cols >= first) & (rows < n_rows)
-    lp.add_rows(
-        master.row_names[:n_rows], master.relation[:n_rows], master.rhs[:n_rows],
-        (rows[keep], cols[keep] - first, values[keep]),
-    )
+    entries = (rows[keep], cols[keep] - first, values[keep])
+    lp.add_rows(master.relation[:n_rows], master.rhs[:n_rows], entries)
     _add_hosting_block(lp, model, model.z0 - first, k)
     return FinalIlp(lp=lp, full=full, z0=model.z0 - first)

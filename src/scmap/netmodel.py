@@ -248,9 +248,18 @@ class ProblemInstance:
 
 
 def _need(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: must be an object, got {obj!r}")
     if key not in obj:
         raise ParseError(f"{where}: missing field {key!r}")
     return obj[key]
+
+
+def _objects(obj: dict, key: str, where: str) -> list:
+    items = _need(obj, key, where)
+    if not isinstance(items, list):
+        raise ParseError(f"{where}: {key} must be a list, got {items!r}")
+    return items
 
 
 def _number(value, key: str, where: str) -> float:
@@ -278,17 +287,17 @@ def load_topology(path: str | Path) -> Topology:
     data = _load_json(path)
     where = str(path)
     nodes = []
-    for i, n in enumerate(_need(data, "nodes", where)):
+    for i, n in enumerate(_objects(data, "nodes", where)):
         spot = f"{where} nodes[{i}]"
+        nfv = _need(n, "nfv", spot)
         cores = _number(n.get("cores", 0), "cores", spot)
         if not cores.is_integer():
             raise ParseError(f"{spot}: cores must be a whole number, got {cores:g}")
-        nfv = _need(n, "nfv", spot)
         if not isinstance(nfv, bool):
             raise ParseError(f"{spot}: nfv must be true or false, got {nfv!r}")
         nodes.append(NodeSpec(id=str(_need(n, "id", spot)), nfv=nfv, cores=int(cores)))
     arcs = []
-    for i, l in enumerate(_need(data, "links", where)):
+    for i, l in enumerate(_objects(data, "links", where)):
         spot = f"{where} links[{i}]"
         a = str(_need(l, "a", spot))
         b = str(_need(l, "b", spot))
@@ -302,7 +311,7 @@ def load_chains(path: str | Path) -> tuple[dict[str, VnfSpec], dict[str, ChainSp
     data = _load_json(path)
     where = str(path)
     vnfs: dict[str, VnfSpec] = {}
-    for i, v in enumerate(_need(data, "vnfs", where)):
+    for i, v in enumerate(_objects(data, "vnfs", where)):
         spot = f"{where} vnfs[{i}]"
         vid = str(_need(v, "id", spot))
         if vid in vnfs:
@@ -310,7 +319,7 @@ def load_chains(path: str | Path) -> tuple[dict[str, VnfSpec], dict[str, ChainSp
         rate = _number(_need(v, "cores_per_gbps", spot), "cores_per_gbps", spot)
         vnfs[vid] = VnfSpec(vid, rate)
     chains: dict[str, ChainSpec] = {}
-    for i, c in enumerate(_need(data, "chains", where)):
+    for i, c in enumerate(_objects(data, "chains", where)):
         spot = f"{where} chains[{i}]"
         cid = str(_need(c, "id", spot))
         if cid in chains:
@@ -335,12 +344,12 @@ def load_demands(path: str | Path) -> DemandSet:
         if reader.fieldnames != expected:
             raise ParseError(f"{path}: header must be {','.join(expected)}")
         for lineno, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise ParseError(f"{path}:{lineno}: row must have 4 fields, {','.join(expected)}")
             try:
                 gbps = float(row["gbps"])
-            except (TypeError, ValueError) as e:
+            except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: gbps not a number") from e
-            if row["src"] is None or row["dst"] is None or row["chain"] is None:
-                raise ParseError(f"{path}:{lineno}: short row")
             records.append(DemandRecord(row["src"], row["dst"], row["chain"], gbps))
     return DemandSet(records)
 

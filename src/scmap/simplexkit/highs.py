@@ -116,18 +116,20 @@ def _highs_lp(lp: LinearProgram, order: np.ndarray, integer: bool) -> tuple:
     start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(cols[entry[first]], minlength=n), out=start[1:])
 
+    # as lists: the binding converts a numpy array element by element, about
+    # four times slower
     out = _core.HighsLp()
     out.num_col_ = out.a_matrix_.num_col_ = n
     out.num_row_ = out.a_matrix_.num_row_ = m
     out.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    out.a_matrix_.start_ = start
-    out.a_matrix_.index_ = rows[entry[first]]
-    out.a_matrix_.value_ = np.add.reduceat(vals[entry], first)
-    out.col_cost_ = np.array(lp.obj)
-    out.col_lower_ = np.array(lp.lb)
-    out.col_upper_ = np.array(lp.ub)
-    out.row_lower_ = row_bounds[0]
-    out.row_upper_ = row_bounds[1]
+    out.a_matrix_.start_ = start.tolist()
+    out.a_matrix_.index_ = rows[entry[first]].tolist()
+    out.a_matrix_.value_ = np.add.reduceat(vals[entry], first).tolist()
+    out.col_cost_ = lp.obj.tolist()
+    out.col_lower_ = lp.lb.tolist()
+    out.col_upper_ = lp.ub.tolist()
+    out.row_lower_ = row_bounds[0].tolist()
+    out.row_upper_ = row_bounds[1].tolist()
     if integer:
         kind = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
         out.integrality_ = [kind[v] for v in lp.integer.tolist()]

@@ -29,7 +29,6 @@ class LpError(ValueError):
 
 @dataclass
 class Row:
-    name: str
     coeffs: list[tuple[int, float]]
     relation: str
     rhs: float
@@ -50,6 +49,7 @@ def _append(store: np.ndarray, used: int, block: np.ndarray) -> np.ndarray:
 class LinearProgram:
     """Minimization program with bounded variables and sparse rows.
 
+    Columns and rows are known by position, in the order they were added.
     Columns may be appended after rows exist (`add_columns`), which is how
     the master problem grows during column generation. `obj`, `lb`, `ub`,
     `integer`, `relation` and `rhs` are read-only views of the stored
@@ -59,13 +59,9 @@ class LinearProgram:
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self.col_names: list[str] = []
-        self.row_names: list[str] = []
-        self.nnz = 0
+        self.n_vars = self.n_rows = self.nnz = 0
         self._cols, self._rows, self._entries = (np.empty(0, t) for t in (_COLUMN, _ROW, _ENTRY))
 
-    n_vars = property(lambda self: len(self.col_names))
-    n_rows = property(lambda self: len(self.row_names))
     obj = property(lambda self: self._cols["obj"][: self.n_vars])
     lb = property(lambda self: self._cols["lb"][: self.n_vars])
     ub = property(lambda self: self._cols["ub"][: self.n_vars])
@@ -78,35 +74,36 @@ class LinearProgram:
     def rows(self) -> list[Row]:
         """A read-only view, built on each call: one `Row` per row, its
         (column, coefficient) entries in insertion order."""
-        coeffs: list = [[] for _ in self.row_names]
+        coeffs: list = [[] for _ in range(self.n_rows)]
         for i, j, a in zip(*(f.tolist() for f in self.entries)):
             coeffs[i].append((j, a))
-        return list(map(Row, self.row_names, coeffs, self.relation.tolist(), self.rhs.tolist()))
+        return list(map(Row, coeffs, self.relation.tolist(), self.rhs.tolist()))
 
-    def add_columns(
-        self, names: list[str], obj, entries=(), *, lb=0.0, ub=math.inf, integer=False
-    ) -> range:
-        """Append one variable per name, with objective `obj[j]`, bounds `lb`
-        and `ub` and integrality `integer` (each a scalar or one per name),
-        and the (row, col, value) `entries`, col counting from the first new
+    def add_columns(self, obj, entries=(), *, lb=0.0, ub=math.inf, integer=False) -> range:
+        """Append one variable per objective `obj[j]`, with bounds `lb` and
+        `ub` and integrality `integer` (each a scalar or one per column), and
+        the (row, col, value) `entries`, col counting from the first new
         column and row naming an existing row."""
-        cols = np.empty(len(names), _COLUMN)
+        cols = np.empty(len(obj), _COLUMN)
         cols["obj"], cols["lb"], cols["ub"], cols["integer"] = obj, lb, ub, integer
         bad = ~np.isfinite(cols["obj"]) | ~np.isfinite(cols["lb"]) | ~(cols["ub"] >= cols["lb"])
-        self._cols = self._add(self._cols, cols, bad, names, entries, "col")
-        return range(self.n_vars - len(names), self.n_vars)
+        self._cols = self._add(self._cols, cols, bad, entries, "col")
+        self.n_vars += len(cols)
+        return range(self.n_vars - len(cols), self.n_vars)
 
-    def add_rows(self, names: list[str], relation, rhs, entries=()) -> range:
-        """Append one row per name, `relation[i]` `rhs[i]`, and the (row,
-        col, value) `entries`, row counting from the first new row and col
-        naming an existing column."""
-        rows = np.empty(len(names), _ROW)
+    def add_rows(self, relation, rhs, entries=()) -> range:
+        """Append one row per right-hand side `rhs[i]`, of relation
+        `relation` (a scalar or one per row), and the (row, col, value)
+        `entries`, row counting from the first new row and col naming an
+        existing column."""
+        rows = np.empty(len(rhs), _ROW)
         rows["relation"], rows["rhs"] = relation, rhs
         bad = ~np.isin(rows["relation"], (LE, EQ, GE)) | ~np.isfinite(rows["rhs"])
-        self._rows = self._add(self._rows, rows, bad, names, entries, "row")
-        return range(self.n_rows - len(names), self.n_rows)
+        self._rows = self._add(self._rows, rows, bad, entries, "row")
+        self.n_rows += len(rows)
+        return range(self.n_rows - len(rows), self.n_rows)
 
-    def _add(self, store, records, bad, names, entries, new: str) -> np.ndarray:
+    def _add(self, store, records, bad, entries, new: str) -> np.ndarray:
         """`store` with `records` appended, and `entries` whose `new` index
         counts from the first of them; LpError, with nothing appended, when
         a record is `bad` or an entry lies outside the program or the block
@@ -114,21 +111,21 @@ class LinearProgram:
         block = np.empty(len(entries[0]) if entries else 0, _ENTRY)
         if entries:
             block["row"], block["col"], block["value"] = entries
-        old, n_old = ("row", self.n_rows) if new == "col" else ("col", self.n_vars)
+        if new == "col":
+            old, n_old, first = "row", self.n_rows, self.n_vars
+        else:
+            old, n_old, first = "col", self.n_vars, self.n_rows
         stray = (block[old] < 0) | (block[old] >= n_old) | ~np.isfinite(block["value"])
-        stray |= (block[new] < 0) | (block[new] >= len(names))
+        stray |= (block[new] < 0) | (block[new] >= len(records))
         kind = "variable" if new == "col" else "row"
         if bad.any():
-            raise LpError(f"{kind} {names[bad.argmax()]!r}: malformed {records[bad.argmax()]}")
+            raise LpError(f"{kind} {first + bad.argmax()}: malformed {records[bad.argmax()]}")
         if stray.any():
             raise LpError(f"{kind} block: malformed (row, col, value) {block[stray.argmax()]}")
-        stored_names = self.col_names if new == "col" else self.row_names
-        block[new] += len(stored_names)
-        store = _append(store, len(stored_names), records)
+        block[new] += first
         self._entries = _append(self._entries, self.nnz, block)
         self.nnz += len(block)
-        stored_names += names
-        return store
+        return _append(store, first, records)
 
 
 @dataclass

@@ -1,9 +1,11 @@
 """Exhaustive enumerations and reference implementations that tests compare
 the solver against, and the grouping's cluster lookup and JSON dump."""
 
+import itertools
 import json
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from scmap.master import (
     ChainInstance,
@@ -13,7 +15,7 @@ from scmap.master import (
     make_configuration,
 )
 from scmap.netmodel import ProblemInstance
-from scmap.pathcore import PathTable
+from scmap.pathcore import PathTable, all_pairs_hops
 from scmap.sptg import ChainPartition, Group, _cover_entries, node_ends
 
 
@@ -196,3 +198,61 @@ def partitions_to_json(partitions: list[ChainPartition]) -> str:
         for p in partitions
     ]
     return json.dumps(payload, indent=2) + "\n"
+
+
+def grouping_free_optimum(instance: ProblemInstance, k: int):
+    """The optimum plan value over every grouping of the demand pairs, or
+    None when no plan exists, on an instance whose links cannot bind (every
+    capacity at least `master.worst_case_load`), so each end runs along a
+    hop-shortest path. A capacitated facility-location MIP over location
+    tuples, solved by scipy's `milp`. Two chain instances at one tuple merge
+    with no change in cost, cores or hosting, so one open flag per tuple
+    suffices. Per chain:
+
+    - y[t] binary for each tuple t of NFV nodes, one per position, and at
+      most nc of them open;
+    - x[pair, t] binary, each pair on one tuple, x[pair, t] <= y[t];
+    - y[t] <= h[v] for each node v of t, with at most k flags h set over
+      every chain;
+    - each NFV node's cores bound the Gbps times cores per Gbps of every
+      position placed on it;
+    - x[pair, t] costs the pair's Gbps times its hops from its source
+      through t to its destination.
+    """
+    topo = instance.topology
+    distance = all_pairs_hops(topo).distance
+    nfv = topo.nfv_nodes
+    cost = [0.0] * len(nfv)  # the flags h come first
+    rows: list = []  # ({variable: coefficient}, lower, upper)
+    cores: dict = {v: {} for v in nfv}
+    for chain in instance.chains_with_demand():
+        rates = instance.chain_cores_per_gbps(chain)
+        tuples = list(itertools.product(range(len(nfv)), repeat=len(rates)))
+        y = range(len(cost), len(cost) + len(tuples))
+        cost += [0.0] * len(tuples)
+        rows += [({j: 1.0, v: -1.0}, -np.inf, 0.0) for j, t in zip(y, tuples) for v in set(t)]
+        rows.append((dict.fromkeys(y, 1.0), -np.inf, instance.nc.get(chain, 1)))
+        for src, dst in instance.pairs_for_chain(chain):
+            gbps = instance.demand_gbps(chain, src, dst)
+            x = range(len(cost), len(cost) + len(tuples))
+            for j, yt, t in zip(x, y, tuples):
+                path = [src, *(nfv[v] for v in t), dst]
+                cost.append(gbps * sum(map(distance, path, path[1:])))
+                rows.append(({j: 1.0, yt: -1.0}, -np.inf, 0.0))
+                for v, rate in zip(t, rates):
+                    cores[nfv[v]][j] = cores[nfv[v]].get(j, 0.0) + gbps * rate
+            rows.append((dict.fromkeys(x, 1.0), 1.0, 1.0))
+    rows.append((dict.fromkeys(range(len(nfv)), 1.0), -np.inf, k))
+    rows += [(cores[v], -np.inf, topo.node_by_id[v].cores) for v in nfv]
+    a = np.zeros((len(rows), len(cost)))
+    for i, (coeffs, _, _) in enumerate(rows):
+        a[i, list(coeffs)] = list(coeffs.values())
+    lower, upper = (np.array([r[f] for r in rows], dtype=float) for f in (1, 2))
+    res = milp(
+        cost,
+        constraints=LinearConstraint(a, lower, upper),
+        integrality=np.ones(len(cost)),
+        bounds=Bounds(0, 1),
+    )
+    assert res.status in (0, 2), res.message  # optimal or infeasible
+    return res.fun if res.status == 0 else None

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from conftest import build_instance, save_instance
@@ -406,6 +407,56 @@ def test_header_only_demands_is_input_error(argv, tmp_path, capsys, monkeypatch)
     flags = ["--topology", str(topo), "--chains", str(chains), "--demands", str(demands)]
     assert run([*argv, *flags]) == 1
     assert "error: no demand records" in capsys.readouterr().err
+
+
+def add_row(field):
+    """A demand-file edit: the last row with `field` appended to it."""
+    return lambda text: text.rstrip("\n") + f",{field}\n"
+
+
+@pytest.mark.parametrize(
+    "target, edit, message",
+    [
+        ("topology", lambda doc: doc.update(nodes=[1]), " nodes[0]: must be an object, got 1"),
+        ("topology", lambda doc: doc.update(nodes=5), ": nodes must be a list, got 5"),
+        ("topology", lambda doc: doc.update(links=[[]]), " links[0]: must be an object, got []"),
+        ("chains", lambda doc: doc.update(vnfs=[3]), " vnfs[0]: must be an object, got 3"),
+        ("chains", lambda doc: doc.update(chains={}), ": chains must be a list, got {}"),
+        ("demands", add_row("9"), ":7: row must have 4 fields, src,dst,chain,gbps"),
+        ("demands", lambda text: text + "a,b\n", ":8: row must have 4 fields, src,dst,chain,gbps"),
+        ("plan", lambda doc: doc.update(arc_loads=[]), ": malformed plan document at arc_loads: "),
+        ("plan", lambda doc: doc.update(instances=5), ": malformed plan document at instances: "),
+        ("plan", lambda doc: doc.update(nodes=[]), ": malformed plan document at nodes: "),
+        ("plan", lambda doc: doc.update(gap=[]), " at objective_gbps_hops, lp_bound and gap: "),
+    ],
+    ids=[
+        "nodes-of-numbers", "nodes-a-number", "links-of-lists", "vnfs-of-numbers",
+        "chains-an-object", "long-demand-row", "short-demand-row", "arc-loads-a-list",
+        "instances-a-number", "nodes-a-list", "gap-a-list",
+    ],
+)
+def test_input_of_the_wrong_shape_exits_1(target, edit, message, triangle_flags, tmp_path, capsys):
+    # each input file read as it is written, one field of the wrong shape:
+    # exit 1 with an error naming the file and the field, no traceback
+    flags = dict(zip(triangle_flags[::2], triangle_flags[1::2]))
+    plan = tmp_path / "plan.json"
+    assert run(["solve", *triangle_flags, "--nc", "1", "--k", "3", "--out", str(plan)]) == 0
+    path = plan if target == "plan" else tmp_path / f"bad.{target}"
+    source = plan if target == "plan" else flags[f"--{target}"]
+    text = Path(source).read_text()
+    if target == "demands":
+        path.write_text(edit(text))
+    else:
+        doc = json.loads(text)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    if target != "plan":
+        flags[f"--{target}"] = str(path)
+    capsys.readouterr()
+    argv = ["validate", *(x for pair in flags.items() for x in pair), "--nc", "1", "--k", "3"]
+    assert run([*argv, "--plan", str(plan)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and message in err, err
 
 
 class TestArgErrors:

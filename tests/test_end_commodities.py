@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from brute_force import enumerate_all_configs, simple_paths
+from brute_force import enumerate_all_configs, grouping_free_optimum, simple_paths
 from conftest import (
     build_instance,
     random_connected_instance,
@@ -44,7 +44,8 @@ def test_shared_source_splits_over_two_paths():
     )
     model, _ = engine.run_column_generation(inst, partition_all(inst))
     (ci,) = model.chain_instances
-    assert model.lead_in == {(ci.key, ("s", 1.0)): (("s", "d1"), ("s", "d2"))}
+    lead_ins = [(e.i, e.point, e.gbps, e.pairs) for e in model.ends if e.lead_in]
+    assert lead_ins == [(ci.index, "s", 1.0, (("s", "d1"), ("s", "d2")))]
     plan = engine._extract(inst, model, full=True)
     assert engine.validate_plan(inst, plan) == []
     (asg,) = plan.assignments
@@ -230,11 +231,53 @@ def test_full_selection_matches_exhaustive_oracle():
                 feasible += 1
         if model is not None:
             compact += model.compact
-            merged += any(len(p) > 1 for p in {**model.lead_in, **model.lead_out}.values())
+            merged += any(len(e.pairs) > 1 for e in model.ends)
     # the battery must exercise shared commodities, plans, verdicts and
     # both master shapes
     assert merged >= 50 and feasible >= 100 and infeasible >= 100, (merged, feasible, infeasible)
     assert compact >= 100, compact
+
+
+# compact (draw, k) cells whose `engine.solve` plan is above the
+# grouping-free optimum, as (plan, optimum), and those it calls infeasible
+# though a plan exists, with the optimum; both come from the sptg grouping
+ABOVE_OPTIMUM = {
+    (48, 2): (9.0, 7.5), (185, 2): (5.5, 5.0), (308, 2): (6.5, 5.5), (310, 2): (7.0, 6.0)
+}
+FALSE_INFEASIBLE = {(139, 2): 6.5, (307, 2): 18.0}
+
+
+def test_plans_against_the_grouping_free_optimum():
+    # on every draw whose links cannot bind, at each budget: no plan is
+    # below the optimum over every grouping, no verdict is "infeasible"
+    # where a plan exists but at the pinned cells, and every plan above the
+    # optimum is pinned
+    above, false_infeasible, tally = {}, {}, {"equal": 0, "infeasible": 0}
+    for case, inst in draws():
+        if any(a.capacity_gbps < worst_case_load(inst) for a in inst.topology.arcs):
+            continue
+        for k in budgets(inst):
+            optimum = grouping_free_optimum(inst, k)
+            optimum = None if optimum is None else round(optimum, 6)
+            try:
+                plan = engine.solve(with_k(inst, k)).plan.objective_gbps_hops
+            except engine.Infeasible:
+                plan = None
+            if plan is None:
+                if optimum is None:
+                    tally["infeasible"] += 1
+                else:
+                    false_infeasible[case, k] = optimum
+                continue
+            assert optimum is not None, f"case {case} k={k}: plan {plan}, oracle infeasible"
+            assert plan >= optimum - 1e-6, f"case {case} k={k}: plan {plan} < {optimum}"
+            if plan > optimum + 1e-6:
+                above[case, k] = (plan, optimum)
+            else:
+                tally["equal"] += 1
+    assert above == ABOVE_OPTIMUM
+    assert false_infeasible == FALSE_INFEASIBLE
+    assert tally == {"equal": 136, "infeasible": 130}
 
 
 def test_colocation_cut_refuses_only_cells_without_a_plan():

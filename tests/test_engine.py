@@ -321,7 +321,7 @@ class TestRelaxationPoint:
         x = model.last_relaxation.x
         (chosen,) = [p for p, v in enumerate(x[model.z0 :]) if v > 0.5]
         other = 1 if chosen == 0 else 0
-        (art,) = model.artificial.values()
+        art = 0  # the artificial of the one chain instance
         half = list(x)
         half[model.z0 + chosen] = half[model.z0 + other] = 0.5
         unserved = list(x)
@@ -334,7 +334,7 @@ class TestRelaxationPoint:
         # an integral point on two hosts: the plan at k=2, not at k=1
         model, _ = engine.run_column_generation(split_triangle, partition_all(split_triangle))
         x = model.last_relaxation.x
-        assert all(x[var] == 0.0 for var in model.artificial.values())
+        assert all(x[var] == 0.0 for var in range(len(model.chain_instances)))  # artificials
         assert all(abs(v - round(v)) <= engine.INTEGRAL_TOL for v in x)
         assert engine._relaxation_plan(split_triangle, model) is None
         plan = engine._relaxation_plan(with_k(split_triangle, 2), model)
@@ -1130,6 +1130,11 @@ class TestValidatePlan:
             "unchained": (rerouted(asg0, 0, last_arcs=(("a", "b"), ("c", "d"))), asg1),
             "unknown arc": (asg0, rerouted(asg1, 1, first_arcs=(("c", "a"),))),
             "wrong ends": (asg0, rerouted(asg1, 1, first_arcs=(("d", "c"), ("c", "b")))),
+            # b->d routed twice in place of c->a, then a->c twice as well
+            "duplicated": (asg0, fix(asg1, routes=asg1.routes[:1] * 2)),
+            "duplicated twice": (
+                fix(asg0, routes=asg0.routes * 2), fix(asg1, routes=asg1.routes[:1] * 2)
+            ),
         }
         uncovered_ac = (
             "coverage: chain c: demand pairs not covered exactly once "
@@ -1184,6 +1189,23 @@ class TestValidatePlan:
                 "contiguity: c/1 c->a lead-in: route runs d->b, expected c->b",
                 "arc_load_mismatch: arc d->c loaded but not stored",
                 "objective_mismatch: stored 8.0, recomputed 10.0",
+            ],
+            "duplicated": [
+                "coverage: chain c: demand pairs not covered exactly once "
+                "(missing [('c', 'a')], surplus [('b', 'd')])",
+                "arc_load_mismatch: arc a->d: stored 1.0, recomputed 2.0",
+                "arc_load_mismatch: arc b->a: stored 3.0, recomputed 2.0",
+                "arc_load_mismatch: arc c->b: stored 2.0, recomputed 0.0",
+                "objective_mismatch: stored 8.0, recomputed 6.0",
+            ],
+            "duplicated twice": [
+                "coverage: chain c: demand pairs not covered exactly once "
+                "(missing [('c', 'a')], surplus [('a', 'c'), ('b', 'd')])",
+                "arc_load_mismatch: arc a->b: stored 1.0, recomputed 2.0",
+                "arc_load_mismatch: arc a->d: stored 1.0, recomputed 2.0",
+                "arc_load_mismatch: arc b->a: stored 3.0, recomputed 2.0",
+                "arc_load_mismatch: arc b->c: stored 1.0, recomputed 2.0",
+                "arc_load_mismatch: arc c->b: stored 2.0, recomputed 0.0",
             ],
         }
 

@@ -23,7 +23,7 @@ from scmap.netmodel import load_instance
 from scmap.pathcore import all_pairs_hops
 from scmap.pricer import best_configuration, price_round, segment_cost_table
 from scmap.fixturedata import nsfnet_files, triangle_files
-from scmap.simplexkit import LE, highs
+from scmap.simplexkit import EQ, LE, highs
 from scmap.simplexkit.model import Row
 from scmap.sptg import partition_all
 
@@ -55,8 +55,11 @@ def column_coefficients(model, config):
     return dict(zip(rows.tolist(), coefs.tolist()))
 
 
-def row_names(model, prefix):
-    return [r.name for r in model.lp.rows if r.name.startswith(prefix + "[")]
+def master_rows(model):
+    """How many rows the master's layout holds: convexity, core and
+    capacity rows, then one flow row per node for each end commodity."""
+    kept = len(model.conv_row) + len(model.core_row) + len(model.cap_row)
+    return kept + len(model.ends) * len(model.instance.topology.nodes)
 
 
 def two_ended_path():
@@ -76,15 +79,16 @@ class TestBuildRmp:
     def test_triangle_row_counts(self, capacitated_triangle):
         model = seeded_model(capacitated_triangle)
         assert not model.compact
-        assert len(row_names(model, "conv")) == 1
-        assert len(row_names(model, "core")) == 3
-        assert len(row_names(model, "cap")) == 6
+        assert len(model.conv_row) == 1
+        assert len(model.core_row) == 3
+        assert len(model.cap_row) == 6
 
     def test_no_reach_rows(self, capacitated_triangle):
-        # fbal/lbal and y >= 0 already make a node's inflow cover what it absorbs
+        # the flow rows and y >= 0 already make a node's inflow cover what it
+        # absorbs: one flow row per node for each lead-in and lead-out, no more
         model = seeded_model(capacitated_triangle)
-        assert row_names(model, "fbal") and row_names(model, "lbal")
-        assert not row_names(model, "freach") and not row_names(model, "lreach")
+        assert {e.lead_in for e in model.ends} == {True, False}
+        assert model.lp.n_rows == master_rows(model)
 
     def test_shape_follows_worst_case_load(self, triangle):
         worst = worst_case_load(triangle)
@@ -102,7 +106,7 @@ class TestBuildRmp:
         assert model.lp.n_rows == n_ci + n_nfv
         assert model.lp.n_vars == len(model.pool) + n_ci  # z plus one artificial each
         assert model.last_relaxation.objective == pytest.approx(390.0)
-        assert all(model.last_relaxation.x[j] == 0.0 for j in model.artificial.values())
+        assert all(model.last_relaxation.x[j] == 0.0 for j in range(n_ci))  # the artificials
 
     def test_artificials_alone_are_a_feasible_master(self):
         # each artificial stands for its chain instance left unserved, so an
@@ -111,20 +115,22 @@ class TestBuildRmp:
         inst = with_capacity(load_instance(*triangle_files(), k=3, nc=2), 6.0)
         model = build_rmp(inst, partition_all(inst))
         assert not model.compact and not model.pool
-        assert len(model.artificial) == 2
+        assert len(model.chain_instances) == 2 and model.z0 == model.lp.n_vars
         sol, _ = solve_relaxation(model)
         assert sol.optimal
-        assert [sol.x[j] for j in model.artificial.values()] == pytest.approx([1.0, 1.0])
-        assert all(sol.x[j] == pytest.approx(0.0) for j in model.yfvar.values())
-        assert all(sol.x[j] == pytest.approx(0.0) for j in model.ylvar.values())
+        # columns 0 and 1 are the artificials, the rest end flows
+        assert sol.x[:2] == pytest.approx([1.0, 1.0])
+        assert sol.x[2:] == pytest.approx([0.0] * (model.z0 - 2))
 
     def test_relaxation_ignores_hosting_budget(self):
         inst = two_ended_path()
         bounds = []
         for k in (1, len(inst.topology.nfv_nodes)):
             model, _ = engine.run_column_generation(with_k(inst, k), partition_all(inst))
-            names = model.lp.row_names + model.lp.col_names
-            assert not [n for n in names if n.startswith(("h[", "xf[", "host", "kbudget"))]
+            # no hosting flag or row: the master's layout and nothing else
+            assert not model.lp.integer.any()
+            assert model.lp.n_vars == model.z0 + len(model.pool)
+            assert model.lp.n_rows == master_rows(model)
             bounds.append(model.last_relaxation.objective)
         assert bounds[0] == bounds[1] == 2.0
 
@@ -136,10 +142,12 @@ class TestBuildRmp:
         (ci,) = chain_instances(inst, parts)
         model = build_rmp(inst, parts)
         add_column(model, colocated(ci, "a"))
-        assert not model.compact and model.yfvar
+        assert not model.compact and model.ends
         sol, _ = solve_relaxation(model)
+        n_arcs = len(inst.topology.arcs)
         first_flow = sum(
-            sol.x[j] for (key, _pair, _arc), j in model.yfvar.items() if key == ci.key
+            sol.x[e.y0 + a] for e in model.ends if e.i == ci.index and e.lead_in
+            for a in range(n_arcs)
         )
         assert first_flow == pytest.approx(0.0, abs=1e-9)
 
@@ -257,8 +265,10 @@ class TestAddColumn:
         model, _ = engine.run_column_generation(inst, partition_all(inst))
         assert not model.compact
         assert {len(ci.vnfs) for ci in model.chain_instances} == {3}
-        assert not [v for v in model.lp.col_names if v.startswith("x[")]
-        assert not row_names(model, "cons")
+        # artificials, end flows and z columns; the layout's rows alone
+        n_arcs = len(inst.topology.arcs)
+        assert model.z0 == len(model.chain_instances) + len(model.ends) * n_arcs
+        assert model.lp.n_rows == master_rows(model)
         _, width, m = model.end_cost.shape
         assert set((model.end_entries[0] // m % width).tolist()) == {0, 2}
         assert len(model.pool) > 1
@@ -304,16 +314,94 @@ def test_pool_position_p_is_variable_z0_plus_p(shape):
     assert 0 < len(block.pool) < len(model.pool)
     assert model.pool[: len(block.pool)] == block.pool
     assert model.lp.n_vars == model.z0 + len(model.pool)
-    assert {v.split("[")[0] for v in model.lp.col_names[: model.z0]} <= {"art", "yf", "yl"}
+    n_arcs = len(inst.topology.arcs)
+    assert model.z0 == len(model.chain_instances) + len(model.ends) * n_arcs
     stored = {}
     for i, row in enumerate(model.lp.rows):
         for j, a in row.coeffs:
             stored.setdefault(j, {})[i] = a
     for p, config in enumerate(model.pool):
-        assert model.lp.col_names[model.z0 + p] == f"z[{config.chain}/{config.group_index}/{p}]"
         assert model.config_index[config.key] == model.z0 + p
         assert model.lp.obj[model.z0 + p] == model.z_obj[p] == column_cost(model, config)
         assert stored[model.z0 + p] == column_coefficients(model, config)
+
+
+@pytest.mark.parametrize("shape", ["compact", "arc-flow"])
+def test_master_layout(shape):
+    # NSFNET nc4 at twice the cores it needs, and two chain instances on a
+    # triangle at 5 Gbps links; each master after column generation
+    if shape == "compact":
+        inst = core_bound(load_instance(*nsfnet_files(), k=14, nc=4), 2)
+    else:
+        inst = build_instance(
+            ["a", "b", "c"],
+            [("a", "b"), ("b", "c"), ("a", "c")],
+            [("a", "b"), ("b", "c"), ("a", "c"), ("c", "a")],
+            nc=2,
+            capacity=5.0,
+        )
+    model, _ = engine.run_column_generation(inst, partition_all(inst))
+    assert model.compact == (shape == "compact")
+    topo, lp, cis = inst.topology, model.lp, model.chain_instances
+    arcs, nfv = [(a.src, a.dst) for a in topo.arcs], topo.nfv_nodes
+    n_ci, n_nfv, n_arcs = len(cis), len(nfv), 0 if model.compact else len(topo.arcs)
+    assert n_ci == (4 if model.compact else 2)
+    rows = lp.rows
+    column: dict = {}  # column -> {row: coefficient}
+    for i, row in enumerate(rows):
+        for j, a in row.coeffs:
+            column.setdefault(j, {})[i] = a
+    # the convexity, core and capacity rows, contiguous from row 0 in that order
+    assert model.conv_row == range(0, n_ci)
+    assert model.core_row == range(n_ci, n_ci + n_nfv)
+    assert model.cap_row == range(n_ci + n_nfv, n_ci + n_nfv + n_arcs)
+    assert [(r.relation, r.rhs) for r in rows[: n_ci + n_nfv + n_arcs]] == (
+        [(EQ, 1.0)] * n_ci
+        + [(LE, float(topo.node_by_id[v].cores)) for v in nfv]
+        + [(LE, topo.capacity(arc)) for arc in arcs[:n_arcs]]
+    )
+    # end commodities in instance order, each instance's lead-ins before
+    # its lead-outs, a block of one column per arc each; the flow of
+    # commodity e on arc a is column e.y0 + a, which carries e.gbps in arc
+    # a's capacity row and costs e.gbps times the hops arc a adds
+    order = [(e.i, not e.lead_in) for e in model.ends]
+    assert order == sorted(order)
+    assert {e.i for e in model.ends} == (set() if model.compact else set(range(n_ci)))
+    d = all_pairs_hops(topo).distance
+    y0 = n_ci
+    for e in model.ends:
+        assert e.y0 == y0
+        y0 += n_arcs
+        ci = cis[e.i]
+        assert e.pairs == tuple(sorted(p for p in ci.pairs if p[0 if e.lead_in else 1] == e.point))
+        assert {ci.demand[p] for p in e.pairs} == {e.gbps}
+        pot = (lambda v: d(e.point, v)) if e.lead_in else (lambda v: -d(v, e.point))
+        for a, (u, w) in enumerate(arcs):
+            assert column[e.y0 + a][model.cap_row[a]] == e.gbps
+            assert lp.obj[e.y0 + a] == e.gbps * (1 + pot(u) - pot(w))
+    # after the capacity rows, one flow row per node for each commodity,
+    # every lead-in's before any lead-out's, the endpoint's row first
+    source_row, at = {}, n_ci + n_nfv + n_arcs
+    for e in sorted(model.ends, key=lambda e: not e.lead_in):
+        source_row[e] = at
+        at += len(topo.nodes)
+    assert at == lp.n_rows
+    # the artificial of chain instance i is column i, at the Phase-I
+    # penalty: 1 in convexity row i, which holds only it and the z columns
+    # of instance i, and n in the endpoint row of each of its commodities
+    # of n pairs
+    for ci in cis:
+        i = ci.index
+        assert lp.obj[i] == ci.total_gbps * (len(ci.vnfs) + 1) * (len(topo.nodes) - 1) + 1.0
+        assert column[i] == {
+            model.conv_row[i]: 1.0,
+            **{source_row[e]: len(e.pairs) for e in model.ends if e.i == i},
+        }
+        z = [model.z0 + p for p, owner in enumerate(model.z_ci.tolist()) if owner == i]
+        assert [j for j, _ in rows[model.conv_row[i]].coeffs] == [i] + z
+    # the z columns start at z0, after every artificial and end flow
+    assert model.z0 == y0 and lp.n_vars == model.z0 + len(model.pool)
+    assert lp.obj[model.z0 :].tolist() == model.z_obj.tolist()
 
 
 class TestDuals:
@@ -450,33 +538,31 @@ class TestFinalIlp:
             for i, r in enumerate(kept):
                 want = master_rows[r]
                 got = rows[i]
-                assert (got.name, got.relation, got.rhs) == (want.name, want.relation, want.rhs)
+                assert (got.relation, got.rhs) == (want.relation, want.rhs)
                 assert got.coeffs == [(zsel[j], a) for j, a in want.coeffs if j in zsel]
             for p, config in enumerate(model.pool):
                 z = model.z0 + p
                 assert model.lp.obj[z] == column_cost(model, config)
-                assert (lp.col_names[p], lp.obj[p]) == (model.lp.col_names[z], model.lp.obj[z])
-            assert not [v for v in lp.col_names if v.startswith(("art[", "x[", "y"))]
-            # hosting: one binary flag per NFV node, then a row per (chain
-            # instance, node) holding +1 on each of the instance's columns
-            # placing there, in pool order, and -1 on the node's flag
+                assert lp.obj[p] == model.lp.obj[z]
+            # hosting: one binary flag per NFV node after the z columns, and
+            # nothing else, then a row per (chain instance, node) holding +1
+            # on each of the instance's columns placing there, in pool
+            # order, and -1 on the node's flag
             nfv = inst.topology.nfv_nodes
-            h = {v: lp.col_names.index(f"h[{v}]") for v in nfv}
-            assert sorted(h.values()) == list(range(len(model.pool), lp.n_vars))
+            h = {v: len(model.pool) + j for j, v in enumerate(nfv)}
+            assert lp.n_vars == len(model.pool) + len(nfv)
             assert lp.integer.all() and (lp.ub[list(h.values())] == 1.0).all()
             users: dict = {}
             for p, config in enumerate(model.pool):
                 i = model.by_key[config.chain, config.group_index].index
                 for v in sorted({nfv.index(v) for v in config.locations}):
                     users.setdefault((i, v), []).append((p, 1.0))
-            labels = [ci.label for ci in model.chain_instances]
             assert rows[len(kept) : -1] == [
-                Row(f"host[{labels[i]}/{nfv[v]}]", using + [(h[nfv[v]], -1.0)], LE, 0.0)
-                for (i, v), using in sorted(users.items())
+                Row(using + [(h[nfv[v]], -1.0)], LE, 0.0) for (_, v), using in sorted(users.items())
             ]
-            assert len({i for i, _ in users}) == len(labels)
+            assert len({i for i, _ in users}) == len(model.chain_instances)
             shared[model.compact] = max(shared[model.compact], *map(len, users.values()))
-            assert rows[-1] == Row("kbudget", [(h[v], 1.0) for v in nfv], LE, float(inst.k))
+            assert rows[-1] == Row([(h[v], 1.0) for v in nfv], LE, float(inst.k))
             if model.compact:
                 # no end flows, so no full program either
                 with pytest.raises(MasterError):
@@ -487,17 +573,17 @@ class TestFinalIlp:
                 full = build_final_ilp(model, inst.k, full=True)
                 n, m = model.lp.n_vars, model.lp.n_rows
                 assert full.full and full.z0 == model.z0 and full.lp.integer.all()
-                assert full.lp.col_names[:n] == model.lp.col_names
+                assert full.lp.n_vars == n + len(nfv)
                 assert full.lp.obj[:n].tolist() == model.lp.obj.tolist()
                 ub = model.lp.ub.copy()
-                ub[list(model.artificial.values())] = 0.0
+                ub[: len(model.chain_instances)] = 0.0  # the artificials
                 assert full.lp.ub[:n].tolist() == ub.tolist()
                 full_rows = full.lp.rows
                 assert full_rows[:m] == master_rows
                 at = [model.z0 + p if p < len(model.pool) else n + p - len(model.pool)
                       for p in range(lp.n_vars)]
                 assert full_rows[m:] == [
-                    Row(r.name, [(at[j], a) for j, a in r.coeffs], r.relation, r.rhs)
+                    Row([(at[j], a) for j, a in r.coeffs], r.relation, r.rhs)
                     for r in rows[len(kept):]
                 ]
         assert min(shared.values()) > 2, shared

@@ -15,15 +15,15 @@ from scmap.simplexkit.model import GE, LpError
 over_solvers = pytest.mark.parametrize("solver", [highs], ids=["highs"])
 
 
-def add_variable(lp, name, lb=0.0, ub=math.inf, obj=0.0, integer=False):
+def add_variable(lp, lb=0.0, ub=math.inf, obj=0.0, integer=False):
     """One column with no entries, as `LinearProgram.add_columns` enters it."""
-    return lp.add_columns([name], [obj], lb=lb, ub=ub, integer=integer)[0]
+    return lp.add_columns([obj], lb=lb, ub=ub, integer=integer)[0]
 
 
 def add_constraint(lp, coeffs, relation, rhs):
     """One row holding the (column, coefficient) pairs `coeffs`, in order."""
     cols, values = [j for j, _ in coeffs], [a for _, a in coeffs]
-    return lp.add_rows([f"r{lp.n_rows}"], [relation], [rhs], ([0] * len(cols), cols, values))[0]
+    return lp.add_rows([relation], [rhs], ([0] * len(cols), cols, values))[0]
 
 
 def lp_from_arrays(c, rows, lb=None, ub=None, integer=None):
@@ -34,7 +34,7 @@ def lp_from_arrays(c, rows, lb=None, ub=None, integer=None):
     ub = ub or [math.inf] * n
     integer = integer or [False] * n
     for j in range(n):
-        add_variable(lp, f"x{j}", lb[j], ub[j], c[j], integer[j])
+        add_variable(lp, lb[j], ub[j], c[j], integer[j])
     for coeffs, rel, rhs in rows:
         add_constraint(lp, [(j, a) for j, a in enumerate(coeffs) if a], rel, rhs)
     return lp
@@ -146,7 +146,7 @@ def assert_complementary_slackness(lp, sol):
         if row.relation == EQ:
             continue
         slack = row.rhs - row_activity(lp, i, sol.x)
-        assert abs(sol.duals[i] * slack) <= 1e-5 * (1 + abs(row.rhs)), row.name
+        assert abs(sol.duals[i] * slack) <= 1e-5 * (1 + abs(row.rhs)), f"row {i}"
 
 
 # -- targeted cases -----------------------------------------------------------
@@ -205,14 +205,14 @@ def test_no_rows_lp():
 
 def test_model_validation():
     lp = LinearProgram()
+    with pytest.raises(LpError, match="variable 0: malformed"):
+        add_variable(lp, lb=-math.inf)
     with pytest.raises(LpError):
-        add_variable(lp, "x", lb=-math.inf)
-    with pytest.raises(LpError):
-        add_variable(lp, "x", lb=1.0, ub=0.0)
-    add_variable(lp, "x")
+        add_variable(lp, lb=1.0, ub=0.0)
+    add_variable(lp)
     with pytest.raises(LpError):
         add_constraint(lp, [(3, 1.0)], LE, 1.0)
-    with pytest.raises(LpError):
+    with pytest.raises(LpError, match="row 0: malformed"):
         add_constraint(lp, [(0, 1.0)], "<", 1.0)
     with pytest.raises(LpError):
         add_constraint(lp, [(0, math.nan)], LE, 1.0)
@@ -222,27 +222,27 @@ def test_model_validation():
         add_constraint(lp, [(0, 1.0)], LE, math.inf)
     row = add_constraint(lp, [(0, 1.0)], LE, 1.0)
     with pytest.raises(LpError):
-        lp.add_columns(["y"], [math.inf], ([row], [0], [1.0]))
+        lp.add_columns([math.inf], ([row], [0], [1.0]))
     with pytest.raises(LpError):
-        lp.add_columns(["y"], [1.0], ([row + 1], [0], [1.0]))
+        lp.add_columns([1.0], ([row + 1], [0], [1.0]))
     with pytest.raises(LpError):
-        lp.add_columns(["y"], [1.0], ([row], [0], [math.nan]))
+        lp.add_columns([1.0], ([row], [0], [math.nan]))
     with pytest.raises(LpError):
-        lp.add_columns(["y"], [1.0], ([row], [1], [1.0]))  # no second new column
-    with pytest.raises(LpError):
-        lp.add_columns(["y", "w"], [1.0, 1.0], ub=[1.0, math.nan])
+        lp.add_columns([1.0], ([row], [1], [1.0]))  # no second new column
+    with pytest.raises(LpError, match="variable 2: malformed"):
+        lp.add_columns([1.0, 1.0], ub=[1.0, math.nan])
     # a malformed column or row anywhere in a block appends none of it
     with pytest.raises(LpError):
-        lp.add_columns(["y", "w"], [1.0, 1.0], ([row, row + 1], [0, 1], [2.0, 1.0]))
+        lp.add_columns([1.0, 1.0], ([row, row + 1], [0, 1], [2.0, 1.0]))
     with pytest.raises(LpError):
-        lp.add_rows(["s", "t"], [LE, GE], [1.0, 2.0], ([0, 1], [0, 1], [1.0, 1.0]))
+        lp.add_rows([LE, GE], [1.0, 2.0], ([0, 1], [0, 1], [1.0, 1.0]))
     with pytest.raises(LpError):
-        lp.add_rows(["s", "t"], [LE, "<"], [1.0, 2.0], ([0], [0], [1.0]))
+        lp.add_rows([LE, "<"], [1.0, 2.0], ([0], [0], [1.0]))
     assert (lp.n_vars, lp.n_rows, lp.nnz) == (1, 1, 1) and lp.rows[row].coeffs == [(0, 1.0)]
-    assert lp.add_columns(["y"], [1.0], ([row], [0], [2.0])) == range(1, 2)
-    assert lp.add_columns(["u", "w"], [1.0, 3.0], ([row], [1], [4.0])) == range(2, 4)
+    assert lp.add_columns([1.0], ([row], [0], [2.0])) == range(1, 2)
+    assert lp.add_columns([1.0, 3.0], ([row], [1], [4.0])) == range(2, 4)
     assert lp.rows[row].coeffs == [(0, 1.0), (1, 2.0), (3, 4.0)]
-    assert lp.col_names == ["x", "y", "u", "w"] and lp.obj.tolist() == [0.0, 1.0, 1.0, 3.0]
+    assert lp.n_vars == 4 and lp.obj.tolist() == [0.0, 1.0, 1.0, 3.0]
 
 
 # -- oracle batteries ---------------------------------------------------------
@@ -400,7 +400,7 @@ def program_lp(spec):
     variables, rows = spec
     lp = LinearProgram()
     for j, (lb, ub, obj, is_int) in enumerate(variables):
-        add_variable(lp, f"x{j}", lb, ub, obj, is_int)
+        add_variable(lp, lb, ub, obj, is_int)
     for coeffs, rel, rhs in rows:
         add_constraint(lp, coeffs, rel, rhs)
     return lp
@@ -525,7 +525,7 @@ def column_wise(spec, cuts):
     entries in row order and, within a row, in the row's order."""
     variables, rows = spec
     lp = LinearProgram()
-    lp.add_rows([f"r{i}" for i in range(len(rows))], [r[1] for r in rows], [r[2] for r in rows])
+    lp.add_rows([r[1] for r in rows], [r[2] for r in rows])
     entries = sorted(
         ((j, i, a) for i, (coeffs, _, _) in enumerate(rows) for j, a in coeffs),
         key=lambda e: e[0],
@@ -535,7 +535,6 @@ def column_wise(spec, cuts):
         batch = [e for e in entries if lo <= e[0] < hi]
         lb, ub, obj, is_int = (list(f) for f in zip(*variables[lo:hi]))
         lp.add_columns(
-            [f"x{j}" for j in range(lo, hi)],
             obj,
             ([i for _, i, _ in batch], [j - lo for j, _, _ in batch], [a for _, _, a in batch]),
             lb=lb,
@@ -574,7 +573,7 @@ def test_row_wise_and_column_wise_entry_give_one_program(spec, cuts):
     column, in one batch or several, hand HiGHS the same arrays, in linprog's
     row order and in program order, and solve to the same bits."""
     by_row, by_col = program_lp(spec), column_wise(spec, cuts)
-    assert by_row.col_names == by_col.col_names
+    assert by_row.n_vars == by_col.n_vars
     assert by_row.relation.tolist() == by_col.relation.tolist()
     for order, integer in (
         (np.argsort(by_row.relation == EQ, kind="stable"), False),
