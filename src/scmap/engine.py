@@ -294,7 +294,7 @@ def run_column_generation(
     if cut:
         raise cut
     model = build_rmp(instance, partitions, cis)
-    # fallback columns: a co-located configuration at every NFV node where it
+    # fallback columns: each chain instance whole at every NFV node where it
     # fits, so the integer stage has every one-host choice that exists
     add_colocated_columns(model)
 
@@ -322,11 +322,11 @@ def run_column_generation(
                 raise _no_placement(instance, ci) from exc
             if priced is None:
                 continue
-            config, reduced = priced
+            locations, segments, reduced = priced
             best_rc = min(best_rc, reduced)
             lagrangian += reduced
             before = len(model.pool)
-            add_column(model, config)
+            add_column(model, ci, locations, segments)
             if len(model.pool) > before:
                 added += 1
                 pool_dirty = True
@@ -498,7 +498,7 @@ def _plan_sums(model: RmpModel, chosen: list) -> tuple[dict, dict, tuple]:
     loads = _spread(paths.nxt, carried)
     seg_arcs, seg_gbps = [], []
     for ci, p in zip(model.chain_instances, chosen):
-        for seg in model.pool[p].segment_paths:
+        for seg in model.pool[p]:
             seg_arcs += [ix[u] * n + ix[w] for u, w in seg]
             seg_gbps += [ci.total_gbps] * len(seg)
     loads += np.bincount(
@@ -533,16 +533,18 @@ def _decode(
     instance: ProblemInstance, model: RmpModel, chosen: list, point=None
 ) -> MappingPlan:
     """The plan that selects pool positions `chosen`, one per chain
-    instance in instance order. With an integer `point` of the master or
-    its full program, each end is routed by that point's end flows, and the
-    sums walk those routes (`_aggregate`). Without one, each end takes its
-    hop-shortest path, the hop table's own route tuple, and the sums come
-    from the model's arrays (`_plan_sums`)."""
+    instance in instance order, each at its `z_loc` row (up to its chain's
+    length) joined by its `pool` routes. With an integer `point` of the
+    master or its full program, each end is routed by that point's end
+    flows, and the sums walk those routes (`_aggregate`). Without one, each
+    end takes its hop-shortest path, the hop table's own route tuple, and
+    the sums come from the model's arrays (`_plan_sums`)."""
     paths = all_pairs_hops(instance.topology)
+    nfv = instance.topology.nfv_nodes
     assignments = []
-    for ci, p in zip(model.chain_instances, chosen):
-        config = model.pool[p]
-        head, tail = config.locations[0], config.locations[-1]
+    for ci, p, loc in zip(model.chain_instances, chosen, model.z_loc[chosen].tolist()):
+        locations = tuple(nfv[v] for v in loc[: len(ci.vnfs)])
+        head, tail = locations[0], locations[-1]
         if point is not None:
             first = _end_routes(model, point, ci, head, lead_in=True)
             last = _end_routes(model, point, ci, tail, lead_in=False)
@@ -556,8 +558,8 @@ def _decode(
             InstanceAssignment(
                 chain=ci.chain,
                 group_index=ci.group_index,
-                locations=config.locations,
-                segment_paths=config.segment_paths,
+                locations=locations,
+                segment_paths=model.pool[p],
                 routes=tuple(routes),
             )
         )
@@ -983,8 +985,15 @@ def _violations(instance: ProblemInstance, plan: MappingPlan, aggregate) -> list
 # -- plan serialization -------------------------------------------------------
 
 
+def _list(value, where: str) -> list:
+    """`value`, which a plan document holds as a JSON list at `where`."""
+    if not isinstance(value, list):
+        raise TypeError(f"{where} must be a list, got {value!r}")
+    return value
+
+
 def _nodes_to_arcs(nodes: list, where: str, known: dict) -> tuple:
-    for v in nodes:
+    for v in _list(nodes, where):
         if v not in known:
             raise EngineError(f"{where}: unknown node {v!r}")
     return tuple(zip(nodes, nodes[1:]))
@@ -1038,15 +1047,15 @@ def plan_from_json(text: str, instance: ProblemInstance) -> MappingPlan:
     part = "instances"  # the field being read, for the message
     try:
         assignments = []
-        for entry in doc["instances"]:
+        for entry in _list(doc["instances"], "instances"):
             label = f"{entry['chain']}/{entry['group_index']}"
-            locations = tuple(entry["locations"])
+            locations = tuple(_list(entry["locations"], f"{label} locations"))
             for v in locations:
                 if v not in known:
                     raise EngineError(f"{label}: unknown location node {v!r}")
             segments = tuple(
                 _nodes_to_arcs(seg, f"{label} segment {i}", known)
-                for i, seg in enumerate(entry["segments"])
+                for i, seg in enumerate(_list(entry["segments"], f"{label} segments"))
             )
             routes = tuple(
                 PairRoute(
@@ -1059,7 +1068,7 @@ def plan_from_json(text: str, instance: ProblemInstance) -> MappingPlan:
                         p["last_route"], f"{label} {p['src']}->{p['dst']} lead-out", known
                     ),
                 )
-                for p in entry["pairs"]
+                for p in _list(entry["pairs"], f"{label} pairs")
             )
             for r in routes:
                 for v in (r.src, r.dst):

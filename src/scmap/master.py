@@ -1,6 +1,8 @@
-"""Restricted master problem over a growing configuration pool.
+"""Restricted master problem over a growing column pool.
 
-The master selects one configuration per chain instance. It takes one of
+A column is one placement of a chain instance: the NFV node of each
+position and the arc route of each segment between consecutive positions.
+The master selects one column per chain instance. It takes one of
 two shapes, fixed by `build_rmp` from the worst-case arc load W = sum over
 demands of gbps * (chain length + 1), which bounds what any plan of simple
 paths can put on one arc:
@@ -32,14 +34,14 @@ artificials, the capacity rows and positive-cost cycles the end flows. With
 no bound multipliers the row duals are dual feasible, so a pricing round
 that finds no improving column certifies the LP optimum.
 
-Only self-feasible columns are pooled: a configuration whose own core use
+Only self-feasible columns are pooled: a column whose own core use
 exceeds some node's cores can never be part of an integer plan, so
-`add_column` refuses it (Dantzig-Wolfe convexifies only the subproblem's
+`_pool` refuses it (Dantzig-Wolfe convexifies only the subproblem's
 feasible set). Phase I is one penalised artificial column per chain
 instance that stands for the instance left unserved: it fills the
 instance's convexity row and, on an arc-flow master, the source rows of its
 lead-ins and the sink rows of its lead-outs. So the master is feasible with
-no configuration column at all, and needs no seed. An artificial never
+no placement column at all, and needs no seed. An artificial never
 enters the integer selection, and since every plan is feasible with it at
 zero, the LP value still bounds every plan from below.
 
@@ -55,12 +57,14 @@ on an arc-flow master, the capacity rows (one per arc) are contiguous from
 row 0 in that order, the ranges `conv_row`, `core_row` and `cap_row`; each
 end commodity's flow rows follow, every lead-in's before any lead-out's.
 
-Every z column enters through `_pool`, which derives the objectives and
-row coefficients of a batch of configurations at once (`column_terms`):
-first the one-host columns (`add_colocated_columns`, one batch), then the
-pricer's (`add_column`, one each). Rows never change shape after
-`build_rmp`, so duals keep stable meaning across iterations, and the
-pool's arrays (`z_obj`, `z_ci`, `z_loc`) are the z columns' only index.
+So is the pool: pool position p, column `z0 + p`, is its row of `z_obj`,
+`z_ci` and `z_loc` (objective, chain instance, NFV node of each position)
+and its segment routes `pool[p]`, nothing more. Every z column enters
+through `_pool`, which derives a batch's objectives and coefficients from
+those arrays (`column_terms`) and keeps the columns whose core-row
+coefficients fit: first the one-host block (`add_colocated_columns`),
+then the pricer's columns (`add_column`, one each). Rows never change
+shape after `build_rmp`, so duals keep stable meaning across iterations.
 
 When no core row binds, the compact master's relaxation separates: each
 chain instance takes its cheapest pooled column, the lowest pool position
@@ -116,27 +120,7 @@ DUAL_SIGN_TOL = 1e-5
 
 
 class MasterError(RuntimeError):
-    """Structural misuse (a bad configuration) or an unsolved relaxation."""
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """One candidate mapping for a chain instance.
-
-    `locations[i]` hosts position i of the chain; `segment_paths[i]` is the
-    arc path from locations[i] to locations[i+1], empty iff co-located.
-    `cost` is the group's total demand times the summed segment hop count.
-    """
-
-    chain: str
-    group_index: int
-    locations: tuple[str, ...]
-    segment_paths: tuple[tuple[Arc, ...], ...]
-    cost: float
-
-    @property
-    def key(self) -> tuple:
-        return (self.chain, self.group_index, self.locations, self.segment_paths)
+    """Structural misuse (a bad column) or an unsolved relaxation."""
 
 
 @dataclass(frozen=True)
@@ -152,10 +136,6 @@ class ChainInstance:
     demand: dict  # pair -> gbps
     total_gbps: float
     index: int
-
-    @property
-    def key(self) -> tuple[str, int]:
-        return (self.chain, self.group_index)
 
     @property
     def label(self) -> str:
@@ -223,7 +203,8 @@ class RmpModel:
     gbps: np.ndarray
     # pooled z columns by pool position p, the LP variable z0 + p: objective,
     # chain instance index, and the NFV-node index of each position, padded
-    # with the last one
+    # with the last one; `pool[p]` is its segment routes, one arc tuple per
+    # segment
     z_obj: np.ndarray
     z_ci: np.ndarray
     z_loc: np.ndarray
@@ -242,14 +223,12 @@ class RmpModel:
     end_entries: tuple = ()
     pool: list = field(default_factory=list)
     nfv_index: dict = field(default_factory=dict)  # NFV node -> v
-    config_index: dict = field(default_factory=dict)  # Configuration.key -> LP variable
     # one per (chain instance, source, gbps) for lead-ins and one per (chain
     # instance, destination, gbps) for lead-outs; none on a compact master
     ends: list = field(default_factory=list)
     conv_row: range = range(0)  # [i] -> row
     core_row: range = range(0)  # [v] -> row
     cap_row: range = range(0)  # [a] -> row; none on a compact master
-    by_key: dict = field(default_factory=dict)  # key -> ChainInstance
     last_relaxation: Optional[LpSolution] = None
     truncated_bound: Optional[float] = None  # set by a column generation cut short
 
@@ -286,22 +265,6 @@ def chain_instances(
     return tuple(out)
 
 
-def make_configuration(
-    chain_instance: ChainInstance,
-    locations: tuple[str, ...],
-    segment_paths: tuple[tuple[Arc, ...], ...],
-) -> Configuration:
-    """Build a Configuration with its cost derived, not caller-supplied."""
-    hops = sum(len(p) for p in segment_paths)
-    return Configuration(
-        chain=chain_instance.chain,
-        group_index=chain_instance.group_index,
-        locations=tuple(locations),
-        segment_paths=tuple(tuple(p) for p in segment_paths),
-        cost=chain_instance.total_gbps * hops,
-    )
-
-
 def placement_faults(
     instance: ProblemInstance, chain: str, locations, segment_paths, label: str
 ) -> Iterable[tuple[str, str]]:
@@ -329,25 +292,6 @@ def placement_faults(
             yield "contiguity", f"{label} segment {i}: {fault}"
 
 
-def validate_configuration(
-    instance: ProblemInstance, chain_instance: ChainInstance, config: Configuration
-) -> None:
-    if (config.chain, config.group_index) != chain_instance.key:
-        raise MasterError(
-            f"configuration for {config.chain}/{config.group_index} offered to "
-            f"chain instance {chain_instance.label}"
-        )
-    for _, detail in placement_faults(
-        instance, config.chain, config.locations, config.segment_paths, chain_instance.label
-    ):
-        raise MasterError(detail)
-    want = chain_instance.total_gbps * sum(len(p) for p in config.segment_paths)
-    if abs(config.cost - want) > 1e-9 * max(1.0, abs(want)):
-        raise MasterError(
-            f"{chain_instance.label}: stored cost {config.cost} != recomputed {want}"
-        )
-
-
 def worst_case_load(instance: ProblemInstance) -> float:
     """Most Gbps any plan of simple paths can put on one arc: each demand
     crosses an arc at most once per segment of its chain, and it has
@@ -364,15 +308,6 @@ def position_rates(instance: ProblemInstance, cis) -> np.ndarray:
     for ci in cis:
         rate[ci.index, : len(ci.vnfs)] = instance.chain_cores_per_gbps(ci.chain)
     return rate
-
-
-def fits(instance: ProblemInstance, ci: ChainInstance, locations: tuple) -> bool:
-    """Whether `ci` placed at `locations` fits every node's cores on its own."""
-    use: dict = {}
-    for v, rate in zip(locations, instance.chain_cores_per_gbps(ci.chain)):
-        use[v] = use.get(v, 0.0) + ci.total_gbps * rate
-    node = instance.topology.node_by_id
-    return all(u <= node[v].cores + FIT_TOL for v, u in use.items())
 
 
 def _end_commodities(ci: ChainInstance, lead_in: bool) -> list:
@@ -435,7 +370,7 @@ def build_rmp(
     cis: Optional[tuple[ChainInstance, ...]] = None,
 ) -> RmpModel:
     """Pick the master's shape and assemble its artificial columns, rows and
-    static columns. Configuration columns arrive through `_pool` after it.
+    static columns. The z columns arrive through `_pool` after it.
     `cis`, when given, is `chain_instances(instance, partitions)`, which
     the caller already has."""
     topo = instance.topology
@@ -468,7 +403,6 @@ def build_rmp(
         pair_dst=pair_dst,
         pair_gbps=pair_gbps,
         compact=all(a.capacity_gbps >= worst for a in topo.arcs),
-        by_key={ci.key: ci for ci in cis},
         nfv_index={v: j for j, v in enumerate(nfv)},
     )
     # Gbps-hops from every source to each NFV node and from each NFV node to
@@ -490,7 +424,7 @@ def build_rmp(
         model.end_cost[block, last[block]] += (by_dst[block, :, None] * hops_out).sum(axis=1)
 
     # Phase I: the artificial of chain instance i, column i, stands for the
-    # instance left unserved at a cost above any configuration's (module
+    # instance left unserved at a cost above any column's (module
     # docstring): n + 1 segments of at most |V| - 1 hops carry its rate
     lp.add_columns([ci.total_gbps * (len(ci.vnfs) + 1) * (n - 1) + 1.0 for ci in cis])
     # convexity rows, each with its instance's artificial, and core rows
@@ -535,28 +469,25 @@ def _build_arc_flow_rows(model: RmpModel) -> None:
     model.end_entries = (flat[order], rows[order], coefs[order])
 
 
-def column_terms(model: RmpModel, configs: list) -> tuple:
-    """The z columns of `configs`: their objectives, chain instance indices
-    and NFV-node rows (as `RmpModel.z_obj`, `z_ci` and `z_loc` hold them),
-    and their entries as (row, index in `configs`, coefficient) arrays, by column.
+def column_terms(model: RmpModel, ci: np.ndarray, loc: np.ndarray, segments: list) -> tuple:
+    """The z columns placing chain instance `ci[j]` at NFV-node row
+    `loc[j]` (as `RmpModel.z_ci` and `z_loc` hold them) with segment routes
+    `segments[j]`: their objectives, and their entries as (row, j,
+    coefficient) arrays, by column.
 
-    A column costs its segments plus the end costs of its positions. It
-    carries 1 in its instance's convexity row; in the core row of each node
-    it uses, the instance's Gbps times the cores per Gbps of its positions
-    there, summed in position order (no entry where that is 0); and on an
-    arc-flow master, the Gbps times the number of its segments crossing
-    each arc in that arc's capacity row, and the end-flow coefficients of
-    its positions (`end_entries`).
+    A column costs its instance's Gbps times its segments' hops plus the
+    end costs of its positions. It carries 1 in its instance's convexity
+    row; in the core row of each node it uses, the instance's Gbps times
+    the cores per Gbps of its positions there, summed in position order (no
+    entry where that is 0); and on an arc-flow master, the Gbps times the
+    number of its segments crossing each arc in that arc's capacity row,
+    and the end-flow coefficients of its positions (`end_entries`).
     """
-    at = model.nfv_index
-    width = model.z_loc.shape[1]
-    ci = np.array([model.by_key[c.chain, c.group_index].index for c in configs], dtype=np.int64)
-    loc = [[at[v] for v in c.locations] for c in configs]
-    loc = np.array([row + row[-1:] * (width - len(row)) for row in loc], dtype=np.int64)
-    col = np.arange(len(configs))
+    width = loc.shape[1]
+    col = np.arange(len(ci))
     pos = np.arange(width)
-    end = model.end_cost[ci[:, None], pos, loc].sum(axis=1)
-    obj = np.array([c.cost for c in configs], dtype=float) + end
+    hops = np.array([sum(map(len, segs)) for segs in segments], dtype=float)
+    obj = model.gbps[ci] * hops + model.end_cost[ci[:, None], pos, loc].sum(axis=1)
     # each position's cores go to the first position at its node
     first = (loc[:, :, None] == loc[:, None, :]).argmax(axis=2)
     use = np.zeros(loc.shape)
@@ -570,80 +501,83 @@ def column_terms(model: RmpModel, configs: list) -> tuple:
     if not model.compact:
         n_rows, arc = model.lp.n_rows, model.instance.topology.arc_index
         crossed = [k * n_rows + model.cap_row[arc[a]]
-                   for k, c in enumerate(configs) for seg in c.segment_paths for a in seg]
+                   for k, segs in enumerate(segments) for seg in segs for a in seg]
         key, count = np.unique(np.array(crossed, dtype=np.int64), return_counts=True)
         j, rows = np.divmod(key, n_rows)
         terms.append((j, rows, model.gbps[ci[j]] * count))
         flat, rows, coefs = model.end_entries
-        want = ((ci[:, None] * width + pos) * len(at) + loc).ravel()
+        want = ((ci[:, None] * width + pos) * len(model.nfv_index) + loc).ravel()
         lo = np.searchsorted(flat, want)
         n = np.searchsorted(flat, want, side="right") - lo
         take = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
         terms.append((np.repeat(col, width).repeat(n), rows[take], coefs[take]))
     j, rows, coefs = (np.concatenate(t) for t in zip(*terms))
     order = np.argsort(j, kind="stable")
-    return obj, ci, loc, (rows[order], j[order], coefs[order])
+    return obj, (rows[order], j[order], coefs[order])
 
 
-def _pool(model: RmpModel, configs: list) -> None:
-    """Append `configs` as z columns, one after another: the only way a
-    column enters the master."""
-    if not configs:
-        return
-    obj, ci, loc, entries = column_terms(model, configs)
-    zvar = model.lp.add_columns(obj, entries)
-    model.config_index.update(zip((c.key for c in configs), zvar))
-    model.z_obj = np.concatenate((model.z_obj, obj))
-    model.z_ci = np.concatenate((model.z_ci, ci))
-    model.z_loc = np.concatenate((model.z_loc, loc))
-    model.pool += configs
+def _pool(model: RmpModel, ci: np.ndarray, loc: np.ndarray, segments: list) -> np.ndarray:
+    """Append, in order, those of the columns of `column_terms` that fit the
+    nodes' cores on their own, and return which ones fit: the only way a
+    column enters the master. A column fits when none of its core-row
+    coefficients exceeds the row's cores by more than `FIT_TOL`; one that
+    does not can never be part of an integer plan."""
+    obj, (rows, j, coefs) = column_terms(model, ci, loc, segments)
+    core = model.core_row
+    over = (rows >= core.start) & (rows < core.stop)
+    over[over] = coefs[over] > model.lp.rhs[rows[over]] + FIT_TOL
+    fit = np.ones(len(ci), dtype=bool)
+    fit[j[over]] = False
+    keep = fit[j]
+    column = np.cumsum(fit) - 1
+    model.lp.add_columns(obj[fit], (rows[keep], column[j[keep]], coefs[keep]))
+    model.z_obj = np.concatenate((model.z_obj, obj[fit]))
+    model.z_ci = np.concatenate((model.z_ci, ci[fit]))
+    model.z_loc = np.concatenate((model.z_loc, loc[fit]))
+    model.pool += [s for s, f in zip(segments, fit.tolist()) if f]
+    return fit
 
 
-def add_column(model: RmpModel, config: Configuration) -> int:
-    """Append one z column and return its variable; exact duplicates return
-    the existing variable.
+def add_column(model: RmpModel, ci: ChainInstance, locations, segments) -> int:
+    """Pool chain instance `ci` at `locations` (NFV node ids, one per
+    position) joined by `segments` (one arc route per consecutive pair) as
+    a z column and return its variable; an exact duplicate, same instance,
+    locations and routes, returns the existing variable.
 
-    A configuration that does not fit the nodes' cores on its own is
-    refused: no integer plan can select it.
+    A placement that `placement_faults` rejects, or that does not fit the
+    nodes' cores on its own, is refused: no integer plan can select it.
     """
-    key = (config.chain, config.group_index)
-    try:
-        ci = model.by_key[key]
-    except KeyError:
-        raise MasterError(f"no chain instance {key} in this model") from None
-    validate_configuration(model.instance, ci, config)
-    existing = model.config_index.get(config.key)
-    if existing is not None:
-        return existing
-    if not fits(model.instance, ci, config.locations):
+    cis = model.chain_instances
+    if not 0 <= ci.index < len(cis) or cis[ci.index] != ci:
+        raise MasterError(f"no chain instance {ci.label} in this model")
+    locations, segments = tuple(locations), tuple(map(tuple, segments))
+    for _, detail in placement_faults(model.instance, ci.chain, locations, segments, ci.label):
+        raise MasterError(detail)
+    row = [model.nfv_index[v] for v in locations]
+    loc = np.array([row + row[-1:] * (model.z_loc.shape[1] - len(row))], dtype=np.int64)
+    same = (model.z_ci == ci.index) & (model.z_loc == loc).all(axis=1)
+    for p in np.flatnonzero(same).tolist():
+        if model.pool[p] == segments:
+            return model.z0 + p
+    if not _pool(model, np.array([ci.index]), loc, [segments])[0]:
         raise MasterError(
-            f"{ci.label}: configuration at {config.locations} does not fit the "
-            f"nodes' cores on its own"
+            f"{ci.label}: column at {locations} does not fit the nodes' cores on its own"
         )
-    _pool(model, [config])
     return model.z0 + len(model.pool) - 1
 
 
 def add_colocated_columns(model: RmpModel) -> None:
     """Pool every one-host column that fits into a master with no column
     yet: each chain instance, in order, placed whole on each NFV node, in
-    order, whose cores take it. A one-host column is valid by construction,
-    and fits where the instance's whole need, summed as `fits` sums it, is
-    within the node's cores."""
+    order, whose cores take it (`_pool`). A one-host column is valid by
+    construction."""
     if model.pool:
         raise MasterError("one-host columns go into a master with no column yet")
-    nfv = model.instance.topology.nfv_nodes
-    need = np.zeros(len(model.chain_instances))
-    for p in range(model.rate.shape[1]):
-        need += model.gbps * model.rate[:, p]
-    owner, host = np.nonzero(need[:, None] <= node_cores(model) + FIT_TOL)
-    configs = []
-    for i, v in zip(owner.tolist(), host.tolist()):
-        ci = model.chain_instances[i]
-        n = len(ci.vnfs)
-        config = Configuration(ci.chain, ci.group_index, (nfv[v],) * n, ((),) * (n - 1), 0.0)
-        configs.append(config)
-    _pool(model, configs)
+    n_ci, width = model.rate.shape
+    owner, host = np.divmod(np.arange(n_ci * len(model.nfv_index)), len(model.nfv_index))
+    loc = np.repeat(host[:, None], width, axis=1)
+    empty = [((),) * (len(ci.vnfs) - 1) for ci in model.chain_instances]
+    _pool(model, owner, loc, [empty[i] for i in owner.tolist()])
 
 
 def core_loads(model: RmpModel, chosen) -> np.ndarray:

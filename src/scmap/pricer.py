@@ -1,5 +1,5 @@
-"""Exact pricing: the minimum-reduced-cost self-feasible configuration per
-chain instance.
+"""Exact pricing: the minimum-reduced-cost self-feasible column per chain
+instance.
 
 The reduced cost decomposes additively: each position i at node v pays
 -(core_dual_v * D * cores_per_gbps(f_i)) - end_charge, and each segment pays
@@ -31,9 +31,7 @@ from .master import (
     ARRAY_BLOCK,
     FIT_TOL,
     ChainInstance,
-    Configuration,
     DualPrices,
-    make_configuration,
     position_rates,
 )
 from .netmodel import ProblemInstance
@@ -192,13 +190,15 @@ def _fitting_argmin(
 
 def best_configuration(
     instance: ProblemInstance, chain_instance: ChainInstance, pricing: PricingRound
-) -> tuple[Configuration, float]:
-    """Exact reduced-cost minimizer over the self-feasible configurations of
-    one chain instance, with its reduced cost, under the round `pricing`.
+) -> tuple[tuple, tuple, float]:
+    """Exact reduced-cost minimizer over the self-feasible columns of one
+    chain instance under the round `pricing`: its locations (NFV node ids,
+    one per position), its segment routes (one arc tuple per consecutive
+    pair of locations) and its reduced cost.
 
     Among placements of equal reduced cost the one whose tuple of NFV-node
     indices is lexicographically smallest wins, so repeated calls under
-    equal duals return the same configuration. Raises PricerError when no
+    equal duals return the same column. Raises PricerError when no
     location tuple fits the nodes' cores.
     """
     ci = chain_instance
@@ -217,16 +217,13 @@ def best_configuration(
         raise PricerError(f"{ci.label}: no placement fits the nodes' cores")
     locations = tuple(nfv[v] for v in picked)
     segments = tuple(table.path(u, w) for u, w in zip(locations, locations[1:]))
-    config = make_configuration(ci, locations, segments)
-    return config, cost - float(pricing.convexity[i])
+    return locations, segments, cost - float(pricing.convexity[i])
 
 
 def price_chain_instance(
     instance: ProblemInstance, chain_instance: ChainInstance, pricing: PricingRound
-) -> Optional[tuple[Configuration, float]]:
-    """Return an improving configuration and its reduced cost, or None when
-    none prices out."""
-    config, reduced = best_configuration(instance, chain_instance, pricing)
-    if reduced >= -EPS:
-        return None
-    return config, reduced
+) -> Optional[tuple[tuple, tuple, float]]:
+    """Return an improving column, as `best_configuration` gives it, or
+    None when none prices out."""
+    priced = best_configuration(instance, chain_instance, pricing)
+    return None if priced[2] >= -EPS else priced

@@ -3,17 +3,12 @@ the solver against, and the grouping's cluster lookup and JSON dump."""
 
 import itertools
 import json
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from scmap.master import (
-    ChainInstance,
-    Configuration,
-    DualPrices,
-    RmpModel,
-    make_configuration,
-)
+from scmap.master import FIT_TOL, ChainInstance, DualPrices, RmpModel, add_column
 from scmap.netmodel import ProblemInstance
 from scmap.pathcore import PathTable, all_pairs_hops
 from scmap.sptg import ChainPartition, Group, _cover_entries, node_ends
@@ -35,11 +30,56 @@ def simple_paths(out_arcs: dict, src: str, dst: str) -> list:
     return sorted(out, key=lambda p: (len(p), p))
 
 
+class Column(NamedTuple):
+    """A chain instance's placement as the tests list it: the NFV node of
+    each position, the arc route of each segment, and the segment cost (the
+    instance's Gbps times the segments' hops)."""
+
+    locations: tuple
+    segments: tuple
+    cost: float
+
+
+def column(chain_instance: ChainInstance, locations, segments) -> Column:
+    """`Column` with its cost derived from the routes."""
+    hops = sum(len(seg) for seg in segments)
+    return Column(tuple(locations), tuple(segments), chain_instance.total_gbps * hops)
+
+
+def colocated(chain_instance: ChainInstance, node: str) -> Column:
+    """The chain instance whole at `node`."""
+    n = len(chain_instance.vnfs)
+    return column(chain_instance, (node,) * n, ((),) * (n - 1))
+
+
+def pool(model: RmpModel, chain_instance: ChainInstance, col: Column) -> int:
+    """`master.add_column` of `col`."""
+    return add_column(model, chain_instance, col.locations, col.segments)
+
+
+def pooled(model: RmpModel, p: int) -> tuple[ChainInstance, Column]:
+    """The chain instance and `Column` of pool position p, read back off the
+    pool's arrays and routes."""
+    ci = model.chain_instances[model.z_ci[p]]
+    nfv = model.instance.topology.nfv_nodes
+    return ci, column(ci, (nfv[v] for v in model.z_loc[p, : len(ci.vnfs)]), model.pool[p])
+
+
+def fits(instance: ProblemInstance, chain_instance: ChainInstance, locations) -> bool:
+    """Whether the chain instance at `locations` fits every node's cores
+    on its own, its core use summed per position."""
+    use: dict = {}
+    for v, rate in zip(locations, instance.chain_cores_per_gbps(chain_instance.chain)):
+        use[v] = use.get(v, 0.0) + chain_instance.total_gbps * rate
+    node = instance.topology.node_by_id
+    return all(u <= node[v].cores + FIT_TOL for v, u in use.items())
+
+
 def enumerate_all_configs(
     instance: ProblemInstance, chain_instance: ChainInstance
-) -> list[Configuration]:
-    """Every configuration with simple segment paths; raises ValueError past
-    7 nodes or 3 positions."""
+) -> list[Column]:
+    """Every placement with simple segment paths; raises ValueError past 7
+    nodes or 3 positions."""
     topo = instance.topology
     n = len(chain_instance.vnfs)
     if len(topo.nodes) > 7:
@@ -55,7 +95,7 @@ def enumerate_all_configs(
 
     def expand(locations: tuple, segments: tuple) -> list:
         if len(locations) == n:
-            return [make_configuration(chain_instance, locations, segments)]
+            return [column(chain_instance, locations, segments)]
         out = []
         for v in topo.nfv_nodes:
             if not locations:
@@ -160,17 +200,18 @@ def reference_partition(instance: ProblemInstance, chain: str, paths: PathTable,
     return ChainPartition(chain=chain, groups=groups)
 
 
-def reduced_cost_of(model: RmpModel, duals: DualPrices, config: Configuration) -> float:
+def reduced_cost_of(
+    model: RmpModel, duals: DualPrices, ci: ChainInstance, col: Column
+) -> float:
     """Recompute a column's reduced cost from its row coefficients; its end
     cost and end-flow rows enter through `duals.end`."""
-    ci = model.by_key[(config.chain, config.group_index)]
-    rc = config.cost - duals.convexity[ci.index]
+    rc = col.cost - duals.convexity[ci.index]
     per_gbps = model.instance.chain_cores_per_gbps(ci.chain)
-    for pos, v in enumerate(config.locations):
+    for pos, v in enumerate(col.locations):
         rc -= duals.core[model.nfv_index[v]] * ci.total_gbps * per_gbps[pos]
         rc -= duals.end[ci.index, pos, model.nfv_index[v]]
     arc_index = model.instance.topology.arc_index
-    for seg in config.segment_paths:
+    for seg in col.segments:
         for arc in seg:
             rc -= duals.capacity[arc_index[arc]] * ci.total_gbps
     return rc

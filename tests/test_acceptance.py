@@ -176,7 +176,7 @@ def test_criterion_6_pricing_exactness():
         ci = chain_instances(inst, partition_all(inst))[0]
         duals = random_duals(rng, inst, ci)
         pricing = price_round(inst, [ci], duals, segment_cost_table(inst, duals))
-        _, reduced = best_configuration(inst, ci, pricing)
+        *_, reduced = best_configuration(inst, ci, pricing)
         best = min(
             brute_force_total(inst, ci, duals, c)
             for c in enumerate_all_configs(inst, ci)

@@ -414,6 +414,16 @@ def add_row(field):
     return lambda text: text.rstrip("\n") + f",{field}\n"
 
 
+def in_instance(**fields):
+    """A plan edit: `fields` set on its first instance."""
+    return lambda doc: doc["instances"][0].update(fields)
+
+
+def in_pair(**fields):
+    """A plan edit: `fields` set on the first pair of its first instance."""
+    return lambda doc: doc["instances"][0]["pairs"][0].update(fields)
+
+
 @pytest.mark.parametrize(
     "target, edit, message",
     [
@@ -428,11 +438,20 @@ def add_row(field):
         ("plan", lambda doc: doc.update(instances=5), ": malformed plan document at instances: "),
         ("plan", lambda doc: doc.update(nodes=[]), ": malformed plan document at nodes: "),
         ("plan", lambda doc: doc.update(gap=[]), " at objective_gbps_hops, lp_bound and gap: "),
+        ("plan", lambda doc: doc.update(instances={}), " at instances: TypeError('instances must"),
+        ("plan", in_instance(locations="a"), "TypeError(\"c1/0 locations must be a list, got 'a'"),
+        ("plan", in_instance(segments="ab"), "TypeError(\"c1/0 segments must be a list, got 'ab'"),
+        ("plan", in_instance(segments=["ab"]), "TypeError(\"c1/0 segment 0 must be a list, got"),
+        ("plan", in_instance(pairs={}), " at instances: TypeError('c1/0 pairs must be a list"),
+        ("plan", in_pair(first_route="ba"), "TypeError(\"c1/0 a->b lead-in must be a list"),
+        ("plan", in_pair(last_route="ab"), "TypeError(\"c1/0 a->b lead-out must be a list"),
     ],
     ids=[
         "nodes-of-numbers", "nodes-a-number", "links-of-lists", "vnfs-of-numbers",
         "chains-an-object", "long-demand-row", "short-demand-row", "arc-loads-a-list",
-        "instances-a-number", "nodes-a-list", "gap-a-list",
+        "instances-a-number", "nodes-a-list", "gap-a-list", "instances-an-object",
+        "locations-a-string", "segments-a-string", "segment-a-string", "pairs-an-object",
+        "first-route-a-string", "last-route-a-string",
     ],
 )
 def test_input_of_the_wrong_shape_exits_1(target, edit, message, triangle_flags, tmp_path, capsys):

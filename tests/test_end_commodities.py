@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from brute_force import enumerate_all_configs, grouping_free_optimum, simple_paths
+from brute_force import enumerate_all_configs, fits, grouping_free_optimum, pool, simple_paths
 from conftest import (
     build_instance,
     random_connected_instance,
@@ -21,14 +21,7 @@ from scmap import engine
 from scmap.fixturedata import cost239_files, nsfnet_files, triangle_files
 from scmap.netmodel import load_instance
 from scmap.pathcore import all_pairs_hops
-from scmap.master import (
-    add_column,
-    build_rmp,
-    chain_instances,
-    fits,
-    solve_relaxation,
-    worst_case_load,
-)
+from scmap.master import build_rmp, chain_instances, solve_relaxation, worst_case_load
 from scmap.sptg import partition_all
 
 
@@ -117,7 +110,7 @@ def oracle(instance, chain_instances):
                 use[v] = use.get(v, 0.0) + ci.total_gbps * per_gbps[pos]
             for v, u in use.items():
                 cores[v] = cores.get(v, 0.0) + u
-            arcs = [arc for seg in config.segment_paths for arc in seg]
+            arcs = [arc for seg in config.segments for arc in seg]
             fits = push(arcs, ci.total_gbps) and all(
                 cores[v] <= topo.node_by_id[v].cores + 1e-9 for v in use
             )
@@ -152,15 +145,15 @@ def full_pool_verdicts(instance, ks):
     configuration: no plan exists then)."""
     parts = partition_all(instance)
     cis = chain_instances(instance, parts)
-    pool = [
-        c for ci in cis for c in enumerate_all_configs(instance, ci)
+    columns = [
+        (ci, c) for ci in cis for c in enumerate_all_configs(instance, ci)
         if fits(instance, ci, c.locations)
     ]
-    if {(c.chain, c.group_index) for c in pool} != {ci.key for ci in cis}:
+    if {ci.index for ci, _ in columns} != set(range(len(cis))):
         return None, {k: None for k in ks}
     model = build_rmp(instance, parts)
-    for config in pool:
-        add_column(model, config)
+    for ci, col in columns:
+        pool(model, ci, col)
     solve_relaxation(model)
     out = {}
     for k in ks:

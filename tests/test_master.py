@@ -1,7 +1,17 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
-from brute_force import enumerate_all_configs, reduced_cost_of
+from brute_force import (
+    colocated,
+    column,
+    enumerate_all_configs,
+    fits,
+    pool,
+    pooled,
+    reduced_cost_of,
+)
 from conftest import build_instance, with_capacity, with_cores, with_k
 from test_relaxation import core_bound
 
@@ -14,8 +24,6 @@ from scmap.master import (
     build_rmp,
     chain_instances,
     column_terms,
-    fits,
-    make_configuration,
     solve_relaxation,
     worst_case_load,
 )
@@ -28,16 +36,11 @@ from scmap.simplexkit.model import Row
 from scmap.sptg import partition_all
 
 
-def colocated(ci, node):
-    n = len(ci.vnfs)
-    return make_configuration(ci, (node,) * n, ((),) * (n - 1))
-
-
 def seeded_model(instance, seed_nodes=("a",)):
     parts = partition_all(instance)
     model = build_rmp(instance, parts)
     for i, ci in enumerate(model.chain_instances):
-        add_column(model, colocated(ci, seed_nodes[i % len(seed_nodes)]))
+        pool(model, ci, colocated(ci, seed_nodes[i % len(seed_nodes)]))
     return model
 
 
@@ -46,12 +49,19 @@ def triangle():
     return load_instance(*triangle_files(), k=3, nc=1)
 
 
-def column_cost(model, config):
-    return column_terms(model, [config])[0][0]
+def terms(model, ci, col):
+    """`column_terms` of `col` alone."""
+    row = [model.nfv_index[v] for v in col.locations]
+    loc = np.array([row + row[-1:] * (model.z_loc.shape[1] - len(row))])
+    return column_terms(model, np.array([ci.index]), loc, [col.segments])
 
 
-def column_coefficients(model, config):
-    rows, _, coefs = column_terms(model, [config])[3]
+def column_cost(model, ci, col):
+    return terms(model, ci, col)[0][0]
+
+
+def column_coefficients(model, ci, col):
+    rows, _, coefs = terms(model, ci, col)[1]
     return dict(zip(rows.tolist(), coefs.tolist()))
 
 
@@ -141,7 +151,7 @@ class TestBuildRmp:
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
         model = build_rmp(inst, parts)
-        add_column(model, colocated(ci, "a"))
+        pool(model, ci, colocated(ci, "a"))
         assert not model.compact and model.ends
         sol, _ = solve_relaxation(model)
         n_arcs = len(inst.topology.arcs)
@@ -173,9 +183,18 @@ class TestAddColumn:
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
         model = build_rmp(inst, parts)
-        add_column(model, make_configuration(ci, ("a", "b"), ((("a", "b"),),)))
+        pool(model, ci, column(ci, ("a", "b"), ((("a", "b"),),)))
         with pytest.raises(MasterError, match="does not fit"):
-            add_column(model, colocated(ci, "a"))
+            pool(model, ci, colocated(ci, "a"))
+        assert len(model.pool) == 1
+        assert model.lp.n_vars == model.z0 + 1 and len(model.z_obj) == len(model.z_ci) == 1
+
+    def test_chain_instance_of_another_model_is_refused(self, triangle):
+        model = seeded_model(triangle)
+        (ci,) = model.chain_instances
+        for other in (dataclasses.replace(ci, total_gbps=2.0), dataclasses.replace(ci, index=1)):
+            with pytest.raises(MasterError, match=f"no chain instance {ci.label} in this model"):
+                pool(model, other, colocated(other, "b"))
         assert len(model.pool) == 1
 
     def test_duplicate_is_idempotent(self, triangle):
@@ -183,16 +202,43 @@ class TestAddColumn:
         (ci,) = model.chain_instances
         before_pool = len(model.pool)
         before_vars = model.lp.n_vars
-        var1 = add_column(model, colocated(ci, "a"))
+        var1 = pool(model, ci, colocated(ci, "a"))
         assert len(model.pool) == before_pool
         assert model.lp.n_vars == before_vars
         assert var1 == model.z0
+
+    def test_columns_that_differ_only_in_routes_pool_apart(self):
+        # a two-position chain on a triangle at 1.5 Gbps links, below the
+        # worst-case load of 3: an arc-flow master, where a segment's route
+        # sets the column's capacity entries, so two routes between the
+        # same locations are two columns; an exact repeat, given as lists
+        # or as tuples, returns the pooled variable and appends nothing
+        inst = build_instance(
+            ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], [("a", "b")],
+            chain_vnfs=("fw", "nat"), capacity=1.5,
+        )
+        parts = partition_all(inst)
+        (ci,) = chain_instances(inst, parts)
+        model = build_rmp(inst, parts)
+        assert not model.compact
+        direct, around = ((("a", "b"),),), ((("a", "c"), ("c", "b")),)
+        assert add_column(model, ci, ("a", "b"), direct) == model.z0
+        assert add_column(model, ci, ("a", "b"), around) == model.z0 + 1
+        assert model.pool == [direct, around]
+        assert model.z_loc[0].tolist() == model.z_loc[1].tolist()
+        assert model.z_obj.tolist() == [column_cost(model, ci, column(ci, ("a", "b"), r))
+                                        for r in (direct, around)]
+        size = (model.lp.n_vars, model.lp.nnz)
+        assert add_column(model, ci, ("a", "b"), around) == model.z0 + 1
+        assert add_column(model, ci, ["a", "b"], [[("a", "b")]]) == model.z0
+        assert (model.lp.n_vars, model.lp.nnz) == size
+        assert len(model.pool) == len(model.z_obj) == len(model.z_ci) == len(model.z_loc) == 2
 
     def test_objective_never_increases(self, triangle):
         model = seeded_model(triangle, seed_nodes=("c",))
         base, _ = solve_relaxation(model)
         (ci,) = model.chain_instances
-        add_column(model, colocated(ci, "a"))
+        pool(model, ci, colocated(ci, "a"))
         better, _ = solve_relaxation(model)
         assert better.objective <= base.objective + 1e-9
 
@@ -230,24 +276,24 @@ class TestAddColumn:
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
         model = build_rmp(inst, parts)
-        add_column(model, colocated(ci, "a"))
+        pool(model, ci, colocated(ci, "a"))
         with pytest.raises(MasterError, match=fault):
-            add_column(model, make_configuration(ci, locations, segments))
+            add_column(model, ci, locations, segments)
         assert len(model.pool) == 1
 
     def test_column_coefficient_audit(self, triangle):
         model = seeded_model(triangle)
         (ci,) = model.chain_instances
         for node in ("b", "c"):
-            add_column(model, colocated(ci, node))
-        for pos, config in enumerate(model.pool):
+            pool(model, ci, colocated(ci, node))
+        for pos in range(len(model.pool)):
             var = model.z0 + pos
             stored = {}
             for i, row in enumerate(model.lp.rows):
                 for j, a in row.coeffs:
                     if j == var:
                         stored[i] = stored.get(i, 0.0) + a
-            derived = column_coefficients(model, config)
+            derived = column_coefficients(model, *pooled(model, pos))
             assert stored == pytest.approx(derived)
 
     def test_z_meets_end_flows_only_at_end_positions(self):
@@ -272,10 +318,10 @@ class TestAddColumn:
         _, width, m = model.end_cost.shape
         assert set((model.end_entries[0] // m % width).tolist()) == {0, 2}
         assert len(model.pool) > 1
-        for pos, config in enumerate(model.pool):
+        for pos in range(len(model.pool)):
             var = model.z0 + pos
             stored = {i: a for i, row in enumerate(model.lp.rows) for j, a in row.coeffs if j == var}
-            assert stored == pytest.approx(column_coefficients(model, config))
+            assert stored == pytest.approx(column_coefficients(model, *pooled(model, pos)))
 
     def test_z_costs_the_same_on_both_shapes(self, triangle, capacitated_triangle):
         # an arc-flow end flow pays only its detour, so a z column carries
@@ -284,9 +330,9 @@ class TestAddColumn:
         arc_flow = seeded_model(capacitated_triangle)
         assert compact.compact and not arc_flow.compact
         (ci,) = compact.chain_instances
-        for config in enumerate_all_configs(triangle, ci):
-            assert column_cost(arc_flow, config) == column_cost(compact, config)
-            assert column_cost(compact, config) > config.cost
+        for col in enumerate_all_configs(triangle, ci):
+            assert column_cost(arc_flow, ci, col) == column_cost(compact, ci, col)
+            assert column_cost(compact, ci, col) > col.cost
 
 
 @pytest.mark.parametrize("shape", ["compact", "arc-flow"])
@@ -320,10 +366,12 @@ def test_pool_position_p_is_variable_z0_plus_p(shape):
     for i, row in enumerate(model.lp.rows):
         for j, a in row.coeffs:
             stored.setdefault(j, {})[i] = a
-    for p, config in enumerate(model.pool):
-        assert model.config_index[config.key] == model.z0 + p
-        assert model.lp.obj[model.z0 + p] == model.z_obj[p] == column_cost(model, config)
-        assert stored[model.z0 + p] == column_coefficients(model, config)
+    for p in range(len(model.pool)):
+        ci, col = pooled(model, p)
+        assert pool(model, ci, col) == model.z0 + p  # a repeat finds its position
+        assert model.lp.obj[model.z0 + p] == model.z_obj[p] == column_cost(model, ci, col)
+        assert stored[model.z0 + p] == column_coefficients(model, ci, col)
+    assert model.lp.n_vars == model.z0 + len(model.pool)
 
 
 @pytest.mark.parametrize("shape", ["compact", "arc-flow"])
@@ -413,7 +461,7 @@ class TestDuals:
         parts = partition_all(inst)
         (ci,) = chain_instances(inst, parts)
         model = build_rmp(inst, parts)
-        add_column(model, colocated(ci, "a"))
+        pool(model, ci, colocated(ci, "a"))
         _, duals = solve_relaxation(model)
         assert all(d <= 1e-9 for d in duals.core)
         assert all(d <= 1e-9 for d in duals.capacity)
@@ -425,20 +473,20 @@ class TestDuals:
         (ci,) = model.chain_instances
         # reduced cost recomputed from the LP's own column and duals must
         # agree with the standalone formula for every candidate column
-        for config in enumerate_all_configs(triangle, ci):
-            mine = reduced_cost_of(model, duals, config)
-            recomputed = column_cost(model, config)
-            coeffs = column_coefficients(model, config)
+        for col in enumerate_all_configs(triangle, ci):
+            mine = reduced_cost_of(model, duals, ci, col)
+            recomputed = column_cost(model, ci, col)
+            coeffs = column_coefficients(model, ci, col)
             for row, coef in coeffs.items():
                 recomputed -= model.last_relaxation.duals[row] * coef
             assert mine == pytest.approx(recomputed, abs=1e-8)
         pricing = price_round(
             triangle, model.chain_instances, duals, segment_cost_table(triangle, duals)
         )
-        _, reduced = best_configuration(triangle, ci, pricing)
+        *_, reduced = best_configuration(triangle, ci, pricing)
         assert reduced == pytest.approx(
             min(
-                reduced_cost_of(model, duals, c)
+                reduced_cost_of(model, duals, ci, c)
                 for c in enumerate_all_configs(triangle, ci)
             ),
             abs=1e-8,
@@ -452,17 +500,17 @@ class TestDuals:
         assert model.compact
         _, duals = solve_relaxation(model)
         (ci,) = model.chain_instances
-        for config in enumerate_all_configs(triangle, ci):
-            recomputed = column_cost(model, config)
-            for row, coef in column_coefficients(model, config).items():
+        for col in enumerate_all_configs(triangle, ci):
+            recomputed = column_cost(model, ci, col)
+            for row, coef in column_coefficients(model, ci, col).items():
                 recomputed -= model.last_relaxation.duals[row] * coef
-            assert reduced_cost_of(model, duals, config) == pytest.approx(recomputed, abs=1e-8)
+            assert reduced_cost_of(model, duals, ci, col) == pytest.approx(recomputed, abs=1e-8)
         pricing = price_round(
             triangle, model.chain_instances, duals, segment_cost_table(triangle, duals)
         )
-        _, reduced = best_configuration(triangle, ci, pricing)
+        *_, reduced = best_configuration(triangle, ci, pricing)
         assert reduced == pytest.approx(
-            min(reduced_cost_of(model, duals, c) for c in enumerate_all_configs(triangle, ci)),
+            min(reduced_cost_of(model, duals, ci, c) for c in enumerate_all_configs(triangle, ci)),
             abs=1e-8,
         )
 
@@ -525,9 +573,9 @@ class TestFinalIlp:
         for inst in (triangle, capacitated_triangle, path, with_capacity(path, 3.0)):
             model = self.converged(inst)
             for ci in model.chain_instances:
-                for config in enumerate_all_configs(inst, ci):
-                    if fits(inst, ci, config.locations):
-                        add_column(model, config)
+                for col in enumerate_all_configs(inst, ci):
+                    if fits(inst, ci, col.locations):
+                        pool(model, ci, col)
             final = build_final_ilp(model, inst.k)
             assert not final.full
             lp = final.lp
@@ -540,9 +588,9 @@ class TestFinalIlp:
                 got = rows[i]
                 assert (got.relation, got.rhs) == (want.relation, want.rhs)
                 assert got.coeffs == [(zsel[j], a) for j, a in want.coeffs if j in zsel]
-            for p, config in enumerate(model.pool):
+            for p in range(len(model.pool)):
                 z = model.z0 + p
-                assert model.lp.obj[z] == column_cost(model, config)
+                assert model.lp.obj[z] == column_cost(model, *pooled(model, p))
                 assert lp.obj[p] == model.lp.obj[z]
             # hosting: one binary flag per NFV node after the z columns, and
             # nothing else, then a row per (chain instance, node) holding +1
@@ -553,10 +601,10 @@ class TestFinalIlp:
             assert lp.n_vars == len(model.pool) + len(nfv)
             assert lp.integer.all() and (lp.ub[list(h.values())] == 1.0).all()
             users: dict = {}
-            for p, config in enumerate(model.pool):
-                i = model.by_key[config.chain, config.group_index].index
-                for v in sorted({nfv.index(v) for v in config.locations}):
-                    users.setdefault((i, v), []).append((p, 1.0))
+            for p in range(len(model.pool)):
+                ci, col = pooled(model, p)
+                for v in sorted({nfv.index(v) for v in col.locations}):
+                    users.setdefault((ci.index, v), []).append((p, 1.0))
             assert rows[len(kept) : -1] == [
                 Row(using + [(h[nfv[v]], -1.0)], LE, 0.0) for (_, v), using in sorted(users.items())
             ]
@@ -604,8 +652,8 @@ class TestFinalIlp:
         seeds = [colocated(cis[0], "a"), colocated(cis[1], "b")]
         for capacity in (1000.0, 5.0):  # compact, then arc-flow
             model = build_rmp(with_capacity(inst, capacity), parts)
-            for seed in seeds:
-                add_column(model, seed)
+            for ci, seed in zip(cis, seeds):
+                pool(model, ci, seed)
             assert model.compact == (capacity == 1000.0)
             solve_relaxation(model)
             for full in [False] if model.compact else [False, True]:

@@ -5,11 +5,11 @@ import random
 
 import numpy as np
 import pytest
-from brute_force import enumerate_all_configs
+from brute_force import column, enumerate_all_configs, fits
 from conftest import build_instance, random_connected_instance
 from test_end_commodities import draws
 
-from scmap.master import DualPrices, chain_instances, fits, validate_configuration
+from scmap.master import DualPrices, chain_instances, placement_faults
 from scmap.pathcore import shortest_path_weighted
 from scmap.pricer import (
     EPS,
@@ -35,7 +35,11 @@ def one_round(instance, ci, duals):
 
 
 def price(instance, ci, duals):
-    return best_configuration(instance, ci, one_round(instance, ci, duals))
+    """The pricer's column for `ci` under `duals`, as a `Column`, and its
+    reduced cost; the column must be a valid placement."""
+    locations, segments, reduced = best_configuration(instance, ci, one_round(instance, ci, duals))
+    assert list(placement_faults(instance, ci.chain, locations, segments, ci.label)) == []
+    return column(ci, locations, segments), reduced
 
 
 def no_end_charges(instance):
@@ -80,7 +84,7 @@ def brute_force_total(instance, ci, duals, config):
         total -= duals.core[nfv.index(v)] * dgroup * rates[pos]
         total -= duals.end[ci.index, pos, nfv.index(v)]
     arc_index = instance.topology.arc_index
-    for seg in config.segment_paths:
+    for seg in config.segments:
         for arc in seg:
             total -= duals.capacity[arc_index[arc]] * dgroup
     return total
@@ -99,7 +103,7 @@ class TestZeroDuals:
         assert config.cost == 0.0
         assert reduced == 0.0
         assert len(set(config.locations)) == 1
-        assert config.segment_paths == ((),)
+        assert config.segments == ((),)
 
     def test_nonnegative_total_returns_none(self):
         inst = build_instance(["a", "b"], [("a", "b")], [("a", "b")])
@@ -112,7 +116,7 @@ class TestZeroDuals:
         duals = duals_of(inst, convexity=1.0)
         priced = price_chain_instance(inst, ci, one_round(inst, ci, duals))
         assert priced is not None
-        _, reduced = priced
+        *_, reduced = priced
         assert reduced == pytest.approx(-1.0)
 
     def test_offset_exactly_at_optimum_is_not_improving(self):
@@ -161,7 +165,7 @@ class TestEnumeration:
         ci = chain_instances(triangle_instance, partition_all(triangle_instance))[0]
         configs = enumerate_all_configs(triangle_instance, ci)
         assert len(configs) == 3
-        assert all(c.segment_paths == () for c in configs)
+        assert all(c.segments == () for c in configs)
 
     def test_triangle_two_positions(self):
         inst = build_instance(
@@ -215,7 +219,6 @@ class TestExactness:
             ci = chain_instances(inst, partition_all(inst))[0]
             duals = random_duals(rng, inst, ci)
             config, reduced = price(inst, ci, duals)
-            validate_configuration(inst, ci, config)
             best = min(
                 brute_force_total(inst, ci, duals, c)
                 for c in enumerate_all_configs(inst, ci)
@@ -246,7 +249,6 @@ class TestExactness:
                 continue
             duals = random_duals(rng, inst, ci)
             config, reduced = price(inst, ci, duals)
-            validate_configuration(inst, ci, config)
             assert fits(inst, ci, config.locations)
             best = min(brute_force_total(inst, ci, duals, c) for c in fitting)
             assert reduced == pytest.approx(best, abs=1e-6)
@@ -324,18 +326,18 @@ class TestRoundBound:
                 ),
             )
             least = {
-                ci.key: min(
+                ci.index: min(
                     brute_force_total(inst, ci, duals, c) for c in enumerate_all_configs(inst, ci)
                 )
                 for ci in cis
             }
             duals = dataclasses.replace(
                 duals,
-                convexity=np.array([least[ci.key] + rng.uniform(-0.5, 0.5) for ci in cis]),
+                convexity=np.array([least[ci.index] + rng.uniform(-0.5, 0.5) for ci in cis]),
             )
             pricing = price_round(inst, cis, duals, segment_cost_table(inst, duals))
             for ci in cis:
-                reduced = least[ci.key] - duals.convexity[ci.index]
+                reduced = least[ci.index] - duals.convexity[ci.index]
                 bound = pricing.bound[ci.index]
                 assert bound <= reduced + 1e-9, f"case {case} {ci.label}"
                 if bound >= -EPS:
@@ -354,5 +356,5 @@ class TestRoundBound:
             inst = random_connected_instance(rng, max_nodes=5, chain_vnfs=("fw", "nat", "lb"))
             ci = only_instance(inst)
             pricing = one_round(inst, ci, random_duals(rng, inst, ci))
-            _, reduced = best_configuration(inst, ci, pricing)
+            *_, reduced = best_configuration(inst, ci, pricing)
             assert pricing.bound[ci.index] == pytest.approx(reduced, abs=1e-9)

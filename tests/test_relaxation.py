@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from brute_force import colocated, fits, pool, pooled
 from conftest import with_capacity, with_cores, with_k
 from test_end_commodities import draws
 
@@ -14,11 +15,8 @@ from scmap.fixturedata import cost239_files, nsfnet_files
 from scmap.master import (
     FIT_TOL,
     add_colocated_columns,
-    add_column,
     build_rmp,
     core_loads,
-    fits,
-    make_configuration,
     node_cores,
 )
 from scmap.netmodel import load_instance
@@ -159,25 +157,22 @@ def looped_pool(instance, partitions):
     before the block."""
     model = build_rmp(instance, partitions)
     for ci in model.chain_instances:
-        n = len(ci.vnfs)
         for v in instance.topology.nfv_nodes:
-            if fits(instance, ci, (v,) * n):
-                add_column(model, make_configuration(ci, (v,) * n, ((),) * (n - 1)))
+            if fits(instance, ci, (v,) * len(ci.vnfs)):
+                pool(model, ci, colocated(ci, v))
     return model
 
 
 def assert_block_pools_as_the_loop(instance):
-    """Same pool order, configurations (keys and costs), z variables and
-    objectives, every row's coefficients, and the pool's objective,
-    chain-instance and location arrays, exactly; returns the model."""
+    """Same pool order and routes, z variables and objectives, every row's
+    coefficients, and the pool's objective, chain-instance and location
+    arrays, exactly; returns the model."""
     partitions = partition_all(instance)
     block = build_rmp(instance, partitions)
     add_colocated_columns(block)
     loop = looped_pool(instance, partitions)
-    assert [c.key for c in block.pool] == [c.key for c in loop.pool]
     assert block.pool == loop.pool
     assert block.z0 == loop.z0
-    assert block.config_index == loop.config_index
     assert block.lp.n_vars == loop.lp.n_vars
     assert block.lp.obj.tolist() == loop.lp.obj.tolist()
     assert [r.coeffs for r in block.lp.rows] == [r.coeffs for r in loop.lp.rows]
@@ -186,11 +181,12 @@ def assert_block_pools_as_the_loop(instance):
         assert got.dtype == want.dtype and np.array_equal(got, want), name
     # the arrays agree with the pooled columns they stand for
     assert block.z_obj.tolist() == block.lp.obj[block.z0 :].tolist()
+    # each is its chain instance whole at one node, with no segment
     nfv = instance.topology.nfv_nodes
-    for p, config in enumerate(block.pool):
-        ci = block.by_key[(config.chain, config.group_index)]
-        assert block.z_ci[p] == ci.index
-        assert {nfv[v] for v in block.z_loc[p]} == set(config.locations)
+    for p in range(len(block.pool)):
+        ci, col = pooled(block, p)
+        assert col == colocated(ci, col.locations[0])
+        assert {nfv[v] for v in block.z_loc[p]} == set(col.locations)
     return block
 
 
