@@ -10,8 +10,7 @@ its value is None when the engine finds no plan.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .netmodel import ProblemInstance
 from .pathcore import PathTable, all_pairs_hops
@@ -21,8 +20,7 @@ log = logging.getLogger(__name__)
 CAP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BaselineReport:
+class BaselineReport(NamedTuple):
     shortest_path_lb: float
     single_node: tuple  # (node id, objective), or (None, None) if no node fits
     per_pair_instance: Optional[float]  # None: the engine fallback found no plan

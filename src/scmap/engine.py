@@ -44,7 +44,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Optional
+from typing import IO, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class Infeasible(EngineError):
     """No assignment satisfies the budget and resource rows."""
 
 
-@dataclass(frozen=True)
-class CgIteration:
+class CgIteration(NamedTuple):
     iteration: int
     objective: float
     columns_added: int
@@ -103,8 +102,7 @@ class CgTrace:
     converged: bool = False
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     detail: str
 
@@ -114,9 +112,10 @@ class Violation:
 
 @dataclass(slots=True)
 class PairRoute:
-    """One demand pair's end routes. Not frozen: a decode builds one per
-    pair, and a frozen `__init__` costs over three times as much; treat it
-    as immutable all the same."""
+    """One demand pair's end routes. A decode builds one per pair, and
+    this slots class builds fastest: a frozen `__init__` costs over three
+    times as much and a NamedTuple no less; treat it as immutable all the
+    same."""
 
     src: str
     dst: str
@@ -124,8 +123,7 @@ class PairRoute:
     last_arcs: tuple
 
 
-@dataclass(frozen=True)
-class InstanceAssignment:
+class InstanceAssignment(NamedTuple):
     chain: str
     group_index: int
     locations: tuple
@@ -133,8 +131,7 @@ class InstanceAssignment:
     routes: tuple
 
 
-@dataclass
-class MappingPlan:
+class MappingPlan(NamedTuple):
     assignments: tuple
     arc_loads: dict
     node_cores: dict
@@ -144,8 +141,7 @@ class MappingPlan:
     gap: float
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     plan: MappingPlan
     trace: CgTrace
     model: RmpModel
@@ -512,7 +508,7 @@ def _plan_sums(model: RmpModel, chosen: list) -> tuple[dict, dict, tuple]:
     }
     nfv = list(model.nfv_index)
     use = core_loads(model, chosen).tolist()
-    hosts = np.unique(loc).tolist()  # NFV order is id order
+    hosts = np.flatnonzero(np.bincount(loc.ravel())).tolist()  # NFV order is id order
     return arc_loads, {nfv[v]: use[v] for v in hosts}, tuple(nfv[v] for v in hosts)
 
 
@@ -643,7 +639,7 @@ def _relaxation_plan(instance: ProblemInstance, model: RmpModel) -> Optional[Map
         return None
     x = np.round(x)
     chosen = _selected(model, x, model.z0)
-    if np.unique(model.z_loc[chosen]).size > instance.k:
+    if np.count_nonzero(np.bincount(model.z_loc[chosen].ravel())) > instance.k:
         return None
     plan = _decode(instance, model, chosen, None if model.compact else x.tolist())
     return _validated(instance, plan)

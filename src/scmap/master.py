@@ -93,7 +93,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -123,8 +123,7 @@ class MasterError(RuntimeError):
     """Structural misuse (a bad column) or an unsolved relaxation."""
 
 
-@dataclass(frozen=True)
-class ChainInstance:
+class ChainInstance(NamedTuple):
     """A chain plus one demand group from the phase-1 partition; `index` is
     its place in the `chain_instances` order, the row of the master's and
     the pricer's per-instance arrays."""
@@ -142,8 +141,7 @@ class ChainInstance:
         return f"{self.chain}/{self.group_index}"
 
 
-@dataclass(frozen=True)
-class DualPrices:
+class DualPrices(NamedTuple):
     """Relaxation duals in the master's index: chain instance index i,
     position p, NFV node v in `Topology.nfv_nodes` order and arc a in
     `Topology.arcs` order.
@@ -164,8 +162,7 @@ class DualPrices:
     end: np.ndarray  # [i, p, v]
 
 
-@dataclass(frozen=True)
-class FinalIlp:
+class FinalIlp(NamedTuple):
     """Integer selection problem; pool position p is its variable z0 + p."""
 
     lp: LinearProgram
@@ -173,8 +170,7 @@ class FinalIlp:
     z0: int
 
 
-@dataclass(frozen=True)
-class EndCommodity:
+class EndCommodity(NamedTuple):
     """The lead-ins of chain instance `i` from source `point`, or its
     lead-outs to destination `point`, at `gbps` each: one unit of flow per
     member pair. Its flow on arc a is master column `y0 + a`."""

@@ -15,6 +15,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .pathcore import PathError, PathTable, build_hop_table
 
@@ -29,34 +30,29 @@ class ValidationError(ValueError):
     """Structurally valid input that violates a model rule."""
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(NamedTuple):
     id: str
     nfv: bool
     cores: int
 
 
-@dataclass(frozen=True)
-class ArcSpec:
+class ArcSpec(NamedTuple):
     src: str
     dst: str
     capacity_gbps: float
 
 
-@dataclass(frozen=True)
-class VnfSpec:
+class VnfSpec(NamedTuple):
     id: str
     cores_per_gbps: float
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(NamedTuple):
     id: str
     vnfs: tuple[str, ...]  # ordered VNF ids, length >= 1
 
 
-@dataclass(frozen=True)
-class DemandRecord:
+class DemandRecord(NamedTuple):
     src: str
     dst: str
     chain: str
@@ -332,25 +328,32 @@ def load_chains(path: str | Path) -> tuple[dict[str, VnfSpec], dict[str, ChainSp
 
 
 def load_demands(path: str | Path) -> DemandSet:
+    """Demand records from a CSV file with the header src,dst,chain,gbps;
+    blank lines are skipped, and an error names the file line it is on."""
     path = Path(path)
+    expected = ["src", "dst", "chain", "gbps"]
     records = []
     try:
         fh = open(path, newline="")
     except OSError as e:
         raise ParseError(f"{path}: {e}") from e
     with fh:
-        reader = csv.DictReader(fh)
-        expected = ["src", "dst", "chain", "gbps"]
-        if reader.fieldnames != expected:
+        reader = csv.reader(fh)
+        if next(reader, None) != expected:
             raise ParseError(f"{path}: header must be {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if None in row or None in row.values():
-                raise ParseError(f"{path}:{lineno}: row must have 4 fields, {','.join(expected)}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 4:
+                raise ParseError(
+                    f"{path}:{reader.line_num}: row must have 4 fields, {','.join(expected)}"
+                )
+            src, dst, chain, gbps = row
             try:
-                gbps = float(row["gbps"])
+                rate = float(gbps)
             except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: gbps not a number") from e
-            records.append(DemandRecord(row["src"], row["dst"], row["chain"], gbps))
+                raise ParseError(f"{path}:{reader.line_num}: gbps not a number") from e
+            records.append(DemandRecord(src, dst, chain, rate))
     return DemandSet(records)
 
 

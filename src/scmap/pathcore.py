@@ -22,10 +22,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-# numpy 2.x imports numpy.ma on the first plain np.unique call (about 12 ms);
-# load it here, with the rest of set-up, and not inside the first solve
-import numpy.ma  # noqa: F401
-
 if TYPE_CHECKING:
     from .netmodel import Topology
 

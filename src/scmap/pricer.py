@@ -22,8 +22,7 @@ enumeration tests confirm both rather than assume them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,8 +43,7 @@ class PricerError(ValueError):
     """Malformed pricing input, or no placement that fits the nodes' cores."""
 
 
-@dataclass(frozen=True)
-class SegmentCostTable:
+class SegmentCostTable(NamedTuple):
     """Cheapest inter-location segments under 1-per-Gbps arc weights.
 
     `matrix[i, j]` is the weighted hop cost for one Gbps from the i-th to
@@ -117,8 +115,7 @@ def cost_to_go(
     return togo
 
 
-@dataclass(frozen=True)
-class PricingRound:
+class PricingRound(NamedTuple):
     """One round's pricing arrays, indexed by chain instance index i,
     position p and NFV node v (`Topology.nfv_nodes` order)."""
 

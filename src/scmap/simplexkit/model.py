@@ -9,7 +9,7 @@ value) triplets in the order they were added. Duplicate entries of one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,8 +27,7 @@ class LpError(ValueError):
     """Malformed program or solver misuse."""
 
 
-@dataclass
-class Row:
+class Row(NamedTuple):
     coeffs: list[tuple[int, float]]
     relation: str
     rhs: float
@@ -128,12 +127,11 @@ class LinearProgram:
         return _append(store, first, records)
 
 
-@dataclass
-class LpSolution:
+class LpSolution(NamedTuple):
     status: str  # optimal | infeasible | unbounded | stalled
-    x: list[float] = field(default_factory=list)
+    x: Sequence[float] = ()
     objective: float = math.nan
-    duals: list[float] = field(default_factory=list)
+    duals: Sequence[float] = ()
     message: str = ""
     method: str = "highs"  # what found it: HiGHS, or "closed_form" (scmap.master)
     iterations: int = 0  # HiGHS's simplex iterations; 0 for a closed form
@@ -143,10 +141,9 @@ class LpSolution:
         return self.status == "optimal"
 
 
-@dataclass
-class MipSolution:
+class MipSolution(NamedTuple):
     status: str  # optimal | feasible | infeasible | unbounded | stalled
-    x: list[float] = field(default_factory=list)
+    x: Sequence[float] = ()
     objective: float = math.nan
     bound: float = math.nan
     gap: float = math.nan

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +42,7 @@ class Group:
         self.members = tuple(sorted(self.members))
 
 
-@dataclass
-class ChainPartition:
+class ChainPartition(NamedTuple):
     chain: str
     groups: list[Group]
 
@@ -73,7 +73,7 @@ def _cover_entries(
     src, dst = members
     length = paths.hops[src, dst] + 1
     anchor_ids, member_ids = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
-    for size in np.unique(length).tolist():
+    for size in np.flatnonzero(np.bincount(length)).tolist():
         ids = np.flatnonzero(length == size)
         seq = np.empty((ids.size, size), dtype=np.int64)
         seq[:, 0] = src[ids]

@@ -320,7 +320,7 @@ class TestRelaxationPoint:
         unserved = list(x)
         unserved[model.z0 + chosen], unserved[art] = 0.0, 1.0
         for point in (half, unserved):
-            model.last_relaxation = dataclasses.replace(model.last_relaxation, x=point)
+            model.last_relaxation = model.last_relaxation._replace(x=point)
             assert engine._relaxation_plan(triangle_instance, model) is None
 
     def test_declined_beyond_k(self, split_triangle):
@@ -519,7 +519,7 @@ def test_core_bound_cells_keep_their_cg_path(
     # and ends on split placements, so the pricer's choices shape the result
     base = load_instance(*files(), k=1, nc=nc)
     topo = base.topology
-    nodes = [dataclasses.replace(n, cores=cores) for n in topo.nodes]
+    nodes = [n._replace(cores=cores) for n in topo.nodes]
     inst = ProblemInstance(
         Topology(topo.name, nodes, list(topo.arcs)),
         base.vnfs,
@@ -624,11 +624,11 @@ def test_instance_without_a_pooled_column_is_always_priced(monkeypatch):
     pricing = price_round(
         inst, model.chain_instances, duals, segment_cost_table(inst, duals)
     )
-    at_zero = dataclasses.replace(pricing, bound=0.0 * pricing.bound)
+    at_zero = pricing._replace(bound=0.0 * pricing.bound)
     assert engine._to_price(model, at_zero) == list(model.chain_instances)
     add_column(model, model.chain_instances[1], ("a",), ())
     assert engine._to_price(model, at_zero) == [model.chain_instances[0]]
-    below = dataclasses.replace(at_zero, bound=at_zero.bound - 2 * engine.EPS)
+    below = at_zero._replace(bound=at_zero.bound - 2 * engine.EPS)
     assert engine._to_price(model, below) == list(model.chain_instances)
 
     # end to end: the first round prices every chain instance, as none has
@@ -1057,8 +1057,8 @@ class TestValidatePlan:
             paths.route(asg.locations[-1], "b"),
         )
         assert stray.first_arcs or stray.last_arcs
-        broken = dataclasses.replace(asg, routes=asg.routes + (stray,))
-        plan.assignments = (broken,) + plan.assignments[1:]
+        broken = asg._replace(routes=asg.routes + (stray,))
+        plan = plan._replace(assignments=(broken,) + plan.assignments[1:])
         violations = engine.validate_plan(inst, plan)
         assert [v.kind for v in violations] == ["coverage"]
         assert "d->b: no such demand record" in violations[0].detail
@@ -1093,7 +1093,7 @@ class TestValidatePlan:
         assert faults(34) == [] and faults(35) == []
         assert faults(33) == ["instance_count: chain sc3: 34 instances, nc=33"]
         square, solved = solved_square()
-        twice = dataclasses.replace(solved, assignments=solved.assignments * 2)
+        twice = solved._replace(assignments=solved.assignments * 2)
         kinds = [str(v) for v in engine.validate_plan(square, twice) if v.kind == "instance_count"]
         assert kinds == [
             f"instance_count: chain c: {2 * len(solved.assignments)} instances, nc=2",
@@ -1102,7 +1102,7 @@ class TestValidatePlan:
 
     def test_objective_drift_detected(self):
         inst, plan = solved_square()
-        plan.objective_gbps_hops += 1.0
+        plan = plan._replace(objective_gbps_hops=plan.objective_gbps_hops + 1.0)
         kinds = {v.kind for v in engine.validate_plan(inst, plan)}
         assert "objective_mismatch" in kinds
 
@@ -1135,9 +1135,9 @@ class TestValidatePlan:
         def rerouted(asg, i, **arcs):
             routes = list(asg.routes)
             routes[i] = dataclasses.replace(routes[i], **arcs)
-            return dataclasses.replace(asg, routes=tuple(routes))
+            return asg._replace(routes=tuple(routes))
 
-        fix = dataclasses.replace
+        fix = engine.InstanceAssignment._replace
         cases = {
             "clean": (asg0, asg1),
             "location count": (fix(asg0, locations=("a",)), asg1),
@@ -1335,6 +1335,20 @@ class TestPlanJson:
             engine.plan_from_json("{not json", triangle_instance)
         with pytest.raises(engine.EngineError):
             engine.plan_from_json('{"instances": 3}', triangle_instance)
+
+
+def test_records_refuse_field_assignment(triangle_instance):
+    # plans, chain instances and demand records are shared read-only
+    result = engine.solve(triangle_instance)
+    records = {
+        "total_gbps": result.model.chain_instances[0],
+        "locations": result.plan.assignments[0],
+        "detail": engine.Violation("cores", "node a uses 2 cores of 1"),
+        "gbps": triangle_instance.demands.records[0],
+    }
+    for field, record in records.items():
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 class TestEndToEndOracle:

@@ -39,18 +39,23 @@ def test_startup_imports_neither_scipy_optimize_nor_f2py():
         """
         import sys
         import scmap.cli
-        print(sorted(m for m in ("scipy.optimize", "numpy.f2py") if m in sys.modules))
+        print(sorted(m for m in ("scipy.optimize", "numpy.f2py", "numpy.ma") if m in sys.modules))
         """
     )
     assert out.strip() == "[]"
 
 
 def test_solve_imports_no_module():
-    # NSFNET at 45 cores per node, nc=16, k=14: core rows bind, so column
-    # generation solves LPs and the final selection a MIP on HiGHS
+    # three instances, loaded and solved after the module table is read:
+    # - NSFNET at 45 cores per node, nc=16, k=14: core rows bind, so column
+    #   generation solves LPs and the final selection a MIP on HiGHS;
+    # - bundled NSFNET, nc=4, one column generation selected at k=2 (the
+    #   host-set bound's plan) and k=14 (the relaxation point);
+    # - bundled NSFNET with every link at 30 Gbps, an arc-flow master, the
+    #   same two selections (the full program's plan, the relaxation point)
     out = run_python(
         """
-        import json, sys, tempfile
+        import json, logging, sys, tempfile
         from pathlib import Path
 
         from scmap import engine
@@ -60,12 +65,18 @@ def test_solve_imports_no_module():
         from scmap.sptg import partition_all
 
         topo, chains, demands = nsfnet_files()
-        doc = json.loads(topo.read_text())
-        for node in doc["nodes"]:
-            node["cores"] = 45
-        path = Path(tempfile.mkdtemp()) / "nsfnet45.topology.json"
-        path.write_text(json.dumps(doc))
-        instance = load_instance(path, chains, demands, k=14, nc=16)
+        tmp = Path(tempfile.mkdtemp())
+
+        def edited(name, key, field, value):
+            doc = json.loads(topo.read_text())
+            for entry in doc[key]:
+                entry[field] = value
+            path = tmp / name
+            path.write_text(json.dumps(doc))
+            return path
+
+        cores45 = edited("cores45.topology.json", "nodes", "cores", 45)
+        links30 = edited("links30.topology.json", "links", "capacity_gbps", 30)
 
         calls = {"linprog": 0, "milp": 0}
 
@@ -77,16 +88,41 @@ def test_solve_imports_no_module():
 
         highs.linprog = counted("linprog", highs.linprog)
         highs.milp = counted("milp", highs.milp)
+        chosen = []
+
+        class Chosen(logging.Handler):
+            def emit(self, record):
+                if record.getMessage().startswith("plan chosen"):
+                    chosen.append(record.getMessage())
+
+        logging.getLogger("scmap").addHandler(Chosen())
+        logging.getLogger("scmap").setLevel(logging.INFO)
         before = set(sys.modules)
+        instance = load_instance(cores45, chains, demands, k=14, nc=16)
         engine.solve(instance)
         model, _ = engine.run_column_generation(instance, partition_all(instance))
         engine.extract_plan(instance, model)
-        print(json.dumps({"added": sorted(set(sys.modules) - before), **calls}))
+        for path in (topo, links30):
+            sweep = {k: load_instance(path, chains, demands, k=k, nc=4) for k in (2, 14)}
+            model, _ = engine.run_column_generation(sweep[2], partition_all(sweep[2]))
+            for k in (2, 14):
+                engine.extract_plan(sweep[k], model)
+        added = sorted(set(sys.modules) - before)
+        print(json.dumps({"added": added, "chosen": chosen, "compact": model.compact, **calls}))
         """
     )
     got = json.loads(out)
     assert got["added"] == []
     assert got["linprog"] >= 1 and got["milp"] >= 1
+    assert not got["compact"]
+    assert [line.split(" by the ")[1] for line in got["chosen"]] == [
+        "selection program at k=14",
+        "selection program at k=14",
+        "host-set bound at k=2",
+        "relaxation point at k=14",
+        "full program at k=2",
+        "relaxation point at k=14",
+    ]
 
 
 ROUND_TRIP = """

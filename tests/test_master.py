@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -192,7 +191,7 @@ class TestAddColumn:
     def test_chain_instance_of_another_model_is_refused(self, triangle):
         model = seeded_model(triangle)
         (ci,) = model.chain_instances
-        for other in (dataclasses.replace(ci, total_gbps=2.0), dataclasses.replace(ci, index=1)):
+        for other in (ci._replace(total_gbps=2.0), ci._replace(index=1)):
             with pytest.raises(MasterError, match=f"no chain instance {ci.label} in this model"):
                 pool(model, other, colocated(other, "b"))
         assert len(model.pool) == 1

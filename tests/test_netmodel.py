@@ -120,6 +120,53 @@ def test_parse_error_reports_location(tmp_path):
         load_topology(bad2)
 
 
+@pytest.mark.parametrize(
+    "row", ["a,b,c1", "a,b,c1,1,9", "a,b,c1,1,", "  "], ids=["short", "long", "empty_extra", "spaces"]
+)
+def test_demand_row_arity_enforced(tmp_path, row):
+    bad = tmp_path / "d.csv"
+    bad.write_text(f"src,dst,chain,gbps\na,c,c1,1\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        load_demands(bad)
+    assert str(err.value) == f"{bad}:3: row must have 4 fields, src,dst,chain,gbps"
+
+
+def test_demand_blank_lines_skipped(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("src,dst,chain,gbps\n\na,b,c1,1\n\n\nb,a,c1,2.5\n\n")
+    assert load_demands(path).records == [
+        DemandRecord("a", "b", "c1", 1.0), DemandRecord("b", "a", "c1", 2.5),
+    ]
+
+
+def test_demand_error_names_the_file_line_after_blank_lines(tmp_path):
+    bad = tmp_path / "d.csv"
+    bad.write_text("src,dst,chain,gbps\n\na,b,c1,1\n\nc,d,c1,notanumber\n")
+    with pytest.raises(ParseError) as err:
+        load_demands(bad)
+    assert str(err.value) == f"{bad}:5: gbps not a number"
+    bad.write_text("src,dst,chain,gbps\n\n\na,b\n")
+    with pytest.raises(ParseError, match=r"d\.csv:4: row must have 4 fields"):
+        load_demands(bad)
+
+
+def test_demand_quoted_field_keeps_its_comma(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('src,dst,chain,gbps\n"a,x",b,"c1",1\r\n')
+    assert load_demands(path).records == [DemandRecord("a,x", "b", "c1", 1.0)]
+
+
+def test_demand_header_only_file_has_no_records(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("src,dst,chain,gbps\n")
+    assert load_demands(path).records == []
+    for text in ("", "\nsrc,dst,chain,gbps\na,b,c1,1\n", "src,dst,chain\n"):
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_demands(path)
+        assert str(err.value) == f"{path}: header must be src,dst,chain,gbps"
+
+
 def test_demands_header_enforced(tmp_path):
     bad = tmp_path / "d.csv"
     bad.write_text("source,dst,chain,gbps\na,b,c1,1\n")

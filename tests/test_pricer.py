@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -331,8 +330,7 @@ class TestRoundBound:
                 )
                 for ci in cis
             }
-            duals = dataclasses.replace(
-                duals,
+            duals = duals._replace(
                 convexity=np.array([least[ci.index] + rng.uniform(-0.5, 0.5) for ci in cis]),
             )
             pricing = price_round(inst, cis, duals, segment_cost_table(inst, duals))
