@@ -9,12 +9,11 @@ plan exists that keeps each group on one chain instance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 from . import baselines, engine
 from .netmodel import ParseError, ProblemInstance, ValidationError, load_instance
@@ -27,11 +26,12 @@ EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_INVALID = 3
 
-SWEEP_HEADER = (
-    "nc,k,status,objective,lp_bound,gap,nfv_nodes_used,"
-    "iterations,columns_generated,wall_ms,lb,single_node"
+# a sweep row leaves blank the columns its cell did not reach
+SWEEP_COLUMNS = (
+    "nc", "k", "status", "objective", "lp_bound", "gap", "nfv_nodes_used",
+    "iterations", "columns_generated", "wall_ms", "lb", "single_node",
 )
-
+SWEEP_HEADER = ",".join(SWEEP_COLUMNS)
 
 EXIT_HELP = (
     "exit codes: 0 ok, 1 input error, 2 infeasible relative to the demand "
@@ -85,10 +85,14 @@ def _positive(convert):
     return parse
 
 
-def _add_instance_flags(p: argparse.ArgumentParser, *, need_k: bool) -> None:
+def _add_file_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--topology", required=True, help="topology JSON file")
     p.add_argument("--chains", required=True, help="VNF/chain JSON file")
     p.add_argument("--demands", required=True, help="demand CSV file")
+
+
+def _add_instance_flags(p: argparse.ArgumentParser, *, need_k: bool) -> None:
+    _add_file_flags(p)
     p.add_argument("--nc", default="1", help="instance count: int or chain=int,...")
     p.add_argument(
         "--k",
@@ -126,27 +130,13 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class _Cell:
-    status: str = "error"
-    objective: Optional[float] = None
-    lp_bound: Optional[float] = None
-    gap: Optional[float] = None
-    nfv_nodes_used: Optional[int] = None
-    iterations: Optional[int] = None
-    columns: Optional[int] = None
-    wall_ms: Optional[int] = None
-
-
-def _sweep_group(instance_parts, nc: int, k_values, args) -> list:
-    """All cells for one nc: one column-generation run shared across k."""
-    topo, vnfs, chains, demands = instance_parts
-    cells = []
+def _sweep_group(probe: ProblemInstance, nc: int, k_values, args) -> list:
+    """One report row per k for one nc, each a dict of the `SWEEP_COLUMNS`
+    its cell has: one column-generation run is shared across k."""
+    nc_map = {c: nc for c in probe.demands.chains}
     tick = time.perf_counter()
     try:
-        base = ProblemInstance(
-            topo, vnfs, chains, demands, k=k_values[0], nc={c: nc for c in demands.chains}
-        )
+        base = dataclasses.replace(probe, k=k_values[0], nc=nc_map)
         model, trace = engine.run_column_generation(
             base,
             partition_all(base),
@@ -155,44 +145,37 @@ def _sweep_group(instance_parts, nc: int, k_values, args) -> list:
         )
     except engine.Infeasible as exc:
         log.error("nc=%d: %s", nc, exc)
-        return [_Cell(status="infeasible") for _ in k_values]
+        return [{"nc": nc, "k": k, "status": "infeasible"} for k in k_values]
     except Exception as exc:  # noqa: BLE001 - a failed group must not kill the sweep
         log.error("nc=%d: column generation failed: %s", nc, exc)
-        return [_Cell() for _ in k_values]
+        return [{"nc": nc, "k": k, "status": "error"} for k in k_values]
     cg_ms = int((time.perf_counter() - tick) * 1e3)
-    iters = len(trace.iterations)
-    cols = len(model.pool)
-    for pos, k in enumerate(k_values):
+    iterations = len(trace.iterations)
+    columns = len(model.pool)
+    rows = []
+    for k in k_values:
         tick = time.perf_counter()
-        cell = _Cell(
-            lp_bound=model.lp_bound,
-            iterations=iters,
-            columns=cols,
-        )
+        row = {"nc": nc, "k": k, "lp_bound": f"{model.lp_bound:.6f}",
+               "iterations": iterations, "columns_generated": columns}
         try:
-            inst = ProblemInstance(
-                topo, vnfs, chains, demands, k=k, nc={c: nc for c in demands.chains}
+            plan = engine.extract_plan(
+                dataclasses.replace(probe, k=k, nc=nc_map), model, time_limit=args.time_limit
             )
-            plan = engine.extract_plan(inst, model, time_limit=args.time_limit)
-            cell.status = "ok"
-            cell.objective = plan.objective_gbps_hops
-            cell.gap = plan.gap
-            cell.nfv_nodes_used = len(plan.hosting)
+            row["status"] = "ok"
+            row["objective"] = f"{plan.objective_gbps_hops:.6f}"
+            row["gap"] = f"{plan.gap:.6f}"
+            row["nfv_nodes_used"] = len(plan.hosting)
         except engine.Infeasible as exc:
             log.error("nc=%d k=%d: %s", nc, k, exc)
-            cell.status = "infeasible"
+            row["status"] = "infeasible"
         except Exception as exc:  # noqa: BLE001
             log.error("nc=%d k=%d: %s", nc, k, exc)
-            cell.status = "error"
-        cell.wall_ms = int((time.perf_counter() - tick) * 1e3) + (
-            cg_ms if pos == 0 else 0
-        )
-        cells.append(cell)
-    return cells
-
-
-def _fmt(value, spec: str) -> str:
-    return "" if value is None else format(value, spec)
+            row["status"] = "error"
+        # the group's column generation is timed into its first row
+        row["wall_ms"] = int((time.perf_counter() - tick) * 1e3) + cg_ms
+        cg_ms = 0
+        rows.append(row)
+    return rows
 
 
 def _parse_int_list(text: str, flag: str) -> list:
@@ -218,40 +201,19 @@ def cmd_sweep(args) -> int:
     for nc in nc_values:
         if nc < 1:
             raise CliError(f"--nc-list value {nc} must be >= 1")
-    parts = (probe.topology, probe.vnfs, probe.chains, probe.demands)
-    lb = baselines.shortest_path_lb(probe)
+    reference = {"lb": f"{baselines.shortest_path_lb(probe):.6f}"}
     single = baselines.single_node_oracle(probe)[1]
-
-    groups = [_sweep_group(parts, nc, k_values, args) for nc in nc_values]
+    if single is not None:
+        reference["single_node"] = f"{single:.6f}"
+    rows = [row for nc in nc_values for row in _sweep_group(probe, nc, k_values, args)]
 
     with open(args.out, "w") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for nc, cells in zip(nc_values, groups):
-            for k, cell in zip(k_values, cells):
-                fh.write(
-                    ",".join(
-                        [
-                            str(nc),
-                            str(k),
-                            cell.status,
-                            _fmt(cell.objective, ".6f"),
-                            _fmt(cell.lp_bound, ".6f"),
-                            _fmt(cell.gap, ".6f"),
-                            _fmt(cell.nfv_nodes_used, "d"),
-                            _fmt(cell.iterations, "d"),
-                            _fmt(cell.columns, "d"),
-                            _fmt(cell.wall_ms, "d"),
-                            format(lb, ".6f"),
-                            _fmt(single, ".6f"),
-                        ]
-                    )
-                    + "\n"
-                )
-    bad = sum(1 for cells in groups for c in cells if c.status != "ok")
-    print(
-        f"sweep: {len(nc_values) * len(k_values)} cells, {bad} failed, "
-        f"report {args.out}"
-    )
+        for row in rows:
+            row.update(reference)
+            fh.write(",".join(str(row.get(c, "")) for c in SWEEP_COLUMNS) + "\n")
+    bad = sum(1 for row in rows if row["status"] != "ok")
+    print(f"sweep: {len(rows)} cells, {bad} failed, report {args.out}")
     return EXIT_OK
 
 
@@ -318,9 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="run an (nc, k) grid, write a CSV report")
-    p.add_argument("--topology", required=True)
-    p.add_argument("--chains", required=True)
-    p.add_argument("--demands", required=True)
+    _add_file_flags(p)
     p.add_argument("--nc-list", required=True, help="comma-separated counts")
     p.add_argument("--k-list", required=True, help="comma-separated budgets")
     p.add_argument(
@@ -356,10 +316,7 @@ def main(argv=None) -> int:
     except engine.Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (CliError, ParseError, ValidationError, engine.EngineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (CliError, ParseError, ValidationError, engine.EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

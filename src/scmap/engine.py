@@ -145,7 +145,6 @@ class SolveResult(NamedTuple):
     plan: MappingPlan
     trace: CgTrace
     model: RmpModel
-    partitions: list
 
 
 def _no_placement(instance: ProblemInstance, ci: ChainInstance) -> Infeasible:
@@ -210,22 +209,18 @@ def diagnose_infeasibility(instance: ProblemInstance) -> list:
     """
     hints = []
     topo = instance.topology
-    for v, need in sorted(instance.out_gbps.items()):
-        arcs = topo.out_arcs[v]
-        have = sum(topo.capacity(a) for a in arcs)
-        if need > have + 1e-9:
-            hints.append(
-                f"demand leaving {v} totals {need:g} Gbps but its outgoing arcs "
-                f"{[f'{a}->{b}' for a, b in arcs]} provide {have:g}"
-            )
-    for v, need in sorted(instance.in_gbps.items()):
-        arcs = topo.in_arcs[v]
-        have = sum(topo.capacity(a) for a in arcs)
-        if need > have + 1e-9:
-            hints.append(
-                f"demand entering {v} totals {need:g} Gbps but its incoming arcs "
-                f"{[f'{a}->{b}' for a, b in arcs]} provide {have:g}"
-            )
+    for way, gbps, arcs_at, side in (
+        ("leaving", instance.out_gbps, topo.out_arcs, "outgoing"),
+        ("entering", instance.in_gbps, topo.in_arcs, "incoming"),
+    ):
+        for v, need in sorted(gbps.items()):
+            arcs = arcs_at[v]
+            have = sum(topo.capacity(a) for a in arcs)
+            if need > have + 1e-9:
+                hints.append(
+                    f"demand {way} {v} totals {need:g} Gbps but its {side} arcs "
+                    f"{[f'{a}->{b}' for a, b in arcs]} provide {have:g}"
+                )
     cut = _core_cut(instance, len(topo.nfv_nodes))
     if cut:
         hints.append(cut)
@@ -790,10 +785,9 @@ def solve(
         raise EngineError(f"time limit must be finite positive seconds, got {time_limit}")
     deadline = _deadline(time_limit)
     reserve = 0.0 if time_limit is None else SELECTION_SHARE * time_limit
-    partitions = partition_all(instance)
     model, trace = run_column_generation(
         instance,
-        partitions,
+        partition_all(instance),
         max_iters=max_iters,
         time_limit=None if deadline is None else max(0.0, _left(deadline) - reserve),
     )
@@ -807,7 +801,7 @@ def solve(
         )
         left = None
     plan = extract_plan(instance, model, time_limit=left)
-    return SolveResult(plan=plan, trace=trace, model=model, partitions=partitions)
+    return SolveResult(plan=plan, trace=trace, model=model)
 
 
 # -- independent feasibility checking ----------------------------------------

@@ -152,6 +152,42 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "demands, hints",
+        [
+            (
+                [("a", "c"), ("b", "c")],
+                ["demand entering c totals 2 Gbps but its incoming arcs ['b->c'] "
+                 "provide 1.5"],
+            ),
+            (
+                [("a", "c"), ("b", "c"), ("c", "a"), ("c", "b")],
+                ["demand leaving c totals 2 Gbps but its outgoing arcs ['c->b'] "
+                 "provide 1.5",
+                 "demand entering c totals 2 Gbps but its incoming arcs ['b->c'] "
+                 "provide 1.5"],
+            ),
+        ],
+        ids=["entering", "leaving-then-entering"],
+    )
+    def test_node_cut_hints_are_pinned(self, demands, hints, tmp_path, capsys):
+        # path a-b-c at 1.5 Gbps a link, 1 Gbps a demand: two demands into
+        # (or out of) c need more than its one link carries
+        inst = build_instance(["a", "b", "c"], [("a", "b"), ("b", "c")], demands,
+                              capacity=1.5)
+        assert engine.diagnose_infeasibility(inst) == hints
+        paths = save_instance(inst, tmp_path)
+        code = run(
+            ["solve", "--topology", str(paths["topology"]),
+             "--chains", str(paths["chains"]),
+             "--demands", str(paths["demands"]),
+             "--k", "3", "--out", str(tmp_path / "p.json")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "infeasible: no plan exists: " + "; ".join(hints) + "\n"
+        )
+
 
 class TestValidate:
     def corrupt(self, path, mutate):
@@ -385,6 +421,56 @@ class TestSweep:
             ["34", "14", "ok", "390.000000", "390.000000", "0.000000", "12", "1", "476",
              "390.000000", ""],
         ]
+
+    def test_failed_column_generation_leaves_every_solve_field_blank(
+        self, triangle_flags, tmp_path, monkeypatch, caplog
+    ):
+        # a group whose column generation fails is an "error" row for every
+        # k, with only the cell's place and the reference columns filled
+        def fail(*args, **kwargs):
+            raise RuntimeError("pool lost")
+
+        monkeypatch.setattr(engine, "run_column_generation", fail)
+        out = tmp_path / "s.csv"
+        assert run(["sweep", *triangle_flags, "--nc-list", "1,2",
+                    "--k-list", "1,2", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1:] == [
+            f"{nc},{k},error,,,,,,,,6.000000,8.000000" for nc in (1, 2) for k in (1, 2)
+        ]
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [
+            "nc=1: column generation failed: pool lost",
+            "nc=2: column generation failed: pool lost",
+        ]
+
+    def test_failed_selection_keeps_its_group_fields(
+        self, triangle_flags, tmp_path, monkeypatch, caplog
+    ):
+        # a selection that fails at one k blanks only that row's plan fields:
+        # the group's bound, rounds and pool size, and its time, stay
+        extract = engine.extract_plan
+
+        def fail_at_k2(instance, model, **kwargs):
+            if instance.k == 2:
+                raise RuntimeError("no selection")
+            return extract(instance, model, **kwargs)
+
+        monkeypatch.setattr(engine, "extract_plan", fail_at_k2)
+        out = tmp_path / "s.csv"
+        assert run(["sweep", *triangle_flags, "--nc-list", "1,2",
+                    "--k-list", "1,2", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert all(r[9].isdigit() for r in rows)
+        assert [r[:9] + r[10:] for r in rows] == [
+            ["1", "1", "ok", "8.000000", "8.000000", "0.000000", "1", "1", "3",
+             "6.000000", "8.000000"],
+            ["1", "2", "error", "", "8.000000", "", "", "1", "3", "6.000000", "8.000000"],
+            ["2", "1", "ok", "8.000000", "7.000000", "0.125000", "1", "1", "6",
+             "6.000000", "8.000000"],
+            ["2", "2", "error", "", "7.000000", "", "", "1", "6", "6.000000", "8.000000"],
+        ]
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == ["nc=1 k=2: no selection", "nc=2 k=2: no selection"]
 
 
 @pytest.mark.parametrize(

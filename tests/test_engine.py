@@ -490,8 +490,8 @@ def test_tight_square_has_a_split_plan(cores):
             marks=pytest.mark.xfail(
                 strict=True,
                 raises=engine.Infeasible,
-                reason="ROADMAP item 2: the final selection over a restricted column "
-                "pool reports a false 'infeasible'",
+                reason="ROADMAP item 5: the grouping is fine, but the pool lacks the "
+                "split column, so the final selection reports a false 'infeasible'",
             ),
         ),
         5,
