@@ -205,15 +205,17 @@ def cmd_sweep(args) -> int:
     single = baselines.single_node_oracle(probe)[1]
     if single is not None:
         reference["single_node"] = f"{single:.6f}"
-    rows = [row for nc in nc_values for row in _sweep_group(probe, nc, k_values, args)]
-
+    cells = bad = 0
+    # opened before any cell is solved, so a bad path fails at once
     with open(args.out, "w") as fh:
         fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            row.update(reference)
-            fh.write(",".join(str(row.get(c, "")) for c in SWEEP_COLUMNS) + "\n")
-    bad = sum(1 for row in rows if row["status"] != "ok")
-    print(f"sweep: {len(rows)} cells, {bad} failed, report {args.out}")
+        for nc in nc_values:
+            for row in _sweep_group(probe, nc, k_values, args):
+                row.update(reference)
+                fh.write(",".join(str(row.get(c, "")) for c in SWEEP_COLUMNS) + "\n")
+                cells += 1
+                bad += row["status"] != "ok"
+    print(f"sweep: {cells} cells, {bad} failed, report {args.out}")
     return EXIT_OK
 
 

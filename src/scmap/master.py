@@ -76,7 +76,10 @@ goes to HiGHS.
 
 The hosting budget k is not part of the relaxation, so its bound is the
 same at every k; hosting flags and the budget row enter only the integer
-selection (`build_final_ilp`). That selection is the master's
+selection (`build_final_ilp`), and only where k is below the number of NFV
+nodes: at k = |NFV| the budget row cannot bind and every flag at 1 meets
+every row that switches a flag on, so the block would leave the feasible z
+set as it is. That selection is the master's
 z-restriction: its convexity, core and capacity rows (the master's first
 rows on both shapes) with only their z coefficients, and its z objectives.
 On a compact master that is the master itself without its artificial
@@ -700,7 +703,8 @@ def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
     core and capacity rows, plus the hosting block (`_add_hosting_block`).
     The full program (arc-flow master only) is the whole master with every
     variable integer and its artificial columns fixed at 0, plus the same
-    hosting block.
+    hosting block. Where k is at least the number of NFV nodes neither has
+    a hosting block: it could not cut off any z point.
     """
     master, first, ub = model.lp, model.z0, 1.0
     n_rows = len(model.conv_row) + len(model.core_row) + len(model.cap_row)
@@ -715,5 +719,6 @@ def build_final_ilp(model: RmpModel, k: int, *, full: bool = False) -> FinalIlp:
     keep = (cols >= first) & (rows < n_rows)
     entries = (rows[keep], cols[keep] - first, values[keep])
     lp.add_rows(master.relation[:n_rows], master.rhs[:n_rows], entries)
-    _add_hosting_block(lp, model, model.z0 - first, k)
+    if k < len(model.nfv_index):
+        _add_hosting_block(lp, model, model.z0 - first, k)
     return FinalIlp(lp=lp, full=full, z0=model.z0 - first)

@@ -6,8 +6,14 @@ scmap needs one thing from scipy: the HiGHS extension it ships as
 (numpy.f2py among them) and takes most of a start-up. So the extension is
 loaded from its file in scipy's install, found without importing scipy, and
 registered under its own name: a later `import scipy.optimize` in the same
-process reuses it rather than initialising the binding a second time. Where
-`scipy.optimize` is already imported, its module is taken as it is.
+process reuses it rather than initialising the binding a second time.
+
+The file is found at import, so a scipy without it fails the import, but
+the binding is loaded only by the first program a process solves
+(`_binding`, once): a solve whose relaxations are all in closed form and
+whose plan needs no integer program never loads it, and saves about 3 MB
+of peak memory and 5-9 ms. Where `scipy.optimize` was imported before
+that first program, its module is taken as it is.
 
 Each program goes to HiGHS as one `HighsLp`: columns with their bounds and
 costs, and rows as row_lower <= Ax <= row_upper (a <= row has no lower side,
@@ -26,10 +32,13 @@ c - A'y equals the primal objective (strong duality).
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import sys
 from pathlib import Path
+from types import ModuleType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,13 +48,9 @@ _CORE = "scipy.optimize._highspy._core"
 _MISSING = f"scmap.simplexkit.highs needs scipy>=1.17, whose bundled HiGHS binding is {_CORE}"
 
 
-def _load_core():
-    """scipy's HiGHS binding, without importing `scipy.optimize`."""
-    if _CORE in sys.modules or "scipy.optimize" in sys.modules:
-        try:
-            return importlib.import_module(_CORE)
-        except ImportError as exc:
-            raise ImportError(_MISSING) from exc
+def _find_core():
+    """The spec of scipy's HiGHS binding, from its file in scipy's install,
+    found without importing scipy or loading the binding."""
     scipy = importlib.util.find_spec("scipy")  # finds, imports nothing
     roots = scipy.submodule_search_locations if scipy else None
     found = [
@@ -57,42 +62,64 @@ def _load_core():
     if not found:  # the private binding moved or is missing
         raise ImportError(_MISSING)
     loader = importlib.machinery.ExtensionFileLoader(_CORE, str(found[0]))
-    spec = importlib.util.spec_from_file_location(_CORE, found[0], loader=loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[_CORE] = module
-    loader.exec_module(module)
-    return module
+    return importlib.util.spec_from_file_location(_CORE, found[0], loader=loader)
 
 
-_core = _load_core()
-_STATUS = _core.HighsModelStatus
+_SPEC = _find_core()
 
 # linprog's feasibility check of an "optimal" point: sqrt(tol) * 10 at its
 # default tol of 1e-9
 RESULT_TOL = np.sqrt(1e-9) * 10
 
-# HiGHS model status -> the status a failed run reports, as scipy maps them
-# (`_highs_to_scipy_status_message`); any other status reads "stalled"
-_FAILED = {
-    _STATUS.kInfeasible: "infeasible",
-    _STATUS.kModelError: "infeasible",
-    _STATUS.kUnbounded: "unbounded",
-}
-# statuses after which a MIP still holds an incumbent, if it found one
-_MIP_STOPPED = (_STATUS.kTimeLimit, _STATUS.kIterationLimit, _STATUS.kSolutionLimit)
-
-# the options linprog sets: presolve on, dual simplex, no output
-_LP_OPTIONS = (
-    ("output_flag", False),
-    ("presolve", "on"),
-    ("simplex_strategy", int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
-)
-# milp's (no output), and no feasibility-jump heuristic: on the selection
-# programs it costs 8-12 ms a run and its incumbent was never the one kept
+# milp's options (no output), and no feasibility-jump heuristic: on the
+# selection programs it costs 8-12 ms a run and its incumbent was never the
+# one kept
 _MIP_OPTIONS = (
     ("output_flag", False),
     ("mip_heuristic_run_feasibility_jump", False),
 )
+
+
+class _Binding(NamedTuple):
+    core: ModuleType
+    status: type  # HighsModelStatus
+    # HiGHS model status -> the status a failed run reports, as scipy maps
+    # them (`_highs_to_scipy_status_message`); any other status reads "stalled"
+    failed: dict
+    # statuses after which a MIP still holds an incumbent, if it found one
+    mip_stopped: tuple
+    # the options linprog sets: presolve on, dual simplex, no output
+    lp_options: tuple
+
+
+@functools.cache
+def _binding() -> _Binding:
+    """scipy's HiGHS binding, loaded by the first program a process solves:
+    the module `scipy.optimize` loaded where it has been imported, else the
+    one `_SPEC` finds, registered under its own name."""
+    if _CORE in sys.modules or "scipy.optimize" in sys.modules:
+        core = importlib.import_module(_CORE)
+    else:
+        core = importlib.util.module_from_spec(_SPEC)
+        sys.modules[_CORE] = core
+        _SPEC.loader.exec_module(core)
+    status = core.HighsModelStatus
+    return _Binding(
+        core=core,
+        status=status,
+        failed={
+            status.kInfeasible: "infeasible",
+            status.kModelError: "infeasible",
+            status.kUnbounded: "unbounded",
+        },
+        mip_stopped=(status.kTimeLimit, status.kIterationLimit, status.kSolutionLimit),
+        lp_options=(
+            ("output_flag", False),
+            ("presolve", "on"),
+            ("simplex_strategy",
+             int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+        ),
+    )
 
 
 def _highs_lp(lp: LinearProgram, order: np.ndarray, integer: bool) -> tuple:
@@ -118,10 +145,11 @@ def _highs_lp(lp: LinearProgram, order: np.ndarray, integer: bool) -> tuple:
 
     # as lists: the binding converts a numpy array element by element, about
     # four times slower
-    out = _core.HighsLp()
+    core = _binding().core
+    out = core.HighsLp()
     out.num_col_ = out.a_matrix_.num_col_ = n
     out.num_row_ = out.a_matrix_.num_row_ = m
-    out.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    out.a_matrix_.format_ = core.MatrixFormat.kColwise
     out.a_matrix_.start_ = start.tolist()
     out.a_matrix_.index_ = rows[entry[first]].tolist()
     out.a_matrix_.value_ = np.add.reduceat(vals[entry], first).tolist()
@@ -131,14 +159,15 @@ def _highs_lp(lp: LinearProgram, order: np.ndarray, integer: bool) -> tuple:
     out.row_lower_ = row_bounds[0].tolist()
     out.row_upper_ = row_bounds[1].tolist()
     if integer:
-        kind = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
+        kind = (core.HighsVarType.kContinuous, core.HighsVarType.kInteger)
         out.integrality_ = [kind[v] for v in lp.integer.tolist()]
     return out, row_bounds
 
 
-def _run(model: _core.HighsLp, options: tuple) -> _core._Highs:
-    """A fresh HiGHS instance that has run on `model` under `options`."""
-    solver = _core._Highs()
+def _run(model, options: tuple):
+    """A fresh HiGHS instance that has run on the HighsLp `model` under
+    `options`."""
+    solver = _binding().core._Highs()
     for name, value in options:
         solver.setOptionValue(name, value)
     solver.passModel(model)
@@ -169,13 +198,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # linprog's row order: inequality rows, then equalities, each in program
     # order; in another order HiGHS may return another of several optimal
     # points or dual solutions
+    highs = _binding()
     order = np.argsort(lp.relation == EQ, kind="stable")
     model, row_bounds = _highs_lp(lp, order, integer=False)
-    solver = linprog(model, _LP_OPTIONS)
+    solver = linprog(model, highs.lp_options)
     status = solver.getModelStatus()
     message = solver.modelStatusToString(status)
-    if status != _STATUS.kOptimal:
-        return LpSolution(status=_FAILED.get(status, "stalled"), message=message)
+    if status != highs.status.kOptimal:
+        return LpSolution(status=highs.failed.get(status, "stalled"), message=message)
     info = solver.getInfo()
     solution = solver.getSolution()
     x = np.array(solution.col_value)
@@ -198,6 +228,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 
 def solve_mip(lp: LinearProgram, time_limit: float | None = None) -> MipSolution:
+    highs = _binding()
     integer = bool(lp.integer.any())
     model, _ = _highs_lp(lp, np.arange(lp.n_rows), integer)
     options = _MIP_OPTIONS
@@ -208,14 +239,14 @@ def solve_mip(lp: LinearProgram, time_limit: float | None = None) -> MipSolution
     message = solver.modelStatusToString(status)
     info = solver.getInfo()
     objective = float(info.objective_function_value)
-    if status != _STATUS.kOptimal and not (
-        integer and status in _MIP_STOPPED and objective != np.inf
+    if status != highs.status.kOptimal and not (
+        integer and status in highs.mip_stopped and objective != np.inf
     ):
-        return MipSolution(status=_FAILED.get(status, "stalled"), message=message)
+        return MipSolution(status=highs.failed.get(status, "stalled"), message=message)
     bound = float(info.mip_dual_bound) if integer else objective
     gap = (objective - bound) / max(1.0, abs(objective))
     return MipSolution(
-        status="optimal" if status == _STATUS.kOptimal else "feasible",
+        status="optimal" if status == highs.status.kOptimal else "feasible",
         x=solver.getSolution().col_value,
         objective=objective,
         bound=bound,

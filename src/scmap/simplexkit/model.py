@@ -38,7 +38,9 @@ def _append(store: np.ndarray, used: int, block: np.ndarray) -> np.ndarray:
     capacity doubles when full, so appending costs O(len(block)) amortised.
     The store is left read-only, and so is every view of it."""
     if used + len(block) > len(store):
-        store = np.resize(store, max(2 * len(store), used + len(block)))
+        grown = np.empty(max(2 * len(store), used + len(block)), store.dtype)
+        grown[:used] = store[:used]
+        store = grown
     store.flags.writeable = True
     store[used : used + len(block)] = block
     store.flags.writeable = False

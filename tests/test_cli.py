@@ -422,6 +422,18 @@ class TestSweep:
              "390.000000", ""],
         ]
 
+    def test_unwritable_report_fails_before_any_cell_is_solved(
+        self, triangle_flags, tmp_path, monkeypatch, capsys
+    ):
+        solved = []
+        monkeypatch.setattr(engine, "run_column_generation", lambda *a, **kw: solved.append(a))
+        out = tmp_path / "nodir" / "s.csv"
+        assert run(["sweep", *triangle_flags, "--nc-list", "1,2",
+                    "--k-list", "1,2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert solved == [] and not out.parent.exists()
+
     def test_failed_column_generation_leaves_every_solve_field_blank(
         self, triangle_flags, tmp_path, monkeypatch, caplog
     ):

@@ -1,7 +1,8 @@
-"""How scmap loads scipy's HiGHS binding: from its extension file, with no
-`scipy.optimize` import at start-up and none during a solve, sharing one
-module with `scipy.optimize` in either import order. Each case runs in a
-fresh interpreter, since the module table of this one is already set."""
+"""How scmap loads scipy's HiGHS binding: from its extension file, at the
+first program a process solves, with no `scipy.optimize` import at start-up
+and none during a solve, sharing one module with `scipy.optimize` in either
+import order. Each case runs in a fresh interpreter, since the module table
+of this one is already set."""
 
 import json
 import os
@@ -45,84 +46,150 @@ def test_startup_imports_neither_scipy_optimize_nor_f2py():
     assert out.strip() == "[]"
 
 
-def test_solve_imports_no_module():
-    # three instances, loaded and solved after the module table is read:
-    # - NSFNET at 45 cores per node, nc=16, k=14: core rows bind, so column
-    #   generation solves LPs and the final selection a MIP on HiGHS;
-    # - bundled NSFNET, nc=4, one column generation selected at k=2 (the
-    #   host-set bound's plan) and k=14 (the relaxation point);
-    # - bundled NSFNET with every link at 30 Gbps, an arc-flow master, the
-    #   same two selections (the full program's plan, the relaxation point)
-    out = run_python(
-        """
-        import json, logging, sys, tempfile
-        from pathlib import Path
+BINDING = [
+    "scipy.optimize._highspy._core",
+    "scipy.optimize._highspy._core.cb",
+    "scipy.optimize._highspy._core.simplex_constants",
+]
 
-        from scmap import engine
+# Each stage loads and solves bundled NSFNET instances after reading the
+# module table, and reports the modules it added, its HiGHS runs and the
+# program that chose each plan:
+# - closed: nc=4, one column generation selected at k=2 (the host-set
+#   bound's plan) and k=14 (the relaxation point), every relaxation in
+#   closed form;
+# - mip: nc=16, every relaxation in closed form, selected at k=5 by the
+#   selection program (a MIP);
+# - lp: at 45 cores per node, nc=16, k=14, core rows bind, so column
+#   generation solves LPs and the selection a MIP; then, with every link at
+#   30 Gbps (an arc-flow master), nc=4 selected at k=2 (the full program)
+#   and k=14 (the relaxation point)
+STAGES = """
+    import json, logging, sys, tempfile
+    from pathlib import Path
+
+    from scmap import engine
+    from scmap.fixturedata import nsfnet_files
+    from scmap.netmodel import load_instance
+    from scmap.simplexkit import highs
+    from scmap.sptg import partition_all
+
+    topo, chains, demands = nsfnet_files()
+    tmp = Path(tempfile.mkdtemp())
+
+    def edited(name, key, field, value):
+        doc = json.loads(topo.read_text())
+        for entry in doc[key]:
+            entry[field] = value
+        path = tmp / name
+        path.write_text(json.dumps(doc))
+        return path
+
+    cores45 = edited("cores45.topology.json", "nodes", "cores", 45)
+    links30 = edited("links30.topology.json", "links", "capacity_gbps", 30)
+    calls = {{}}
+
+    def counted(name, run):
+        def wrapped(*args):
+            calls[name] += 1
+            return run(*args)
+        return wrapped
+
+    highs.linprog = counted("linprog", highs.linprog)
+    highs.milp = counted("milp", highs.milp)
+    chosen = []
+
+    class Chosen(logging.Handler):
+        def emit(self, record):
+            if record.getMessage().startswith("plan chosen"):
+                chosen.append(record.getMessage().split(" by the ")[1])
+
+    logging.getLogger("scmap").addHandler(Chosen())
+    logging.getLogger("scmap").setLevel(logging.INFO)
+
+    def sweep(path, nc, ks):
+        cells = {{k: load_instance(path, chains, demands, k=k, nc=nc) for k in ks}}
+        model, _ = engine.run_column_generation(cells[ks[0]], partition_all(cells[ks[0]]))
+        for k in ks:
+            engine.extract_plan(cells[k], model)
+        return model
+
+    def closed():
+        sweep(topo, 4, (2, 14))
+
+    def mip():
+        sweep(topo, 16, (5,))
+
+    def lp():
+        engine.solve(load_instance(cores45, chains, demands, k=14, nc=16))
+        sweep(cores45, 16, (14,))
+        assert not sweep(links30, 4, (2, 14)).compact
+
+    report = []
+    for stage in {order}:
+        before = set(sys.modules)
+        calls.update(linprog=0, milp=0)
+        chosen.clear()
+        stage()
+        added = sorted(set(sys.modules) - before)
+        report.append({{"added": added, "chosen": list(chosen), **calls}})
+    report.append("scipy.optimize" in sys.modules)
+    print(json.dumps(report))
+"""
+
+
+def test_solve_imports_no_module():
+    # closed-form solves add no module, the binding included; the first LP
+    # or MIP adds the binding's own modules and nothing else, in either
+    # order, and no stage imports scipy.optimize
+    chosen = {
+        "closed": ["host-set bound at k=2", "relaxation point at k=14"],
+        "mip": ["selection program at k=5"],
+        "lp": [
+            "selection program at k=14",
+            "selection program at k=14",
+            "full program at k=2",
+            "relaxation point at k=14",
+        ],
+    }
+    for order in (["closed", "mip", "lp"], ["closed", "lp", "mip"]):
+        *stages, optimize = json.loads(
+            run_python(STAGES.format(order=f"({', '.join(order)})"))
+        )
+        assert optimize is False
+        got = dict(zip(order, stages))
+        assert [got[name]["chosen"] for name in order] == [chosen[name] for name in order]
+        assert got["closed"] == {**got["closed"], "added": [], "linprog": 0, "milp": 0}
+        assert got["mip"]["linprog"] == 0 and got["mip"]["milp"] == 1
+        assert got["lp"]["linprog"] >= 1 and got["lp"]["milp"] >= 1
+        assert got[order[1]]["added"] == BINDING
+        assert got[order[2]]["added"] == []
+
+
+def test_cli_validate_and_lowerbound_leave_the_binding_unloaded(tmp_path):
+    # in-process `scmap solve`, `validate` and `lowerbound` on bundled NSFNET
+    # at nc=4, k=14: every relaxation is in closed form and the relaxation
+    # point is the plan, so no program reaches HiGHS
+    out = run_python(
+        f"""
+        import sys
+        from scmap import cli
         from scmap.fixturedata import nsfnet_files
-        from scmap.netmodel import load_instance
-        from scmap.simplexkit import highs
-        from scmap.sptg import partition_all
 
         topo, chains, demands = nsfnet_files()
-        tmp = Path(tempfile.mkdtemp())
-
-        def edited(name, key, field, value):
-            doc = json.loads(topo.read_text())
-            for entry in doc[key]:
-                entry[field] = value
-            path = tmp / name
-            path.write_text(json.dumps(doc))
-            return path
-
-        cores45 = edited("cores45.topology.json", "nodes", "cores", 45)
-        links30 = edited("links30.topology.json", "links", "capacity_gbps", 30)
-
-        calls = {"linprog": 0, "milp": 0}
-
-        def counted(name, run):
-            def wrapped(*args):
-                calls[name] += 1
-                return run(*args)
-            return wrapped
-
-        highs.linprog = counted("linprog", highs.linprog)
-        highs.milp = counted("milp", highs.milp)
-        chosen = []
-
-        class Chosen(logging.Handler):
-            def emit(self, record):
-                if record.getMessage().startswith("plan chosen"):
-                    chosen.append(record.getMessage())
-
-        logging.getLogger("scmap").addHandler(Chosen())
-        logging.getLogger("scmap").setLevel(logging.INFO)
-        before = set(sys.modules)
-        instance = load_instance(cores45, chains, demands, k=14, nc=16)
-        engine.solve(instance)
-        model, _ = engine.run_column_generation(instance, partition_all(instance))
-        engine.extract_plan(instance, model)
-        for path in (topo, links30):
-            sweep = {k: load_instance(path, chains, demands, k=k, nc=4) for k in (2, 14)}
-            model, _ = engine.run_column_generation(sweep[2], partition_all(sweep[2]))
-            for k in (2, 14):
-                engine.extract_plan(sweep[k], model)
-        added = sorted(set(sys.modules) - before)
-        print(json.dumps({"added": added, "chosen": chosen, "compact": model.compact, **calls}))
+        flags = ["--topology", str(topo), "--chains", str(chains), "--demands", str(demands)]
+        plan = {str(tmp_path / "plan.json")!r}
+        codes = [
+            cli.main(["solve", *flags, "--nc", "4", "--k", "14", "--out", plan]),
+            cli.main(["validate", *flags, "--nc", "4", "--k", "14", "--plan", plan]),
+            cli.main(["lowerbound", *flags]),
+        ]
+        print(codes, sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
         """
     )
-    got = json.loads(out)
-    assert got["added"] == []
-    assert got["linprog"] >= 1 and got["milp"] >= 1
-    assert not got["compact"]
-    assert [line.split(" by the ")[1] for line in got["chosen"]] == [
-        "selection program at k=14",
-        "selection program at k=14",
-        "host-set bound at k=2",
-        "relaxation point at k=14",
-        "full program at k=2",
-        "relaxation point at k=14",
-    ]
+    lines = out.splitlines()
+    assert lines[-1] == "[0, 0, 0] []"
+    assert "plan ok: objective=494.000000" in lines
 
 
 ROUND_TRIP = """
@@ -131,10 +198,21 @@ ROUND_TRIP = """
 
     import numpy as np
 
+    # every extension module created from here on, by name
+    created = []
+    create = importlib.machinery.ExtensionFileLoader.create_module
+
+    def recorded(loader, spec):
+        created.append(spec.name)
+        return create(loader, spec)
+
+    importlib.machinery.ExtensionFileLoader.create_module = recorded
     {first}
     from scmap.simplexkit import LE, LinearProgram, highs
 
     print("scipy.optimize" in sys.modules)
+    {between}
+    print("scipy.optimize._highspy._core" in created)
     lp = LinearProgram()
     lp.add_columns([-1.0, -2.0, 0.5], ub=4.0)
     entries = ([0, 0, 0, 1, 1], [0, 1, 2, 0, 1], [1.0, 1.0, 1.0, 1.0, 3.0])
@@ -145,38 +223,33 @@ ROUND_TRIP = """
         return s.status, s.x, s.objective, s.duals
 
     before = scmap_answer()
-    # every extension module created from here on, by name
-    created = []
-    create = importlib.machinery.ExtensionFileLoader.create_module
-
-    def recorded(loader, spec):
-        created.append(spec.name)
-        return create(loader, spec)
-
-    importlib.machinery.ExtensionFileLoader.create_module = recorded
     import scipy.optimize
     ref = scipy.optimize.linprog(
         [-1.0, -2.0, 0.5], A_ub=[[1, 1, 1], [1, 3, 0]], b_ub=[5, 9], bounds=(0, 4)
     )
     after = scmap_answer()
     assert before == after, (before, after)
-    assert "scipy.optimize._highspy._core" not in created, created
+    assert created.count("scipy.optimize._highspy._core") == 1, created
     assert before[0] == "optimal" and ref.status == 0
     assert np.array_equal(before[1], ref.x) and before[2] == ref.fun
     assert np.array_equal(before[3], ref.ineqlin.marginals)
     from scipy.optimize._highspy import _core, _highs_wrapper
-    assert sys.modules["scipy.optimize._highspy._core"] is highs._core
-    assert _core is highs._core and _highs_wrapper._h is highs._core
+    assert sys.modules["scipy.optimize._highspy._core"] is highs._binding().core
+    assert _core is highs._binding().core and _highs_wrapper._h is _core
     print("ok")
 """
 
 
 @pytest.mark.parametrize(
-    "first", ["", "import scipy.optimize"], ids=["scmap_first", "scipy_optimize_first"]
+    "first, between",
+    [("", ""), ("import scipy.optimize", ""), ("", "import scipy.optimize")],
+    ids=["scmap_first", "scipy_optimize_first", "scipy_optimize_before_first_solve"],
 )
-def test_one_binding_in_either_import_order(first):
-    out = run_python(ROUND_TRIP.format(first=first)).split()
-    assert out == [str(bool(first)), "ok"]
+def test_one_binding_in_either_import_order(first, between):
+    # the binding is created once: by scmap's first solve, or by
+    # scipy.optimize where that is imported before it, scmap at import or not
+    out = run_python(ROUND_TRIP.format(first=first, between=between)).split()
+    assert out == [str(bool(first)), str(bool(first or between)), "ok"]
 
 
 def test_missing_binding_names_the_scipy_floor(tmp_path):

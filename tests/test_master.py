@@ -521,10 +521,16 @@ class TestFinalIlp:
         return model
 
     def test_fast_binary_count_on_triangle(self, triangle):
+        # a binary per pooled column, and a hosting flag per NFV node where
+        # k is below their number; at k = |NFV| no flag and no hosting row
         model = self.converged(triangle)
-        final = build_final_ilp(model, triangle.k)
-        nbin = int(final.lp.integer.sum())
-        assert nbin == len(model.pool) + len(triangle.topology.nfv_nodes)
+        n_nfv = len(triangle.topology.nfv_nodes)
+        kept = len(model.conv_row) + len(model.core_row) + len(model.cap_row)
+        assert triangle.k == n_nfv
+        for k, flags in ((n_nfv - 1, n_nfv), (n_nfv, 0)):
+            lp = build_final_ilp(model, k).lp
+            assert int(lp.integer.sum()) == lp.n_vars == len(model.pool) + flags
+            assert (lp.n_rows == kept) == (flags == 0)
 
     def test_full_matches_fast_uncapacitated(self, capacitated_triangle):
         # 6 Gbps links: an arc-flow master, yet no plan loads an arc that far
@@ -564,8 +570,9 @@ class TestFinalIlp:
 
     def test_selection_is_the_masters_z_restriction(self, triangle, capacitated_triangle):
         # row for row the master's conv/core/cap rows with only their z
-        # terms, then the hosting block; z priced with its end cost; on each
-        # shape with one chain instance and with two, every fitting
+        # terms, then, at k below the number of NFV nodes, the hosting block,
+        # and at k equal to it nothing more; z priced with its end cost; on
+        # each shape with one chain instance and with two, every fitting
         # configuration pooled so that several columns share a hosting row
         path = two_ended_path()
         shared = {True: 0, False: 0}  # most columns in one hosting row, by shape
@@ -575,52 +582,61 @@ class TestFinalIlp:
                 for col in enumerate_all_configs(inst, ci):
                     if fits(inst, ci, col.locations):
                         pool(model, ci, col)
-            final = build_final_ilp(model, inst.k)
-            assert not final.full
-            lp = final.lp
-            assert final.z0 == 0 and lp.n_vars > len(model.pool)
-            zsel = {model.z0 + p: p for p in range(len(model.pool))}
-            kept = [*model.conv_row, *model.core_row, *model.cap_row]
-            master_rows, rows = model.lp.rows, lp.rows
-            for i, r in enumerate(kept):
-                want = master_rows[r]
-                got = rows[i]
-                assert (got.relation, got.rhs) == (want.relation, want.rhs)
-                assert got.coeffs == [(zsel[j], a) for j, a in want.coeffs if j in zsel]
-            for p in range(len(model.pool)):
-                z = model.z0 + p
-                assert model.lp.obj[z] == column_cost(model, *pooled(model, p))
-                assert lp.obj[p] == model.lp.obj[z]
-            # hosting: one binary flag per NFV node after the z columns, and
-            # nothing else, then a row per (chain instance, node) holding +1
-            # on each of the instance's columns placing there, in pool
-            # order, and -1 on the node's flag
             nfv = inst.topology.nfv_nodes
-            h = {v: len(model.pool) + j for j, v in enumerate(nfv)}
-            assert lp.n_vars == len(model.pool) + len(nfv)
-            assert lp.integer.all() and (lp.ub[list(h.values())] == 1.0).all()
-            users: dict = {}
-            for p in range(len(model.pool)):
-                ci, col = pooled(model, p)
-                for v in sorted({nfv.index(v) for v in col.locations}):
-                    users.setdefault((ci.index, v), []).append((p, 1.0))
-            assert rows[len(kept) : -1] == [
-                Row(using + [(h[nfv[v]], -1.0)], LE, 0.0) for (_, v), using in sorted(users.items())
-            ]
-            assert len({i for i, _ in users}) == len(model.chain_instances)
-            shared[model.compact] = max(shared[model.compact], *map(len, users.values()))
-            assert rows[-1] == Row([(h[v], 1.0) for v in nfv], LE, float(inst.k))
-            if model.compact:
-                # no end flows, so no full program either
-                with pytest.raises(MasterError):
-                    build_final_ilp(model, inst.k, full=True)
-            else:
-                # the full program: the master in integers with its artificials
-                # fixed at 0, then the same hosting block on its own columns
-                full = build_final_ilp(model, inst.k, full=True)
+            assert inst.k == len(nfv)
+            kept = [*model.conv_row, *model.core_row, *model.cap_row]
+            master_rows = model.lp.rows
+            zsel = {model.z0 + p: p for p in range(len(model.pool))}
+            for k in (len(nfv) - 1, len(nfv)):
+                final = build_final_ilp(model, k)
+                assert not final.full
+                lp, rows = final.lp, final.lp.rows
+                assert final.z0 == 0 and lp.integer.all()
+                for i, r in enumerate(kept):
+                    want = master_rows[r]
+                    got = rows[i]
+                    assert (got.relation, got.rhs) == (want.relation, want.rhs)
+                    assert got.coeffs == [(zsel[j], a) for j, a in want.coeffs if j in zsel]
+                for p in range(len(model.pool)):
+                    z = model.z0 + p
+                    assert model.lp.obj[z] == column_cost(model, *pooled(model, p))
+                    assert lp.obj[p] == model.lp.obj[z]
+                if k == len(nfv):
+                    # the budget cannot bind: no flag, no hosting row
+                    assert lp.n_vars == len(model.pool) and len(rows) == len(kept)
+                else:
+                    # hosting: one binary flag per NFV node after the z
+                    # columns, and nothing else, then a row per (chain
+                    # instance, node) holding +1 on each of the instance's
+                    # columns placing there, in pool order, and -1 on the
+                    # node's flag
+                    h = {v: len(model.pool) + j for j, v in enumerate(nfv)}
+                    assert lp.n_vars == len(model.pool) + len(nfv)
+                    assert (lp.ub[list(h.values())] == 1.0).all()
+                    users: dict = {}
+                    for p in range(len(model.pool)):
+                        ci, col = pooled(model, p)
+                        for v in sorted({nfv.index(v) for v in col.locations}):
+                            users.setdefault((ci.index, v), []).append((p, 1.0))
+                    assert rows[len(kept) : -1] == [
+                        Row(using + [(h[nfv[v]], -1.0)], LE, 0.0)
+                        for (_, v), using in sorted(users.items())
+                    ]
+                    assert len({i for i, _ in users}) == len(model.chain_instances)
+                    shared[model.compact] = max(shared[model.compact], *map(len, users.values()))
+                    assert rows[-1] == Row([(h[v], 1.0) for v in nfv], LE, float(k))
+                if model.compact:
+                    # no end flows, so no full program either
+                    with pytest.raises(MasterError):
+                        build_final_ilp(model, k, full=True)
+                    continue
+                # the full program: the master in integers with its
+                # artificials fixed at 0, then the same hosting block, if any,
+                # on its own columns
+                full = build_final_ilp(model, k, full=True)
                 n, m = model.lp.n_vars, model.lp.n_rows
                 assert full.full and full.z0 == model.z0 and full.lp.integer.all()
-                assert full.lp.n_vars == n + len(nfv)
+                assert full.lp.n_vars == n + lp.n_vars - len(model.pool)
                 assert full.lp.obj[:n].tolist() == model.lp.obj.tolist()
                 ub = model.lp.ub.copy()
                 ub[: len(model.chain_instances)] = 0.0  # the artificials

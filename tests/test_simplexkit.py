@@ -245,6 +245,27 @@ def test_model_validation():
     assert lp.n_vars == 4 and lp.obj.tolist() == [0.0, 1.0, 1.0, 3.0]
 
 
+def test_stores_double_keep_their_records_and_stay_read_only():
+    lp = LinearProgram()
+    capacity = []
+    for j in range(9):
+        lp.add_columns([float(j)], ub=float(j + 1), integer=j % 2 == 1)
+        capacity.append(len(lp._cols))
+    assert capacity == [1, 2, 4, 4, 8, 8, 8, 8, 16]
+    lp.add_columns(np.arange(40.0))  # past twice the store: what it needs
+    assert len(lp._cols) == 49
+    row = lp.add_rows([LE, GE], [1.0, 2.0], ([0, 0, 1], [0, 8, 48], [1.0, 2.0, 3.0]))
+    lp.add_rows([EQ], [3.0], ([0], [1], [4.0]))
+    assert lp.obj.tolist() == [*map(float, range(9)), *np.arange(40.0).tolist()]
+    assert lp.ub.tolist()[:10] == [*map(float, range(1, 10)), math.inf]
+    assert lp.integer.tolist()[:10] == [j % 2 == 1 for j in range(9)] + [False]
+    assert (lp.relation.tolist(), lp.rhs.tolist()) == ([LE, GE, EQ], [1.0, 2.0, 3.0])
+    assert [r.coeffs for r in lp.rows] == [[(0, 1.0), (8, 2.0)], [(48, 3.0)], [(1, 4.0)]]
+    assert row == range(0, 2) and lp.nnz == 4
+    for view in (lp.obj, lp.lb, lp.ub, lp.integer, lp.relation, lp.rhs, *lp.entries):
+        assert not view.flags.writeable
+
+
 # -- oracle batteries ---------------------------------------------------------
 
 
