@@ -241,18 +241,19 @@ def cmd_validate(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     instance = _load(args)
-    report = baselines.baseline_report(instance)
-    node, value = report.single_node
-    print(f"shortest_path_lb {report.shortest_path_lb:.6f}")
+    # per_pair first, so its warnings precede the single-node one on stderr
+    pair_value, from_engine = baselines.per_pair(instance)
+    node, value = baselines.single_node_oracle(instance)
+    print(f"shortest_path_lb {baselines.shortest_path_lb(instance):.6f}")
     if node is None:
         print("single_node none: no node fits every demand")
     else:
         print(f"single_node {node} {value:.6f}")
-    suffix = " engine" if report.per_pair_from_engine else ""
-    if report.per_pair_instance is None:
+    suffix = " engine" if from_engine else ""
+    if pair_value is None:
         print(f"per_pair none{suffix}: no plan relative to the demand grouping")
     else:
-        print(f"per_pair {report.per_pair_instance:.6f}{suffix}")
+        print(f"per_pair {pair_value:.6f}{suffix}")
     return EXIT_OK
 
 

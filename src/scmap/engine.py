@@ -399,7 +399,7 @@ def _peel_walks(flow: dict, start: str, end: str, n: int, label: str) -> list:
     return walks
 
 
-def _aggregate(instance: ProblemInstance, assignments) -> tuple[dict, dict, tuple]:
+def route_sums(instance: ProblemInstance, assignments) -> tuple[dict, dict, tuple]:
     """Recompute arc loads, node core use, and hosting set from raw routes.
 
     The Gbps on each distinct route (an arc tuple) is summed first, so each
@@ -472,7 +472,7 @@ def _spread(nxt: np.ndarray, carried: np.ndarray) -> np.ndarray:
 
 
 def _plan_sums(model: RmpModel, chosen: list) -> tuple[dict, dict, tuple]:
-    """`_aggregate` of the plan that selects pool positions `chosen` (one
+    """`route_sums` of the plan that selects pool positions `chosen` (one
     per chain instance, in instance order) and routes every lead-in and
     lead-out along the hop table's canonical path, summed off the model's
     per-pair arrays instead of the routes: one `bincount` over (from, to)
@@ -527,7 +527,7 @@ def _decode(
     instance in instance order, each at its `z_loc` row (up to its chain's
     length) joined by its `pool` routes. With an integer `point` of the
     master or its full program, each end is routed by that point's end
-    flows, and the sums walk those routes (`_aggregate`). Without one, each
+    flows, and the sums walk those routes (`route_sums`). Without one, each
     end takes its hop-shortest path, the hop table's own route tuple, and
     the sums come from the model's arrays (`_plan_sums`)."""
     paths = all_pairs_hops(instance.topology)
@@ -555,7 +555,7 @@ def _decode(
             )
         )
     if point is not None:
-        loads, cores, hosting = _aggregate(instance, assignments)
+        loads, cores, hosting = route_sums(instance, assignments)
     else:
         loads, cores, hosting = _plan_sums(model, chosen)
     objective = sum(loads.values())
@@ -598,7 +598,7 @@ def _extract(
 
 def _validated(instance: ProblemInstance, plan: MappingPlan) -> MappingPlan:
     """`plan`, fresh from `_decode`, once every check of `validate_plan`
-    passes; its stored aggregates are the `_aggregate` of its routes that
+    passes; its stored aggregates are the `route_sums` of its routes that
     `_decode` just ran, so the checks read them rather than sum again."""
     aggregate = (plan.arc_loads, plan.node_cores, plan.hosting)
     violations = _violations(instance, plan, aggregate)
@@ -808,13 +808,14 @@ def solve(
 
 
 def validate_plan(instance: ProblemInstance, plan: MappingPlan) -> list:
-    """Re-derive every invariant from raw routes; stored aggregates are only
-    cross-checked, never trusted."""
+    """Re-derive every invariant from raw routes; stored aggregates (arc
+    loads, node cores, hosting set, objective) are only cross-checked, never
+    trusted, and a stored NaN matches nothing."""
     return _violations(instance, plan, None)
 
 
 def _violations(instance: ProblemInstance, plan: MappingPlan, aggregate) -> list:
-    """The checks of `validate_plan`. `aggregate` is `_aggregate` of every
+    """The checks of `validate_plan`. `aggregate` is `route_sums` of every
     assignment of `plan`, or None to compute it here over the assignments
     whose chain and locations are known. A route is checked once per
     (arcs object, start, end), however many pairs share it: a decoded
@@ -907,7 +908,7 @@ def _violations(instance: ProblemInstance, plan: MappingPlan, aggregate) -> list
             and len(asg.locations) == len(instance.chains[asg.chain].vnfs)
             and all(v in topo.node_by_id for v in asg.locations)
         ]
-        aggregate = _aggregate(instance, safe)
+        aggregate = route_sums(instance, safe)
     loads, cores, hosting = aggregate
     for arc, load in sorted(loads.items()):
         if tuple(arc) not in topo.arc_index:
@@ -931,7 +932,7 @@ def _violations(instance: ProblemInstance, plan: MappingPlan, aggregate) -> list
                     "capacity", f"stored load {load} on arc {arc[0]}->{arc[1]} > {cap}"
                 )
             )
-        if abs(load - loads.get(key, 0.0)) > 1e-6:
+        if not abs(load - loads.get(key, 0.0)) <= 1e-6:  # a NaN never matches
             violations.append(
                 Violation(
                     "arc_load_mismatch",
@@ -952,6 +953,21 @@ def _violations(instance: ProblemInstance, plan: MappingPlan, aggregate) -> list
             violations.append(
                 Violation("cores", f"node {v} uses {used} cores of {avail}")
             )
+    for v in sorted(cores.keys() | plan.node_cores.keys()):
+        stored, used = plan.node_cores.get(v, 0.0), cores.get(v, 0.0)
+        if not abs(stored - used) <= 1e-6:
+            violations.append(
+                Violation("node_cores_mismatch", f"node {v}: stored {stored}, recomputed {used}")
+            )
+    for v in sorted(set(hosting) ^ set(plan.hosting)):
+        violations.append(
+            Violation(
+                "hosting_mismatch",
+                f"node {v} hosts VNFs but is not stored as hosting"
+                if v in hosting
+                else f"node {v} is stored as hosting but hosts no VNF",
+            )
+        )
     if len(hosting) > instance.k:
         violations.append(
             Violation(
@@ -960,7 +976,7 @@ def _violations(instance: ProblemInstance, plan: MappingPlan, aggregate) -> list
             )
         )
     recomputed = sum(loads.values())
-    if abs(plan.objective_gbps_hops - recomputed) > 1e-6 * max(
+    if not abs(plan.objective_gbps_hops - recomputed) <= 1e-6 * max(
         1.0, abs(recomputed)
     ):
         violations.append(

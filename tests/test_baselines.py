@@ -3,11 +3,7 @@ import random
 import pytest
 from conftest import build_instance, random_connected_instance
 
-from scmap.baselines import (
-    baseline_report,
-    shortest_path_lb,
-    single_node_oracle,
-)
+from scmap.baselines import per_pair, shortest_path_lb, single_node_oracle
 from scmap.netmodel import (
     ArcSpec,
     ChainSpec,
@@ -99,7 +95,7 @@ class TestSingleNodeOracle:
 
 class TestPerPair:
     def test_equals_lb_when_applicable(self, triangle_instance):
-        assert baseline_report(triangle_instance).per_pair_instance == pytest.approx(6.0)
+        assert per_pair(triangle_instance)[0] == pytest.approx(6.0)
 
     def test_fallback_flagged_with_non_nfv_node(self):
         inst = build_instance(
@@ -108,17 +104,15 @@ class TestPerPair:
             [("a", "c")],
             nfv=["a", "c"],
         )
-        report = baseline_report(inst)
-        assert report.per_pair_from_engine
-        assert report.per_pair_instance >= report.shortest_path_lb - 1e-9
+        value, from_engine = per_pair(inst)
+        assert from_engine
+        assert value >= shortest_path_lb(inst) - 1e-9
 
     def test_not_flagged_on_fixtures(self, nsfnet_instance, cost239_instance):
         for inst in (nsfnet_instance, cost239_instance):
-            report = baseline_report(inst)
-            assert not report.per_pair_from_engine
-            assert report.per_pair_instance == pytest.approx(
-                report.shortest_path_lb
-            )
+            value, from_engine = per_pair(inst)
+            assert not from_engine
+            assert value == pytest.approx(shortest_path_lb(inst))
 
 
 class TestReportInvariants:
@@ -126,18 +120,18 @@ class TestReportInvariants:
         self, triangle_instance, nsfnet_instance, cost239_instance
     ):
         for inst in (triangle_instance, nsfnet_instance, cost239_instance):
-            r = baseline_report(inst)
             assert (
-                r.shortest_path_lb - 1e-9
-                <= r.per_pair_instance
-                <= r.single_node[1] + 1e-9
+                shortest_path_lb(inst) - 1e-9
+                <= per_pair(inst)[0]
+                <= single_node_oracle(inst)[1] + 1e-9
             )
 
     def test_ordering_on_random_instances(self):
         rng = random.Random(31337)
         for _ in range(20):
             inst = random_connected_instance(rng)
-            r = baseline_report(inst)
-            assert not r.per_pair_from_engine
-            assert r.per_pair_instance == pytest.approx(r.shortest_path_lb)
-            assert r.single_node[1] >= r.shortest_path_lb - 1e-9
+            lb = shortest_path_lb(inst)
+            value, from_engine = per_pair(inst)
+            assert not from_engine
+            assert value == pytest.approx(lb)
+            assert single_node_oracle(inst)[1] >= lb - 1e-9

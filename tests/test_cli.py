@@ -31,6 +31,17 @@ def nsfnet_at_cores(tmp_path, cores):
     return ["--topology", str(starved), "--chains", str(chains), "--demands", str(demands)]
 
 
+def nsfnet_at_links(tmp_path, name, gbps):
+    """Instance flags for NSFNET with each link at `gbps(link)` Gbps."""
+    topo, chains, demands = nsfnet_files()
+    doc = json.loads(topo.read_text())
+    for link in doc["links"]:
+        link["capacity_gbps"] = gbps(link)
+    edited = tmp_path / f"{name}.topology.json"
+    edited.write_text(json.dumps(doc))
+    return ["--topology", str(edited), "--chains", str(chains), "--demands", str(demands)]
+
+
 @pytest.fixture()
 def hop_table_builds(monkeypatch):
     """Topology names, one per hop table built from here on."""
@@ -67,7 +78,9 @@ def test_solve_and_baselines_reuse_the_hop_table(hop_table_builds):
                           nfv=["a", "c"])
     assert len(hop_table_builds) == 1
     engine.solve(inst)
-    assert baselines.baseline_report(inst).per_pair_from_engine
+    assert baselines.per_pair(inst)[1]
+    baselines.single_node_oracle(inst)
+    baselines.shortest_path_lb(inst)
     assert len(hop_table_builds) == 1
 
 
@@ -251,6 +264,48 @@ class TestValidate:
         captured = capsys.readouterr()
         assert message in (captured.err if code == 1 else captured.out)
 
+    @pytest.fixture(scope="class")
+    def nsfnet_plan(self, tmp_path_factory):
+        """Flags for bundled NSFNET at nc=4, k=14, and its solved plan's text."""
+        flags = ["--topology", "--chains", "--demands"]
+        flags = [x for pair in zip(flags, map(str, nsfnet_files())) for x in pair]
+        out = tmp_path_factory.mktemp("nsfnet") / "nc4.json"
+        assert run(["solve", *flags, "--nc", "4", "--k", "14", "--out", str(out)]) == 0
+        return [*flags, "--nc", "4", "--k", "14"], out.read_text()
+
+    @pytest.mark.parametrize(
+        "mutate, line",
+        [
+            (
+                lambda doc: doc.update(objective_gbps_hops=float("nan")),
+                "objective_mismatch: stored nan, recomputed 494.0",
+            ),
+            (
+                lambda doc: doc["arc_loads"].update({"01>02": float("nan")}),
+                "arc_load_mismatch: arc 01->02: stored nan, recomputed 5.0",
+            ),
+            (
+                lambda doc: doc["nodes"]["04"].update(cores_used=12345),
+                "node_cores_mismatch: node 04: stored 12345.0, recomputed 180.0",
+            ),
+            (
+                lambda doc: [node.update(hosts_vnfs=False) for node in doc["nodes"].values()],
+                "hosting_mismatch: node 04 hosts VNFs but is not stored as hosting",
+            ),
+        ],
+        ids=["nan-objective", "nan-arc-load", "raised-cores", "no-hosting"],
+    )
+    def test_stored_number_against_routes_exits_3(
+        self, mutate, line, nsfnet_plan, tmp_path, capsys
+    ):
+        flags, text = nsfnet_plan
+        out = tmp_path / "plan.json"
+        out.write_text(text)
+        self.corrupt(out, mutate)
+        capsys.readouterr()
+        assert run(["validate", *flags, "--plan", str(out)]) == 3
+        assert line in capsys.readouterr().out.splitlines()
+
     def test_tampered_load_exits_3(self, triangle_flags, tmp_path, capsys):
         out = tmp_path / "plan.json"
         run(["solve", *triangle_flags, "--nc", "1", "--k", "3", "--out", str(out)])
@@ -309,6 +364,33 @@ class TestLowerbound:
         # no single node fits, the per-pair construction does not fit and no
         # plan exists
         assert run(["lowerbound", *nsfnet_at_cores(tmp_path, 30)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "shortest_path_lb 390.000000",
+            "single_node none: no node fits every demand",
+            "per_pair none engine: no plan relative to the demand grouping",
+        ]
+
+    def test_single_node_skips_a_winner_whose_links_overflow(self, tmp_path, capsys, caplog):
+        # 06 ranks first (624), but its links at 30 Gbps cannot carry every
+        # demand to and from it; the per-pair routes still fit
+        flags = nsfnet_at_links(
+            tmp_path, "links06", lambda link: 30 if "06" in (link["a"], link["b"]) else 1000
+        )
+        assert run(["lowerbound", *flags]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "shortest_path_lb 390.000000",
+            "single_node 09 676.000000",
+            "per_pair 390.000000",
+        ]
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            "single-node oracle: 06 (624) does not fit the capacities or cores, "
+            "reporting 09 (676)"
+        ]
+
+    def test_no_placement_fits_12_gbps_links(self, tmp_path, capsys):
+        # neither reference fits, and the engine finds no plan either
+        assert run(["lowerbound", *nsfnet_at_links(tmp_path, "links12", lambda _: 12)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "shortest_path_lb 390.000000",
             "single_node none: no node fits every demand",

@@ -1165,6 +1165,8 @@ class TestValidatePlan:
                 uncovered_ac,
                 "arc_load_mismatch: arc a->b: stored 1.0, recomputed 0.0",
                 "arc_load_mismatch: arc b->c: stored 1.0, recomputed 0.0",
+                "node_cores_mismatch: node a: stored 2.0, recomputed 0.0",
+                "hosting_mismatch: node a is stored as hosting but hosts no VNF",
                 "objective_mismatch: stored 8.0, recomputed 6.0",
             ],
             "segment count": [
@@ -1181,12 +1183,16 @@ class TestValidatePlan:
                 "arc_load_mismatch: arc a->d: stored 1.0, recomputed 0.0",
                 "arc_load_mismatch: arc b->a: stored 3.0, recomputed 0.0",
                 "arc_load_mismatch: arc c->b: stored 2.0, recomputed 0.0",
+                "node_cores_mismatch: node b: stored 6.0, recomputed 0.0",
+                "hosting_mismatch: node b is stored as hosting but hosts no VNF",
                 "objective_mismatch: stored 8.0, recomputed 2.0",
             ],
             "empty segment": [
                 "contiguity: c/0 segment 0: empty route but a != b",
                 "contiguity: c/0 a->c lead-out: route runs a->c, expected b->c",
                 "cores: node b uses 7.0 cores of 6",
+                "node_cores_mismatch: node a: stored 2.0, recomputed 1.0",
+                "node_cores_mismatch: node b: stored 6.0, recomputed 7.0",
             ],
             "co-located segment": [
                 "contiguity: c/1 segment 0: nonempty route on co-located endpoints",
@@ -1214,6 +1220,7 @@ class TestValidatePlan:
                 "arc_load_mismatch: arc a->d: stored 1.0, recomputed 2.0",
                 "arc_load_mismatch: arc b->a: stored 3.0, recomputed 2.0",
                 "arc_load_mismatch: arc c->b: stored 2.0, recomputed 0.0",
+                "node_cores_mismatch: node b: stored 6.0, recomputed 4.0",
                 "objective_mismatch: stored 8.0, recomputed 6.0",
             ],
             "duplicated twice": [
@@ -1224,6 +1231,8 @@ class TestValidatePlan:
                 "arc_load_mismatch: arc b->a: stored 3.0, recomputed 2.0",
                 "arc_load_mismatch: arc b->c: stored 1.0, recomputed 2.0",
                 "arc_load_mismatch: arc c->b: stored 2.0, recomputed 0.0",
+                "node_cores_mismatch: node a: stored 2.0, recomputed 4.0",
+                "node_cores_mismatch: node b: stored 6.0, recomputed 4.0",
             ],
         }
 
@@ -1252,7 +1261,7 @@ def assert_close(got, want, what):
 def test_array_sums_equal_the_walk_over_the_routes(monkeypatch, caplog):
     # a plan whose ends are the hop table's routes sums its loads, cores and
     # objective off the model's per-pair arrays; they must equal
-    # `_aggregate` of the plan's own routes
+    # `route_sums` of the plan's own routes
     caplog.set_level(logging.ERROR)
     summed = []
     plan_sums = engine._plan_sums
@@ -1274,7 +1283,7 @@ def test_array_sums_equal_the_walk_over_the_routes(monkeypatch, caplog):
             except engine.Infeasible:
                 continue
             plans += 1
-            loads, cores, hosting = engine._aggregate(inst, plan.assignments)
+            loads, cores, hosting = engine.route_sums(inst, plan.assignments)
             assert plan.arc_loads.keys() == loads.keys()
             for arc, load in loads.items():
                 assert_close(plan.arc_loads[arc], load, arc)
