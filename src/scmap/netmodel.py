@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .pathcore import PathError, PathTable, build_hop_table
+import numpy as np
+
+from .pathcore import PathError, PathTable, shortest_path_weighted
 
 log = logging.getLogger("scmap")
 
@@ -65,9 +67,9 @@ class Topology:
 
     Each undirected link {a, b} becomes the two arcs (a, b) and (b, a), each
     carrying the full link capacity. Derived adjacency and the all-pairs hop
-    table are precomputed; the table's BFS from every node is also the check
-    that the topology is strongly connected. Treat instances as immutable
-    after construction.
+    table are precomputed; the table, least-cost paths under unit arc
+    weights, is also the check that the topology is strongly connected.
+    Treat instances as immutable after construction.
     """
 
     name: str
@@ -95,8 +97,10 @@ class Topology:
                 raise ValidationError(f"arc ({a.src!r}, {a.dst!r}) references unknown node")
             if a.src == a.dst:
                 raise ValidationError(f"self-loop arc at {a.src!r}")
-            if not a.capacity_gbps > 0:
-                raise ValidationError(f"arc ({a.src!r}, {a.dst!r}) capacity must be positive")
+            if not 0 < a.capacity_gbps < math.inf:
+                raise ValidationError(
+                    f"arc ({a.src!r}, {a.dst!r}) capacity must be positive and finite"
+                )
             key = (a.src, a.dst)
             if key in self.arc_index:
                 raise ValidationError(f"duplicate arc {key!r}")
@@ -110,7 +114,7 @@ class Topology:
         if not self.nodes:
             raise ValidationError("topology has no nodes")
         try:
-            self.paths = build_hop_table(self)
+            self.paths = shortest_path_weighted(self, np.ones(len(self.arcs), dtype=np.int64))
         except PathError as e:
             raise ValidationError(f"topology not strongly connected ({e})") from None
 
@@ -138,8 +142,10 @@ class DemandSet:
         for r in self.records:
             if r.src == r.dst:
                 raise ValidationError(f"self-demand {r.src!r} -> {r.dst!r} not allowed")
-            if not r.gbps > 0:
-                raise ValidationError(f"demand {r.src!r}->{r.dst!r} gbps must be positive")
+            if not 0 < r.gbps < math.inf:
+                raise ValidationError(
+                    f"demand {r.src!r}->{r.dst!r} gbps must be positive and finite"
+                )
             key = (r.chain, r.src, r.dst)
             if key in self.gbps:
                 raise ValidationError(f"duplicate demand record {(r.src, r.dst, r.chain)!r}")

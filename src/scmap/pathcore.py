@@ -1,22 +1,23 @@
-"""Shortest-path machinery: hop-count all-pairs table and weighted Dijkstra.
+"""Shortest-path machinery: one all-pairs least-cost routine.
 
-Hop distances drive the traffic grouping and the end-segment costs. Each
-`Topology` builds its table once, as integer matrices over a node -> index
-map, and every stage reads it through `all_pairs_hops`: the hop matrix, and
-the next-hop matrix `nxt` that holds every canonical path in index form. So
-the grouping, the master and the plan decode read whole rows and columns of
-them, or walk every path at once one hop per array lookup, instead of one
-pair at a time. The weighted variant serves the pricing subproblem, where
-arcs carry dual-adjusted prices. Both pick a canonical path
-deterministically: among all shortest paths, the one whose node sequence is
-lexicographically smallest.
+`shortest_path_weighted` builds a `PathTable` under positive arc weights: a
+Dijkstra toward every target, and the next-hop matrix `nxt` that holds
+every canonical path in index form. Each `Topology` builds its table once
+under unit weights, as integer matrices over a node -> index map: the hop
+table, which drives the traffic grouping and the end-segment costs, and
+which every stage reads through `all_pairs_hops`. So the grouping, the
+master and the plan decode read whole rows and columns of it, or walk every
+path at once one hop per array lookup, instead of one pair at a time. The
+pricing subproblem builds one table per round under dual-adjusted weights.
+Every table picks its canonical paths deterministically: among all
+least-cost paths, the one whose node sequence is lexicographically
+smallest.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -32,27 +33,28 @@ class PathError(ValueError):
 
 @dataclass
 class PathTable:
-    """All-pairs hop distances with canonical next hops, by node index.
+    """All-pairs least costs with canonical next hops, by node index.
 
-    hops[i, j] is the hop count of the shortest path from node i to node j.
-    nxt[i, j] is the node after i on the canonical i->j path: the
-    smallest-id out-neighbor that still lies on some shortest path, and
-    nxt[j, j] = j. So the canonical path from i to j is i, nxt[i, j],
-    nxt[nxt[i, j], j], ... up to j, one lookup per hop.
+    hops[i, j] is the cost of the least-cost path from node i to node j,
+    its hop count under unit weights. nxt[i, j] is the node after i on the
+    canonical i->j path: the smallest-id out-neighbor that still lies on
+    some least-cost path, and nxt[j, j] = j. So the canonical path from i
+    to j is i, nxt[i, j], nxt[nxt[i, j], j], ... up to j, one lookup per
+    hop.
     """
 
     index: dict[str, int]  # node -> row and column of `hops` and `nxt`
     names: list[str]  # index -> node
-    hops: np.ndarray  # integer matrix
+    hops: np.ndarray  # cost matrix, integer under integer weights
     nxt: np.ndarray  # integer matrix
     # (u, w) -> arcs of the canonical path, filled as `route` walks them
     _arcs: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def distance(self, u: str, w: str) -> int:
-        return int(self.hops[self.index[u], self.index[w]])
+    def distance(self, u: str, w: str) -> float:
+        return self.hops[self.index[u], self.index[w]].item()
 
     def route(self, u: str, w: str) -> tuple[tuple[str, str], ...]:
-        """Arcs of the canonical shortest path (empty when u == w), walked
+        """Arcs of the canonical least-cost path (empty when u == w), walked
         along `nxt` once per pair; every call for a pair returns the same
         tuple."""
         arcs = self._arcs.get((u, w))
@@ -72,93 +74,62 @@ def all_pairs_hops(topology: Topology) -> PathTable:
     return topology.paths
 
 
-def build_hop_table(topology: Topology) -> PathTable:
-    """BFS from every target over the directed arcs; raises PathError when
-    some node cannot reach a target, so a table exists only for a strongly
-    connected topology."""
+def shortest_path_weighted(topology: Topology, weights) -> PathTable:
+    """Least-cost paths between every pair of nodes under positive arc
+    weights, one per arc in `topology.arcs` order.
+
+    For each target, a Dijkstra over the reversed arcs gives every node's
+    cost to it; the next hop from u is the smallest-id out-neighbor v with
+    weight(u, v) + cost(v) equal to cost(u) within `_close`, which lowers
+    the cost to go, so every walk along `nxt` ends. Integer weights give an
+    integer cost matrix: unit weights give the hop table. Raises PathError
+    on a weight that is not positive, on a weight count that is not the arc
+    count, and when some node cannot reach a target, so a table exists only
+    for a strongly connected topology.
+    """
+    w = np.asarray(weights)
+    if w.shape != (len(topology.arcs),):
+        raise PathError(f"{w.size} weights for {len(topology.arcs)} arcs")
+    if not (w > 0).all():
+        bad = int(np.argmin(w > 0))
+        raise PathError(f"weight {w[bad]} on arc {list(topology.arc_index)[bad]!r} is not positive")
+    weight = dict(zip(topology.arc_index, w.tolist()))
+    into = {v: [(u, weight[(u, v)]) for (u, _) in arcs] for v, arcs in topology.in_arcs.items()}
     names = topology.node_ids
     index = {v: i for i, v in enumerate(names)}
-    hops = np.zeros((len(index), len(index)), dtype=np.int64)
-    nxt = np.zeros_like(hops)
-    for target in names:
-        # reverse BFS gives distance-to-target from every node
-        d = {target: 0}
-        queue = deque([target])
-        while queue:
-            v = queue.popleft()
-            for (u, _) in topology.in_arcs[v]:
-                if u not in d:
-                    d[u] = d[v] + 1
-                    queue.append(u)
-        if len(d) != len(topology.node_ids):
-            missing = sorted(set(topology.node_ids) - set(d))[:3]
-            raise PathError(f"no path to {target!r} from {missing}")
-        column = [0] * len(index)
-        step = [index[target]] * len(index)
-        for u, du in d.items():
-            column[index[u]] = du
-            if u == target:
+    cost = np.zeros((len(names), len(names)), dtype=w.dtype)
+    for t, target in enumerate(names):
+        togo = {target: 0}
+        heap = [(0, target)]
+        while heap:
+            c, v = heapq.heappop(heap)
+            if c > togo[v]:
                 continue
-            # smallest next hop that stays on a shortest path
-            step[index[u]] = index[min(v for (_, v) in topology.out_arcs[u] if d[v] == du - 1)]
-        hops[:, index[target]] = column
-        nxt[:, index[target]] = step
-    return PathTable(index=index, names=names, hops=hops, nxt=nxt)
+            for u, wu in into[v]:
+                cand = c + wu
+                if cand < togo.get(u, math.inf) - 1e-15:
+                    togo[u] = cand
+                    heapq.heappush(heap, (cand, u))
+        if len(togo) != len(names):
+            missing = sorted(set(names) - set(togo))[:3]
+            raise PathError(f"no path to {target!r} from {missing}")
+        cost[[index[u] for u in togo], t] = list(togo.values())
+    # every next hop at once: arcs by tail, then head, in id order; a
+    # tail's first arc on a least-cost path to t gives nxt[tail, t]
+    arcs = sorted(topology.arc_index)
+    tail = np.array([index[u] for u, _ in arcs], dtype=np.int64)
+    head = np.array([index[v] for _, v in arcs], dtype=np.int64)
+    via = w[[topology.arc_index[a] for a in arcs], None] + cost[head]
+    first = np.where(_close(via, cost[tail]), np.arange(len(arcs))[:, None], len(arcs))
+    starts = np.flatnonzero(np.diff(tail, prepend=-1))
+    nxt = np.empty(cost.shape, dtype=np.int64)
+    nxt[tail[starts]] = np.append(head, 0)[np.minimum.reduceat(first, starts)]
+    np.fill_diagonal(nxt, np.arange(len(names)))
+    return PathTable(index=index, names=names, hops=cost, nxt=nxt)
 
 
-def shortest_path_weighted(
-    topology: Topology,
-    weights: dict[tuple[str, str], float],
-    src: str,
-    dst: str,
-) -> tuple[float, list[tuple[str, str]]]:
-    """Min-cost src->dst path under nonnegative arc weights.
-
-    Returns (cost, arc list). Ties resolve to the lexicographically smallest
-    node sequence. Raises PathError on negative weights or missing arcs.
-    """
-    for arc in topology.arc_index:
-        w = weights.get(arc)
-        if w is None:
-            raise PathError(f"missing weight for arc {arc!r}")
-        if w < 0 or math.isnan(w):
-            raise PathError(f"negative or NaN weight on arc {arc!r}")
-    # Dijkstra toward dst on the reverse graph: cost-to-go from every node.
-    togo = {dst: 0.0}
-    done: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, dst)]
-    while heap:
-        c, v = heapq.heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        for (u, _) in topology.in_arcs[v]:
-            cand = c + weights[(u, v)]
-            if cand < togo.get(u, math.inf) - 1e-15:
-                togo[u] = cand
-                heapq.heappush(heap, (cand, u))
-    if src not in togo:
-        raise PathError(f"no path {src!r} -> {dst!r}")
-    # Greedy forward walk picking the smallest next node still on an optimal path.
-    arcs: list[tuple[str, str]] = []
-    u = src
-    guard = 0
-    while u != dst:
-        best = None
-        for (_, v) in topology.out_arcs[u]:
-            if v in togo and _close(weights[(u, v)] + togo[v], togo[u]):
-                best = v if best is None else min(best, v)
-        if best is None:  # numerical safety net; cannot happen on exact ties
-            raise PathError(f"path reconstruction failed at {u!r}")
-        arcs.append((u, best))
-        u = best
-        guard += 1
-        if guard > len(topology.node_ids):
-            raise PathError("path reconstruction cycled")
-    return togo[src], arcs
-
-
-def _close(a: float, b: float) -> bool:
+def _close(a, b):
+    """a == b up to a relative 1e-9, elementwise on arrays."""
     return abs(a - b) <= 1e-9 * (1.0 + abs(a) + abs(b))
 
 

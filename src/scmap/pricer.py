@@ -3,7 +3,9 @@ instance.
 
 The reduced cost decomposes additively: each position i at node v pays
 -(core_dual_v * D * cores_per_gbps(f_i)) - end_charge, and each segment pays
-a shortest path under arc weight D * (1 - capacity_dual). The end charge of
+a least-cost path under arc weight D * (1 - capacity_dual): one all-pairs
+table per round (`segment_cost_table`), from the same least-cost routine
+whose unit-weight table is the topology's hop table. The end charge of
 the first or last position at v is the end-flow rows' duals there less the
 end cost (`master.DualPrices.end`); a compact master has no end-flow rows,
 so both master shapes price through the same code.
@@ -58,12 +60,12 @@ class SegmentCostTable(NamedTuple):
 
 
 def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentCostTable:
-    """With no negative capacity dual every arc weighs 1, and the table is
-    read off the topology's hop table: its matrix one slice of the hop
-    matrix, and a segment's path walked only when asked for, as the hop
-    table's canonical route, which breaks ties toward the lexicographically
-    smallest node sequence, as the Dijkstra does. Otherwise each segment is
-    a Dijkstra under the dual-scaled weights."""
+    """The segment table of a round: arc weights 1 - capacity dual, read
+    off one all-pairs least-cost table, its matrix a slice of the table's
+    costs and a segment's path the table's canonical route, walked only
+    when asked for. With no negative capacity dual every arc weighs 1, and
+    that table is the topology's own hop table; otherwise it is built once
+    for the round by `shortest_path_weighted`."""
     topo = instance.topology
     mu = duals.capacity
     bad = np.flatnonzero(mu > EPS)
@@ -72,22 +74,10 @@ def segment_cost_table(instance: ProblemInstance, duals: DualPrices) -> SegmentC
         raise PricerError(f"capacity dual for {list(topo.arc_index)[a]} is positive ({mu[a]})")
     weights = 1.0 - np.minimum(mu, 0.0)
     paths = all_pairs_hops(topo)
-    nfv = topo.nfv_nodes
-    if (weights == 1.0).all():
-        at = [paths.index[v] for v in nfv]
-        return SegmentCostTable(matrix=paths.hops[np.ix_(at, at)].astype(float), path=paths.route)
-    weights = dict(zip(topo.arc_index, weights.tolist()))
-    matrix = np.zeros((len(nfv), len(nfv)))
-    path = {}
-    for i, u in enumerate(nfv):
-        for j, w in enumerate(nfv):
-            if u == w:
-                path[(u, w)] = ()
-                continue
-            cost, arcs = shortest_path_weighted(topo, weights, u, w)
-            matrix[i, j] = cost
-            path[(u, w)] = tuple(arcs)
-    return SegmentCostTable(matrix=matrix, path=lambda u, w: path[u, w])
+    if (weights != 1.0).any():
+        paths = shortest_path_weighted(topo, weights)
+    at = [paths.index[v] for v in topo.nfv_nodes]
+    return SegmentCostTable(matrix=paths.hops[np.ix_(at, at)].astype(float), path=paths.route)
 
 
 def cost_to_go(

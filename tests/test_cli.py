@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -46,13 +47,13 @@ def nsfnet_at_links(tmp_path, name, gbps):
 def hop_table_builds(monkeypatch):
     """Topology names, one per hop table built from here on."""
     built = []
-    build = netmodel.build_hop_table
+    build = netmodel.shortest_path_weighted
 
-    def counted(topology):
+    def counted(topology, weights):
         built.append(topology.name)
-        return build(topology)
+        return build(topology, weights)
 
-    monkeypatch.setattr(netmodel, "build_hop_table", counted)
+    monkeypatch.setattr(netmodel, "shortest_path_weighted", counted)
     return built
 
 
@@ -150,6 +151,34 @@ class TestSolve:
         assert code == 2
         err = capsys.readouterr().err
         assert "infeasible: chain instance sc3/0" in err and "must be co-located" in err
+
+    def test_infinite_link_capacity_exits_1(self, tmp_path, capsys):
+        # one link at inf (JSON's 1e999 reads as inf) beside 30 Gbps ones
+        # would get an arc-flow master, whose rows cannot hold an infinite
+        # bound: bad input, refused at load with the link named
+        flags = nsfnet_at_links(
+            tmp_path, "inf", lambda link: math.inf if (link["a"], link["b"]) == ("01", "02") else 30
+        )
+        code = run(["solve", *flags, "--nc", "4", "--k", "14", "--out", str(tmp_path / "p.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: arc ('01', '02') capacity must be positive and finite\n"
+        )
+
+    @pytest.mark.parametrize("gbps", ["inf", "1e999"])
+    def test_infinite_demand_exits_1(self, gbps, triangle_flags, tmp_path, capsys):
+        # an infinite demand is bad input, not a proof that no plan exists
+        flags = dict(zip(triangle_flags[::2], triangle_flags[1::2]))
+        rows = Path(flags["--demands"]).read_text().splitlines()
+        rows[1] = ",".join(rows[1].split(",")[:3] + [gbps])
+        demands = tmp_path / "inf.demands.csv"
+        demands.write_text("\n".join(rows) + "\n")
+        flags["--demands"] = str(demands)
+        argv = [x for pair in flags.items() for x in pair]
+        code = run(["solve", *argv, "--nc", "1", "--k", "3", "--out", str(tmp_path / "p.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: demand ") and "gbps must be positive and finite" in err, err
 
     def test_infeasible_maps_to_exit_2(self, tmp_path):
         inst = build_instance(

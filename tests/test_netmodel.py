@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -83,7 +84,7 @@ def test_disconnected_topology_rejected():
             ArcSpec("c", "d", 1.0), ArcSpec("d", "c", 1.0)]
     with pytest.raises(ValidationError, match="connected") as err:
         Topology("t", nodes, arcs)
-    # the BFS toward the first node names it and the nodes that cannot reach it
+    # the search toward the first node names it and the nodes that cannot reach it
     assert "no path to 'a' from ['c', 'd']" in str(err.value)
 
 
@@ -91,6 +92,19 @@ def test_nonpositive_capacity_rejected():
     nodes = [NodeSpec(v, True, 1) for v in "ab"]
     with pytest.raises(ValidationError, match="capacity"):
         Topology("t", nodes, [ArcSpec("a", "b", 0.0), ArcSpec("b", "a", 1.0)])
+
+
+@pytest.mark.parametrize("cap", [math.inf, math.nan])
+def test_capacity_that_is_not_finite_rejected(cap):
+    nodes = [NodeSpec(v, True, 1) for v in "ab"]
+    with pytest.raises(ValidationError, match=r"arc \('a', 'b'\) capacity must be positive and finite"):
+        Topology("t", nodes, [ArcSpec("a", "b", cap), ArcSpec("b", "a", 1.0)])
+
+
+@pytest.mark.parametrize("gbps", [math.inf, math.nan, 0.0, -1.0])
+def test_demand_gbps_that_is_not_positive_and_finite_rejected(gbps):
+    with pytest.raises(ValidationError, match="demand 'a'->'b' gbps must be positive and finite"):
+        DemandSet([DemandRecord("a", "b", "c", gbps)])
 
 
 def test_k_out_of_range():

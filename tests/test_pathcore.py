@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from scmap.netmodel import load_instance
 from scmap.pathcore import (
     PathError,
     all_pairs_hops,
-    build_hop_table,
     path_nodes,
     shortest_path_weighted,
 )
@@ -103,63 +104,102 @@ def test_hop_table_matches_oracle_on_random_graphs(graph):
                 assert paths.distance(u, w) <= paths.distance(u, m) + paths.distance(m, w)
 
 
+def weights_of(topo, weight=1.0, **by_arc):
+    """One weight per arc of `topo`, `weight` on each but the arcs
+    `by_arc` maps, by "src_dst" name."""
+    w = np.full(len(topo.arcs), weight)
+    for name, value in by_arc.items():
+        w[topo.arc_index[tuple(name.split("_"))]] = value
+    return w
+
+
 def test_weighted_equals_hops_on_unit_weights(nsfnet_instance, nsfnet_paths):
     topo = nsfnet_instance.topology
-    weights = {arc: 1.0 for arc in topo.arc_index}
+    table = shortest_path_weighted(topo, weights_of(topo))
     for u, w in [("01", "14"), ("05", "09"), ("13", "02")]:
-        cost, arcs = shortest_path_weighted(topo, weights, u, w)
-        assert cost == nsfnet_paths.distance(u, w)
-        assert len(arcs) == nsfnet_paths.distance(u, w)
+        assert table.distance(u, w) == nsfnet_paths.distance(u, w)
+        assert len(table.route(u, w)) == nsfnet_paths.distance(u, w)
 
 
 def test_weighted_detour():
     inst = build_instance(list("abcd"), [("a", "b"), ("b", "d"), ("a", "c"), ("c", "d")], [("a", "d")])
     topo = inst.topology
-    weights = {arc: 1.0 for arc in topo.arc_index}
-    weights[("a", "b")] = 10.0  # push the route through c
-    cost, arcs = shortest_path_weighted(topo, weights, "a", "d")
-    assert cost == 2.0
-    assert path_nodes(arcs) == ["a", "c", "d"]
+    # push the route through c
+    table = shortest_path_weighted(topo, weights_of(topo, a_b=10.0))
+    assert table.distance("a", "d") == 2.0
+    assert path_nodes(table.route("a", "d")) == ["a", "c", "d"]
 
 
 def test_weighted_src_equals_dst(triangle_instance):
     topo = triangle_instance.topology
-    weights = {arc: 2.0 for arc in topo.arc_index}
-    cost, arcs = shortest_path_weighted(topo, weights, "b", "b")
-    assert cost == 0.0 and arcs == []
+    table = shortest_path_weighted(topo, weights_of(topo, 2.0))
+    assert table.distance("b", "b") == 0.0 and table.route("b", "b") == ()
 
 
 def test_weighted_rejects_negative(triangle_instance):
     topo = triangle_instance.topology
-    weights = {arc: 1.0 for arc in topo.arc_index}
-    weights[("a", "b")] = -0.5
-    with pytest.raises(PathError, match="negative"):
-        shortest_path_weighted(topo, weights, "a", "c")
+    with pytest.raises(PathError, match="not positive"):
+        shortest_path_weighted(topo, weights_of(topo, a_b=-0.5))
+
+
+def test_weighted_rejects_zero_nan_and_a_wrong_weight_count(triangle_instance):
+    # a zero weight would let a next hop keep the cost to go, so a walk
+    # along `nxt` could cycle
+    topo = triangle_instance.topology
+    for bad in (0.0, math.nan):
+        with pytest.raises(PathError, match="not positive"):
+            shortest_path_weighted(topo, weights_of(topo, a_b=bad))
+    for count in (len(topo.arcs) - 1, len(topo.arcs) + 1):
+        with pytest.raises(PathError, match=f"{count} weights for {len(topo.arcs)} arcs"):
+            shortest_path_weighted(topo, np.ones(count))
+
+
+def random_topology(rng):
+    """A connected random topology on 4 to 8 nodes: a path plus chords."""
+    n = rng.randint(4, 8)
+    nodes = [f"n{i}" for i in range(n)]
+    links = {(nodes[i - 1], nodes[i]) for i in range(1, n)}
+    for _ in range(rng.randint(0, n)):
+        a, b = rng.sample(nodes, 2)
+        links.add((min(a, b), max(a, b)))
+    return build_instance(nodes, sorted(links), [(nodes[0], nodes[1])]).topology
 
 
 def test_weighted_matches_enumeration_on_random_graphs():
     rng = random.Random(20240817)
     checked = 0
     while checked < 1000:
-        n = rng.randint(4, 8)
-        nodes = [f"n{i}" for i in range(n)]
-        links = {(nodes[i - 1], nodes[i]) for i in range(1, n)}
-        for _ in range(rng.randint(0, n)):
-            a, b = rng.sample(nodes, 2)
-            links.add((min(a, b), max(a, b)))
-        inst = build_instance(nodes, sorted(links), [(nodes[0], nodes[1])])
-        topo = inst.topology
-        weights = {arc: round(rng.uniform(0.0, 5.0), 3) for arc in topo.arc_index}
+        topo = random_topology(rng)
+        weights = [round(rng.uniform(0.001, 5.0), 3) for _ in topo.arcs]
+        by_arc = dict(zip(topo.arc_index, weights))
+        table = shortest_path_weighted(topo, weights)
         for _ in range(4):
-            src, dst = rng.sample(nodes, 2)
+            src, dst = rng.sample(topo.node_ids, 2)
             best = min(
-                sum(weights[a] for a in p)
+                sum(by_arc[a] for a in p)
                 for p in simple_paths(topo.out_arcs, src, dst)
             )
-            cost, arcs = shortest_path_weighted(topo, weights, src, dst)
+            cost, arcs = table.distance(src, dst), table.route(src, dst)
             assert cost == pytest.approx(best, abs=1e-9)
-            assert sum(weights[a] for a in arcs) == pytest.approx(cost, abs=1e-9)
+            assert sum(by_arc[a] for a in arcs) == pytest.approx(cost, abs=1e-9)
             checked += 1
+
+
+def test_weighted_routes_are_the_smallest_least_cost_paths_under_ties():
+    # integer weights 1..3 make equal-cost paths common; the route must be
+    # the least-cost simple path whose node sequence is smallest
+    rng = random.Random(35)
+    for _ in range(150):
+        topo = random_topology(rng)
+        weights = [rng.randint(1, 3) for _ in topo.arcs]
+        by_arc = dict(zip(topo.arc_index, weights))
+        table = shortest_path_weighted(topo, weights)
+        for src, dst in itertools.permutations(topo.node_ids, 2):
+            paths = simple_paths(topo.out_arcs, src, dst)
+            best = min(sum(by_arc[a] for a in p) for p in paths)
+            canonical = min(path_nodes(p) for p in paths if sum(by_arc[a] for a in p) == best)
+            assert table.distance(src, dst) == best
+            assert path_nodes(table.route(src, dst)) == canonical
 
 
 def test_path_nodes_rejects_gap():
@@ -171,8 +211,9 @@ def test_path_nodes_rejects_gap():
 
 def test_determinism(nsfnet_instance):
     t1 = all_pairs_hops(nsfnet_instance.topology)
-    t2 = build_hop_table(nsfnet_instance.topology)
+    t2 = shortest_path_weighted(nsfnet_instance.topology, [1] * len(nsfnet_instance.topology.arcs))
     assert t1.index == t2.index and t1.names == t2.names
+    assert t1.hops.dtype == t2.hops.dtype == np.int64
     assert (t1.hops == t2.hops).all()
     assert (t1.nxt == t2.nxt).all()
 

@@ -8,8 +8,9 @@ from brute_force import column, enumerate_all_configs, fits
 from conftest import build_instance, random_connected_instance
 from test_end_commodities import draws
 
+from scmap import pricer
 from scmap.master import DualPrices, chain_instances, placement_faults
-from scmap.pathcore import shortest_path_weighted
+from scmap.pathcore import all_pairs_hops
 from scmap.pricer import (
     EPS,
     PricerError,
@@ -143,20 +144,20 @@ class TestSegmentTable:
         # the penalized arc may be bypassed when an alternative is cheaper
         assert priced.matrix[0, 2] <= flat.matrix[0, 2] + 2.0
 
-    def test_unit_weights_read_the_hop_table_as_dijkstra_would(self, nsfnet_instance):
-        # under zero duals the table comes from the hop table; the Dijkstra
-        # it stands in for must agree on every cost and path, ties included
+    def test_zero_duals_read_the_topologys_own_table(self, nsfnet_instance, monkeypatch):
+        # under zero duals every arc weighs 1: no table is built, and every
+        # cost and path is the topology's own hop table's
+        def build(*args):
+            raise AssertionError("a weighted table was built under zero duals")
+
+        monkeypatch.setattr(pricer, "shortest_path_weighted", build)
         topo = nsfnet_instance.topology
+        paths = all_pairs_hops(topo)
         table = segment_cost_table(nsfnet_instance, duals_of(nsfnet_instance))
-        unit = {arc: 1.0 for arc in topo.arc_index}
         for i, u in enumerate(topo.nfv_nodes):
             for j, w in enumerate(topo.nfv_nodes):
-                if u == w:
-                    assert table.matrix[i, j] == 0.0 and table.path(u, w) == ()
-                    continue
-                cost, arcs = shortest_path_weighted(topo, unit, u, w)
-                assert table.matrix[i, j] == cost
-                assert table.path(u, w) == tuple(arcs)
+                assert table.matrix[i, j] == paths.distance(u, w)
+                assert table.path(u, w) is paths.route(u, w)
 
 
 class TestEnumeration:
