@@ -10,13 +10,13 @@ chain instances whose round bound (`scmap.pricer`) is below -EPS or that
 have no pooled column. Every selection step hands `_decode` one pool
 position per chain instance (`_selected` reads them off an integer point).
 A plan whose ends follow the hop table's canonical paths is decoded with
-its loads summed off the master's per-pair arrays along the next-hop
-matrix (`_plan_sums`), with no walk per demand pair, and validated with
-those sums; `validate_plan` sums the loads afresh along the routes of any
-plan it is handed, so the two sums are independent. The relaxation carries no
-hosting budget, so one converged model serves every k of a sweep and only
-the integer selection reads k. The price is a k-blind `lp_bound`: the same
-at every k, and the reported `gap` is measured against it.
+its loads summed off the master's per-pair arrays along one batched walk
+of the hop table (`_plan_sums`), with no walk per demand pair, and validated
+with those sums; `validate_plan` sums the loads afresh along the routes of
+any plan it is handed, so the two sums are independent. The relaxation
+carries no hosting budget, so one converged model serves every k of a sweep
+and only the integer selection reads k. The price is a k-blind `lp_bound`:
+the same at every k, and the reported `gap` is measured against it.
 
 The final selection is automatic and tries, in order: the relaxation
 point, the host-set bound, the selection program, the full program. When
@@ -450,34 +450,14 @@ def _end_routes(model: RmpModel, x, ci: ChainInstance, location: str, lead_in: b
     return out
 
 
-def _spread(nxt: np.ndarray, carried: np.ndarray) -> np.ndarray:
-    """Arc loads of routes along canonical paths: [u * n + w] is the Gbps
-    on arc (u, w) when carried[a * n + b] Gbps run along the canonical path
-    from node a to node b, n nodes and `nxt` the hop table's next-hop
-    matrix. Every path takes its first hop together, then its second, and
-    so on: one `bincount` per hop."""
-    n = len(nxt)
-    loads = np.zeros(n * n)
-    route = np.flatnonzero(carried)
-    u, w = np.divmod(route, n)
-    gbps = carried[route]
-    while True:
-        live = u != w
-        u, w, gbps = u[live], w[live], gbps[live]
-        if not u.size:
-            return loads
-        step = nxt[u, w]
-        loads += np.bincount(u * n + step, weights=gbps, minlength=n * n)
-        u = step
-
-
 def _plan_sums(model: RmpModel, chosen: list) -> tuple[dict, dict, tuple]:
     """`route_sums` of the plan that selects pool positions `chosen` (one
     per chain instance, in instance order) and routes every lead-in and
     lead-out along the hop table's canonical path, summed off the model's
     per-pair arrays instead of the routes: one `bincount` over (from, to)
-    route ids covers every end, `_spread` puts those routes on arcs, each
-    instance adds its segments' arcs, and node cores come per position."""
+    route ids covers every end, the hop table walks those routes
+    (`PathTable.steps`) with one `bincount` per hop, each instance adds its
+    segments' arcs, and node cores come per position."""
     paths = all_pairs_hops(model.instance.topology)
     ix, names = paths.index, paths.names
     n = len(names)
@@ -486,7 +466,10 @@ def _plan_sums(model: RmpModel, chosen: list) -> tuple[dict, dict, tuple]:
     head, tail = at[loc[:, 0]][model.pair_ci], at[loc[:, -1]][model.pair_ci]
     routes = np.concatenate((model.pair_src * n + head, tail * n + model.pair_dst))
     carried = np.bincount(routes, weights=np.tile(model.pair_gbps, 2), minlength=n * n)
-    loads = _spread(paths.nxt, carried)
+    route = np.flatnonzero(carried)
+    loads = np.zeros(n * n)
+    for ids, u, w in paths.steps(*np.divmod(route, n)):
+        loads += np.bincount(u * n + w, weights=carried[route[ids]], minlength=n * n)
     seg_arcs, seg_gbps = [], []
     for ci, p in zip(model.chain_instances, chosen):
         for seg in model.pool[p]:

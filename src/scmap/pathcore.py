@@ -6,9 +6,10 @@ every canonical path in index form. Each `Topology` builds its table once
 under unit weights, as integer matrices over a node -> index map: the hop
 table, which drives the traffic grouping and the end-segment costs, and
 which every stage reads through `all_pairs_hops`. So the grouping, the
-master and the plan decode read whole rows and columns of it, or walk every
-path at once one hop per array lookup, instead of one pair at a time. The
-pricing subproblem builds one table per round under dual-adjusted weights.
+master and the plan decode read whole rows and columns of it, or walk many
+paths at once with `PathTable.steps`, one hop per array lookup, instead of
+one pair at a time; no module but this one reads `nxt`. The pricing
+subproblem builds one table per round under dual-adjusted weights.
 Every table picks its canonical paths deterministically: among all
 least-cost paths, the one whose node sequence is lexicographically
 smallest.
@@ -67,6 +68,20 @@ class PathTable:
                 i = toward[i]
             arcs = self._arcs[(u, w)] = tuple(walk)
         return arcs
+
+    def steps(self, src: np.ndarray, dst: np.ndarray):
+        """Walk the canonical paths from node src[i] to node dst[i] (index
+        arrays) together, one `nxt` lookup per hop. Each step yields
+        (ids, u, w): the ids of the paths not yet at their end, in
+        increasing order, and the arc (u[k], w[k]) that path ids[k] takes
+        next. A path with src[i] == dst[i] yields nothing."""
+        ids = np.flatnonzero(src != dst)
+        u, end = src[ids], dst[ids]
+        while ids.size:
+            w = self.nxt[u, end]
+            yield ids, u, w
+            on = w != end
+            ids, u, end = ids[on], w[on], end[on]
 
 
 def all_pairs_hops(topology: Topology) -> PathTable:

@@ -8,13 +8,12 @@ count hits min(requested instances, pair count).
 
 Each chain's pair paths are walked once into sparse cover entries, one
 (anchor, member) entry per demand pair `anchor` whose head the canonical
-path of `member` visits no later than its tail. The walk reads the hop
-table's next-hop matrix: all paths of one length advance together, one
-array lookup per hop, with no walk per pair. Pairs are numbered in
-lexicographic order, so a cluster size is a count over the entries
-(`np.bincount`), the first argmax is the smallest anchor among the largest,
-and a leftover's nearest anchor is the first argmin of one row of detours
-read off the hop matrix.
+path of `member` visits no later than its tail. The hop table walks every
+path at once (`PathTable.steps`), one array lookup per hop, with no walk
+per pair. Pairs are numbered in lexicographic order, so a cluster size is
+a count over the entries (`np.bincount`), the first argmax is the smallest
+anchor among the largest, and a leftover's nearest anchor is the first
+argmin of one row of detours read off the hop matrix.
 """
 
 from __future__ import annotations
@@ -64,23 +63,24 @@ def _cover_entries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(anchor ids, member ids) with one entry for each anchor whose head a
     member's canonical path visits no later than its tail; anchors and
-    members are given by `node_ends`, and ids index them. Paths of equal
-    length are walked together, one `nxt` lookup per hop, and matched
-    against the anchors together."""
+    members are given by `node_ends`, and ids index them. One walk of the
+    hop table (`PathTable.steps`) gives every member's node sequence, and
+    the paths of equal length are matched against the anchors together."""
     n = len(paths.index)
     anchor_at = np.full((n, n), -1)
     anchor_at[anchors] = np.arange(len(anchors[0]))
     src, dst = members
     length = paths.hops[src, dst] + 1
+    seq = np.empty((len(src), length.max(initial=1)), dtype=np.int64)
+    seq[:, 0] = src
+    for hop, (ids, _, w) in enumerate(paths.steps(src, dst), 1):
+        seq[ids, hop] = w
     anchor_ids, member_ids = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     for size in np.flatnonzero(np.bincount(length)).tolist():
         ids = np.flatnonzero(length == size)
-        seq = np.empty((ids.size, size), dtype=np.int64)
-        seq[:, 0] = src[ids]
-        for hop in range(1, size):
-            seq[:, hop] = paths.nxt[seq[:, hop - 1], dst[ids]]
+        rows = seq[ids, :size]
         head, tail = np.triu_indices(size)
-        found = anchor_at[seq[:, head], seq[:, tail]]
+        found = anchor_at[rows[:, head], rows[:, tail]]
         hit = found >= 0
         anchor_ids.append(found[hit])
         member_ids.append(np.repeat(ids, hit.sum(axis=1)))

@@ -503,6 +503,54 @@ def test_tight_square_solves(cores):
     assert engine.validate_plan(inst, plan) == []
 
 
+def draw_164():
+    """ROADMAP item 18's smallest false "infeasible": the path n0-n1-n2
+    with n1 and n2 NFV at 3 cores each, fw->nat at 1 core per Gbps each,
+    demands n0->n1 at 2 Gbps and n1->n0 at 1 Gbps, nc2, k2. No one-host
+    column fits the 2 Gbps pair (4 cores on one node)."""
+    return build_instance(
+        ["n0", "n1", "n2"],
+        [("n0", "n1"), ("n1", "n2")],
+        [("n0", "n1", 2.0), ("n1", "n0", 1.0)],
+        k=2,
+        nc=2,
+        chain_vnfs=("fw", "nat"),
+        cores=3,
+        nfv=["n1", "n2"],
+    )
+
+
+def test_draw_164_has_a_split_plan():
+    # oracle for the xfail below: both pairs take fw at n1 and nat at n2,
+    # 3 cores on each node, 9.0 Gbps.hops
+    inst = draw_164()
+    route = all_pairs_hops(inst.topology).route
+    assignments = [
+        engine.InstanceAssignment(
+            "c", i, ("n1", "n2"), (route("n1", "n2"),),
+            (engine.PairRoute(s, d, route(s, "n1"), route("n2", d)),),
+        )
+        for i, (s, d) in enumerate(inst.pairs_for_chain("c"))
+    ]
+    loads, cores, hosting = engine.route_sums(inst, assignments)
+    objective = sum(loads.values())
+    plan = engine.MappingPlan(tuple(assignments), loads, cores, hosting, objective, objective, 0.0)
+    assert engine.validate_plan(inst, plan) == []
+    assert objective == 9.0 and cores == {"n1": 3.0, "n2": 3.0}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=engine.Infeasible,
+    reason="ROADMAP item 5: column generation never prices the split column, "
+    "so the final selection reports a false 'infeasible'",
+)
+def test_draw_164_solves():
+    inst = draw_164()
+    plan = engine.solve(inst).plan
+    assert engine.validate_plan(inst, plan) == []
+
+
 @pytest.mark.parametrize(
     "files, cores, nc, objective, lp_bound, rounds, added",
     [
@@ -1301,26 +1349,26 @@ def test_a_hop_dropped_from_the_array_sum_is_a_load_mismatch(monkeypatch):
     # `_validated` reads the sums the decode stored, so it cannot see a
     # hop missing from them; `validate_plan` walks the routes and must
     inst = load_instance(*nsfnet_files(), k=14, nc=4)
-    spread = engine._spread
+    model, _ = engine.run_column_generation(inst, partition_all(inst))
+    paths = all_pairs_hops(inst.topology)
+    steps = paths.steps
     dropped = []
 
-    def drop_one_hop(nxt, carried):
-        loads = spread(nxt, carried)
-        n = len(nxt)
-        route = next(r for r in np.flatnonzero(carried).tolist() if r // n != r % n)
-        u, w = divmod(route, n)
-        loads[u * n + nxt[u, w]] -= carried[route]
-        dropped.append((u, int(nxt[u, w])))
-        return loads
+    def drop_one_arc(src, dst):
+        # the walk `_plan_sums` reads, less the first arc of its first path
+        for ids, u, w in steps(src, dst):
+            if not dropped:
+                dropped.append((int(u[0]), int(w[0])))
+                ids, u, w = ids[1:], u[1:], w[1:]
+            yield ids, u, w
 
-    monkeypatch.setattr(engine, "_spread", drop_one_hop)
-    plan = engine.solve(inst).plan
-    names = all_pairs_hops(inst.topology).names
+    monkeypatch.setattr(paths, "steps", drop_one_arc)
+    plan = engine.extract_plan(inst, model)
     (u, v), = dropped
     found = [str(x) for x in engine.validate_plan(inst, plan) if x.kind == "arc_load_mismatch"]
-    assert len(found) == 1 and f"arc {names[u]}->{names[v]}" in found[0], found
-    monkeypatch.setattr(engine, "_spread", spread)
-    assert engine.validate_plan(inst, engine.solve(inst).plan) == []
+    assert len(found) == 1 and f"arc {paths.names[u]}->{paths.names[v]}" in found[0], found
+    monkeypatch.undo()
+    assert engine.validate_plan(inst, engine.extract_plan(inst, model)) == []
 
 
 class TestPlanJson:

@@ -228,15 +228,17 @@ def walk_nxt(paths, u, w):
     return [paths.names[v] for v in seq]
 
 
+def named_topology(which, nsfnet_instance):
+    if which == "nsfnet":
+        return nsfnet_instance.topology
+    if which == "cost239":
+        return load_instance(*cost239_files(), k=1).topology
+    return ring_with_chords().topology
+
+
 @pytest.mark.parametrize("which", ["nsfnet", "cost239", "ring28"])
 def test_nxt_walks_the_canonical_route(which, nsfnet_instance):
-    if which == "nsfnet":
-        topo = nsfnet_instance.topology
-    elif which == "cost239":
-        topo = load_instance(*cost239_files(), k=1).topology
-    else:
-        topo = ring_with_chords().topology
-    paths = all_pairs_hops(topo)
+    paths = all_pairs_hops(named_topology(which, nsfnet_instance))
     for j, w in enumerate(paths.names):
         assert paths.nxt[j, j] == j
         for u in paths.names:
@@ -244,3 +246,39 @@ def test_nxt_walks_the_canonical_route(which, nsfnet_instance):
             assert seq == path_node_seq(paths, u, w)
             assert (path_nodes(paths.route(u, w)) or [u]) == seq
             assert len(seq) - 1 == paths.distance(u, w)
+
+
+def assert_steps_walk_every_route(table, rng):
+    """`table.steps` over every ordered node pair at once, in a shuffled
+    order, yields each pair's `route` arcs in order, and nothing for u == w."""
+    n = len(table.names)
+    order = list(range(n * n))
+    rng.shuffle(order)
+    src, dst = np.divmod(np.array(order, dtype=np.int64), n)
+    walked = [[] for _ in order]
+    for ids, u, w in table.steps(src, dst):
+        assert (np.diff(ids) > 0).all() and (src[ids] != dst[ids]).all()
+        for i, a, b in zip(ids.tolist(), u.tolist(), w.tolist()):
+            walked[i].append((table.names[a], table.names[b]))
+    for i, arcs in enumerate(walked):
+        assert tuple(arcs) == table.route(table.names[src[i]], table.names[dst[i]])
+    loops = np.arange(n)
+    assert list(table.steps(loops, loops)) == []
+
+
+@pytest.mark.parametrize("which", ["nsfnet", "cost239", "ring28"])
+def test_steps_walk_the_canonical_routes(which, nsfnet_instance):
+    topo = named_topology(which, nsfnet_instance)
+    rng = random.Random(36)
+    assert_steps_walk_every_route(all_pairs_hops(topo), rng)
+    weights = [rng.randint(1, 4) for _ in topo.arcs]
+    assert_steps_walk_every_route(shortest_path_weighted(topo, weights), rng)
+
+
+def test_steps_walk_the_canonical_routes_on_random_graphs():
+    rng = random.Random(3636)
+    for _ in range(100):
+        topo = random_topology(rng)
+        assert_steps_walk_every_route(all_pairs_hops(topo), rng)
+        weights = [rng.randint(1, 3) for _ in topo.arcs]
+        assert_steps_walk_every_route(shortest_path_weighted(topo, weights), rng)
