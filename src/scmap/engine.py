@@ -9,14 +9,13 @@ at its cheapest pooled column with ties to the lowest pool position (see
 chain instances whose round bound (`scmap.pricer`) is below -EPS or that
 have no pooled column. Every selection step hands `_decode` one pool
 position per chain instance (`_selected` reads them off an integer point).
-A plan whose ends follow the hop table's canonical paths is decoded with
-its loads summed off the master's per-pair arrays along one batched walk
-of the hop table (`_plan_sums`), with no walk per demand pair, and validated
-with those sums; `validate_plan` sums the loads afresh along the routes of
-any plan it is handed, so the two sums are independent. The relaxation
-carries no hosting budget, so one converged model serves every k of a sweep
-and only the integer selection reads k. The price is a k-blind `lp_bound`:
-the same at every k, and the reported `gap` is measured against it.
+A decoded plan's loads, node cores and hosting are `route_sums` of its
+routes, one sum for every plan, and the plan is validated with those sums;
+`validate_plan` runs the same sum afresh on any plan it is handed. The
+relaxation carries no hosting budget, so one converged model serves every
+k of a sweep and only the integer selection reads k. The price is a
+k-blind `lp_bound`: the same at every k, and the reported `gap` is
+measured against it.
 
 The final selection is automatic and tries, in order: the relaxation
 point, the host-set bound, the selection program, the full program. When
@@ -290,7 +289,6 @@ def run_column_generation(
     add_colocated_columns(model)
 
     trace = CgTrace()
-    pool_dirty = True
     last = 0.0  # duration of the previous iteration
     bound = 0.0  # every cost is >= 0
     for it in range(1, max_iters + 1):
@@ -299,7 +297,6 @@ def run_column_generation(
             log.warning("column generation stopped by time limit after %d iterations", it - 1)
             break
         sol, duals = solve_relaxation(model)
-        pool_dirty = False
         pricing = price_round(
             instance, model.chain_instances, duals, segment_cost_table(instance, duals)
         )
@@ -320,7 +317,6 @@ def run_column_generation(
             add_column(model, ci, locations, segments)
             if len(model.pool) > before:
                 added += 1
-                pool_dirty = True
         bound = max(bound, lagrangian)
         last = time.perf_counter() - tick
         trace.iterations.append(
@@ -329,10 +325,10 @@ def run_column_generation(
         if added == 0:
             trace.converged = True
             break
-    if pool_dirty:
-        # truncated mid-round: refresh the bound so it covers the whole pool
-        solve_relaxation(model)
     if not trace.converged:
+        # no round ran, or the last one pooled a column: refresh the
+        # relaxation so it covers the whole pool
+        solve_relaxation(model)
         model.truncated_bound = bound
         log.warning(
             "column generation truncated (%d iterations, %d columns)",
@@ -408,29 +404,29 @@ def route_sums(instance: ProblemInstance, assignments) -> tuple[dict, dict, tupl
     carried: dict = {}  # route -> Gbps along it
     cores: dict = {}
     hosting = set()
-    gbps_of = instance.demands.gbps
+    gbps_of, on = instance.demands.gbps.get, carried.get
     for asg in assignments:
-        per_gbps = instance.chain_cores_per_gbps(asg.chain)
-        routed = []
-        for route in asg.routes:
-            gbps = gbps_of.get((asg.chain, route.src, route.dst))
-            # a route with no demand record carries nothing; validate_plan
-            # reports it as a coverage fault of its own
-            if gbps is not None:
-                routed.append((route, gbps))
-        dgroup = sum(gbps for _, gbps in routed)
+        chain = asg.chain
+        per_gbps = instance.chain_cores_per_gbps(chain)
+        # a route with no demand record carries nothing; validate_plan
+        # reports it as a coverage fault of its own
+        gbps = [gbps_of((chain, route.src, route.dst)) for route in asg.routes]
+        dgroup = sum(g for g in gbps if g is not None)
         for seg in asg.segment_paths:
-            carried[seg] = carried.get(seg, 0.0) + dgroup
-        for route, gbps in routed:
-            for arcs in (route.first_arcs, route.last_arcs):
-                carried[arcs] = carried.get(arcs, 0.0) + gbps
+            carried[seg] = on(seg, 0.0) + dgroup
+        for route, g in zip(asg.routes, gbps):
+            if g is not None:
+                first, last = route.first_arcs, route.last_arcs
+                carried[first] = on(first, 0.0) + g
+                carried[last] = on(last, 0.0) + g
         for pos, v in enumerate(asg.locations):
             cores[v] = cores.get(v, 0.0) + dgroup * per_gbps[pos]
             hosting.add(v)
     loads: dict = {}
-    for arcs, gbps in carried.items():
+    at = loads.get
+    for arcs, g in carried.items():
         for arc in arcs:
-            loads[arc] = loads.get(arc, 0.0) + gbps
+            loads[arc] = at(arc, 0.0) + g
     return loads, cores, tuple(sorted(hosting))
 
 
@@ -448,46 +444,6 @@ def _end_routes(model: RmpModel, x, ci: ChainInstance, location: str, lead_in: b
         label = f"{ci.label} {'lead-in' if lead_in else 'lead-out'} {end.point}@{end.gbps:g}"
         out.update(zip(end.pairs, _peel_walks(flow, start, stop, len(end.pairs), label)))
     return out
-
-
-def _plan_sums(model: RmpModel, chosen: list) -> tuple[dict, dict, tuple]:
-    """`route_sums` of the plan that selects pool positions `chosen` (one
-    per chain instance, in instance order) and routes every lead-in and
-    lead-out along the hop table's canonical path, summed off the model's
-    per-pair arrays instead of the routes: one `bincount` over (from, to)
-    route ids covers every end, the hop table walks those routes
-    (`PathTable.steps`) with one `bincount` per hop, each instance adds its
-    segments' arcs, and node cores come per position."""
-    paths = all_pairs_hops(model.instance.topology)
-    ix, names = paths.index, paths.names
-    n = len(names)
-    at = np.array([ix[v] for v in model.nfv_index], dtype=np.int64)
-    loc = model.z_loc[chosen]
-    head, tail = at[loc[:, 0]][model.pair_ci], at[loc[:, -1]][model.pair_ci]
-    routes = np.concatenate((model.pair_src * n + head, tail * n + model.pair_dst))
-    carried = np.bincount(routes, weights=np.tile(model.pair_gbps, 2), minlength=n * n)
-    route = np.flatnonzero(carried)
-    loads = np.zeros(n * n)
-    for ids, u, w in paths.steps(*np.divmod(route, n)):
-        loads += np.bincount(u * n + w, weights=carried[route[ids]], minlength=n * n)
-    seg_arcs, seg_gbps = [], []
-    for ci, p in zip(model.chain_instances, chosen):
-        for seg in model.pool[p]:
-            seg_arcs += [ix[u] * n + ix[w] for u, w in seg]
-            seg_gbps += [ci.total_gbps] * len(seg)
-    loads += np.bincount(
-        np.array(seg_arcs, dtype=np.int64), weights=seg_gbps, minlength=n * n
-    )
-    used = np.flatnonzero(loads)
-    frm, to = np.divmod(used, n)
-    arc_loads = {
-        (names[a], names[b]): load
-        for a, b, load in zip(frm.tolist(), to.tolist(), loads[used].tolist())
-    }
-    nfv = list(model.nfv_index)
-    use = core_loads(model, chosen).tolist()
-    hosts = np.flatnonzero(np.bincount(loc.ravel())).tolist()  # NFV order is id order
-    return arc_loads, {nfv[v]: use[v] for v in hosts}, tuple(nfv[v] for v in hosts)
 
 
 def _selected(model: RmpModel, x, z0: int) -> list:
@@ -510,9 +466,9 @@ def _decode(
     instance in instance order, each at its `z_loc` row (up to its chain's
     length) joined by its `pool` routes. With an integer `point` of the
     master or its full program, each end is routed by that point's end
-    flows, and the sums walk those routes (`route_sums`). Without one, each
-    end takes its hop-shortest path, the hop table's own route tuple, and
-    the sums come from the model's arrays (`_plan_sums`)."""
+    flows; without one, each end takes its hop-shortest path, the hop
+    table's own route tuple. Either way the loads, node cores and hosting
+    are `route_sums` of the routes just built."""
     paths = all_pairs_hops(instance.topology)
     nfv = instance.topology.nfv_nodes
     assignments = []
@@ -537,10 +493,7 @@ def _decode(
                 routes=tuple(routes),
             )
         )
-    if point is not None:
-        loads, cores, hosting = route_sums(instance, assignments)
-    else:
-        loads, cores, hosting = _plan_sums(model, chosen)
+    loads, cores, hosting = route_sums(instance, assignments)
     objective = sum(loads.values())
     lp_bound = model.lp_bound
     gap = max(0.0, (objective - lp_bound) / max(1.0, abs(objective)))

@@ -207,13 +207,6 @@ class RmpModel:
     z_obj: np.ndarray
     z_ci: np.ndarray
     z_loc: np.ndarray
-    # each chain instance's demand pairs, instances in order and each one's
-    # pairs in `ChainInstance.pairs` order: chain instance index, node index
-    # (`PathTable.index`) of source and destination, and Gbps
-    pair_ci: np.ndarray
-    pair_src: np.ndarray
-    pair_dst: np.ndarray
-    pair_gbps: np.ndarray
     compact: bool = False  # the master's shape; see the module docstring
     z0: int = 0  # the first z variable: every variable `build_rmp` adds comes before
     # the end-flow coefficients of a z column placing position p at NFV node
@@ -381,11 +374,6 @@ def build_rmp(
     worst = worst_case_load(instance)
     ix = paths.index
     n = len(ix)
-    pairs = [(ci.index, ix[s], ix[d], g) for ci in cis for (s, d), g in ci.demand.items()]
-    pair_ci, pair_src, pair_dst = (
-        np.array([p[f] for p in pairs], dtype=np.int64) for f in range(3)
-    )
-    pair_gbps = np.array([p[3] for p in pairs], dtype=float)
     lp = LinearProgram("rmp")
     model = RmpModel(
         instance=instance,
@@ -397,10 +385,6 @@ def build_rmp(
         z_obj=np.zeros(0),
         z_ci=np.zeros(0, dtype=np.int64),
         z_loc=np.zeros((0, rate.shape[1]), dtype=np.int64),
-        pair_ci=pair_ci,
-        pair_src=pair_src,
-        pair_dst=pair_dst,
-        pair_gbps=pair_gbps,
         compact=all(a.capacity_gbps >= worst for a in topo.arcs),
         nfv_index={v: j for j, v in enumerate(nfv)},
     )
@@ -408,6 +392,13 @@ def build_rmp(
     # every destination: each instance's Gbps per node times the hop matrix
     at = [ix[v] for v in nfv]
     hops_in, hops_out = paths.hops[:, at], paths.hops[at, :].T
+    # each chain instance's demand pairs: chain instance index, node index
+    # of source and destination, and Gbps
+    pairs = [(ci.index, ix[s], ix[d], g) for ci in cis for (s, d), g in ci.demand.items()]
+    pair_ci, pair_src, pair_dst = (
+        np.array([p[f] for p in pairs], dtype=np.int64) for f in range(3)
+    )
+    pair_gbps = np.array([p[3] for p in pairs], dtype=float)
     by_src, by_dst = (
         np.bincount(pair_ci * n + ends, weights=pair_gbps, minlength=len(cis) * n)
         .reshape(len(cis), n)

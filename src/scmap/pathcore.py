@@ -5,10 +5,11 @@ Dijkstra toward every target, and the next-hop matrix `nxt` that holds
 every canonical path in index form. Each `Topology` builds its table once
 under unit weights, as integer matrices over a node -> index map: the hop
 table, which drives the traffic grouping and the end-segment costs, and
-which every stage reads through `all_pairs_hops`. So the grouping, the
-master and the plan decode read whole rows and columns of it, or walk many
+which every stage reads through `all_pairs_hops`. So the grouping and the
+master read whole rows and columns of it, and the grouping walks many
 paths at once with `PathTable.steps`, one hop per array lookup, instead of
-one pair at a time; no module but this one reads `nxt`. The pricing
+one pair at a time; the plan decode takes each end route as one cached
+tuple (`PathTable.route`). No module but this one reads `nxt`. The pricing
 subproblem builds one table per round under dual-adjusted weights.
 Every table picks its canonical paths deterministically: among all
 least-cost paths, the one whose node sequence is lexicographically

@@ -297,3 +297,25 @@ def grouping_free_optimum(instance: ProblemInstance, k: int):
     )
     assert res.status in (0, 2), res.message  # optimal or infeasible
     return res.fun if res.status == 0 else None
+
+
+def plan_sums(instance: ProblemInstance, plan) -> tuple[dict, dict, tuple]:
+    """Arc loads, node core use and hosting nodes of `plan`, summed one
+    demand pair and one arc at a time, with no grouping by route: each
+    pair's Gbps goes on every arc of its lead-in, of its instance's
+    segments and of its lead-out, and on the cores of each location at its
+    VNF's cores per Gbps. The reference for `engine.route_sums`."""
+    loads: dict = {}
+    cores: dict = {}
+    hosting = set()
+    for asg in plan.assignments:
+        vnfs = instance.chains[asg.chain].vnfs
+        for route in asg.routes:
+            gbps = instance.demand_gbps(asg.chain, route.src, route.dst)
+            for arcs in (route.first_arcs, *asg.segment_paths, route.last_arcs):
+                for arc in arcs:
+                    loads[arc] = loads.get(arc, 0.0) + gbps
+            for vnf, v in zip(vnfs, asg.locations):
+                cores[v] = cores.get(v, 0.0) + gbps * instance.vnfs[vnf].cores_per_gbps
+                hosting.add(v)
+    return loads, cores, tuple(sorted(hosting))

@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from brute_force import enumerate_all_configs, fits, pooled, reduced_cost_of
+from brute_force import enumerate_all_configs, fits, plan_sums, pooled, reduced_cost_of
 from test_end_commodities import budgets, draws
 from conftest import (
     build_instance,
@@ -1306,19 +1306,10 @@ def assert_close(got, want, what):
     assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (what, got, want)
 
 
-def test_array_sums_equal_the_walk_over_the_routes(monkeypatch, caplog):
-    # a plan whose ends are the hop table's routes sums its loads, cores and
-    # objective off the model's per-pair arrays; they must equal
-    # `route_sums` of the plan's own routes
+def test_decoded_sums_equal_the_per_pair_reference(caplog):
+    # every decoded plan stores `route_sums` of its routes; they must equal
+    # the reference that walks each demand pair's arcs one by one
     caplog.set_level(logging.ERROR)
-    summed = []
-    plan_sums = engine._plan_sums
-
-    def spy(model, chosen):
-        summed.append(len(chosen))
-        return plan_sums(model, chosen)
-
-    monkeypatch.setattr(engine, "_plan_sums", spy)
     plans = 0
     for inst, ks in decode_cells():
         try:
@@ -1331,7 +1322,7 @@ def test_array_sums_equal_the_walk_over_the_routes(monkeypatch, caplog):
             except engine.Infeasible:
                 continue
             plans += 1
-            loads, cores, hosting = engine.route_sums(inst, plan.assignments)
+            loads, cores, hosting = plan_sums(inst, plan)
             assert plan.arc_loads.keys() == loads.keys()
             for arc, load in loads.items():
                 assert_close(plan.arc_loads[arc], load, arc)
@@ -1340,35 +1331,7 @@ def test_array_sums_equal_the_walk_over_the_routes(monkeypatch, caplog):
                 assert_close(plan.node_cores[v], used, v)
             assert plan.hosting == hosting
             assert_close(plan.objective_gbps_hops, sum(loads.values()), "objective")
-    # most plans are summed off the arrays; the rest are full-program or
-    # arc-flow relaxation points, whose ends are peeled end flows
-    assert plans >= 110 and len(summed) >= 85, (plans, len(summed))
-
-
-def test_a_hop_dropped_from_the_array_sum_is_a_load_mismatch(monkeypatch):
-    # `_validated` reads the sums the decode stored, so it cannot see a
-    # hop missing from them; `validate_plan` walks the routes and must
-    inst = load_instance(*nsfnet_files(), k=14, nc=4)
-    model, _ = engine.run_column_generation(inst, partition_all(inst))
-    paths = all_pairs_hops(inst.topology)
-    steps = paths.steps
-    dropped = []
-
-    def drop_one_arc(src, dst):
-        # the walk `_plan_sums` reads, less the first arc of its first path
-        for ids, u, w in steps(src, dst):
-            if not dropped:
-                dropped.append((int(u[0]), int(w[0])))
-                ids, u, w = ids[1:], u[1:], w[1:]
-            yield ids, u, w
-
-    monkeypatch.setattr(paths, "steps", drop_one_arc)
-    plan = engine.extract_plan(inst, model)
-    (u, v), = dropped
-    found = [str(x) for x in engine.validate_plan(inst, plan) if x.kind == "arc_load_mismatch"]
-    assert len(found) == 1 and f"arc {paths.names[u]}->{paths.names[v]}" in found[0], found
-    monkeypatch.undo()
-    assert engine.validate_plan(inst, engine.extract_plan(inst, model)) == []
+    assert plans >= 110, plans
 
 
 class TestPlanJson:
